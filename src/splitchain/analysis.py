@@ -215,10 +215,6 @@ class SweepRow:
     mc_freq: float | None = None
     mc_stderr: float | None = None
 
-    @property
-    def realized_beta(self) -> Fraction:
-        return Fraction(self.f, self.n)
-
 
 def default_beta_grid(alpha: Fraction, steps: int = 10) -> list:
     """Evenly spaced ratios j*alpha/steps for j = 0..steps-1 (all < alpha)."""

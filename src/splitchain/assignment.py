@@ -10,7 +10,7 @@ behave like a uniform random balanced partition of the validator set.
 from dataclasses import dataclass
 
 from .errors import TooFew
-from .model import UserId, sha256
+from .model import sha256
 
 DETERMINISTIC = "deterministic"
 RANDOMIZED = "randomized"
@@ -29,13 +29,6 @@ class AssignmentOutcome:
             raise ValueError("first side must take the ceiling half")
         if set(self.v1) & set(self.v2):
             raise ValueError("sides must be disjoint")
-
-    def side_of(self, member: UserId) -> int:
-        if member in self.v1:
-            return 1
-        if member in self.v2:
-            return 2
-        raise KeyError(member)
 
 
 def _split(ranked, scheme, seed=None) -> AssignmentOutcome:

@@ -9,7 +9,8 @@ byte-for-byte reproducible.
 
 Exit codes: 0 success (for verify-proof: verdict 1); 1 verify-proof
 verdict 0; 2 unusable input (bad flags, malformed scenario/params/files);
-3 scenario run observed a safety violation.
+3 scenario run observed a safety violation; 4 scenario run stopped early
+because a chain lost its quorum (reports cover the run up to the stall).
 """
 
 import argparse
@@ -113,6 +114,9 @@ def _cmd_simulate(args) -> int:
         for line in report.safety_violations:
             _err(f"safety violation: {line}")
         return 3
+    if report.stalled is not None:
+        _err(f"run stopped early: {report.stalled}")
+        return 4
     return 0
 
 

@@ -126,35 +126,44 @@ def commit_statement(chain: bytes, block_digest: Digest, height: int) -> bytes:
 
 
 def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
-                     pk_of, scheme, vote_fn) -> dict:
+                     pk_of, scheme, vote_of) -> dict:
     """One vote round over a candidate block, with per-recipient delivery.
 
-    ``vote_fn(voter, recipient) -> (digest, signature) | None`` produces the
-    vote ``voter`` sends to ``recipient`` — correct voters return the
-    candidate digest signed under their key for every recipient, faulty ones
-    may vary or withhold. Returns {recipient: committed bool} for every
-    validator; a recipient commits when it holds >= quorum valid signatures
-    from distinct validators over the candidate's commit statement.
+    ``vote_of(voter) -> (vote, hook)`` says what ``voter`` sends, where a
+    vote is ``(digest, signature)`` or None for silence. A voter that sends
+    every recipient the same vote (a correct or crashed one) gives that vote
+    and hook None; it is counted once, for all recipients. A voter whose
+    vote may differ per recipient (a Byzantine one) gives hook, and
+    ``hook(recipient)`` is the vote ``recipient`` receives. A round thus
+    costs O(n + b*n) votes for b hooked voters, and each distinct
+    (voter, signature) is verified once.
+
+    Returns {recipient: committed bool} for every validator; a recipient
+    commits when it holds >= quorum valid signatures from distinct
+    validators over the candidate's commit statement.
     """
-    outcome = {}
-    checked = {}  # (voter, digest, sig) -> bool; honest votes repeat per recipient
-    for recipient in validators:
-        matching = 0
-        for voter in validators:
-            vote = vote_fn(voter, recipient)
-            if vote is None:
-                continue
-            digest, sig = vote
-            if digest != candidate.digest:
-                continue
-            key = (voter, digest, sig)
-            ok = checked.get(key)
-            if ok is None:
-                pk = pk_of(voter)
-                voted = commit_statement(chain, digest, candidate.height)
-                ok = pk is not None and scheme.verify(pk, voted, sig)
-                checked[key] = ok
-            if ok:
-                matching += 1
-        outcome[recipient] = matching >= quorum
-    return outcome
+    statement = commit_statement(chain, candidate.digest, candidate.height)
+    checked = {}  # (voter, sig) -> bool; a hooked voter may repeat a vote
+
+    def counts(voter, vote) -> bool:
+        if vote is None or vote[0] != candidate.digest:
+            return False
+        key = (voter, vote[1])
+        ok = checked.get(key)
+        if ok is None:
+            pk = pk_of(voter)
+            ok = checked[key] = pk is not None and scheme.verify(
+                pk, statement, vote[1])
+        return ok
+
+    uniform = 0
+    hooked = []
+    for voter in validators:
+        vote, hook = vote_of(voter)
+        if hook is None:
+            uniform += counts(voter, vote)
+        else:
+            hooked.append((voter, hook))
+    return {recipient: uniform + sum(counts(voter, hook(recipient))
+                                     for voter, hook in hooked) >= quorum
+            for recipient in validators}

@@ -29,10 +29,6 @@ class BrokenChain(SplitchainError):
         super().__init__(message or f"broken digest chain at height {height}")
 
 
-class EmptyLedger(SplitchainError):
-    pass
-
-
 class Stalled(SplitchainError):
     """Quorum unreachable: too many faulty validators."""
 
@@ -79,10 +75,6 @@ class TooFew(SplitchainError):
 
 class InvalidParams(SplitchainError):
     pass
-
-
-class OutOfValidityRange(SplitchainError):
-    """Closed-form bound evaluated outside its stated validity condition."""
 
 
 class NotOwner(SplitchainError):

@@ -6,10 +6,16 @@ synchronous vote rounds (consensus is a black box — only its quorum
 arithmetic matters here), while the division protocol is message-faithful:
 the initiator's broadcast and every signed ack travel through the simulated
 network and are counted, one DIVIDE per validator plus n^2 acks.
+
+Every signature a validator gives (commit vote, division ack, certificate
+share) comes from :meth:`Ecosystem.respond`. Correct and crashed validators
+give one answer for all recipients, so it is signed and checked once; only a
+Byzantine strategy answers each recipient separately.
 """
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property, partial
 
 from .assignment import DETERMINISTIC, RANDOMIZED, assign
 from .consensus import collect_certificate, commit_statement, run_commit_round
@@ -30,6 +36,7 @@ from .errors import (
 )
 from .model import (
     Account,
+    Block,
     ChainConfig,
     ChainId,
     ConfigUpdatePayload,
@@ -48,14 +55,10 @@ from .model import (
 from .netsim import BYZANTINE, CRASH, Network, make_strategy
 
 # division phases, strictly ordered
-IDLE = 0
 PROPOSED = 1
 ACKED = 2
 ASSIGNED = 3
 RECONFIGURED = 4
-
-PHASE_NAMES = {IDLE: "idle", PROPOSED: "proposed", ACKED: "acked",
-               ASSIGNED: "assigned", RECONFIGURED: "reconfigured"}
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,7 @@ class DivideRequest:
     agreed_height: int
     anchor_digest: bytes
 
+    @cached_property
     def statement(self) -> bytes:
         return (b"divide" + enc_bytes(self.chain) + enc_bytes(self.initiator)
                 + enc_u64(self.agreed_height) + enc_bytes(self.anchor_digest))
@@ -93,6 +97,61 @@ class ValidatorRuntime:
     validator: UserId
     committed_height: int = 0
     division: DivisionState | None = None
+
+
+# --- signing requests ------------------------------------------------------------
+#
+# A request is what every validator is asked to sign. `honest(sign)` is the
+# answer of a correct validator; `byzantine(strategy, sign, recipient)` asks
+# a Byzantine validator's strategy what it sends to `recipient`.
+# `Ecosystem.respond` turns a request into one validator's answer.
+
+
+@dataclass(frozen=True)
+class VoteRequest:
+    """Vote on a candidate block; answers are (digest, signature)."""
+
+    chain: ChainId
+    candidate: Block
+
+    def statement_of(self, digest) -> bytes:
+        return commit_statement(self.chain, digest, self.candidate.height)
+
+    def honest(self, sign):
+        digest = self.candidate.digest
+        return digest, sign(self.statement_of(digest))
+
+    def byzantine(self, strategy, sign, recipient):
+        return strategy.vote(self.candidate.digest, self.statement_of,
+                             recipient, sign)
+
+
+@dataclass(frozen=True)
+class AckRequest:
+    """Acknowledge a DIVIDE request; answers are signatures."""
+
+    statement: bytes
+
+    def honest(self, sign):
+        return sign(self.statement)
+
+    def byzantine(self, strategy, sign, recipient):
+        return strategy.division_ack(self.statement, recipient, sign)
+
+
+@dataclass(frozen=True)
+class CertRequest:
+    """Sign a certificate statement for its collector; answers are
+    signatures. Strategies answer the collector alone, so the recipient
+    is ignored."""
+
+    statement: bytes
+
+    def honest(self, sign):
+        return sign(self.statement)
+
+    def byzantine(self, strategy, sign, recipient):
+        return strategy.cert_sign(self.statement, sign)
 
 
 @dataclass(frozen=True)
@@ -147,6 +206,8 @@ class ChainSim:
         self.runtimes = {v: ValidatorRuntime(v, self.state.last_height)
                          for v in self.state.config.validators}
         self.division_rejections: dict[UserId, str] = {}
+        # (request, signer, signature) -> ack verdict, shared by receivers
+        self._ack_verdicts: dict = {}
 
     @property
     def config(self) -> ChainConfig:
@@ -184,11 +245,12 @@ class ChainSim:
         for tx in txs:
             state = apply_transaction(state, tx, scheme=self.eco.scheme)
         candidate = make_block(len(self.ledger), self.ledger[-1].digest, txs)
-        vote_fn = self._make_vote_fn(candidate)
+        request = VoteRequest(self.chain_id, candidate)
+        votes = {v: self.eco.respond(v, request) for v in self.validators}
         for _ in range(self.eco.retry_budget):
             outcome = run_commit_round(
                 self.chain_id, candidate, self.validators, self.quorum,
-                self.eco.registry.pk_of, self.eco.scheme, vote_fn)
+                self.eco.registry.pk_of, self.eco.scheme, votes.__getitem__)
             committers = [v for v in self.correct_validators() if outcome[v]]
             if committers:
                 self.ledger.append(candidate)
@@ -199,36 +261,11 @@ class ChainSim:
                     if v in self.runtimes:
                         self.runtimes[v].committed_height = candidate.height
                 return candidate
+        self.eco._log(f"stall chain={_name(self.chain_id)} "
+                      f"height={candidate.height}")
         raise Stalled(
             f"chain {self.chain_id!r}: no quorum after "
             f"{self.eco.retry_budget} rounds at height {candidate.height}")
-
-    def _make_vote_fn(self, candidate):
-        eco = self.eco
-        chain = self.chain_id
-        honest = {}
-
-        def statement_of(digest):
-            return commit_statement(chain, digest, candidate.height)
-
-        def vote_fn(voter, recipient):
-            node = eco.network.node(voter)
-            if node.crashed(eco.network.now):
-                return None
-            pk = eco.registry.pk_of(voter)
-
-            def sign(message):
-                return eco.scheme.sign(pk, message)
-
-            if node.strategy is not None:
-                return node.strategy.vote(candidate.digest, statement_of,
-                                          recipient, sign)
-            if voter not in honest:
-                honest[voter] = (candidate.digest,
-                                 sign(statement_of(candidate.digest)))
-            return honest[voter]
-
-        return vote_fn
 
     # -- division protocol ---------------------------------------------------
 
@@ -272,23 +309,18 @@ class ChainSim:
         self._broadcast_ack(validator, rt, req)
 
     def _broadcast_ack(self, validator, rt, req):
-        eco = self.eco
-        statement = req.statement()
-        pk = eco.registry.pk_of(validator)
-
-        def sign(message):
-            return eco.scheme.sign(pk, message)
-
-        strategy = eco.network.strategy_of(validator)
+        network = self.eco.network
         rt.division.phase = max(rt.division.phase, ACKED)
+        sig, hook = self.eco.respond(validator, AckRequest(req.statement))
+        if hook is None:  # one signed ack, the same for every recipient
+            if sig is not None:
+                network.broadcast(validator, self.validators,
+                                  AckMsg(req, validator, sig))
+            return
         for recipient in self.validators:
-            if strategy is not None:
-                sig = strategy.division_ack(statement, recipient, sign)
-            else:
-                sig = sign(statement)
-            if sig is None:
-                continue  # withheld: nothing on the wire
-            eco.network.send(validator, recipient, AckMsg(req, validator, sig))
+            sig = hook(recipient)
+            if sig is not None:  # None: withheld, nothing on the wire
+                network.send(validator, recipient, AckMsg(req, validator, sig))
 
     def on_ack(self, validator: UserId, ack: AckMsg, now: int):
         if self.halted:
@@ -308,9 +340,14 @@ class ChainSim:
             return
         if ack.signer not in self.state.config.validators:
             return
-        pk = self.eco.registry.pk_of(ack.signer)
-        if pk is None or not self.eco.scheme.verify(
-                pk, ack.request.statement(), ack.signature):
+        key = (ack.request, ack.signer, ack.signature)
+        ok = self._ack_verdicts.get(key)
+        if ok is None:
+            pk = self.eco.registry.pk_of(ack.signer)
+            ok = self._ack_verdicts[key] = pk is not None and \
+                self.eco.scheme.verify(pk, ack.request.statement,
+                                       ack.signature)
+        if not ok:
             return
         st = rt.division
         st.acks[ack.signer] = ack.signature
@@ -547,7 +584,7 @@ class Ecosystem:
             stmt = (b"fuse" + enc_bytes(sim.chain_id)
                     + enc_bytes(sim.state.digest()))
             collect_certificate(stmt, sim.validators, sim.quorum,
-                                self._cert_sign_fn(stmt),
+                                self.cert_sign_fn(stmt),
                                 pk_of=self.registry.pk_of, scheme=self.scheme)
         overlap = set(s1.state.assets) & set(s2.state.assets)
         if overlap:
@@ -606,19 +643,36 @@ class Ecosystem:
             raise SplitchainError(f"no live chain {chain_id!r}")
         return sim
 
-    def _cert_sign_fn(self, statement: bytes):
+    def respond(self, validator: UserId, request) -> tuple:
+        """`validator`'s answer to a signing request, as (answer, hook).
+
+        A crashed validator answers None and a correct one its honest
+        answer. Both send every recipient the same answer, so hook is None.
+        A Byzantine validator's answer may differ per recipient: answer is
+        None and hook(recipient) asks its strategy, which signs with the
+        validator's own key.
+        """
+        node = self.network.node(validator)
+        if node.crashed(self.network.now):
+            return None, None
+        pk = self.registry.pk_of(validator)
+
+        def sign(message):
+            return self.scheme.sign(pk, message)
+
+        strategy = node.strategy
+        if strategy is None:
+            return request.honest(sign), None
+        return None, partial(request.byzantine, strategy, sign)
+
+    def cert_sign_fn(self, statement: bytes):
+        """collect_certificate's sign_fn: each validator's response to the
+        certificate's collector."""
+        request = CertRequest(statement)
+
         def sign_fn(validator):
-            node = self.network.node(validator)
-            if node.crashed(self.network.now):
-                return None
-            pk = self.registry.pk_of(validator)
-
-            def sign(message):
-                return self.scheme.sign(pk, message)
-
-            if node.strategy is not None:
-                return node.strategy.cert_sign(statement, sign)
-            return sign(statement)
+            sig, hook = self.respond(validator, request)
+            return sig if hook is None else hook(None)
 
         return sign_fn
 

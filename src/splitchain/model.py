@@ -10,6 +10,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     AlreadyMember,
@@ -336,7 +337,7 @@ class ChainConfig:
         if len(set(self.validators)) != len(self.validators):
             raise ValueError("duplicate validator")
 
-    @property
+    @cached_property
     def quorum(self) -> int:
         return self.consensus.quorum(len(self.validators))
 

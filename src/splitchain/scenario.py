@@ -41,11 +41,11 @@ from .crypto import derive_rng
 from .errors import (
     ConfigError,
     NoQuorum,
-    SplitchainError,
+    Stalled,
     StateDivergence,
     TriggerNotMet,
 )
-from .manager import Ecosystem
+from .manager import Ecosystem, _name
 from .model import Asset, Role
 
 _SCENARIO_KEYS = {"seed", "horizon", "d_min", "d_max", "lookback", "assignment"}
@@ -324,6 +324,7 @@ class MetricsReport:
     safety_violations: tuple  # observed divergence among correct validators
     messages_total: int
     final_chains: tuple  # (chain_id, n, f) at end of run
+    stalled: str | None = None  # why the run stopped: a chain lost quorum
 
     def metrics_csv(self) -> str:
         lines = [",".join(METRICS_HEADER)]
@@ -341,13 +342,6 @@ class MetricsReport:
         return "\n".join(self.events) + ("\n" if self.events else "")
 
 
-def _name(raw: bytes) -> str:
-    try:
-        return raw.decode("ascii")
-    except UnicodeDecodeError:
-        return raw.hex()
-
-
 # --- driver ----------------------------------------------------------------------
 
 
@@ -361,6 +355,7 @@ class _Driver:
         self.metrics = []
         self.doublings = []
         self.safety_violations = []
+        self.stalled = None
         self.arrival_idx = 0
         # per-chain growth bookkeeping: birth size/faults, arrivals since
         self.meta = {}
@@ -504,6 +499,8 @@ class _Driver:
     def run(self) -> MetricsReport:
         self.create_chains()
         self.apply_faults()
+        for chain_id in list(self.eco.chains):  # a chain may start at n_max
+            self._maybe_divide(chain_id)
         self.sample()
 
         actions = []
@@ -528,6 +525,9 @@ class _Driver:
                 self.safety_violations.append(str(exc))
                 self.eco._log(f"SAFETY VIOLATION: {exc}")
                 break
+            except Stalled as exc:  # the manager logged the stall event
+                self.stalled = str(exc)
+                break
             self.sample()
         self.eco.network.run_until_idle()
 
@@ -547,6 +547,7 @@ class _Driver:
             safety_violations=tuple(self.safety_violations),
             messages_total=self.eco.network.messages_sent,
             final_chains=final,
+            stalled=self.stalled,
         )
 
 

@@ -354,7 +354,7 @@ def tok_generate_proof(eco, prover: UserId, source: ChainId, predicate,
         return None
     statement = proof_statement(predicate, 1, tag)
     cert = collect_certificate(statement, sim.validators, sim.quorum,
-                               eco._cert_sign_fn(statement),
+                               eco.cert_sign_fn(statement),
                                eco.registry.pk_of, eco.scheme)
     return KnowledgeProof(predicate, 1, tag, cert)
 

@@ -8,6 +8,7 @@ independent reference.
 import itertools
 from fractions import Fraction
 
+from splitchain.consensus import commit_statement
 from splitchain.model import (
     Account,
     Asset,
@@ -56,6 +57,30 @@ def enumerate_upper_tail(N: int, M: int, n: int, threshold: Fraction) -> Fractio
         if sum(1 for x in draw if x < M) >= threshold:
             hits += 1
     return Fraction(hits, total)
+
+
+def reference_commit_round(chain, candidate, validators, quorum, pk_of, scheme,
+                           vote_of) -> dict:
+    """run_commit_round by brute force: every recipient asks every voter.
+
+    Each (voter, recipient) pair resolves the voter's vote on its own and
+    checks its signature afresh, with no counting shared across recipients.
+    """
+    statement = commit_statement(chain, candidate.digest, candidate.height)
+    outcome = {}
+    for recipient in validators:
+        matching = 0
+        for voter in validators:
+            vote, hook = vote_of(voter)
+            if hook is not None:
+                vote = hook(recipient)
+            if vote is None or vote[0] != candidate.digest:
+                continue
+            pk = pk_of(voter)
+            if pk is not None and scheme.verify(pk, statement, vote[1]):
+                matching += 1
+        outcome[recipient] = matching >= quorum
+    return outcome
 
 
 def user(i: int) -> bytes:

@@ -158,6 +158,33 @@ def test_simulate_exit_3_on_observed_violation(tmp_path, capsys, monkeypatch):
     assert "divergence on root" in err
 
 
+def test_simulate_stall_exit_4_with_reports(tmp_path, capsys):
+    # alpha=1/2, n=4: quorum 2, and three crashed validators leave one vote
+    scenario = tmp_path / "stall.mit"
+    scenario.write_text("""
+[chain root]
+validators = 4
+alpha = 1/2
+[join]
+arrivals = 1
+[faults]
+root-v001 = crash 0
+root-v002 = crash 0
+root-v003 = crash 0
+""")
+    out = tmp_path / "run"
+    code, _, err = run_cli(["simulate", "--scenario", str(scenario),
+                            "--out", str(out)], capsys)
+    assert code == 4
+    assert "Traceback" not in err and "no quorum" in err
+    events = (out / "events.log").read_text().splitlines()
+    assert events[-1] == "[1] stall chain=root height=1"
+    metrics = (out / "metrics.csv").read_text().splitlines()
+    assert metrics[1:] == ["0,root,4,3,3/4,0,0"]
+    assert (out / "lineage.csv").read_text() == (
+        "chain_id,parent_id,side,split_height\nroot,,0,0\n")
+
+
 # --- demos -------------------------------------------------------------------------
 
 

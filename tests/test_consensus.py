@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitchain.consensus import (
     collect_certificate,
@@ -15,7 +17,11 @@ from splitchain.consensus import (
 )
 from splitchain.crypto import SignatureScheme
 from splitchain.errors import NoQuorum
-from splitchain.model import ZERO_DIGEST, make_block, sha256
+from splitchain.manager import Ecosystem, VoteRequest
+from splitchain.model import ZERO_DIGEST, Role, make_block, sha256
+from splitchain.netsim import STRATEGIES
+
+from helpers import reference_commit_round
 
 
 @pytest.fixture
@@ -124,6 +130,9 @@ def test_certificate_roundtrips_through_bytes(setup):
 
 
 # --- commit rounds ---------------------------------------------------------------
+#
+# vote_of(voter) -> (vote, hook): a uniform vote with hook None, or a
+# per-recipient hook(recipient) -> vote for a Byzantine voter.
 
 
 def make_candidate():
@@ -131,21 +140,25 @@ def make_candidate():
 
 
 def round_with(setup, vote_of, alpha=Fraction(1, 3)):
+    """Run the round and check it against the brute-force reference."""
     scheme, validators, pks = setup
     candidate = make_candidate()
     quorum = quorum_size(len(validators), alpha)
 
-    def vote_fn(voter, recipient):
-        return vote_of(voter, recipient, candidate)
+    def bound(voter):
+        return vote_of(voter, candidate)
 
-    return candidate, run_commit_round(b"c", candidate, validators, quorum,
-                                       pks.get, scheme, vote_fn)
+    outcome = run_commit_round(b"c", candidate, validators, quorum,
+                               pks.get, scheme, bound)
+    assert outcome == reference_commit_round(b"c", candidate, validators,
+                                             quorum, pks.get, scheme, bound)
+    return candidate, outcome
 
 
 def honest_vote(scheme, pks):
-    def vote(voter, recipient, candidate):
+    def vote(voter, candidate):
         stmt = commit_statement(b"c", candidate.digest, candidate.height)
-        return candidate.digest, scheme.sign(pks[voter], stmt)
+        return (candidate.digest, scheme.sign(pks[voter], stmt)), None
     return vote
 
 
@@ -159,10 +172,10 @@ def test_one_crash_still_commits(setup):
     scheme, validators, pks = setup
     base = honest_vote(scheme, pks)
 
-    def vote(voter, recipient, candidate):
+    def vote(voter, candidate):
         if voter == validators[0]:
-            return None
-        return base(voter, recipient, candidate)
+            return None, None
+        return base(voter, candidate)
 
     _, outcome = round_with(setup, vote)
     for v in validators[1:]:
@@ -173,10 +186,10 @@ def test_two_crashes_stall_bft_quorum(setup):
     scheme, validators, pks = setup
     base = honest_vote(scheme, pks)
 
-    def vote(voter, recipient, candidate):
+    def vote(voter, candidate):
         if voter in validators[:2]:
-            return None
-        return base(voter, recipient, candidate)
+            return None, None
+        return base(voter, candidate)
 
     _, outcome = round_with(setup, vote)
     assert not any(outcome.values())
@@ -200,22 +213,62 @@ def test_equivocator_cannot_split_correct_nodes(setup):
     for choices in itertools.product(("honest", "evil", "silent"), repeat=4):
         plan = dict(zip(validators, choices))
 
-        def vote_fn(voter, recipient):
-            if voter != byz:
-                return candidate.digest, scheme.sign(pks[voter],
-                                                     stmt(candidate.digest))
+        def hook(recipient):
             choice = plan[recipient]
             if choice == "silent":
                 return None
-            if choice == "evil":
-                return evil_digest, scheme.sign(pks[voter], stmt(evil_digest))
-            return candidate.digest, scheme.sign(pks[voter],
-                                                 stmt(candidate.digest))
+            digest = evil_digest if choice == "evil" else candidate.digest
+            return digest, scheme.sign(pks[byz], stmt(digest))
+
+        def vote_of(voter):
+            if voter == byz:
+                return None, hook
+            return (candidate.digest,
+                    scheme.sign(pks[voter], stmt(candidate.digest))), None
 
         outcome = run_commit_round(b"c", candidate, validators, quorum,
-                                   pks.get, scheme, vote_fn)
+                                   pks.get, scheme, vote_of)
+        assert outcome == reference_commit_round(
+            b"c", candidate, validators, quorum, pks.get, scheme, vote_of)
         for v in correct:
             assert outcome[v], (choices, v)
         # the evil digest holds at most 1 signature, far below quorum 3
         evil_votes = sum(1 for r in validators if plan[r] == "evil")
         assert evil_votes <= 4 and quorum > 1
+
+
+# --- the ecosystem's responder against the brute-force reference ---------------
+
+BEHAVIOURS = ("honest", "crashed", "withhold", "badsig", "equivocate")
+
+
+@settings(max_examples=150, deadline=None)
+@given(behaviours=st.lists(st.sampled_from(BEHAVIOURS), min_size=1,
+                           max_size=12),
+       alpha=st.sampled_from((Fraction(1, 3), Fraction(1, 2))))
+def test_commit_round_matches_per_pair_reference(behaviours, alpha):
+    """Counting uniform votes once and hooked votes per recipient gives the
+    same outcome as asking every (voter, recipient) pair, for any mix of
+    honest, crashed and Byzantine voters."""
+    eco = Ecosystem(seed=len(behaviours))
+    validators = [b"v%02d" % i for i in range(len(behaviours))]
+    for v, behaviour in zip(validators, behaviours):
+        strategy = behaviour if behaviour in STRATEGIES else None
+        eco.register_user(v, Role.VALIDATOR, strategy=strategy)
+        if behaviour == "crashed":
+            eco.crash_user(v)
+    sim = eco.create_chain(b"c", validators, alpha=alpha,
+                           n_max=max(2, len(validators)))
+    candidate = make_block(1, sim.ledger[-1].digest, [])
+    request = VoteRequest(b"c", candidate)
+
+    def vote_of(voter):
+        return eco.respond(voter, request)
+
+    args = (b"c", candidate, sim.validators, sim.quorum,
+            eco.registry.pk_of, eco.scheme, vote_of)
+    outcome = run_commit_round(*args)
+    assert outcome == reference_commit_round(*args)
+    if "equivocate" not in behaviours:  # only honest votes count, everywhere
+        assert set(outcome.values()) == {
+            behaviours.count("honest") >= sim.quorum}

@@ -1,9 +1,11 @@
 """Chain lifecycle: creation, joins, the division protocol, fusion."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from splitchain.crypto import SignatureScheme
 from splitchain.errors import (
     AlreadyMember,
     AssetIdCollision,
@@ -29,11 +31,32 @@ HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 
 
+class CountingScheme(SignatureScheme):
+    """Signature scheme that counts sign calls per key and verify calls."""
+
+    def __init__(self, seed=0):
+        super().__init__(seed)
+        self.signs = Counter()  # public key -> sign calls
+        self.verifies = 0
+
+    def sign(self, public_key, message):
+        self.signs[public_key] += 1
+        return super().sign(public_key, message)
+
+    def verify(self, public_key, message, signature):
+        self.verifies += 1
+        return super().verify(public_key, message, signature)
+
+
 def build_eco(n=10, clients=0, alpha=HALF, kind="cft", n_max=None, seed=0,
-              assets_per_client=0, faulty=(), strategies=None, scheme="randomized"):
+              assets_per_client=0, faulty=(), strategies=None, scheme="randomized",
+              counting=False):
     """Ecosystem with one chain `root` of n validators (u000..) and clients
-    (u100..); `faulty` ids are flagged, `strategies` maps id -> behavior."""
+    (u100..); `faulty` ids are flagged, `strategies` maps id -> behavior.
+    With `counting`, eco.scheme is a CountingScheme."""
     eco = Ecosystem(seed=seed, assignment_scheme=scheme)
+    if counting:
+        eco.scheme = CountingScheme(seed)
     strategies = strategies or {}
     validators = []
     for i in range(n):
@@ -129,6 +152,18 @@ def test_commit_stalls_with_two_crashes_of_four():
         eco.join_chain(b"u100", b"root", role=Role.CLIENT)
 
 
+def test_all_honest_commit_signs_and_verifies_once_per_voter():
+    for n in (1, 4, 10):
+        eco = build_eco(n=n, n_max=16, counting=True)
+        eco.register_user(b"u100", Role.CLIENT)
+        eco.scheme.signs.clear()
+        eco.join_chain(b"u100", b"root", role=Role.CLIENT)
+        validators = eco.chains[b"root"].validators
+        assert eco.scheme.signs == Counter(
+            {eco.registry.pk_of(v): 1 for v in validators}), n
+        assert eco.scheme.verifies == n
+
+
 # --- division: happy path ---------------------------------------------------------
 
 
@@ -148,10 +183,17 @@ def test_division_splits_ten_into_five_and_five():
 
 def test_division_message_count_is_n_plus_n_squared():
     for n in (4, 7, 10):
-        eco = build_eco(n=n)
+        eco = build_eco(n=n, counting=True)
         before = eco.network.messages_sent
         eco.divide_chain(b"root", initiator=b"u000")
         assert eco.network.messages_sent - before == n + n * n, n
+        # each validator signs one ack and sends it to all n validators
+        validators = eco.retired[b"root"].validators
+        assert eco.scheme.signs == Counter(
+            {eco.registry.pk_of(v): 1 for v in validators}), n
+        # each distinct ack signature is checked at most once (receivers
+        # stop once the division completes)
+        assert eco.scheme.verifies <= n, n
 
 
 def test_division_partitions_state():

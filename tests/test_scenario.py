@@ -117,6 +117,21 @@ def test_grow_to_trigger_divides_exactly_once():
     assert report.safety_violations == ()
 
 
+def test_chain_created_at_trigger_divides_before_arrivals():
+    report = run_scenario("""
+[chain root]
+validators = 20
+alpha = 1/2
+n_max = 20
+""")
+    assert len(report.divisions) == 1
+    assert [(cid, n) for cid, n, _ in report.final_chains] == [
+        (b"root.1", 10), (b"root.2", 10)]
+    assert report.doublings[0].n_division == 20
+    assert report.doublings[0].joined == 0
+    assert [r[1] for r in report.metrics] == ["root.1", "root.2"]
+
+
 def test_metrics_rows_track_growth():
     report = run_scenario(GROW_ONCE)
     root_rows = [r for r in report.metrics if r[1] == "root"]
