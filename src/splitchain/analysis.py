@@ -52,24 +52,30 @@ def hypergeom_mean(p: HypergeomParams) -> Fraction:
     return Fraction(p.n * p.M, p.N)
 
 
+def _hypergeom_mass(p: HypergeomParams, event) -> Fraction:
+    """P(event(X)) for X ~ H(N, M, n): sums subset counts, divides once.
+
+    The count w_k = C(M, k) C(N-M, n-k) is stepped through the support by the
+    exact recurrence w_{k+1} = w_k (M-k)(n-k) / ((k+1)(N-M-n+k+1)).
+    """
+    lo, hi = p.support[0], p.support[-1]
+    w = math.comb(p.M, lo) * math.comb(p.N - p.M, p.n - lo)
+    total = w if event(lo) else 0
+    for k in range(lo, hi):  # never steps past the last support point
+        w = w * (p.M - k) * (p.n - k) // ((k + 1) * (p.N - p.M - p.n + k + 1))
+        if event(k + 1):
+            total += w
+    return Fraction(total, math.comb(p.N, p.n))
+
+
 def hypergeom_upper_tail(p: HypergeomParams, threshold: Fraction) -> Fraction:
     """P(X >= threshold), boundary included, by exact summation."""
-    threshold = Fraction(threshold)
-    total = Fraction(0)
-    for k in p.support:
-        if k >= threshold:
-            total += hypergeom_pmf(p, k)
-    return total
+    return _hypergeom_mass(p, lambda k: k >= threshold)
 
 
 def hypergeom_lower_tail(p: HypergeomParams, threshold: Fraction) -> Fraction:
     """P(X <= threshold), boundary included, by exact summation."""
-    threshold = Fraction(threshold)
-    total = Fraction(0)
-    for k in p.support:
-        if k <= threshold:
-            total += hypergeom_pmf(p, k)
-    return total
+    return _hypergeom_mass(p, lambda k: k <= threshold)
 
 
 @dataclass(frozen=True)
@@ -78,9 +84,6 @@ class TailBound:
 
     value: float
     within_validity: bool
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def tail_bound(p: HypergeomParams, t: Fraction) -> TailBound:
@@ -133,25 +136,20 @@ def violation_tails(d: DivisionAnalysisParams) -> tuple:
     exchangeability of the split they are always equal.
     """
     h = HypergeomParams(d.n, d.f, d.half)
-    upper = hypergeom_upper_tail(h, d.alpha * d.half)
-    lower = hypergeom_lower_tail(h, Fraction(d.f) - d.alpha * d.half)
-    return upper, lower
+    return (_hypergeom_mass(h, d.child_violates),
+            _hypergeom_mass(h, lambda k: d.child_violates(d.f - k)))
 
 
 def violation_probability_exact(d: DivisionAnalysisParams) -> Fraction:
     """Exact probability that a uniform balanced split compromises a child.
 
-    Single summation over the support of f1 ~ H(n, f, n/2) with the union
-    predicate "child 1 breaches or child 2 breaches", so the result is the
-    true probability for every f, including f >= alpha*n where the two tail
-    events overlap and their plain sum would exceed it.
+    One pass over f1 ~ H(n, f, n/2) with the union predicate "child 1 or
+    child 2 breaches" stays exact for f >= alpha*n, where the two tail events
+    overlap and their plain sum would exceed it.
     """
-    h = HypergeomParams(d.n, d.f, d.half)
-    total = Fraction(0)
-    for k in h.support:
-        if d.child_violates(k) or d.child_violates(d.f - k):
-            total += hypergeom_pmf(h, k)
-    return total
+    return _hypergeom_mass(
+        HypergeomParams(d.n, d.f, d.half),
+        lambda k: d.child_violates(k) or d.child_violates(d.f - k))
 
 
 def violation_probability_bound(d: DivisionAnalysisParams) -> tuple:
@@ -196,6 +194,7 @@ def violation_frequency_montecarlo(d: DivisionAnalysisParams, trials: int,
         v2 = (d.f - f1) * a.denominator >= a.numerator * d.half
         hits += int(np.count_nonzero(v1 | v2))
         done += block
+        del f1, v1, v2  # kept, they split the heap space the next block reuses
     freq = hits / trials
     stderr = math.sqrt(freq * (1.0 - freq) / trials)
     return freq, stderr

@@ -25,7 +25,7 @@ from .crypto import KeyedVerifier
 from .errors import ConfigError, SplitchainError
 from .manager import Ecosystem
 from .model import Asset, Role, quorum_size
-from .scenario import parse_scenario, run_scenario
+from .scenario import lineage_csv, lineage_table, parse_scenario, run_scenario
 from .xchain import (
     KnowledgeProof,
     toa_claim,
@@ -153,10 +153,8 @@ def _cmd_divide_demo(args) -> int:
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        rows = ["chain_id,parent_id,side,split_height"]
-        for cid, parent, side, height in eco.registry.lineage_rows():
-            rows.append(f"{cid.decode()},{parent.decode()},{side},{height}")
-        (outdir / "lineage.csv").write_text("\n".join(rows) + "\n")
+        (outdir / "lineage.csv").write_text(
+            lineage_csv(lineage_table(eco.registry)))
         (outdir / "events.log").write_text("\n".join(eco.events) + "\n")
         print(f"wrote lineage.csv and events.log to {args.out}")
     return 0

@@ -290,6 +290,20 @@ METRICS_HEADER = ("tick", "chain_id", "n", "f", "beta", "divisions", "messages")
 LINEAGE_HEADER = ("chain_id", "parent_id", "side", "split_height")
 
 
+def lineage_table(registry) -> tuple:
+    """The registry's lineage as rows matching LINEAGE_HEADER, ids as names."""
+    return tuple((_name(cid), _name(parent), side, height)
+                 for cid, parent, side, height in registry.lineage_rows())
+
+
+def lineage_csv(rows) -> str:
+    """Rows matching LINEAGE_HEADER as CSV text, header line first."""
+    lines = [",".join(LINEAGE_HEADER)]
+    for row in rows:
+        lines.append(",".join(str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class DoublingRow:
     """Fault bookkeeping for one grow-to-trigger cycle of a chain."""
@@ -333,10 +347,7 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
     def lineage_csv(self) -> str:
-        lines = [",".join(LINEAGE_HEADER)]
-        for row in self.lineage:
-            lines.append(",".join(str(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return lineage_csv(self.lineage)
 
     def events_log(self) -> str:
         return "\n".join(self.events) + ("\n" if self.events else "")
@@ -488,7 +499,11 @@ class _Driver:
                           f" not both live")
             return
         merged_id = fuse.merged.encode() if fuse.merged else None
-        merged = self.eco.fuse_chains(left, right, merged_id=merged_id)
+        try:
+            merged = self.eco.fuse_chains(left, right, merged_id=merged_id)
+        except NoQuorum as exc:  # raised before either chain is touched
+            self.eco._log(f"fusion {fuse.left}+{fuse.right} failed: {exc}")
+            return
         for cid in (left, right):
             self.meta.pop(cid, None)
         self._register_birth(merged.chain_id)
@@ -534,12 +549,9 @@ class _Driver:
         final = tuple(
             (cid, len(sim.validators), self.eco.chain_fault_count(sim))
             for cid, sim in sorted(self.eco.chains.items()))
-        lineage = tuple(
-            (_name(cid), _name(parent), side, height)
-            for cid, parent, side, height in self.eco.registry.lineage_rows())
         return MetricsReport(
             metrics=tuple(self.metrics),
-            lineage=lineage,
+            lineage=lineage_table(self.eco.registry),
             events=tuple(self.eco.events),
             divisions=tuple(self.eco.divisions),
             doublings=tuple(self.doublings),

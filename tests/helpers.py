@@ -6,6 +6,7 @@ independent reference.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from splitchain.consensus import commit_statement
@@ -57,6 +58,21 @@ def enumerate_upper_tail(N: int, M: int, n: int, threshold: Fraction) -> Fractio
         if sum(1 for x in draw if x < M) >= threshold:
             hits += 1
     return Fraction(hits, total)
+
+
+def reference_hypergeom_mass(N: int, M: int, n: int, event) -> Fraction:
+    """P(event(X)) for X ~ H(N, M, n) as a sum of per-k rational pmf terms.
+
+    Every term is C(M, k) C(N-M, n-k) / C(N, n) with its binomials computed
+    afresh, so this shares no recurrence with the library and stays usable
+    at chain sizes in the thousands, where enumeration is out of reach.
+    """
+    total = Fraction(0)
+    for k in range(max(0, n + M - N), min(n, M) + 1):
+        if event(k):
+            total += Fraction(math.comb(M, k) * math.comb(N - M, n - k),
+                              math.comb(N, n))
+    return total
 
 
 def reference_commit_round(chain, candidate, validators, quorum, pk_of, scheme,

@@ -30,6 +30,7 @@ from helpers import (
     enumerate_pmf,
     enumerate_upper_tail,
     enumerate_violation_probability,
+    reference_hypergeom_mass,
 )
 
 HALF = Fraction(1, 2)
@@ -212,6 +213,66 @@ def test_violation_monotone_in_f():
 def test_violation_rejects_odd_n():
     with pytest.raises(InvalidParams):
         DivisionAnalysisParams(7, 2, HALF)
+
+
+# --- one-pass sums against the per-k reference ---------------------------------
+
+
+def _reference_violation(d):
+    """(upper tail, lower tail, union) of d by the per-k reference sum."""
+    h = (d.n, d.f, d.half)
+
+    def breach(faulty_in_child):
+        return faulty_in_child >= d.alpha * d.half
+
+    def either(k):
+        return breach(k) or breach(d.f - k)
+
+    return (reference_hypergeom_mass(*h, breach),
+            reference_hypergeom_mass(*h, lambda k: breach(d.f - k)),
+            reference_hypergeom_mass(*h, either))
+
+
+def _size_or_edge(top):
+    return st.one_of(st.sampled_from([0, top]), st.integers(0, top))
+
+
+@given(st.data())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_tails_match_per_k_reference(data):
+    N = data.draw(st.integers(0, 400))
+    M = data.draw(_size_or_edge(N))
+    n = data.draw(_size_or_edge(N))
+    t = data.draw(st.fractions(min_value=-1, max_value=N + 1,
+                               max_denominator=6))
+    p = HypergeomParams(N, M, n)
+    assert hypergeom_upper_tail(p, t) == \
+        reference_hypergeom_mass(N, M, n, lambda k: k >= t)
+    assert hypergeom_lower_tail(p, t) == \
+        reference_hypergeom_mass(N, M, n, lambda k: k <= t)
+
+
+@given(st.data())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_violation_sums_match_per_k_reference(data):
+    n = 2 * data.draw(st.integers(1, 200))
+    f = data.draw(_size_or_edge(n))
+    alpha = data.draw(st.sampled_from([Fraction(1, 4), THIRD, HALF]))
+    d = DivisionAnalysisParams(n, f, alpha)
+    upper, lower, union = _reference_violation(d)
+    assert violation_tails(d) == (upper, lower)
+    assert violation_probability_exact(d) == union
+
+
+@pytest.mark.parametrize("n,f", [
+    *((2000, round(beta * 2000)) for beta in default_beta_grid(HALF)),
+    (4000, 1600),
+])
+def test_violation_matches_per_k_reference_at_committee_scale(n, f):
+    d = DivisionAnalysisParams(n, f, HALF)
+    upper, lower, union = _reference_violation(d)
+    assert violation_tails(d) == (upper, lower)
+    assert violation_probability_exact(d) == union
 
 
 # --- closed-form violation bound -------------------------------------------------

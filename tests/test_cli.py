@@ -185,6 +185,34 @@ root-v003 = crash 0
         "chain_id,parent_id,side,split_height\nroot,,0,0\n")
 
 
+def test_simulate_fusion_without_quorum_exit_0(tmp_path, capsys):
+    # both validators of chain a crash at tick 1; the fusion at tick 4
+    # cannot collect a's certificate
+    scenario = tmp_path / "fuse.mit"
+    scenario.write_text("""
+[chain a]
+validators = 2
+n_max = 64
+[chain b]
+validators = 3
+n_max = 64
+[faults]
+a-v000 = crash 1
+a-v001 = crash 1
+[fuse]
+at = 4
+left = a
+right = b
+""")
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(["simulate", "--scenario", str(scenario),
+                                 "--out", str(out)], capsys)
+    assert code == 0
+    assert err == "" and stdout.startswith("2 chains after 0 divisions")
+    events = (out / "events.log").read_text().splitlines()
+    assert "[4] fusion a+b failed: 0 of 1 required signatures" in events
+
+
 # --- demos -------------------------------------------------------------------------
 
 
@@ -202,6 +230,16 @@ def test_divide_demo_prints_message_count(tmp_path, capsys):
                for line in stdout.splitlines() if line.startswith("  demo.")]
     names = sorted(name for roster in rosters for name in roster)
     assert names == [f"v{i:03d}" for i in range(7)]
+
+
+def test_divide_demo_lineage_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "dd"
+    code, _, _ = run_cli(["divide-demo", "--validators", "7", "--alpha", "1/3",
+                          "--seed", "2", "--out", str(out)], capsys)
+    assert code == 0
+    assert (out / "lineage.csv").read_bytes() == (
+        b"chain_id,parent_id,side,split_height\n"
+        b"demo,,0,0\ndemo.1,demo,1,0\ndemo.2,demo,2,0\n")
 
 
 def test_divide_demo_bad_alpha_exit_2(capsys):

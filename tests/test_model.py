@@ -294,6 +294,14 @@ def test_failed_claim_is_recorded_without_minting(chain, scheme):
     assert state.claims[b"n-8"] == 0
 
 
+def test_account_encoding_keeps_empty_metadata_count():
+    # the empty metadata sequence still encodes its 4-byte zero count, and
+    # every state digest covers these bytes
+    account = Account(b"u1", b"pk", Role.VALIDATOR)
+    assert account.to_bytes() == (b"\x00\x00\x00\x02u1" + b"\x00\x00\x00\x02pk"
+                                  + b"\x01" + b"\x00\x00\x00\x00")
+
+
 # --- state digests -----------------------------------------------------------------
 
 

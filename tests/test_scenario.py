@@ -223,6 +223,35 @@ merged = ab
     assert any("fuse" in e or "ab" in e for e in report.events)
 
 
+FUSE_WITHOUT_QUORUM = """
+[chain a]
+validators = 2
+n_max = 64
+
+[chain b]
+validators = 3
+n_max = 64
+
+[faults]
+a-v000 = crash 1
+a-v001 = crash 1
+
+[fuse]
+at = 4
+left = a
+right = b
+merged = ab
+"""
+
+
+def test_fusion_without_quorum_is_logged_and_both_chains_stay():
+    report = run_scenario(FUSE_WITHOUT_QUORUM)
+    assert "[4] fusion a+b failed: 0 of 1 required signatures" in report.events
+    assert [(cid, n) for cid, n, _ in report.final_chains] == [(b"a", 2),
+                                                              (b"b", 3)]
+    assert report.stalled is None and not report.safety_violations
+
+
 def test_unknown_fault_user_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown user"):
         run_scenario("""
