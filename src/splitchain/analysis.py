@@ -18,7 +18,7 @@ import numpy as np
 from .crypto import derive_seed
 from .errors import InvalidParams
 
-_MC_CHUNK = 20_000  # rows sampled per numpy block, caps memory at n=100
+_MC_CELLS = 1 << 16  # uniforms per numpy block (512 KiB), whatever n is
 
 
 @dataclass(frozen=True)
@@ -171,6 +171,26 @@ def bound_validity_holds(d: DivisionAnalysisParams) -> bool:
     return d.alpha <= 2 * d.beta
 
 
+def _faulty_in_first_half(u, s, half: int, f: int):
+    """Per row of uniforms u, how many of columns 0..f-1 its argsort puts
+    among the first ``half`` positions. ``s`` (u's shape) is overwritten.
+
+    Sorts values, not indices: the first ``half`` positions of a row's
+    argsort hold exactly the entries <= t, its half-th smallest value, unless
+    the next smallest value equals t. Only rows with such a tie across the
+    threshold fall back to argsort, so every row gets the argsort count,
+    tie-breaking included.
+    """
+    np.copyto(s, u)
+    s.sort(axis=1)
+    f1 = (u[:, :f] <= s[:, half - 1:half]).sum(axis=1)
+    tied = np.flatnonzero(s[:, half - 1] == s[:, half])
+    if tied.size:
+        order = np.argsort(u[tied], axis=1)
+        f1[tied] = (order[:, :half] < f).sum(axis=1)
+    return f1
+
+
 def violation_frequency_montecarlo(d: DivisionAnalysisParams, trials: int,
                                    seed: int = 0) -> tuple:
     """(frequency, stderr) of violations over uniform random balanced splits.
@@ -179,22 +199,27 @@ def violation_frequency_montecarlo(d: DivisionAnalysisParams, trials: int,
     uniforms) and counts faulty validators landing in the first half — no
     hypergeometric sampler involved, so this is an independent check of the
     exact law. stderr is the binomial standard error of the estimate.
+    Trials are drawn in blocks of about _MC_CELLS uniforms; the generator
+    yields them in row-major order, so the block size never changes a draw.
     """
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
     rng = np.random.default_rng(seed)
     a = d.alpha
+    # two block buffers per call: fresh ones per block would each be mapped
+    # and page-faulted anew, which cost about a quarter of the sampler's time
+    u = np.empty((min(max(1, _MC_CELLS // d.n), trials), d.n))
+    s = np.empty_like(u)
     hits = 0
     done = 0
     while done < trials:
-        block = min(_MC_CHUNK, trials - done)
-        order = np.argsort(rng.random((block, d.n)), axis=1)
-        f1 = (order[:, :d.half] < d.f).sum(axis=1)
+        block = min(len(u), trials - done)
+        rng.random(out=u[:block])
+        f1 = _faulty_in_first_half(u[:block], s[:block], d.half, d.f)
         v1 = f1 * a.denominator >= a.numerator * d.half
         v2 = (d.f - f1) * a.denominator >= a.numerator * d.half
         hits += int(np.count_nonzero(v1 | v2))
         done += block
-        del f1, v1, v2  # kept, they split the heap space the next block reuses
     freq = hits / trials
     stderr = math.sqrt(freq * (1.0 - freq) / trials)
     return freq, stderr

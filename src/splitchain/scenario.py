@@ -40,6 +40,7 @@ from .assignment import DETERMINISTIC, RANDOMIZED
 from .crypto import derive_rng
 from .errors import (
     ConfigError,
+    DuplicateChainId,
     NoQuorum,
     Stalled,
     StateDivergence,
@@ -274,6 +275,7 @@ def _validate(spec: ScenarioSpec) -> None:
         if not 0 <= faulty_per_block <= join.block:
             raise ConfigError("join beta must lie in [0, 1]", join.line)
     names = {c.name for c in spec.chains}
+    merged_names = set()
     for fuse in spec.fuses:
         if not fuse.left or not fuse.right:
             raise ConfigError("[fuse] needs left and right chain names",
@@ -282,6 +284,16 @@ def _validate(spec: ScenarioSpec) -> None:
             raise ConfigError(
                 f"[fuse] references unknown chain"
                 f" {fuse.left!r} or {fuse.right!r}", fuse.line)
+        if fuse.left == fuse.right:
+            raise ConfigError(
+                f"[fuse] cannot fuse chain {fuse.left!r} with itself",
+                fuse.line)
+        if fuse.merged in names or fuse.merged in merged_names:
+            raise ConfigError(
+                f"[fuse] merged name {fuse.merged!r} is already taken",
+                fuse.line)
+        if fuse.merged:
+            merged_names.add(fuse.merged)
 
 
 # --- report ----------------------------------------------------------------------
@@ -501,7 +513,7 @@ class _Driver:
         merged_id = fuse.merged.encode() if fuse.merged else None
         try:
             merged = self.eco.fuse_chains(left, right, merged_id=merged_id)
-        except NoQuorum as exc:  # raised before either chain is touched
+        except (NoQuorum, DuplicateChainId) as exc:  # chains untouched
             self.eco._log(f"fusion {fuse.left}+{fuse.right} failed: {exc}")
             return
         for cid in (left, right):

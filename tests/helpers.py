@@ -9,6 +9,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from splitchain.consensus import commit_statement
 from splitchain.model import (
     Account,
@@ -73,6 +75,30 @@ def reference_hypergeom_mass(N: int, M: int, n: int, event) -> Fraction:
             total += Fraction(math.comb(M, k) * math.comb(N - M, n - k),
                               math.comb(N, n))
     return total
+
+
+def reference_montecarlo(d, trials: int, seed: int = 0) -> tuple:
+    """violation_frequency_montecarlo as first written: argsort every row.
+
+    Blocks of 20000 rows whatever n is; each trial's first half is the first
+    n/2 indices of the argsort of its row of uniforms. Same generator, same
+    draw order, so the library's block size and kernel must not change a hit.
+    """
+    rng = np.random.default_rng(seed)
+    a = d.alpha
+    hits = 0
+    done = 0
+    while done < trials:
+        block = min(20_000, trials - done)
+        order = np.argsort(rng.random((block, d.n)), axis=1)
+        f1 = (order[:, :d.half] < d.f).sum(axis=1)
+        v1 = f1 * a.denominator >= a.numerator * d.half
+        v2 = (d.f - f1) * a.denominator >= a.numerator * d.half
+        hits += int(np.count_nonzero(v1 | v2))
+        done += block
+    freq = hits / trials
+    stderr = math.sqrt(freq * (1.0 - freq) / trials)
+    return freq, stderr
 
 
 def reference_commit_round(chain, candidate, validators, quorum, pk_of, scheme,

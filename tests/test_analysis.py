@@ -2,12 +2,15 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitchain import analysis
 from splitchain.analysis import (
     DivisionAnalysisParams,
     HypergeomParams,
@@ -31,6 +34,7 @@ from helpers import (
     enumerate_upper_tail,
     enumerate_violation_probability,
     reference_hypergeom_mass,
+    reference_montecarlo,
 )
 
 HALF = Fraction(1, 2)
@@ -330,6 +334,71 @@ def test_montecarlo_deterministic_under_seed():
     a = violation_frequency_montecarlo(d, 5_000, seed=42)
     b = violation_frequency_montecarlo(d, 5_000, seed=42)
     assert a == b
+
+
+@given(st.data())
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_montecarlo_matches_argsort_reference(data):
+    n = 2 * data.draw(st.integers(1, 65))
+    f = data.draw(_size_or_edge(n))
+    alpha = data.draw(st.sampled_from([Fraction(1, 4), THIRD, HALF]))
+    rows = max(1, analysis._MC_CELLS // n)
+    trials = data.draw(st.one_of(
+        st.sampled_from([1, rows, rows + 1]),
+        st.builds(lambda k, r: k * rows + r,
+                  st.integers(2, 4), st.integers(1, rows - 1)),
+        st.integers(1, 3 * rows)))
+    seed = data.draw(st.integers(0, 2**32))
+    d = DivisionAnalysisParams(n, f, alpha)
+    assert violation_frequency_montecarlo(d, trials, seed=seed) == \
+        reference_montecarlo(d, trials, seed=seed)
+
+
+def _argsort_count(u, half, f):
+    return (np.argsort(u, axis=1)[:, :half] < f).sum(axis=1)
+
+
+def _kernel_count(u, half, f):
+    return analysis._faulty_in_first_half(u, np.empty_like(u), half, f)
+
+
+def test_first_half_kernel_matches_argsort_on_crafted_ties():
+    # n = 6, half = 3: the threshold is the 3rd smallest value of a row
+    rows = np.array([
+        [.5, .1, .5, .9, .2, .7],  # tie across threshold: faulty vs honest
+        [.5, .5, .1, .9, .2, .7],  # tie across threshold: both faulty
+        [.1, .9, .5, .2, .7, .5],  # tie across threshold: both honest
+        [.3, .3, .9, .8, .1, .7],  # tie below threshold, faulty columns
+        [.1, .9, .9, .2, .3, .9],  # tie above threshold
+        [.4, .2, .6, .2, .8, .6],  # ties below and above, none across
+        [.5, .5, .5, .5, .5, .5],  # every value tied
+        [.6, .5, .4, .3, .2, .1],  # no tie
+    ])
+    for f in range(7):
+        assert _kernel_count(rows, 3, f).tolist() == \
+            _argsort_count(rows, 3, f).tolist()
+
+
+def test_first_half_kernel_matches_argsort_on_coarse_uniforms():
+    # four levels per cell make ties at the threshold the common case
+    rng = np.random.default_rng(5)
+    for n in (2, 4, 10, 40, 130):
+        u = rng.integers(0, 4, (500, n)) / 4
+        for f in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+            assert (_kernel_count(u, n // 2, f)
+                    == _argsort_count(u, n // 2, f)).all()
+
+
+def test_montecarlo_memory_is_bounded_by_block_cells():
+    # one 2000-row argsort block of n = 2000 held about 64 MB
+    d = DivisionAnalysisParams(2000, 800, HALF)
+    tracemalloc.start()
+    try:
+        violation_frequency_montecarlo(d, 2000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # --- sweeps -----------------------------------------------------------------------

@@ -158,6 +158,47 @@ def test_simulate_exit_3_on_observed_violation(tmp_path, capsys, monkeypatch):
     assert "divergence on root" in err
 
 
+@pytest.mark.parametrize("fuse,fragment", [
+    ("left = a\nright = a", "with itself"),
+    ("left = a\nright = b\nmerged = b", "already taken"),
+])
+def test_simulate_bad_fusion_exit_2(tmp_path, capsys, fuse, fragment):
+    scenario = tmp_path / "fuse.mit"
+    scenario.write_text(f"[chain a]\n[chain b]\n[fuse]\n{fuse}\n")
+    code, _, err = run_cli(["simulate", "--scenario", str(scenario),
+                            "--out", str(tmp_path / "x")], capsys)
+    assert code == 2
+    assert "Traceback" not in err and "line 3" in err and fragment in err
+
+
+def test_simulate_fusion_into_divided_child_exit_0(tmp_path, capsys):
+    # chain A divides at start, so the merged id A.1 is taken at tick 2
+    scenario = tmp_path / "fuse.mit"
+    scenario.write_text("""
+[chain A]
+validators = 4
+n_max = 4
+[chain B]
+validators = 3
+n_max = 64
+[chain C]
+validators = 3
+n_max = 64
+[fuse]
+at = 2
+left = B
+right = C
+merged = A.1
+""")
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(["simulate", "--scenario", str(scenario),
+                                 "--out", str(out)], capsys)
+    assert code == 0
+    assert err == "" and stdout.startswith("4 chains after 1 divisions")
+    events = (out / "events.log").read_text().splitlines()
+    assert "[2] fusion B+C failed: chain b'A.1' already exists" in events
+
+
 def test_simulate_stall_exit_4_with_reports(tmp_path, capsys):
     # alpha=1/2, n=4: quorum 2, and three crashed validators leave one vote
     scenario = tmp_path / "stall.mit"

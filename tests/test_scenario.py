@@ -91,6 +91,13 @@ a-v002 = byzantine withhold
     ("[chain a]\nvalidators = 4\nassets = 1", 1, "no clients"),
     ("[chain a]\nvalidators = 4\n[fuse]\nat = 1\nleft = a\nright = ghost",
      3, "unknown chain"),
+    ("[chain a]\nvalidators = 4\n[fuse]\nat = 1\nleft = a\nright = a",
+     3, "with itself"),
+    ("[chain a]\n[chain b]\n[chain c]\n[fuse]\nleft = a\nright = b\n"
+     "merged = c", 4, "already taken"),
+    ("[chain a]\n[chain b]\n[chain c]\n[chain d]\n"
+     "[fuse]\nleft = a\nright = b\nmerged = m\n"
+     "[fuse]\nleft = c\nright = d\nmerged = m", 9, "already taken"),
     ("[chain a]\nvalidators = 4\nalpha = 2/3", 1, "alpha"),
 ], ids=lambda v: repr(v)[:40])
 def test_parse_errors_carry_line_numbers(source, lineno, fragment):
@@ -249,6 +256,37 @@ def test_fusion_without_quorum_is_logged_and_both_chains_stay():
     assert "[4] fusion a+b failed: 0 of 1 required signatures" in report.events
     assert [(cid, n) for cid, n, _ in report.final_chains] == [(b"a", 2),
                                                               (b"b", 3)]
+    assert report.stalled is None and not report.safety_violations
+
+
+FUSE_INTO_DIVIDED_CHILD = """
+[chain A]
+validators = 4
+n_max = 4
+
+[chain B]
+validators = 3
+n_max = 64
+
+[chain C]
+validators = 3
+n_max = 64
+
+[fuse]
+at = 2
+left = B
+right = C
+merged = A.1
+"""
+
+
+def test_fusion_into_a_taken_runtime_id_is_logged_and_both_chains_stay():
+    # A divides at start, so its child A.1 owns the merged id by tick 2
+    report = run_scenario(FUSE_INTO_DIVIDED_CHILD)
+    assert ("[2] fusion B+C failed: chain b'A.1' already exists"
+            in report.events)
+    assert sorted(cid for cid, _, _ in report.final_chains) == [
+        b"A.1", b"A.2", b"B", b"C"]
     assert report.stalled is None and not report.safety_violations
 
 
