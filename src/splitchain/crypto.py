@@ -14,6 +14,7 @@ from .model import Digest, UserId, sha256
 
 __all__ = [
     "sha256",
+    "MacKey",
     "SignatureScheme",
     "KeyedVerifier",
     "mac_sign",
@@ -24,16 +25,49 @@ __all__ = [
 ]
 
 TAG_LEN = 32
+_BLOCK = hashlib.sha256().block_size
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+class MacKey:
+    """An HMAC-SHA256 key (RFC 2104) with its padded hash states prebuilt.
+
+    The inner and outer SHA-256 states, already fed the key XOR ipad/opad,
+    are made once per key; each tag then costs two state copies and two
+    short updates instead of re-deriving the pads.
+    """
+
+    __slots__ = ("secret", "_inner", "_outer")
+
+    def __init__(self, secret: bytes):
+        self.secret = secret
+        key = secret
+        if len(key) > _BLOCK:
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(_BLOCK, b"\0")
+        self._inner = hashlib.sha256(key.translate(_IPAD))
+        self._outer = hashlib.sha256(key.translate(_OPAD))
+
+    def sign(self, message: bytes) -> bytes:
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+    def verify(self, message: bytes, signature: bytes) -> bool:
+        if len(signature) != TAG_LEN:
+            return False
+        return hmac.compare_digest(self.sign(message), signature)
 
 
 def mac_sign(key: bytes, message: bytes) -> bytes:
-    return hmac.new(key, message, hashlib.sha256).digest()
+    return MacKey(key).sign(message)
 
 
 def mac_verify(key: bytes, message: bytes, signature: bytes) -> bool:
-    if len(signature) != TAG_LEN:
-        return False
-    return hmac.compare_digest(mac_sign(key, message), signature)
+    return MacKey(key).verify(message, signature)
 
 
 class SignatureScheme:
@@ -45,11 +79,9 @@ class SignatureScheme:
     in messages.
     """
 
-    TAG_LEN = 32
-
     def __init__(self, seed: int = 0):
         self._rng = random.Random(("splitchain-keys", seed).__repr__())
-        self._secrets: dict[bytes, bytes] = {}  # public handle -> secret
+        self._keys: dict[bytes, MacKey] = {}  # public handle -> key
         self._by_user: dict[UserId, bytes] = {}
 
     def issue(self, user: UserId) -> bytes:
@@ -59,21 +91,21 @@ class SignatureScheme:
         secret = sha256(b"secret" + self._rng.getrandbits(256).to_bytes(32, "big")
                         + user)
         public = sha256(b"public" + secret)
-        self._secrets[public] = secret
+        self._keys[public] = MacKey(secret)
         self._by_user[user] = public
         return public
 
     def sign(self, public_key: bytes, message: bytes) -> bytes:
-        secret = self._secrets.get(public_key)
-        if secret is None:
+        key = self._keys.get(public_key)
+        if key is None:
             raise KeyError("no secret issued for this public key")
-        return mac_sign(secret, message)
+        return key.sign(message)
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        secret = self._secrets.get(public_key)
-        if secret is None:
+        key = self._keys.get(public_key)
+        if key is None:
             return False
-        return mac_verify(secret, message, signature)
+        return key.verify(message, signature)
 
     def verification_key(self, public_key: bytes) -> bytes:
         """Export the key needed to check tags offline.
@@ -82,10 +114,10 @@ class SignatureScheme:
         itself, so exports are meant for trusted verifiers (e.g. a registry
         snapshot consumed by ``verify-proof``).
         """
-        secret = self._secrets.get(public_key)
-        if secret is None:
+        key = self._keys.get(public_key)
+        if key is None:
             raise KeyError("no secret issued for this public key")
-        return secret
+        return key.secret
 
 
 class KeyedVerifier:
@@ -97,13 +129,13 @@ class KeyedVerifier:
     """
 
     def __init__(self, keys: dict[bytes, bytes]):
-        self._keys = dict(keys)
+        self._keys = {pk: MacKey(key) for pk, key in keys.items()}
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
         key = self._keys.get(public_key)
         if key is None:
             return False
-        return mac_verify(key, message, signature)
+        return key.verify(message, signature)
 
 
 def beacon(ledger, lookback: int = 1) -> Digest:

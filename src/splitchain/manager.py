@@ -114,12 +114,18 @@ class VoteRequest:
     chain: ChainId
     candidate: Block
 
+    @cached_property
+    def statement(self) -> bytes:
+        return commit_statement(self.chain, self.candidate.digest,
+                                self.candidate.height)
+
     def statement_of(self, digest) -> bytes:
+        if digest == self.candidate.digest:
+            return self.statement
         return commit_statement(self.chain, digest, self.candidate.height)
 
     def honest(self, sign):
-        digest = self.candidate.digest
-        return digest, sign(self.statement_of(digest))
+        return self.candidate.digest, sign(self.statement)
 
     def byzantine(self, strategy, sign, recipient):
         return strategy.vote(self.candidate.digest, self.statement_of,
@@ -251,15 +257,14 @@ class ChainSim:
             outcome = run_commit_round(
                 self.chain_id, candidate, self.validators, self.quorum,
                 self.eco.registry.pk_of, self.eco.scheme, votes.__getitem__)
-            committers = [v for v in self.correct_validators() if outcome[v]]
-            if committers:
+            correct = self.correct_validators()
+            if any(outcome[v] for v in correct):
                 self.ledger.append(candidate)
                 self.state = replace(state, last_height=candidate.height)
-                for v in self.correct_validators():
-                    # a validator admitted by this very block gets its
-                    # runtime from join_chain after we return
-                    if v in self.runtimes:
-                        self.runtimes[v].committed_height = candidate.height
+                # `correct` predates this block's config; a validator the
+                # block admits gets its runtime from join_chain after we return
+                for v in correct:
+                    self.runtimes[v].committed_height = candidate.height
                 return candidate
         self.eco._log(f"stall chain={_name(self.chain_id)} "
                       f"height={candidate.height}")
@@ -650,7 +655,8 @@ class Ecosystem:
         answer. Both send every recipient the same answer, so hook is None.
         A Byzantine validator's answer may differ per recipient: answer is
         None and hook(recipient) asks its strategy, which signs with the
-        validator's own key.
+        validator's own key. Tags are deterministic, so the hook signs each
+        distinct message once and repeats the tag for later recipients.
         """
         node = self.network.node(validator)
         if node.crashed(self.network.now):
@@ -663,7 +669,15 @@ class Ecosystem:
         strategy = node.strategy
         if strategy is None:
             return request.honest(sign), None
-        return None, partial(request.byzantine, strategy, sign)
+        signed = {}  # message -> tag
+
+        def sign_once(message):
+            sig = signed.get(message)
+            if sig is None:
+                sig = signed[message] = sign(message)
+            return sig
+
+        return None, partial(request.byzantine, strategy, sign_once)
 
     def cert_sign_fn(self, statement: bytes):
         """collect_certificate's sign_fn: each validator's response to the

@@ -136,11 +136,20 @@ class Network:
         return self.node(node_id).strategy
 
     def send(self, src: bytes, dst: bytes, payload) -> None:
-        self.node(src)
-        target = self.node(dst)
+        nodes = self.nodes
+        target = nodes.get(dst)
+        if target is None or src not in nodes:
+            self.node(src)
+            self.node(dst)  # raises UnknownNode for whichever is missing
         self.messages_sent += 1
-        delay = self._delay_rng.randint(self.d_min, self.d_max)
-        self.sched.after(delay, self._deliver, target, payload)
+        # The delay stream feeds nothing else, so a fixed delay skips it.
+        delay = self.d_min if self.d_min == self.d_max else \
+            self._delay_rng.randint(self.d_min, self.d_max)
+        # Scheduler.after inlined: delay > 0, so the time is never past.
+        sched = self.sched
+        heapq.heappush(sched._heap, (sched.now + delay, sched._seq,
+                                     self._deliver, (target, payload)))
+        sched._seq += 1
 
     def broadcast(self, src: bytes, targets, payload) -> None:
         for dst in targets:

@@ -288,12 +288,11 @@ def _validate(spec: ScenarioSpec) -> None:
             raise ConfigError(
                 f"[fuse] cannot fuse chain {fuse.left!r} with itself",
                 fuse.line)
-        if fuse.merged in names or fuse.merged in merged_names:
+        merged = fuse.merged or f"{fuse.left}+{fuse.right}"
+        if merged in names or merged in merged_names:
             raise ConfigError(
-                f"[fuse] merged name {fuse.merged!r} is already taken",
-                fuse.line)
-        if fuse.merged:
-            merged_names.add(fuse.merged)
+                f"[fuse] merged name {merged!r} is already taken", fuse.line)
+        merged_names.add(merged)
 
 
 # --- report ----------------------------------------------------------------------

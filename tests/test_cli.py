@@ -171,6 +171,17 @@ def test_simulate_bad_fusion_exit_2(tmp_path, capsys, fuse, fragment):
     assert "Traceback" not in err and "line 3" in err and fragment in err
 
 
+def test_simulate_fusion_default_id_taken_exit_2(tmp_path, capsys):
+    scenario = tmp_path / "fuse.mit"
+    scenario.write_text("[chain a]\n[chain b]\n[chain a+b]\n"
+                        "[fuse]\nleft = a\nright = b\n")
+    code, _, err = run_cli(["simulate", "--scenario", str(scenario),
+                            "--out", str(tmp_path / "x")], capsys)
+    assert code == 2
+    assert "Traceback" not in err and "line 4" in err
+    assert "'a+b' is already taken" in err
+
+
 def test_simulate_fusion_into_divided_child_exit_0(tmp_path, capsys):
     # chain A divides at start, so the merged id A.1 is taken at tick 2
     scenario = tmp_path / "fuse.mit"

@@ -1,9 +1,23 @@
 """Signature scheme, beacon extraction, and seed derivation."""
 
-from splitchain.crypto import SignatureScheme, beacon, derive_rng, derive_seed
-from splitchain.model import ZERO_DIGEST, make_block
+import hashlib
+import hmac
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from splitchain.crypto import (
+    KeyedVerifier,
+    MacKey,
+    SignatureScheme,
+    beacon,
+    derive_rng,
+    derive_seed,
+    mac_sign,
+    mac_verify,
+)
+from splitchain.model import ZERO_DIGEST, make_block
 
 
 def test_sign_verify_roundtrip():
@@ -13,6 +27,42 @@ def test_sign_verify_roundtrip():
     assert s.verify(pk, b"hello", sig)
     assert not s.verify(pk, b"hellp", sig)
     assert not s.verify(pk, b"hello", sig[:-1] + b"\x00")
+
+
+@given(key_len=st.sampled_from([0, 1, 32, 63, 64, 65, 200]),
+       data=st.data(), message=st.binary(max_size=300))
+@settings(max_examples=200, derandomize=True)
+def test_mac_matches_stdlib_hmac(key_len, data, message):
+    key = data.draw(st.binary(min_size=key_len, max_size=key_len))
+    tag = hmac.new(key, message, hashlib.sha256).digest()
+    assert MacKey(key).sign(message) == tag
+    assert mac_sign(key, message) == tag
+    assert MacKey(key).verify(message, tag)
+    assert mac_verify(key, message, tag)
+    assert KeyedVerifier({b"pk": key}).verify(b"pk", message, tag)
+    # a truncated, extended or corrupted tag fails
+    garbage = data.draw(st.binary(max_size=64).filter(lambda g: g != tag))
+    for bad in (tag[:-1], tag + b"\x00", bytes(32), garbage,
+                tag[:5] + bytes([tag[5] ^ 1]) + tag[6:]):
+        assert not MacKey(key).verify(message, bad)
+        assert not mac_verify(key, message, bad)
+        assert not KeyedVerifier({b"pk": key}).verify(b"pk", message, bad)
+
+
+def test_scheme_tags_are_stdlib_hmac_under_the_exported_key():
+    s = SignatureScheme(seed=3)
+    pk = s.issue(b"alice")
+    key = s.verification_key(pk)
+    for message in (b"", b"m", b"x" * 200):
+        tag = s.sign(pk, message)
+        assert tag == hmac.new(key, message, hashlib.sha256).digest()
+        assert s.verify(pk, message, tag)
+        assert not s.verify(pk, message, tag[:31])
+        assert not s.verify(pk, message, tag + b"\x00")
+    # signing copies the stored states, so later tags under a key match
+    other = s.issue(b"bob")
+    assert s.sign(other, b"m") != s.sign(pk, b"m")
+    assert s.sign(pk, b"m") == hmac.new(key, b"m", hashlib.sha256).digest()
 
 
 def test_keys_are_per_user_and_stable():

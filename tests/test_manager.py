@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from splitchain.consensus import run_commit_round
 from splitchain.crypto import SignatureScheme
 from splitchain.errors import (
     AlreadyMember,
@@ -17,15 +18,23 @@ from splitchain.errors import (
     UnknownInitiator,
     UnregisteredValidator,
 )
-from splitchain.manager import ASSIGNED, Ecosystem, child_chain_ids
+from splitchain.manager import (
+    ASSIGNED,
+    Ecosystem,
+    VoteRequest,
+    child_chain_ids,
+)
 from splitchain.model import (
     Asset,
     LockPayload,
     Role,
     Transaction,
     TxKind,
+    make_block,
     replay,
 )
+
+from helpers import reference_commit_round
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -162,6 +171,36 @@ def test_all_honest_commit_signs_and_verifies_once_per_voter():
         assert eco.scheme.signs == Counter(
             {eco.registry.pk_of(v): 1 for v in validators}), n
         assert eco.scheme.verifies == n
+
+
+def test_byzantine_voter_signs_once_per_distinct_message():
+    for n in (4, 7, 10):
+        eco = build_eco(n=n, counting=True, strategies={
+            b"u001": "equivocate", b"u002": "badsig"})
+        sim = eco.chains[b"root"]
+        pk = eco.registry.pk_of
+        candidate = make_block(1, sim.ledger[-1].digest, [])
+        request = VoteRequest(b"root", candidate)
+        eco.scheme.signs.clear()
+        votes = {v: eco.respond(v, request) for v in sim.validators}
+        args = (b"root", candidate, sim.validators, sim.quorum, pk,
+                eco.scheme, votes.__getitem__)
+        outcome = run_commit_round(*args)
+        # the equivocator sends two statements to n recipients: two tags
+        assert eco.scheme.signs[pk(b"u001")] == 2, n
+        assert eco.scheme.signs[pk(b"u002")] == 0, n  # garbage, never signed
+        assert all(eco.scheme.signs[pk(v)] == 1 for v in sim.validators
+                   if v not in (b"u001", b"u002")), n
+        # each distinct matching signature is verified once: the honest
+        # voters', the equivocator's honest one and every badsig tag
+        equivocator, badsig = votes[b"u001"][1], votes[b"u002"][1]
+        honest_tags = {equivocator(r)[1] for r in sim.validators
+                       if equivocator(r)[0] == candidate.digest}
+        garbage = {badsig(r)[1] for r in sim.validators}
+        assert len(honest_tags) == 1 and len(garbage) == n
+        assert eco.scheme.verifies == (n - 2) + 1 + n, n
+        assert outcome == reference_commit_round(*args), n
+        assert eco.scheme.signs[pk(b"u001")] == 2, n  # memo spans recipients
 
 
 # --- division: happy path ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from splitchain.crypto import derive_rng
 from splitchain.errors import UnknownNode
 from splitchain.netsim import (
     BYZANTINE,
@@ -89,6 +90,38 @@ def test_delays_are_seeded_and_within_bounds():
     assert all(1 <= t <= 5 for _, t in first)
 
 
+def test_fixed_delay_lands_every_delivery_at_now_plus_d_min():
+    net, seen = net_pair(seed=7, d_min=3, d_max=3)
+    net.inject_fault(b"b", CRASH, at_time=5)
+    for i in range(4):
+        net.send(b"a", b"b", i)
+        net.send(b"b", b"a", i)
+    net.sched.run_until(2)
+    net.send(b"a", b"b", "dropped")  # lands at 5, when b has crashed
+    net.send(b"b", b"a", "late")
+    net.run_until_idle()
+    assert seen == [(dst, i, 3) for i in range(4) for dst in (b"b", b"a")] \
+        + [(b"a", "late", 5)]
+    assert net.messages_sent == 10
+    assert net.messages_dropped == 1
+
+
+def test_random_delays_follow_the_seeded_stream_in_send_order():
+    seed, d_min, d_max = 11, 1, 6
+    net, seen = net_pair(seed=seed, d_min=d_min, d_max=d_max)
+    sends = [(b"a", b"b"), (b"b", b"a"), (b"a", b"a")] * 10
+    for i, (src, dst) in enumerate(sends):
+        net.send(src, dst, i)
+    net.run_until_idle()
+    rng = derive_rng("net-delay", seed)
+    expected = [rng.randint(d_min, d_max) for _ in sends]
+    assert sorted((i, t) for _, i, t in seen) == list(enumerate(expected))
+    assert [dst for dst, _, _ in seen] == [
+        sends[i][1] for i, _ in sorted(enumerate(expected),
+                                       key=lambda p: p[1])]
+    assert net.messages_sent == len(sends)
+
+
 def test_broadcast_includes_self_delivery():
     net, seen = net_pair()
     net.broadcast(b"a", [b"a", b"b"], "x")
@@ -124,6 +157,22 @@ def test_unknown_node_raises():
         net.node(b"ghost")
     with pytest.raises(UnknownNode):
         net.send(b"a", b"ghost", "x")
+
+
+@pytest.mark.parametrize("d_max", [1, 4])
+@pytest.mark.parametrize("src,dst", [(b"ghost", b"b"), (b"a", b"ghost"),
+                                     (b"ghost", b"phantom")])
+def test_send_with_unknown_end_raises_and_counts_nothing(src, dst, d_max):
+    net, seen = net_pair(d_min=1, d_max=d_max)
+    with pytest.raises(UnknownNode, match=repr(src if src == b"ghost"
+                                               else dst)):
+        net.send(src, dst, "x")
+    assert net.messages_sent == 0 and net.messages_dropped == 0
+    assert net.sched.idle
+    # the delay stream was not drawn from: the next send gets the first draw
+    net.send(b"a", b"b", "y")
+    net.run_until_idle()
+    assert seen == [(b"b", "y", derive_rng("net-delay", 0).randint(1, d_max))]
 
 
 def test_duplicate_node_rejected():

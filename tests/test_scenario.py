@@ -98,6 +98,10 @@ a-v002 = byzantine withhold
     ("[chain a]\n[chain b]\n[chain c]\n[chain d]\n"
      "[fuse]\nleft = a\nright = b\nmerged = m\n"
      "[fuse]\nleft = c\nright = d\nmerged = m", 9, "already taken"),
+    ("[chain a]\n[chain b]\n[chain a+b]\n[fuse]\nleft = a\nright = b",
+     4, "'a+b' is already taken"),
+    ("[chain a]\n[chain b]\n[fuse]\nleft = a\nright = b\n"
+     "[fuse]\nleft = a\nright = b", 6, "'a+b' is already taken"),
     ("[chain a]\nvalidators = 4\nalpha = 2/3", 1, "alpha"),
 ], ids=lambda v: repr(v)[:40])
 def test_parse_errors_carry_line_numbers(source, lineno, fragment):
