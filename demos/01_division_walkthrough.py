@@ -41,7 +41,7 @@ def main() -> None:
         print(f"  {child.chain_id.decode()} ({len(child.validators)}): {roster}")
 
     print("\nlineage (chain, parent, side, split height):")
-    for row in eco.registry.lineage_rows():
+    for row in eco.lineage_rows():
         chain, parent, side, height = row
         print(f"  {chain.decode():8s} {parent.decode() or '-':8s}"
               f" {side} {height}")

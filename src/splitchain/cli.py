@@ -154,14 +154,14 @@ def _cmd_divide_demo(args) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "lineage.csv").write_text(
-            lineage_csv(lineage_table(eco.registry)))
+            lineage_csv(lineage_table(eco)))
         (outdir / "events.log").write_text("\n".join(eco.events) + "\n")
         print(f"wrote lineage.csv and events.log to {args.out}")
     return 0
 
 
 def _registry_snapshot(eco: Ecosystem, chain_id: bytes) -> dict:
-    config = eco.registry.chains[chain_id]
+    config = eco.chains[chain_id].config
     validators = []
     for v in config.validators:
         pk = eco.registry.pk_of(v)

@@ -1,11 +1,13 @@
 """Chain lifecycle: registry, creation, joins, division, and fusion.
 
 The :class:`Ecosystem` owns the network, the signature scheme, and one
-:class:`ChainSim` per live chain. Ordinary block commits are modeled as
-synchronous vote rounds (consensus is a black box — only its quorum
-arithmetic matters here), while the division protocol is message-faithful:
-the initiator's broadcast and every signed ack travel through the simulated
-network and are counted, one DIVIDE per validator plus n^2 acks.
+:class:`ChainSim` per chain, live or retired: a chain's ChainSim is the only
+record of its config, and its genesis the only record of its lineage.
+Ordinary block commits are modeled as synchronous vote rounds (consensus is
+a black box — only its quorum arithmetic matters here), while the division
+protocol is message-faithful: the initiator's broadcast and every signed ack
+travel through the simulated network and are counted, one DIVIDE per
+validator plus n^2 acks.
 
 Every signature a validator gives (commit vote, division ack, certificate
 share) comes from :meth:`Ecosystem.respond`. Correct and crashed validators
@@ -58,7 +60,6 @@ from .netsim import BYZANTINE, CRASH, Network, make_strategy
 PROPOSED = 1
 ACKED = 2
 ASSIGNED = 3
-RECONFIGURED = 4
 
 
 @dataclass(frozen=True)
@@ -176,32 +177,20 @@ class DivisionRecord:
 
 
 class Registry:
-    """Membership service: users, live chain configs, and division lineage."""
+    """Membership service: user accounts and their keys. Chains keep their
+    own configs and lineage (see Ecosystem.chain and lineage_rows)."""
 
     def __init__(self):
         self.users: dict[UserId, Account] = {}
-        self.chains: dict[ChainId, ChainConfig] = {}  # live chains only
-        self.archived: dict[ChainId, ChainConfig] = {}  # divided/fused away
-        self.lineage: dict[ChainId, tuple | None] = {}  # id -> (parent, side, height)
 
     def pk_of(self, user: UserId):
         account = self.users.get(user)
         return None if account is None else account.public_key
 
-    def lineage_rows(self):
-        """(chain_id, parent_id, side, split_height) rows, sorted by id."""
-        rows = []
-        for chain in sorted(self.lineage):
-            entry = self.lineage[chain]
-            if entry is None:
-                rows.append((chain, b"", 0, 0))
-            else:
-                rows.append((chain, entry[0], entry[1], entry[2]))
-        return rows
-
 
 class ChainSim:
-    """One live chain: canonical ledger, materialized state, vote rounds."""
+    """One chain: canonical ledger, materialized state, vote rounds. A chain
+    divided or fused away is halted and kept in Ecosystem.retired."""
 
     def __init__(self, eco: "Ecosystem", ledger):
         self.eco = eco
@@ -231,10 +220,6 @@ class ChainSim:
         net = self.eco.network
         return [v for v in self.validators
                 if not net.is_crashed(v) and net.strategy_of(v) is None]
-
-    def division_active(self) -> bool:
-        return not self.halted and any(
-            rt.division is not None for rt in self.runtimes.values())
 
     # -- ordinary commits --------------------------------------------------
 
@@ -372,8 +357,7 @@ class ChainSim:
         geneses = _build_children(self.chain_id, snapshot, outcome,
                                   req.agreed_height, seed,
                                   self.eco.assignment_scheme)
-        st.phase = RECONFIGURED
-        self.eco._install_division(self, req, geneses, now)
+        self.eco._install_division(self, geneses, now)
 
 
 def _replay_trusted(ledger):
@@ -504,8 +488,7 @@ class Ecosystem:
     def create_chain(self, chain_id: ChainId, validators, clients=(),
                      alpha=Fraction(1, 2), kind: str = "cft",
                      n_max: int = 64, initial_assets=()) -> ChainSim:
-        if chain_id in self.registry.chains or chain_id in self.registry.archived:
-            raise DuplicateChainId(f"chain {chain_id!r} already exists")
+        self._check_id_free(chain_id)
         for v in tuple(validators) + tuple(clients):
             if v not in self.registry.users:
                 raise UnregisteredValidator(f"{v!r} has no registered account")
@@ -516,8 +499,6 @@ class Ecosystem:
         genesis = build_genesis(config, self.registry.users)
         sim = ChainSim(self, [genesis])
         self.chains[chain_id] = sim
-        self.registry.chains[chain_id] = sim.config
-        self.registry.lineage[chain_id] = None
         self._log(f"create chain={_name(chain_id)} n={len(config.validators)}")
         return sim
 
@@ -542,7 +523,6 @@ class Ecosystem:
                              user)
             sim.commit([tx])
             sim.runtimes[user] = ValidatorRuntime(user, sim.state.last_height)
-        self.registry.chains[chain_id] = sim.config
         self._log(f"join chain={_name(chain_id)} user={_name(user)} "
                   f"role={role.name.lower()} n={len(sim.config.validators)}")
         return sim.config
@@ -552,6 +532,8 @@ class Ecosystem:
 
         Returns the two child ChainSims, or raises UnknownInitiator /
         TriggerNotMet / NoQuorum mirroring what correct validators reported.
+        Raises DuplicateChainId, before any message is sent, when a child id
+        is already taken.
         """
         sim = self._live(chain_id)
         if initiator is None:
@@ -560,9 +542,11 @@ class Ecosystem:
             # no account means no network presence: certainly not a validator
             raise UnknownInitiator(
                 f"{initiator!r} is not a validator of {chain_id!r}")
+        children = child_chain_ids(chain_id)
+        for child in children:
+            self._check_id_free(child)
         sim.start_division(initiator)
         self.network.run_until_idle()
-        children = child_chain_ids(chain_id)
         if all(c in self.chains for c in children):
             return self.chains[children[0]], self.chains[children[1]]
         reasons = set(sim.division_rejections.values())
@@ -583,8 +567,7 @@ class Ecosystem:
         s1, s2 = self._live(c1_id), self._live(c2_id)
         if merged_id is None:
             merged_id = c1_id + b"+" + c2_id
-        if merged_id in self.registry.chains or merged_id in self.registry.archived:
-            raise DuplicateChainId(f"chain {merged_id!r} already exists")
+        self._check_id_free(merged_id)
         for sim in (s1, s2):
             stmt = (b"fuse" + enc_bytes(sim.chain_id)
                     + enc_bytes(sim.state.digest()))
@@ -618,12 +601,8 @@ class Ecosystem:
             sim.halted = True
             self.retired[sim.chain_id] = sim
             del self.chains[sim.chain_id]
-            self.registry.archived[sim.chain_id] = sim.config
-            del self.registry.chains[sim.chain_id]
         merged = ChainSim(self, [genesis])
         self.chains[merged_id] = merged
-        self.registry.chains[merged_id] = merged.config
-        self.registry.lineage[merged_id] = None
         self._log(f"fuse {_name(c1_id)}+{_name(c2_id)} -> {_name(merged_id)} "
                   f"alpha={merged_params.alpha}")
         return merged
@@ -640,6 +619,24 @@ class Ecosystem:
     def total_value(self) -> int:
         return sum(sim.state.total_value() for sim in self.chains.values())
 
+    # -- chain records -----------------------------------------------------------------
+
+    def chain(self, chain_id: ChainId) -> ChainSim | None:
+        """The live or retired ChainSim of `chain_id`, or None."""
+        sim = self.chains.get(chain_id)
+        return sim if sim is not None else self.retired.get(chain_id)
+
+    def lineage_rows(self) -> list:
+        """(chain_id, parent_id, side, split_height) for every chain, live or
+        retired, sorted by id, as each chain's genesis records them. A root
+        or fused chain has no parent: (chain_id, b"", 0, 0)."""
+        rows = []
+        for chain_id in sorted(self.chains.keys() | self.retired.keys()):
+            state = self.chain(chain_id).state
+            rows.append((chain_id, state.parent_chain or b"", state.side,
+                         state.split_height))
+        return rows
+
     # -- internals -------------------------------------------------------------------
 
     def _live(self, chain_id: ChainId) -> ChainSim:
@@ -647,6 +644,10 @@ class Ecosystem:
         if sim is None:
             raise SplitchainError(f"no live chain {chain_id!r}")
         return sim
+
+    def _check_id_free(self, chain_id: ChainId) -> None:
+        if self.chain(chain_id) is not None:
+            raise DuplicateChainId(f"chain {chain_id!r} already exists")
 
     def respond(self, validator: UserId, request) -> tuple:
         """`validator`'s answer to a signing request, as (answer, hook).
@@ -700,8 +701,7 @@ class Ecosystem:
             if sim is not None:
                 sim.on_ack(node_id, payload, now)
 
-    def _install_division(self, parent: ChainSim, req: DivideRequest,
-                          geneses, now: int) -> None:
+    def _install_division(self, parent: ChainSim, geneses, now: int) -> None:
         digests = tuple(g.digest for g in geneses)
         existing = self._division_installs.get(parent.chain_id)
         if existing is not None:
@@ -710,24 +710,19 @@ class Ecosystem:
                     f"validators built conflicting children for "
                     f"{parent.chain_id!r}")
             return
+        for cid in child_chain_ids(parent.chain_id):
+            self._check_id_free(cid)  # a failure leaves the parent live
         self._division_installs[parent.chain_id] = digests
         parent.halted = True
         self.retired[parent.chain_id] = parent
         del self.chains[parent.chain_id]
-        self.registry.archived[parent.chain_id] = parent.config
-        del self.registry.chains[parent.chain_id]
 
         f_parent = self.chain_fault_count(parent)
         children = []
-        for side, genesis in enumerate(geneses, start=1):
+        for genesis in geneses:
             sim = ChainSim(self, [genesis])
             cid = sim.chain_id
-            if cid in self.registry.chains:
-                raise DuplicateChainId(f"chain {cid!r} already exists")
             self.chains[cid] = sim
-            self.registry.chains[cid] = sim.config
-            self.registry.lineage[cid] = (parent.chain_id, side,
-                                          req.agreed_height)
             n_i = len(sim.validators)
             f_i = self.chain_fault_count(sim)
             alpha = sim.config.consensus.alpha

@@ -84,9 +84,6 @@ class _Reader:
     def read_u64(self) -> int:
         return int.from_bytes(self.take(8), "big")
 
-    def read_bool(self) -> bool:
-        return self.take(1) == b"\x01"
-
     def read_count(self) -> int:
         return int.from_bytes(self.take(4), "big")
 
@@ -363,16 +360,17 @@ class Block:
     transactions: tuple  # tuple[Transaction, ...]
     digest: Digest = b""
 
-    def header_bytes(self) -> bytes:
-        return (enc_u64(self.height) + enc_bytes(self.parent_digest)
-                + enc_seq([enc_bytes(t.to_bytes()) for t in self.transactions]))
+
+def header_bytes(height: int, parent_digest: Digest, transactions) -> bytes:
+    """The canonical block header; a block's digest is its SHA-256."""
+    return (enc_u64(height) + enc_bytes(parent_digest)
+            + enc_seq([enc_bytes(t.to_bytes()) for t in transactions]))
 
 
 def make_block(height: int, parent_digest: Digest, transactions) -> Block:
     txs = tuple(transactions)
-    header = (enc_u64(height) + enc_bytes(parent_digest)
-              + enc_seq([enc_bytes(t.to_bytes()) for t in txs]))
-    return Block(height, parent_digest, txs, sha256(header))
+    return Block(height, parent_digest, txs,
+                 sha256(header_bytes(height, parent_digest, txs)))
 
 
 Ledger = list  # list[Block], genesis at index 0
@@ -386,7 +384,9 @@ def verify_ledger(ledger) -> None:
         expected_parent = ZERO_DIGEST if i == 0 else ledger[i - 1].digest
         if block.parent_digest != expected_parent:
             raise BrokenChain(i)
-        if sha256(block.header_bytes()) != block.digest:
+        header = header_bytes(block.height, block.parent_digest,
+                              block.transactions)
+        if sha256(header) != block.digest:
             raise BrokenChain(i, f"block digest mismatch at height {i}")
 
 

@@ -301,10 +301,10 @@ METRICS_HEADER = ("tick", "chain_id", "n", "f", "beta", "divisions", "messages")
 LINEAGE_HEADER = ("chain_id", "parent_id", "side", "split_height")
 
 
-def lineage_table(registry) -> tuple:
-    """The registry's lineage as rows matching LINEAGE_HEADER, ids as names."""
+def lineage_table(eco) -> tuple:
+    """Every chain's lineage as rows matching LINEAGE_HEADER, ids as names."""
     return tuple((_name(cid), _name(parent), side, height)
-                 for cid, parent, side, height in registry.lineage_rows())
+                 for cid, parent, side, height in eco.lineage_rows())
 
 
 def lineage_csv(rows) -> str:
@@ -496,7 +496,7 @@ class _Driver:
             meta["joined"], meta["joined_faulty"]))
         try:
             children = self.eco.divide_chain(chain_id, initiator=initiator)
-        except (TriggerNotMet, NoQuorum) as exc:
+        except (TriggerNotMet, NoQuorum, DuplicateChainId) as exc:
             self.eco._log(f"division of {_name(chain_id)} failed: {exc}")
             return
         del self.meta[chain_id]
@@ -562,7 +562,7 @@ class _Driver:
             for cid, sim in sorted(self.eco.chains.items()))
         return MetricsReport(
             metrics=tuple(self.metrics),
-            lineage=lineage_table(self.eco.registry),
+            lineage=lineage_table(self.eco),
             events=tuple(self.eco.events),
             divisions=tuple(self.eco.divisions),
             doublings=tuple(self.doublings),

@@ -390,13 +390,12 @@ def tok_verify_proof(proof: KnowledgeProof, tag: FreshnessTag, source_config,
 # whichever child holds the relevant account or lock.
 
 
-def _ancestry(registry, chain_id: ChainId) -> tuple:
+def _ancestry(eco, chain_id: ChainId) -> tuple:
     seen = [chain_id]
-    entry = registry.lineage.get(chain_id)
-    while entry is not None:
-        parent = entry[0]
-        seen.append(parent)
-        entry = registry.lineage.get(parent)
+    sim = eco.chain(chain_id)
+    while sim is not None and sim.state.parent_chain is not None:
+        seen.append(sim.state.parent_chain)
+        sim = eco.chain(sim.state.parent_chain)
     return tuple(seen)
 
 
@@ -405,23 +404,16 @@ def _route(eco, chain_id: ChainId, want) -> "object | None":
     if sim is not None and want(sim):
         return sim
     for candidate in eco.chains.values():
-        if chain_id in _ancestry(eco.registry, candidate.chain_id) and want(candidate):
+        if chain_id in _ancestry(eco, candidate.chain_id) and want(candidate):
             return candidate
     return None
 
 
 def _tag_acceptable(eco, sim, tag: FreshnessTag) -> bool:
     """Was this tag issued by the judging chain or one of its ancestors?"""
-    if tag.issuer_chain not in _ancestry(eco.registry, sim.chain_id):
+    if tag.issuer_chain not in _ancestry(eco, sim.chain_id):
         return False
     return eco.issued_tags.get((tag.issuer_chain, tag.nonce)) == tag
-
-
-def _config_snapshot(eco, chain_id: ChainId):
-    cfg = eco.registry.chains.get(chain_id)
-    if cfg is None:
-        cfg = eco.registry.archived.get(chain_id)
-    return cfg
 
 
 # --- asset transfer ------------------------------------------------------------------
@@ -507,19 +499,18 @@ def toa_claim(eco, claimer: UserId, target: ChainId,
         else:
             payload = tx.payload
             nonce = payload.nonce
-            source_cfg = _config_snapshot(eco, lock_proof.attesting_chain)
-            if source_cfg is None:
+            source = eco.chain(lock_proof.attesting_chain)
+            if source is None:
                 reason = "unknown source chain"
             elif payload.nonce != inner.tag.nonce:
                 reason = "lock nonce does not match tag nonce"
-            elif payload.target_chain not in _ancestry(eco.registry,
-                                                       sim.chain_id):
+            elif payload.target_chain not in _ancestry(eco, sim.chain_id):
                 reason = "lock targets a different chain"
             elif payload.target_address != claimer:
                 reason = "lock targets a different address"
             else:
                 verdict, why = tok_verify_proof(
-                    inner, inner.tag, source_cfg, sim.state.last_height,
+                    inner, inner.tag, source.config, sim.state.last_height,
                     eco.registry.pk_of, eco.scheme)
                 if verdict != 1:
                     reason = why
@@ -601,10 +592,10 @@ def toa_resolve(eco, source: ChainId, proof: TransferProof) -> str:
         raise InvalidProof("proof kind contradicts the attested decision")
     if not _tag_acceptable(eco, sim, inner.tag):
         raise InvalidProof("tag was not issued here")
-    target_cfg = _config_snapshot(eco, proof.attesting_chain)
-    if target_cfg is None:
+    target = eco.chain(proof.attesting_chain)
+    if target is None:
         raise InvalidProof(f"unknown chain {proof.attesting_chain!r}")
-    verdict, why = tok_verify_proof(inner, inner.tag, target_cfg,
+    verdict, why = tok_verify_proof(inner, inner.tag, target.config,
                                     sim.state.last_height,
                                     eco.registry.pk_of, eco.scheme)
     if verdict != 1:

@@ -210,6 +210,27 @@ merged = A.1
     assert "[2] fusion B+C failed: chain b'A.1' already exists" in events
 
 
+def test_simulate_division_into_taken_child_id_exit_0(tmp_path, capsys):
+    # chain a starts at its trigger, but its child id a.1 is declared
+    scenario = tmp_path / "collide.mit"
+    scenario.write_text("""
+[chain a]
+validators = 4
+n_max = 4
+[chain a.1]
+validators = 3
+""")
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(["simulate", "--scenario", str(scenario),
+                                 "--out", str(out)], capsys)
+    assert code == 0
+    assert err == "" and stdout.startswith("2 chains after 0 divisions")
+    events = (out / "events.log").read_text().splitlines()
+    assert "[0] division of a failed: chain b'a.1' already exists" in events
+    assert (out / "lineage.csv").read_text() == (
+        "chain_id,parent_id,side,split_height\na,,0,0\na.1,,0,0\n")
+
+
 def test_simulate_stall_exit_4_with_reports(tmp_path, capsys):
     # alpha=1/2, n=4: quorum 2, and three crashed validators leave one vote
     scenario = tmp_path / "stall.mit"

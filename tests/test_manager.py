@@ -94,8 +94,8 @@ def test_create_chain_registers_and_replays():
     eco = build_eco(n=4, clients=2, assets_per_client=1, n_max=8)
     sim = eco.chains[b"root"]
     assert sim.state.last_height == 0
-    assert eco.registry.chains[b"root"].validators == sim.validators
-    assert eco.registry.lineage[b"root"] is None
+    assert eco.chain(b"root") is sim
+    assert eco.lineage_rows() == [(b"root", b"", 0, 0)]
     assert replay(sim.ledger).digest() == sim.state.digest()
     assert sim.state.total_value() == 2
 
@@ -129,7 +129,7 @@ def test_validator_join_recomputes_quorum():
     cfg = eco.join_chain(b"u900", b"root")
     assert len(cfg.validators) == 5
     assert eco.chains[b"root"].quorum == 4
-    assert eco.registry.chains[b"root"] is cfg
+    assert eco.chain(b"root").config is cfg
 
 
 def test_join_policy_gate():
@@ -213,11 +213,12 @@ def test_division_splits_ten_into_five_and_five():
     assert set(c1.validators) | set(c2.validators) == set(
         b"u%03d" % i for i in range(10))
     assert not set(c1.validators) & set(c2.validators)
-    assert b"root" not in eco.registry.chains
-    assert b"root" in eco.registry.archived
+    assert b"root" not in eco.chains
+    assert eco.chain(b"root") is eco.retired[b"root"]
     assert eco.retired[b"root"].halted
-    assert eco.registry.lineage[b"root.1"] == (b"root", 1, 0)
-    assert eco.registry.lineage[b"root.2"] == (b"root", 2, 0)
+    assert eco.lineage_rows() == [(b"root", b"", 0, 0),
+                                  (b"root.1", b"root", 1, 0),
+                                  (b"root.2", b"root", 2, 0)]
 
 
 def test_division_message_count_is_n_plus_n_squared():
@@ -310,6 +311,38 @@ def test_division_below_trigger_rejected():
     assert b"root" in eco.chains
 
 
+@pytest.mark.parametrize("retired", [False, True])
+def test_division_into_a_taken_child_id_touches_nothing(retired):
+    eco = build_eco(n=4)
+    for u in (b"x000", b"x001"):
+        eco.register_user(u, Role.VALIDATOR)
+    eco.create_chain(b"root.2", [b"x000"])
+    if retired:
+        eco.create_chain(b"z", [b"x001"])
+        eco.fuse_chains(b"root.2", b"z")
+        assert b"root.2" in eco.retired
+    before = eco.network.messages_sent
+    with pytest.raises(DuplicateChainId, match="root.2"):
+        eco.divide_chain(b"root")
+    assert eco.network.messages_sent == before
+    sim = eco.chains[b"root"]
+    assert not sim.halted and b"root" not in eco.retired
+    assert all(rt.division is None for rt in sim.runtimes.values())
+    assert eco.divisions == []
+
+
+def test_install_checks_child_ids_before_retiring_the_parent():
+    # an id taken after the DIVIDE broadcast is caught at install time
+    eco = build_eco(n=4)
+    eco.register_user(b"x000", Role.VALIDATOR)
+    eco.chains[b"root"].start_division(b"u000")
+    eco.create_chain(b"root.1", [b"x000"])
+    with pytest.raises(DuplicateChainId, match="root.1"):
+        eco.network.run_until_idle()
+    assert not eco.chains[b"root"].halted and b"root" not in eco.retired
+    assert b"root.2" not in eco.chains and eco.divisions == []
+
+
 def test_division_quorum_boundary_with_withholders():
     # alpha=1/2, n=4: quorum 2. 2 withholders leave 2 honest acks: completes.
     eco = build_eco(n=4, strategies={b"u002": "withhold", b"u003": "withhold"})
@@ -377,7 +410,9 @@ def test_fusion_takes_min_alpha_and_unions_state():
     assert merged.config.consensus.kind == "bft"
     assert len(merged.validators) == 6
     assert merged.state.total_value() == 12
-    assert b"a" not in eco.registry.chains and b"b" not in eco.registry.chains
+    assert b"a" not in eco.chains and b"b" not in eco.chains
+    assert eco.chain(b"a").halted and eco.chain(b"b").halted
+    assert (merged.chain_id, b"", 0, 0) in eco.lineage_rows()
     assert replay(merged.ledger).digest() == merged.state.digest()
 
 

@@ -294,6 +294,27 @@ def test_fusion_into_a_taken_runtime_id_is_logged_and_both_chains_stay():
     assert report.stalled is None and not report.safety_violations
 
 
+DIVIDE_INTO_TAKEN_CHILD = """
+[chain a]
+validators = 4
+n_max = 4
+
+[chain a.1]
+validators = 3
+"""
+
+
+def test_division_into_a_taken_child_id_is_logged_and_both_chains_stay():
+    # a starts at its trigger, but its child id a.1 is a declared chain
+    report = run_scenario(DIVIDE_INTO_TAKEN_CHILD)
+    assert ("[0] division of a failed: chain b'a.1' already exists"
+            in report.events)
+    assert [(cid, n) for cid, n, _ in report.final_chains] == [(b"a", 4),
+                                                              (b"a.1", 3)]
+    assert report.messages_total == 0 and not report.divisions
+    assert report.stalled is None and not report.safety_violations
+
+
 def test_unknown_fault_user_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown user"):
         run_scenario("""

@@ -102,7 +102,7 @@ def test_true_predicate_yields_verifying_proof():
     assert proof is not None
     assert len(proof.certificate.signatures) >= eco.chains[b"src"].quorum
     verdict, reason = tok_verify_proof(
-        proof, tag, eco.registry.chains[b"src"],
+        proof, tag, eco.chain(b"src").config,
         eco.chains[b"dst"].state.last_height,
         eco.registry.pk_of, eco.scheme)
     assert (verdict, reason) == (1, None)
@@ -145,7 +145,7 @@ def proof_fixture():
     tag = issue_tag(eco, b"dst")
     proof = tok_generate_proof(eco, b"alice", b"src",
                                AssetOwnedBy(b"coin", b"alice"), tag)
-    cfg = eco.registry.chains[b"src"]
+    cfg = eco.chain(b"src").config
     height = eco.chains[b"dst"].state.last_height
     return eco, tag, proof, cfg, height
 
