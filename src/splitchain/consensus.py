@@ -164,6 +164,8 @@ def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
             uniform += counts(voter, vote)
         else:
             hooked.append((voter, hook))
+    if not hooked:
+        return dict.fromkeys(validators, uniform >= quorum)
     return {recipient: uniform + sum(counts(voter, hook(recipient))
                                      for voter, hook in hooked) >= quorum
             for recipient in validators}

@@ -13,8 +13,14 @@ Every signature a validator gives (commit vote, division ack, certificate
 share) comes from :meth:`Ecosystem.respond`. Correct and crashed validators
 give one answer for all recipients, so it is signed and checked once; only a
 Byzantine strategy answers each recipient separately.
+
+Nothing a run builds points back at its Ecosystem strongly: a ChainSim holds
+a weak proxy of it and every network node a handler over a weak reference.
+A finished run is therefore freed by reference counting, without waiting
+for the cyclic garbage collector.
 """
 
+import weakref
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
@@ -193,7 +199,7 @@ class ChainSim:
     divided or fused away is halted and kept in Ecosystem.retired."""
 
     def __init__(self, eco: "Ecosystem", ledger):
-        self.eco = eco
+        self.eco = weakref.proxy(eco)
         self.ledger = list(ledger)
         self.state = _replay_trusted(self.ledger)
         self.chain_id = self.state.config.chain
@@ -201,7 +207,7 @@ class ChainSim:
         self.runtimes = {v: ValidatorRuntime(v, self.state.last_height)
                          for v in self.state.config.validators}
         self.division_rejections: dict[UserId, str] = {}
-        # (request, signer, signature) -> ack verdict, shared by receivers
+        # AckMsg -> signature verdict, shared by receivers
         self._ack_verdicts: dict = {}
 
     @property
@@ -217,9 +223,10 @@ class ChainSim:
         return self.state.config.quorum
 
     def correct_validators(self) -> list:
-        net = self.eco.network
+        network = self.eco.network
+        nodes, now = network.nodes, network.now
         return [v for v in self.validators
-                if not net.is_crashed(v) and net.strategy_of(v) is None]
+                if not nodes[v].crashed(now) and nodes[v].strategy is None]
 
     # -- ordinary commits --------------------------------------------------
 
@@ -270,7 +277,7 @@ class ChainSim:
         cfg = self.state.config
         if len(cfg.validators) < cfg.n_max:
             return "trigger"
-        if req.initiator not in cfg.validators:
+        if req.initiator not in cfg.validator_set:
             return "unknown-initiator"
         if not 0 <= req.agreed_height < len(self.ledger):
             return "unknown-height"
@@ -322,24 +329,24 @@ class ChainSim:
         if reason is not None:
             self.division_rejections[validator] = reason
             return
-        if rt.division is None:
+        st = rt.division
+        if st is None:
             # acks can outrun the DIVIDE broadcast; the embedded request is
             # verified above, so record the proposal and ack when it arrives
-            rt.division = DivisionState(ack.request)
-        elif rt.division.request != ack.request:
+            st = rt.division = DivisionState(ack.request)
+        elif st.request is not ack.request and st.request != ack.request:
             return
-        if ack.signer not in self.state.config.validators:
+        # checked on every delivery: the config may change mid-division
+        if ack.signer not in self.state.config.validator_set:
             return
-        key = (ack.request, ack.signer, ack.signature)
-        ok = self._ack_verdicts.get(key)
+        ok = self._ack_verdicts.get(ack)
         if ok is None:
             pk = self.eco.registry.pk_of(ack.signer)
-            ok = self._ack_verdicts[key] = pk is not None and \
+            ok = self._ack_verdicts[ack] = pk is not None and \
                 self.eco.scheme.verify(pk, ack.request.statement,
                                        ack.signature)
         if not ok:
             return
-        st = rt.division
         st.acks[ack.signer] = ack.signature
         if len(st.acks) >= self.quorum and st.phase < ASSIGNED:
             st.phase = ASSIGNED
@@ -447,6 +454,7 @@ class Ecosystem:
         self.violations: list[str] = []
         self.events: list[str] = []
         self._division_installs: dict[ChainId, tuple] = {}
+        self._handler = _message_handler(weakref.ref(self))
         # freshness tags handed out per verifying chain, keyed (chain, nonce)
         self.issued_tags: dict = {}
         self._tag_counter = 0
@@ -459,7 +467,7 @@ class Ecosystem:
             raise AlreadyMember(f"user {user!r} already registered")
         account = Account(user, self.scheme.issue(user), role)
         self.registry.users[user] = account
-        self.network.add_node(user, handler=self._on_message)
+        self.network.add_node(user, handler=self._handler)
         if faulty or strategy is not None:
             self.faulty.add(user)
         if strategy is not None:
@@ -659,10 +667,10 @@ class Ecosystem:
         validator's own key. Tags are deterministic, so the hook signs each
         distinct message once and repeats the tag for later recipients.
         """
-        node = self.network.node(validator)
+        node = self.network.nodes[validator]
         if node.crashed(self.network.now):
             return None, None
-        pk = self.registry.pk_of(validator)
+        pk = self.registry.users[validator].public_key
 
         def sign(message):
             return self.scheme.sign(pk, message)
@@ -690,16 +698,6 @@ class Ecosystem:
             return sig if hook is None else hook(None)
 
         return sign_fn
-
-    def _on_message(self, node_id: bytes, payload, now: int) -> None:
-        if isinstance(payload, DivideRequest):
-            sim = self.chains.get(payload.chain)
-            if sim is not None:
-                sim.on_divide(node_id, payload, now)
-        elif isinstance(payload, AckMsg):
-            sim = self.chains.get(payload.request.chain)
-            if sim is not None:
-                sim.on_ack(node_id, payload, now)
 
     def _install_division(self, parent: ChainSim, geneses, now: int) -> None:
         digests = tuple(g.digest for g in geneses)
@@ -742,6 +740,26 @@ class Ecosystem:
 
     def _log(self, text: str) -> None:
         self.events.append(f"[{self.network.now}] {text}")
+
+
+def _message_handler(eco_ref):
+    """Every node's handler: hand DIVIDE and ACK deliveries to the live
+    chain they name. It holds its Ecosystem through `eco_ref`, a weak
+    reference, so the ecosystem -> network -> node -> handler path is no
+    cycle."""
+
+    def on_message(node_id: bytes, payload, now: int) -> None:
+        eco = eco_ref()
+        if isinstance(payload, AckMsg):
+            sim = eco.chains.get(payload.request.chain)
+            if sim is not None:
+                sim.on_ack(node_id, payload, now)
+        elif isinstance(payload, DivideRequest):
+            sim = eco.chains.get(payload.chain)
+            if sim is not None:
+                sim.on_divide(node_id, payload, now)
+
+    return on_message
 
 
 def _name(raw: bytes) -> str:

@@ -338,6 +338,10 @@ class ChainConfig:
     def quorum(self) -> int:
         return self.consensus.quorum(len(self.validators))
 
+    @cached_property
+    def validator_set(self) -> frozenset:
+        return frozenset(self.validators)
+
     def members(self) -> tuple:
         return tuple(self.validators) + tuple(
             c for c in self.clients if c not in self.validators)

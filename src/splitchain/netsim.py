@@ -1,14 +1,16 @@
 """Deterministic discrete-event network with fault injection.
 
 Time is a logical tick counter. Deliveries are scheduled through a seeded
-delay model and processed in (time, sequence) order, so a (topology, seed)
-pair fully determines every run. Nodes are dumb mailboxes: protocol behavior
-lives in the handler each node is registered with, and fault status (crash
-schedule, Byzantine strategy) is consulted by those handlers and by the
-delivery loop.
+delay model and processed by tick, in send order within a tick, so a
+(topology, seed) pair fully determines every run. Nodes are dumb mailboxes:
+protocol behavior lives in the handler each node is registered with, and
+fault status (crash schedule, Byzantine strategy) is consulted by those
+handlers and by the delivery loop.
 """
 
 import heapq
+import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from .crypto import derive_rng
@@ -34,47 +36,85 @@ class FaultSpec:
 
 
 class Scheduler:
-    """Priority queue of timed callbacks with a deterministic tiebreak."""
+    """Timed callbacks run in (time, insertion) order: one FIFO per tick.
+
+    A calendar queue (Brown, CACM 1988) with one bucket per tick: each tick
+    that has callbacks keeps them in a deque in the order they were
+    scheduled, and a heap holds the distinct ticks. A callback scheduled
+    for the tick being run goes to the back of that tick's FIFO, after the
+    callbacks already waiting there.
+    """
 
     def __init__(self):
-        self._heap = []
-        self._seq = 0
+        self._queues = {}  # tick -> deque of (fn, args); never empty at rest
+        self._ticks = []  # heap of the ticks in _queues
         self.now = 0
+
+    def _queue(self, time: int) -> deque:
+        queue = self._queues.get(time)
+        if queue is None:
+            queue = self._queues[time] = deque()
+            heapq.heappush(self._ticks, time)
+        return queue
 
     def at(self, time: int, fn, *args) -> None:
         if time < self.now:
             raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._heap, (time, self._seq, fn, args))
-        self._seq += 1
+        self._queue(time).append((fn, args))
 
     def after(self, delay: int, fn, *args) -> None:
         self.at(self.now + delay, fn, *args)
 
     def step(self) -> bool:
-        if not self._heap:
+        if not self._ticks:
             return False
-        time, _, fn, args = heapq.heappop(self._heap)
+        time = self._ticks[0]
+        queue = self._queues[time]
+        fn, args = queue.popleft()
+        if not queue:
+            heapq.heappop(self._ticks)
+            del self._queues[time]
         self.now = time
         fn(*args)
         return True
 
-    def run_until_idle(self, max_events: int = 1_000_000) -> int:
+    def _run(self, horizon, max_events) -> int:
+        """Run whole ticks up to `horizon` (None: every tick), counting
+        callbacks; raise once more than `max_events` have run."""
         count = 0
-        while self.step():
-            count += 1
-            if count > max_events:
-                raise RuntimeError("event budget exhausted; likely a message loop")
+        queues, ticks = self._queues, self._ticks
+        while ticks and (horizon is None or ticks[0] <= horizon):
+            time = ticks[0]
+            queue = queues[time]
+            popleft = queue.popleft
+            self.now = time
+            try:
+                while queue:
+                    fn, args = popleft()
+                    fn(*args)
+                    count += 1
+                    if count > max_events:
+                        raise RuntimeError(
+                            "event budget exhausted; likely a message loop")
+            finally:
+                # callbacks schedule at >= time, so time is still the heap's
+                # head, unless a nested run already retired this tick
+                if not queue and queues.get(time) is queue:
+                    heapq.heappop(ticks)
+                    del queues[time]
         return count
+
+    def run_until_idle(self, max_events: int = 1_000_000) -> int:
+        return self._run(None, max_events)
 
     def run_until(self, horizon: int) -> None:
         """Process all events with time <= horizon, then advance the clock."""
-        while self._heap and self._heap[0][0] <= horizon:
-            self.step()
+        self._run(horizon, math.inf)
         self.now = max(self.now, horizon)
 
     @property
     def idle(self) -> bool:
-        return not self._heap
+        return not self._ticks
 
 
 @dataclass
@@ -145,11 +185,10 @@ class Network:
         # The delay stream feeds nothing else, so a fixed delay skips it.
         delay = self.d_min if self.d_min == self.d_max else \
             self._delay_rng.randint(self.d_min, self.d_max)
-        # Scheduler.after inlined: delay > 0, so the time is never past.
+        # Scheduler.after without its check: delay > 0, so never past.
         sched = self.sched
-        heapq.heappush(sched._heap, (sched.now + delay, sched._seq,
-                                     self._deliver, (target, payload)))
-        sched._seq += 1
+        sched._queue(sched.now + delay).append(
+            (self._deliver, (target, payload)))
 
     def broadcast(self, src: bytes, targets, payload) -> None:
         for dst in targets:

@@ -490,15 +490,16 @@ class _Driver:
             self.eco._log(f"chain {_name(chain_id)} at trigger but every"
                           f" validator is crashed; skipping division")
             return
-        self.doublings.append(DoublingRow(
+        row = DoublingRow(
             chain_id, meta["n_birth"], meta["f_birth"],
             len(sim.validators), self.eco.chain_fault_count(sim),
-            meta["joined"], meta["joined_faulty"]))
+            meta["joined"], meta["joined_faulty"])
         try:
             children = self.eco.divide_chain(chain_id, initiator=initiator)
         except (TriggerNotMet, NoQuorum, DuplicateChainId) as exc:
             self.eco._log(f"division of {_name(chain_id)} failed: {exc}")
             return
+        self.doublings.append(row)  # one row per division that happened
         del self.meta[chain_id]
         for child in children:
             self._register_birth(child.chain_id)

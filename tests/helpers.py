@@ -5,6 +5,7 @@ they count outcomes by brute force so the exact-arithmetic code has an
 independent reference.
 """
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -123,6 +124,59 @@ def reference_commit_round(chain, candidate, validators, quorum, pk_of, scheme,
                 matching += 1
         outcome[recipient] = matching >= quorum
     return outcome
+
+
+class _HeapScheduler:
+    """netsim.Scheduler as first written: one heap of (time, seq, fn, args)."""
+
+    def __init__(self):
+        self._heap = []
+        self._seq = 0
+        self.now = 0
+
+    def at(self, time: int, fn, *args) -> None:
+        if time < self.now:
+            raise ValueError("cannot schedule into the past")
+        heapq.heappush(self._heap, (time, self._seq, fn, args))
+        self._seq += 1
+
+    def after(self, delay: int, fn, *args) -> None:
+        self.at(self.now + delay, fn, *args)
+
+    def step(self) -> bool:
+        if not self._heap:
+            return False
+        time, _, fn, args = heapq.heappop(self._heap)
+        self.now = time
+        fn(*args)
+        return True
+
+    def run_until_idle(self, max_events: int = 1_000_000) -> int:
+        count = 0
+        while self.step():
+            count += 1
+            if count > max_events:
+                raise RuntimeError("event budget exhausted; likely a message loop")
+        return count
+
+    def run_until(self, horizon: int) -> None:
+        while self._heap and self._heap[0][0] <= horizon:
+            self.step()
+        self.now = max(self.now, horizon)
+
+    @property
+    def idle(self) -> bool:
+        return not self._heap
+
+
+def reference_scheduler() -> _HeapScheduler:
+    """A scheduler that pops one heap of (time, seq, fn, args) per event.
+
+    The sequence number breaks ties, so callbacks of one tick run in the
+    order they were scheduled. This is the reference for the per-tick FIFOs
+    of netsim.Scheduler: same calls, same callback order, clock and budget.
+    """
+    return _HeapScheduler()
 
 
 def user(i: int) -> bytes:

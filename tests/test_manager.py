@@ -20,6 +20,8 @@ from splitchain.errors import (
 )
 from splitchain.manager import (
     ASSIGNED,
+    AckMsg,
+    DivideRequest,
     Ecosystem,
     VoteRequest,
     child_chain_ids,
@@ -363,6 +365,23 @@ def test_badsig_ackers_do_not_count():
                                      b"u003": "badsig"})
     with pytest.raises(NoQuorum):
         eco.divide_chain(b"root", initiator=b"u000")
+
+
+def test_ack_signer_is_checked_against_the_config_on_every_delivery():
+    # an ack from a registered non-member does not count; the same ack does
+    # once its signer has joined, so membership is not memoised with the
+    # signature verdict
+    eco = build_eco(n=4)
+    eco.register_user(b"u050", Role.VALIDATOR)
+    sim = eco.chains[b"root"]
+    req = DivideRequest(b"root", b"u000", 0, sim.ledger[0].digest)
+    ack = AckMsg(req, b"u050",
+                 eco.scheme.sign(eco.registry.pk_of(b"u050"), req.statement))
+    sim.on_ack(b"u001", ack, 0)
+    assert sim.runtimes[b"u001"].division.acks == {}
+    eco.join_chain(b"u050", b"root")
+    sim.on_ack(b"u001", ack, 0)
+    assert sim.runtimes[b"u001"].division.acks == {b"u050": ack.signature}
 
 
 def test_crashed_validators_never_ack():

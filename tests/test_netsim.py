@@ -1,6 +1,10 @@
 """Deterministic message scheduler and fault injection."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitchain.crypto import derive_rng
 from splitchain.errors import UnknownNode
@@ -12,6 +16,8 @@ from splitchain.netsim import (
     Scheduler,
     make_strategy,
 )
+
+from helpers import reference_scheduler
 
 
 def test_scheduler_orders_by_time_then_insertion():
@@ -53,6 +59,79 @@ def test_run_until_stops_at_horizon():
     assert log == [3]
     assert sched.now == 5
     assert not sched.idle
+
+
+# A callback plan is a tuple of (delay, plan) pairs: the callback logs itself
+# and schedules each child plan `delay` ticks later, 0 being the tick it
+# runs in.
+PLANS = st.recursive(
+    st.just(()),
+    lambda sub: st.lists(st.tuples(st.integers(0, 3), sub),
+                         max_size=3).map(tuple),
+    max_leaves=12)
+
+CALLS = st.one_of(
+    st.tuples(st.just("at"), st.integers(-2, 6), PLANS),  # time - now
+    st.tuples(st.just("after"), st.integers(0, 6), PLANS),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("run_until"), st.integers(-1, 8)),  # horizon - now
+    st.tuples(st.just("run_until_idle"), st.integers(0, 12)),  # budget
+)
+
+
+def drive(sched, calls) -> list:
+    """Apply `calls` to `sched`; log every callback run, what each call
+    returned or raised, and the clock and idleness after it."""
+    log = []
+    labels = itertools.count()
+
+    def schedule(time, plan, via_after):
+        label = next(labels)
+
+        def callback():
+            log.append(("run", label, sched.now))
+            for i, (delay, child) in enumerate(plan):
+                schedule(sched.now + delay, child, (label + i) % 2 == 0)
+
+        if via_after:
+            sched.after(time - sched.now, callback)
+        else:
+            sched.at(time, callback)
+
+    for call in calls:
+        kind = call[0]
+        before = len(log)
+        try:
+            if kind in ("at", "after"):
+                result = schedule(sched.now + call[1], call[2],
+                                  kind == "after")
+            elif kind == "step":
+                result = sched.step()
+            elif kind == "run_until":
+                result = sched.run_until(sched.now + call[1])
+            else:
+                result = sched.run_until_idle(max_events=call[1])
+        except (ValueError, RuntimeError) as exc:
+            result = (type(exc).__name__, len(log) - before)
+        log.append((kind, result, sched.now, sched.idle))
+    return log
+
+
+@given(st.lists(CALLS, max_size=25))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_scheduler_matches_the_heap_reference(calls):
+    log = drive(Scheduler(), calls)
+    assert log == drive(reference_scheduler(), calls)
+
+
+def test_scheduler_runs_same_tick_callbacks_after_those_waiting():
+    sched = Scheduler()
+    log = []
+    sched.at(1, lambda: (log.append("a"), sched.at(1, log.append, "c")))
+    sched.at(1, log.append, "b")
+    sched.at(2, log.append, "d")
+    assert sched.run_until_idle() == 4
+    assert log == ["a", "b", "c", "d"] and sched.idle and sched.now == 2
 
 
 def test_fault_spec_rejects_unknown_kind():

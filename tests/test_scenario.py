@@ -1,15 +1,24 @@
 """Scenario grammar and the grow/divide/fuse driver."""
 
+import gc
+import hashlib
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from splitchain.errors import ConfigError
 from splitchain.scenario import (
     METRICS_HEADER,
+    _Driver,
     parse_scenario,
     run_scenario,
 )
+
+REPO = Path(__file__).resolve().parent.parent
+FIGURE1 = REPO / "src" / "splitchain" / "scenarios" / "figure1.mit"
+ADVERSARIAL = REPO / "bench" / "adversarial.mit"  # d_max = 3, drops, a fusion
 
 GROW_ONCE = """
 [scenario]
@@ -315,6 +324,18 @@ def test_division_into_a_taken_child_id_is_logged_and_both_chains_stay():
     assert report.stalled is None and not report.safety_violations
 
 
+def test_failed_division_adds_no_doubling_row():
+    # every arrival to a retries the division into the taken id a.1
+    report = run_scenario(DIVIDE_INTO_TAKEN_CHILD + """
+[join]
+arrivals = 6
+target = smallest
+""")
+    failed = [e for e in report.events if "division of a failed" in e]
+    assert len(failed) == 4
+    assert not report.divisions and report.doublings == ()
+
+
 def test_unknown_fault_user_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown user"):
         run_scenario("""
@@ -341,3 +362,60 @@ block = 8
     (_, n, f), = report.final_chains
     assert n == 50
     assert f == 10  # 5 full blocks of 8, exactly 2 faulty each
+
+
+# --- pinned outputs and memory ------------------------------------------------
+
+# sha256 of metrics.csv, lineage.csv and events.log, and the messages
+# dropped: a change to delivery order, or to what any handler does, fails
+# here and not only in the benchmark's hash check.
+PINNED = {
+    (FIGURE1, 0): (
+        "030c4f3381317f9ea01171f7e3397902509f40e0e115445f8d1ef191bf92cc31",
+        "de5bfaab1316d9e2bffb396011a4e06c030e2ab504e281da96f8113242fdb8b1",
+        "98d9a320db3c89fb68a75b9b9160f2d40bb7092a23c577ee9ba8a279bb29df1c",
+        0),
+    (FIGURE1, 1): (
+        "fbf07d327f75af138c2f9a89d1bf394f56b9114fbef21e8a52f3eaffd891b5ab",
+        "de5bfaab1316d9e2bffb396011a4e06c030e2ab504e281da96f8113242fdb8b1",
+        "7ded2e4adccfbb2085f62da5f049083f2d516bc082b041155514ebcc3366362d",
+        0),
+    (FIGURE1, 2): (
+        "fadf163347b149bb5ce83f5496d3b120db219e5bb7e766d7e18fc0faee3636e8",
+        "de5bfaab1316d9e2bffb396011a4e06c030e2ab504e281da96f8113242fdb8b1",
+        "33d1de6df2a81955c56550cd61469a1a412164e34924564282dbaa366ad515ae",
+        0),
+    (ADVERSARIAL, 0): (
+        "aaab55c0177290a260c0470d7936461ff5817e6a629c06f762a8839b5f672037",
+        "23177ac0ecc72be75556a2571b6d143ea4a177ab4898c133ca80d0bc69b6075b",
+        "11360f891f63869a329e557baf3a3eb0fe60058d6d33cd65b56f0da1fc959c97",
+        44),
+}
+
+
+@pytest.mark.parametrize("path,seed", sorted(PINNED),
+                         ids=lambda v: getattr(v, "stem", v))
+def test_scenario_outputs_are_pinned(path, seed):
+    driver = _Driver(parse_scenario(path.read_text()), seed)
+    report = driver.run()
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (
+        report.metrics_csv(), report.lineage_csv(), report.events_log()))
+    assert digests + (driver.eco.network.messages_dropped,) == \
+        PINNED[path, seed]
+
+
+@pytest.mark.parametrize("path", [FIGURE1, ADVERSARIAL],
+                         ids=lambda p: p.stem)
+def test_finished_run_is_freed_by_refcount(path):
+    spec = parse_scenario(path.read_text())
+    gc.collect()
+    gc.disable()
+    try:
+        driver = _Driver(spec, 0)
+        report = driver.run()
+        eco = weakref.ref(driver.eco)
+        del driver, report
+        assert eco() is None
+        assert gc.collect() == 0  # nothing was left for the collector
+    finally:
+        gc.enable()
