@@ -21,7 +21,6 @@ class AssignmentOutcome:
     v1: tuple  # tuple[UserId, ...], size ceil(n/2)
     v2: tuple  # tuple[UserId, ...], size floor(n/2)
     scheme: str
-    seed: bytes | None = None
 
     def __post_init__(self):
         n = len(self.v1) + len(self.v2)
@@ -31,10 +30,9 @@ class AssignmentOutcome:
             raise ValueError("sides must be disjoint")
 
 
-def _split(ranked, scheme, seed=None) -> AssignmentOutcome:
+def _split(ranked, scheme) -> AssignmentOutcome:
     cut = (len(ranked) + 1) // 2
-    return AssignmentOutcome(tuple(ranked[:cut]), tuple(ranked[cut:]),
-                             scheme, seed)
+    return AssignmentOutcome(tuple(ranked[:cut]), tuple(ranked[cut:]), scheme)
 
 
 def assign_deterministic(validators) -> AssignmentOutcome:
@@ -59,7 +57,7 @@ def assign_randomized(validators, seed: bytes) -> AssignmentOutcome:
     if len(set(members)) != len(members):
         raise ValueError("duplicate member id")
     ranked = sorted(members, key=lambda v: (sha256(seed + v), v))
-    return _split(ranked, RANDOMIZED, seed)
+    return _split(ranked, RANDOMIZED)
 
 
 def assign(validators, scheme: str, seed: bytes | None = None) -> AssignmentOutcome:

@@ -56,16 +56,11 @@ class QuorumCertificate:
     @classmethod
     def from_bytes(cls, data: bytes) -> "QuorumCertificate":
         r = _Reader(data)
-        cert = cls.read_from(r)
-        if not r.done():
-            raise ValueError("trailing bytes after certificate")
-        return cert
-
-    @classmethod
-    def read_from(cls, r: "_Reader") -> "QuorumCertificate":
         statement = r.read_bytes()
         count = r.read_count()
         sigs = tuple((r.read_bytes(), r.read_bytes()) for _ in range(count))
+        if not r.done():
+            raise ValueError("trailing bytes after certificate")
         return cls(statement, sigs)
 
 

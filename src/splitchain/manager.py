@@ -101,7 +101,6 @@ class DivisionState:
 
 @dataclass
 class ValidatorRuntime:
-    validator: UserId
     committed_height: int = 0
     division: DivisionState | None = None
 
@@ -204,7 +203,7 @@ class ChainSim:
         self.state = _replay_trusted(self.ledger)
         self.chain_id = self.state.config.chain
         self.halted = False
-        self.runtimes = {v: ValidatorRuntime(v, self.state.last_height)
+        self.runtimes = {v: ValidatorRuntime(self.state.last_height)
                          for v in self.state.config.validators}
         self.division_rejections: dict[UserId, str] = {}
         # AckMsg -> signature verdict, shared by receivers
@@ -231,10 +230,11 @@ class ChainSim:
     # -- ordinary commits --------------------------------------------------
 
     def commit(self, txs) -> "Block":
-        """Validate a batch, run vote rounds, append on first success.
+        """Validate a batch, run one vote round, append on success.
 
         Raises whatever rule the batch breaks, or Stalled when no correct
-        validator can assemble a quorum within the retry budget.
+        validator assembles a quorum. Votes and crash times do not change
+        while commit runs, so a second round would repeat the first.
         """
         if self.halted:
             raise SplitchainError(f"chain {self.chain_id!r} is halted")
@@ -245,24 +245,22 @@ class ChainSim:
         candidate = make_block(len(self.ledger), self.ledger[-1].digest, txs)
         request = VoteRequest(self.chain_id, candidate)
         votes = {v: self.eco.respond(v, request) for v in self.validators}
-        for _ in range(self.eco.retry_budget):
-            outcome = run_commit_round(
-                self.chain_id, candidate, self.validators, self.quorum,
-                self.eco.registry.pk_of, self.eco.scheme, votes.__getitem__)
-            correct = self.correct_validators()
-            if any(outcome[v] for v in correct):
-                self.ledger.append(candidate)
-                self.state = replace(state, last_height=candidate.height)
-                # `correct` predates this block's config; a validator the
-                # block admits gets its runtime from join_chain after we return
-                for v in correct:
-                    self.runtimes[v].committed_height = candidate.height
-                return candidate
-        self.eco._log(f"stall chain={_name(self.chain_id)} "
-                      f"height={candidate.height}")
-        raise Stalled(
-            f"chain {self.chain_id!r}: no quorum after "
-            f"{self.eco.retry_budget} rounds at height {candidate.height}")
+        outcome = run_commit_round(
+            self.chain_id, candidate, self.validators, self.quorum,
+            self.eco.registry.pk_of, self.eco.scheme, votes.__getitem__)
+        correct = self.correct_validators()
+        if not any(outcome[v] for v in correct):
+            self.eco._log(f"stall chain={_name(self.chain_id)} "
+                          f"height={candidate.height}")
+            raise Stalled(f"chain {self.chain_id!r}: no quorum at height "
+                          f"{candidate.height}")
+        self.ledger.append(candidate)
+        self.state = replace(state, last_height=candidate.height)
+        # `correct` predates this block's config; a validator the block
+        # admits gets its runtime from join_chain after we return
+        for v in correct:
+            self.runtimes[v].committed_height = candidate.height
+        return candidate
 
     # -- division protocol ---------------------------------------------------
 
@@ -438,8 +436,7 @@ class Ecosystem:
 
     def __init__(self, seed: int = 0, d_min: int = 1, d_max: int = 1,
                  lookback: int = 1, assignment_scheme: str = RANDOMIZED,
-                 retry_budget: int = 3, join_policy=None):
-        self.seed = seed
+                 join_policy=None):
         self.scheme = SignatureScheme(seed)
         self.network = Network(seed=seed, d_min=d_min, d_max=d_max)
         self.registry = Registry()
@@ -447,7 +444,6 @@ class Ecosystem:
         self.retired: dict[ChainId, ChainSim] = {}
         self.lookback = lookback
         self.assignment_scheme = assignment_scheme
-        self.retry_budget = retry_budget
         self.join_policy = join_policy  # callable(user, chain_id) -> bool
         self.faulty: set = set()  # harness-side flags, dormant or active
         self.divisions: list[DivisionRecord] = []
@@ -462,18 +458,14 @@ class Ecosystem:
     # -- membership -----------------------------------------------------------
 
     def register_user(self, user: UserId, role: Role = Role.CLIENT,
-                      faulty: bool = False, strategy=None) -> Account:
+                      faulty: bool = False) -> Account:
         if user in self.registry.users:
             raise AlreadyMember(f"user {user!r} already registered")
         account = Account(user, self.scheme.issue(user), role)
         self.registry.users[user] = account
         self.network.add_node(user, handler=self._handler)
-        if faulty or strategy is not None:
+        if faulty:
             self.faulty.add(user)
-        if strategy is not None:
-            if isinstance(strategy, str):
-                strategy = make_strategy(strategy)
-            self.network.inject_fault(user, BYZANTINE, strategy=strategy)
         return account
 
     def crash_user(self, user: UserId, at_time: int = 0) -> None:
@@ -530,7 +522,7 @@ class Ecosystem:
                              ConfigUpdatePayload(add_validators=(account,)),
                              user)
             sim.commit([tx])
-            sim.runtimes[user] = ValidatorRuntime(user, sim.state.last_height)
+            sim.runtimes[user] = ValidatorRuntime(sim.state.last_height)
         self._log(f"join chain={_name(chain_id)} user={_name(user)} "
                   f"role={role.name.lower()} n={len(sim.config.validators)}")
         return sim.config

@@ -292,22 +292,11 @@ class ConsensusParams:
     alpha: Fraction
     kind: str  # "cft" or "bft"
 
-    BFT_DEFAULT = Fraction(1, 3)
-    CFT_DEFAULT = Fraction(1, 2)
-
     def __post_init__(self):
         if self.kind not in ("cft", "bft"):
             raise ValueError(f"unknown consensus kind {self.kind!r}")
         if not (0 < self.alpha <= Fraction(1, 2)):
             raise ValueError("fault threshold must lie in (0, 1/2]")
-
-    @classmethod
-    def cft(cls, alpha: Fraction | None = None) -> "ConsensusParams":
-        return cls(Fraction(alpha) if alpha is not None else cls.CFT_DEFAULT, "cft")
-
-    @classmethod
-    def bft(cls, alpha: Fraction | None = None) -> "ConsensusParams":
-        return cls(Fraction(alpha) if alpha is not None else cls.BFT_DEFAULT, "bft")
 
     def quorum(self, n: int) -> int:
         return quorum_size(n, self.alpha)

@@ -49,13 +49,6 @@ from .errors import (
 from .manager import Ecosystem, _name
 from .model import Asset, Role
 
-_SCENARIO_KEYS = {"seed", "horizon", "d_min", "d_max", "lookback", "assignment"}
-_CHAIN_KEYS = {"validators", "clients", "faulty", "alpha", "kind", "n_max",
-               "assets"}
-_JOIN_KEYS = {"arrivals", "interval", "beta", "block", "target"}
-_FUSE_KEYS = {"at", "left", "right", "merged"}
-
-
 @dataclass
 class ChainSpec:
     name: str
@@ -127,10 +120,43 @@ def _parse_fraction(value, lineno, key):
                           lineno) from None
 
 
+def _parse_str(value, lineno, key):
+    return value
+
+
+def _one_of(*allowed):
+    """A parser that accepts exactly the values in `allowed`."""
+
+    def parse(value, lineno, key):
+        if value not in allowed:
+            raise ConfigError(f"{key} must be {' or '.join(allowed)}", lineno)
+        return value
+
+    return parse
+
+
+# section -> key -> parser(value, lineno, key); [faults] keys are user ids
+_KEYS = {
+    "scenario": {"seed": _parse_int, "horizon": _parse_int,
+                 "d_min": _parse_int, "d_max": _parse_int,
+                 "lookback": _parse_int,
+                 "assignment": _one_of(RANDOMIZED, DETERMINISTIC)},
+    "chain": {"validators": _parse_int, "clients": _parse_int,
+              "faulty": _parse_int, "alpha": _parse_fraction,
+              "kind": _one_of("cft", "bft"), "n_max": _parse_int,
+              "assets": _parse_int},
+    "join": {"arrivals": _parse_int, "interval": _parse_int,
+             "beta": _parse_fraction, "block": _parse_int,
+             "target": _one_of("round-robin", "smallest")},
+    "fuse": {"at": _parse_int, "left": _parse_str, "right": _parse_str,
+             "merged": _parse_str},
+}
+
+
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse scenario source, raising line-numbered ConfigError on mistakes."""
     spec = ScenarioSpec()
-    section = None  # (kind, object)
+    section = None  # (name, object); the object is None for [faults]
     seen_chains = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -178,63 +204,26 @@ def parse_scenario(text: str) -> ScenarioSpec:
             raise ConfigError(f"{key!r} appears before any section", lineno)
 
         kind, obj = section
-        if kind == "scenario":
-            if key not in _SCENARIO_KEYS:
-                raise ConfigError(f"unknown [scenario] key {key!r}", lineno)
-            if key == "assignment":
-                if value not in (RANDOMIZED, DETERMINISTIC):
-                    raise ConfigError(
-                        f"assignment must be {RANDOMIZED} or {DETERMINISTIC}",
-                        lineno)
-                spec.assignment = value
-            else:
-                setattr(spec, key, _parse_int(value, lineno, key))
-        elif kind == "chain":
-            if key not in _CHAIN_KEYS:
-                raise ConfigError(f"unknown [chain] key {key!r}", lineno)
-            if key == "alpha":
-                obj.alpha = _parse_fraction(value, lineno, key)
-            elif key == "kind":
-                if value not in ("cft", "bft"):
-                    raise ConfigError("kind must be cft or bft", lineno)
-                obj.kind = value
-            else:
-                setattr(obj, key, _parse_int(value, lineno, key))
-        elif kind == "join":
-            if key not in _JOIN_KEYS:
-                raise ConfigError(f"unknown [join] key {key!r}", lineno)
-            if key == "beta":
-                obj.beta = _parse_fraction(value, lineno, key)
-            elif key == "target":
-                if value not in ("round-robin", "smallest"):
-                    raise ConfigError(
-                        "target must be round-robin or smallest", lineno)
-                obj.target = value
-            else:
-                setattr(obj, key, _parse_int(value, lineno, key))
-        elif kind == "fuse":
-            if key not in _FUSE_KEYS:
-                raise ConfigError(f"unknown [fuse] key {key!r}", lineno)
-            if key == "at":
-                obj.at = _parse_int(value, lineno, key)
-            else:
-                setattr(obj, key, value)
-        else:  # faults
-            parts = value.split()
-            if not parts or parts[0] not in ("crash", "byzantine"):
-                raise ConfigError(
-                    f"fault must be 'crash [TICK]' or 'byzantine STRATEGY',"
-                    f" got {value!r}", lineno)
-            if parts[0] == "crash":
-                at = _parse_int(parts[1], lineno, "crash time") if len(
-                    parts) > 1 else 0
-                spec.faults.append(FaultLine(lineno, key, "crash", at_time=at))
-            else:
-                if len(parts) != 2:
-                    raise ConfigError("byzantine fault needs a strategy name",
-                                      lineno)
-                spec.faults.append(
-                    FaultLine(lineno, key, "byzantine", strategy=parts[1]))
+        if kind != "faults":
+            parser = _KEYS[kind].get(key)
+            if parser is None:
+                raise ConfigError(f"unknown [{kind}] key {key!r}", lineno)
+            setattr(obj, key, parser(value, lineno, key))
+            continue
+        parts = value.split()
+        if not parts or parts[0] not in ("crash", "byzantine"):
+            raise ConfigError(
+                f"fault must be 'crash [TICK]' or 'byzantine STRATEGY',"
+                f" got {value!r}", lineno)
+        if parts[0] == "crash":
+            at = _parse_int(parts[1], lineno, "crash time") if len(
+                parts) > 1 else 0
+            spec.faults.append(FaultLine(lineno, key, "crash", at_time=at))
+        elif len(parts) != 2:
+            raise ConfigError("byzantine fault needs a strategy name", lineno)
+        else:
+            spec.faults.append(
+                FaultLine(lineno, key, "byzantine", strategy=parts[1]))
 
     _validate(spec)
     return spec
@@ -245,9 +234,14 @@ def _validate(spec: ScenarioSpec) -> None:
         raise ConfigError("scenario defines no chains", 1)
     if not 0 < spec.d_min <= spec.d_max:
         raise ConfigError("need 0 < d_min <= d_max", 1)
+    if spec.lookback < 1:
+        raise ConfigError("lookback must be >= 1", 1)
     for chain in spec.chains:
         if chain.validators < 1:
             raise ConfigError(f"chain {chain.name!r} needs validators >= 1",
+                              chain.line)
+        if chain.n_max < 2:
+            raise ConfigError(f"chain {chain.name!r} needs n_max >= 2",
                               chain.line)
         if not 0 <= chain.faulty <= chain.validators:
             raise ConfigError(
@@ -384,6 +378,8 @@ class _Driver:
         # round-robin order: a chain re-enters at the back after each turn,
         # and its children take over its membership when it divides
         self.rotation = deque()
+        # chains refused because a child id is taken: a retry would fail too
+        self.undividable = set()
 
     # -- setup --
 
@@ -481,7 +477,8 @@ class _Driver:
 
     def _maybe_divide(self, chain_id: bytes) -> None:
         sim = self.eco.chains.get(chain_id)
-        if sim is None or len(sim.validators) < sim.config.n_max:
+        if (sim is None or chain_id in self.undividable
+                or len(sim.validators) < sim.config.n_max):
             return
         meta = self.meta[chain_id]
         initiator = next((v for v in sim.validators
@@ -498,6 +495,8 @@ class _Driver:
             children = self.eco.divide_chain(chain_id, initiator=initiator)
         except (TriggerNotMet, NoQuorum, DuplicateChainId) as exc:
             self.eco._log(f"division of {_name(chain_id)} failed: {exc}")
+            if isinstance(exc, DuplicateChainId):  # ids are never freed
+                self.undividable.add(chain_id)
             return
         self.doublings.append(row)  # one row per division that happened
         del self.meta[chain_id]

@@ -95,14 +95,10 @@ class FreshnessTag:
                 + enc_bytes(self.nonce))
 
     @classmethod
-    def read_from(cls, r: _Reader) -> "FreshnessTag":
-        return cls(r.read_bytes(), r.read_bytes(), r.read_u64(),
-                   r.read_u64(), r.read_bytes())
-
-    @classmethod
     def from_bytes(cls, data: bytes) -> "FreshnessTag":
         r = _Reader(data)
-        tag = cls.read_from(r)
+        tag = cls(r.read_bytes(), r.read_bytes(), r.read_u64(), r.read_u64(),
+                  r.read_bytes())
         if not r.done():
             raise ValueError("trailing bytes after tag")
         return tag
@@ -238,20 +234,15 @@ class KnowledgeProof:
                 + enc_bytes(self.certificate.to_bytes()))
 
     @classmethod
-    def read_from(cls, r: _Reader) -> "KnowledgeProof":
+    def from_bytes(cls, data: bytes) -> "KnowledgeProof":
+        r = _Reader(data)
         predicate = parse_predicate(_Reader(r.read_bytes()))
         verdict = r.read_u64()
         tag = FreshnessTag.from_bytes(r.read_bytes())
         cert = QuorumCertificate.from_bytes(r.read_bytes())
-        return cls(predicate, verdict, tag, cert)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "KnowledgeProof":
-        r = _Reader(data)
-        proof = cls.read_from(r)
         if not r.done():
             raise ValueError("trailing bytes after proof")
-        return proof
+        return cls(predicate, verdict, tag, cert)
 
     @property
     def size_bytes(self) -> int:

@@ -196,8 +196,9 @@ def _division_eco(n, alpha, withholders=0, seed=0):
     validators = [b"w%03d" % i for i in range(n)]
     # the initiator stays honest; withholders swallow their acknowledgements
     for i, v in enumerate(validators):
-        strategy = "withhold" if 1 <= i <= withholders else None
-        eco.register_user(v, Role.VALIDATOR, strategy=strategy)
+        eco.register_user(v, Role.VALIDATOR)
+        if 1 <= i <= withholders:
+            eco.mark_byzantine(v, "withhold")
     eco.create_chain(b"root", validators, alpha=alpha, n_max=n)
     return eco, validators
 

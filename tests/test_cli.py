@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface and its exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -134,6 +135,22 @@ def test_simulate_malformed_scenario_exit_2(tmp_path, capsys):
                             "--out", str(tmp_path / "x")], capsys)
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("source, fragment", [
+    ("[scenario]\nlookback = 0\n[chain a]\nn_max = 4\n",
+     "line 1: lookback must be >= 1"),
+    ("[chain a]\nvalidators = 1\nn_max = 1\n",
+     "line 1: chain 'a' needs n_max >= 2"),
+])
+def test_simulate_rejects_unrunnable_settings_exit_2(tmp_path, capsys,
+                                                     source, fragment):
+    scenario = tmp_path / "bad.mit"
+    scenario.write_text(source)
+    code, _, err = run_cli(["simulate", "--scenario", str(scenario),
+                            "--out", str(tmp_path / "x")], capsys)
+    assert code == 2
+    assert "Traceback" not in err and fragment in err
 
 
 def test_simulate_missing_file_exit_2(tmp_path, capsys):
@@ -332,6 +349,26 @@ def test_xfer_demo_completes_transfer(tmp_path, capsys):
     assert bytes.fromhex(registry["chain"]) == b"src"
     assert len(registry["validators"]) == 4
     assert (out / "lock_proof.bin").stat().st_size > 0
+
+
+# SHA-256 of every `xfer-demo --seed 0` output. A change to the proof or
+# registry format changes these on purpose, and must re-record them.
+XFER_SEED0_SHA256 = {
+    "lock_proof.bin":
+        "85226bb6f89d442c9ec405895f825efecbc3cbf86e1df2ba2fe4bbc6c7f4add2",
+    "registry.json":
+        "faf457950609d43200df0ce86ba6b03ad2c7e0f85ee2949477bc9d91ef4a55d6",
+    "transfer.log":
+        "21bbf14c27503cdd9762436252b4acf513290752774f5e53f93bb76a57b2cf1e",
+}
+
+
+def test_xfer_demo_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "xfer"
+    assert run_cli(["xfer-demo", "--seed", "0", "--out", str(out)],
+                   capsys)[0] == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in XFER_SEED0_SHA256} == XFER_SEED0_SHA256
 
 
 def test_demo_outputs_are_byte_identical_across_runs(tmp_path, capsys):

@@ -125,8 +125,9 @@ def test_certificate_roundtrips_through_bytes(setup):
     cert = collect_certificate(stmt, validators, 3,
                                honest_signer(scheme, pks, stmt))
     assert QuorumCertificate.from_bytes(cert.to_bytes()) == cert
-    with pytest.raises(ValueError):
-        QuorumCertificate.from_bytes(cert.to_bytes() + b"junk")
+    for junk in (b"!", b"junk"):
+        with pytest.raises(ValueError, match="trailing bytes after certificate"):
+            QuorumCertificate.from_bytes(cert.to_bytes() + junk)
 
 
 # --- commit rounds ---------------------------------------------------------------
@@ -253,8 +254,9 @@ def test_commit_round_matches_per_pair_reference(behaviours, alpha):
     eco = Ecosystem(seed=len(behaviours))
     validators = [b"v%02d" % i for i in range(len(behaviours))]
     for v, behaviour in zip(validators, behaviours):
-        strategy = behaviour if behaviour in STRATEGIES else None
-        eco.register_user(v, Role.VALIDATOR, strategy=strategy)
+        eco.register_user(v, Role.VALIDATOR)
+        if behaviour in STRATEGIES:
+            eco.mark_byzantine(v, behaviour)
         if behaviour == "crashed":
             eco.crash_user(v)
     sim = eco.create_chain(b"c", validators, alpha=alpha,

@@ -8,12 +8,6 @@ import pytest
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 KEY_LINES = {
-    "01_division_walkthrough.py": (
-        "cap reached: division ran with 210 messages"
-        " = 14 proposals + 14^2 acknowledgements",
-        "  root.1   root     1 4",
-        "  root.2   root     2 4",
-    ),
     "02_cross_chain_transfer.py": (
         "resolve on src -> claimed; coin now owned by bob on dst",
         "resolve on src -> aborted; gem is unlocked and stays with alice",

@@ -25,6 +25,7 @@ from splitchain.model import (
 from splitchain.xchain import (
     AssetOwnedBy,
     BalanceAtLeast,
+    ClaimDecided,
     FreshnessTag,
     KnowledgeProof,
     TransferProof,
@@ -212,12 +213,29 @@ def test_verify_rejects_negative_claims():
 
 
 def test_proof_bytes_roundtrip():
-    _, _, proof, _, _ = proof_fixture()
+    _, tag, proof, _, _ = proof_fixture()
     assert KnowledgeProof.from_bytes(proof.to_bytes()) == proof
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trailing bytes after proof"):
         KnowledgeProof.from_bytes(proof.to_bytes() + b"!")
     wrapped = TransferProof("lock", proof, b"txbytes", b"src")
     assert TransferProof.from_bytes(wrapped.to_bytes()) == wrapped
+    with pytest.raises(ValueError, match="trailing bytes after transfer proof"):
+        TransferProof.from_bytes(wrapped.to_bytes() + b"!")
+    with pytest.raises(ValueError, match="trailing bytes after tag"):
+        FreshnessTag.from_bytes(tag.to_bytes() + b"!")
+
+
+@pytest.mark.parametrize("predicate", [
+    TxInclusion(b"\x11" * 32, 3),
+    AssetOwnedBy(b"coin", b"alice"),
+    BalanceAtLeast(b"alice", 9),
+    ClaimDecided(b"nonce", 1),
+], ids=lambda p: type(p).__name__)
+def test_every_predicate_kind_roundtrips_in_a_proof(predicate):
+    _, tag, proof, _, _ = proof_fixture()
+    for verdict in (0, 1):
+        carried = KnowledgeProof(predicate, verdict, tag, proof.certificate)
+        assert KnowledgeProof.from_bytes(carried.to_bytes()) == carried
 
 
 def test_proof_size_grows_linearly_with_validators():
