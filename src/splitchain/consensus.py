@@ -129,13 +129,22 @@ def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
     every recipient the same vote (a correct or crashed one) gives that vote
     and hook None; it is counted once, for all recipients. A voter whose
     vote may differ per recipient (a Byzantine one) gives hook, and
-    ``hook(recipient)`` is the vote ``recipient`` receives. A round thus
-    costs O(n + b*n) votes for b hooked voters, and each distinct
+    ``hook(recipient)`` is the vote ``recipient`` receives. Each distinct
     (voter, signature) is verified once.
 
     Returns {recipient: committed bool} for every validator; a recipient
     commits when it holds >= quorum valid signatures from distinct
     validators over the candidate's commit statement.
+
+    A recipient's count is the uniform votes plus its hooked matches, and
+    the hooked term is never negative. So once the uniform votes reach
+    quorum, every recipient commits and no hook is called: the round costs
+    O(n) then, and O(n + b*n) for b hooked voters otherwise. A hook must
+    therefore be deterministic and have no side effect that matters. Were
+    the round to report, per recipient, any digest that holds a quorum,
+    this shortcut would stay exact only with fewer than ``quorum`` hooked
+    voters, since they alone could then give a recipient a conflicting
+    quorum.
     """
     statement = commit_statement(chain, candidate.digest, candidate.height)
     checked = {}  # (voter, sig) -> bool; a hooked voter may repeat a vote
@@ -159,7 +168,7 @@ def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
             uniform += counts(voter, vote)
         else:
             hooked.append((voter, hook))
-    if not hooked:
+    if not hooked or uniform >= quorum:
         return dict.fromkeys(validators, uniform >= quorum)
     return {recipient: uniform + sum(counts(voter, hook(recipient))
                                      for voter, hook in hooked) >= quorum

@@ -474,7 +474,12 @@ class Ecosystem:
 
     def mark_byzantine(self, user: UserId, strategy=None) -> None:
         """Flag an already-registered user as faulty, optionally with an
-        active misbehavior strategy (a name or a strategy object)."""
+        active misbehavior strategy (a name or a strategy object).
+
+        A strategy object must be deterministic and stateless: its answer
+        may depend only on its arguments. The simulator does not ask it
+        when its answer cannot change an outcome, as in a commit round
+        whose correct votes already reach quorum."""
         if isinstance(strategy, str):
             strategy = make_strategy(strategy)
         if strategy is not None:

@@ -216,6 +216,10 @@ def parse_scenario(text: str) -> ScenarioSpec:
                 f"fault must be 'crash [TICK]' or 'byzantine STRATEGY',"
                 f" got {value!r}", lineno)
         if parts[0] == "crash":
+            if len(parts) > 2:
+                raise ConfigError(
+                    f"crash fault takes one optional tick, got {value!r}",
+                    lineno)
             at = _parse_int(parts[1], lineno, "crash time") if len(
                 parts) > 1 else 0
             spec.faults.append(FaultLine(lineno, key, "crash", at_time=at))

@@ -236,7 +236,10 @@ class KnowledgeProof:
     @classmethod
     def from_bytes(cls, data: bytes) -> "KnowledgeProof":
         r = _Reader(data)
-        predicate = parse_predicate(_Reader(r.read_bytes()))
+        pr = _Reader(r.read_bytes())
+        predicate = parse_predicate(pr)
+        if not pr.done():
+            raise ValueError("trailing bytes after predicate")
         verdict = r.read_u64()
         tag = FreshnessTag.from_bytes(r.read_bytes())
         cert = QuorumCertificate.from_bytes(r.read_bytes())

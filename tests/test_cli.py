@@ -142,6 +142,8 @@ def test_simulate_malformed_scenario_exit_2(tmp_path, capsys):
      "line 1: lookback must be >= 1"),
     ("[chain a]\nvalidators = 1\nn_max = 1\n",
      "line 1: chain 'a' needs n_max >= 2"),
+    ("[chain a]\nvalidators = 4\n[faults]\na-v001 = crash 5 banana\n",
+     "line 4: crash fault takes one optional tick"),
 ])
 def test_simulate_rejects_unrunnable_settings_exit_2(tmp_path, capsys,
                                                      source, fragment):
@@ -453,3 +455,13 @@ def test_verify_proof_unparseable_inputs_exit_2(proof_files, tmp_path, capsys):
     code, _, err = run_cli(["verify-proof", "--proof", str(proof),
                             "--registry", str(garbage)], capsys)
     assert code == 2 and "cannot parse registry" in err
+    # the same proof with one zero byte appended inside the predicate field
+    raw = proof.read_bytes()
+    size = int.from_bytes(raw[:4], "big")
+    padded = tmp_path / "padded.bin"
+    padded.write_bytes((size + 1).to_bytes(4, "big") + raw[4:4 + size]
+                       + b"\x00" + raw[4 + size:])
+    code, stdout, err = run_cli(["verify-proof", "--proof", str(padded),
+                                 "--registry", str(registry)], capsys)
+    assert code == 2 and stdout == ""
+    assert "cannot parse proof: trailing bytes after predicate" in err

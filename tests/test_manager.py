@@ -35,6 +35,7 @@ from splitchain.model import (
     make_block,
     replay,
 )
+from splitchain.netsim import Equivocate
 
 from helpers import reference_commit_round
 
@@ -178,11 +179,23 @@ def test_all_honest_commit_signs_and_verifies_once_per_voter():
         assert eco.scheme.verifies == n
 
 
+def crash_honest_beyond(eco, sim, live, byzantine):
+    """Crash every correct validator of `sim` but the first `live`."""
+    honest = [v for v in sim.validators if v not in byzantine]
+    for v in honest[live:]:
+        eco.crash_user(v)
+    return honest[:live]
+
+
 def test_byzantine_voter_signs_once_per_distinct_message():
+    # correct votes fall one short of quorum, so every recipient asks the
+    # Byzantine voters and the equivocator's honest half decides the round
     for n in (4, 7, 10):
         eco = build_eco(n=n, counting=True, strategies={
             b"u001": "equivocate", b"u002": "badsig"})
         sim = eco.chains[b"root"]
+        live = crash_honest_beyond(eco, sim, sim.quorum - 1,
+                                   (b"u001", b"u002"))
         pk = eco.registry.pk_of
         candidate = make_block(1, sim.ledger[-1].digest, [])
         request = VoteRequest(b"root", candidate)
@@ -194,18 +207,50 @@ def test_byzantine_voter_signs_once_per_distinct_message():
         # the equivocator sends two statements to n recipients: two tags
         assert eco.scheme.signs[pk(b"u001")] == 2, n
         assert eco.scheme.signs[pk(b"u002")] == 0, n  # garbage, never signed
-        assert all(eco.scheme.signs[pk(v)] == 1 for v in sim.validators
+        assert all(eco.scheme.signs[pk(v)] == (1 if v in live else 0)
+                   for v in sim.validators
                    if v not in (b"u001", b"u002")), n
-        # each distinct matching signature is verified once: the honest
-        # voters', the equivocator's honest one and every badsig tag
+        # each distinct matching signature is verified once: the live
+        # honest voters', the equivocator's honest one and every badsig tag
         equivocator, badsig = votes[b"u001"][1], votes[b"u002"][1]
         honest_tags = {equivocator(r)[1] for r in sim.validators
                        if equivocator(r)[0] == candidate.digest}
         garbage = {badsig(r)[1] for r in sim.validators}
         assert len(honest_tags) == 1 and len(garbage) == n
-        assert eco.scheme.verifies == (n - 2) + 1 + n, n
+        assert eco.scheme.verifies == len(live) + 1 + n, n
         assert outcome == reference_commit_round(*args), n
+        assert set(outcome.values()) == {True, False}, n
         assert eco.scheme.signs[pk(b"u001")] == 2, n  # memo spans recipients
+
+
+class CountingEquivocator(Equivocate):
+    """Equivocate, counting the votes it is asked for."""
+
+    def __init__(self):
+        self.votes = 0
+
+    def vote(self, *args):
+        self.votes += 1
+        return super().vote(*args)
+
+
+def test_byzantine_voter_is_asked_only_when_correct_votes_fall_short():
+    for n in (4, 7, 10):
+        for short in (0, 1):
+            strategy = CountingEquivocator()
+            eco = build_eco(n=n, strategies={b"u001": strategy})
+            sim = eco.chains[b"root"]
+            crash_honest_beyond(eco, sim, sim.quorum - short, (b"u001",))
+            candidate = make_block(1, sim.ledger[-1].digest, [])
+            request = VoteRequest(b"root", candidate)
+            votes = {v: eco.respond(v, request) for v in sim.validators}
+            args = (b"root", candidate, sim.validators, sim.quorum,
+                    eco.registry.pk_of, eco.scheme, votes.__getitem__)
+            outcome = run_commit_round(*args)
+            assert strategy.votes == (n if short else 0), (n, short)
+            assert outcome == reference_commit_round(*args), (n, short)
+            if not short:
+                assert all(outcome.values()), n
 
 
 # --- division: happy path ---------------------------------------------------------

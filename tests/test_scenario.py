@@ -103,6 +103,8 @@ a-v002 = byzantine withhold
     ("[chain a]\nvalidators 4", 2, "key = value"),
     ("[mystery]\nx = 1", 1, "unknown section"),
     ("[chain a]\nvalidators = 4\n\n[faults]\na-v000 = flaky", 5, "fault"),
+    ("[chain a]\nvalidators = 4\n[faults]\na-v001 = crash 5 banana", 4,
+     "crash fault takes one optional tick, got 'crash 5 banana'"),
     ("[chain a]\nvalidators = 4\n[join]\narrivals = 5\nbeta = 1/3\nblock = 10",
      3, "integer"),
     ("[chain a]\nvalidators = 4\nassets = 1", 1, "no clients"),

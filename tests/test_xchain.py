@@ -20,6 +20,7 @@ from splitchain.model import (
     Role,
     Transaction,
     TxKind,
+    enc_bytes,
     replay,
 )
 from splitchain.xchain import (
@@ -217,6 +218,11 @@ def test_proof_bytes_roundtrip():
     assert KnowledgeProof.from_bytes(proof.to_bytes()) == proof
     with pytest.raises(ValueError, match="trailing bytes after proof"):
         KnowledgeProof.from_bytes(proof.to_bytes() + b"!")
+    predicate = proof.predicate.to_bytes()
+    padded = (enc_bytes(predicate + b"!")
+              + proof.to_bytes()[len(enc_bytes(predicate)):])
+    with pytest.raises(ValueError, match="trailing bytes after predicate"):
+        KnowledgeProof.from_bytes(padded)
     wrapped = TransferProof("lock", proof, b"txbytes", b"src")
     assert TransferProof.from_bytes(wrapped.to_bytes()) == wrapped
     with pytest.raises(ValueError, match="trailing bytes after transfer proof"):
