@@ -18,7 +18,7 @@ def age_chain(eco, chain_id: bytes, blocks: int) -> None:
     """Commit filler blocks so the chain's height moves past tag expiries."""
     sim = eco.chains[chain_id]
     submitter = sim.config.validators[0]
-    pk = eco.registry.pk_of(submitter)
+    pk = eco.users[submitter].public_key
     for i in range(blocks):
         payload = PredicateEvalPayload(b"tick-%d" % i, 1, b"")
         tx = Transaction(TxKind.PREDICATE_EVAL, payload, submitter)

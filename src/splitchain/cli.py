@@ -137,7 +137,7 @@ def _cmd_divide_demo(args) -> int:
     try:
         sim = eco.create_chain(b"demo", validators, alpha=alpha, kind="cft",
                                n_max=n)
-    except SplitchainError as exc:
+    except (SplitchainError, ValueError) as exc:
         _err(str(exc))
         return 2
     before = eco.network.messages_sent
@@ -164,7 +164,7 @@ def _registry_snapshot(eco: Ecosystem, chain_id: bytes) -> dict:
     config = eco.chains[chain_id].config
     validators = []
     for v in config.validators:
-        pk = eco.registry.pk_of(v)
+        pk = eco.users[v].public_key
         validators.append({
             "id": v.hex(),
             "public_key": pk.hex(),
@@ -231,15 +231,12 @@ def _load_registry(path: str):
     validators = tuple(bytes.fromhex(v["id"]) for v in data["validators"])
     if len(set(validators)) != len(validators):
         raise ValueError("registry lists duplicate validators")
-    pk_by_user = {bytes.fromhex(v["id"]): bytes.fromhex(v["public_key"])
-                  for v in data["validators"]}
-    keys = {bytes.fromhex(v["public_key"]):
-            bytes.fromhex(v["verification_key"])
+    keys = {bytes.fromhex(v["id"]): bytes.fromhex(v["verification_key"])
             for v in data["validators"]}
     alpha = Fraction(data["alpha"])
     snapshot = _RegistrySnapshot(validators,
                                  quorum_size(len(validators), alpha))
-    return snapshot, pk_by_user.get, KeyedVerifier(keys)
+    return snapshot, KeyedVerifier(keys)
 
 
 def _cmd_verify_proof(args) -> int:
@@ -249,13 +246,14 @@ def _cmd_verify_proof(args) -> int:
         _err(f"cannot parse proof: {exc}")
         return 2
     try:
-        snapshot, pk_of, verifier = _load_registry(args.registry)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        snapshot, verifier = _load_registry(args.registry)
+    except (OSError, ValueError, KeyError, TypeError,
+            ZeroDivisionError) as exc:
         _err(f"cannot parse registry: {exc}")
         return 2
     height = args.height if args.height is not None else proof.tag.issued_height
     verdict, reason = tok_verify_proof(proof, proof.tag, snapshot, height,
-                                       pk_of, verifier)
+                                       verifier.verify)
     if verdict == 1:
         print("verdict 1")
         return 0

@@ -65,36 +65,32 @@ class QuorumCertificate:
 
 
 def collect_certificate(statement: bytes, validators, quorum: int,
-                        sign_fn, pk_of=None, scheme=None) -> QuorumCertificate:
+                        sign_fn, verify) -> QuorumCertificate:
     """Poll validators for signatures over ``statement``.
 
     ``sign_fn(validator) -> bytes | None`` returns a signature or refuses.
-    Signatures are collected in validator order; when ``pk_of``/``scheme``
-    are given, non-verifying responses are dropped on the spot. Fewer than
-    ``quorum`` usable signatures raises NoQuorum.
+    Signatures are collected in validator order, and a response for which
+    ``verify(validator, statement, signature)`` is false is dropped on the
+    spot. Fewer than ``quorum`` usable signatures raises NoQuorum.
     """
     sigs = []
     for v in validators:
         sig = sign_fn(v)
-        if sig is None:
-            continue
-        if scheme is not None:
-            pk = pk_of(v)
-            if pk is None or not scheme.verify(pk, statement, sig):
-                continue
-        sigs.append((v, sig))
+        if sig is not None and verify(v, statement, sig):
+            sigs.append((v, sig))
     if len(sigs) < quorum:
         raise NoQuorum(f"{len(sigs)} of {quorum} required signatures")
     return QuorumCertificate(statement, tuple(sigs))
 
 
 def verify_certificate(cert: QuorumCertificate, statement: bytes, validators,
-                       quorum: int, pk_of, scheme) -> tuple:
+                       quorum: int, verify) -> tuple:
     """(ok, reason): certificate checks in rejection-priority order.
 
     Rejects on statement mismatch, duplicate signers, signers outside the
     validator set, sub-quorum size, or any non-verifying signature.
-    ``pk_of(user) -> bytes | None`` resolves registered public keys.
+    ``verify(signer, statement, signature) -> bool`` checks one signature
+    by its signer's key; an unknown signer does not verify.
     """
     if cert.statement != statement:
         return False, "statement mismatch"
@@ -107,8 +103,7 @@ def verify_certificate(cert: QuorumCertificate, statement: bytes, validators,
         seen.add(signer)
         if signer not in member:
             return False, f"signer {signer!r} is not a current validator"
-        pk = pk_of(signer)
-        if pk is None or not scheme.verify(pk, statement, sig):
+        if not verify(signer, statement, sig):
             return False, f"invalid signature from {signer!r}"
         valid += 1
     if valid < quorum:
@@ -121,7 +116,7 @@ def commit_statement(chain: bytes, block_digest: Digest, height: int) -> bytes:
 
 
 def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
-                     pk_of, scheme, vote_of) -> dict:
+                     verify, vote_of) -> dict:
     """One vote round over a candidate block, with per-recipient delivery.
 
     ``vote_of(voter) -> (vote, hook)`` says what ``voter`` sends, where a
@@ -130,7 +125,8 @@ def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
     and hook None; it is counted once, for all recipients. A voter whose
     vote may differ per recipient (a Byzantine one) gives hook, and
     ``hook(recipient)`` is the vote ``recipient`` receives. Each distinct
-    (voter, signature) is verified once.
+    (voter, signature) is verified once, by ``verify(voter, statement,
+    signature)``.
 
     Returns {recipient: committed bool} for every validator; a recipient
     commits when it holds >= quorum valid signatures from distinct
@@ -155,9 +151,7 @@ def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
         key = (voter, vote[1])
         ok = checked.get(key)
         if ok is None:
-            pk = pk_of(voter)
-            ok = checked[key] = pk is not None and scheme.verify(
-                pk, statement, vote[1])
+            ok = checked[key] = verify(voter, statement, vote[1])
         return ok
 
     uniform = 0

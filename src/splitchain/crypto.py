@@ -121,18 +121,18 @@ class SignatureScheme:
 
 
 class KeyedVerifier:
-    """Signature checker over an explicit handle -> key table.
+    """Signature checker over an explicit signer id -> key table.
 
-    Duck-types the ``verify`` half of :class:`SignatureScheme` so proof and
-    certificate verification can run without the issuing simulator, e.g.
-    from a serialized registry snapshot.
+    Its ``verify(signer, message, signature)`` stands in for
+    ``Ecosystem.verify``, so certificate and proof checks can run without
+    the simulator, e.g. from a serialized registry snapshot.
     """
 
     def __init__(self, keys: dict[bytes, bytes]):
-        self._keys = {pk: MacKey(key) for pk, key in keys.items()}
+        self._keys = {signer: MacKey(key) for signer, key in keys.items()}
 
-    def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        key = self._keys.get(public_key)
+    def verify(self, signer: bytes, message: bytes, signature: bytes) -> bool:
+        key = self._keys.get(signer)
         if key is None:
             return False
         return key.verify(message, signature)

@@ -1,8 +1,9 @@
-"""Chain lifecycle: registry, creation, joins, division, and fusion.
+"""Chain lifecycle: membership, creation, joins, division, and fusion.
 
-The :class:`Ecosystem` owns the network, the signature scheme, and one
-:class:`ChainSim` per chain, live or retired: a chain's ChainSim is the only
-record of its config, and its genesis the only record of its lineage.
+The :class:`Ecosystem` owns the network, the signature scheme, the user
+accounts, and one :class:`ChainSim` per chain, live or retired: a chain's
+ChainSim is the only record of its config, and its genesis the only record
+of its lineage. Only :meth:`Ecosystem.verify` maps a signer to its key.
 Ordinary block commits are modeled as synchronous vote rounds (consensus is
 a black box — only its quorum arithmetic matters here), while the division
 protocol is message-faithful: the initiator's broadcast and every signed ack
@@ -60,7 +61,7 @@ from .model import (
     enc_u64,
     make_block,
 )
-from .netsim import BYZANTINE, CRASH, Network, make_strategy
+from .netsim import Network, make_strategy
 
 # division phases, strictly ordered
 PROPOSED = 1
@@ -181,18 +182,6 @@ class DivisionRecord:
         return any(c[3] for c in self.children)
 
 
-class Registry:
-    """Membership service: user accounts and their keys. Chains keep their
-    own configs and lineage (see Ecosystem.chain and lineage_rows)."""
-
-    def __init__(self):
-        self.users: dict[UserId, Account] = {}
-
-    def pk_of(self, user: UserId):
-        account = self.users.get(user)
-        return None if account is None else account.public_key
-
-
 class ChainSim:
     """One chain: canonical ledger, materialized state, vote rounds. A chain
     divided or fused away is halted and kept in Ecosystem.retired."""
@@ -247,7 +236,7 @@ class ChainSim:
         votes = {v: self.eco.respond(v, request) for v in self.validators}
         outcome = run_commit_round(
             self.chain_id, candidate, self.validators, self.quorum,
-            self.eco.registry.pk_of, self.eco.scheme, votes.__getitem__)
+            self.eco.verify, votes.__getitem__)
         correct = self.correct_validators()
         if not any(outcome[v] for v in correct):
             self.eco._log(f"stall chain={_name(self.chain_id)} "
@@ -339,10 +328,8 @@ class ChainSim:
             return
         ok = self._ack_verdicts.get(ack)
         if ok is None:
-            pk = self.eco.registry.pk_of(ack.signer)
-            ok = self._ack_verdicts[ack] = pk is not None and \
-                self.eco.scheme.verify(pk, ack.request.statement,
-                                       ack.signature)
+            ok = self._ack_verdicts[ack] = self.eco.verify(
+                ack.signer, ack.request.statement, ack.signature)
         if not ok:
             return
         st.acks[ack.signer] = ack.signature
@@ -432,14 +419,14 @@ def _build_children(parent: ChainId, snapshot, outcome, split_height: int,
 
 
 class Ecosystem:
-    """Top-level simulation handle: network + registry + live chains."""
+    """Top-level simulation handle: network + accounts + live chains."""
 
     def __init__(self, seed: int = 0, d_min: int = 1, d_max: int = 1,
                  lookback: int = 1, assignment_scheme: str = RANDOMIZED,
                  join_policy=None):
         self.scheme = SignatureScheme(seed)
         self.network = Network(seed=seed, d_min=d_min, d_max=d_max)
-        self.registry = Registry()
+        self.users: dict[UserId, Account] = {}
         self.chains: dict[ChainId, ChainSim] = {}
         self.retired: dict[ChainId, ChainSim] = {}
         self.lookback = lookback
@@ -459,17 +446,17 @@ class Ecosystem:
 
     def register_user(self, user: UserId, role: Role = Role.CLIENT,
                       faulty: bool = False) -> Account:
-        if user in self.registry.users:
+        if user in self.users:
             raise AlreadyMember(f"user {user!r} already registered")
         account = Account(user, self.scheme.issue(user), role)
-        self.registry.users[user] = account
+        self.users[user] = account
         self.network.add_node(user, handler=self._handler)
         if faulty:
             self.faulty.add(user)
         return account
 
     def crash_user(self, user: UserId, at_time: int = 0) -> None:
-        self.network.inject_fault(user, CRASH, at_time=at_time)
+        self.network.crash(user, at_time)
         self.faulty.add(user)
 
     def mark_byzantine(self, user: UserId, strategy=None) -> None:
@@ -483,10 +470,17 @@ class Ecosystem:
         if isinstance(strategy, str):
             strategy = make_strategy(strategy)
         if strategy is not None:
-            self.network.inject_fault(user, BYZANTINE, strategy=strategy)
+            self.network.make_byzantine(user, strategy)
         else:
             self.network.node(user)  # raises UnknownNode for typos
         self.faulty.add(user)
+
+    def verify(self, signer: UserId, message: bytes, signature: bytes) -> bool:
+        """Check a signature by `signer`'s key; an unregistered signer fails
+        without asking the scheme."""
+        account = self.users.get(signer)
+        return account is not None and self.scheme.verify(
+            account.public_key, message, signature)
 
     # -- chain lifecycle --------------------------------------------------------
 
@@ -495,13 +489,13 @@ class Ecosystem:
                      n_max: int = 64, initial_assets=()) -> ChainSim:
         self._check_id_free(chain_id)
         for v in tuple(validators) + tuple(clients):
-            if v not in self.registry.users:
+            if v not in self.users:
                 raise UnregisteredValidator(f"{v!r} has no registered account")
         config = ChainConfig(chain_id, tuple(validators),
                              tuple(sorted(clients)),
                              ConsensusParams(Fraction(alpha), kind), n_max,
                              tuple(initial_assets))
-        genesis = build_genesis(config, self.registry.users)
+        genesis = build_genesis(config, self.users)
         sim = ChainSim(self, [genesis])
         self.chains[chain_id] = sim
         self._log(f"create chain={_name(chain_id)} n={len(config.validators)}")
@@ -510,7 +504,7 @@ class Ecosystem:
     def join_chain(self, user: UserId, chain_id: ChainId,
                    role: Role = Role.VALIDATOR) -> ChainConfig:
         sim = self._live(chain_id)
-        account = self.registry.users.get(user)
+        account = self.users.get(user)
         if account is None:
             raise UnknownUser(f"{user!r} has no registered account")
         if role == Role.CLIENT:
@@ -543,7 +537,7 @@ class Ecosystem:
         sim = self._live(chain_id)
         if initiator is None:
             initiator = sim.validators[0]
-        if initiator not in self.registry.users:
+        if initiator not in self.users:
             # no account means no network presence: certainly not a validator
             raise UnknownInitiator(
                 f"{initiator!r} is not a validator of {chain_id!r}")
@@ -577,8 +571,7 @@ class Ecosystem:
             stmt = (b"fuse" + enc_bytes(sim.chain_id)
                     + enc_bytes(sim.state.digest()))
             collect_certificate(stmt, sim.validators, sim.quorum,
-                                self.cert_sign_fn(stmt),
-                                pk_of=self.registry.pk_of, scheme=self.scheme)
+                                self.cert_sign_fn(stmt), self.verify)
         overlap = set(s1.state.assets) & set(s2.state.assets)
         if overlap:
             raise AssetIdCollision(f"asset ids on both chains: {sorted(overlap)}")
@@ -667,7 +660,7 @@ class Ecosystem:
         node = self.network.nodes[validator]
         if node.crashed(self.network.now):
             return None, None
-        pk = self.registry.users[validator].public_key
+        pk = self.users[validator].public_key
 
         def sign(message):
             return self.scheme.sign(pk, message)

@@ -11,28 +11,11 @@ handlers and by the delivery loop.
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .crypto import derive_rng
 from .errors import UnknownNode
 from .model import sha256
-
-CORRECT = "correct"
-CRASH = "crash"
-BYZANTINE = "byzantine"
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """Per-node fault plan entry."""
-
-    kind: str = CORRECT
-    at_time: int = 0  # crash activation tick
-    strategy: object = None  # Byzantine behavior object
-
-    def __post_init__(self):
-        if self.kind not in (CORRECT, CRASH, BYZANTINE):
-            raise ValueError(f"unknown fault kind {self.kind!r}")
 
 
 class Scheduler:
@@ -121,14 +104,11 @@ class Scheduler:
 class Node:
     node_id: bytes
     handler: object = None  # callable(node_id, payload, now)
-    fault: FaultSpec = field(default_factory=FaultSpec)
+    crash_at: int | None = None  # crashed from this tick on
+    strategy: object = None  # Byzantine behavior object; never with crash_at
 
     def crashed(self, now: int) -> bool:
-        return self.fault.kind == CRASH and now >= self.fault.at_time
-
-    @property
-    def strategy(self):
-        return self.fault.strategy if self.fault.kind == BYZANTINE else None
+        return self.crash_at is not None and now >= self.crash_at
 
 
 class Network:
@@ -162,18 +142,17 @@ class Network:
         except KeyError:
             raise UnknownNode(f"no node {node_id!r}") from None
 
-    def inject_fault(self, node_id: bytes, kind: str, at_time: int = 0,
-                     strategy=None) -> None:
+    def crash(self, node_id: bytes, at_time: int) -> None:
+        """Crash from `at_time` (a past tick: now) on; drops any strategy."""
         node = self.node(node_id)
-        if kind == CRASH and at_time < self.sched.now:
-            at_time = self.sched.now
-        node.fault = FaultSpec(kind, at_time, strategy)
+        node.crash_at = max(at_time, self.sched.now)
+        node.strategy = None
 
-    def is_crashed(self, node_id: bytes) -> bool:
-        return self.node(node_id).crashed(self.sched.now)
-
-    def strategy_of(self, node_id: bytes):
-        return self.node(node_id).strategy
+    def make_byzantine(self, node_id: bytes, strategy) -> None:
+        """Run the node by `strategy`; drops any planned crash."""
+        node = self.node(node_id)
+        node.strategy = strategy
+        node.crash_at = None
 
     def send(self, src: bytes, dst: bytes, payload) -> None:
         nodes = self.nodes

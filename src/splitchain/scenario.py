@@ -251,6 +251,9 @@ def _validate(spec: ScenarioSpec) -> None:
             raise ConfigError(
                 f"chain {chain.name!r}: faulty must lie in [0, validators]",
                 chain.line)
+        if chain.clients < 0 or chain.assets < 0:
+            raise ConfigError(f"chain {chain.name!r} needs clients and"
+                              f" assets >= 0", chain.line)
         if chain.assets > 0 and chain.clients == 0:
             raise ConfigError(
                 f"chain {chain.name!r} has assets but no clients to own them",
@@ -413,7 +416,7 @@ class _Driver:
     def apply_faults(self) -> None:
         for fault in self.spec.faults:
             user = fault.user.encode()
-            if user not in self.eco.registry.users:
+            if user not in self.eco.users:
                 raise ConfigError(f"fault names unknown user {fault.user!r}",
                                   fault.line)
             if fault.kind == "crash":
@@ -485,8 +488,9 @@ class _Driver:
                 or len(sim.validators) < sim.config.n_max):
             return
         meta = self.meta[chain_id]
+        network = self.eco.network
         initiator = next((v for v in sim.validators
-                          if not self.eco.network.is_crashed(v)), None)
+                          if not network.nodes[v].crashed(network.now)), None)
         if initiator is None:
             self.eco._log(f"chain {_name(chain_id)} at trigger but every"
                           f" validator is crashed; skipping division")

@@ -348,18 +348,19 @@ def tok_generate_proof(eco, prover: UserId, source: ChainId, predicate,
         return None
     statement = proof_statement(predicate, 1, tag)
     cert = collect_certificate(statement, sim.validators, sim.quorum,
-                               eco.cert_sign_fn(statement),
-                               eco.registry.pk_of, eco.scheme)
+                               eco.cert_sign_fn(statement), eco.verify)
     return KnowledgeProof(predicate, 1, tag, cert)
 
 
 def tok_verify_proof(proof: KnowledgeProof, tag: FreshnessTag, source_config,
-                     current_height: int, pk_of, scheme) -> tuple:
+                     current_height: int, verify) -> tuple:
     """(verdict, reason): 1 with None, or 0 with why it was rejected.
 
     Acceptance requires the presented tag to match the proof's, the tag to
     be unexpired at ``current_height``, the statement to bind (predicate, 1,
     tag) exactly, and a quorum of distinct source validators to have signed.
+    ``verify(signer, statement, signature)`` checks each signature:
+    ``Ecosystem.verify``, or ``KeyedVerifier.verify`` over a snapshot.
     """
     if proof.tag != tag:
         return 0, "tag mismatch"
@@ -370,7 +371,7 @@ def tok_verify_proof(proof: KnowledgeProof, tag: FreshnessTag, source_config,
     statement = proof_statement(proof.predicate, 1, tag)
     ok, reason = verify_certificate(proof.certificate, statement,
                                     source_config.validators,
-                                    source_config.quorum, pk_of, scheme)
+                                    source_config.quorum, verify)
     if not ok:
         return 0, reason
     return 1, None
@@ -415,7 +416,7 @@ def _tag_acceptable(eco, sim, tag: FreshnessTag) -> bool:
 
 def _signed(eco, user: UserId, kind: TxKind, payload) -> Transaction:
     tx = Transaction(kind, payload, user)
-    sig = eco.scheme.sign(eco.registry.pk_of(user), tx.signing_bytes())
+    sig = eco.scheme.sign(eco.users[user].public_key, tx.signing_bytes())
     return Transaction(kind, payload, user, sig)
 
 
@@ -505,7 +506,7 @@ def toa_claim(eco, claimer: UserId, target: ChainId,
             else:
                 verdict, why = tok_verify_proof(
                     inner, inner.tag, source.config, sim.state.last_height,
-                    eco.registry.pk_of, eco.scheme)
+                    eco.verify)
                 if verdict != 1:
                     reason = why
                 elif nonce in sim.state.claims:
@@ -590,8 +591,7 @@ def toa_resolve(eco, source: ChainId, proof: TransferProof) -> str:
     if target is None:
         raise InvalidProof(f"unknown chain {proof.attesting_chain!r}")
     verdict, why = tok_verify_proof(inner, inner.tag, target.config,
-                                    sim.state.last_height,
-                                    eco.registry.pk_of, eco.scheme)
+                                    sim.state.last_height, eco.verify)
     if verdict != 1:
         raise InvalidProof(why)
 

@@ -102,7 +102,7 @@ def reference_montecarlo(d, trials: int, seed: int = 0) -> tuple:
     return freq, stderr
 
 
-def reference_commit_round(chain, candidate, validators, quorum, pk_of, scheme,
+def reference_commit_round(chain, candidate, validators, quorum, verify,
                            vote_of) -> dict:
     """run_commit_round by brute force: every recipient asks every voter.
 
@@ -119,8 +119,7 @@ def reference_commit_round(chain, candidate, validators, quorum, pk_of, scheme,
                 vote = hook(recipient)
             if vote is None or vote[0] != candidate.digest:
                 continue
-            pk = pk_of(voter)
-            if pk is not None and scheme.verify(pk, statement, vote[1]):
+            if verify(voter, statement, vote[1]):
                 matching += 1
         outcome[recipient] = matching >= quorum
     return outcome

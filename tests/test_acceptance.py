@@ -382,7 +382,7 @@ def _proof_fixture(seed=0, n=4):
 def test_fuzzed_proofs_rejected_and_honest_proofs_accepted():
     eco = _proof_fixture()
     config = eco.chains[b"src"].config
-    pk_of, scheme = eco.registry.pk_of, eco.scheme
+    verify = eco.verify
 
     honest = []
     for i in range(64):
@@ -394,8 +394,7 @@ def test_fuzzed_proofs_rejected_and_honest_proofs_accepted():
     for case in range(10_000):
         verdict, reason = tok_verify_proof(
             honest[case % len(honest)], honest[case % len(honest)].tag,
-            config, honest[case % len(honest)].tag.issued_height,
-            pk_of, scheme)
+            config, honest[case % len(honest)].tag.issued_height, verify)
         assert (verdict, reason) == (1, None)
 
     mutations = ("strip-signatures", "substitute-signer", "tamper-statement",
@@ -439,7 +438,7 @@ def test_fuzzed_proofs_rejected_and_honest_proofs_accepted():
             proof = base
             height = base.tag.expiry_height + rng.randint(1, 1000)
         verdict, reason = tok_verify_proof(proof, proof.tag, config, height,
-                                           pk_of, scheme)
+                                           verify)
         assert verdict == 0 and reason, (case, mutation)
         rejected += 1
     assert rejected == 10_000

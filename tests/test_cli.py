@@ -144,6 +144,8 @@ def test_simulate_malformed_scenario_exit_2(tmp_path, capsys):
      "line 1: chain 'a' needs n_max >= 2"),
     ("[chain a]\nvalidators = 4\n[faults]\na-v001 = crash 5 banana\n",
      "line 4: crash fault takes one optional tick"),
+    ("[chain a]\nvalidators = 4\nclients = -1\nassets = 1\n",
+     "line 1: chain 'a' needs clients and assets >= 0"),
 ])
 def test_simulate_rejects_unrunnable_settings_exit_2(tmp_path, capsys,
                                                      source, fragment):
@@ -340,6 +342,16 @@ def test_divide_demo_bad_alpha_exit_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [["--validators", "1"],
+                                  ["--validators", "0"],
+                                  ["--validators", "-3"],
+                                  ["--alpha", "2/3"]])
+def test_divide_demo_unrunnable_chain_exit_2(argv, capsys):
+    code, _, err = run_cli(["divide-demo"] + argv, capsys)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_xfer_demo_completes_transfer(tmp_path, capsys):
     out = tmp_path / "xfer"
     code, stdout, _ = run_cli(["xfer-demo", "--seed", "1",
@@ -443,6 +455,19 @@ def test_verify_proof_tampered_key_exit_1(proof_files, tmp_path, capsys):
                                "--registry", str(tampered)], capsys)
     assert code == 1
     assert "invalid signature" in stdout
+
+
+def test_verify_proof_zero_denominator_alpha_exit_2(proof_files, tmp_path,
+                                                   capsys):
+    proof, registry = proof_files
+    data = json.loads(registry.read_text())
+    data["alpha"] = "1/0"
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(data))
+    code, stdout, err = run_cli(["verify-proof", "--proof", str(proof),
+                                 "--registry", str(broken)], capsys)
+    assert code == 2 and stdout == ""
+    assert "cannot parse registry" in err
 
 
 def test_verify_proof_unparseable_inputs_exit_2(proof_files, tmp_path, capsys):

@@ -32,6 +32,15 @@ def setup():
     return scheme, validators, pks
 
 
+def verify_by(scheme, pks):
+    """A ``verify`` over a signer -> public key table: an unknown signer
+    does not verify."""
+    def verify(signer, message, signature):
+        pk = pks.get(signer)
+        return pk is not None and scheme.verify(pk, message, signature)
+    return verify
+
+
 def honest_signer(scheme, pks, statement, refusing=()):
     def sign_fn(v):
         if v in refusing:
@@ -42,36 +51,42 @@ def honest_signer(scheme, pks, statement, refusing=()):
 
 def test_collect_all_honest(setup):
     scheme, validators, pks = setup
+    verify = verify_by(scheme, pks)
     stmt = b"statement"
     cert = collect_certificate(stmt, validators, 3,
-                               honest_signer(scheme, pks, stmt))
+                               honest_signer(scheme, pks, stmt), verify)
     assert len(cert.signatures) == 4
-    ok, reason = verify_certificate(cert, stmt, validators, 3, pks.get, scheme)
+    ok, reason = verify_certificate(cert, stmt, validators, 3, verify)
     assert ok and reason is None
 
 
 def test_collect_with_one_refusal_meets_bft_quorum(setup):
     scheme, validators, pks = setup
+    verify = verify_by(scheme, pks)
     stmt = b"statement"
     cert = collect_certificate(
         stmt, validators, quorum_size(4, Fraction(1, 3)),
-        honest_signer(scheme, pks, stmt, refusing={validators[0]}))
+        honest_signer(scheme, pks, stmt, refusing={validators[0]}),
+        verify)
     assert len(cert.signatures) == 3
-    assert verify_certificate(cert, stmt, validators, 3, pks.get, scheme)[0]
+    assert verify_certificate(cert, stmt, validators, 3, verify)[0]
 
 
 def test_collect_two_refusals_fails(setup):
     scheme, validators, pks = setup
+    verify = verify_by(scheme, pks)
     stmt = b"statement"
     with pytest.raises(NoQuorum):
         collect_certificate(
             stmt, validators, 3,
             honest_signer(scheme, pks, stmt,
-                          refusing={validators[0], validators[1]}))
+                          refusing={validators[0], validators[1]}),
+            verify)
 
 
 def test_collect_drops_garbage_when_verifying(setup):
     scheme, validators, pks = setup
+    verify = verify_by(scheme, pks)
     stmt = b"statement"
 
     def sign_fn(v):
@@ -79,24 +94,23 @@ def test_collect_drops_garbage_when_verifying(setup):
             return b"\x00" * 32
         return scheme.sign(pks[v], stmt)
 
-    cert = collect_certificate(stmt, validators, 3, sign_fn,
-                               pk_of=pks.get, scheme=scheme)
+    cert = collect_certificate(stmt, validators, 3, sign_fn, verify)
     assert validators[0] not in cert.signers
 
 
 def test_verify_rejects_each_defect(setup):
     scheme, validators, pks = setup
+    verify = verify_by(scheme, pks)
     stmt = b"statement"
     cert = collect_certificate(stmt, validators, 3,
-                               honest_signer(scheme, pks, stmt))
+                               honest_signer(scheme, pks, stmt), verify)
 
-    ok, reason = verify_certificate(cert, b"other", validators, 3,
-                                    pks.get, scheme)
+    ok, reason = verify_certificate(cert, b"other", validators, 3, verify)
     assert not ok and "statement" in reason
 
     dup = QuorumCertificate(stmt, (cert.signatures[0], cert.signatures[0],
                                    cert.signatures[1]))
-    ok, reason = verify_certificate(dup, stmt, validators, 3, pks.get, scheme)
+    ok, reason = verify_certificate(dup, stmt, validators, 3, verify)
     assert not ok and "duplicate" in reason
 
     outsider = b"mallory"
@@ -104,26 +118,25 @@ def test_verify_rejects_each_defect(setup):
     alien = QuorumCertificate(
         stmt, cert.signatures[:2] + ((outsider,
                                       scheme.sign(pks[outsider], stmt)),))
-    ok, reason = verify_certificate(alien, stmt, validators, 3,
-                                    pks.get, scheme)
+    ok, reason = verify_certificate(alien, stmt, validators, 3, verify)
     assert not ok and "not a current validator" in reason
 
     thin = QuorumCertificate(stmt, cert.signatures[:2])
-    ok, reason = verify_certificate(thin, stmt, validators, 3, pks.get, scheme)
+    ok, reason = verify_certificate(thin, stmt, validators, 3, verify)
     assert not ok and "quorum" in reason
 
     forged = QuorumCertificate(
         stmt, cert.signatures[:2] + ((validators[3], b"\x01" * 32),))
-    ok, reason = verify_certificate(forged, stmt, validators, 3,
-                                    pks.get, scheme)
+    ok, reason = verify_certificate(forged, stmt, validators, 3, verify)
     assert not ok and "signature" in reason
 
 
 def test_certificate_roundtrips_through_bytes(setup):
     scheme, validators, pks = setup
+    verify = verify_by(scheme, pks)
     stmt = b"statement"
     cert = collect_certificate(stmt, validators, 3,
-                               honest_signer(scheme, pks, stmt))
+                               honest_signer(scheme, pks, stmt), verify)
     assert QuorumCertificate.from_bytes(cert.to_bytes()) == cert
     for junk in (b"!", b"junk"):
         with pytest.raises(ValueError, match="trailing bytes after certificate"):
@@ -143,6 +156,7 @@ def make_candidate():
 def round_with(setup, vote_of, alpha=Fraction(1, 3)):
     """Run the round and check it against the brute-force reference."""
     scheme, validators, pks = setup
+    verify = verify_by(scheme, pks)
     candidate = make_candidate()
     quorum = quorum_size(len(validators), alpha)
 
@@ -150,9 +164,9 @@ def round_with(setup, vote_of, alpha=Fraction(1, 3)):
         return vote_of(voter, candidate)
 
     outcome = run_commit_round(b"c", candidate, validators, quorum,
-                               pks.get, scheme, bound)
+                               verify, bound)
     assert outcome == reference_commit_round(b"c", candidate, validators,
-                                             quorum, pks.get, scheme, bound)
+                                             quorum, verify, bound)
     return candidate, outcome
 
 
@@ -202,6 +216,7 @@ def test_equivocator_cannot_split_correct_nodes(setup):
     three correct validators still commit the candidate, and the conflicting
     digest can never reach quorum anywhere."""
     scheme, validators, pks = setup
+    verify = verify_by(scheme, pks)
     byz = validators[0]
     correct = validators[1:]
     candidate = make_candidate()
@@ -228,9 +243,9 @@ def test_equivocator_cannot_split_correct_nodes(setup):
                     scheme.sign(pks[voter], stmt(candidate.digest))), None
 
         outcome = run_commit_round(b"c", candidate, validators, quorum,
-                                   pks.get, scheme, vote_of)
+                                   verify, vote_of)
         assert outcome == reference_commit_round(
-            b"c", candidate, validators, quorum, pks.get, scheme, vote_of)
+            b"c", candidate, validators, quorum, verify, vote_of)
         for v in correct:
             assert outcome[v], (choices, v)
         # the evil digest holds at most 1 signature, far below quorum 3
@@ -267,8 +282,7 @@ def test_commit_round_matches_per_pair_reference(behaviours, alpha):
     def vote_of(voter):
         return eco.respond(voter, request)
 
-    args = (b"c", candidate, sim.validators, sim.quorum,
-            eco.registry.pk_of, eco.scheme, vote_of)
+    args = (b"c", candidate, sim.validators, sim.quorum, eco.verify, vote_of)
     outcome = run_commit_round(*args)
     assert outcome == reference_commit_round(*args)
     if "equivocate" not in behaviours:  # only honest votes count, everywhere

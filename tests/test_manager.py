@@ -110,6 +110,16 @@ def test_create_duplicate_chain_id_rejected():
         eco.create_chain(b"root", [b"u000", b"u001"])
 
 
+def test_verify_checks_the_signers_key_and_never_asks_for_a_stranger():
+    eco = build_eco(n=4, n_max=8, counting=True)
+    sig = eco.scheme.sign(eco.users[b"u000"].public_key, b"msg")
+    assert eco.verify(b"u000", b"msg", sig)
+    assert not eco.verify(b"u001", b"msg", sig)
+    assert eco.scheme.verifies == 2
+    assert not eco.verify(b"ghost", b"msg", sig)
+    assert eco.scheme.verifies == 2  # an unregistered signer has no key
+
+
 def test_create_with_unregistered_validator_rejected():
     eco = build_eco(n=4, n_max=8)
     with pytest.raises(UnregisteredValidator):
@@ -175,7 +185,7 @@ def test_all_honest_commit_signs_and_verifies_once_per_voter():
         eco.join_chain(b"u100", b"root", role=Role.CLIENT)
         validators = eco.chains[b"root"].validators
         assert eco.scheme.signs == Counter(
-            {eco.registry.pk_of(v): 1 for v in validators}), n
+            {eco.users[v].public_key: 1 for v in validators}), n
         assert eco.scheme.verifies == n
 
 
@@ -196,13 +206,16 @@ def test_byzantine_voter_signs_once_per_distinct_message():
         sim = eco.chains[b"root"]
         live = crash_honest_beyond(eco, sim, sim.quorum - 1,
                                    (b"u001", b"u002"))
-        pk = eco.registry.pk_of
+
+        def pk(user):
+            return eco.users[user].public_key
+
         candidate = make_block(1, sim.ledger[-1].digest, [])
         request = VoteRequest(b"root", candidate)
         eco.scheme.signs.clear()
         votes = {v: eco.respond(v, request) for v in sim.validators}
-        args = (b"root", candidate, sim.validators, sim.quorum, pk,
-                eco.scheme, votes.__getitem__)
+        args = (b"root", candidate, sim.validators, sim.quorum, eco.verify,
+                votes.__getitem__)
         outcome = run_commit_round(*args)
         # the equivocator sends two statements to n recipients: two tags
         assert eco.scheme.signs[pk(b"u001")] == 2, n
@@ -245,7 +258,7 @@ def test_byzantine_voter_is_asked_only_when_correct_votes_fall_short():
             request = VoteRequest(b"root", candidate)
             votes = {v: eco.respond(v, request) for v in sim.validators}
             args = (b"root", candidate, sim.validators, sim.quorum,
-                    eco.registry.pk_of, eco.scheme, votes.__getitem__)
+                    eco.verify, votes.__getitem__)
             outcome = run_commit_round(*args)
             assert strategy.votes == (n if short else 0), (n, short)
             assert outcome == reference_commit_round(*args), (n, short)
@@ -280,7 +293,7 @@ def test_division_message_count_is_n_plus_n_squared():
         # each validator signs one ack and sends it to all n validators
         validators = eco.retired[b"root"].validators
         assert eco.scheme.signs == Counter(
-            {eco.registry.pk_of(v): 1 for v in validators}), n
+            {eco.users[v].public_key: 1 for v in validators}), n
         # each distinct ack signature is checked at most once (receivers
         # stop once the division completes)
         assert eco.scheme.verifies <= n, n
@@ -328,7 +341,7 @@ def test_locked_asset_follows_owner_with_lock_intact():
     payload = LockPayload(asset_id, 1, b"elsewhere", b"addr", b"nonce-1")
     tx = Transaction(TxKind.LOCK, payload, owner)
     tx = Transaction(TxKind.LOCK, payload, owner,
-                     eco.scheme.sign(eco.registry.pk_of(owner),
+                     eco.scheme.sign(eco.users[owner].public_key,
                                      tx.signing_bytes()))
     sim.commit([tx])
     c1, c2 = eco.divide_chain(b"root")
@@ -424,7 +437,8 @@ def test_ack_signer_is_checked_against_the_config_on_every_delivery():
     sim = eco.chains[b"root"]
     req = DivideRequest(b"root", b"u000", 0, sim.ledger[0].digest)
     ack = AckMsg(req, b"u050",
-                 eco.scheme.sign(eco.registry.pk_of(b"u050"), req.statement))
+                 eco.scheme.sign(eco.users[b"u050"].public_key,
+                                 req.statement))
     sim.on_ack(b"u001", ack, 0)
     assert sim.runtimes[b"u001"].division.acks == {}
     eco.join_chain(b"u050", b"root")

@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 
 from splitchain.crypto import derive_rng
 from splitchain.errors import UnknownNode
-from splitchain.netsim import (
-    BYZANTINE,
-    CRASH,
-    FaultSpec,
-    Network,
-    Scheduler,
-    make_strategy,
-)
+from splitchain.netsim import Network, Scheduler, make_strategy
 
 from helpers import reference_scheduler
 
@@ -134,11 +127,6 @@ def test_scheduler_runs_same_tick_callbacks_after_those_waiting():
     assert log == ["a", "b", "c", "d"] and sched.idle and sched.now == 2
 
 
-def test_fault_spec_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        FaultSpec("flaky")
-
-
 def net_pair(seed=0, d_min=1, d_max=1):
     net = Network(seed=seed, d_min=d_min, d_max=d_max)
     seen = []
@@ -171,7 +159,7 @@ def test_delays_are_seeded_and_within_bounds():
 
 def test_fixed_delay_lands_every_delivery_at_now_plus_d_min():
     net, seen = net_pair(seed=7, d_min=3, d_max=3)
-    net.inject_fault(b"b", CRASH, at_time=5)
+    net.crash(b"b", 5)
     for i in range(4):
         net.send(b"a", b"b", i)
         net.send(b"b", b"a", i)
@@ -211,17 +199,17 @@ def test_broadcast_includes_self_delivery():
 
 def test_crashed_node_receives_nothing():
     net, seen = net_pair()
-    net.inject_fault(b"b", CRASH, at_time=0)
+    net.crash(b"b", 0)
     net.send(b"a", b"b", "lost")
     net.run_until_idle()
     assert seen == []
     assert net.messages_dropped == 1
-    assert net.is_crashed(b"b")
+    assert net.node(b"b").crashed(net.now)
 
 
 def test_crash_takes_effect_at_given_time():
     net, seen = net_pair(d_min=1, d_max=1)
-    net.inject_fault(b"b", CRASH, at_time=10)
+    net.crash(b"b", 10)
     net.send(b"a", b"b", "early")  # delivered at t=1 < 10
     net.run_until_idle()
     net.sched.run_until(10)
@@ -270,7 +258,35 @@ def test_strategy_lookup():
 
 def test_byzantine_fault_carries_strategy():
     net, _ = net_pair()
-    net.inject_fault(b"a", BYZANTINE, strategy=make_strategy("withhold"))
-    assert net.strategy_of(b"a") is not None
-    assert not net.is_crashed(b"a")
-    assert net.strategy_of(b"b") is None
+    net.make_byzantine(b"a", make_strategy("withhold"))
+    assert net.node(b"a").strategy is not None
+    assert not net.node(b"a").crashed(net.now)
+    assert net.node(b"b").strategy is None
+
+
+def test_crash_at_a_past_tick_starts_now():
+    net, seen = net_pair()
+    net.sched.run_until(6)
+    net.crash(b"b", 2)
+    assert net.node(b"b").crash_at == 6
+    net.send(b"a", b"b", "lost")
+    net.run_until_idle()
+    assert seen == [] and net.messages_dropped == 1
+
+
+@pytest.mark.parametrize("crash_first", [True, False])
+def test_last_fault_applied_wins(crash_first):
+    net, _ = net_pair()
+    strategy = make_strategy("badsig")
+    if crash_first:
+        net.crash(b"a", 3)
+        net.make_byzantine(b"a", strategy)
+    else:
+        net.make_byzantine(b"a", strategy)
+        net.crash(b"a", 3)
+    node = net.node(b"a")
+    net.sched.run_until(5)
+    if crash_first:
+        assert node.strategy is strategy and not node.crashed(net.now)
+    else:
+        assert node.strategy is None and node.crashed(net.now)

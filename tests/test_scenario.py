@@ -3,12 +3,15 @@
 import gc
 import hashlib
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from splitchain.crypto import SignatureScheme
 from splitchain.errors import ConfigError
+from splitchain.netsim import Network
 from splitchain.scenario import (
     METRICS_HEADER,
     _Driver,
@@ -124,6 +127,10 @@ a-v002 = byzantine withhold
     ("[chain a]\nvalidators = 4\nalpha = 2/3", 1, "alpha"),
     ("[scenario]\nlookback = 0\n[chain a]", 1, "lookback must be >= 1"),
     ("[chain a]\nvalidators = 4\nn_max = 1", 1, "'a' needs n_max >= 2"),
+    ("[chain a]\nvalidators = 4\nclients = -1\nassets = 1", 1,
+     "'a' needs clients and assets >= 0"),
+    ("[chain a]\nvalidators = 4\nclients = 2\nassets = -2", 1,
+     "'a' needs clients and assets >= 0"),
 ], ids=lambda v: repr(v)[:40])
 def test_parse_errors_carry_line_numbers(source, lineno, fragment):
     with pytest.raises(ConfigError) as err:
@@ -378,42 +385,59 @@ block = 8
 
 # --- pinned outputs and memory ------------------------------------------------
 
-# sha256 of metrics.csv, lineage.csv and events.log, and the messages
-# dropped: a change to delivery order, or to what any handler does, fails
-# here and not only in the benchmark's hash check.
+# sha256 of metrics.csv, lineage.csv and events.log, the messages dropped,
+# and the calls of SignatureScheme.sign, SignatureScheme.verify and
+# Network.send: a change to delivery order, to what any handler does, or to
+# which calls a check makes fails here and not only in the benchmark. The
+# call counts also keep every signature and send on the methods the
+# benchmark's tracer patches.
 PINNED = {
     (FIGURE1, 0): (
         "030c4f3381317f9ea01171f7e3397902509f40e0e115445f8d1ef191bf92cc31",
         "de5bfaab1316d9e2bffb396011a4e06c030e2ab504e281da96f8113242fdb8b1",
         "98d9a320db3c89fb68a75b9b9160f2d40bb7092a23c577ee9ba8a279bb29df1c",
-        0),
+        0, 1155, 1085, 2940),
     (FIGURE1, 1): (
         "fbf07d327f75af138c2f9a89d1bf394f56b9114fbef21e8a52f3eaffd891b5ab",
         "de5bfaab1316d9e2bffb396011a4e06c030e2ab504e281da96f8113242fdb8b1",
         "7ded2e4adccfbb2085f62da5f049083f2d516bc082b041155514ebcc3366362d",
-        0),
+        0, 1155, 1085, 2940),
     (FIGURE1, 2): (
         "fadf163347b149bb5ce83f5496d3b120db219e5bb7e766d7e18fc0faee3636e8",
         "de5bfaab1316d9e2bffb396011a4e06c030e2ab504e281da96f8113242fdb8b1",
         "33d1de6df2a81955c56550cd61469a1a412164e34924564282dbaa366ad515ae",
-        0),
+        0, 1155, 1085, 2940),
     (ADVERSARIAL, 0): (
         "aaab55c0177290a260c0470d7936461ff5817e6a629c06f762a8839b5f672037",
         "23177ac0ecc72be75556a2571b6d143ea4a177ab4898c133ca80d0bc69b6075b",
         "11360f891f63869a329e557baf3a3eb0fe60058d6d33cd65b56f0da1fc959c97",
-        44),
+        44, 4032, 4017, 6624),
 }
+
+COUNTED = ((SignatureScheme, "sign"), (SignatureScheme, "verify"),
+           (Network, "send"))
+
+
+def _counted(calls, name, method):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return method(*args, **kwargs)
+    return counted
 
 
 @pytest.mark.parametrize("path,seed", sorted(PINNED),
                          ids=lambda v: getattr(v, "stem", v))
-def test_scenario_outputs_are_pinned(path, seed):
+def test_scenario_outputs_are_pinned(path, seed, monkeypatch):
+    calls = Counter()
+    for owner, name in COUNTED:
+        monkeypatch.setattr(owner, name,
+                            _counted(calls, name, getattr(owner, name)))
     driver = _Driver(parse_scenario(path.read_text()), seed)
     report = driver.run()
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (
         report.metrics_csv(), report.lineage_csv(), report.events_log()))
-    assert digests + (driver.eco.network.messages_dropped,) == \
-        PINNED[path, seed]
+    assert digests + (driver.eco.network.messages_dropped,) + tuple(
+        calls[name] for _, name in COUNTED) == PINNED[path, seed]
 
 
 @pytest.mark.parametrize("path", [FIGURE1, ADVERSARIAL],

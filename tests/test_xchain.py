@@ -65,7 +65,8 @@ def bump_height(eco, chain_id, times=1):
     for i in range(times):
         payload = PredicateEvalPayload(b"noop-%d" % i, 1, b"")
         tx = Transaction(TxKind.PREDICATE_EVAL, payload, client)
-        sig = eco.scheme.sign(eco.registry.pk_of(client), tx.signing_bytes())
+        sig = eco.scheme.sign(eco.users[client].public_key,
+                              tx.signing_bytes())
         sim.commit([Transaction(TxKind.PREDICATE_EVAL, payload, client, sig)])
 
 
@@ -105,8 +106,7 @@ def test_true_predicate_yields_verifying_proof():
     assert len(proof.certificate.signatures) >= eco.chains[b"src"].quorum
     verdict, reason = tok_verify_proof(
         proof, tag, eco.chain(b"src").config,
-        eco.chains[b"dst"].state.last_height,
-        eco.registry.pk_of, eco.scheme)
+        eco.chains[b"dst"].state.last_height, eco.verify)
     assert (verdict, reason) == (1, None)
 
 
@@ -155,7 +155,7 @@ def proof_fixture():
 def test_verify_rejects_stale_tag():
     eco, tag, proof, cfg, _ = proof_fixture()
     verdict, reason = tok_verify_proof(proof, tag, cfg, tag.expiry_height + 1,
-                                       eco.registry.pk_of, eco.scheme)
+                                       eco.verify)
     assert verdict == 0 and reason == "stale tag"
 
 
@@ -163,7 +163,7 @@ def test_verify_rejects_tag_substitution():
     eco, tag, proof, cfg, height = proof_fixture()
     other = issue_tag(eco, b"dst")
     verdict, reason = tok_verify_proof(proof, other, cfg, height,
-                                       eco.registry.pk_of, eco.scheme)
+                                       eco.verify)
     assert verdict == 0 and reason == "tag mismatch"
 
 
@@ -175,7 +175,7 @@ def test_verify_rejects_quorum_minus_one():
         type(proof.certificate)(proof.certificate.statement,
                                 proof.certificate.signatures[:quorum - 1]))
     verdict, reason = tok_verify_proof(stripped, tag, cfg, height,
-                                       eco.registry.pk_of, eco.scheme)
+                                       eco.verify)
     assert verdict == 0 and "quorum" in reason
 
 
@@ -184,7 +184,7 @@ def test_verify_rejects_statement_tampering():
     doctored = KnowledgeProof(AssetOwnedBy(b"coin", b"mallory"), 1, tag,
                               proof.certificate)
     verdict, reason = tok_verify_proof(doctored, tag, cfg, height,
-                                       eco.registry.pk_of, eco.scheme)
+                                       eco.verify)
     assert verdict == 0 and reason == "statement mismatch"
 
 
@@ -195,21 +195,20 @@ def test_verify_rejects_duplicate_and_foreign_signers():
     dup = type(cert)(cert.statement, cert.signatures[:-1] + (first,))
     verdict, reason = tok_verify_proof(
         KnowledgeProof(proof.predicate, 1, tag, dup), tag, cfg, height,
-        eco.registry.pk_of, eco.scheme)
+        eco.verify)
     assert verdict == 0 and "duplicate" in reason
     foreign = type(cert)(cert.statement,
                          cert.signatures[:-1] + ((b"u200", first[1]),))
     verdict, reason = tok_verify_proof(
         KnowledgeProof(proof.predicate, 1, tag, foreign), tag, cfg, height,
-        eco.registry.pk_of, eco.scheme)
+        eco.verify)
     assert verdict == 0
 
 
 def test_verify_rejects_negative_claims():
     eco, tag, proof, cfg, height = proof_fixture()
     negative = KnowledgeProof(proof.predicate, 0, tag, proof.certificate)
-    verdict, _ = tok_verify_proof(negative, tag, cfg, height,
-                                  eco.registry.pk_of, eco.scheme)
+    verdict, _ = tok_verify_proof(negative, tag, cfg, height, eco.verify)
     assert verdict == 0
 
 
@@ -310,7 +309,7 @@ def test_claim_records_failure_on_stale_tag():
     payload = LockPayload(b"coin", 9, b"dst", b"bob", tag.nonce)
     tx = Transaction(TxKind.LOCK, payload, b"alice")
     tx = Transaction(TxKind.LOCK, payload, b"alice",
-                     eco.scheme.sign(eco.registry.pk_of(b"alice"),
+                     eco.scheme.sign(eco.users[b"alice"].public_key,
                                      tx.signing_bytes()))
     src.commit([tx])
     proof = tok_generate_proof(eco, b"alice", b"src",
