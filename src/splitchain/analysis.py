@@ -257,6 +257,8 @@ def sweep_curves(n_list, alpha: Fraction, beta_grid=None, trials: int = 0,
     trials > 0 each point also gets a Monte Carlo frequency on its own
     derived seed, so rows are reproducible independently of sweep order.
     """
+    if trials < 0:
+        raise InvalidParams("trials must be >= 0")
     alpha = Fraction(alpha)
     if beta_grid is None:
         beta_grid = default_beta_grid(alpha)

@@ -17,8 +17,6 @@ __all__ = [
     "MacKey",
     "SignatureScheme",
     "KeyedVerifier",
-    "mac_sign",
-    "mac_verify",
     "beacon",
     "derive_seed",
     "derive_rng",
@@ -60,14 +58,6 @@ class MacKey:
         if len(signature) != TAG_LEN:
             return False
         return hmac.compare_digest(self.sign(message), signature)
-
-
-def mac_sign(key: bytes, message: bytes) -> bytes:
-    return MacKey(key).sign(message)
-
-
-def mac_verify(key: bytes, message: bytes, signature: bytes) -> bool:
-    return MacKey(key).verify(message, signature)
 
 
 class SignatureScheme:

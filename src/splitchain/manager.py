@@ -16,7 +16,7 @@ give one answer for all recipients, so it is signed and checked once; only a
 Byzantine strategy answers each recipient separately.
 
 Nothing a run builds points back at its Ecosystem strongly: a ChainSim holds
-a weak proxy of it and every network node a handler over a weak reference.
+a weak proxy of it and the network's handler a weak reference.
 A finished run is therefore freed by reference counting, without waiting
 for the cyclic garbage collector.
 """
@@ -425,7 +425,8 @@ class Ecosystem:
                  lookback: int = 1, assignment_scheme: str = RANDOMIZED,
                  join_policy=None):
         self.scheme = SignatureScheme(seed)
-        self.network = Network(seed=seed, d_min=d_min, d_max=d_max)
+        self.network = Network(_message_handler(weakref.ref(self)),
+                               seed=seed, d_min=d_min, d_max=d_max)
         self.users: dict[UserId, Account] = {}
         self.chains: dict[ChainId, ChainSim] = {}
         self.retired: dict[ChainId, ChainSim] = {}
@@ -437,7 +438,6 @@ class Ecosystem:
         self.violations: list[str] = []
         self.events: list[str] = []
         self._division_installs: dict[ChainId, tuple] = {}
-        self._handler = _message_handler(weakref.ref(self))
         # freshness tags handed out per verifying chain, keyed (chain, nonce)
         self.issued_tags: dict = {}
         self._tag_counter = 0
@@ -450,7 +450,7 @@ class Ecosystem:
             raise AlreadyMember(f"user {user!r} already registered")
         account = Account(user, self.scheme.issue(user), role)
         self.users[user] = account
-        self.network.add_node(user, handler=self._handler)
+        self.network.add_node(user)
         if faulty:
             self.faulty.add(user)
         return account
@@ -610,10 +610,6 @@ class Ecosystem:
     def chain_fault_count(self, sim: ChainSim) -> int:
         return sum(1 for v in sim.validators if v in self.faulty)
 
-    def chain_beta(self, chain_id: ChainId) -> Fraction:
-        sim = self._live(chain_id)
-        return Fraction(self.chain_fault_count(sim), len(sim.validators))
-
     def total_value(self) -> int:
         return sum(sim.state.total_value() for sim in self.chains.values())
 
@@ -733,10 +729,9 @@ class Ecosystem:
 
 
 def _message_handler(eco_ref):
-    """Every node's handler: hand DIVIDE and ACK deliveries to the live
+    """The network's handler: hand DIVIDE and ACK deliveries to the live
     chain they name. It holds its Ecosystem through `eco_ref`, a weak
-    reference, so the ecosystem -> network -> node -> handler path is no
-    cycle."""
+    reference, so the ecosystem -> network -> handler path is no cycle."""
 
     def on_message(node_id: bytes, payload, now: int) -> None:
         eco = eco_ref()

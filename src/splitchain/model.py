@@ -366,9 +366,6 @@ def make_block(height: int, parent_digest: Digest, transactions) -> Block:
                  sha256(header_bytes(height, parent_digest, txs)))
 
 
-Ledger = list  # list[Block], genesis at index 0
-
-
 def verify_ledger(ledger) -> None:
     """Check heights are consecutive from 0 and digests chain correctly."""
     for i, block in enumerate(ledger):

@@ -240,6 +240,8 @@ def _validate(spec: ScenarioSpec) -> None:
         raise ConfigError("need 0 < d_min <= d_max", 1)
     if spec.lookback < 1:
         raise ConfigError("lookback must be >= 1", 1)
+    if spec.horizon < 0:
+        raise ConfigError("horizon must be >= 0", 1)
     for chain in spec.chains:
         if chain.validators < 1:
             raise ConfigError(f"chain {chain.name!r} needs validators >= 1",
@@ -263,6 +265,8 @@ def _validate(spec: ScenarioSpec) -> None:
                 f"chain {chain.name!r}: alpha must lie in (0, 1/2]",
                 chain.line)
     join = spec.join
+    if join is not None and join.arrivals < 0:
+        raise ConfigError("join arrivals must be >= 0", join.line)
     if join is not None and join.arrivals > 0:
         if join.interval < 1:
             raise ConfigError("join interval must be >= 1", join.line)
@@ -549,7 +553,7 @@ class _Driver:
         for time, _, _, kind, payload in actions:
             if self.spec.horizon and time > self.spec.horizon:
                 break
-            self.eco.network.sched.run_until(time)
+            self.eco.network.run_until(time)
             try:
                 if kind == "arrival":
                     self.arrival()

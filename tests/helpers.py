@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from splitchain.consensus import commit_statement
+from splitchain.crypto import derive_rng
 from splitchain.model import (
     Account,
     Asset,
@@ -125,34 +126,49 @@ def reference_commit_round(chain, candidate, validators, quorum, verify,
     return outcome
 
 
-class _HeapScheduler:
-    """netsim.Scheduler as first written: one heap of (time, seq, fn, args)."""
+class _HeapNetwork:
+    """netsim.Network's delivery rules over one heap of
+    (time, seq, node, payload), popped one delivery at a time."""
 
-    def __init__(self):
+    def __init__(self, handler, seed, d_min, d_max):
+        self.handler = handler
+        self.crash_at = {}  # node -> crashed from this tick on, or None
+        self.now = 0
+        self.messages_sent = 0
+        self.messages_dropped = 0
+        self.d_min, self.d_max = d_min, d_max
+        self._delay_rng = derive_rng("net-delay", seed)
         self._heap = []
         self._seq = 0
-        self.now = 0
 
-    def at(self, time: int, fn, *args) -> None:
-        if time < self.now:
-            raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._heap, (time, self._seq, fn, args))
+    def add_node(self, node_id: bytes) -> None:
+        self.crash_at[node_id] = None
+
+    def crash(self, node_id: bytes, at_time: int) -> None:
+        self.crash_at[node_id] = max(at_time, self.now)
+
+    def send(self, src: bytes, dst: bytes, payload) -> None:
+        self.messages_sent += 1
+        if self.d_min == self.d_max:
+            delay = self.d_min
+        else:
+            delay = self._delay_rng.randint(self.d_min, self.d_max)
+        heapq.heappush(self._heap, (self.now + delay, self._seq, dst, payload))
         self._seq += 1
 
-    def after(self, delay: int, fn, *args) -> None:
-        self.at(self.now + delay, fn, *args)
-
-    def step(self) -> bool:
-        if not self._heap:
-            return False
-        time, _, fn, args = heapq.heappop(self._heap)
+    def _step(self) -> None:
+        time, _, node, payload = heapq.heappop(self._heap)
         self.now = time
-        fn(*args)
-        return True
+        crash_at = self.crash_at[node]
+        if crash_at is not None and time >= crash_at:
+            self.messages_dropped += 1
+        else:
+            self.handler(node, payload, time)
 
     def run_until_idle(self, max_events: int = 1_000_000) -> int:
         count = 0
-        while self.step():
+        while self._heap:
+            self._step()
             count += 1
             if count > max_events:
                 raise RuntimeError("event budget exhausted; likely a message loop")
@@ -160,22 +176,23 @@ class _HeapScheduler:
 
     def run_until(self, horizon: int) -> None:
         while self._heap and self._heap[0][0] <= horizon:
-            self.step()
+            self._step()
         self.now = max(self.now, horizon)
 
-    @property
-    def idle(self) -> bool:
-        return not self._heap
 
+def reference_network(handler, seed: int = 0, d_min: int = 1,
+                      d_max: int = 1) -> _HeapNetwork:
+    """A network that pops one heap of (time, seq, node, payload) per
+    delivery.
 
-def reference_scheduler() -> _HeapScheduler:
-    """A scheduler that pops one heap of (time, seq, fn, args) per event.
-
-    The sequence number breaks ties, so callbacks of one tick run in the
-    order they were scheduled. This is the reference for the per-tick FIFOs
-    of netsim.Scheduler: same calls, same callback order, clock and budget.
+    The sequence number breaks ties, so deliveries of one tick run in send
+    order. Delays come from the same seeded stream as netsim.Network's
+    (no draw when d_min == d_max), a node crashed at delivery time drops
+    the delivery, and the counters and event budget follow the same rules.
+    This is the reference for the per-tick FIFOs of netsim.Network: same
+    calls, same delivery order, clock, counters and budget.
     """
-    return _HeapScheduler()
+    return _HeapNetwork(handler, seed, d_min, d_max)
 
 
 def user(i: int) -> bytes:

@@ -66,6 +66,7 @@ def test_analyze_monte_carlo_columns(capsys):
     ["analyze", "--alpha", "1/2", "--n", "nope"],
     ["analyze", "--alpha", "1/2", "--n", ""],
     ["analyze", "--alpha", "1/2", "--n", "10", "--beta-steps", "0"],
+    ["analyze", "--alpha", "1/2", "--n", "10", "--trials", "-5"],
 ])
 def test_analyze_invalid_params_exit_2(argv, capsys):
     code, _, err = run_cli(argv, capsys)
@@ -146,6 +147,8 @@ def test_simulate_malformed_scenario_exit_2(tmp_path, capsys):
      "line 4: crash fault takes one optional tick"),
     ("[chain a]\nvalidators = 4\nclients = -1\nassets = 1\n",
      "line 1: chain 'a' needs clients and assets >= 0"),
+    ("[chain a]\nvalidators = 4\nn_max = 8\n[join]\narrivals = -3\n",
+     "line 4: join arrivals must be >= 0"),
 ])
 def test_simulate_rejects_unrunnable_settings_exit_2(tmp_path, capsys,
                                                      source, fragment):

@@ -457,7 +457,9 @@ def test_crashed_validators_never_ack():
 
 def test_division_bookkeeping_counts_faults():
     eco = build_eco(n=10, faulty={b"u001", b"u004", b"u007"})
-    assert eco.chain_beta(b"root") == Fraction(3, 10)
+    root = eco.chains[b"root"]
+    assert Fraction(eco.chain_fault_count(root),
+                    len(root.validators)) == Fraction(3, 10)
     eco.divide_chain(b"root")
     rec = eco.divisions[-1]
     assert rec.parent == b"root" and rec.n == 10 and rec.f == 3

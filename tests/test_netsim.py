@@ -1,4 +1,4 @@
-"""Deterministic message scheduler and fault injection."""
+"""Deterministic message delivery and fault injection."""
 
 import itertools
 
@@ -8,131 +8,139 @@ from hypothesis import strategies as st
 
 from splitchain.crypto import derive_rng
 from splitchain.errors import UnknownNode
-from splitchain.netsim import Network, Scheduler, make_strategy
+from splitchain.netsim import Network, make_strategy
 
-from helpers import reference_scheduler
+from helpers import reference_network
+
+
+def net_pair(seed=0, d_min=1, d_max=1):
+    seen = []
+    net = Network(lambda me, msg, now: seen.append((me, msg, now)),
+                  seed=seed, d_min=d_min, d_max=d_max)
+    net.add_node(b"a")
+    net.add_node(b"b")
+    return net, seen
 
 
 def test_scheduler_orders_by_time_then_insertion():
-    sched = Scheduler()
-    log = []
-    sched.at(5, log.append, "late")
-    sched.at(1, log.append, "first")
-    sched.at(1, log.append, "second")
-    sched.run_until_idle()
-    assert log == ["first", "second", "late"]
-    assert sched.now == 5
-
-
-def test_scheduler_rejects_past():
-    sched = Scheduler()
-    sched.at(3, lambda: None)
-    sched.run_until_idle()
-    with pytest.raises(ValueError):
-        sched.at(1, lambda: None)
+    seed, d_min, d_max = 5, 1, 3
+    net, seen = net_pair(seed=seed, d_min=d_min, d_max=d_max)
+    for i in range(12):
+        net.send(b"a", b"b", i)
+    assert net.run_until_idle() == 12
+    rng = derive_rng("net-delay", seed)
+    delays = [rng.randint(d_min, d_max) for _ in range(12)]
+    # the stream makes a later send land earlier and two sends share a tick
+    assert delays != sorted(delays) and len(set(delays)) < len(delays)
+    assert [(i, t) for _, i, t in seen] == sorted(
+        enumerate(delays), key=lambda row: (row[1], row[0]))
+    assert net.now == max(delays)
 
 
 def test_scheduler_event_budget():
-    sched = Scheduler()
-
-    def rearm():
-        sched.after(1, rearm)
-
-    sched.after(1, rearm)
+    log = []  # ping-pong: each payload names the peer to answer
+    net = Network(lambda me, peer, now: (log.append(me),
+                                         net.send(me, peer, me)))
+    net.add_node(b"a")
+    net.add_node(b"b")
+    net.send(b"a", b"b", b"a")
     with pytest.raises(RuntimeError, match="event budget"):
-        sched.run_until_idle(max_events=100)
+        net.run_until_idle(max_events=100)
+    # the delivery past the budget runs before the error is raised
+    assert log == [b"b", b"a"] * 50 + [b"b"]
+    assert net.now == 101
 
 
 def test_run_until_stops_at_horizon():
-    sched = Scheduler()
-    log = []
-    sched.at(3, log.append, 3)
-    sched.at(9, log.append, 9)
-    sched.run_until(5)
-    assert log == [3]
-    assert sched.now == 5
-    assert not sched.idle
+    net, seen = net_pair(d_min=3, d_max=3)
+    net.send(b"a", b"b", "early")  # lands at 3
+    net.run_until(2)
+    net.send(b"a", b"b", "late")  # lands at 5
+    net.run_until(4)
+    assert seen == [(b"b", "early", 3)]
+    assert net.now == 4
+    assert net.run_until_idle() == 1
+    assert seen == [(b"b", "early", 3), (b"b", "late", 5)]
 
 
-# A callback plan is a tuple of (delay, plan) pairs: the callback logs itself
-# and schedules each child plan `delay` ticks later, 0 being the tick it
-# runs in.
+NODES = (b"a", b"b", b"c")
+RAISE = "raise"
+
+# A delivery plan is a tuple of steps the handler takes in order once it has
+# logged the delivery: (dst, plan) sends `plan` on to `dst`, and RAISE makes
+# the handler raise there, leaving the rest of the tick queued.
 PLANS = st.recursive(
     st.just(()),
-    lambda sub: st.lists(st.tuples(st.integers(0, 3), sub),
-                         max_size=3).map(tuple),
+    lambda sub: st.lists(st.tuples(st.sampled_from(NODES), sub)
+                         | st.tuples(st.sampled_from(NODES), sub)
+                         | st.just(RAISE), max_size=3).map(tuple),
     max_leaves=12)
 
 CALLS = st.one_of(
-    st.tuples(st.just("at"), st.integers(-2, 6), PLANS),  # time - now
-    st.tuples(st.just("after"), st.integers(0, 6), PLANS),
-    st.tuples(st.just("step")),
+    st.tuples(st.just("send"), st.sampled_from(NODES),
+              st.sampled_from(NODES), PLANS),
+    st.tuples(st.just("crash"), st.sampled_from(NODES),
+              st.integers(-2, 6)),  # at_time - now
     st.tuples(st.just("run_until"), st.integers(-1, 8)),  # horizon - now
     st.tuples(st.just("run_until_idle"), st.integers(0, 12)),  # budget
 )
 
 
-def drive(sched, calls) -> list:
-    """Apply `calls` to `sched`; log every callback run, what each call
-    returned or raised, and the clock and idleness after it."""
+class Boom(Exception):
+    pass
+
+
+def drive(make_network, seed, d_max, calls) -> list:
+    """Apply `calls` to a network of NODES, then drain it; log every
+    delivery, what each call returned or raised, and the clock and counters
+    after it."""
     log = []
     labels = itertools.count()
 
-    def schedule(time, plan, via_after):
-        label = next(labels)
+    def handler(node_id, payload, now):
+        label, plan = payload
+        log.append(("deliver", node_id, label, now, net.now))
+        for step in plan:
+            if step == RAISE:
+                raise Boom
+            dst, child = step
+            net.send(node_id, dst, (next(labels), child))
 
-        def callback():
-            log.append(("run", label, sched.now))
-            for i, (delay, child) in enumerate(plan):
-                schedule(sched.now + delay, child, (label + i) % 2 == 0)
+    net = make_network(handler, seed=seed, d_min=1, d_max=d_max)
+    for node in NODES:
+        net.add_node(node)
 
-        if via_after:
-            sched.after(time - sched.now, callback)
-        else:
-            sched.at(time, callback)
-
-    for call in calls:
+    def apply(call):
         kind = call[0]
         before = len(log)
         try:
-            if kind in ("at", "after"):
-                result = schedule(sched.now + call[1], call[2],
-                                  kind == "after")
-            elif kind == "step":
-                result = sched.step()
+            if kind == "send":
+                result = net.send(call[1], call[2], (next(labels), call[3]))
+            elif kind == "crash":
+                result = net.crash(call[1], net.now + call[2])
             elif kind == "run_until":
-                result = sched.run_until(sched.now + call[1])
+                result = net.run_until(net.now + call[1])
             else:
-                result = sched.run_until_idle(max_events=call[1])
-        except (ValueError, RuntimeError) as exc:
+                result = net.run_until_idle(max_events=call[1])
+        except (Boom, RuntimeError) as exc:
             result = (type(exc).__name__, len(log) - before)
-        log.append((kind, result, sched.now, sched.idle))
+        log.append((kind, result, net.now, net.messages_sent,
+                     net.messages_dropped))
+        return result
+
+    for call in calls:
+        apply(call)
+    while apply(("run_until_idle", 10**6)) != 0:  # a raise costs one delivery
+        pass
     return log
 
 
-@given(st.lists(CALLS, max_size=25))
+@given(st.sampled_from([1, 4]), st.integers(0, 3),
+       st.lists(CALLS, min_size=5, max_size=25))
 @settings(max_examples=200, derandomize=True, deadline=None)
-def test_scheduler_matches_the_heap_reference(calls):
-    log = drive(Scheduler(), calls)
-    assert log == drive(reference_scheduler(), calls)
-
-
-def test_scheduler_runs_same_tick_callbacks_after_those_waiting():
-    sched = Scheduler()
-    log = []
-    sched.at(1, lambda: (log.append("a"), sched.at(1, log.append, "c")))
-    sched.at(1, log.append, "b")
-    sched.at(2, log.append, "d")
-    assert sched.run_until_idle() == 4
-    assert log == ["a", "b", "c", "d"] and sched.idle and sched.now == 2
-
-
-def net_pair(seed=0, d_min=1, d_max=1):
-    net = Network(seed=seed, d_min=d_min, d_max=d_max)
-    seen = []
-    net.add_node(b"a", handler=lambda me, msg, now: seen.append((me, msg, now)))
-    net.add_node(b"b", handler=lambda me, msg, now: seen.append((me, msg, now)))
-    return net, seen
+def test_scheduler_matches_the_heap_reference(d_max, seed, calls):
+    log = drive(Network, seed, d_max, calls)
+    assert log == drive(reference_network, seed, d_max, calls)
 
 
 def test_send_counts_and_delivers_with_delay():
@@ -163,7 +171,7 @@ def test_fixed_delay_lands_every_delivery_at_now_plus_d_min():
     for i in range(4):
         net.send(b"a", b"b", i)
         net.send(b"b", b"a", i)
-    net.sched.run_until(2)
+    net.run_until(2)
     net.send(b"a", b"b", "dropped")  # lands at 5, when b has crashed
     net.send(b"b", b"a", "late")
     net.run_until_idle()
@@ -212,7 +220,7 @@ def test_crash_takes_effect_at_given_time():
     net.crash(b"b", 10)
     net.send(b"a", b"b", "early")  # delivered at t=1 < 10
     net.run_until_idle()
-    net.sched.run_until(10)
+    net.run_until(10)
     net.send(b"a", b"b", "late")
     net.run_until_idle()
     assert [m for (_, m, _) in seen] == ["early"]
@@ -235,7 +243,7 @@ def test_send_with_unknown_end_raises_and_counts_nothing(src, dst, d_max):
                                                else dst)):
         net.send(src, dst, "x")
     assert net.messages_sent == 0 and net.messages_dropped == 0
-    assert net.sched.idle
+    assert net.run_until_idle() == 0  # nothing was queued
     # the delay stream was not drawn from: the next send gets the first draw
     net.send(b"a", b"b", "y")
     net.run_until_idle()
@@ -266,7 +274,7 @@ def test_byzantine_fault_carries_strategy():
 
 def test_crash_at_a_past_tick_starts_now():
     net, seen = net_pair()
-    net.sched.run_until(6)
+    net.run_until(6)
     net.crash(b"b", 2)
     assert net.node(b"b").crash_at == 6
     net.send(b"a", b"b", "lost")
@@ -285,7 +293,7 @@ def test_last_fault_applied_wins(crash_first):
         net.make_byzantine(b"a", strategy)
         net.crash(b"a", 3)
     node = net.node(b"a")
-    net.sched.run_until(5)
+    net.run_until(5)
     if crash_first:
         assert node.strategy is strategy and not node.crashed(net.now)
     else:

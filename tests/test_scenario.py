@@ -131,6 +131,10 @@ a-v002 = byzantine withhold
      "'a' needs clients and assets >= 0"),
     ("[chain a]\nvalidators = 4\nclients = 2\nassets = -2", 1,
      "'a' needs clients and assets >= 0"),
+    ("[chain a]\nvalidators = 4\nn_max = 8\n[join]\narrivals = -3", 4,
+     "join arrivals must be >= 0"),
+    ("[scenario]\nhorizon = -5\n[chain a]\nvalidators = 4", 1,
+     "horizon must be >= 0"),
 ], ids=lambda v: repr(v)[:40])
 def test_parse_errors_carry_line_numbers(source, lineno, fragment):
     with pytest.raises(ConfigError) as err:
