@@ -4,6 +4,10 @@ Signatures use HMAC-SHA256 under per-user keys held by the simulator's
 key issuer. The interface (issue/sign/verify over public handles) matches
 an asymmetric scheme, so a real one can be dropped in; the MAC construction
 keeps million-signature test runs fast and fully deterministic.
+
+Each key remembers its last tag (``MacKey``), so a vote or ACK checked
+right after its signer made it costs a bytes compare, not a second HMAC,
+and every verdict is the one a fresh HMAC gives.
 """
 
 import hashlib
@@ -34,9 +38,16 @@ class MacKey:
     The inner and outer SHA-256 states, already fed the key XOR ipad/opad,
     are made once per key; each tag then costs two state copies and two
     short updates instead of re-deriving the pads.
+
+    One slot keeps the last ``bytes`` message tagged and its tag: signing
+    that message again, or verifying a tag on it, returns the stored tag
+    without hashing. HMAC is a deterministic function of (key, message), so
+    the stored tag is exactly the tag a fresh HMAC would give. The slot
+    holds one message per key, so memory stays bounded; a mutable buffer is
+    never stored, since it could change after it is tagged.
     """
 
-    __slots__ = ("secret", "_inner", "_outer")
+    __slots__ = ("secret", "_inner", "_outer", "_last_message", "_last_tag")
 
     def __init__(self, secret: bytes):
         self.secret = secret
@@ -46,13 +57,21 @@ class MacKey:
         key = key.ljust(_BLOCK, b"\0")
         self._inner = hashlib.sha256(key.translate(_IPAD))
         self._outer = hashlib.sha256(key.translate(_OPAD))
+        self._last_message = None
+        self._last_tag = None
 
     def sign(self, message: bytes) -> bytes:
+        if message == self._last_message:
+            return self._last_tag
         inner = self._inner.copy()
         inner.update(message)
         outer = self._outer.copy()
         outer.update(inner.digest())
-        return outer.digest()
+        tag = outer.digest()
+        if type(message) is bytes:
+            self._last_message = message
+            self._last_tag = tag
+        return tag
 
     def verify(self, message: bytes, signature: bytes) -> bool:
         if len(signature) != TAG_LEN:

@@ -52,7 +52,12 @@ class Network:
         self.messages_dropped = 0
         self.d_min = d_min
         self.d_max = d_max
-        self._delay_rng = derive_rng("net-delay", seed)
+        # send() draws randint(d_min, d_max) itself, as CPython's
+        # getrandbits-based _randbelow does: width.bit_length() bits,
+        # redrawn while >= width. Same stream, without randint's checks.
+        self._getrandbits = derive_rng("net-delay", seed).getrandbits
+        self._width = d_max - d_min + 1
+        self._bits = self._width.bit_length()
         # tick -> deque of (Node, payload); never empty at rest
         self._queues = {}
         self._ticks = []  # heap of the ticks in _queues
@@ -89,9 +94,14 @@ class Network:
             self.node(src)
             self.node(dst)  # raises UnknownNode for whichever is missing
         self.messages_sent += 1
-        # The delay stream feeds nothing else, so a fixed delay skips it.
-        delay = self.d_min if self.d_min == self.d_max else \
-            self._delay_rng.randint(self.d_min, self.d_max)
+        # The delay stream feeds nothing else, so a fixed delay skips it;
+        # otherwise this is randint(d_min, d_max), drawn as in __init__.
+        delay = self.d_min
+        if delay != self.d_max:
+            r = self._getrandbits(self._bits)
+            while r >= self._width:
+                r = self._getrandbits(self._bits)
+            delay += r
         time = self.now + delay  # delay > 0: never the tick being run
         queue = self._queues.get(time)
         if queue is None:

@@ -282,6 +282,8 @@ def _validate(spec: ScenarioSpec) -> None:
     names = {c.name for c in spec.chains}
     merged_names = set()
     for fuse in spec.fuses:
+        if fuse.at < 0:
+            raise ConfigError("[fuse] at must be >= 0", fuse.line)
         if not fuse.left or not fuse.right:
             raise ConfigError("[fuse] needs left and right chain names",
                               fuse.line)

@@ -149,6 +149,9 @@ def test_simulate_malformed_scenario_exit_2(tmp_path, capsys):
      "line 1: chain 'a' needs clients and assets >= 0"),
     ("[chain a]\nvalidators = 4\nn_max = 8\n[join]\narrivals = -3\n",
      "line 4: join arrivals must be >= 0"),
+    ("[chain a]\nvalidators = 4\n[chain b]\nvalidators = 4\n"
+     "[fuse]\nat = -3\nleft = a\nright = b\n",
+     "line 5: [fuse] at must be >= 0"),
 ])
 def test_simulate_rejects_unrunnable_settings_exit_2(tmp_path, capsys,
                                                      source, fragment):

@@ -60,6 +60,63 @@ def test_scheme_tags_are_stdlib_hmac_under_the_exported_key():
     assert s.sign(pk, b"m") == hmac.new(key, b"m", hashlib.sha256).digest()
 
 
+MEMO_MESSAGES = [b"", b"m", b"n", b"m\x00", b"vote", b"x" * 200]
+
+
+def _step_matches_stdlib(sign, verify, key, op, i, j):
+    """One sign or verify call on a long-lived key, checked against a fresh
+    stdlib HMAC: op is sign, verify (the right tag), other (the tag of
+    message j, modulo the pool) or corrupt (the right tag with byte j
+    flipped)."""
+    message = MEMO_MESSAGES[i]
+    tag = hmac.new(key, message, hashlib.sha256).digest()
+    if op == "sign":
+        assert sign(message) == tag
+    elif op == "verify":
+        assert verify(message, tag)
+    elif op == "other":
+        j %= len(MEMO_MESSAGES)
+        other = hmac.new(key, MEMO_MESSAGES[j], hashlib.sha256).digest()
+        assert verify(message, other) == (i == j)
+    else:
+        bad = bytearray(tag)
+        bad[j % len(tag)] ^= 1
+        assert not verify(message, bytes(bad))
+
+
+# the last-signed tag against another message, a corrupted tag for the
+# last-signed message, and a message signed again after another one
+MEMO_CASES = [("sign", 1, 0), ("other", 2, 1), ("sign", 1, 0),
+              ("corrupt", 1, 31), ("sign", 1, 0), ("sign", 4, 0),
+              ("sign", 1, 0), ("verify", 4, 0), ("other", 0, 5),
+              ("sign", 5, 0), ("corrupt", 5, 0), ("verify", 5, 0)]
+
+
+@given(steps=st.lists(st.tuples(
+    st.sampled_from(["sign", "verify", "other", "corrupt"]),
+    st.integers(0, len(MEMO_MESSAGES) - 1),
+    st.integers(0, 63)), max_size=30))
+@settings(max_examples=200, derandomize=True)
+def test_remembered_tag_is_exact_across_interleavings(steps):
+    mac = MacKey(b"k" * 32)
+    scheme = SignatureScheme(seed=4)
+    pk = scheme.issue(b"alice")
+    key = scheme.verification_key(pk)
+    for op, i, j in MEMO_CASES + steps:
+        _step_matches_stdlib(mac.sign, mac.verify, b"k" * 32, op, i, j)
+        _step_matches_stdlib(lambda m: scheme.sign(pk, m),
+                             lambda m, t: scheme.verify(pk, m, t),
+                             key, op, i, j)
+
+
+def test_a_mutable_buffer_is_never_remembered():
+    mac = MacKey(b"k")
+    buffer = bytearray(b"first")
+    assert mac.sign(buffer) == hmac.new(b"k", b"first", hashlib.sha256).digest()
+    buffer[:] = b"later"
+    assert mac.sign(buffer) == hmac.new(b"k", b"later", hashlib.sha256).digest()
+
+
 def test_keys_are_per_user_and_stable():
     s = SignatureScheme(seed=1)
     a = s.issue(b"alice")

@@ -197,6 +197,22 @@ def test_random_delays_follow_the_seeded_stream_in_send_order():
     assert net.messages_sent == len(sends)
 
 
+@pytest.mark.parametrize("width", [*range(1, 10), 16, 17])
+def test_delays_equal_randint_in_send_order(width):
+    # send() draws randint's getrandbits stream itself; powers of two are
+    # where its bit count (width.bit_length()) differs from width - 1's
+    for d_min in (1, 3):
+        d_max = d_min + width - 1
+        for seed in range(4):
+            net, seen = net_pair(seed=seed, d_min=d_min, d_max=d_max)
+            for i in range(40):
+                net.send(b"a", b"b", i)
+            net.run_until_idle()
+            rng = derive_rng("net-delay", seed)
+            assert sorted((i, t) for _, i, t in seen) == [
+                (i, rng.randint(d_min, d_max)) for i in range(40)]
+
+
 def test_broadcast_includes_self_delivery():
     net, seen = net_pair()
     net.broadcast(b"a", [b"a", b"b"], "x")

@@ -135,6 +135,8 @@ a-v002 = byzantine withhold
      "join arrivals must be >= 0"),
     ("[scenario]\nhorizon = -5\n[chain a]\nvalidators = 4", 1,
      "horizon must be >= 0"),
+    ("[chain a]\n[chain b]\n[fuse]\nat = -3\nleft = a\nright = b", 3,
+     "[fuse] at must be >= 0"),
 ], ids=lambda v: repr(v)[:40])
 def test_parse_errors_carry_line_numbers(source, lineno, fragment):
     with pytest.raises(ConfigError) as err:
