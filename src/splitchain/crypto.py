@@ -39,12 +39,13 @@ class MacKey:
     are made once per key; each tag then costs two state copies and two
     short updates instead of re-deriving the pads.
 
-    One slot keeps the last ``bytes`` message tagged and its tag: signing
-    that message again, or verifying a tag on it, returns the stored tag
-    without hashing. HMAC is a deterministic function of (key, message), so
-    the stored tag is exactly the tag a fresh HMAC would give. The slot
-    holds one message per key, so memory stays bounded; a mutable buffer is
-    never stored, since it could change after it is tagged.
+    One slot keeps the last ``bytes`` message signed and its tag: verifying
+    a tag on that message compares against the stored tag without hashing.
+    Signing always hashes, since a signer tags each message once. HMAC is a
+    deterministic function of (key, message), so the stored tag is exactly
+    the tag a fresh HMAC would give. The slot holds one message per key, so
+    memory stays bounded; a mutable buffer is never stored, since it could
+    change after it is tagged.
     """
 
     __slots__ = ("secret", "_inner", "_outer", "_last_message", "_last_tag")
@@ -61,8 +62,6 @@ class MacKey:
         self._last_tag = None
 
     def sign(self, message: bytes) -> bytes:
-        if message == self._last_message:
-            return self._last_tag
         inner = self._inner.copy()
         inner.update(message)
         outer = self._outer.copy()
@@ -76,7 +75,9 @@ class MacKey:
     def verify(self, message: bytes, signature: bytes) -> bool:
         if len(signature) != TAG_LEN:
             return False
-        return hmac.compare_digest(self.sign(message), signature)
+        tag = (self._last_tag if message == self._last_message
+               else self.sign(message))
+        return hmac.compare_digest(tag, signature)
 
 
 class SignatureScheme:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
 
+from . import model
 from .assignment import DETERMINISTIC, RANDOMIZED, assign
 from .consensus import collect_certificate, commit_statement, run_commit_round
 from .crypto import SignatureScheme, beacon
@@ -63,12 +64,6 @@ from .model import (
 )
 from .netsim import Network, make_strategy
 
-# division phases, strictly ordered
-PROPOSED = 1
-ACKED = 2
-ASSIGNED = 3
-
-
 @dataclass(frozen=True)
 class DivideRequest:
     """The initiator's broadcast: divide `chain` at an agreed ledger prefix."""
@@ -92,18 +87,20 @@ class AckMsg:
 
 
 @dataclass
-class DivisionState:
-    """Per-validator protocol state for one division attempt."""
+class DivisionRound:
+    """One division attempt on a chain, from its DIVIDE broadcast on.
+
+    Each start_division makes a fresh round, so every validator judges each
+    attempt afresh and nothing a failed attempt left behind counts later.
+    """
 
     request: DivideRequest
-    phase: int = PROPOSED
-    acks: dict = field(default_factory=dict)  # signer -> signature
-
-
-@dataclass
-class ValidatorRuntime:
-    committed_height: int = 0
-    division: DivisionState | None = None
+    acked: set = field(default_factory=set)  # validators that sent their ack
+    acks: dict = field(default_factory=dict)  # validator -> {signer: signature}
+    assigned: set = field(default_factory=set)  # validators that reached quorum
+    rejections: dict = field(default_factory=dict)  # validator -> reason
+    verdicts: dict = field(default_factory=dict)  # AckMsg -> verdict, shared
+    installed: tuple | None = None  # child genesis digests once installed
 
 
 # --- signing requests ------------------------------------------------------------
@@ -189,14 +186,13 @@ class ChainSim:
     def __init__(self, eco: "Ecosystem", ledger):
         self.eco = weakref.proxy(eco)
         self.ledger = list(ledger)
-        self.state = _replay_trusted(self.ledger)
+        self.state = model.replay(self.ledger)
         self.chain_id = self.state.config.chain
         self.halted = False
-        self.runtimes = {v: ValidatorRuntime(self.state.last_height)
-                         for v in self.state.config.validators}
-        self.division_rejections: dict[UserId, str] = {}
-        # AckMsg -> signature verdict, shared by receivers
-        self._ack_verdicts: dict = {}
+        # validator -> height of the last block it committed
+        self.committed = dict.fromkeys(self.state.config.validators,
+                                       self.state.last_height)
+        self.division: DivisionRound | None = None
 
     @property
     def config(self) -> ChainConfig:
@@ -246,21 +242,24 @@ class ChainSim:
         self.ledger.append(candidate)
         self.state = replace(state, last_height=candidate.height)
         # `correct` predates this block's config; a validator the block
-        # admits gets its runtime from join_chain after we return
+        # admits gets its entry from join_chain after we return
         for v in correct:
-            self.runtimes[v].committed_height = candidate.height
+            self.committed[v] = candidate.height
         return candidate
 
     # -- division protocol ---------------------------------------------------
 
     def start_division(self, initiator: UserId) -> DivideRequest:
-        """Broadcast the DIVIDE message from `initiator` to every validator."""
+        """Open a new division round and broadcast its DIVIDE message from
+        `initiator` to every validator. Deliveries of an earlier round's
+        messages are ignored from now on."""
         req = DivideRequest(self.chain_id, initiator, self.state.last_height,
                             self.ledger[-1].digest)
+        self.division = DivisionRound(req)
         self.eco.network.broadcast(initiator, self.validators, req)
         return req
 
-    def _verify_request(self, rt: ValidatorRuntime, req: DivideRequest):
+    def _verify_request(self, validator: UserId, req: DivideRequest):
         cfg = self.state.config
         if len(cfg.validators) < cfg.n_max:
             return "trigger"
@@ -270,31 +269,25 @@ class ChainSim:
             return "unknown-height"
         if self.ledger[req.agreed_height].digest != req.anchor_digest:
             return "anchor-mismatch"
-        if rt.committed_height < req.agreed_height:
+        if self.committed[validator] < req.agreed_height:
             return "behind"
         return None
 
     def on_divide(self, validator: UserId, req: DivideRequest, now: int):
-        if self.halted:
-            return
-        rt = self.runtimes.get(validator)
-        if rt is None:
-            return
-        reason = self._verify_request(rt, req)
+        rnd = self.division
+        if rnd.request is not req and rnd.request != req:
+            return  # an earlier round's message
+        reason = self._verify_request(validator, req)
         if reason is not None:
-            self.division_rejections[validator] = reason
+            rnd.rejections[validator] = reason
             return
-        if rt.division is None:
-            rt.division = DivisionState(req)
-        elif rt.division.request != req:
-            return  # first proposal wins; competing requests ignored
-        if rt.division.phase >= ACKED:
+        if validator in rnd.acked:
             return  # duplicate DIVIDE delivery
-        self._broadcast_ack(validator, rt, req)
+        rnd.acked.add(validator)
+        self._broadcast_ack(validator, req)
 
-    def _broadcast_ack(self, validator, rt, req):
+    def _broadcast_ack(self, validator, req):
         network = self.eco.network
-        rt.division.phase = max(rt.division.phase, ACKED)
         sig, hook = self.eco.respond(validator, AckRequest(req.statement))
         if hook is None:  # one signed ack, the same for every recipient
             if sig is not None:
@@ -307,55 +300,45 @@ class ChainSim:
                 network.send(validator, recipient, AckMsg(req, validator, sig))
 
     def on_ack(self, validator: UserId, ack: AckMsg, now: int):
-        if self.halted:
-            return
-        rt = self.runtimes.get(validator)
-        if rt is None:
-            return
-        reason = self._verify_request(rt, ack.request)
+        # acks can outrun the DIVIDE broadcast; the embedded request is
+        # verified here, and the validator acks when the DIVIDE arrives
+        rnd = self.division
+        if rnd.request is not ack.request and rnd.request != ack.request:
+            return  # an earlier round's message
+        reason = self._verify_request(validator, ack.request)
         if reason is not None:
-            self.division_rejections[validator] = reason
-            return
-        st = rt.division
-        if st is None:
-            # acks can outrun the DIVIDE broadcast; the embedded request is
-            # verified above, so record the proposal and ack when it arrives
-            st = rt.division = DivisionState(ack.request)
-        elif st.request is not ack.request and st.request != ack.request:
+            rnd.rejections[validator] = reason
             return
         # checked on every delivery: the config may change mid-division
         if ack.signer not in self.state.config.validator_set:
             return
-        ok = self._ack_verdicts.get(ack)
+        ok = rnd.verdicts.get(ack)
         if ok is None:
-            ok = self._ack_verdicts[ack] = self.eco.verify(
+            ok = rnd.verdicts[ack] = self.eco.verify(
                 ack.signer, ack.request.statement, ack.signature)
         if not ok:
             return
-        st.acks[ack.signer] = ack.signature
-        if len(st.acks) >= self.quorum and st.phase < ASSIGNED:
-            st.phase = ASSIGNED
-            self._complete_division(validator, st, now)
+        acks = rnd.acks.get(validator)
+        if acks is None:
+            acks = rnd.acks[validator] = {}
+        acks[ack.signer] = ack.signature
+        if len(acks) >= self.quorum and validator not in rnd.assigned:
+            rnd.assigned.add(validator)
+            self._complete_division(rnd, now)
 
-    def _complete_division(self, validator: UserId, st: DivisionState, now: int):
-        req = st.request
+    def _complete_division(self, rnd: DivisionRound, now: int):
+        req = rnd.request
         prefix = self.ledger[:req.agreed_height + 1]
         seed = beacon(prefix, self.eco.lookback)
         snapshot = self.state
         if snapshot.last_height != req.agreed_height:
-            snapshot = _replay_trusted(prefix)
+            snapshot = model.replay(prefix)
         cfg = snapshot.config
         outcome = assign(cfg.validators, self.eco.assignment_scheme, seed)
         geneses = _build_children(self.chain_id, snapshot, outcome,
                                   req.agreed_height, seed,
                                   self.eco.assignment_scheme)
         self.eco._install_division(self, geneses, now)
-
-
-def _replay_trusted(ledger):
-    """Replay without per-tx signature checks (blocks are already committed)."""
-    from .model import replay
-    return replay(ledger)
 
 
 def child_chain_ids(parent: ChainId) -> tuple:
@@ -437,7 +420,6 @@ class Ecosystem:
         self.divisions: list[DivisionRecord] = []
         self.violations: list[str] = []
         self.events: list[str] = []
-        self._division_installs: dict[ChainId, tuple] = {}
         # freshness tags handed out per verifying chain, keyed (chain, nonce)
         self.issued_tags: dict = {}
         self._tag_counter = 0
@@ -521,7 +503,7 @@ class Ecosystem:
                              ConfigUpdatePayload(add_validators=(account,)),
                              user)
             sim.commit([tx])
-            sim.runtimes[user] = ValidatorRuntime(sim.state.last_height)
+            sim.committed[user] = sim.state.last_height
         self._log(f"join chain={_name(chain_id)} user={_name(user)} "
                   f"role={role.name.lower()} n={len(sim.config.validators)}")
         return sim.config
@@ -548,7 +530,7 @@ class Ecosystem:
         self.network.run_until_idle()
         if all(c in self.chains for c in children):
             return self.chains[children[0]], self.chains[children[1]]
-        reasons = set(sim.division_rejections.values())
+        reasons = set(sim.division.rejections.values())
         if "unknown-initiator" in reasons:
             raise UnknownInitiator(
                 f"{initiator!r} is not a validator of {chain_id!r}")
@@ -686,17 +668,17 @@ class Ecosystem:
         return sign_fn
 
     def _install_division(self, parent: ChainSim, geneses, now: int) -> None:
+        rnd = parent.division
         digests = tuple(g.digest for g in geneses)
-        existing = self._division_installs.get(parent.chain_id)
-        if existing is not None:
-            if existing != digests:
+        if rnd.installed is not None:
+            if rnd.installed != digests:
                 raise StateDivergence(
                     f"validators built conflicting children for "
                     f"{parent.chain_id!r}")
             return
         for cid in child_chain_ids(parent.chain_id):
             self._check_id_free(cid)  # a failure leaves the parent live
-        self._division_installs[parent.chain_id] = digests
+        rnd.installed = digests
         parent.halted = True
         self.retired[parent.chain_id] = parent
         del self.chains[parent.chain_id]

@@ -19,9 +19,7 @@ from splitchain.errors import (
     UnregisteredValidator,
 )
 from splitchain.manager import (
-    ASSIGNED,
     AckMsg,
-    DivideRequest,
     Ecosystem,
     VoteRequest,
     child_chain_ids,
@@ -363,8 +361,7 @@ def test_non_member_initiator_never_divides():
     sim = eco.chains[b"root"]
     assert not sim.halted
     assert child_chain_ids(b"root")[0] not in eco.chains
-    for rt in sim.runtimes.values():
-        assert rt.division is None or rt.division.phase < ASSIGNED
+    assert not sim.division.assigned
 
 
 def test_division_below_trigger_rejected():
@@ -390,7 +387,7 @@ def test_division_into_a_taken_child_id_touches_nothing(retired):
     assert eco.network.messages_sent == before
     sim = eco.chains[b"root"]
     assert not sim.halted and b"root" not in eco.retired
-    assert all(rt.division is None for rt in sim.runtimes.values())
+    assert sim.division is None
     assert eco.divisions == []
 
 
@@ -416,8 +413,69 @@ def test_division_quorum_boundary_with_withholders():
                                      b"u003": "withhold"})
     with pytest.raises(NoQuorum):
         eco.divide_chain(b"root", initiator=b"u000")
-    for rt in eco.chains[b"root"].runtimes.values():
-        assert rt.division is None or rt.division.phase < ASSIGNED
+    assert not eco.chains[b"root"].division.assigned
+
+
+class SilentAcker:
+    """Votes and signs certificates honestly but never acks a division."""
+
+    def division_ack(self, statement, recipient, sign):
+        return None
+
+    def vote(self, digest, statement_of, recipient, sign):
+        return digest, sign(statement_of(digest))
+
+    def cert_sign(self, statement, sign):
+        return sign(statement)
+
+
+def _join_validators(eco, users, strategy=None):
+    for u in users:
+        eco.register_user(u, Role.VALIDATOR)
+        if strategy is not None:
+            eco.mark_byzantine(u, strategy)
+        eco.join_chain(u, b"root")
+
+
+def test_a_retry_after_no_quorum_counts_validators_that_saw_the_failed_attempt():
+    # n=4, alpha=1/2: u000 alone acks, 1 < quorum 2
+    eco = build_eco(n=4, strategies=dict.fromkeys(
+        (b"u001", b"u002", b"u003"), SilentAcker()))
+    with pytest.raises(NoQuorum):
+        eco.divide_chain(b"root", initiator=b"u000")
+    # n=6: u000 and the two joiners ack, reaching quorum 3
+    _join_validators(eco, (b"u004", b"u005"))
+    eco.divide_chain(b"root", initiator=b"u000")
+    assert set(eco.chains) == {b"root.1", b"root.2"}
+
+
+def _after_unknown_initiator():
+    eco = build_eco(n=4, strategies=dict.fromkeys(
+        (b"u001", b"u002", b"u003"), "withhold"))
+    eco.register_user(b"mallory", Role.VALIDATOR)
+    with pytest.raises(UnknownInitiator):
+        eco.divide_chain(b"root", initiator=b"mallory")
+    return eco
+
+
+def _after_trigger_not_met():
+    eco = build_eco(n=4, n_max=6, strategies=dict.fromkeys(
+        (b"u001", b"u002", b"u003"), SilentAcker()))
+    with pytest.raises(TriggerNotMet):
+        eco.divide_chain(b"root", initiator=b"u000")
+    _join_validators(eco, (b"u004", b"u005"), SilentAcker())
+    return eco
+
+
+@pytest.mark.parametrize("failed_attempt",
+                         [_after_unknown_initiator, _after_trigger_not_met],
+                         ids=["unknown-initiator", "trigger"])
+def test_a_retry_reports_its_own_failure_not_an_earlier_attempts(
+        failed_attempt):
+    # the retry is a valid request that only u000 acks
+    eco = failed_attempt()
+    with pytest.raises(NoQuorum):
+        eco.divide_chain(b"root", initiator=b"u000")
 
 
 def test_badsig_ackers_do_not_count():
@@ -435,15 +493,15 @@ def test_ack_signer_is_checked_against_the_config_on_every_delivery():
     eco = build_eco(n=4)
     eco.register_user(b"u050", Role.VALIDATOR)
     sim = eco.chains[b"root"]
-    req = DivideRequest(b"root", b"u000", 0, sim.ledger[0].digest)
+    req = sim.start_division(b"u000")
     ack = AckMsg(req, b"u050",
                  eco.scheme.sign(eco.users[b"u050"].public_key,
                                  req.statement))
     sim.on_ack(b"u001", ack, 0)
-    assert sim.runtimes[b"u001"].division.acks == {}
+    assert b"u001" not in sim.division.acks
     eco.join_chain(b"u050", b"root")
     sim.on_ack(b"u001", ack, 0)
-    assert sim.runtimes[b"u001"].division.acks == {b"u050": ack.signature}
+    assert sim.division.acks[b"u001"] == {b"u050": ack.signature}
 
 
 def test_crashed_validators_never_ack():
