@@ -132,15 +132,19 @@ def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
     commits when it holds >= quorum valid signatures from distinct
     validators over the candidate's commit statement.
 
-    A recipient's count is the uniform votes plus its hooked matches, and
-    the hooked term is never negative. So once the uniform votes reach
-    quorum, every recipient commits and no hook is called: the round costs
-    O(n) then, and O(n + b*n) for b hooked voters otherwise. A hook must
-    therefore be deterministic and have no side effect that matters. Were
-    the round to report, per recipient, any digest that holds a quorum,
-    this shortcut would stay exact only with fewer than ``quorum`` hooked
-    voters, since they alone could then give a recipient a conflicting
-    quorum.
+    Voters are asked in ``validators`` order, each at most once. A
+    recipient's count is the uniform votes plus its hooked matches, and the
+    hooked term is never negative. So the round stops as soon as the valid
+    uniform votes reach quorum: every recipient commits, no later voter is
+    asked (so none signs or is verified), and no hook is called. An
+    all-correct round then asks only the first ``quorum`` voters; a round
+    whose valid uniform votes stay below quorum asks every voter and costs
+    O(n + b*n) for b hooked voters. A hook must therefore be
+    deterministic and have no side effect that matters, and ``vote_of``
+    must not be relied on to run for every voter. Were the round to report,
+    per recipient, any digest that holds a quorum, this stop would stay
+    exact only while fewer than ``quorum`` voters are hooked, since they
+    alone could then give a recipient a conflicting quorum.
     """
     statement = commit_statement(chain, candidate.digest, candidate.height)
     checked = {}  # (voter, sig) -> bool; a hooked voter may repeat a vote
@@ -160,10 +164,12 @@ def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
         vote, hook = vote_of(voter)
         if hook is None:
             uniform += counts(voter, vote)
+            if uniform >= quorum:
+                return dict.fromkeys(validators, True)
         else:
             hooked.append((voter, hook))
-    if not hooked or uniform >= quorum:
-        return dict.fromkeys(validators, uniform >= quorum)
+    if not hooked:
+        return dict.fromkeys(validators, False)
     return {recipient: uniform + sum(counts(voter, hook(recipient))
                                      for voter, hook in hooked) >= quorum
             for recipient in validators}

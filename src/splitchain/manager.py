@@ -229,10 +229,9 @@ class ChainSim:
             state = apply_transaction(state, tx, scheme=self.eco.scheme)
         candidate = make_block(len(self.ledger), self.ledger[-1].digest, txs)
         request = VoteRequest(self.chain_id, candidate)
-        votes = {v: self.eco.respond(v, request) for v in self.validators}
         outcome = run_commit_round(
             self.chain_id, candidate, self.validators, self.quorum,
-            self.eco.verify, votes.__getitem__)
+            self.eco.verify, partial(self.eco.respond, request=request))
         correct = self.correct_validators()
         if not any(outcome[v] for v in correct):
             self.eco._log(f"stall chain={_name(self.chain_id)} "

@@ -158,6 +158,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
     spec = ScenarioSpec()
     section = None  # (name, object); the object is None for [faults]
     seen_chains = set()
+    assigned = {}  # (id of section object, key) -> line; [faults] user -> line
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -204,6 +205,12 @@ def parse_scenario(text: str) -> ScenarioSpec:
             raise ConfigError(f"{key!r} appears before any section", lineno)
 
         kind, obj = section
+        slot = key if kind == "faults" else (id(obj), key)
+        if slot in assigned:
+            what = "fault for" if kind == "faults" else f"[{kind}] key"
+            raise ConfigError(f"second {what} {key!r} (first on line"
+                              f" {assigned[slot]})", lineno)
+        assigned[slot] = lineno
         if kind != "faults":
             parser = _KEYS[kind].get(key)
             if parser is None:
@@ -222,6 +229,9 @@ def parse_scenario(text: str) -> ScenarioSpec:
                     lineno)
             at = _parse_int(parts[1], lineno, "crash time") if len(
                 parts) > 1 else 0
+            if at < 0:
+                raise ConfigError(f"crash time must be >= 0, got {at}",
+                                  lineno)
             spec.faults.append(FaultLine(lineno, key, "crash", at_time=at))
         elif len(parts) != 2:
             raise ConfigError("byzantine fault needs a strategy name", lineno)

@@ -152,6 +152,12 @@ def test_simulate_malformed_scenario_exit_2(tmp_path, capsys):
     ("[chain a]\nvalidators = 4\n[chain b]\nvalidators = 4\n"
      "[fuse]\nat = -3\nleft = a\nright = b\n",
      "line 5: [fuse] at must be >= 0"),
+    ("[chain a]\nvalidators = 4\n[faults]\na-v001 = crash -4\n",
+     "line 4: crash time must be >= 0"),
+    ("[chain a]\nvalidators = 4\nvalidators = 6\n",
+     "line 3: second [chain] key 'validators'"),
+    ("[chain a]\nvalidators = 4\n[faults]\na-v001 = crash\n"
+     "a-v001 = byzantine withhold\n", "line 5: second fault for 'a-v001'"),
 ])
 def test_simulate_rejects_unrunnable_settings_exit_2(tmp_path, capsys,
                                                      source, fragment):

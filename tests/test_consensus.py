@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitchain.consensus import (
@@ -258,14 +258,10 @@ def test_equivocator_cannot_split_correct_nodes(setup):
 BEHAVIOURS = ("honest", "crashed", "withhold", "badsig", "equivocate")
 
 
-@settings(max_examples=150, deadline=None)
-@given(behaviours=st.lists(st.sampled_from(BEHAVIOURS), min_size=1,
-                           max_size=12),
-       alpha=st.sampled_from((Fraction(1, 3), Fraction(1, 2))))
-def test_commit_round_matches_per_pair_reference(behaviours, alpha):
-    """Counting uniform votes once and hooked votes per recipient gives the
-    same outcome as asking every (voter, recipient) pair, for any mix of
-    honest, crashed and Byzantine voters."""
+def ecosystem_round(behaviours, alpha):
+    """A chain of validators v00, v01, ... behaving as listed, a candidate
+    block and the round arguments; vote_of asks the ecosystem's responder.
+    A "forged" voter is uniform but its signature does not verify."""
     eco = Ecosystem(seed=len(behaviours))
     validators = [b"v%02d" % i for i in range(len(behaviours))]
     for v, behaviour in zip(validators, behaviours):
@@ -278,13 +274,66 @@ def test_commit_round_matches_per_pair_reference(behaviours, alpha):
                            n_max=max(2, len(validators)))
     candidate = make_block(1, sim.ledger[-1].digest, [])
     request = VoteRequest(b"c", candidate)
+    forged = {v for v, b in zip(validators, behaviours) if b == "forged"}
 
     def vote_of(voter):
+        if voter in forged:
+            return (candidate.digest, b"\x00" * 32), None
         return eco.respond(voter, request)
 
-    args = (b"c", candidate, sim.validators, sim.quorum, eco.verify, vote_of)
+    return (b"c", candidate, sim.validators, sim.quorum, eco.verify, vote_of)
+
+
+@settings(max_examples=150, deadline=None)
+@given(behaviours=st.lists(st.sampled_from(BEHAVIOURS), min_size=1,
+                           max_size=12),
+       alpha=st.sampled_from((Fraction(1, 3), Fraction(1, 2))))
+def test_commit_round_matches_per_pair_reference(behaviours, alpha):
+    """Counting uniform votes once and hooked votes per recipient gives the
+    same outcome as asking every (voter, recipient) pair, for any mix of
+    honest, crashed and Byzantine voters."""
+    args = ecosystem_round(behaviours, alpha)
+    quorum = args[3]
     outcome = run_commit_round(*args)
     assert outcome == reference_commit_round(*args)
     if "equivocate" not in behaviours:  # only honest votes count, everywhere
-        assert set(outcome.values()) == {
-            behaviours.count("honest") >= sim.quorum}
+        assert set(outcome.values()) == {behaviours.count("honest") >= quorum}
+
+
+@settings(max_examples=200, deadline=None)
+@given(behaviours=st.lists(st.sampled_from(BEHAVIOURS + ("forged",)),
+                           min_size=1, max_size=12),
+       alpha=st.sampled_from((Fraction(1, 3), Fraction(1, 2))))
+@example(behaviours=["equivocate", "badsig", "honest", "crashed", "honest",
+                     "withhold", "honest", "honest"], alpha=Fraction(1, 2))
+@example(behaviours=["forged", "equivocate", "honest", "honest", "honest",
+                     "forged"], alpha=Fraction(1, 3))
+def test_commit_round_stops_at_the_qth_valid_uniform_vote(behaviours, alpha):
+    """Voters are asked in validator order, each once, and the round stops
+    right after the q-th valid uniform vote: no later voter is asked and
+    no hook is called, even for hooked voters placed before it. When valid
+    uniform votes stay below q, every voter is asked."""
+    *head, vote_of = ecosystem_round(behaviours, alpha)
+    validators, quorum = head[2], head[3]
+    asked, hooks_called = [], []
+
+    def counting_vote_of(voter):
+        asked.append(voter)
+        vote, hook = vote_of(voter)
+        if hook is None:
+            return vote, None
+
+        def counting_hook(recipient):
+            hooks_called.append((voter, recipient))
+            return hook(recipient)
+        return vote, counting_hook
+
+    outcome = run_commit_round(*head, counting_vote_of)
+    assert outcome == reference_commit_round(*head, vote_of)
+    honest_at = [i for i, b in enumerate(behaviours) if b == "honest"]
+    if len(honest_at) >= quorum:
+        assert asked == list(validators[:honest_at[quorum - 1] + 1])
+        assert hooks_called == []
+        assert all(outcome.values())
+    else:
+        assert asked == list(validators)

@@ -42,12 +42,14 @@ THIRD = Fraction(1, 3)
 
 
 class CountingScheme(SignatureScheme):
-    """Signature scheme that counts sign calls per key and verify calls."""
+    """Signature scheme that counts sign and verify calls per key, and
+    verify calls in all."""
 
     def __init__(self, seed=0):
         super().__init__(seed)
         self.signs = Counter()  # public key -> sign calls
         self.verifies = 0
+        self.verified = Counter()  # public key -> verify calls
 
     def sign(self, public_key, message):
         self.signs[public_key] += 1
@@ -55,6 +57,7 @@ class CountingScheme(SignatureScheme):
 
     def verify(self, public_key, message, signature):
         self.verifies += 1
+        self.verified[public_key] += 1
         return super().verify(public_key, message, signature)
 
 
@@ -175,16 +178,25 @@ def test_commit_stalls_with_two_crashes_of_four():
     assert eco.scheme.verifies == 2
 
 
-def test_all_honest_commit_signs_and_verifies_once_per_voter():
-    for n in (1, 4, 10):
+def test_all_honest_commit_signs_and_verifies_only_the_first_quorum():
+    # voters are asked in validator order until q valid votes are in, so
+    # exactly the first q live validators sign once and are verified once;
+    # crashed ones among them make the round ask further (n=10, q=5: u000,
+    # u002 and u004-u006 sign, u007-u009 are not asked)
+    for n, crashed in ((1, ()), (4, ()), (10, ()), (4, (b"u000",)),
+                       (10, (b"u001", b"u003"))):
         eco = build_eco(n=n, n_max=16, counting=True)
+        for v in crashed:
+            eco.crash_user(v)
         eco.register_user(b"u100", Role.CLIENT)
         eco.scheme.signs.clear()
         eco.join_chain(b"u100", b"root", role=Role.CLIENT)
-        validators = eco.chains[b"root"].validators
-        assert eco.scheme.signs == Counter(
-            {eco.users[v].public_key: 1 for v in validators}), n
-        assert eco.scheme.verifies == n
+        sim = eco.chains[b"root"]
+        live = [v for v in sim.validators if v not in crashed]
+        first = Counter({eco.users[v].public_key: 1
+                         for v in live[:sim.quorum]})
+        assert eco.scheme.signs == first, (n, crashed)
+        assert eco.scheme.verified == first, (n, crashed)
 
 
 def crash_honest_beyond(eco, sim, live, byzantine):

@@ -137,6 +137,17 @@ a-v002 = byzantine withhold
      "horizon must be >= 0"),
     ("[chain a]\n[chain b]\n[fuse]\nat = -3\nleft = a\nright = b", 3,
      "[fuse] at must be >= 0"),
+    ("[chain a]\nvalidators = 4\nvalidators = 6", 3,
+     "second [chain] key 'validators' (first on line 2)"),
+    ("[scenario]\nseed = 1\n[chain a]\n[scenario]\nseed = 2", 5,
+     "second [scenario] key 'seed' (first on line 2)"),
+    ("[chain a]\nvalidators = 4\n[faults]\na-v001 = crash\n"
+     "a-v001 = byzantine withhold", 5,
+     "second fault for 'a-v001' (first on line 4)"),
+    ("[chain a]\nvalidators = 4\n[faults]\na-v001 = crash 3\n[faults]\n"
+     "a-v001 = crash 5", 6, "second fault for 'a-v001' (first on line 4)"),
+    ("[chain a]\nvalidators = 4\n[faults]\na-v001 = crash -4", 4,
+     "crash time must be >= 0, got -4"),
 ], ids=lambda v: repr(v)[:40])
 def test_parse_errors_carry_line_numbers(source, lineno, fragment):
     with pytest.raises(ConfigError) as err:
@@ -402,22 +413,22 @@ PINNED = {
         "030c4f3381317f9ea01171f7e3397902509f40e0e115445f8d1ef191bf92cc31",
         "de5bfaab1316d9e2bffb396011a4e06c030e2ab504e281da96f8113242fdb8b1",
         "98d9a320db3c89fb68a75b9b9160f2d40bb7092a23c577ee9ba8a279bb29df1c",
-        0, 1155, 1085, 2940),
+        0, 665, 595, 2940),
     (FIGURE1, 1): (
         "fbf07d327f75af138c2f9a89d1bf394f56b9114fbef21e8a52f3eaffd891b5ab",
         "de5bfaab1316d9e2bffb396011a4e06c030e2ab504e281da96f8113242fdb8b1",
         "7ded2e4adccfbb2085f62da5f049083f2d516bc082b041155514ebcc3366362d",
-        0, 1155, 1085, 2940),
+        0, 665, 595, 2940),
     (FIGURE1, 2): (
         "fadf163347b149bb5ce83f5496d3b120db219e5bb7e766d7e18fc0faee3636e8",
         "de5bfaab1316d9e2bffb396011a4e06c030e2ab504e281da96f8113242fdb8b1",
         "33d1de6df2a81955c56550cd61469a1a412164e34924564282dbaa366ad515ae",
-        0, 1155, 1085, 2940),
+        0, 665, 595, 2940),
     (ADVERSARIAL, 0): (
         "aaab55c0177290a260c0470d7936461ff5817e6a629c06f762a8839b5f672037",
         "23177ac0ecc72be75556a2571b6d143ea4a177ab4898c133ca80d0bc69b6075b",
         "11360f891f63869a329e557baf3a3eb0fe60058d6d33cd65b56f0da1fc959c97",
-        44, 4032, 4017, 6624),
+        44, 2937, 2922, 6624),
 }
 
 COUNTED = ((SignatureScheme, "sign"), (SignatureScheme, "verify"),
