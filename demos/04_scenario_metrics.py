@@ -35,10 +35,10 @@ def main() -> None:
     print("\nrebalancing at each division"
           " (beta_div vs (beta_birth + beta_join)/2):")
     beta_join = Fraction(1, 5)
-    for d in report.doublings:
+    for d in report.divisions:
         predicted = (d.beta_birth + beta_join) / 2
         mark = "=" if d.beta_division == predicted else "!"
-        print(f"  {d.chain_id.decode():12s} birth {str(d.beta_birth):>5}"
+        print(f"  {d.parent.decode():12s} birth {str(d.beta_birth):>5}"
               f" -> division {str(d.beta_division):>5}"
               f"  predicted {str(predicted):>5}  [{mark}]")
 

@@ -166,13 +166,34 @@ class CertRequest:
 
 @dataclass(frozen=True)
 class DivisionRecord:
-    """Harness bookkeeping for one completed division."""
+    """The only record of one completed division: the parent's size and
+    faulty count at birth (its genesis founders) and at division, and its
+    children. Validators only join, so n - n_birth of them joined since
+    birth, f - f_birth of those faulty."""
 
     tick: int
     parent: ChainId
+    n_birth: int
+    f_birth: int
     n: int
     f: int
     children: tuple  # ((chain_id, n_i, f_i, violated), (chain_id, n_i, f_i, violated))
+
+    @property
+    def joined(self) -> int:
+        return self.n - self.n_birth
+
+    @property
+    def joined_faulty(self) -> int:
+        return self.f - self.f_birth
+
+    @property
+    def beta_birth(self) -> Fraction:
+        return Fraction(self.f_birth, self.n_birth)
+
+    @property
+    def beta_division(self) -> Fraction:
+        return Fraction(self.f, self.n)
 
     @property
     def any_violation(self) -> bool:
@@ -188,6 +209,8 @@ class ChainSim:
         self.ledger = list(ledger)
         self.state = model.replay(self.ledger)
         self.chain_id = self.state.config.chain
+        # the validators its genesis block installed
+        self.founders = self.ledger[0].transactions[0].payload.config.validators
         self.halted = False
         # validator -> height of the last block it committed
         self.committed = dict.fromkeys(self.state.config.validators,
@@ -417,7 +440,6 @@ class Ecosystem:
         self.join_policy = join_policy  # callable(user, chain_id) -> bool
         self.faulty: set = set()  # harness-side flags, dormant or active
         self.divisions: list[DivisionRecord] = []
-        self.violations: list[str] = []
         self.events: list[str] = []
         # freshness tags handed out per verifying chain, keyed (chain, nonce)
         self.issued_tags: dict = {}
@@ -526,7 +548,9 @@ class Ecosystem:
         for child in children:
             self._check_id_free(child)
         sim.start_division(initiator)
-        self.network.run_until_idle()
+        n = len(sim.validators)
+        # a DIVIDE to each validator, then at most n acks from each
+        self.network.run_until_idle(n + n * n)
         if all(c in self.chains for c in children):
             return self.chains[children[0]], self.chains[children[1]]
         reasons = set(sim.division.rejections.values())
@@ -692,14 +716,12 @@ class Ecosystem:
             f_i = self.chain_fault_count(sim)
             alpha = sim.config.consensus.alpha
             violated = f_i * alpha.denominator >= alpha.numerator * n_i
-            if violated:
-                self.violations.append(
-                    f"[{now}] chain={_name(cid)} f={f_i} n={n_i} "
-                    f"alpha={alpha} breached at division")
             children.append((cid, n_i, f_i, violated))
+        founders = parent.founders
         self.divisions.append(DivisionRecord(
-            now, parent.chain_id, len(parent.validators), f_parent,
-            tuple(children)))
+            now, parent.chain_id, len(founders),
+            sum(v in self.faulty for v in founders), len(parent.validators),
+            f_parent, tuple(children)))
         self._log(f"divide parent={_name(parent.chain_id)} "
                   f"n={len(parent.validators)} f={f_parent} -> "
                   + ", ".join(f"{_name(c)}(n={n},f={f})"

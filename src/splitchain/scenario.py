@@ -333,27 +333,6 @@ def lineage_csv(rows) -> str:
 
 
 @dataclass(frozen=True)
-class DoublingRow:
-    """Fault bookkeeping for one grow-to-trigger cycle of a chain."""
-
-    chain_id: bytes
-    n_birth: int
-    f_birth: int
-    n_division: int
-    f_division: int
-    joined: int
-    joined_faulty: int
-
-    @property
-    def beta_birth(self) -> Fraction:
-        return Fraction(self.f_birth, self.n_birth)
-
-    @property
-    def beta_division(self) -> Fraction:
-        return Fraction(self.f_division, self.n_division)
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     """Everything a scenario run produced, as immutable values."""
 
@@ -361,12 +340,15 @@ class MetricsReport:
     lineage: tuple  # rows matching LINEAGE_HEADER
     events: tuple  # human-readable log lines
     divisions: tuple  # manager.DivisionRecord per completed division
-    doublings: tuple  # DoublingRow per division of a grown chain
-    bound_violations: tuple  # children born with f_i >= alpha * n_i
     safety_violations: tuple  # observed divergence among correct validators
     messages_total: int
     final_chains: tuple  # (chain_id, n, f) at end of run
     stalled: str | None = None  # why the run stopped: a chain lost quorum
+
+    @property
+    def bound_violations(self) -> tuple:
+        """The children entries of `divisions` born with f_i >= alpha * n_i."""
+        return tuple(c for d in self.divisions for c in d.children if c[3])
 
     def metrics_csv(self) -> str:
         lines = [",".join(METRICS_HEADER)]
@@ -392,11 +374,11 @@ class _Driver:
                              lookback=spec.lookback,
                              assignment_scheme=spec.assignment)
         self.metrics = []
-        self.doublings = []
         self.safety_violations = []
         self.stalled = None
         self.arrival_idx = 0
-        # per-chain growth bookkeeping: birth size/faults, arrivals since
+        # chain -> faulty positions in its current block of arrivals; a
+        # divided or fused chain's entry is never read again
         self.meta = {}
         # round-robin order: a chain re-enters at the back after each turn,
         # and its children take over its membership when it divides
@@ -427,7 +409,7 @@ class _Driver:
             sim = self.eco.create_chain(
                 cs.name.encode(), validators, clients, alpha=cs.alpha,
                 kind=cs.kind, n_max=cs.n_max, initial_assets=assets)
-            self._register_birth(sim.chain_id)
+            self.rotation.append(sim.chain_id)
 
     def apply_faults(self) -> None:
         for fault in self.spec.faults:
@@ -442,17 +424,6 @@ class _Driver:
                     self.eco.mark_byzantine(user, fault.strategy)
                 except ValueError as exc:
                     raise ConfigError(str(exc), fault.line) from None
-
-    def _register_birth(self, chain_id: bytes) -> None:
-        sim = self.eco.chains[chain_id]
-        self.meta[chain_id] = {
-            "n_birth": len(sim.validators),
-            "f_birth": self.eco.chain_fault_count(sim),
-            "joined": 0,
-            "joined_faulty": 0,
-            "faulty_positions": set(),
-        }
-        self.rotation.append(chain_id)
 
     # -- actions --
 
@@ -480,20 +451,17 @@ class _Driver:
         uid = b"join-%04d" % self.arrival_idx
         target = self._next_target()
         self.arrival_idx += 1
-        meta = self.meta[target.chain_id]
-        pos = meta["joined"] % join.block
+        block_idx, pos = divmod(
+            len(target.validators) - len(target.founders), join.block)
         if pos == 0:
             per_block = int(join.beta * join.block)
-            block_idx = meta["joined"] // join.block
             rng = derive_rng("join-faulty", self.seed, target.chain_id,
                              block_idx)
-            meta["faulty_positions"] = set(
+            self.meta[target.chain_id] = set(
                 rng.sample(range(join.block), per_block))
-        faulty = pos in meta["faulty_positions"]
+        faulty = pos in self.meta[target.chain_id]
         self.eco.register_user(uid, Role.VALIDATOR, faulty=faulty)
         self.eco.join_chain(uid, target.chain_id)
-        meta["joined"] += 1
-        meta["joined_faulty"] += faulty
         self._maybe_divide(target.chain_id)
         if target.chain_id in self.eco.chains:  # still live: next turn later
             self.rotation.append(target.chain_id)
@@ -503,7 +471,6 @@ class _Driver:
         if (sim is None or chain_id in self.undividable
                 or len(sim.validators) < sim.config.n_max):
             return
-        meta = self.meta[chain_id]
         network = self.eco.network
         initiator = next((v for v in sim.validators
                           if not network.nodes[v].crashed(network.now)), None)
@@ -511,10 +478,6 @@ class _Driver:
             self.eco._log(f"chain {_name(chain_id)} at trigger but every"
                           f" validator is crashed; skipping division")
             return
-        row = DoublingRow(
-            chain_id, meta["n_birth"], meta["f_birth"],
-            len(sim.validators), self.eco.chain_fault_count(sim),
-            meta["joined"], meta["joined_faulty"])
         try:
             children = self.eco.divide_chain(chain_id, initiator=initiator)
         except (TriggerNotMet, NoQuorum, DuplicateChainId) as exc:
@@ -522,10 +485,7 @@ class _Driver:
             if isinstance(exc, DuplicateChainId):  # ids are never freed
                 self.undividable.add(chain_id)
             return
-        self.doublings.append(row)  # one row per division that happened
-        del self.meta[chain_id]
-        for child in children:
-            self._register_birth(child.chain_id)
+        self.rotation.extend(child.chain_id for child in children)
 
     def fuse(self, fuse: FuseSpec) -> None:
         left, right = fuse.left.encode(), fuse.right.encode()
@@ -539,9 +499,7 @@ class _Driver:
         except (NoQuorum, DuplicateChainId) as exc:  # chains untouched
             self.eco._log(f"fusion {fuse.left}+{fuse.right} failed: {exc}")
             return
-        for cid in (left, right):
-            self.meta.pop(cid, None)
-        self._register_birth(merged.chain_id)
+        self.rotation.append(merged.chain_id)
         self._maybe_divide(merged.chain_id)
 
     # -- main loop --
@@ -589,8 +547,6 @@ class _Driver:
             lineage=lineage_table(self.eco),
             events=tuple(self.eco.events),
             divisions=tuple(self.eco.divisions),
-            doublings=tuple(self.doublings),
-            bound_violations=tuple(self.eco.violations),
             safety_violations=tuple(self.safety_violations),
             messages_total=self.eco.network.messages_sent,
             final_chains=final,

@@ -421,10 +421,15 @@ def _signed(eco, user: UserId, kind: TxKind, payload) -> Transaction:
 
 
 def _find_asset_chain(eco, asset_id: bytes):
-    for sim in eco.chains.values():
-        if asset_id in sim.state.assets:
-            return sim
-    raise UnknownAsset(f"asset {asset_id!r} not found on any live chain")
+    """The live chain whose copy of the asset is unlocked, else the first
+    holder. Between claim and resolve the target holds the new owner's
+    copy while the source still holds the locked one."""
+    holders = [sim for sim in eco.chains.values()
+               if asset_id in sim.state.assets]
+    if not holders:
+        raise UnknownAsset(f"asset {asset_id!r} not found on any live chain")
+    return next((sim for sim in holders
+                 if not sim.state.assets[asset_id].locked), holders[0])
 
 
 def toa_lock(eco, owner: UserId, asset_id: bytes, target_addr: UserId,

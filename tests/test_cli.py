@@ -181,7 +181,6 @@ def test_simulate_exit_3_on_observed_violation(tmp_path, capsys, monkeypatch):
     scenario = tmp_path / "grow.mit"
     scenario.write_text(GROW)
     report = MetricsReport(metrics=[], lineage=[], events=[], divisions=[],
-                           doublings=[], bound_violations=[],
                            safety_violations=["divergence on root"],
                            messages_total=0, final_chains=[])
     monkeypatch.setattr(cli, "run_scenario", lambda spec, seed=None: report)

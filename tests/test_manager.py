@@ -33,7 +33,7 @@ from splitchain.model import (
     make_block,
     replay,
 )
-from splitchain.netsim import Equivocate
+from splitchain.netsim import Equivocate, Network
 
 from helpers import reference_commit_round
 
@@ -307,6 +307,15 @@ def test_division_message_count_is_n_plus_n_squared():
         # each distinct ack signature is checked at most once (receivers
         # stop once the division completes)
         assert eco.scheme.verifies <= n, n
+
+
+def test_division_budget_is_the_rounds_own_bound(monkeypatch):
+    # a round delivers n + n^2 messages, whatever the default budget is
+    monkeypatch.setattr(Network.run_until_idle, "__defaults__", (100,))
+    eco = build_eco(n=10)
+    c1, c2 = eco.divide_chain(b"root")
+    assert eco.network.messages_sent == 10 + 10 * 10
+    assert len(c1.validators) + len(c2.validators) == 10
 
 
 def test_division_partitions_state():

@@ -183,9 +183,30 @@ n_max = 20
     assert len(report.divisions) == 1
     assert [(cid, n) for cid, n, _ in report.final_chains] == [
         (b"root.1", 10), (b"root.2", 10)]
-    assert report.doublings[0].n_division == 20
-    assert report.doublings[0].joined == 0
+    assert report.divisions[0].n == 20
+    assert report.divisions[0].joined == 0
     assert [r[1] for r in report.metrics] == ["root.1", "root.2"]
+
+
+def test_division_record_counts_founders_faulted_in_the_fault_plan():
+    # the crash is applied after the chain is created, yet a-v001 is a
+    # faulty founder: f_birth counts it, and the honest joins add none
+    report = run_scenario("""
+[chain a]
+validators = 4
+n_max = 8
+
+[join]
+arrivals = 4
+beta = 0
+
+[faults]
+a-v001 = crash 100
+""")
+    (record,) = report.divisions
+    assert (record.n_birth, record.f_birth) == (4, 1)
+    assert (record.joined, record.joined_faulty) == (4, 0)
+    assert record.f == record.f_birth + record.joined_faulty == 1
 
 
 def test_metrics_rows_track_growth():
@@ -208,7 +229,7 @@ def test_rebalancing_identity_exact_across_generations():
         assert len(report.final_chains) == 8
         assert all(n == 10 for _, n, _ in report.final_chains)
         beta_join = Fraction(1, 5)
-        for d in report.doublings:
+        for d in report.divisions:
             assert d.joined == 10 and d.joined_faulty == 2
             assert d.beta_division == (d.beta_birth + beta_join) / 2
 
@@ -360,7 +381,7 @@ def test_division_into_a_taken_child_id_is_logged_and_both_chains_stay():
     assert report.stalled is None and not report.safety_violations
 
 
-def test_failed_division_adds_no_doubling_row():
+def test_failed_division_adds_no_division_record():
     # a taken child id is never freed, so later arrivals to a do not retry
     report = run_scenario(DIVIDE_INTO_TAKEN_CHILD + """
 [join]
@@ -369,7 +390,7 @@ target = smallest
 """)
     failed = [e for e in report.events if "division of a failed" in e]
     assert len(failed) == 1
-    assert not report.divisions and report.doublings == ()
+    assert not report.divisions
 
 
 def test_unknown_fault_user_is_a_config_error():

@@ -291,6 +291,18 @@ def test_lock_claim_resolve_moves_the_asset():
     assert replay(src.ledger).digest() == src.state.digest()
 
 
+def test_new_owner_can_lock_a_claimed_asset_before_resolve():
+    eco = two_chain_eco()
+    lock = toa_lock(eco, b"alice", b"coin", b"bob", b"dst")
+    toa_claim(eco, b"bob", b"dst", lock)
+    # src still holds alice's locked copy; bob's unlocked copy is on dst
+    back = toa_lock(eco, b"bob", b"coin", b"alice", b"src")
+    assert back.attesting_chain == b"dst"
+    dst = eco.chains[b"dst"]
+    assert dst.state.assets[b"coin"].lock_target == (b"src", b"alice")
+    assert eco.chains[b"src"].state.assets[b"coin"].owner == b"alice"
+
+
 def test_lock_errors():
     eco = two_chain_eco()
     with pytest.raises(UnknownAsset):
