@@ -68,16 +68,6 @@ def _hypergeom_mass(p: HypergeomParams, event) -> Fraction:
     return Fraction(total, math.comb(p.N, p.n))
 
 
-def hypergeom_upper_tail(p: HypergeomParams, threshold: Fraction) -> Fraction:
-    """P(X >= threshold), boundary included, by exact summation."""
-    return _hypergeom_mass(p, lambda k: k >= threshold)
-
-
-def hypergeom_lower_tail(p: HypergeomParams, threshold: Fraction) -> Fraction:
-    """P(X <= threshold), boundary included, by exact summation."""
-    return _hypergeom_mass(p, lambda k: k <= threshold)
-
-
 @dataclass(frozen=True)
 class TailBound:
     """Closed-form tail bound value plus a validity-condition flag."""
@@ -127,17 +117,6 @@ class DivisionAnalysisParams:
         """Security breaks when f_i >= alpha * n_i (exact rational compare)."""
         a = self.alpha
         return faulty_in_child * a.denominator >= a.numerator * self.half
-
-
-def violation_tails(d: DivisionAnalysisParams) -> tuple:
-    """(P(f1 >= alpha n/2), P(f1 <= f - alpha n/2)) as exact rationals.
-
-    The two terms are the child-1 and child-2 breach probabilities; by
-    exchangeability of the split they are always equal.
-    """
-    h = HypergeomParams(d.n, d.f, d.half)
-    return (_hypergeom_mass(h, d.child_violates),
-            _hypergeom_mass(h, lambda k: d.child_violates(d.f - k)))
 
 
 def violation_probability_exact(d: DivisionAnalysisParams) -> Fraction:

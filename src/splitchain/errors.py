@@ -53,10 +53,6 @@ class DuplicateChainId(SplitchainError):
     pass
 
 
-class PolicyRejected(SplitchainError):
-    pass
-
-
 class AlreadyMember(SplitchainError):
     pass
 

@@ -35,7 +35,6 @@ from .errors import (
     AssetIdCollision,
     DuplicateChainId,
     NoQuorum,
-    PolicyRejected,
     SplitchainError,
     Stalled,
     StateDivergence,
@@ -95,7 +94,6 @@ class DivisionRound:
     """
 
     request: DivideRequest
-    acked: set = field(default_factory=set)  # validators that sent their ack
     acks: dict = field(default_factory=dict)  # validator -> {signer: signature}
     assigned: set = field(default_factory=set)  # validators that reached quorum
     rejections: dict = field(default_factory=dict)  # validator -> reason
@@ -105,15 +103,16 @@ class DivisionRound:
 
 # --- signing requests ------------------------------------------------------------
 #
-# A request is what every validator is asked to sign. `honest(sign)` is the
-# answer of a correct validator; `byzantine(strategy, sign, recipient)` asks
-# a Byzantine validator's strategy what it sends to `recipient`.
-# `Ecosystem.respond` turns a request into one validator's answer.
+# A request is what every validator is asked to sign. `value` is what a
+# correct validator endorses, and `answer(value, sign)` is what goes on the
+# wire when a validator endorses `value`. `Ecosystem.respond` turns a request
+# into one validator's answer.
 
 
 @dataclass(frozen=True)
 class VoteRequest:
-    """Vote on a candidate block; answers are (digest, signature)."""
+    """Vote on a candidate block. `value` is its digest; answers are
+    (digest, signature over that digest's commit statement)."""
 
     chain: ChainId
     candidate: Block
@@ -123,45 +122,31 @@ class VoteRequest:
         return commit_statement(self.chain, self.candidate.digest,
                                 self.candidate.height)
 
-    def statement_of(self, digest) -> bytes:
+    @property
+    def value(self) -> bytes:
+        return self.candidate.digest
+
+    def answer(self, digest, sign):
         if digest == self.candidate.digest:
-            return self.statement
-        return commit_statement(self.chain, digest, self.candidate.height)
-
-    def honest(self, sign):
-        return self.candidate.digest, sign(self.statement)
-
-    def byzantine(self, strategy, sign, recipient):
-        return strategy.vote(self.candidate.digest, self.statement_of,
-                             recipient, sign)
+            return digest, sign(self.statement)
+        return digest, sign(commit_statement(self.chain, digest,
+                                             self.candidate.height))
 
 
 @dataclass(frozen=True)
-class AckRequest:
-    """Acknowledge a DIVIDE request; answers are signatures."""
+class SignRequest:
+    """Sign a statement: a division ACK, or a certificate share answered to
+    its collector (recipient None). `value` is the statement; answers are
+    signatures."""
 
     statement: bytes
 
-    def honest(self, sign):
-        return sign(self.statement)
+    @property
+    def value(self) -> bytes:
+        return self.statement
 
-    def byzantine(self, strategy, sign, recipient):
-        return strategy.division_ack(self.statement, recipient, sign)
-
-
-@dataclass(frozen=True)
-class CertRequest:
-    """Sign a certificate statement for its collector; answers are
-    signatures. Strategies answer the collector alone, so the recipient
-    is ignored."""
-
-    statement: bytes
-
-    def honest(self, sign):
-        return sign(self.statement)
-
-    def byzantine(self, strategy, sign, recipient):
-        return strategy.cert_sign(self.statement, sign)
+    def answer(self, statement, sign):
+        return sign(statement)
 
 
 @dataclass(frozen=True)
@@ -303,14 +288,11 @@ class ChainSim:
         if reason is not None:
             rnd.rejections[validator] = reason
             return
-        if validator in rnd.acked:
-            return  # duplicate DIVIDE delivery
-        rnd.acked.add(validator)
         self._broadcast_ack(validator, req)
 
     def _broadcast_ack(self, validator, req):
         network = self.eco.network
-        sig, hook = self.eco.respond(validator, AckRequest(req.statement))
+        sig, hook = self.eco.respond(validator, SignRequest(req.statement))
         if hook is None:  # one signed ack, the same for every recipient
             if sig is not None:
                 network.broadcast(validator, self.validators,
@@ -427,8 +409,7 @@ class Ecosystem:
     """Top-level simulation handle: network + accounts + live chains."""
 
     def __init__(self, seed: int = 0, d_min: int = 1, d_max: int = 1,
-                 lookback: int = 1, assignment_scheme: str = RANDOMIZED,
-                 join_policy=None):
+                 lookback: int = 1, assignment_scheme: str = RANDOMIZED):
         self.scheme = SignatureScheme(seed)
         self.network = Network(_message_handler(weakref.ref(self)),
                                seed=seed, d_min=d_min, d_max=d_max)
@@ -437,7 +418,6 @@ class Ecosystem:
         self.retired: dict[ChainId, ChainSim] = {}
         self.lookback = lookback
         self.assignment_scheme = assignment_scheme
-        self.join_policy = join_policy  # callable(user, chain_id) -> bool
         self.faulty: set = set()  # harness-side flags, dormant or active
         self.divisions: list[DivisionRecord] = []
         self.events: list[str] = []
@@ -466,10 +446,12 @@ class Ecosystem:
         """Flag an already-registered user as faulty, optionally with an
         active misbehavior strategy (a name or a strategy object).
 
-        A strategy object must be deterministic and stateless: its answer
-        may depend only on its arguments. The simulator does not ask it
-        when its answer cannot change an outcome, as in a commit round
-        whose correct votes already reach quorum."""
+        A strategy object answers every signing request through one method,
+        answer(request, recipient, sign) (see netsim). It must be
+        deterministic and stateless: its answer may depend only on its
+        arguments. The simulator does not ask it when its answer cannot
+        change an outcome, as in a commit round whose correct votes already
+        reach quorum."""
         if isinstance(strategy, str):
             strategy = make_strategy(strategy)
         if strategy is not None:
@@ -516,8 +498,6 @@ class Ecosystem:
             tx = Transaction(TxKind.REGISTER, RegisterPayload(account), user)
             sim.commit([tx])
         else:
-            if self.join_policy is not None and not self.join_policy(user, chain_id):
-                raise PolicyRejected(f"{user!r} refused by access policy")
             if user in sim.config.validators:
                 raise AlreadyMember(f"{user!r} already a validator")
             tx = Transaction(TxKind.CONFIG_UPDATE,
@@ -651,10 +631,11 @@ class Ecosystem:
     def respond(self, validator: UserId, request) -> tuple:
         """`validator`'s answer to a signing request, as (answer, hook).
 
-        A crashed validator answers None and a correct one its honest
-        answer. Both send every recipient the same answer, so hook is None.
-        A Byzantine validator's answer may differ per recipient: answer is
-        None and hook(recipient) asks its strategy, which signs with the
+        A crashed validator answers None, and a correct one endorses the
+        request's value: request.answer(request.value, sign). Both send every
+        recipient the same answer, so hook is None. A Byzantine validator's
+        answer may differ per recipient: answer is None and hook(recipient)
+        is strategy.answer(request, recipient, sign), which signs with the
         validator's own key. Tags are deterministic, so the hook signs each
         distinct message once and repeats the tag for later recipients.
         """
@@ -668,7 +649,7 @@ class Ecosystem:
 
         strategy = node.strategy
         if strategy is None:
-            return request.honest(sign), None
+            return request.answer(request.value, sign), None
         signed = {}  # message -> tag
 
         def sign_once(message):
@@ -677,12 +658,12 @@ class Ecosystem:
                 sig = signed[message] = sign(message)
             return sig
 
-        return None, partial(request.byzantine, strategy, sign_once)
+        return None, partial(strategy.answer, request, sign=sign_once)
 
     def cert_sign_fn(self, statement: bytes):
         """collect_certificate's sign_fn: each validator's response to the
-        certificate's collector."""
-        request = CertRequest(statement)
+        certificate's collector, which strategies see as recipient None."""
+        request = SignRequest(statement)
 
         def sign_fn(validator):
             sig, hook = self.respond(validator, request)

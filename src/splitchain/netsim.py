@@ -6,6 +6,15 @@ delay model and processed by tick, in send order within a tick, so a
 protocol behavior lives in the one handler the network is built with, and
 fault status (crash schedule, Byzantine strategy) is consulted by that
 handler and by the delivery loop.
+
+A Byzantine strategy has one method, ``answer(request, recipient, sign)``:
+what the node sends ``recipient`` when asked to sign ``request`` (None for
+silence), using a ``sign(message)`` closure for the node's own key. The
+request is a commit vote, a division ACK or a certificate share; a share
+goes to its collector, with recipient None. ``request.value`` is what a
+correct node endorses, and ``request.answer(value, sign)`` is what goes on
+the wire when a node endorses ``value``. The stock strategies' choices are
+deterministic functions of the recipient id, so runs stay reproducible.
 """
 
 import heapq
@@ -154,60 +163,38 @@ class Network:
 
 
 # --- stock Byzantine strategies -------------------------------------------------
-#
-# Each hook receives the honest payload plus a sign(message) closure for the
-# node's own key and returns what actually goes on the wire to `recipient`
-# (or None for silence). Corruption choices are deterministic functions of
-# the recipient id so runs stay reproducible.
 
 
-def _targets_recipient(recipient: bytes) -> bool:
-    return sha256(b"split" + recipient)[0] % 2 == 0
+def _targets_recipient(recipient: bytes | None) -> bool:
+    return recipient is None or sha256(b"split" + recipient)[0] % 2 == 0
 
 
 class Withhold:
     """Stays silent: never acks, never votes, never signs certificates."""
 
-    def division_ack(self, statement, recipient, sign):
-        return None
-
-    def vote(self, digest, statement_of, recipient, sign):
-        return None
-
-    def cert_sign(self, statement, sign):
+    def answer(self, request, recipient, sign):
         return None
 
 
 class BadSig:
-    """Responds eagerly but every signature is garbage."""
+    """Responds eagerly but every signature is garbage, a different garbage
+    tag for each recipient."""
 
-    def division_ack(self, statement, recipient, sign):
-        return sha256(b"bad" + statement)
-
-    def vote(self, digest, statement_of, recipient, sign):
-        return digest, sha256(b"bad" + digest + recipient)
-
-    def cert_sign(self, statement, sign):
-        return sha256(b"bad" + statement)
+    def answer(self, request, recipient, sign):
+        salt = recipient or b""
+        return request.answer(request.value,
+                              lambda message: sha256(b"bad" + message + salt))
 
 
 class Equivocate:
-    """Sends the honest payload to about half the peers, a conflicting one
-    to the rest."""
+    """Endorses the honest value to about half the peers and a conflicting
+    one to the rest; a certificate's collector gets the conflicting one."""
 
-    def division_ack(self, statement, recipient, sign):
+    def answer(self, request, recipient, sign):
+        value = request.value
         if _targets_recipient(recipient):
-            return sign(sha256(b"evil" + statement))
-        return sign(statement)
-
-    def vote(self, digest, statement_of, recipient, sign):
-        if _targets_recipient(recipient):
-            evil = sha256(b"evil" + digest)
-            return evil, sign(statement_of(evil))
-        return digest, sign(statement_of(digest))
-
-    def cert_sign(self, statement, sign):
-        return sign(sha256(b"evil" + statement))
+            value = sha256(b"evil" + value)
+        return request.answer(value, sign)
 
 
 STRATEGIES = {

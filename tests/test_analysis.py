@@ -14,18 +14,16 @@ from splitchain import analysis
 from splitchain.analysis import (
     DivisionAnalysisParams,
     HypergeomParams,
+    _hypergeom_mass,
     bound_validity_holds,
     default_beta_grid,
-    hypergeom_lower_tail,
     hypergeom_mean,
     hypergeom_pmf,
-    hypergeom_upper_tail,
     sweep_curves,
     tail_bound,
     violation_frequency_montecarlo,
     violation_probability_bound,
     violation_probability_exact,
-    violation_tails,
 )
 from splitchain.errors import InvalidParams
 
@@ -124,7 +122,7 @@ def test_tail_bound_dominates_exact_tail():
     p = HypergeomParams(100, 25, 50)
     t = Fraction(1, 12)
     threshold = hypergeom_mean(p) + t * p.n
-    exact = hypergeom_upper_tail(p, threshold)
+    exact = _hypergeom_mass(p, lambda k: k >= threshold)
     b = tail_bound(p, t)
     assert b.within_validity
     assert math.isclose(b.value, math.exp(-2 * (1 / 144) * 50))
@@ -135,7 +133,7 @@ def test_tail_bound_dominates_lower_tail_symmetrically():
     p = HypergeomParams(100, 25, 50)
     t = Fraction(1, 12)
     threshold = hypergeom_mean(p) - t * p.n
-    exact = hypergeom_lower_tail(p, threshold)
+    exact = _hypergeom_mass(p, lambda k: k <= threshold)
     assert float(exact) <= tail_bound(p, t).value
 
 
@@ -147,11 +145,20 @@ def test_tail_bound_flags_out_of_range_t():
 
 
 def test_upper_tail_matches_enumeration():
-    assert hypergeom_upper_tail(HypergeomParams(8, 3, 4), Fraction(2)) == \
+    assert _hypergeom_mass(HypergeomParams(8, 3, 4),
+                           lambda k: k >= Fraction(2)) == \
         enumerate_upper_tail(8, 3, 4, Fraction(2))
 
 
 # --- violation probability, exact ----------------------------------------------
+
+
+def violation_tails(d):
+    """(P(f1 >= alpha n/2), P(f1 <= f - alpha n/2)): the child-1 and child-2
+    breach probabilities, each by one pass of the exact sum."""
+    h = HypergeomParams(d.n, d.f, d.half)
+    return (_hypergeom_mass(h, d.child_violates),
+            _hypergeom_mass(h, lambda k: d.child_violates(d.f - k)))
 
 
 def test_violation_pinned_value_n10_f4_half():
@@ -250,9 +257,9 @@ def test_tails_match_per_k_reference(data):
     t = data.draw(st.fractions(min_value=-1, max_value=N + 1,
                                max_denominator=6))
     p = HypergeomParams(N, M, n)
-    assert hypergeom_upper_tail(p, t) == \
+    assert _hypergeom_mass(p, lambda k: k >= t) == \
         reference_hypergeom_mass(N, M, n, lambda k: k >= t)
-    assert hypergeom_lower_tail(p, t) == \
+    assert _hypergeom_mass(p, lambda k: k <= t) == \
         reference_hypergeom_mass(N, M, n, lambda k: k <= t)
 
 

@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from splitchain.consensus import run_commit_round
+from splitchain.consensus import commit_statement, run_commit_round
 from splitchain.crypto import SignatureScheme
 from splitchain.errors import (
     AlreadyMember,
     AssetIdCollision,
     DuplicateChainId,
     NoQuorum,
-    PolicyRejected,
     Stalled,
     TriggerNotMet,
     UnknownInitiator,
@@ -21,6 +20,7 @@ from splitchain.errors import (
 from splitchain.manager import (
     AckMsg,
     Ecosystem,
+    SignRequest,
     VoteRequest,
     child_chain_ids,
 )
@@ -32,8 +32,9 @@ from splitchain.model import (
     TxKind,
     make_block,
     replay,
+    sha256,
 )
-from splitchain.netsim import Equivocate, Network
+from splitchain.netsim import Equivocate, Network, _targets_recipient
 
 from helpers import reference_commit_round
 
@@ -147,15 +148,6 @@ def test_validator_join_recomputes_quorum():
     assert eco.chain(b"root").config is cfg
 
 
-def test_join_policy_gate():
-    eco = build_eco(n=4, n_max=8)
-    eco.join_policy = lambda user, chain: False
-    eco.register_user(b"u900", Role.VALIDATOR)
-    with pytest.raises(PolicyRejected):
-        eco.join_chain(b"u900", b"root")
-    assert len(eco.chains[b"root"].validators) == 4
-
-
 # --- commits under faults ------------------------------------------------------
 
 
@@ -252,9 +244,9 @@ class CountingEquivocator(Equivocate):
     def __init__(self):
         self.votes = 0
 
-    def vote(self, *args):
-        self.votes += 1
-        return super().vote(*args)
+    def answer(self, request, recipient, sign):
+        self.votes += isinstance(request, VoteRequest)
+        return super().answer(request, recipient, sign)
 
 
 def test_byzantine_voter_is_asked_only_when_correct_votes_fall_short():
@@ -274,6 +266,60 @@ def test_byzantine_voter_is_asked_only_when_correct_votes_fall_short():
             assert outcome == reference_commit_round(*args), (n, short)
             if not short:
                 assert all(outcome.values()), n
+
+
+class Recorder:
+    """Answers every request honestly through the one strategy method and
+    records what it was asked, as (request type, recipient)."""
+
+    def __init__(self):
+        self.asked = set()
+
+    def answer(self, request, recipient, sign):
+        self.asked.add((type(request), recipient))
+        return request.answer(request.value, sign)
+
+
+def test_one_strategy_method_answers_votes_acks_and_certificate_shares():
+    # every validator acks the DIVIDE, each child certifies its state for
+    # the fusion, and with u001 crashed the merged chain's one correct vote
+    # falls short of quorum 2, so its commit asks the recorders' hooks
+    recorder = Recorder()
+    eco = build_eco(n=4, strategies=dict.fromkeys((b"u002", b"u003"),
+                                                  recorder))
+    root = eco.chains[b"root"].validators
+    eco.divide_chain(b"root", initiator=b"u000")
+    merged = eco.fuse_chains(b"root.1", b"root.2")
+    eco.crash_user(b"u001")
+    merged.commit([])
+    assert merged.state.last_height == 1
+    assert recorder.asked == ({(SignRequest, r) for r in root}
+                              | {(SignRequest, None)}
+                              | {(VoteRequest, r) for r in merged.validators})
+
+    # Equivocate, against the formulas of its per-kind methods
+    def sign(message):
+        return b"tag:" + message
+
+    peers = [b"u%03d" % i for i in range(8)]
+    targeted = next(r for r in peers if _targets_recipient(r))
+    spared = next(r for r in peers if not _targets_recipient(r))
+    equivocate = Equivocate()
+    candidate = make_block(1, sha256(b"prev"), [])
+    digest = candidate.digest
+    evil = sha256(b"evil" + digest)
+    vote = VoteRequest(b"c", candidate)
+    assert equivocate.answer(vote, targeted, sign) == (
+        evil, sign(commit_statement(b"c", evil, 1)))
+    assert equivocate.answer(vote, spared, sign) == (
+        digest, sign(commit_statement(b"c", digest, 1)))
+    statement = b"a statement"
+    request = SignRequest(statement)
+    assert equivocate.answer(request, targeted, sign) == sign(
+        sha256(b"evil" + statement))
+    assert equivocate.answer(request, spared, sign) == sign(statement)
+    assert equivocate.answer(request, None, sign) == sign(
+        sha256(b"evil" + statement))
 
 
 # --- division: happy path ---------------------------------------------------------
@@ -440,14 +486,9 @@ def test_division_quorum_boundary_with_withholders():
 class SilentAcker:
     """Votes and signs certificates honestly but never acks a division."""
 
-    def division_ack(self, statement, recipient, sign):
-        return None
-
-    def vote(self, digest, statement_of, recipient, sign):
-        return digest, sign(statement_of(digest))
-
-    def cert_sign(self, statement, sign):
-        return sign(statement)
+    def answer(self, request, recipient, sign):
+        is_ack = isinstance(request, SignRequest) and recipient is not None
+        return None if is_ack else request.answer(request.value, sign)
 
 
 def _join_validators(eco, users, strategy=None):
