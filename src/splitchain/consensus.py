@@ -146,11 +146,26 @@ def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
     exact only while fewer than ``quorum`` voters are hooked, since they
     alone could then give a recipient a conflicting quorum.
     """
-    statement = commit_statement(chain, candidate.digest, candidate.height)
-    checked = {}  # (voter, sig) -> bool; a hooked voter may repeat a vote
+    digest = candidate.digest
+    statement = commit_statement(chain, digest, candidate.height)
+    uniform = 0
+    hooked = []
+    for voter in validators:
+        vote, hook = vote_of(voter)
+        if hook is None:  # asked once, so verified at most once
+            if (vote is not None and vote[0] == digest
+                    and verify(voter, statement, vote[1])):
+                uniform += 1
+                if uniform >= quorum:
+                    return dict.fromkeys(validators, True)
+        else:
+            hooked.append((voter, hook))
+    if not hooked:
+        return dict.fromkeys(validators, False)
+    checked = {}  # (voter, sig) -> bool; a hook may repeat a vote
 
     def counts(voter, vote) -> bool:
-        if vote is None or vote[0] != candidate.digest:
+        if vote is None or vote[0] != digest:
             return False
         key = (voter, vote[1])
         ok = checked.get(key)
@@ -158,18 +173,6 @@ def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
             ok = checked[key] = verify(voter, statement, vote[1])
         return ok
 
-    uniform = 0
-    hooked = []
-    for voter in validators:
-        vote, hook = vote_of(voter)
-        if hook is None:
-            uniform += counts(voter, vote)
-            if uniform >= quorum:
-                return dict.fromkeys(validators, True)
-        else:
-            hooked.append((voter, hook))
-    if not hooked:
-        return dict.fromkeys(validators, False)
     return {recipient: uniform + sum(counts(voter, hook(recipient))
                                      for voter, hook in hooked) >= quorum
             for recipient in validators}

@@ -22,7 +22,7 @@ for the cyclic garbage collector.
 """
 
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 
@@ -97,7 +97,9 @@ class DivisionRound:
     acks: dict = field(default_factory=dict)  # validator -> {signer: signature}
     assigned: set = field(default_factory=set)  # validators that reached quorum
     rejections: dict = field(default_factory=dict)  # validator -> reason
-    verdicts: dict = field(default_factory=dict)  # AckMsg -> verdict, shared
+    # (signer, signature) -> verdict, shared by every recipient. Exact: the
+    # round's statement is fixed and a tag's verdict is a function of it.
+    verdicts: dict = field(default_factory=dict)
     installed: tuple | None = None  # child genesis digests once installed
 
 
@@ -247,7 +249,7 @@ class ChainSim:
             raise Stalled(f"chain {self.chain_id!r}: no quorum at height "
                           f"{candidate.height}")
         self.ledger.append(candidate)
-        self.state = replace(state, last_height=candidate.height)
+        self.state = state.replace(last_height=candidate.height)
         # `correct` predates this block's config; a validator the block
         # admits gets its entry from join_chain after we return
         for v in correct:
@@ -307,26 +309,30 @@ class ChainSim:
         # acks can outrun the DIVIDE broadcast; the embedded request is
         # verified here, and the validator acks when the DIVIDE arrives
         rnd = self.division
-        if rnd.request is not ack.request and rnd.request != ack.request:
+        req = ack.request
+        if rnd.request is not req and rnd.request != req:
             return  # an earlier round's message
-        reason = self._verify_request(validator, ack.request)
+        reason = self._verify_request(validator, req)
         if reason is not None:
             rnd.rejections[validator] = reason
             return
         # checked on every delivery: the config may change mid-division
-        if ack.signer not in self.state.config.validator_set:
+        cfg = self.state.config
+        signer, sig = ack.signer, ack.signature
+        if signer not in cfg.validator_set:
             return
-        ok = rnd.verdicts.get(ack)
+        key = (signer, sig)
+        ok = rnd.verdicts.get(key)
         if ok is None:
-            ok = rnd.verdicts[ack] = self.eco.verify(
-                ack.signer, ack.request.statement, ack.signature)
+            ok = rnd.verdicts[key] = self.eco.verify(signer, req.statement,
+                                                     sig)
         if not ok:
             return
         acks = rnd.acks.get(validator)
         if acks is None:
             acks = rnd.acks[validator] = {}
-        acks[ack.signer] = ack.signature
-        if len(acks) >= self.quorum and validator not in rnd.assigned:
+        acks[signer] = sig
+        if len(acks) >= cfg.quorum and validator not in rnd.assigned:
             rnd.assigned.add(validator)
             self._complete_division(rnd, now)
 
@@ -414,6 +420,7 @@ class Ecosystem:
         self.network = Network(_message_handler(weakref.ref(self)),
                                seed=seed, d_min=d_min, d_max=d_max)
         self.users: dict[UserId, Account] = {}
+        self._signers: dict = {}  # UserId -> sign(message), see respond
         self.chains: dict[ChainId, ChainSim] = {}
         self.retired: dict[ChainId, ChainSim] = {}
         self.lookback = lookback
@@ -431,9 +438,18 @@ class Ecosystem:
                       faulty: bool = False) -> Account:
         if user in self.users:
             raise AlreadyMember(f"user {user!r} already registered")
-        account = Account(user, self.scheme.issue(user), role)
+        scheme = self.scheme
+        public_key = scheme.issue(user)
+        account = Account(user, public_key, role)
         self.users[user] = account
         self.network.add_node(user)
+
+        def sign(message):
+            # scheme.sign is looked up on each call, so a patched or
+            # subclassed SignatureScheme.sign sees every tag
+            return scheme.sign(public_key, message)
+
+        self._signers[user] = sign
         if faulty:
             self.faulty.add(user)
         return account
@@ -593,7 +609,7 @@ class Ecosystem:
     # -- harness bookkeeping ------------------------------------------------------
 
     def chain_fault_count(self, sim: ChainSim) -> int:
-        return sum(1 for v in sim.validators if v in self.faulty)
+        return len(self.faulty.intersection(sim.validators))  # distinct ids
 
     def total_value(self) -> int:
         return sum(sim.state.total_value() for sim in self.chains.values())
@@ -638,15 +654,16 @@ class Ecosystem:
         is strategy.answer(request, recipient, sign), which signs with the
         validator's own key. Tags are deterministic, so the hook signs each
         distinct message once and repeats the tag for later recipients.
+
+        `sign` is the validator's signing closure, made once by
+        register_user. It calls scheme.sign(public_key, message), looked up
+        at call time, so every tag a validator gives goes through
+        SignatureScheme.sign.
         """
         node = self.network.nodes[validator]
         if node.crashed(self.network.now):
             return None, None
-        pk = self.users[validator].public_key
-
-        def sign(message):
-            return self.scheme.sign(pk, message)
-
+        sign = self._signers[validator]
         strategy = node.strategy
         if strategy is None:
             return request.answer(request.value, sign), None

@@ -412,6 +412,15 @@ class ChainState:
     def total_value(self) -> int:
         return sum(a.value for a in self.assets.values())
 
+    def replace(self, **changes) -> "ChainState":
+        """``dataclasses.replace(self, **changes)`` without its per-call
+        field walk and ``__init__``. Exact because ChainState has no
+        ``__post_init__``: there is no check to skip. ``changes`` must name
+        fields."""
+        new = object.__new__(ChainState)
+        new.__dict__.update(self.__dict__, **changes)
+        return new
+
 
 def _check_signature(tx: Transaction, state: ChainState, scheme) -> None:
     if scheme is None:
@@ -433,9 +442,9 @@ def apply_transaction(state: ChainState, tx: Transaction, scheme=None) -> ChainS
     kind = tx.kind
     if kind == TxKind.CONFIG_UPDATE and isinstance(tx.payload, ConfigInstallPayload):
         p = tx.payload
-        return replace(state, config=p.config, parent_chain=p.parent_chain,
-                       split_height=p.split_height, side=p.side,
-                       locks=dict(p.locks), claims=dict(p.claims))
+        return state.replace(config=p.config, parent_chain=p.parent_chain,
+                             split_height=p.split_height, side=p.side,
+                             locks=dict(p.locks), claims=dict(p.claims))
 
     if kind == TxKind.REGISTER:
         p = tx.payload
@@ -448,7 +457,7 @@ def apply_transaction(state: ChainState, tx: Transaction, scheme=None) -> ChainS
                 and p.account.user not in config.clients:
             config = replace(config, clients=tuple(
                 sorted(config.clients + (p.account.user,))))
-        return replace(state, accounts=accounts, config=config)
+        return state.replace(accounts=accounts, config=config)
 
     if kind == TxKind.CONFIG_UPDATE:
         # membership-service-authorized, like registration: the joining
@@ -463,7 +472,7 @@ def apply_transaction(state: ChainState, tx: Transaction, scheme=None) -> ChainS
             validators.append(account.user)
             accounts.setdefault(account.user, account)
         config = replace(config, validators=tuple(validators))
-        return replace(state, config=config, accounts=accounts)
+        return state.replace(config=config, accounts=accounts)
 
     _check_signature(tx, state, scheme)
 
@@ -475,7 +484,7 @@ def apply_transaction(state: ChainState, tx: Transaction, scheme=None) -> ChainS
             raise UnknownUser(f"asset owner {asset.owner!r} not registered")
         assets = dict(state.assets)
         assets[asset.asset_id] = asset
-        return replace(state, assets=assets)
+        return state.replace(assets=assets)
 
     if kind == TxKind.ASSET_TRANSFER:
         p = tx.payload
@@ -490,7 +499,7 @@ def apply_transaction(state: ChainState, tx: Transaction, scheme=None) -> ChainS
             raise UnknownUser(f"recipient {p.recipient!r} not registered")
         assets = dict(state.assets)
         assets[p.asset_id] = replace(asset, owner=p.recipient)
-        return replace(state, assets=assets)
+        return state.replace(assets=assets)
 
     if kind == TxKind.LOCK:
         p = tx.payload
@@ -506,7 +515,7 @@ def apply_transaction(state: ChainState, tx: Transaction, scheme=None) -> ChainS
             asset, locked=True, lock_target=(p.target_chain, p.target_address))
         locks = dict(state.locks)
         locks[p.nonce] = p.asset_id
-        return replace(state, assets=assets, locks=locks)
+        return state.replace(assets=assets, locks=locks)
 
     if kind == TxKind.CLAIM:
         p = tx.payload
@@ -521,10 +530,10 @@ def apply_transaction(state: ChainState, tx: Transaction, scheme=None) -> ChainS
             assets = dict(state.assets)
             assets[p.asset_id] = Asset(p.asset_id, p.claimer, p.value)
             claims[p.lock_nonce] = 1
-            return replace(state, assets=assets, claims=claims)
+            return state.replace(assets=assets, claims=claims)
         # committed failure: recorded, no asset appears
         claims.setdefault(p.lock_nonce, 0)
-        return replace(state, claims=claims)
+        return state.replace(claims=claims)
 
     if kind == TxKind.RESOLVE:
         p = tx.payload
@@ -539,7 +548,7 @@ def apply_transaction(state: ChainState, tx: Transaction, scheme=None) -> ChainS
             assets[asset_id] = replace(asset, locked=False, lock_target=None)
         locks = dict(state.locks)
         del locks[p.lock_nonce]
-        return replace(state, assets=assets, locks=locks)
+        return state.replace(assets=assets, locks=locks)
 
     if kind == TxKind.PREDICATE_EVAL:
         # on-chain record of a predicate verdict; no state rules beyond inclusion
@@ -566,7 +575,7 @@ def replay(ledger, scheme=None) -> ChainState:
                 raise type(exc)(
                     f"replay failed at height {block.height}, tx {idx}: {exc}"
                 ) from exc
-        state = replace(state, last_height=block.height)
+        state = state.replace(last_height=block.height)
     return state
 
 

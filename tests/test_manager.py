@@ -566,6 +566,66 @@ def test_ack_signer_is_checked_against_the_config_on_every_delivery():
     assert sim.division.acks[b"u001"] == {b"u050": ack.signature}
 
 
+def test_ack_verdicts_are_memoised_per_round_by_signer_and_tag():
+    # n=4, quorum 2: acks from one signer never complete the division
+    eco = build_eco(n=4, counting=True)
+    sim = eco.chains[b"root"]
+    key = eco.users[b"u001"].public_key
+    req = sim.start_division(b"u000")
+    good = eco.scheme.sign(key, req.statement)
+    bad = sha256(b"garbage")
+    # equal but distinct messages, and an equal but distinct request
+    twin = type(req)(req.chain, req.initiator, req.agreed_height,
+                     req.anchor_digest)
+    for recipient, ack in ((b"u000", AckMsg(req, b"u001", good)),
+                           (b"u002", AckMsg(req, b"u001", good)),
+                           (b"u003", AckMsg(twin, b"u001", good))):
+        sim.on_ack(recipient, ack, 0)
+    assert eco.scheme.verified[key] == 1
+    assert all(sim.division.acks[r] == {b"u001": good}
+               for r in (b"u000", b"u002", b"u003"))
+    # a second tag from the same signer is verified on its own, once, and
+    # never counted
+    for recipient in (b"u001", b"u002", b"u001"):
+        sim.on_ack(recipient, AckMsg(req, b"u001", bad), 0)
+    assert eco.scheme.verified[key] == 2
+    assert b"u001" not in sim.division.acks
+    assert sim.division.acks[b"u002"] == {b"u001": good}
+    # a new round judges every tag afresh
+    req = sim.start_division(b"u000")
+    sim.on_ack(b"u000", AckMsg(req, b"u001", good), 0)
+    sim.on_ack(b"u002", AckMsg(req, b"u001", bad), 0)
+    assert eco.scheme.verified[key] == 4
+    assert sim.division.acks == {b"u000": {b"u001": good}}
+
+
+def test_every_vote_and_ack_goes_through_the_scheme_sign_of_call_time(
+        monkeypatch):
+    # SignatureScheme.sign is patched after the users are registered, as
+    # the benchmark's tracer does; a signer bound at registration would
+    # miss the patch
+    eco = build_eco(n=4)
+    signed = []
+    original = SignatureScheme.sign
+
+    def patched(scheme, public_key, message):
+        signed.append((public_key, message))
+        return original(scheme, public_key, message)
+
+    monkeypatch.setattr(SignatureScheme, "sign", patched)
+    sim = eco.chains[b"root"]
+    block = sim.commit([])
+    statement = commit_statement(b"root", block.digest, block.height)
+    first_quorum = [eco.users[v].public_key
+                    for v in sim.validators[:sim.quorum]]
+    assert signed == [(pk, statement) for pk in first_quorum]
+    del signed[:]
+    eco.divide_chain(b"root", initiator=b"u000")
+    statement = sim.division.request.statement
+    assert sorted(signed) == sorted((eco.users[v].public_key, statement)
+                                    for v in sim.validators)
+
+
 def test_crashed_validators_never_ack():
     eco = build_eco(n=4)
     eco.crash_user(b"u002")

@@ -1,5 +1,7 @@
 """Ledger structure and the pure transaction state machine."""
 
+import copy
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -24,7 +26,9 @@ from splitchain.model import (
     AssetCreatePayload,
     AssetTransferPayload,
     Block,
+    ChainState,
     ClaimPayload,
+    ConfigUpdatePayload,
     LockPayload,
     RegisterPayload,
     ResolvePayload,
@@ -322,3 +326,64 @@ def test_asset_lock_flag_consistency():
         Asset(b"x", b"u", 1, locked=False, lock_target=(b"c", b"a"))
     with pytest.raises(ValueError):
         Asset(b"x", b"u", -2)
+
+
+# --- state copies ------------------------------------------------------------------
+
+_KEYS = st.binary(min_size=1, max_size=3)
+STATE_CHANGES = {
+    "config": st.sampled_from([None, make_config(n_validators=2),
+                               make_config(chain=b"other", n_clients=1)]),
+    "accounts": st.dictionaries(_KEYS, st.builds(
+        Account, _KEYS, st.binary(max_size=4), st.sampled_from(Role)),
+        max_size=3),
+    "assets": st.dictionaries(_KEYS, st.builds(
+        Asset, _KEYS, _KEYS, st.integers(0, 99)), max_size=3),
+    "locks": st.dictionaries(_KEYS, _KEYS, max_size=3),
+    "claims": st.dictionaries(_KEYS, st.integers(0, 1), max_size=3),
+    "last_height": st.integers(-1, 10**6),
+    "parent_chain": st.one_of(st.none(), _KEYS),
+    "split_height": st.integers(0, 10**6),
+    "side": st.integers(0, 2),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(changes=st.fixed_dictionaries({}, optional=STATE_CHANGES))
+def test_state_replace_matches_dataclasses_replace(changes):
+    config = make_config(n_clients=1, assets=[Asset(b"coin-1", b"u100", 10)])
+    state = replay([build_genesis(config, make_accounts(
+        config, SignatureScheme(seed=5)))])
+    names = [f.name for f in dataclasses.fields(ChainState)]
+    before = {name: getattr(state, name) for name in names}
+    saved = {name: copy.copy(value) for name, value in before.items()}
+    new = state.replace(**changes)
+    ref = dataclasses.replace(state, **changes)
+    assert type(new) is ChainState and new is not state
+    for name in names:  # the same object in each field, as replace gives
+        assert getattr(new, name) is getattr(ref, name), name
+        assert getattr(state, name) is before[name], name
+        assert getattr(state, name) == saved[name], name
+    assert new == ref and new.digest() == ref.digest()
+    assert vars(new) == vars(ref)
+
+
+def test_config_update_adding_a_present_validator_still_raises(chain):
+    _, state = chain
+    present = state.accounts[b"u000"]
+    tx = Transaction(TxKind.CONFIG_UPDATE, ConfigUpdatePayload((present,)),
+                     b"u000")
+    with pytest.raises(AlreadyMember):
+        apply_transaction(state, tx)
+    newcomer = Account(b"u300", b"pk", Role.VALIDATOR)
+    twice = Transaction(TxKind.CONFIG_UPDATE,
+                        ConfigUpdatePayload((newcomer, newcomer)), b"u300")
+    with pytest.raises(AlreadyMember):
+        apply_transaction(state, twice)
+    # ChainConfig keeps its validating constructor on the copy path
+    with pytest.raises(ValueError, match="duplicate validator"):
+        dataclasses.replace(state.config,
+                            validators=state.config.validators + (b"u000",))
+    assert apply_transaction(state, Transaction(
+        TxKind.CONFIG_UPDATE, ConfigUpdatePayload((newcomer,)),
+        b"u300")).config.validators[-1] == b"u300"
