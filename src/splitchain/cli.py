@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .analysis import InvalidParams, default_beta_grid, sweep_curves
 from .crypto import KeyedVerifier
 from .errors import ConfigError, SplitchainError
 from .manager import Ecosystem
@@ -66,6 +65,9 @@ def sweep_csv(rows, include_mc: bool) -> str:
 
 
 def _cmd_analyze(args) -> int:
+    # analysis imports numpy; only this subcommand pays for that import
+    from .analysis import InvalidParams, default_beta_grid, sweep_curves
+
     try:
         alpha = Fraction(args.alpha)
         n_list = [int(part) for part in args.n.split(",") if part.strip()]

@@ -16,7 +16,7 @@ give one answer for all recipients, so it is signed and checked once; only a
 Byzantine strategy answers each recipient separately.
 
 Nothing a run builds points back at its Ecosystem strongly: a ChainSim holds
-a weak proxy of it and the network's handler a weak reference.
+a weak proxy of it, and the network's handler holds only the live-chain map.
 A finished run is therefore freed by reference counting, without waiting
 for the cyclic garbage collector.
 """
@@ -24,7 +24,7 @@ for the cyclic garbage collector.
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 
 from . import model
 from .assignment import DETERMINISTIC, RANDOMIZED, assign
@@ -85,6 +85,9 @@ class AckMsg:
     signature: bytes
 
 
+_UNJUDGED = object()  # DivisionRound.judged's default: not judged yet
+
+
 @dataclass
 class DivisionRound:
     """One division attempt on a chain, from its DIVIDE broadcast on.
@@ -97,6 +100,11 @@ class DivisionRound:
     acks: dict = field(default_factory=dict)  # validator -> {signer: signature}
     assigned: set = field(default_factory=set)  # validators that reached quorum
     rejections: dict = field(default_factory=dict)  # validator -> reason
+    # validator -> its _verify_request verdict, read by on_divide and
+    # on_ack. The verdict depends only on the chain's config, ledger and
+    # committed heights, which change only in ChainSim.commit, and commit
+    # clears this memo.
+    judged: dict = field(default_factory=dict)
     # (signer, signature) -> verdict, shared by every recipient. Exact: the
     # round's statement is fixed and a tag's verdict is a function of it.
     verdicts: dict = field(default_factory=dict)
@@ -124,7 +132,7 @@ class VoteRequest:
         return commit_statement(self.chain, self.candidate.digest,
                                 self.candidate.height)
 
-    @property
+    @cached_property  # read once per vote
     def value(self) -> bytes:
         return self.candidate.digest
 
@@ -219,8 +227,9 @@ class ChainSim:
     def correct_validators(self) -> list:
         network = self.eco.network
         nodes, now = network.nodes, network.now
+        # now < crash_at: not node.crashed(now), inlined
         return [v for v in self.validators
-                if not nodes[v].crashed(now) and nodes[v].strategy is None]
+                if now < nodes[v].crash_at and nodes[v].strategy is None]
 
     # -- ordinary commits --------------------------------------------------
 
@@ -239,9 +248,14 @@ class ChainSim:
             state = apply_transaction(state, tx, scheme=self.eco.scheme)
         candidate = make_block(len(self.ledger), self.ledger[-1].digest, txs)
         request = VoteRequest(self.chain_id, candidate)
+        respond = self.eco.respond
+
+        def vote_of(voter):
+            return respond(voter, request)
+
         outcome = run_commit_round(
             self.chain_id, candidate, self.validators, self.quorum,
-            self.eco.verify, partial(self.eco.respond, request=request))
+            self.eco.verify, vote_of)
         correct = self.correct_validators()
         if not any(outcome[v] for v in correct):
             self.eco._log(f"stall chain={_name(self.chain_id)} "
@@ -250,6 +264,8 @@ class ChainSim:
                           f"{candidate.height}")
         self.ledger.append(candidate)
         self.state = state.replace(last_height=candidate.height)
+        if self.division is not None:
+            self.division.judged.clear()  # its verdicts read the old chain
         # `correct` predates this block's config; a validator the block
         # admits gets its entry from join_chain after we return
         for v in correct:
@@ -286,7 +302,10 @@ class ChainSim:
         rnd = self.division
         if rnd.request is not req and rnd.request != req:
             return  # an earlier round's message
-        reason = self._verify_request(validator, req)
+        reason = rnd.judged.get(validator, _UNJUDGED)
+        if reason is _UNJUDGED:
+            reason = rnd.judged[validator] = self._verify_request(validator,
+                                                                  req)
         if reason is not None:
             rnd.rejections[validator] = reason
             return
@@ -312,7 +331,10 @@ class ChainSim:
         req = ack.request
         if rnd.request is not req and rnd.request != req:
             return  # an earlier round's message
-        reason = self._verify_request(validator, req)
+        reason = rnd.judged.get(validator, _UNJUDGED)
+        if reason is _UNJUDGED:
+            reason = rnd.judged[validator] = self._verify_request(validator,
+                                                                  req)
         if reason is not None:
             rnd.rejections[validator] = reason
             return
@@ -417,11 +439,12 @@ class Ecosystem:
     def __init__(self, seed: int = 0, d_min: int = 1, d_max: int = 1,
                  lookback: int = 1, assignment_scheme: str = RANDOMIZED):
         self.scheme = SignatureScheme(seed)
-        self.network = Network(_message_handler(weakref.ref(self)),
+        # live chains by id; never replaced, since the handler keeps it
+        self.chains: dict[ChainId, ChainSim] = {}
+        self.network = Network(_message_handler(self.chains),
                                seed=seed, d_min=d_min, d_max=d_max)
         self.users: dict[UserId, Account] = {}
         self._signers: dict = {}  # UserId -> sign(message), see respond
-        self.chains: dict[ChainId, ChainSim] = {}
         self.retired: dict[ChainId, ChainSim] = {}
         self.lookback = lookback
         self.assignment_scheme = assignment_scheme
@@ -660,8 +683,9 @@ class Ecosystem:
         at call time, so every tag a validator gives goes through
         SignatureScheme.sign.
         """
-        node = self.network.nodes[validator]
-        if node.crashed(self.network.now):
+        network = self.network
+        node = network.nodes[validator]
+        if network.now >= node.crash_at:  # node.crashed(network.now)
             return None, None
         sign = self._signers[validator]
         strategy = node.strategy
@@ -675,7 +699,12 @@ class Ecosystem:
                 sig = signed[message] = sign(message)
             return sig
 
-        return None, partial(strategy.answer, request, sign=sign_once)
+        answer = strategy.answer
+
+        def hook(recipient):
+            return answer(request, recipient, sign_once)
+
+        return None, hook
 
     def cert_sign_fn(self, statement: bytes):
         """collect_certificate's sign_fn: each validator's response to the
@@ -729,19 +758,21 @@ class Ecosystem:
         self.events.append(f"[{self.network.now}] {text}")
 
 
-def _message_handler(eco_ref):
+def _message_handler(chains):
     """The network's handler: hand DIVIDE and ACK deliveries to the live
-    chain they name. It holds its Ecosystem through `eco_ref`, a weak
-    reference, so the ecosystem -> network -> handler path is no cycle."""
+    chain they name in `chains`, the Ecosystem's live-chain map. It holds no
+    reference to the Ecosystem, so the ecosystem -> network -> handler path
+    is no cycle."""
+    get = chains.get
 
     def on_message(node_id: bytes, payload, now: int) -> None:
-        eco = eco_ref()
-        if isinstance(payload, AckMsg):
-            sim = eco.chains.get(payload.request.chain)
+        kind = type(payload)  # exact: the network carries only these two
+        if kind is AckMsg:
+            sim = get(payload.request.chain)
             if sim is not None:
                 sim.on_ack(node_id, payload, now)
-        elif isinstance(payload, DivideRequest):
-            sim = eco.chains.get(payload.chain)
+        elif kind is DivideRequest:
+            sim = get(payload.chain)
             if sim is not None:
                 sim.on_divide(node_id, payload, now)
 

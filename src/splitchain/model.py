@@ -277,14 +277,18 @@ class Transaction:
 # --- consensus parameters ----------------------------------------------------
 
 def quorum_size(n: int, alpha: Fraction) -> int:
-    """Smallest integer >= (1 - alpha) * n, in exact rational arithmetic."""
+    """Smallest integer >= (1 - alpha) * n, in exact rational arithmetic.
+
+    Integer arithmetic on alpha's numerator and denominator: a Fraction's
+    denominator is positive, so 0 < alpha <= 1/2 is 0 < 2*num <= den."""
     if n < 1:
         raise ValueError("validator count must be positive")
-    alpha = Fraction(alpha)
-    if not (0 < alpha <= Fraction(1, 2)):
+    if not isinstance(alpha, Fraction):
+        alpha = Fraction(alpha)
+    num, den = alpha.numerator, alpha.denominator
+    if not 0 < 2 * num <= den:
         raise ValueError("fault threshold must lie in (0, 1/2]")
-    num = (alpha.denominator - alpha.numerator) * n
-    return -(-num // alpha.denominator)
+    return -(-(den - num) * n // den)
 
 
 @dataclass(frozen=True)

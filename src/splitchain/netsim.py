@@ -30,11 +30,13 @@ from .model import sha256
 @dataclass
 class Node:
     node_id: bytes
-    crash_at: int | None = None  # crashed from this tick on
-    strategy: object = None  # Byzantine behavior object; never with crash_at
+    # crashed from this tick on; inf for never, so that "crashed at tick t"
+    # is the one comparison t >= crash_at, which hot loops inline
+    crash_at: int | float = math.inf
+    strategy: object = None  # Byzantine behavior; only while crash_at is inf
 
     def crashed(self, now: int) -> bool:
-        return self.crash_at is not None and now >= self.crash_at
+        return now >= self.crash_at
 
 
 class Network:
@@ -94,7 +96,7 @@ class Network:
         """Run the node by `strategy`; drops any planned crash."""
         node = self.node(node_id)
         node.strategy = strategy
-        node.crash_at = None
+        node.crash_at = math.inf
 
     def send(self, src: bytes, dst: bytes, payload) -> None:
         nodes = self.nodes
@@ -136,7 +138,7 @@ class Network:
             try:
                 while queue:
                     node, payload = popleft()
-                    if node.crashed(time):
+                    if time >= node.crash_at:  # node.crashed(time)
                         self.messages_dropped += 1
                     else:
                         handler(node.node_id, payload, time)

@@ -32,6 +32,7 @@ a chain doubles exactly ``(beta_birth + beta_join) / 2``, which the report
 exposes for direct checking.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -318,6 +319,15 @@ METRICS_HEADER = ("tick", "chain_id", "n", "f", "beta", "divisions", "messages")
 LINEAGE_HEADER = ("chain_id", "parent_id", "side", "split_height")
 
 
+def ratio_text(f: int, n: int) -> str:
+    """str(Fraction(f, n)) for n > 0, reduced with math.gcd: "p/q", or "p"
+    when q is 1."""
+    g = math.gcd(f, n)
+    if g == n:
+        return str(f // g)
+    return f"{f // g}/{n // g}"
+
+
 def lineage_table(eco) -> tuple:
     """Every chain's lineage as rows matching LINEAGE_HEADER, ids as names."""
     return tuple((_name(cid), _name(parent), side, height)
@@ -436,7 +446,7 @@ class _Driver:
             n = len(sim.validators)
             f = self.eco.chain_fault_count(sim)
             self.metrics.append((tick, _name(chain_id), n, f,
-                                 str(Fraction(f, n)), divisions, messages))
+                                 ratio_text(f, n), divisions, messages))
 
     def _next_target(self):
         if self.spec.join.target == "smallest":

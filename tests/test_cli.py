@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,23 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# --- imports -----------------------------------------------------------------------
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    # only `analyze` needs splitchain.analysis, and with it numpy; a fresh
+    # interpreter shows what importing the cli alone loads
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = ("import sys, splitchain.cli; "
+             "print(sorted(m for m in ('numpy', 'splitchain.analysis') "
+             "if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=60,
+                            check=True)
+    assert result.stdout == "[]\n"
 
 
 # --- analyze -----------------------------------------------------------------------

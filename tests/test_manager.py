@@ -19,6 +19,7 @@ from splitchain.errors import (
 )
 from splitchain.manager import (
     AckMsg,
+    ChainSim,
     Ecosystem,
     SignRequest,
     VoteRequest,
@@ -597,6 +598,40 @@ def test_ack_verdicts_are_memoised_per_round_by_signer_and_tag():
     sim.on_ack(b"u002", AckMsg(req, b"u001", bad), 0)
     assert eco.scheme.verified[key] == 4
     assert sim.division.acks == {b"u000": {b"u001": good}}
+
+
+def test_a_fresh_division_judges_each_validator_once(monkeypatch):
+    # a validator's DIVIDE and every ack it processes read one verdict
+    eco = build_eco(n=20)
+    calls = Counter()
+    original = ChainSim._verify_request
+
+    def counted(sim, validator, req):
+        calls[validator] += 1
+        return original(sim, validator, req)
+
+    monkeypatch.setattr(ChainSim, "_verify_request", counted)
+    eco.divide_chain(b"root", initiator=b"u000")
+    assert calls == Counter(b"u%03d" % i for i in range(20))
+
+
+def test_a_commit_clears_the_judgment_memo():
+    # a round opened one validator short of n_max rejects an ack as
+    # "trigger"; after a join reaches n_max the same ack is judged afresh
+    # and counted (quorum 3 of 5, so it completes nothing)
+    eco = build_eco(n=4, n_max=5)
+    eco.register_user(b"u050", Role.VALIDATOR)
+    sim = eco.chains[b"root"]
+    req = sim.start_division(b"u000")
+    ack = AckMsg(req, b"u001",
+                 eco.scheme.sign(eco.users[b"u001"].public_key,
+                                 req.statement))
+    sim.on_ack(b"u002", ack, 0)
+    assert sim.division.rejections == {b"u002": "trigger"}
+    assert b"u002" not in sim.division.acks
+    eco.join_chain(b"u050", b"root")
+    sim.on_ack(b"u002", ack, 0)
+    assert sim.division.acks == {b"u002": {b"u001": ack.signature}}
 
 
 def test_every_vote_and_ack_goes_through_the_scheme_sign_of_call_time(

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,49 @@ def test_quorum_matches_float_ceiling(n, alpha):
     q = quorum_size(n, alpha)
     # smallest integer >= (1-alpha)*n, checked by rational comparison
     assert q - 1 < (1 - alpha) * n <= q
+
+
+def _quorum_size_by_fraction(n, alpha):
+    """quorum_size as it was written in Fraction arithmetic: the reference
+    for the integer version."""
+    if n < 1:
+        raise ValueError("validator count must be positive")
+    alpha = Fraction(alpha)
+    if not (0 < alpha <= Fraction(1, 2)):
+        raise ValueError("fault threshold must lie in (0, 1/2]")
+    num = (alpha.denominator - alpha.numerator) * n
+    return -(-num // alpha.denominator)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+_EDGE_FRACTIONS = [Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1),
+                   Fraction(1, 2) + Fraction(1, 10**9), Fraction(51, 100),
+                   Fraction(-1, 10**9), Fraction(1, 10**9)]
+_FRACTIONS = st.one_of(st.sampled_from(_EDGE_FRACTIONS),
+                       st.fractions(min_value=-2, max_value=2))
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, math.nextafter(0.5, 1.0), -0.5, 1.0,
+                     5e-324]),
+    st.floats(-2, 2, allow_nan=False))
+
+
+@given(st.integers(-2, 400),
+       st.one_of(_FRACTIONS, st.integers(-3, 3), _FRACTIONS.map(str),
+                 st.sampled_from(["0", "1/2", "0.5", "0.5000001", "-1/3",
+                                  "1/3", " 1/4 ", "half", "1/0"]),
+                 _FLOATS))
+@settings(max_examples=400, derandomize=True)
+def test_quorum_matches_the_fraction_arithmetic(n, alpha):
+    # same quorum for every alpha a caller may pass, and the same error for
+    # a bad n, an alpha outside (0, 1/2] or a string that is no fraction
+    assert (_outcome(quorum_size, n, alpha)
+            == _outcome(_quorum_size_by_fraction, n, alpha))
 
 
 # --- blocks and ledgers --------------------------------------------------------

@@ -16,6 +16,7 @@ from splitchain.scenario import (
     METRICS_HEADER,
     _Driver,
     parse_scenario,
+    ratio_text,
     run_scenario,
 )
 
@@ -219,6 +220,13 @@ def test_metrics_rows_track_growth():
     assert child_rows and all(r[2] == 10 for r in child_rows)
     header_width = len(METRICS_HEADER)
     assert all(len(r) == header_width for r in report.metrics)
+
+
+def test_ratio_text_is_the_fractions_text():
+    # metrics.csv's beta column, written without building a Fraction
+    for n in range(1, 301):
+        for f in range(n + 1):
+            assert ratio_text(f, n) == str(Fraction(f, n))
 
 
 def test_rebalancing_identity_exact_across_generations():
