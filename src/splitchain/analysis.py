@@ -118,14 +118,43 @@ class DivisionAnalysisParams:
         a = self.alpha
         return faulty_in_child * a.denominator >= a.numerator * self.half
 
+    def breach_threshold(self, child_size: int) -> int:
+        """Fewest faulty validators that breach a child: ceil(alpha * size)."""
+        a = self.alpha
+        return -(-a.numerator * child_size // a.denominator)
+
+    def decided_breach(self) -> bool | None:
+        """Whether a split breaches a child, where the support of f1 decides.
+
+        f1 ranges over [lo, hi] = [max(0, f - n2), min(f, n1)] for children
+        of n1 and n2 validators, and the event is f1 >= c1 or f - f1 >= c2
+        with ci = breach_threshold(ni). Returns False when no f1 in the support
+        breaches (hi < c1 and lo > f - c2), True when every one does (none
+        lies strictly between f - c2 and c1), and None when the split
+        decides. Every balanced split puts f1 in the support, so a decided
+        probability is exactly 0 or 1.
+        """
+        n1 = n2 = self.half
+        c1, c2 = self.breach_threshold(n1), self.breach_threshold(n2)
+        lo, hi = max(0, self.f - n2), min(self.f, n1)
+        if hi < c1 and lo > self.f - c2:
+            return False
+        if max(lo, self.f - c2 + 1) > min(hi, c1 - 1):
+            return True
+        return None
+
 
 def violation_probability_exact(d: DivisionAnalysisParams) -> Fraction:
     """Exact probability that a uniform balanced split compromises a child.
 
     One pass over f1 ~ H(n, f, n/2) with the union predicate "child 1 or
     child 2 breaches" stays exact for f >= alpha*n, where the two tail events
-    overlap and their plain sum would exceed it.
+    overlap and their plain sum would exceed it. Where the support alone
+    decides the event, the answer is 0 or 1 without the walk.
     """
+    decided = d.decided_breach()
+    if decided is not None:
+        return Fraction(int(decided))
     return _hypergeom_mass(
         HypergeomParams(d.n, d.f, d.half),
         lambda k: d.child_violates(k) or d.child_violates(d.f - k))
@@ -180,9 +209,17 @@ def violation_frequency_montecarlo(d: DivisionAnalysisParams, trials: int,
     exact law. stderr is the binomial standard error of the estimate.
     Trials are drawn in blocks of about _MC_CELLS uniforms; the generator
     yields them in row-major order, so the block size never changes a draw.
+
+    The sampler, and with it the independent check, runs only where the
+    support of f1 holds both breaching and non-breaching counts
+    (``decided_breach`` is None). Elsewhere every trial has the same
+    outcome, so the result is (0.0, 0.0) or (1.0, 0.0) with nothing drawn.
     """
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
+    decided = d.decided_breach()
+    if decided is not None:
+        return float(decided), 0.0
     rng = np.random.default_rng(seed)
     a = d.alpha
     # two block buffers per call: fresh ones per block would each be mapped

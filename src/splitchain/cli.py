@@ -8,7 +8,8 @@ snapshot. All randomness flows from ``--seed``, so every subcommand is
 byte-for-byte reproducible.
 
 Exit codes: 0 success (for verify-proof: verdict 1); 1 verify-proof
-verdict 0; 2 unusable input (bad flags, malformed scenario/params/files);
+verdict 0; 2 unusable input (bad flags, a seed outside [-2**127, 2**127),
+malformed scenario/params/files, an --out that cannot be written);
 3 scenario run observed a safety violation; 4 scenario run stopped early
 because a chain lost its quorum (reports cover the run up to the stall).
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .crypto import KeyedVerifier
+from .crypto import SEED_RANGE, KeyedVerifier
 from .errors import ConfigError, SplitchainError
 from .manager import Ecosystem
 from .model import Asset, Role, quorum_size
@@ -36,6 +37,36 @@ from .xchain import (
 
 def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
+
+
+def _seed(text: str) -> int:
+    """--seed: an integer that crypto.derive_seed can encode."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if seed not in SEED_RANGE:
+        raise argparse.ArgumentTypeError(
+            f"seed must lie in [-2**127, 2**127 - 1], got {text}")
+    return seed
+
+
+def _write_files(outdir, files: dict) -> bool:
+    """Write {name: str or bytes} into outdir, made if missing; False, with
+    the reason printed, when that fails."""
+    outdir = Path(outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, data in files.items():
+            if isinstance(data, bytes):
+                (outdir / name).write_bytes(data)
+            else:
+                (outdir / name).write_text(data)
+    except OSError as exc:
+        _err(f"cannot write {outdir}: {exc}")
+        return False
+    return True
 
 
 # --- analyze ---------------------------------------------------------------------
@@ -82,9 +113,13 @@ def _cmd_analyze(args) -> int:
     text = sweep_csv(rows, include_mc=args.trials > 0)
     if args.out == "-":
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         Path(args.out).write_text(text)
-        print(f"wrote {len(rows)} rows to {args.out}")
+    except OSError as exc:
+        _err(f"cannot write {args.out}: {exc}")
+        return 2
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
@@ -103,11 +138,10 @@ def _cmd_simulate(args) -> int:
     except ConfigError as exc:
         _err(str(exc))
         return 2
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "metrics.csv").write_text(report.metrics_csv())
-    (outdir / "lineage.csv").write_text(report.lineage_csv())
-    (outdir / "events.log").write_text(report.events_log())
+    if not _write_files(args.out, {"metrics.csv": report.metrics_csv(),
+                                   "lineage.csv": report.lineage_csv(),
+                                   "events.log": report.events_log()}):
+        return 2
     print(f"{len(report.final_chains)} chains after {len(report.divisions)}"
           f" divisions; {report.messages_total} messages;"
           f" {len(report.bound_violations)} children born beyond the fault"
@@ -153,11 +187,10 @@ def _cmd_divide_demo(args) -> int:
         names = ", ".join(v.decode() for v in child.validators)
         print(f"  {child.chain_id.decode()}: {names}")
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "lineage.csv").write_text(
-            lineage_csv(lineage_table(eco)))
-        (outdir / "events.log").write_text("\n".join(eco.events) + "\n")
+        if not _write_files(args.out, {
+                "lineage.csv": lineage_csv(lineage_table(eco)),
+                "events.log": "\n".join(eco.events) + "\n"}):
+            return 2
         print(f"wrote lineage.csv and events.log to {args.out}")
     return 0
 
@@ -205,14 +238,13 @@ def _cmd_xfer_demo(args) -> int:
         f"coin now on dst, owner"
         f" {eco.chains[b'dst'].state.assets[b'coin'].owner.decode()}",
     ]
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "lock_proof.bin").write_bytes(lock.inner.to_bytes())
-    (outdir / "registry.json").write_text(
-        json.dumps(_registry_snapshot(eco, b"src"), indent=2, sort_keys=True)
-        + "\n")
-    (outdir / "transfer.log").write_text(
-        "\n".join(lines + ["", "-- event log --"] + list(eco.events)) + "\n")
+    if not _write_files(args.out, {
+            "lock_proof.bin": lock.inner.to_bytes(),
+            "registry.json": json.dumps(_registry_snapshot(eco, b"src"),
+                                        indent=2, sort_keys=True) + "\n",
+            "transfer.log": "\n".join(lines + ["", "-- event log --"]
+                                      + list(eco.events)) + "\n"}):
+        return 2
     for line in lines:
         print(line)
     print(f"wrote lock_proof.bin and registry.json to {args.out}")
@@ -274,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a scenario file")
     sim.add_argument("--scenario", required=True, help="scenario file path")
-    sim.add_argument("--seed", type=int, default=None,
+    sim.add_argument("--seed", type=_seed, default=None,
                      help="override the scenario's seed")
     sim.add_argument("--out", default="out",
                      help="directory for metrics.csv/lineage.csv/events.log")
@@ -288,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="points on the faulty-ratio grid (default 10)")
     ana.add_argument("--trials", type=int, default=0,
                      help="Monte Carlo trials per point (0 = exact only)")
-    ana.add_argument("--seed", type=int, default=0)
+    ana.add_argument("--seed", type=_seed, default=0)
     ana.add_argument("--out", default="-", help="CSV path, - for stdout")
     ana.set_defaults(func=_cmd_analyze)
 
@@ -297,14 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     dd.add_argument("--alpha", default="1/2")
     dd.add_argument("--scheme", choices=["randomized", "deterministic"],
                     default="randomized")
-    dd.add_argument("--seed", type=int, default=0)
+    dd.add_argument("--seed", type=_seed, default=0)
     dd.add_argument("--out", default="",
                     help="optional directory for lineage.csv/events.log")
     dd.set_defaults(func=_cmd_divide_demo)
 
     xd = sub.add_parser("xfer-demo",
                         help="narrated cross-chain transfer; emits proof files")
-    xd.add_argument("--seed", type=int, default=0)
+    xd.add_argument("--seed", type=_seed, default=0)
     xd.add_argument("--out", default="xfer-out",
                     help="directory for lock_proof.bin/registry.json")
     xd.set_defaults(func=_cmd_xfer_demo)

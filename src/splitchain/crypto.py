@@ -163,6 +163,10 @@ def beacon(ledger, lookback: int = 1) -> Digest:
     return sha256(b"beacon" + b"".join(b.digest for b in tail))
 
 
+# the ints derive_seed can encode: 16 bytes, two's complement
+SEED_RANGE = range(-2**127, 2**127)
+
+
 def derive_seed(*parts) -> int:
     """Collapse labels/ints/bytes into a 64-bit stream seed, stably."""
     h = hashlib.sha256()

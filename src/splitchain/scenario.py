@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .assignment import DETERMINISTIC, RANDOMIZED
-from .crypto import derive_rng
+from .crypto import SEED_RANGE, derive_rng
 from .errors import (
     ConfigError,
     DuplicateChainId,
@@ -113,6 +113,14 @@ def _parse_int(value, lineno, key):
                           lineno) from None
 
 
+def _parse_seed(value, lineno, key):
+    seed = _parse_int(value, lineno, key)
+    if seed not in SEED_RANGE:
+        raise ConfigError(f"{key} must lie in [-2**127, 2**127 - 1],"
+                          f" got {seed}", lineno)
+    return seed
+
+
 def _parse_fraction(value, lineno, key):
     try:
         return Fraction(value)
@@ -138,7 +146,7 @@ def _one_of(*allowed):
 
 # section -> key -> parser(value, lineno, key); [faults] keys are user ids
 _KEYS = {
-    "scenario": {"seed": _parse_int, "horizon": _parse_int,
+    "scenario": {"seed": _parse_seed, "horizon": _parse_int,
                  "d_min": _parse_int, "d_max": _parse_int,
                  "lookback": _parse_int,
                  "assignment": _one_of(RANDOMIZED, DETERMINISTIC)},

@@ -456,3 +456,93 @@ def test_sweep_montecarlo_columns_populated_only_when_requested():
     assert all(r.mc_freq is None for r in dry)
     wet = sweep_curves([10], HALF, trials=500, seed=3)
     assert all(r.mc_freq is not None and r.mc_stderr is not None for r in wet)
+
+
+# --- points the support of f1 decides --------------------------------------------
+
+ALPHAS = [Fraction(1, 7), Fraction(1, 4), THIRD, Fraction(2, 5), HALF]
+
+
+def _per_k_verdict(d):
+    """False, True or None: whether no, every or only some f1 in the support
+    breaches a child, by walking the support."""
+    breaches = [d.child_violates(k) or d.child_violates(d.f - k)
+                for k in HypergeomParams(d.n, d.f, d.half).support]
+    if not any(breaches):
+        return False
+    return True if all(breaches) else None
+
+
+@given(st.data())
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_decided_breach_matches_per_k_enumeration(data):
+    n = 2 * data.draw(st.integers(1, 200))
+    alpha = data.draw(st.sampled_from(ALPHAS))
+    c = math.ceil(alpha * n / 2)
+    edges = [f for f in (0, n, c - 1, c, 2 * c - 2, 2 * c - 1) if 0 <= f <= n]
+    f = data.draw(st.one_of(st.sampled_from(edges), st.integers(0, n)))
+    d = DivisionAnalysisParams(n, f, alpha)
+    assert d.decided_breach() is _per_k_verdict(d)
+
+
+def _decided_points(sizes, alphas=ALPHAS):
+    for n in sizes:
+        for alpha in alphas:
+            for f in range(n + 1):
+                d = DivisionAnalysisParams(n, f, alpha)
+                if d.decided_breach() is not None:
+                    yield d
+
+
+def test_decided_exact_matches_enumeration_and_per_k_reference():
+    seen = set()
+    for d in _decided_points(range(2, 17, 2)):
+        got = violation_probability_exact(d)
+        assert got == int(d.decided_breach())
+        assert got == _reference_violation(d)[2]
+        seen.add(got)
+    assert seen == {0, 1}
+    # enumeration walks C(n, n/2) splits per point: two thresholds, and at
+    # n = 16 (12870 splits) every fourth f
+    for d in _decided_points(range(2, 17, 2), (THIRD, HALF)):
+        if d.n == 16 and d.f % 4:
+            continue
+        assert violation_probability_exact(d) == \
+            enumerate_violation_probability(d.n, d.f, d.alpha)
+
+
+def test_decided_exact_matches_per_k_reference_at_committee_scale():
+    for n in (100, 1000, 4000):
+        for beta in default_beta_grid(HALF):
+            d = DivisionAnalysisParams(n, round(beta * n), HALF)
+            if d.decided_breach() is not None:
+                assert violation_probability_exact(d) == \
+                    _reference_violation(d)[2]
+
+
+def test_decided_montecarlo_matches_always_sampling_reference():
+    points = [d for d in _decided_points((2, 4, 10, 40, 100))
+              if d.f in (0, 1, d.n // 4, d.n // 2, d.n - 1, d.n)]
+    assert {d.decided_breach() for d in points} == {False, True}
+    for d in points:
+        rows = max(1, analysis._MC_CELLS // d.n)
+        for trials in (1, rows, rows + 1):
+            assert violation_frequency_montecarlo(d, trials, seed=9) == \
+                reference_montecarlo(d, trials, seed=9)
+
+
+def test_decided_point_draws_nothing_and_its_neighbour_samples(monkeypatch):
+    decided = DivisionAnalysisParams(100, 24, HALF)  # f1 <= 24 < 25 = c
+    undecided = DivisionAnalysisParams(100, 25, HALF)
+    with monkeypatch.context() as patch:
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a decided point built a generator")
+
+        patch.setattr(analysis.np.random, "default_rng", no_generator)
+        assert violation_frequency_montecarlo(decided, 1000, seed=4) == \
+            (0.0, 0.0)
+        assert violation_probability_exact(decided) == 0
+        with pytest.raises(AssertionError, match="built a generator"):
+            violation_frequency_montecarlo(undecided, 1000, seed=4)
+    assert violation_frequency_montecarlo(undecided, 1000, seed=4) == \
+        reference_montecarlo(undecided, 1000, seed=4)

@@ -429,6 +429,77 @@ def test_demo_outputs_are_byte_identical_across_runs(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+# --- seeds and output paths --------------------------------------------------------
+
+SEED_COMMANDS = [
+    ["analyze", "--alpha", "1/2", "--n", "10", "--trials", "10"],
+    ["divide-demo"],
+    ["xfer-demo"],
+    ["simulate"],
+]
+
+
+def _with_seed(argv, seed, tmp_path):
+    argv = argv + ["--seed", str(seed)]
+    if argv[0] == "simulate":
+        scenario = tmp_path / "grow.mit"
+        scenario.write_text(GROW)
+        argv += ["--scenario", str(scenario)]
+    if argv[0] != "analyze":
+        argv += ["--out", str(tmp_path / "out")]
+    return argv
+
+
+@pytest.mark.parametrize("seed", [2**127, -2**127 - 1, 10**40])
+@pytest.mark.parametrize("argv", SEED_COMMANDS, ids=lambda a: a[0])
+def test_seed_outside_the_derivable_range_exit_2(tmp_path, capsys, argv,
+                                                 seed):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_with_seed(argv, seed, tmp_path))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"seed must lie in [-2**127, 2**127 - 1], got {seed}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [2**127 - 1, -2**127])
+@pytest.mark.parametrize("argv", SEED_COMMANDS, ids=lambda a: a[0])
+def test_seeds_at_both_ends_of_the_range_exit_0(tmp_path, capsys, argv, seed):
+    assert run_cli(_with_seed(argv, seed, tmp_path), capsys)[0] == 0
+
+
+def test_simulate_scenario_seed_outside_the_range_exit_2(tmp_path, capsys):
+    scenario = tmp_path / "big.mit"
+    scenario.write_text(GROW.replace("seed = 7", f"seed = {2**127}"))
+    code, _, err = run_cli(["simulate", "--scenario", str(scenario),
+                            "--out", str(tmp_path / "x")], capsys)
+    assert code == 2
+    assert f"line 3: seed must lie in [-2**127, 2**127 - 1], got {2**127}" \
+        in err
+
+
+def test_analyze_unwritable_out_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    code, _, err = run_cli(["analyze", "--alpha", "1/2", "--n", "10",
+                            "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["divide-demo"], ["xfer-demo"], ["simulate"]],
+                         ids=lambda a: a[0])
+def test_out_under_a_regular_file_exit_2(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = _with_seed(argv, 0, tmp_path)
+    argv[argv.index("--out") + 1] = str(blocker / "out")
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {blocker / 'out'}: ")
+    assert "Traceback" not in err
+
+
 # --- verify-proof ------------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitchain.crypto import (
+    SEED_RANGE,
     KeyedVerifier,
     MacKey,
     SignatureScheme,
@@ -180,3 +181,17 @@ def test_derive_rng_streams_are_independent():
     assert seq1 != seq2
     replayed = derive_rng("stream", 1)
     assert [replayed.randrange(1000) for _ in range(5)] == seq1
+
+
+@pytest.mark.parametrize("seed", [2**127 - 1, -2**127])
+def test_derive_seed_encodes_both_ends_of_the_seed_range(seed):
+    assert seed in SEED_RANGE
+    expected = hashlib.sha256(b"i" + seed.to_bytes(16, "big", signed=True))
+    assert derive_seed(seed) == int.from_bytes(expected.digest()[:8], "big")
+
+
+def test_seed_range_is_what_sixteen_signed_bytes_hold():
+    assert SEED_RANGE == range(-2**127, 2**127)
+    for seed in (SEED_RANGE.start - 1, SEED_RANGE.stop):
+        with pytest.raises(OverflowError):
+            derive_seed(seed)

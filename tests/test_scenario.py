@@ -157,6 +157,24 @@ def test_parse_errors_carry_line_numbers(source, lineno, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("seed", [2**127, -2**127 - 1, 10**40])
+def test_seed_outside_the_derivable_range_is_a_config_error(seed):
+    source = f"[chain a]\nvalidators = 4\n[scenario]\nseed = {seed}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(source)
+    assert str(err.value) == (f"line 4: seed must lie in [-2**127,"
+                              f" 2**127 - 1], got {seed}")
+
+
+@pytest.mark.parametrize("seed", [2**127 - 1, -2**127])
+def test_seeds_at_both_ends_of_the_range_run(seed):
+    spec = parse_scenario(GROW_ONCE.replace("seed = 3", f"seed = {seed}"))
+    assert spec.seed == seed
+    report = run_scenario(spec)
+    assert len(report.divisions) == 1
+    assert report.metrics_csv() == run_scenario(spec).metrics_csv()
+
+
 def test_empty_scenario_rejected():
     with pytest.raises(ConfigError, match="no chains"):
         parse_scenario("[scenario]\nseed = 1")
