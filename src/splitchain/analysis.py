@@ -118,28 +118,24 @@ class DivisionAnalysisParams:
         a = self.alpha
         return faulty_in_child * a.denominator >= a.numerator * self.half
 
-    def breach_threshold(self, child_size: int) -> int:
-        """Fewest faulty validators that breach a child: ceil(alpha * size)."""
-        a = self.alpha
-        return -(-a.numerator * child_size // a.denominator)
-
     def decided_breach(self) -> bool | None:
         """Whether a split breaches a child, where the support of f1 decides.
 
-        f1 ranges over [lo, hi] = [max(0, f - n2), min(f, n1)] for children
-        of n1 and n2 validators, and the event is f1 >= c1 or f - f1 >= c2
-        with ci = breach_threshold(ni). Returns False when no f1 in the support
-        breaches (hi < c1 and lo > f - c2), True when every one does (none
-        lies strictly between f - c2 and c1), and None when the split
-        decides. Every balanced split puts f1 in the support, so a decided
-        probability is exactly 0 or 1.
+        With c = ceil(alpha * n/2), f1 ranges over [lo, hi] = [max(0, f - n/2),
+        min(f, n/2)] and a child breaches when f1 >= c or f - f1 >= c. Returns
+        False when no f1 in the support breaches (hi < c and lo > f - c),
+        True when every one does (none lies strictly between f - c and c),
+        and None when the split decides. Every balanced split puts f1 in the
+        support, so a decided probability is exactly 0 or 1.
+
+        lo + hi = f, so the support is symmetric about f/2, and so is the
+        interval of non-breaching f1: the event is empty iff the child that
+        gets hi stays below c, and certain iff the most even split, with
+        ceil(f/2) in one child, already breaches.
         """
-        n1 = n2 = self.half
-        c1, c2 = self.breach_threshold(n1), self.breach_threshold(n2)
-        lo, hi = max(0, self.f - n2), min(self.f, n1)
-        if hi < c1 and lo > self.f - c2:
+        if not self.child_violates(min(self.f, self.half)):
             return False
-        if max(lo, self.f - c2 + 1) > min(hi, c1 - 1):
+        if self.child_violates(self.f - self.f // 2):
             return True
         return None
 

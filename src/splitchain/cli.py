@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .crypto import SEED_RANGE, KeyedVerifier
+from .crypto import KeyedVerifier, check_seed
 from .errors import ConfigError, SplitchainError
 from .manager import Ecosystem
 from .model import Asset, Role, quorum_size
@@ -46,25 +46,27 @@ def _seed(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
-    if seed not in SEED_RANGE:
-        raise argparse.ArgumentTypeError(
-            f"seed must lie in [-2**127, 2**127 - 1], got {text}")
-    return seed
-
-
-def _write_files(outdir, files: dict) -> bool:
-    """Write {name: str or bytes} into outdir, made if missing; False, with
-    the reason printed, when that fails."""
-    outdir = Path(outdir)
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
+        return check_seed(seed)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _write_files(outdir, files: dict, make_dir: bool = True) -> bool:
+    """Write {name: str or bytes} into outdir, made first if missing and
+    make_dir; False, with the failing path printed, when that fails."""
+    target = outdir = Path(outdir)
+    try:
+        if make_dir:
+            outdir.mkdir(parents=True, exist_ok=True)
         for name, data in files.items():
+            target = outdir / name
             if isinstance(data, bytes):
-                (outdir / name).write_bytes(data)
+                target.write_bytes(data)
             else:
-                (outdir / name).write_text(data)
+                target.write_text(data)
     except OSError as exc:
-        _err(f"cannot write {outdir}: {exc}")
+        _err(f"cannot write {target}: {exc}")
         return False
     return True
 
@@ -114,10 +116,8 @@ def _cmd_analyze(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
         return 0
-    try:
-        Path(args.out).write_text(text)
-    except OSError as exc:
-        _err(f"cannot write {args.out}: {exc}")
+    out = Path(args.out)
+    if not _write_files(out.parent, {out.name: text}, make_dir=False):
         return 2
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

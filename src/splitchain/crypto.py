@@ -167,6 +167,14 @@ def beacon(ledger, lookback: int = 1) -> Digest:
 SEED_RANGE = range(-2**127, 2**127)
 
 
+def check_seed(seed: int) -> int:
+    """seed, when derive_seed can encode it; ValueError otherwise."""
+    if seed not in SEED_RANGE:
+        raise ValueError(
+            f"seed must lie in [-2**127, 2**127 - 1], got {seed}")
+    return seed
+
+
 def derive_seed(*parts) -> int:
     """Collapse labels/ints/bytes into a 64-bit stream seed, stably."""
     h = hashlib.sha256()

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .assignment import DETERMINISTIC, RANDOMIZED
-from .crypto import SEED_RANGE, derive_rng
+from .crypto import check_seed, derive_rng
 from .errors import (
     ConfigError,
     DuplicateChainId,
@@ -114,11 +114,10 @@ def _parse_int(value, lineno, key):
 
 
 def _parse_seed(value, lineno, key):
-    seed = _parse_int(value, lineno, key)
-    if seed not in SEED_RANGE:
-        raise ConfigError(f"{key} must lie in [-2**127, 2**127 - 1],"
-                          f" got {seed}", lineno)
-    return seed
+    try:
+        return check_seed(_parse_int(value, lineno, key))
+    except ValueError as exc:
+        raise ConfigError(str(exc), lineno) from None
 
 
 def _parse_fraction(value, lineno, key):
