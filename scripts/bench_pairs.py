@@ -1,7 +1,6 @@
 """Compare two source trees of splitchain side by side and write one JSON file.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR OUT.json \
-        [--seed 7] [--pairs 3]
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR OUT.json [--seed 7]
 
 PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
 ``git archive``), each holding ``src/`` and ``bench/``. The script
@@ -10,16 +9,18 @@ PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
   process with ``PYTHONDONTWRITEBYTECODE=1``, so both sides compile their
   imports afresh and start in the same bytecode state;
 * runs each tree's own ``bench/run.py``, at its own default run length, in
-  alternating pairs (which side runs first alternates too) on the given
-  seed: SWEEP_PAIRS pairs of ``sweep`` and ``--pairs`` pairs each of
-  ``growth``, ``adversarial`` and ``transfer``; it records every run's
-  end-to-end metrics and each side's medians, quartiles and pair wins;
+  PAIRS alternating pairs per workload (which side runs first alternates
+  too) on the given seed; it records every run's end-to-end metrics and
+  each side's medians, quartiles and pair wins;
 * hashes the ``analyze`` CSV of each tree at α ∈ {1/2, 1/3}: n = 10,40,50,100
   with 10⁵ Monte Carlo trials on seed 0 and on the given seed, and
   n = 1000,2000,4000 exact only;
+* hashes every output of ``simulate`` (figure1 seeds 0–29, the bench's
+  adversarial.mit seeds 0–7), ``divide-demo`` (seeds 0, 1 and 7, and 300
+  validators) and ``xfer-demo``, each run in a fresh directory with the
+  same relative paths, so the bytes of both trees can be compared;
 * counts, on the bench's sweep grid, the points per n whose breach event the
-  support of f₁ decides (``DivisionAnalysisParams.decided_breach``, when the
-  tree has it);
+  support of f₁ decides (``DivisionAnalysisParams.decided_breach``);
 * times each op of one sweep pass per tree, to show which grid points sit at
   the median op.
 
@@ -34,9 +35,11 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-SWEEP_PAIRS = 10  # the sweep claims a gain: ten pairs to judge it on
+PAIRS = 10  # per workload: the fewest pairs a gain or a regression rests on
+WORKLOADS = ("sweep", "growth", "adversarial", "transfer")
 
 METRICS = {  # end-to-end metric -> True when higher is better
     "throughput_ops_s": True,
@@ -60,8 +63,7 @@ alpha = w.alpha
 decided = {}
 for n, beta in w.grid:
     d = analysis.DivisionAnalysisParams(n, round(beta * n), alpha)
-    rule = getattr(d, "decided_breach", None)
-    if rule is not None and rule() is not None:
+    if d.decided_breach() is not None:
         decided[n] = decided.get(n, 0) + 1
 times = []
 entries = next(iter(w.chunks()))
@@ -72,9 +74,7 @@ for entry in entries:
     times.append((time.thread_time() - start,
                   f"n={entry[0]} beta={entry[1]}"
                   + (" mc" if entry[2] is not None else "")))
-has_rule = hasattr(analysis.DivisionAnalysisParams, "decided_breach")
-print(json.dumps({"decided_per_n": decided if has_rule else None,
-                  "op_s": times}))
+print(json.dumps({"decided_per_n": decided, "op_s": times}))
 """
 
 
@@ -163,6 +163,52 @@ def analyze_hashes(tree: Path, held_out: int) -> dict:
     return hashes
 
 
+def cli_runs(tree: Path) -> list:
+    """(name, scenario file to copy in or None, CLI arguments) per run."""
+    figure1 = tree / "src" / "splitchain" / "scenarios" / "figure1.mit"
+    adversarial = tree / "bench" / "adversarial.mit"
+    runs = [(f"simulate figure1 seed={seed}", figure1,
+             ["simulate", "--scenario", figure1.name, "--seed", str(seed)])
+            for seed in range(30)]
+    runs += [(f"simulate adversarial seed={seed}", adversarial,
+              ["simulate", "--scenario", adversarial.name,
+               "--seed", str(seed)])
+             for seed in range(8)]
+    runs += [(f"divide-demo seed={seed}", None,
+              ["divide-demo", "--seed", str(seed)]) for seed in (0, 1, 7)]
+    runs.append(("divide-demo validators=300", None,
+                 ["divide-demo", "--validators", "300"]))
+    runs.append(("xfer-demo", None, ["xfer-demo"]))
+    return runs
+
+
+def output_hashes(tree: Path) -> dict:
+    """sha256 of exit code, stdout, stderr and every file under --out per
+    CLI run. Each run starts in a fresh directory holding only its scenario
+    file, and writes to the relative --out ``out``, so no path differs
+    between trees."""
+    hashes = {}
+    for name, scenario, argv in cli_runs(tree):
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            if scenario is not None:
+                shutil.copy(scenario, work / scenario.name)
+            done = subprocess.run(
+                [sys.executable, "-m", "splitchain.cli", *argv,
+                 "--out", "out"],
+                cwd=work, env=child_env(tree), capture_output=True,
+                timeout=900)
+            digest = hashlib.sha256(
+                str(done.returncode).encode() + b"\0" + done.stdout + b"\0"
+                + done.stderr)
+            for path in sorted((work / "out").rglob("*")):
+                if path.is_file():
+                    digest.update(b"\0" + str(path.relative_to(work)).encode()
+                                  + b"\0" + path.read_bytes())
+            hashes[name] = digest.hexdigest()
+    return hashes
+
+
 def grid_probe(tree: Path, seed: int) -> dict:
     done = subprocess.run(
         [sys.executable, "-c", GRID_PROBE, str(tree / "bench"), str(seed)],
@@ -185,8 +231,6 @@ def main(argv=None) -> None:
     parser.add_argument("out", type=Path)
     parser.add_argument("--seed", type=int, default=7,
                         help="held-out bench and Monte Carlo seed")
-    parser.add_argument("--pairs", type=int, default=3,
-                        help="pairs for growth, adversarial and transfer")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
@@ -194,28 +238,30 @@ def main(argv=None) -> None:
 
     result = {
         "script": "scripts/bench_pairs.py PARENT CHANGE OUT"
-                  f" --seed {args.seed} --pairs {args.pairs}",
+                  f" --seed {args.seed}",
         "bytecode": "every __pycache__ removed from both trees first;"
                     " children run with PYTHONDONTWRITEBYTECODE=1",
         "environment": {"nproc": os.cpu_count(),
                         "python": sys.version.split()[0]},
         "analyze_hashes": {side: analyze_hashes(tree, args.seed)
                            for side, tree in trees.items()},
+        "output_hashes": {side: output_hashes(tree)
+                          for side, tree in trees.items()},
         "sweep_grid": {side: grid_probe(tree, args.seed)
                        for side, tree in trees.items()},
     }
     hashes = result["analyze_hashes"]
     result["analyze_hashes_equal"] = hashes["parent"] == hashes["change"]
+    outputs = result["output_hashes"]
+    result["outputs_equal"] = outputs["parent"] == outputs["change"]
     result["pairs"] = {"command": "python3 bench/run.py --workload {w}"
                                   f" --seed {args.seed}"}
-    plan = [("sweep", SWEEP_PAIRS)] + [
-        (w, args.pairs) for w in ("growth", "adversarial", "transfer")]
-    for workload, count in plan:
-        result["pairs"][workload] = run_pairs(trees, workload, count,
+    for workload in WORKLOADS:
+        result["pairs"][workload] = run_pairs(trees, workload, PAIRS,
                                               args.seed)
         args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(json.dumps({w: result["pairs"][w]["summary"]["throughput_ops_s"]
-                      for w, _ in plan}, indent=1))
+                      for w in WORKLOADS}, indent=1))
 
 
 if __name__ == "__main__":

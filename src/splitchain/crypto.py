@@ -148,19 +148,12 @@ class KeyedVerifier:
         return key.verify(message, signature)
 
 
-def beacon(ledger, lookback: int = 1) -> Digest:
-    """Public randomness extracted from the tip of a committed ledger.
-
-    Hashes the digests of the last ``lookback`` blocks; every honest member
-    of the chain computes the same value, and it is fixed before any
-    assignment that consumes it.
-    """
-    if not ledger:
-        raise ValueError("beacon needs at least one committed block")
-    if lookback < 1:
-        raise ValueError("lookback must be positive")
-    tail = ledger[-lookback:]
-    return sha256(b"beacon" + b"".join(b.digest for b in tail))
+def beacon(anchor_digest: bytes) -> Digest:
+    """Public randomness extracted from a division's anchor, the digest of
+    the tip block its DIVIDE names; every honest member of the chain
+    computes the same value, and it is fixed before any assignment that
+    consumes it."""
+    return sha256(b"beacon" + anchor_digest)
 
 
 # the ints derive_seed can encode: 16 bytes, two's complement

@@ -65,7 +65,8 @@ from .netsim import Network, make_strategy
 
 @dataclass(frozen=True)
 class DivideRequest:
-    """The initiator's broadcast: divide `chain` at an agreed ledger prefix."""
+    """The initiator's broadcast: divide `chain` at its tip, named by the
+    tip's height and digest."""
 
     chain: ChainId
     initiator: UserId
@@ -92,23 +93,31 @@ _UNJUDGED = object()  # DivisionRound.judged's default: not judged yet
 class DivisionRound:
     """One division attempt on a chain, from its DIVIDE broadcast on.
 
-    Each start_division makes a fresh round, so every validator judges each
-    attempt afresh and nothing a failed attempt left behind counts later.
+    A round is bound to the tip its DIVIDE names. Any commit after the DIVIDE
+    ends it: every validator then rejects the request as "not-tip". So while
+    a validator accepts the request, the chain's state is the round's tip
+    state. Each start_division makes a fresh round, so every validator judges
+    each attempt afresh and nothing a failed attempt left behind counts later.
     """
 
     request: DivideRequest
     acks: dict = field(default_factory=dict)  # validator -> {signer: signature}
     assigned: set = field(default_factory=set)  # validators that reached quorum
-    rejections: dict = field(default_factory=dict)  # validator -> reason
-    # validator -> its _verify_request verdict, read by on_divide and
-    # on_ack. The verdict depends only on the chain's config, ledger and
-    # committed heights, which change only in ChainSim.commit, and commit
-    # clears this memo.
+    # validator -> its _verify_request verdict (None: accepted), read by
+    # on_divide and on_ack. The verdict depends only on the chain's config,
+    # ledger and committed heights, which change only in ChainSim.commit,
+    # and commit clears this memo.
     judged: dict = field(default_factory=dict)
-    # (signer, signature) -> verdict, shared by every recipient. Exact: the
-    # round's statement is fixed and a tag's verdict is a function of it.
+    # (signer, signature) -> whether the signer is a member and the tag
+    # verifies, shared by every recipient. Exact: it is read only while the
+    # recipient accepts the request, so the statement and config are fixed.
     verdicts: dict = field(default_factory=dict)
     installed: tuple | None = None  # child genesis digests once installed
+
+    @property
+    def rejections(self) -> dict:
+        """validator -> reason, for each validator that rejects the request."""
+        return {v: r for v, r in self.judged.items() if r is not None}
 
 
 # --- signing requests ------------------------------------------------------------
@@ -265,7 +274,9 @@ class ChainSim:
         self.ledger.append(candidate)
         self.state = state.replace(last_height=candidate.height)
         if self.division is not None:
-            self.division.judged.clear()  # its verdicts read the old chain
+            # its verdicts read the old tip; every validator now rejects
+            # the round as not-tip
+            self.division.judged.clear()
         # `correct` predates this block's config; a validator the block
         # admits gets its entry from join_chain after we return
         for v in correct:
@@ -290,26 +301,29 @@ class ChainSim:
             return "trigger"
         if req.initiator not in cfg.validator_set:
             return "unknown-initiator"
-        if not 0 <= req.agreed_height < len(self.ledger):
-            return "unknown-height"
-        if self.ledger[req.agreed_height].digest != req.anchor_digest:
+        if req.agreed_height != self.state.last_height:
+            return "not-tip"
+        if self.ledger[-1].digest != req.anchor_digest:
             return "anchor-mismatch"
         if self.committed[validator] < req.agreed_height:
             return "behind"
         return None
 
-    def on_divide(self, validator: UserId, req: DivideRequest, now: int):
+    def _accepts(self, validator: UserId, req: DivideRequest) -> bool:
+        """Whether `validator` acts on `req`: it is this round's request and
+        the validator's judgment of it, made once per round, accepts it."""
         rnd = self.division
         if rnd.request is not req and rnd.request != req:
-            return  # an earlier round's message
-        reason = rnd.judged.get(validator, _UNJUDGED)
+            return False  # an earlier round's message
+        judged = rnd.judged
+        reason = judged.get(validator, _UNJUDGED)
         if reason is _UNJUDGED:
-            reason = rnd.judged[validator] = self._verify_request(validator,
-                                                                  req)
-        if reason is not None:
-            rnd.rejections[validator] = reason
-            return
-        self._broadcast_ack(validator, req)
+            reason = judged[validator] = self._verify_request(validator, req)
+        return reason is None
+
+    def on_divide(self, validator: UserId, req: DivideRequest, now: int):
+        if self._accepts(validator, req):
+            self._broadcast_ack(validator, req)
 
     def _broadcast_ack(self, validator, req):
         network = self.eco.network
@@ -326,28 +340,19 @@ class ChainSim:
 
     def on_ack(self, validator: UserId, ack: AckMsg, now: int):
         # acks can outrun the DIVIDE broadcast; the embedded request is
-        # verified here, and the validator acks when the DIVIDE arrives
-        rnd = self.division
+        # judged here, and the validator acks when the DIVIDE arrives
         req = ack.request
-        if rnd.request is not req and rnd.request != req:
-            return  # an earlier round's message
-        reason = rnd.judged.get(validator, _UNJUDGED)
-        if reason is _UNJUDGED:
-            reason = rnd.judged[validator] = self._verify_request(validator,
-                                                                  req)
-        if reason is not None:
-            rnd.rejections[validator] = reason
+        if not self._accepts(validator, req):
             return
-        # checked on every delivery: the config may change mid-division
-        cfg = self.state.config
+        rnd = self.division
+        cfg = self.state.config  # the round's own: the request is accepted
         signer, sig = ack.signer, ack.signature
-        if signer not in cfg.validator_set:
-            return
         key = (signer, sig)
         ok = rnd.verdicts.get(key)
         if ok is None:
-            ok = rnd.verdicts[key] = self.eco.verify(signer, req.statement,
-                                                     sig)
+            ok = rnd.verdicts[key] = (
+                signer in cfg.validator_set
+                and self.eco.verify(signer, req.statement, sig))
         if not ok:
             return
         acks = rnd.acks.get(validator)
@@ -359,17 +364,13 @@ class ChainSim:
             self._complete_division(rnd, now)
 
     def _complete_division(self, rnd: DivisionRound, now: int):
+        # the validator accepts the request, so self.state is its tip state
         req = rnd.request
-        prefix = self.ledger[:req.agreed_height + 1]
-        seed = beacon(prefix, self.eco.lookback)
-        snapshot = self.state
-        if snapshot.last_height != req.agreed_height:
-            snapshot = model.replay(prefix)
-        cfg = snapshot.config
-        outcome = assign(cfg.validators, self.eco.assignment_scheme, seed)
-        geneses = _build_children(self.chain_id, snapshot, outcome,
-                                  req.agreed_height, seed,
-                                  self.eco.assignment_scheme)
+        seed = beacon(req.anchor_digest)
+        scheme = self.eco.assignment_scheme
+        outcome = assign(self.validators, scheme, seed)
+        geneses = _build_children(self.chain_id, self.state, outcome,
+                                  req.agreed_height, seed, scheme)
         self.eco._install_division(self, geneses, now)
 
 
@@ -437,7 +438,7 @@ class Ecosystem:
     """Top-level simulation handle: network + accounts + live chains."""
 
     def __init__(self, seed: int = 0, d_min: int = 1, d_max: int = 1,
-                 lookback: int = 1, assignment_scheme: str = RANDOMIZED):
+                 assignment_scheme: str = RANDOMIZED):
         self.scheme = SignatureScheme(seed)
         # live chains by id; never replaced, since the handler keeps it
         self.chains: dict[ChainId, ChainSim] = {}
@@ -446,7 +447,6 @@ class Ecosystem:
         self.users: dict[UserId, Account] = {}
         self._signers: dict = {}  # UserId -> sign(message), see respond
         self.retired: dict[ChainId, ChainSim] = {}
-        self.lookback = lookback
         self.assignment_scheme = assignment_scheme
         self.faulty: set = set()  # harness-side flags, dormant or active
         self.divisions: list[DivisionRecord] = []
@@ -580,9 +580,11 @@ class Ecosystem:
             raise TriggerNotMet(
                 f"chain {chain_id!r} has {len(sim.validators)} validators, "
                 f"trigger is {sim.config.n_max}")
+        rejected = (f"; rejected: {', '.join(sorted(reasons))}" if reasons
+                    else "")
         raise NoQuorum(
             f"division of {chain_id!r} gathered no quorum "
-            f"(need {sim.quorum} acks)")
+            f"(need {sim.quorum} acks{rejected})")
 
     def fuse_chains(self, c1_id: ChainId, c2_id: ChainId,
                     merged_id: ChainId = None) -> ChainSim:

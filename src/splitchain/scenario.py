@@ -97,7 +97,6 @@ class ScenarioSpec:
     horizon: int = 0  # 0 = run to completion
     d_min: int = 1
     d_max: int = 1
-    lookback: int = 1
     assignment: str = RANDOMIZED
     chains: list = field(default_factory=list)
     join: JoinSpec = None
@@ -147,7 +146,6 @@ def _one_of(*allowed):
 _KEYS = {
     "scenario": {"seed": _parse_seed, "horizon": _parse_int,
                  "d_min": _parse_int, "d_max": _parse_int,
-                 "lookback": _parse_int,
                  "assignment": _one_of(RANDOMIZED, DETERMINISTIC)},
     "chain": {"validators": _parse_int, "clients": _parse_int,
               "faulty": _parse_int, "alpha": _parse_fraction,
@@ -256,8 +254,6 @@ def _validate(spec: ScenarioSpec) -> None:
         raise ConfigError("scenario defines no chains", 1)
     if not 0 < spec.d_min <= spec.d_max:
         raise ConfigError("need 0 < d_min <= d_max", 1)
-    if spec.lookback < 1:
-        raise ConfigError("lookback must be >= 1", 1)
     if spec.horizon < 0:
         raise ConfigError("horizon must be >= 0", 1)
     for chain in spec.chains:
@@ -388,7 +384,6 @@ class _Driver:
         self.spec = spec
         self.seed = seed
         self.eco = Ecosystem(seed=seed, d_min=spec.d_min, d_max=spec.d_max,
-                             lookback=spec.lookback,
                              assignment_scheme=spec.assignment)
         self.metrics = []
         self.safety_violations = []

@@ -35,7 +35,14 @@ from splitchain.errors import (
     UnknownLock,
 )
 from splitchain.manager import Ecosystem
-from splitchain.model import Asset, Role, quorum_size
+from splitchain.model import (
+    Asset,
+    AssetTransferPayload,
+    Role,
+    Transaction,
+    TxKind,
+    quorum_size,
+)
 from splitchain.scenario import parse_scenario, run_scenario
 from splitchain.xchain import (
     AssetOwnedBy,
@@ -242,6 +249,15 @@ def test_non_member_initiator_never_divides():
 # --- 6. division partitions state ------------------------------------------------------
 
 
+def _signed_transfer(eco, asset, recipient):
+    tx = Transaction(TxKind.ASSET_TRANSFER,
+                     AssetTransferPayload(asset.asset_id, recipient),
+                     asset.owner)
+    sig = eco.scheme.sign(eco.users[asset.owner].public_key,
+                          tx.signing_bytes())
+    return Transaction(tx.kind, tx.payload, tx.submitter, sig)
+
+
 def test_division_partitions_parent_state_across_seeds():
     for seed in range(1000):
         rng = random.Random(seed)
@@ -259,8 +275,23 @@ def test_division_partitions_parent_state_across_seeds():
                                   initial_assets=assets)
         members = set(parent.state.accounts)
         total_value = sum(a.value for a in parent.state.assets.values())
+        moved = None
+        if seed % 3 == 0:
+            # a transfer committed while a round is open ends that round;
+            # the division at the new tip carries the transfer
+            moved = assets[0]
+            recipient = next(c for c in clients if c != moved.owner)
+            parent.start_division(validators[0])
+            parent.commit([_signed_transfer(eco, moved, recipient)])
+            eco.network.run_until_idle(n + n * n)
+            assert set(eco.chains) == {b"root"} and eco.divisions == []
         left, right = eco.divide_chain(b"root")
         l_sim, r_sim = eco.chains[left.chain_id], eco.chains[right.chain_id]
+        if moved is not None:
+            holder = next(s for s in (l_sim, r_sim)
+                          if moved.asset_id in s.state.assets)
+            assert holder.state.assets[moved.asset_id].owner == recipient
+            assert recipient in holder.state.accounts
 
         l_acc, r_acc = set(l_sim.state.accounts), set(r_sim.state.accounts)
         assert l_acc | r_acc == members

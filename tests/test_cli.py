@@ -160,7 +160,7 @@ def test_simulate_malformed_scenario_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("source, fragment", [
     ("[scenario]\nlookback = 0\n[chain a]\nn_max = 4\n",
-     "line 1: lookback must be >= 1"),
+     "line 2: unknown [scenario] key 'lookback'"),
     ("[chain a]\nvalidators = 1\nn_max = 1\n",
      "line 1: chain 'a' needs n_max >= 2"),
     ("[chain a]\nvalidators = 4\n[faults]\na-v001 = crash 5 banana\n",

@@ -150,20 +150,11 @@ def test_scheme_is_seed_deterministic():
 
 
 def test_beacon_depends_on_tip():
+    # the seed hashes the tip's digest, the anchor a DIVIDE carries
     g = make_block(0, ZERO_DIGEST, [])
     b1 = make_block(1, g.digest, [])
-    assert beacon([g]) != beacon([g, b1])
-    assert beacon([g, b1]) == beacon([g, b1])
-
-
-def test_beacon_lookback_widens_the_window():
-    g = make_block(0, ZERO_DIGEST, [])
-    b1 = make_block(1, g.digest, [])
-    assert beacon([g, b1], lookback=1) != beacon([g, b1], lookback=2)
-    with pytest.raises(ValueError):
-        beacon([], lookback=1)
-    with pytest.raises(ValueError):
-        beacon([g], lookback=0)
+    assert beacon(b1.digest) == hashlib.sha256(b"beacon" + b1.digest).digest()
+    assert beacon(g.digest) != beacon(b1.digest)
 
 
 def test_derive_seed_separates_labels():

@@ -13,6 +13,7 @@ from splitchain.errors import (
     DuplicateChainId,
     NoQuorum,
     Stalled,
+    StateDivergence,
     TriggerNotMet,
     UnknownInitiator,
     UnregisteredValidator,
@@ -27,6 +28,7 @@ from splitchain.manager import (
 )
 from splitchain.model import (
     Asset,
+    Block,
     LockPayload,
     Role,
     Transaction,
@@ -549,22 +551,26 @@ def test_badsig_ackers_do_not_count():
         eco.divide_chain(b"root", initiator=b"u000")
 
 
-def test_ack_signer_is_checked_against_the_config_on_every_delivery():
-    # an ack from a registered non-member does not count; the same ack does
-    # once its signer has joined, so membership is not memoised with the
-    # signature verdict
+def test_ack_signer_is_checked_against_the_config_of_its_round():
+    # an ack from a registered non-member never counts; its signer's join
+    # is a commit, which ends the round, and a round opened after the join
+    # counts the joiner's ack (quorum 3 of 5, so it completes nothing)
     eco = build_eco(n=4)
     eco.register_user(b"u050", Role.VALIDATOR)
     sim = eco.chains[b"root"]
+    key = eco.users[b"u050"].public_key
     req = sim.start_division(b"u000")
-    ack = AckMsg(req, b"u050",
-                 eco.scheme.sign(eco.users[b"u050"].public_key,
-                                 req.statement))
+    ack = AckMsg(req, b"u050", eco.scheme.sign(key, req.statement))
     sim.on_ack(b"u001", ack, 0)
     assert b"u001" not in sim.division.acks
     eco.join_chain(b"u050", b"root")
     sim.on_ack(b"u001", ack, 0)
-    assert sim.division.acks[b"u001"] == {b"u050": ack.signature}
+    assert b"u001" not in sim.division.acks
+    assert sim.division.rejections == {b"u001": "not-tip"}
+    req = sim.start_division(b"u000")
+    ack = AckMsg(req, b"u050", eco.scheme.sign(key, req.statement))
+    sim.on_ack(b"u001", ack, 0)
+    assert sim.division.acks == {b"u001": {b"u050": ack.signature}}
 
 
 def test_ack_verdicts_are_memoised_per_round_by_signer_and_tag():
@@ -617,8 +623,8 @@ def test_a_fresh_division_judges_each_validator_once(monkeypatch):
 
 def test_a_commit_clears_the_judgment_memo():
     # a round opened one validator short of n_max rejects an ack as
-    # "trigger"; after a join reaches n_max the same ack is judged afresh
-    # and counted (quorum 3 of 5, so it completes nothing)
+    # "trigger"; the join that reaches n_max ends the round, and the same
+    # ack is judged afresh and rejected as "not-tip"
     eco = build_eco(n=4, n_max=5)
     eco.register_user(b"u050", Role.VALIDATOR)
     sim = eco.chains[b"root"]
@@ -631,7 +637,60 @@ def test_a_commit_clears_the_judgment_memo():
     assert b"u002" not in sim.division.acks
     eco.join_chain(b"u050", b"root")
     sim.on_ack(b"u002", ack, 0)
-    assert sim.division.acks == {b"u002": {b"u001": ack.signature}}
+    assert sim.division.rejections == {b"u002": "not-tip"}
+    assert b"u002" not in sim.division.acks
+
+
+def test_a_join_during_a_round_ends_it_and_the_retry_divides_at_the_new_tip():
+    # the join commits after the DIVIDE, so every validator rejects the
+    # round as not-tip and no child is built from the state before the join
+    eco = build_eco(n=4)
+    eco.register_user(b"u050", Role.VALIDATOR)
+    sim = eco.chains[b"root"]
+    sim.start_division(b"u000")
+    eco.join_chain(b"u050", b"root")
+    eco.network.run_until_idle()
+    assert set(eco.chains) == {b"root"} and eco.divisions == []
+    assert sim.division.rejections == {b"u%03d" % i: "not-tip"
+                                       for i in range(4)}
+    c1, c2 = eco.divide_chain(b"root", initiator=b"u000")
+    assert b"u050" in c1.validators + c2.validators
+    assert eco.divisions[-1].n == 5
+
+
+def test_no_quorum_names_the_rejection_reasons():
+    # n=4, quorum 2. Only u000 is correct; the others vote when asked but
+    # never ack, and commit advances only correct validators, so after one
+    # commit they reject the DIVIDE as behind
+    eco = build_eco(n=4, strategies=dict.fromkeys(
+        (b"u001", b"u002", b"u003"), SilentAcker()))
+    with pytest.raises(NoQuorum) as failed:
+        eco.divide_chain(b"root", initiator=b"u000")
+    assert str(failed.value).endswith("(need 2 acks)")
+    eco.chains[b"root"].commit([])
+    with pytest.raises(NoQuorum) as failed:
+        eco.divide_chain(b"root", initiator=b"u000")
+    assert str(failed.value).endswith("(need 2 acks; rejected: behind)")
+
+
+def test_conflicting_children_for_an_installed_round_are_a_divergence():
+    # a second install of the same round must build the same children: a
+    # tampered genesis raises and changes nothing, identical ones are a
+    # no-op
+    eco = build_eco(n=4, clients=2, assets_per_client=1)
+    children = eco.divide_chain(b"root")
+    parent = eco.chain(b"root")
+    geneses = tuple(child.ledger[0] for child in children)
+    g = geneses[1]
+    tampered = (geneses[0],
+                Block(g.height, g.parent_digest, g.transactions,
+                      sha256(b"tampered")))
+    before = (dict(eco.chains), dict(eco.retired), list(eco.divisions))
+    with pytest.raises(StateDivergence, match="conflicting children"):
+        eco._install_division(parent, tampered, 9)
+    assert (dict(eco.chains), dict(eco.retired), list(eco.divisions)) == before
+    eco._install_division(parent, geneses, 9)
+    assert (dict(eco.chains), dict(eco.retired), list(eco.divisions)) == before
 
 
 def test_every_vote_and_ack_goes_through_the_scheme_sign_of_call_time(

@@ -126,7 +126,8 @@ a-v002 = byzantine withhold
     ("[chain a]\n[chain b]\n[fuse]\nleft = a\nright = b\n"
      "[fuse]\nleft = a\nright = b", 6, "'a+b' is already taken"),
     ("[chain a]\nvalidators = 4\nalpha = 2/3", 1, "alpha"),
-    ("[scenario]\nlookback = 0\n[chain a]", 1, "lookback must be >= 1"),
+    ("[scenario]\nlookback = 0\n[chain a]", 2,
+     "unknown [scenario] key 'lookback'"),
     ("[chain a]\nvalidators = 4\nn_max = 1", 1, "'a' needs n_max >= 2"),
     ("[chain a]\nvalidators = 4\nclients = -1\nassets = 1", 1,
      "'a' needs clients and assets >= 0"),
