@@ -22,7 +22,9 @@ PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
 * counts, on the bench's sweep grid, the points per n whose breach event the
   support of f₁ decides (``DivisionAnalysisParams.decided_breach``);
 * times each op of one sweep pass per tree, to show which grid points sit at
-  the median op.
+  the median op;
+* counts the lines of every ``.py`` file under ``src/`` and ``demos/`` of
+  each tree, and the change's net lines against the parent.
 
 The JSON records the command that wrote it, with every option spelled out.
 """
@@ -224,6 +226,13 @@ def grid_probe(tree: Path, seed: int) -> dict:
     return probe
 
 
+def line_counts(tree: Path) -> dict:
+    """Lines of the .py files under src/ and demos/."""
+    return {top: sum(len(path.read_text().splitlines())
+                     for path in (tree / top).rglob("*.py"))
+            for top in ("src", "demos")}
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
@@ -249,7 +258,11 @@ def main(argv=None) -> None:
                           for side, tree in trees.items()},
         "sweep_grid": {side: grid_probe(tree, args.seed)
                        for side, tree in trees.items()},
+        "lines": {side: line_counts(tree) for side, tree in trees.items()},
     }
+    lines = result["lines"]
+    lines["net"] = {top: lines["change"][top] - lines["parent"][top]
+                    for top in lines["parent"]}
     hashes = result["analyze_hashes"]
     result["analyze_hashes_equal"] = hashes["parent"] == hashes["change"]
     outputs = result["output_hashes"]

@@ -2,8 +2,10 @@
 
 The :class:`Ecosystem` owns the network, the signature scheme, the user
 accounts, and one :class:`ChainSim` per chain, live or retired: a chain's
-ChainSim is the only record of its config, and its genesis the only record
-of its lineage. Only :meth:`Ecosystem.verify` maps a signer to its key.
+ChainSim is the only record of its config. Chains are born and retired only
+in :meth:`Ecosystem._replace`; a division child's or a fusion's genesis comes
+from its parents' states through :func:`_inherit`, and ``ChainSim.parents``
+names those parents. Only :meth:`Ecosystem.verify` maps a signer to its key.
 Ordinary block commits are modeled as synchronous vote rounds (consensus is
 a black box — only its quorum arithmetic matters here), while the division
 protocol is message-faithful: the initiator's broadcast and every signed ack
@@ -208,13 +210,13 @@ class ChainSim:
     """One chain: canonical ledger, materialized state, vote rounds. A chain
     divided or fused away is halted and kept in Ecosystem.retired."""
 
-    def __init__(self, eco: "Ecosystem", ledger):
+    def __init__(self, eco: "Ecosystem", genesis: Block, parents: tuple):
         self.eco = weakref.proxy(eco)
-        self.ledger = list(ledger)
+        self.ledger = [genesis]
         self.state = model.replay(self.ledger)
         self.chain_id = self.state.config.chain
-        # the validators its genesis block installed
-        self.founders = self.ledger[0].transactions[0].payload.config.validators
+        self.founders = self.state.config.validators  # its genesis installed
+        self.parents = parents  # ids of the chains it was born from
         self.halted = False
         # validator -> height of the last block it committed
         self.committed = dict.fromkeys(self.state.config.validators,
@@ -368,9 +370,16 @@ class ChainSim:
         req = rnd.request
         seed = beacon(req.anchor_digest)
         scheme = self.eco.assignment_scheme
+        cfg = self.state.config
         outcome = assign(self.validators, scheme, seed)
-        geneses = _build_children(self.chain_id, self.state, outcome,
-                                  req.agreed_height, seed, scheme)
+        sides = zip((1, 2), child_chain_ids(self.chain_id),
+                    (outcome.v1, outcome.v2),
+                    _split_clients(cfg.clients, scheme, seed))
+        geneses = [_inherit(ChainConfig(cid, validators, tuple(sorted(clients)),
+                                        cfg.consensus, cfg.n_max),
+                            (self.state,), parent_chain=self.chain_id,
+                            split_height=req.agreed_height, side=side)
+                   for side, cid, validators, clients in sides]
         self.eco._install_division(self, geneses, now)
 
 
@@ -379,59 +388,43 @@ def child_chain_ids(parent: ChainId) -> tuple:
 
 
 def _split_clients(clients, scheme: str, seed: bytes):
-    if len(clients) == 0:
-        return (), ()
-    if len(clients) == 1:
+    if len(clients) < 2:
         return tuple(clients), ()
     out = assign(clients, scheme, None if scheme == DETERMINISTIC
                  else seed + b"/clients")
     return out.v1, out.v2
 
 
-def _build_children(parent: ChainId, snapshot, outcome, split_height: int,
-                    seed: bytes, client_scheme: str) -> tuple:
-    """Two deterministic child genesis blocks partitioning the snapshot."""
-    cfg = snapshot.config
-    c1_clients, c2_clients = _split_clients(cfg.clients, client_scheme, seed)
-    sides = {1: (outcome.v1, c1_clients), 2: (outcome.v2, c2_clients)}
-    side_of = {}
-    for side, (validators, clients) in sides.items():
-        for u in validators:
-            side_of[u] = side
-        for u in clients:
-            side_of[u] = side
-    geneses = []
-    for side, (validators, clients) in sides.items():
-        child_id = child_chain_ids(parent)[side - 1]
-        child_cfg = ChainConfig(child_id, tuple(validators),
-                                tuple(sorted(clients)), cfg.consensus,
-                                cfg.n_max)
-        accounts = {}
-        for u in tuple(validators) + tuple(clients):
-            account = snapshot.accounts.get(u)
-            if account is None:
-                raise StateDivergence(f"member {u!r} missing from snapshot")
-            accounts[u] = account
-        assets = []
-        for asset_id in sorted(snapshot.assets):
-            asset = snapshot.assets[asset_id]
-            owner_side = side_of.get(asset.owner)
-            if owner_side is None:
+def _inherit(config: ChainConfig, states, **lineage) -> Block:
+    """The genesis of a chain with `config` born from `states` (a division
+    child's parent, or both chains of a fusion): its members' accounts, the
+    assets they own, state by state in id order, the locks on those assets
+    and every claim, a later state's record winning a shared nonce. An asset
+    goes with its owner's client seat if it has one, else its validator
+    seat; one owned by no member is a StateDivergence."""
+    clients = set(config.clients)
+    accounts, assets, locks, claims = {}, [], {}, {}
+    for state in states:
+        parent_clients = set(state.config.clients)
+        for asset_id in sorted(state.assets):
+            asset = state.assets[asset_id]
+            if asset.owner in parent_clients:
+                seats = clients
+            elif asset.owner in state.config.validator_set:
+                seats = config.validator_set
+            else:
                 raise StateDivergence(
                     f"asset {asset_id!r} owned by non-member {asset.owner!r}")
-            if owner_side == side:
+            if asset.owner in seats:
                 assets.append(asset)
-        asset_ids = {a.asset_id for a in assets}
-        locks = [(nonce, snapshot.locks[nonce])
-                 for nonce in sorted(snapshot.locks)
-                 if snapshot.locks[nonce] in asset_ids]
-        claims = [(nonce, snapshot.claims[nonce])
-                  for nonce in sorted(snapshot.claims)]
-        geneses.append(build_genesis(child_cfg, accounts, parent_chain=parent,
-                                     split_height=split_height, side=side,
-                                     extra_assets=assets, locks=locks,
-                                     claims=claims))
-    return tuple(geneses)
+        accounts.update(state.accounts)
+        locks.update(state.locks)
+        claims.update(state.claims)
+    kept = {asset.asset_id for asset in assets}
+    return build_genesis(
+        config, accounts, extra_assets=assets,
+        locks=sorted(item for item in locks.items() if item[1] in kept),
+        claims=sorted(claims.items()), **lineage)
 
 
 class Ecosystem:
@@ -511,7 +504,6 @@ class Ecosystem:
     def create_chain(self, chain_id: ChainId, validators, clients=(),
                      alpha=Fraction(1, 2), kind: str = "cft",
                      n_max: int = 64, initial_assets=()) -> ChainSim:
-        self._check_id_free(chain_id)
         for v in tuple(validators) + tuple(clients):
             if v not in self.users:
                 raise UnregisteredValidator(f"{v!r} has no registered account")
@@ -519,9 +511,7 @@ class Ecosystem:
                              tuple(sorted(clients)),
                              ConsensusParams(Fraction(alpha), kind), n_max,
                              tuple(initial_assets))
-        genesis = build_genesis(config, self.users)
-        sim = ChainSim(self, [genesis])
-        self.chains[chain_id] = sim
+        sim, = self._replace((), [build_genesis(config, self.users)])
         self._log(f"create chain={_name(chain_id)} n={len(config.validators)}")
         return sim
 
@@ -588,45 +578,31 @@ class Ecosystem:
 
     def fuse_chains(self, c1_id: ChainId, c2_id: ChainId,
                     merged_id: ChainId = None) -> ChainSim:
-        """Merge two halted-snapshot chains into one with alpha' = min."""
+        """Merge two live chains into one with alpha' = min, refusing a shared
+        asset id or validator before either chain certifies its state."""
         s1, s2 = self._live(c1_id), self._live(c2_id)
         if merged_id is None:
             merged_id = c1_id + b"+" + c2_id
         self._check_id_free(merged_id)
-        for sim in (s1, s2):
-            stmt = (b"fuse" + enc_bytes(sim.chain_id)
-                    + enc_bytes(sim.state.digest()))
-            collect_certificate(stmt, sim.validators, sim.quorum,
-                                self.cert_sign_fn(stmt), self.verify)
         overlap = set(s1.state.assets) & set(s2.state.assets)
         if overlap:
             raise AssetIdCollision(f"asset ids on both chains: {sorted(overlap)}")
         shared = set(s1.validators) & set(s2.validators)
         if shared:
             raise SplitchainError(f"validators on both chains: {sorted(shared)}")
+        for sim in (s1, s2):
+            stmt = (b"fuse" + enc_bytes(sim.chain_id)
+                    + enc_bytes(sim.state.digest()))
+            collect_certificate(stmt, sim.validators, sim.quorum,
+                                self.cert_sign_fn(stmt), self.verify)
         p1, p2 = s1.config.consensus, s2.config.consensus
         merged_params = p1 if p1.alpha <= p2.alpha else p2
         config = ChainConfig(
             merged_id, s1.validators + s2.validators,
             tuple(sorted(set(s1.config.clients) | set(s2.config.clients))),
             merged_params, max(s1.config.n_max, s2.config.n_max))
-        accounts = dict(s1.state.accounts)
-        accounts.update(s2.state.accounts)
-        assets = [s1.state.assets[a] for a in sorted(s1.state.assets)]
-        assets += [s2.state.assets[a] for a in sorted(s2.state.assets)]
-        locks = dict(s1.state.locks)
-        locks.update(s2.state.locks)
-        claims = dict(s1.state.claims)
-        claims.update(s2.state.claims)
-        genesis = build_genesis(config, accounts, extra_assets=assets,
-                                locks=sorted(locks.items()),
-                                claims=sorted(claims.items()))
-        for sim in (s1, s2):
-            sim.halted = True
-            self.retired[sim.chain_id] = sim
-            del self.chains[sim.chain_id]
-        merged = ChainSim(self, [genesis])
-        self.chains[merged_id] = merged
+        merged, = self._replace((s1, s2),
+                                [_inherit(config, (s1.state, s2.state))])
         self._log(f"fuse {_name(c1_id)}+{_name(c2_id)} -> {_name(merged_id)} "
                   f"alpha={merged_params.alpha}")
         return merged
@@ -719,6 +695,22 @@ class Ecosystem:
 
         return sign_fn
 
+    def _replace(self, retiring, geneses) -> list:
+        """Retire `retiring` and register one chain per genesis, born of the
+        retired chains: the only place chains enter or leave the live set.
+        A taken chain id raises before anything changes."""
+        parents = tuple(sim.chain_id for sim in retiring)
+        born = [ChainSim(self, genesis, parents) for genesis in geneses]
+        for sim in born:
+            self._check_id_free(sim.chain_id)
+        for sim in retiring:
+            sim.halted = True
+            self.retired[sim.chain_id] = sim
+            del self.chains[sim.chain_id]
+        for sim in born:
+            self.chains[sim.chain_id] = sim
+        return born
+
     def _install_division(self, parent: ChainSim, geneses, now: int) -> None:
         rnd = parent.division
         digests = tuple(g.digest for g in geneses)
@@ -728,24 +720,16 @@ class Ecosystem:
                     f"validators built conflicting children for "
                     f"{parent.chain_id!r}")
             return
-        for cid in child_chain_ids(parent.chain_id):
-            self._check_id_free(cid)  # a failure leaves the parent live
+        born = self._replace((parent,), geneses)  # a taken id leaves all live
         rnd.installed = digests
-        parent.halted = True
-        self.retired[parent.chain_id] = parent
-        del self.chains[parent.chain_id]
-
         f_parent = self.chain_fault_count(parent)
         children = []
-        for genesis in geneses:
-            sim = ChainSim(self, [genesis])
-            cid = sim.chain_id
-            self.chains[cid] = sim
+        for sim in born:
             n_i = len(sim.validators)
             f_i = self.chain_fault_count(sim)
             alpha = sim.config.consensus.alpha
             violated = f_i * alpha.denominator >= alpha.numerator * n_i
-            children.append((cid, n_i, f_i, violated))
+            children.append((sim.chain_id, n_i, f_i, violated))
         founders = parent.founders
         self.divisions.append(DivisionRecord(
             now, parent.chain_id, len(founders),

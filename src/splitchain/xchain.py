@@ -377,20 +377,21 @@ def tok_verify_proof(proof: KnowledgeProof, tag: FreshnessTag, source_config,
     return 1, None
 
 
-# --- routing across divisions ------------------------------------------------------
+# --- routing across divisions and fusions ------------------------------------------
 #
-# A lock can outlive its chain: either endpoint may divide before the
-# transfer finishes. Descendants inherit the parent's pending locks/claims
-# and honor tags their ancestors issued, so in-flight transfers land on
-# whichever child holds the relevant account or lock.
+# A lock can outlive its chain: either endpoint may divide or fuse before
+# the transfer finishes. A chain born from others (ChainSim.parents: a
+# division's parent, or both chains of a fusion) inherits their pending
+# locks and claims and honors tags its ancestors issued, so in-flight
+# transfers land on whichever descendant holds the relevant account or lock.
 
 
 def _ancestry(eco, chain_id: ChainId) -> tuple:
     seen = [chain_id]
-    sim = eco.chain(chain_id)
-    while sim is not None and sim.state.parent_chain is not None:
-        seen.append(sim.state.parent_chain)
-        sim = eco.chain(sim.state.parent_chain)
+    for cid in seen:  # extended as it is walked: breadth first
+        sim = eco.chain(cid)
+        if sim is not None:
+            seen.extend(p for p in sim.parents if p not in seen)
     return tuple(seen)
 
 

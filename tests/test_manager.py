@@ -12,6 +12,7 @@ from splitchain.errors import (
     AssetIdCollision,
     DuplicateChainId,
     NoQuorum,
+    SplitchainError,
     Stalled,
     StateDivergence,
     TriggerNotMet,
@@ -38,6 +39,7 @@ from splitchain.model import (
     sha256,
 )
 from splitchain.netsim import Equivocate, Network, _targets_recipient
+from splitchain.xchain import toa_claim, toa_lock
 
 from helpers import reference_commit_round
 
@@ -811,6 +813,126 @@ def test_fusion_requires_quorum_on_both_sides():
     eco.crash_user(b"u004")  # chain b: alpha=1/2, n=3, quorum 2 -> 1 left
     with pytest.raises(NoQuorum):
         eco.fuse_chains(b"a", b"b")
+
+
+def test_a_refused_fusion_asks_no_validator_to_sign(monkeypatch):
+    # a colliding asset id or a shared validator is refused before either
+    # chain's certificate is collected
+    eco = two_chain_eco()
+    eco.register_user(b"u006", Role.VALIDATOR)
+    eco.create_chain(b"c", [b"u006"], [b"u100"], n_max=8,
+                     initial_assets=[Asset(b"coin-a", b"u100", 1)])
+    eco.create_chain(b"d", [b"u000", b"u006"], n_max=8)
+    signed = []
+    real_sign = SignatureScheme.sign
+
+    def counting_sign(self, public_key, message):
+        signed.append(message)
+        return real_sign(self, public_key, message)
+
+    monkeypatch.setattr(SignatureScheme, "sign", counting_sign)
+    with pytest.raises(AssetIdCollision):
+        eco.fuse_chains(b"a", b"c")
+    with pytest.raises(SplitchainError, match="validators on both chains"):
+        eco.fuse_chains(b"a", b"d")
+    assert signed == []
+    assert set(eco.chains) == {b"a", b"b", b"c", b"d"} and not eco.retired
+
+
+def test_an_asset_owned_by_a_non_member_is_a_divergence_at_birth():
+    # a division or fusion refuses to hand such an asset to a child and
+    # leaves every chain live
+    eco = build_eco(n=4, clients=1, assets_per_client=1)
+    eco.register_user(b"u200", Role.VALIDATOR)
+    eco.create_chain(b"other", [b"u200"], n_max=8)
+    root = eco.chains[b"root"]
+    ghost = Asset(b"ghost-coin", b"ghost", 1)
+    root.state = root.state.replace(
+        assets={**root.state.assets, ghost.asset_id: ghost})
+    for birth in (lambda: eco.divide_chain(b"root"),
+                  lambda: eco.fuse_chains(b"root", b"other")):
+        with pytest.raises(StateDivergence, match="non-member"):
+            birth()
+        assert set(eco.chains) == {b"root", b"other"} and not eco.retired
+
+
+def test_an_owner_with_two_seats_keeps_its_assets_with_its_client_seat():
+    # clients that joined as validators sit in both rosters, so a division
+    # may give them a validator seat on one child and a client seat on the
+    # other; each asset still lands on exactly one child
+    for seed in range(6):
+        eco = build_eco(n=4, clients=3, assets_per_client=1, n_max=6,
+                        seed=seed)
+        for client in (b"u100", b"u101"):
+            eco.join_chain(client, b"root")
+        children = eco.divide_chain(b"root")
+        assert eco.total_value() == 3
+        for child in children:
+            clients = child.ledger[0].transactions[0].payload.config.clients
+            assert {a.owner for a in child.state.assets.values()} <= set(
+                clients), seed
+
+
+def _guarded_births(seed):
+    """Three chains with clients and assets; `src` holds two pending locks
+    and `dst` a claim of each verdict. Then src fuses with x, dst divides,
+    its children fuse and divide again, and src+x divides."""
+    eco = Ecosystem(seed=seed)
+    for prefix in (b"u0", b"u2", b"u3"):
+        for i in range(4):
+            eco.register_user(prefix + b"%02d" % i, Role.VALIDATOR)
+    for client in (b"alice", b"carol", b"bob", b"dave", b"erin"):
+        eco.register_user(client, Role.CLIENT)
+
+    def validators(prefix):
+        return [prefix + b"%02d" % i for i in range(4)]
+
+    eco.create_chain(b"src", validators(b"u0"), [b"alice", b"carol"],
+                     n_max=4, initial_assets=[Asset(b"coin", b"alice", 9),
+                                              Asset(b"gem", b"carol", 4)])
+    eco.create_chain(b"dst", validators(b"u2"), [b"bob", b"dave"], n_max=4,
+                     initial_assets=[Asset(b"ruby", b"dave", 3)])
+    eco.create_chain(b"x", validators(b"u3"), [b"erin"], n_max=8,
+                     alpha=THIRD, kind="bft",
+                     initial_assets=[Asset(b"pebble", b"erin", 2)])
+    toa_claim(eco, b"bob", b"dst",
+              toa_lock(eco, b"alice", b"coin", b"bob", b"dst"))
+    # addressed to dave, so bob's claim is recorded as a failure
+    toa_claim(eco, b"bob", b"dst",
+              toa_lock(eco, b"carol", b"gem", b"dave", b"dst"))
+    assert len(eco.chains[b"src"].state.locks) == 2
+    assert sorted(eco.chains[b"dst"].state.claims.values()) == [0, 1]
+    eco.fuse_chains(b"src", b"x")
+    eco.divide_chain(b"dst")
+    eco.fuse_chains(b"dst.1", b"dst.2")
+    eco.divide_chain(b"dst.1+dst.2")
+    eco.divide_chain(b"src+x")
+    return eco
+
+
+# sha256 over (chain id, genesis digest, state digest) of every chain the
+# scenario above leaves, live or retired, per seed
+GUARDED_BIRTHS = {
+    0: "2222319e6b47f5e444981baeb9557d053dae6d9dc8698cc44f58fdea1e00733b",
+    1: "4f25c1f9015afd0bfbcafd9c091de16a3013267d59ad49913703f1617d35d24c",
+    2: "11e57594a56dcf6cd5024664d5574705b966ce11937e4d961a5b992820032e5a",
+    3: "885728a14c756e98612f7cf253ae0696bce60669538cf51333500cb39104be52",
+    4: "7ca79bbbb02c68c225495c4ee8d7462a9bf17b3a6d9c389b182472dcecc43e8b",
+    5: "9b07eb392cb5e20ceb1f903d10697e3661a4dae9ec3708dc0bcb0112e58ea18a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GUARDED_BIRTHS))
+def test_division_and_fusion_geneses_keep_their_bytes(seed):
+    eco = _guarded_births(seed)
+    rows = [(cid, eco.chain(cid).ledger[0].digest.hex(),
+             eco.chain(cid).state.digest().hex())
+            for cid in sorted(eco.chains.keys() | eco.retired.keys())]
+    assert [cid for cid, _, _ in rows] == [
+        b"dst", b"dst.1", b"dst.1+dst.2", b"dst.1+dst.2.1", b"dst.1+dst.2.2",
+        b"dst.2", b"src", b"src+x", b"src+x.1", b"src+x.2", b"x"]
+    assert eco.total_value() == 27  # coin counts on src and on dst
+    assert sha256(repr(rows).encode()).hex() == GUARDED_BIRTHS[seed]
 
 
 def test_value_conserved_across_divide():

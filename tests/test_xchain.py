@@ -448,6 +448,39 @@ def test_transfer_survives_source_division():
     assert eco.total_value() == 9
 
 
+def add_chain_x(eco):
+    """A third chain `x` (validators u3xx, client erin), free to fuse."""
+    vals = [b"u3%02d" % i for i in range(4)]
+    for v in vals:
+        eco.register_user(v, Role.VALIDATOR)
+    eco.register_user(b"erin", Role.CLIENT)
+    eco.create_chain(b"x", vals, [b"erin"])
+
+
+def test_transfer_survives_source_fusion():
+    eco = two_chain_eco()
+    add_chain_x(eco)
+    lock = toa_lock(eco, b"alice", b"coin", b"bob", b"dst")
+    eco.fuse_chains(b"src", b"x")
+    claim = toa_claim(eco, b"bob", b"dst", lock)
+    assert claim.kind == "claim"
+    assert toa_resolve(eco, b"src", claim) == "claimed"
+    assert b"coin" not in eco.chains[b"src+x"].state.assets
+    assert eco.total_value() == 9
+
+
+def test_transfer_survives_target_fusion():
+    eco = two_chain_eco()
+    add_chain_x(eco)
+    lock = toa_lock(eco, b"alice", b"coin", b"bob", b"dst")
+    eco.fuse_chains(b"dst", b"x")
+    claim = toa_claim(eco, b"bob", b"dst", lock)
+    assert claim.kind == "claim" and claim.attesting_chain == b"dst+x"
+    assert eco.chains[b"dst+x"].state.assets[b"coin"].owner == b"bob"
+    assert toa_resolve(eco, b"src", claim) == "claimed"
+    assert eco.total_value() == 9
+
+
 def test_parse_transaction_rejects_other_kinds():
     eco = two_chain_eco()
     lock = toa_lock(eco, b"alice", b"coin", b"bob", b"dst")
