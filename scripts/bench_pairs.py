@@ -12,9 +12,18 @@ PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
   PAIRS alternating pairs per workload (which side runs first alternates
   too) on the given seed; it records every run's end-to-end metrics and
   each side's medians, quartiles and pair wins;
+* gives each end-to-end metric of each workload a verdict, against the
+  metric's bound in the repository's ``BENCHMARK.json`` (read, never
+  written): ``gain`` when the change wins at least nine tenths of the pairs
+  and the medians differ by more than the parent's interquartile range;
+  ``unresolved`` when the parent's own interquartile range, relative to its
+  median, is wider than the bound and some run of the change reads no
+  better than some run of the parent; ``within_bound`` when the change's
+  median is no worse than the parent's by more than the bound; otherwise
+  ``regression``;
 * hashes the ``analyze`` CSV of each tree at α ∈ {1/2, 1/3}: n = 10,40,50,100
-  with 10⁵ Monte Carlo trials on seed 0 and on the given seed, and
-  n = 1000,2000,4000 exact only;
+  with 10⁵ Monte Carlo trials and n = 200,1000,4000 with 10⁴ trials, each on
+  seed 0 and on the given seed, and n = 1000,2000,4000 exact only;
 * hashes every output of ``simulate`` (figure1 seeds 0–29, the bench's
   adversarial.mit seeds 0–7), ``divide-demo`` (seeds 0, 1 and 7, and 300
   validators) and ``xfer-demo``, each run in a fresh directory with the
@@ -23,6 +32,9 @@ PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
   support of f₁ decides (``DivisionAnalysisParams.decided_breach``);
 * times each op of one sweep pass per tree, to show which grid points sit at
   the median op;
+* makes one traced run (``--trace 1``) per workload and tree, and records
+  its per-layer metrics (call counts, self times, the Monte Carlo cost per
+  10⁵ trials), to show in which layer a saving appears;
 * counts the lines of every ``.py`` file under ``src/`` and ``demos/`` of
   each tree, and the change's net lines against the parent.
 
@@ -41,14 +53,15 @@ import tempfile
 from pathlib import Path
 
 PAIRS = 10  # per workload: the fewest pairs a gain or a regression rests on
+WIN_SHARE = 0.9  # of the pairs a change must win to claim a gain
 WORKLOADS = ("sweep", "growth", "adversarial", "transfer")
 
-METRICS = {  # end-to-end metric -> True when higher is better
-    "throughput_ops_s": True,
-    "op_ms_p50": False,
-    "setup_s": False,
-    "peak_rss_mb": False,
-}
+BENCHMARK = json.loads(
+    (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+# end-to-end metric -> (True when higher is better, relative bound)
+METRICS = {m["name"]: (m["better"] == "higher", m["bound"])
+           for m in BENCHMARK["end_to_end"]}
+PER_LAYER = [m["name"] for m in BENCHMARK["per_layer"]]
 
 # Runs in a child interpreter with PYTHONPATH=<tree>/src: the breach
 # events the support decides per n of the sweep workload's grid, and the
@@ -92,14 +105,19 @@ def purge_bytecode(tree: Path) -> None:
         shutil.rmtree(cache)
 
 
-def bench_run(tree: Path, workload: str, seed: int) -> dict:
+def bench_run(tree: Path, workload: str, seed: int,
+              trace: bool = False) -> dict:
+    """The end-to-end metrics of one run, or with ``trace`` the per-layer
+    metrics of one traced run."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed)],
+         "--seed", str(seed), "--trace", str(int(trace))],
         cwd=tree, env=child_env(tree), capture_output=True, text=True,
         timeout=900, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    run = {key: round(result["metrics"][key]["value"], 4) for key in METRICS}
+    metrics = result["metrics"]
+    run = {key: round(metrics[key]["value"], 4)
+           for key in (PER_LAYER if trace else METRICS) if key in metrics}
     run["attempted"] = result["attempted"]
     run["failed"] = result["failed"]
     run["correct"] = result["correct"]
@@ -111,9 +129,24 @@ def quartiles(values):
     return round(q1, 4), round(median, 4), round(q3, 4)
 
 
+def verdict(parent: list, change: list, higher: bool, bound: float) -> str:
+    """gain, unresolved, within_bound or regression; see the module doc."""
+    sign = 1 if higher else -1
+    parent = [sign * p for p in parent]  # from here on, larger is better
+    change = [sign * c for c in change]
+    q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    gap = statistics.median(change) - median
+    won = sum(c > p for p, c in zip(parent, change))
+    if won >= WIN_SHARE * len(parent) and gap > q3 - q1:
+        return "gain"
+    if q3 - q1 > bound * abs(median) and min(change) <= max(parent):
+        return "unresolved"
+    return "within_bound" if gap >= -bound * abs(median) else "regression"
+
+
 def summarise(pairs: list) -> dict:
     out = {}
-    for key, higher in METRICS.items():
+    for key, (higher, bound) in METRICS.items():
         parent = [p["parent"][key] for p in pairs]
         change = [p["change"][key] for p in pairs]
         pq1, pmed, pq3 = quartiles(parent)
@@ -123,7 +156,8 @@ def summarise(pairs: list) -> dict:
         out[key] = {"parent_median": pmed, "change_median": cmed,
                     "parent_q1_q3": [pq1, pq3], "change_q1_q3": [cq1, cq3],
                     "parent_iqr": round(pq3 - pq1, 4),
-                    "change_won": won, "pairs": len(pairs)}
+                    "change_won": won, "pairs": len(pairs), "bound": bound,
+                    "verdict": verdict(parent, change, higher, bound)}
     out["failed"] = {side: sum(p[side]["failed"] for p in pairs)
                      for side in ("parent", "change")}
     return out
@@ -146,7 +180,10 @@ def run_pairs(trees: dict, workload: str, count: int, seed: int) -> dict:
 
 def analyze_hashes(tree: Path, held_out: int) -> dict:
     """sha256 of stdout, stderr and exit code per analyze run."""
-    runs = [("10,40,50,100", 100_000, seed) for seed in (0, held_out)]
+    runs = [(n_list, trials, seed)
+            for n_list, trials in (("10,40,50,100", 100_000),
+                                   ("200,1000,4000", 10_000))
+            for seed in (0, held_out)]
     runs.append(("1000,2000,4000", 0, 0))
     hashes = {}
     for alpha in ("1/2", "1/3"):
@@ -259,6 +296,8 @@ def main(argv=None) -> None:
         "sweep_grid": {side: grid_probe(tree, args.seed)
                        for side, tree in trees.items()},
         "lines": {side: line_counts(tree) for side, tree in trees.items()},
+        "trace": {w: {side: bench_run(tree, w, args.seed, trace=True)
+                      for side, tree in trees.items()} for w in WORKLOADS},
     }
     lines = result["lines"]
     lines["net"] = {top: lines["change"][top] - lines["parent"][top]
@@ -273,6 +312,10 @@ def main(argv=None) -> None:
         result["pairs"][workload] = run_pairs(trees, workload, PAIRS,
                                               args.seed)
         args.out.write_text(json.dumps(result, indent=1) + "\n")
+    result["verdicts"] = {
+        w: {key: result["pairs"][w]["summary"][key]["verdict"]
+            for key in METRICS} for w in WORKLOADS}
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(json.dumps({w: result["pairs"][w]["summary"]["throughput_ops_s"]
                       for w in WORKLOADS}, indent=1))
 

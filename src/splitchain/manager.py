@@ -524,7 +524,9 @@ class Ecosystem:
         if role == Role.CLIENT:
             if user in sim.config.clients or user in sim.state.accounts:
                 raise AlreadyMember(f"{user!r} already on {chain_id!r}")
-            tx = Transaction(TxKind.REGISTER, RegisterPayload(account), user)
+            seat = Account(user, account.public_key, Role.CLIENT,
+                           account.metadata)
+            tx = Transaction(TxKind.REGISTER, RegisterPayload(seat), user)
             sim.commit([tx])
         else:
             if user in sim.config.validators:

@@ -396,6 +396,65 @@ def test_first_half_kernel_matches_argsort_on_coarse_uniforms():
                     == _argsort_count(u, n // 2, f)).all()
 
 
+def _key_count(u, half, f):
+    keys = np.empty(u.shape, np.uint16)
+    return analysis._faulty_in_first_half_by_key(
+        u, keys, np.empty_like(keys), half, f)
+
+
+def _key_ties_across(u, half):
+    s = np.sort(np.floor(u * 2**16), axis=1)
+    return s[:, half - 1] == s[:, half]
+
+
+def test_key_kernel_matches_argsort_on_crafted_ties():
+    # n = 6, half = 3; k is one key step, e far below it
+    k, e = 2.0**-16, 2.0**-40
+    rows = np.array([
+        [5*k + 2*e, k, 9*k, 5*k + e, 2*k, 7*k],  # keys tie across: 0 vs 3
+        [5*k + e, 5*k + 2*e, k, 9*k, 2*k, 7*k],  # keys tie across: 0 and 1
+        [k, 9*k, 5*k + 3*e, 2*k, 7*k, 5*k + e],  # keys tie across: 2 and 5
+        [1 - e, 0.0, 1 - 3*e, .1, 1 - 2*e, 1 - 4*e],  # ... at key 65535
+        [5*k, 5*k - e, k, 9*k, 2*k, 7*k],  # floats straddle a key step
+        [k + e, k + 2*e, 9*k, 8*k, 3*k, 7*k],  # keys tie below only
+        [k, 9*k + e, 9*k + 2*e, 2*k, 3*k, 9*k],  # keys tie above only
+        [.5, .1, .5, .9, .2, .7],  # floats tie across the threshold
+        [.3, .3, .9, .8, .1, .7],  # floats tie below only
+        [.1, .9, .9, .2, .3, .9],  # floats tie above only
+        [.6, .5, .4, .3, .2, .1],  # no tie
+    ])
+    assert _key_ties_across(rows, 3).tolist() == [True] * 4 + [False] * 3 \
+        + [True] + [False] * 3
+    for f in range(7):
+        assert _key_count(rows, 3, f).tolist() == \
+            _argsort_count(rows, 3, f).tolist()
+
+
+def test_key_kernel_matches_argsort_where_keys_tie_often():
+    # four keys per cell, three floats per key: key ties at the threshold
+    # are the common case, float ties frequent
+    rng = np.random.default_rng(6)
+    for n in (2, 4, 10, 40, 130):
+        u = (rng.integers(0, 4, (500, n)) / 4
+             + rng.integers(0, 3, (500, n)) * 2.0**-30)
+        for f in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+            assert (_key_count(u, n // 2, f)
+                    == _argsort_count(u, n // 2, f)).all()
+
+
+@pytest.mark.parametrize("n, f", [(2000, 990), (4000, 1990)])
+def test_montecarlo_matches_argsort_reference_where_keys_tie(n, f):
+    # at n >= 2000 several percent of rows tie on 16-bit keys at the
+    # threshold; f sits where about 70% of splits breach
+    d = DivisionAnalysisParams(n, f, HALF)
+    u = np.random.default_rng(8).random((500, n))  # the sampler's draws
+    assert _key_ties_across(u, n // 2).sum() >= 5
+    assert (_key_count(u, n // 2, f) == _argsort_count(u, n // 2, f)).all()
+    freq = violation_frequency_montecarlo(d, 500, seed=8)
+    assert freq == reference_montecarlo(d, 500, seed=8)
+    assert 0 < freq[0] < 1
+
+
 def test_montecarlo_memory_is_bounded_by_block_cells():
     # one 2000-row argsort block of n = 2000 held about 64 MB
     d = DivisionAnalysisParams(2000, 800, HALF)

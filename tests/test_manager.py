@@ -29,6 +29,7 @@ from splitchain.manager import (
 )
 from splitchain.model import (
     Asset,
+    AssetTransferPayload,
     Block,
     LockPayload,
     Role,
@@ -141,6 +142,32 @@ def test_client_join_appears_in_roster():
     assert b"u100" in eco.chains[b"root"].state.accounts
     with pytest.raises(AlreadyMember):
         eco.join_chain(b"u100", b"root", role=Role.CLIENT)
+
+
+def test_a_validator_that_joins_as_a_client_takes_a_client_seat():
+    # its REGISTER carries a CLIENT-role account, so an asset it receives
+    # follows its client seat through a division
+    eco = Ecosystem(seed=0)
+    validators = [b"v%03d" % i for i in range(4)]
+    for v in validators + [b"w"]:
+        eco.register_user(v, Role.VALIDATOR)
+    eco.register_user(b"c1", Role.CLIENT)
+    eco.create_chain(b"root", validators, [b"c1"], n_max=4,
+                     initial_assets=[Asset(b"a", b"c1", 5)])
+    cfg = eco.join_chain(b"w", b"root", role=Role.CLIENT)
+    assert b"w" in cfg.clients and b"w" not in cfg.validators
+    root = eco.chains[b"root"]
+    assert root.state.accounts[b"w"].role == Role.CLIENT
+    tx = Transaction(TxKind.ASSET_TRANSFER,
+                     AssetTransferPayload(b"a", b"w"), b"c1")
+    root.commit([Transaction(tx.kind, tx.payload, tx.submitter,
+                             eco.scheme.sign(eco.users[b"c1"].public_key,
+                                             tx.signing_bytes()))])
+    children = eco.divide_chain(b"root")
+    holder, = [c for c in children if b"a" in c.state.assets]
+    assert b"w" in holder.config.clients
+    assert holder.state.assets[b"a"].owner == b"w"
+    assert eco.total_value() == 5
 
 
 def test_validator_join_recomputes_quorum():
