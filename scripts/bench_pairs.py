@@ -36,7 +36,8 @@ PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
   its per-layer metrics (call counts, self times, the Monte Carlo cost per
   10⁵ trials), to show in which layer a saving appears;
 * counts the lines of every ``.py`` file under ``src/`` and ``demos/`` of
-  each tree, and the change's net lines against the parent.
+  each tree, per directory and per file, and the change's net lines against
+  the parent, per directory and per file that differs.
 
 The JSON records the command that wrote it, with every option spelled out.
 """
@@ -263,11 +264,31 @@ def grid_probe(tree: Path, seed: int) -> dict:
     return probe
 
 
+LINE_DIRS = ("src", "demos")
+
+
 def line_counts(tree: Path) -> dict:
-    """Lines of the .py files under src/ and demos/."""
-    return {top: sum(len(path.read_text().splitlines())
-                     for path in (tree / top).rglob("*.py"))
-            for top in ("src", "demos")}
+    """Lines of the .py files under src/ and demos/: the total per directory,
+    and under "files" the count per file, keyed by its path in the tree."""
+    files = {path.relative_to(tree).as_posix():
+             len(path.read_text().splitlines())
+             for top in LINE_DIRS
+             for path in sorted((tree / top).rglob("*.py"))}
+    counts = {top: sum(lines for name, lines in files.items()
+                       if name.startswith(top + "/")) for top in LINE_DIRS}
+    counts["files"] = files
+    return counts
+
+
+def net_lines(parent: dict, change: dict) -> dict:
+    """The change's net lines per directory, and per file whose count
+    differs (a file only one tree has counts 0 in the other)."""
+    net = {top: change[top] - parent[top] for top in LINE_DIRS}
+    before, after = parent["files"], change["files"]
+    net["files"] = {name: after.get(name, 0) - before.get(name, 0)
+                    for name in sorted(before.keys() | after.keys())
+                    if after.get(name, 0) != before.get(name, 0)}
+    return net
 
 
 def main(argv=None) -> None:
@@ -300,8 +321,7 @@ def main(argv=None) -> None:
                       for side, tree in trees.items()} for w in WORKLOADS},
     }
     lines = result["lines"]
-    lines["net"] = {top: lines["change"][top] - lines["parent"][top]
-                    for top in lines["parent"]}
+    lines["net"] = net_lines(lines["parent"], lines["change"])
     hashes = result["analyze_hashes"]
     result["analyze_hashes_equal"] = hashes["parent"] == hashes["change"]
     outputs = result["output_hashes"]

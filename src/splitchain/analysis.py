@@ -17,6 +17,7 @@ import numpy as np
 
 from .crypto import derive_seed
 from .errors import InvalidParams
+from .model import at_fault_bound
 
 _MC_CELLS = 1 << 16  # uniforms per numpy block (512 KiB), whatever n is
 _KEY_SCALE = 65536.0  # 2**16: u * 2**16 is exact, and its floor fits uint16
@@ -116,8 +117,14 @@ class DivisionAnalysisParams:
 
     def child_violates(self, faulty_in_child: int) -> bool:
         """Security breaks when f_i >= alpha * n_i (exact rational compare)."""
-        a = self.alpha
-        return faulty_in_child * a.denominator >= a.numerator * self.half
+        return at_fault_bound(faulty_in_child, self.half, self.alpha)
+
+    def breaches(self, f1):
+        """Whether a split with f1 faulty in child 1 breaches either child;
+        elementwise when f1 is a numpy array."""
+        half, alpha = self.half, self.alpha
+        return (at_fault_bound(f1, half, alpha)
+                | at_fault_bound(self.f - f1, half, alpha))
 
     def decided_breach(self) -> bool | None:
         """Whether a split breaches a child, where the support of f1 decides.
@@ -152,9 +159,7 @@ def violation_probability_exact(d: DivisionAnalysisParams) -> Fraction:
     decided = d.decided_breach()
     if decided is not None:
         return Fraction(int(decided))
-    return _hypergeom_mass(
-        HypergeomParams(d.n, d.f, d.half),
-        lambda k: d.child_violates(k) or d.child_violates(d.f - k))
+    return _hypergeom_mass(HypergeomParams(d.n, d.f, d.half), d.breaches)
 
 
 def violation_probability_bound(d: DivisionAnalysisParams) -> tuple:
@@ -176,50 +181,26 @@ def bound_validity_holds(d: DivisionAnalysisParams) -> bool:
     return d.alpha <= 2 * d.beta
 
 
-def _count_to_threshold(v, s, half: int, f: int):
-    """(f1, tied) per row of v: f1 counts columns 0..f-1 at or below t, the
-    row's half-th smallest value; tied lists the rows whose next smallest
-    value equals t. ``s`` (v's shape and dtype) is overwritten.
-
-    Sorts values, not indices: in an untied row the first ``half`` positions
-    of its argsort hold exactly the entries <= t, so f1 is the argsort count.
-    """
-    np.copyto(s, v)
-    s.sort(axis=1)
-    f1 = np.count_nonzero(v[:, :f] <= s[:, half - 1:half], axis=1)
-    return f1, np.flatnonzero(s[:, half - 1] == s[:, half])
-
-
-def _faulty_in_first_half(u, s, half: int, f: int):
+def _faulty_in_first_half(u, keys, s, half: int, f: int):
     """Per row of uniforms u, how many of columns 0..f-1 its argsort puts
-    among the first ``half`` positions. ``s`` (u's shape) is overwritten.
+    among the first ``half`` positions. ``keys`` and ``s`` (uint16, of u's
+    shape) are overwritten.
 
-    Only rows with a tie across the threshold fall back to argsort, so every
-    row gets the argsort count, tie-breaking included.
+    Ranks 16-bit keys, not floats or indices. A key is floor(u * 2**16): the
+    product is exact and u < 1 keeps it below 2**16, so a smaller key always
+    means a smaller float. In a row whose sorted keys at positions half-1
+    and half differ, the entries with key <= t, the row's half-th smallest
+    key, are the first half of the row's argsort. Only the rows whose keys
+    tie there are ranked by argsort itself.
     """
-    f1, tied = _count_to_threshold(u, s, half, f)
+    np.multiply(u, _KEY_SCALE, out=keys, casting="unsafe")
+    np.copyto(s, keys)
+    s.sort(axis=1)
+    f1 = np.count_nonzero(keys[:, :f] <= s[:, half - 1:half], axis=1)
+    tied = np.flatnonzero(s[:, half - 1] == s[:, half])
     if tied.size:
         order = np.argsort(u[tied], axis=1)
         f1[tied] = (order[:, :half] < f).sum(axis=1)
-    return f1
-
-
-def _faulty_in_first_half_by_key(u, keys, s, half: int, f: int):
-    """_faulty_in_first_half on 16-bit keys: the same count per row, from a
-    sort of uint16 values instead of float64. ``keys`` and ``s`` (uint16, of
-    u's shape) are overwritten.
-
-    A key is floor(u * 2**16): the product is exact and u < 1 keeps it below
-    2**16. So a smaller key always means a smaller float. In a row whose
-    keys at sorted positions half-1 and half differ, the entries with key
-    <= t are the first half of the row's argsort, and no float tie crosses
-    the threshold. Rows whose keys tie there take the float path on u.
-    """
-    np.multiply(u, _KEY_SCALE, out=keys, casting="unsafe")
-    f1, tied = _count_to_threshold(keys, s, half, f)
-    if tied.size:
-        rows = u[tied]
-        f1[tied] = _faulty_in_first_half(rows, np.empty_like(rows), half, f)
     return f1
 
 
@@ -233,8 +214,8 @@ def violation_frequency_montecarlo(d: DivisionAnalysisParams, trials: int,
     exact law. stderr is the binomial standard error of the estimate.
     Trials are drawn in blocks of about _MC_CELLS uniforms; the generator
     yields them in row-major order, so the block size never changes a draw.
-    Each block is ranked on 16-bit keys (_faulty_in_first_half_by_key), which
-    gives every trial its argsort count.
+    Each block is ranked on 16-bit keys (_faulty_in_first_half), which gives
+    every trial its argsort count.
 
     The sampler, and with it the independent check, runs only where the
     support of f1 holds both breaching and non-breaching counts
@@ -247,7 +228,6 @@ def violation_frequency_montecarlo(d: DivisionAnalysisParams, trials: int,
     if decided is not None:
         return float(decided), 0.0
     rng = np.random.default_rng(seed)
-    a = d.alpha
     # block buffers per call: fresh ones per block would each be mapped
     # and page-faulted anew, which cost about a quarter of the sampler's time
     u = np.empty((min(max(1, _MC_CELLS // d.n), trials), d.n))
@@ -258,11 +238,9 @@ def violation_frequency_montecarlo(d: DivisionAnalysisParams, trials: int,
     while done < trials:
         block = min(len(u), trials - done)
         rng.random(out=u[:block])
-        f1 = _faulty_in_first_half_by_key(u[:block], keys[:block], s[:block],
-                                          d.half, d.f)
-        v1 = f1 * a.denominator >= a.numerator * d.half
-        v2 = (d.f - f1) * a.denominator >= a.numerator * d.half
-        hits += int(np.count_nonzero(v1 | v2))
+        f1 = _faulty_in_first_half(u[:block], keys[:block], s[:block],
+                                   d.half, d.f)
+        hits += int(np.count_nonzero(d.breaches(f1)))
         done += block
     freq = hits / trials
     stderr = math.sqrt(freq * (1.0 - freq) / trials)

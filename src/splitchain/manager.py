@@ -271,8 +271,8 @@ class ChainSim:
         if not any(outcome[v] for v in correct):
             self.eco._log(f"stall chain={_name(self.chain_id)} "
                           f"height={candidate.height}")
-            raise Stalled(f"chain {self.chain_id!r}: no quorum at height "
-                          f"{candidate.height}")
+            raise Stalled(f"chain {_name(self.chain_id)}: no quorum at "
+                          f"height {candidate.height}")
         self.ledger.append(candidate)
         self.state = state.replace(last_height=candidate.height)
         if self.division is not None:
@@ -553,8 +553,8 @@ class Ecosystem:
             initiator = sim.validators[0]
         if initiator not in self.users:
             # no account means no network presence: certainly not a validator
-            raise UnknownInitiator(
-                f"{initiator!r} is not a validator of {chain_id!r}")
+            raise UnknownInitiator(f"{_name(initiator)} is not a validator "
+                                   f"of {_name(chain_id)}")
         children = child_chain_ids(chain_id)
         for child in children:
             self._check_id_free(child)
@@ -566,16 +566,16 @@ class Ecosystem:
             return self.chains[children[0]], self.chains[children[1]]
         reasons = set(sim.division.rejections.values())
         if "unknown-initiator" in reasons:
-            raise UnknownInitiator(
-                f"{initiator!r} is not a validator of {chain_id!r}")
+            raise UnknownInitiator(f"{_name(initiator)} is not a validator "
+                                   f"of {_name(chain_id)}")
         if "trigger" in reasons:
             raise TriggerNotMet(
-                f"chain {chain_id!r} has {len(sim.validators)} validators, "
-                f"trigger is {sim.config.n_max}")
+                f"chain {_name(chain_id)} has {len(sim.validators)} "
+                f"validators, trigger is {sim.config.n_max}")
         rejected = (f"; rejected: {', '.join(sorted(reasons))}" if reasons
                     else "")
         raise NoQuorum(
-            f"division of {chain_id!r} gathered no quorum "
+            f"division of {_name(chain_id)} gathered no quorum "
             f"(need {sim.quorum} acks{rejected})")
 
     def fuse_chains(self, c1_id: ChainId, c2_id: ChainId,
@@ -645,7 +645,7 @@ class Ecosystem:
 
     def _check_id_free(self, chain_id: ChainId) -> None:
         if self.chain(chain_id) is not None:
-            raise DuplicateChainId(f"chain {chain_id!r} already exists")
+            raise DuplicateChainId(f"chain {_name(chain_id)} already exists")
 
     def respond(self, validator: UserId, request) -> tuple:
         """`validator`'s answer to a signing request, as (answer, hook).
@@ -729,8 +729,8 @@ class Ecosystem:
         for sim in born:
             n_i = len(sim.validators)
             f_i = self.chain_fault_count(sim)
-            alpha = sim.config.consensus.alpha
-            violated = f_i * alpha.denominator >= alpha.numerator * n_i
+            violated = model.at_fault_bound(f_i, n_i,
+                                            sim.config.consensus.alpha)
             children.append((sim.chain_id, n_i, f_i, violated))
         founders = parent.founders
         self.divisions.append(DivisionRecord(

@@ -291,6 +291,13 @@ def quorum_size(n: int, alpha: Fraction) -> int:
     return -(-(den - num) * n // den)
 
 
+def at_fault_bound(f, n: int, alpha: Fraction):
+    """Whether f faulty of n validators reach alpha, where a chain is
+    compromised: f >= alpha * n, in exact integer arithmetic. Works on ints
+    and, elementwise, on numpy integer arrays of f."""
+    return f * alpha.denominator >= alpha.numerator * n
+
+
 @dataclass(frozen=True)
 class ConsensusParams:
     alpha: Fraction
@@ -457,8 +464,11 @@ def apply_transaction(state: ChainState, tx: Transaction, scheme=None) -> ChainS
         accounts = dict(state.accounts)
         accounts[p.account.user] = p.account
         config = state.config
+        # a client-role account on a validator seat takes no client seat:
+        # a genesis installs exactly the roster its config names
         if config is not None and p.account.role == Role.CLIENT \
-                and p.account.user not in config.clients:
+                and p.account.user not in config.clients \
+                and p.account.user not in config.validator_set:
             config = replace(config, clients=tuple(
                 sorted(config.clients + (p.account.user,))))
         return state.replace(accounts=accounts, config=config)

@@ -365,40 +365,9 @@ def _argsort_count(u, half, f):
     return (np.argsort(u, axis=1)[:, :half] < f).sum(axis=1)
 
 
-def _kernel_count(u, half, f):
-    return analysis._faulty_in_first_half(u, np.empty_like(u), half, f)
-
-
-def test_first_half_kernel_matches_argsort_on_crafted_ties():
-    # n = 6, half = 3: the threshold is the 3rd smallest value of a row
-    rows = np.array([
-        [.5, .1, .5, .9, .2, .7],  # tie across threshold: faulty vs honest
-        [.5, .5, .1, .9, .2, .7],  # tie across threshold: both faulty
-        [.1, .9, .5, .2, .7, .5],  # tie across threshold: both honest
-        [.3, .3, .9, .8, .1, .7],  # tie below threshold, faulty columns
-        [.1, .9, .9, .2, .3, .9],  # tie above threshold
-        [.4, .2, .6, .2, .8, .6],  # ties below and above, none across
-        [.5, .5, .5, .5, .5, .5],  # every value tied
-        [.6, .5, .4, .3, .2, .1],  # no tie
-    ])
-    for f in range(7):
-        assert _kernel_count(rows, 3, f).tolist() == \
-            _argsort_count(rows, 3, f).tolist()
-
-
-def test_first_half_kernel_matches_argsort_on_coarse_uniforms():
-    # four levels per cell make ties at the threshold the common case
-    rng = np.random.default_rng(5)
-    for n in (2, 4, 10, 40, 130):
-        u = rng.integers(0, 4, (500, n)) / 4
-        for f in sorted({0, 1, n // 3, n // 2, n - 1, n}):
-            assert (_kernel_count(u, n // 2, f)
-                    == _argsort_count(u, n // 2, f)).all()
-
-
 def _key_count(u, half, f):
     keys = np.empty(u.shape, np.uint16)
-    return analysis._faulty_in_first_half_by_key(
+    return analysis._faulty_in_first_half(
         u, keys, np.empty_like(keys), half, f)
 
 
@@ -421,10 +390,12 @@ def test_key_kernel_matches_argsort_on_crafted_ties():
         [.5, .1, .5, .9, .2, .7],  # floats tie across the threshold
         [.3, .3, .9, .8, .1, .7],  # floats tie below only
         [.1, .9, .9, .2, .3, .9],  # floats tie above only
+        [.4, .2, .6, .2, .8, .6],  # floats tie below and above, none across
+        [.5, .5, .5, .5, .5, .5],  # every float tied
         [.6, .5, .4, .3, .2, .1],  # no tie
     ])
     assert _key_ties_across(rows, 3).tolist() == [True] * 4 + [False] * 3 \
-        + [True] + [False] * 3
+        + [True] + [False] * 3 + [True, False]
     for f in range(7):
         assert _key_count(rows, 3, f).tolist() == \
             _argsort_count(rows, 3, f).tolist()

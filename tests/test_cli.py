@@ -259,7 +259,7 @@ merged = A.1
     assert code == 0
     assert err == "" and stdout.startswith("4 chains after 1 divisions")
     events = (out / "events.log").read_text().splitlines()
-    assert "[2] fusion B+C failed: chain b'A.1' already exists" in events
+    assert "[2] fusion B+C failed: chain A.1 already exists" in events
 
 
 def test_simulate_division_into_taken_child_id_exit_0(tmp_path, capsys):
@@ -278,7 +278,7 @@ validators = 3
     assert code == 0
     assert err == "" and stdout.startswith("2 chains after 0 divisions")
     events = (out / "events.log").read_text().splitlines()
-    assert "[0] division of a failed: chain b'a.1' already exists" in events
+    assert "[0] division of a failed: chain a.1 already exists" in events
     assert (out / "lineage.csv").read_text() == (
         "chain_id,parent_id,side,split_height\na,,0,0\na.1,,0,0\n")
 
@@ -308,6 +308,34 @@ root-v003 = crash 0
     assert metrics[1:] == ["0,root,4,3,3/4,0,0"]
     assert (out / "lineage.csv").read_text() == (
         "chain_id,parent_id,side,split_height\nroot,,0,0\n")
+
+
+def test_failed_division_and_stall_name_the_chain_as_the_log_does(tmp_path,
+                                                                   capsys):
+    # alpha=1/3, n=4: quorum 3, and two crashes at tick 1 leave two acks
+    # and two votes
+    scenario = tmp_path / "crash.mit"
+    scenario.write_text("""
+[chain a]
+validators = 4
+alpha = 1/3
+kind = bft
+n_max = 4
+[faults]
+a-v002 = crash 1
+a-v003 = crash 1
+[join]
+arrivals = 2
+""")
+    out = tmp_path / "run"
+    code, _, err = run_cli(["simulate", "--scenario", str(scenario),
+                            "--out", str(out)], capsys)
+    assert code == 4
+    assert err == "error: run stopped early: chain a: no quorum at height 1\n"
+    assert (out / "events.log").read_text().splitlines()[1:] == [
+        "[2] division of a failed: division of a gathered no quorum "
+        "(need 3 acks)",
+        "[2] stall chain=a height=1"]
 
 
 def test_simulate_fusion_without_quorum_exit_0(tmp_path, capsys):

@@ -771,6 +771,24 @@ def test_division_bookkeeping_counts_faults():
         assert violated == (2 * f_i >= n_i)  # alpha = 1/2
 
 
+@pytest.mark.parametrize("faulty, expected", [
+    ((b"u004",), (False, True)),  # child 2 sits exactly at f_i = alpha*n_i
+    ((b"u000", b"u004"), (False, True)),
+    ((b"u000",), (False, False)),
+    ((b"u000", b"u001", b"u005"), (True, True)),
+])
+def test_violated_flags_the_fault_bound_at_a_third_on_odd_sizes(faulty,
+                                                                expected):
+    # n_max = 7 splits deterministically into u000-u003 and u004-u006
+    eco = build_eco(n=7, alpha=THIRD, faulty=faulty, scheme="deterministic")
+    eco.divide_chain(b"root")
+    children = eco.divisions[-1].children
+    assert [n_i for _, n_i, _, _ in children] == [4, 3]
+    for _, n_i, f_i, violated in children:
+        assert violated == (Fraction(f_i, n_i) >= THIRD)
+    assert tuple(violated for *_, violated in children) == expected
+
+
 # --- fusion -----------------------------------------------------------------------
 
 
@@ -895,9 +913,29 @@ def test_an_owner_with_two_seats_keeps_its_assets_with_its_client_seat():
         children = eco.divide_chain(b"root")
         assert eco.total_value() == 3
         for child in children:
-            clients = child.ledger[0].transactions[0].payload.config.clients
             assert {a.owner for a in child.state.assets.values()} <= set(
-                clients), seed
+                child.config.clients), seed
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_a_genesis_installs_exactly_the_roster_it_names(seed):
+    # c1 and c2 join as validators and so hold two seats; each child's
+    # genesis registers their client-role accounts, which must not give the
+    # child a client seat its install payload does not list
+    eco = Ecosystem(seed=seed)
+    validators = [b"u%03d" % i for i in range(4)]
+    for v in validators:
+        eco.register_user(v, Role.VALIDATOR)
+    for c in (b"c1", b"c2", b"c3"):
+        eco.register_user(c, Role.CLIENT)
+    eco.create_chain(b"x", validators, [b"c1", b"c2", b"c3"], n_max=6)
+    for c in (b"c1", b"c2"):
+        eco.join_chain(c, b"x")
+    children = eco.divide_chain(b"x")
+    for child in children:
+        assert child.config == child.ledger[0].transactions[0].payload.config
+    assert not set(children[0].config.clients) & set(
+        children[1].config.clients)
 
 
 def _guarded_births(seed):

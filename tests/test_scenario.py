@@ -380,7 +380,7 @@ merged = A.1
 def test_fusion_into_a_taken_runtime_id_is_logged_and_both_chains_stay():
     # A divides at start, so its child A.1 owns the merged id by tick 2
     report = run_scenario(FUSE_INTO_DIVIDED_CHILD)
-    assert ("[2] fusion B+C failed: chain b'A.1' already exists"
+    assert ("[2] fusion B+C failed: chain A.1 already exists"
             in report.events)
     assert sorted(cid for cid, _, _ in report.final_chains) == [
         b"A.1", b"A.2", b"B", b"C"]
@@ -400,7 +400,7 @@ validators = 3
 def test_division_into_a_taken_child_id_is_logged_and_both_chains_stay():
     # a starts at its trigger, but its child id a.1 is a declared chain
     report = run_scenario(DIVIDE_INTO_TAKEN_CHILD)
-    assert ("[0] division of a failed: chain b'a.1' already exists"
+    assert ("[0] division of a failed: chain a.1 already exists"
             in report.events)
     assert [(cid, n) for cid, n, _ in report.final_chains] == [(b"a", 4),
                                                               (b"a.1", 3)]
