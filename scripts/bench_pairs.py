@@ -32,6 +32,10 @@ PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
   support of f₁ decides (``DivisionAnalysisParams.decided_breach``);
 * times each op of one sweep pass per tree, to show which grid points sit at
   the median op;
+* times one ``divide_chain`` of a fresh n-validator chain, n ∈ {300, 1000},
+  in a fresh interpreter per run, in DIVISION_PAIRS alternating pairs per n;
+  it records each run's CPU time, messages sent and peak RSS, and each
+  side's medians, since no benchmark workload runs a division at that size;
 * makes one traced run (``--trace 1``) per workload and tree, and records
   its per-layer metrics (call counts, self times, the Monte Carlo cost per
   10⁵ trials), to show in which layer a saving appears;
@@ -54,6 +58,8 @@ import tempfile
 from pathlib import Path
 
 PAIRS = 10  # per workload: the fewest pairs a gain or a regression rests on
+DIVISION_PAIRS = 5  # per division size
+DIVISION_SIZES = (300, 1000)
 WIN_SHARE = 0.9  # of the pairs a change must win to claim a gain
 WORKLOADS = ("sweep", "growth", "adversarial", "transfer")
 
@@ -91,6 +97,32 @@ for entry in entries:
                   f"n={entry[0]} beta={entry[1]}"
                   + (" mc" if entry[2] is not None else "")))
 print(json.dumps({"decided_per_n": decided, "op_s": times}))
+"""
+
+
+# Runs in a child interpreter with PYTHONPATH=<tree>/src: one division of a
+# fresh chain of argv[1] validators, with its CPU time (the division only),
+# the messages it sent, its children's sizes and the process's peak RSS.
+DIVISION_PROBE = r"""
+import json, resource, sys, time
+from splitchain.manager import Ecosystem
+from splitchain.model import Role
+n = int(sys.argv[1])
+eco = Ecosystem(seed=0)
+validators = [b"v%04d" % i for i in range(n)]
+for v in validators:
+    eco.register_user(v, Role.VALIDATOR)
+eco.create_chain(b"root", validators, n_max=n)
+before = eco.network.messages_sent
+start = time.process_time()
+c1, c2 = eco.divide_chain(b"root")
+cpu_s = time.process_time() - start
+print(json.dumps({
+    "cpu_s": round(cpu_s, 4),
+    "messages_sent": eco.network.messages_sent - before,
+    "children": [len(c1.validators), len(c2.validators)],
+    "peak_rss_mb": round(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))
 """
 
 
@@ -164,10 +196,15 @@ def summarise(pairs: list) -> dict:
     return out
 
 
+def pair_order(i: int) -> tuple:
+    """The sides of the i-th pair in run order; the first side alternates."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
 def run_pairs(trees: dict, workload: str, count: int, seed: int) -> dict:
     pairs = []
     for i in range(count):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        order = pair_order(i)
         pair = {"first": order[0]}
         for side in order:
             pair[side] = bench_run(trees[side], workload, seed)
@@ -264,6 +301,36 @@ def grid_probe(tree: Path, seed: int) -> dict:
     return probe
 
 
+def division_probe(trees: dict) -> dict:
+    """Alternating pairs of one division per size, each run in a fresh
+    interpreter."""
+    out = {}
+    for n in DIVISION_SIZES:
+        runs = []
+        for i in range(DIVISION_PAIRS):
+            order = pair_order(i)
+            pair = {"first": order[0]}
+            for side in order:
+                done = subprocess.run(
+                    [sys.executable, "-c", DIVISION_PROBE, str(n)],
+                    env=child_env(trees[side]), capture_output=True,
+                    text=True, timeout=900, check=True)
+                pair[side] = json.loads(done.stdout)
+            runs.append(pair)
+        summary = {}
+        for side in ("parent", "change"):
+            summary[side] = {key: statistics.median(
+                r[side][key] for r in runs)
+                for key in ("cpu_s", "messages_sent", "peak_rss_mb")}
+        summary["cpu_ratio"] = round(summary["change"]["cpu_s"]
+                                     / summary["parent"]["cpu_s"], 3)
+        summary["change_won"] = sum(r["change"]["cpu_s"] < r["parent"]["cpu_s"]
+                                    for r in runs)
+        out[f"n={n}"] = {"runs": runs, "summary": summary}
+        print(f"division n={n}: {summary}", file=sys.stderr)
+    return out
+
+
 LINE_DIRS = ("src", "demos")
 
 
@@ -316,6 +383,7 @@ def main(argv=None) -> None:
                           for side, tree in trees.items()},
         "sweep_grid": {side: grid_probe(tree, args.seed)
                        for side, tree in trees.items()},
+        "division": division_probe(trees),
         "lines": {side: line_counts(tree) for side, tree in trees.items()},
         "trace": {w: {side: bench_run(tree, w, args.seed, trace=True)
                       for side, tree in trees.items()} for w in WORKLOADS},

@@ -10,7 +10,11 @@ Ordinary block commits are modeled as synchronous vote rounds (consensus is
 a black box — only its quorum arithmetic matters here), while the division
 protocol is message-faithful: the initiator's broadcast and every signed ack
 travel through the simulated network and are counted, one DIVIDE per
-validator plus n^2 acks.
+validator plus n^2 acks. Each broadcast is one network calendar entry per
+delivery tick, and the network's handler finds the chain it names once per
+entry: a DIVIDE is delivered by ``ChainSim.on_divide`` per recipient, and
+``ChainSim.on_ack`` makes one receiver per ACK entry that matches the round
+and reads the ack's verdict once, then runs once per recipient.
 
 Every signature a validator gives (commit vote, division ack, certificate
 share) comes from :meth:`Ecosystem.respond`. Correct and crashed validators
@@ -106,9 +110,9 @@ class DivisionRound:
     acks: dict = field(default_factory=dict)  # validator -> {signer: signature}
     assigned: set = field(default_factory=set)  # validators that reached quorum
     # validator -> its _verify_request verdict (None: accepted), read by
-    # on_divide and on_ack. The verdict depends only on the chain's config,
-    # ledger and committed heights, which change only in ChainSim.commit,
-    # and commit clears this memo.
+    # on_divide and the ACK receivers. The verdict depends only on the chain's
+    # config, ledger and committed heights, which change only in
+    # ChainSim.commit, and commit clears this memo.
     judged: dict = field(default_factory=dict)
     # (signer, signature) -> whether the signer is a member and the tag
     # verifies, shared by every recipient. Exact: it is read only while the
@@ -311,20 +315,24 @@ class ChainSim:
             return "behind"
         return None
 
-    def _accepts(self, validator: UserId, req: DivideRequest) -> bool:
-        """Whether `validator` acts on `req`: it is this round's request and
-        the validator's judgment of it, made once per round, accepts it."""
+    def _round_of(self, req: DivideRequest) -> DivisionRound | None:
+        """The current round, or None if `req` is an earlier round's."""
         rnd = self.division
-        if rnd.request is not req and rnd.request != req:
-            return False  # an earlier round's message
-        judged = rnd.judged
-        reason = judged.get(validator, _UNJUDGED)
-        if reason is _UNJUDGED:
-            reason = judged[validator] = self._verify_request(validator, req)
-        return reason is None
+        if rnd.request is req or rnd.request == req:
+            return rnd
+        return None
 
     def on_divide(self, validator: UserId, req: DivideRequest, now: int):
-        if self._accepts(validator, req):
+        """One delivery of `req` to `validator`: it acks if it accepts the
+        round's request, judged once per round (DivisionRound.judged)."""
+        rnd = self._round_of(req)
+        if rnd is None:
+            return
+        reason = rnd.judged.get(validator, _UNJUDGED)
+        if reason is _UNJUDGED:
+            reason = rnd.judged[validator] = self._verify_request(validator,
+                                                                  req)
+        if reason is None:
             self._broadcast_ack(validator, req)
 
     def _broadcast_ack(self, validator, req):
@@ -340,30 +348,51 @@ class ChainSim:
             if sig is not None:  # None: withheld, nothing on the wire
                 network.send(validator, recipient, AckMsg(req, validator, sig))
 
-    def on_ack(self, validator: UserId, ack: AckMsg, now: int):
-        # acks can outrun the DIVIDE broadcast; the embedded request is
-        # judged here, and the validator acks when the DIVIDE arrives
-        req = ack.request
-        if not self._accepts(validator, req):
-            return
-        rnd = self.division
-        cfg = self.state.config  # the round's own: the request is accepted
+    def on_ack(self, ack: AckMsg, now: int):
+        """The receiver of one ACK calendar entry: receive(validator) runs
+        once per delivery of `ack`; None when the ack belongs to an earlier
+        round. Acks can outrun the DIVIDE; the embedded request is judged
+        here. What a delivery can change (halted: the first completion
+        retires the chain; judged, acks and assigned) is read per delivery,
+        the rest once per entry."""
+        rnd = self._round_of(ack.request)
+        if rnd is None:
+            return None
+        req = rnd.request
+        judged, acks_of, assigned = rnd.judged, rnd.acks, rnd.assigned
+        cfg = self.state.config  # the round's own while it is accepted
+        quorum = cfg.quorum
         signer, sig = ack.signer, ack.signature
-        key = (signer, sig)
-        ok = rnd.verdicts.get(key)
-        if ok is None:
-            ok = rnd.verdicts[key] = (
-                signer in cfg.validator_set
-                and self.eco.verify(signer, req.statement, sig))
-        if not ok:
-            return
-        acks = rnd.acks.get(validator)
-        if acks is None:
-            acks = rnd.acks[validator] = {}
-        acks[signer] = sig
-        if len(acks) >= cfg.quorum and validator not in rnd.assigned:
-            rnd.assigned.add(validator)
-            self._complete_division(rnd, now)
+        ok = None  # the (signer, sig) verdict, once a delivery reads it
+
+        def receive(validator):
+            nonlocal ok
+            if self.halted:
+                return
+            reason = judged.get(validator, _UNJUDGED)
+            if reason is _UNJUDGED:
+                reason = judged[validator] = self._verify_request(validator,
+                                                                  req)
+            if reason is not None:
+                return
+            if ok is None:
+                key = (signer, sig)
+                ok = rnd.verdicts.get(key)
+                if ok is None:
+                    ok = rnd.verdicts[key] = (
+                        signer in cfg.validator_set
+                        and self.eco.verify(signer, req.statement, sig))
+            if not ok:
+                return
+            acks = acks_of.get(validator)
+            if acks is None:
+                acks = acks_of[validator] = {}
+            acks[signer] = sig
+            if len(acks) >= quorum and validator not in assigned:
+                assigned.add(validator)
+                self._complete_division(rnd, now)
+
+        return receive
 
     def _complete_division(self, rnd: DivisionRound, now: int):
         # the validator accepts the request, so self.state is its tip state
@@ -747,22 +776,25 @@ class Ecosystem:
 
 
 def _message_handler(chains):
-    """The network's handler: hand DIVIDE and ACK deliveries to the live
-    chain they name in `chains`, the Ecosystem's live-chain map. It holds no
+    """The network's handler: once per calendar entry, find the live chain
+    a DIVIDE or ACK names in `chains`, the Ecosystem's live-chain map, and
+    return the entry's per-recipient receiver on that chain. It holds no
     reference to the Ecosystem, so the ecosystem -> network -> handler path
     is no cycle."""
     get = chains.get
 
-    def on_message(node_id: bytes, payload, now: int) -> None:
+    def on_message(payload, now: int):
         kind = type(payload)  # exact: the network carries only these two
         if kind is AckMsg:
             sim = get(payload.request.chain)
             if sim is not None:
-                sim.on_ack(node_id, payload, now)
+                return sim.on_ack(payload, now)
         elif kind is DivideRequest:
             sim = get(payload.chain)
             if sim is not None:
-                sim.on_divide(node_id, payload, now)
+                return lambda validator: sim.on_divide(validator, payload,
+                                                       now)
+        return None
 
     return on_message
 

@@ -2,10 +2,14 @@
 
 Time is a logical tick counter. Deliveries are scheduled through a seeded
 delay model and processed by tick, in send order within a tick, so a
-(topology, seed) pair fully determines every run. Nodes are dumb mailboxes:
-protocol behavior lives in the one handler the network is built with, and
-fault status (crash schedule, Byzantine strategy) is consulted by that
-handler and by the delivery loop.
+(topology, seed) pair fully determines every run. Every message is one
+``send``; consecutive sends of one payload object that land on the same tick
+share one calendar entry, (recipients, payload), so a broadcast is one entry
+per delivery tick. The network's one handler is called once per entry,
+``handler(payload, now)``, and returns a ``receive(node_id)`` (or None:
+nobody acts on it) that runs for each recipient in order. Nodes are dumb
+mailboxes: protocol behavior lives in that handler, and fault status (crash
+schedule, Byzantine strategy) is consulted by it and by the delivery loop.
 
 A Byzantine strategy has one method, ``answer(request, recipient, sign)``:
 what the node sends ``recipient`` when asked to sign ``request`` (None for
@@ -40,16 +44,22 @@ class Node:
 
 
 class Network:
-    """Point-to-point message fabric that runs its own deliveries.
-
-    There is no separate scheduler, and one handler serves every node: each
-    delivery calls ``handler(node_id, payload, now)``. Every ``send`` counts
+    """Message fabric that runs its own deliveries, with one handler for
+    every node: ``handler(payload, now)``, called once per calendar entry,
+    returns ``receive(node_id)`` or None, and ``receive`` runs for each live
+    recipient of the entry in order, so it must read per call what a
+    delivery can change. Every message is one ``send`` call and counts
     toward ``messages_sent`` (self-delivery included); delivery to a node
-    crashed at delivery time is a silent drop.
+    crashed at delivery time is a silent drop. No handler may run the
+    network: a nested run raises.
 
-    The queue is a calendar queue (Brown, CACM 1988) with one bucket per
-    tick: each tick that has deliveries keeps them in a deque in send
-    order, and a heap holds the distinct ticks.
+    The queue is a calendar queue (Brown, CACM 1988): each tick that has
+    deliveries keeps a deque of (recipients, payload) entries in send
+    order, and a heap holds those ticks. A send whose payload is the same
+    object as the tick's last entry's joins that entry, which keeps every
+    delivery's order: a broadcast with a fixed delay is one entry, and with
+    random delays each recipient draws in target order and the recipients
+    are grouped by tick.
     """
 
     def __init__(self, handler, seed: int = 0, d_min: int = 1,
@@ -69,9 +79,10 @@ class Network:
         self._getrandbits = derive_rng("net-delay", seed).getrandbits
         self._width = d_max - d_min + 1
         self._bits = self._width.bit_length()
-        # tick -> deque of (Node, payload); never empty at rest
+        # tick -> deque of ([Node, ...], payload); never empty at rest
         self._queues = {}
         self._ticks = []  # heap of the ticks in _queues
+        self._running = False
 
     def add_node(self, node_id: bytes) -> Node:
         if node_id in self.nodes:
@@ -118,40 +129,71 @@ class Network:
         if queue is None:
             queue = self._queues[time] = deque()
             heapq.heappush(self._ticks, time)
-        queue.append((target, payload))
+        else:
+            entry = queue[-1]
+            if entry[1] is payload:  # the same message: one more recipient
+                entry[0].append(target)
+                return
+        queue.append(([target], payload))
 
     def broadcast(self, src: bytes, targets, payload) -> None:
+        """Send `payload` from `src` to each of `targets` (a sequence) in
+        order, one `send` each; an unknown end raises UnknownNode before
+        anything is sent, counted or drawn."""
+        nodes = self.nodes
+        if src not in nodes or not all(map(nodes.__contains__, targets)):
+            for end in (src, *targets):
+                self.node(end)  # raises UnknownNode at the first unknown
+        send = self.send
         for dst in targets:
-            self.send(src, dst, payload)
+            send(src, dst, payload)
 
     def _run(self, horizon, max_events) -> int:
         """Deliver whole ticks up to `horizon` (None: every tick), counting
         deliveries; raise once more than `max_events` have run. If the
-        handler raises, the rest of its tick stays queued."""
+        handler raises, or the budget runs out, at an entry's k-th
+        recipient, the recipients after it go back to the head of the tick's
+        deque, so the rest of the tick stays queued in order (all of them
+        when the handler's per-entry call raises)."""
+        if self._running:
+            raise RuntimeError("the network is already running; a handler "
+                               "may not run it")
+        self._running = True
         count = 0
         handler, queues, ticks = self.handler, self._queues, self._ticks
-        while ticks and (horizon is None or ticks[0] <= horizon):
-            time = ticks[0]
-            queue = queues[time]
-            popleft = queue.popleft
-            self.now = time
-            try:
-                while queue:
-                    node, payload = popleft()
-                    if time >= node.crash_at:  # node.crashed(time)
-                        self.messages_dropped += 1
-                    else:
-                        handler(node.node_id, payload, time)
-                    count += 1
-                    if count > max_events:
-                        raise RuntimeError(
-                            "event budget exhausted; likely a message loop")
-            finally:
-                # sends land after this tick, so it is still the heap's
-                # head, unless a nested run already retired it
-                if not queue and queues.get(time) is queue:
-                    heapq.heappop(ticks)
-                    del queues[time]
+        try:
+            while ticks and (horizon is None or ticks[0] <= horizon):
+                time = ticks[0]
+                queue = queues[time]
+                popleft = queue.popleft
+                self.now = time
+                try:
+                    while queue:
+                        recipients, payload = popleft()
+                        pending = iter(recipients)
+                        try:
+                            receive = handler(payload, time)
+                            for node in pending:
+                                if time >= node.crash_at:  # node.crashed
+                                    self.messages_dropped += 1
+                                elif receive is not None:
+                                    receive(node.node_id)
+                                count += 1
+                                if count > max_events:
+                                    raise RuntimeError(
+                                        "event budget exhausted; likely a "
+                                        "message loop")
+                        except BaseException:
+                            rest = list(pending)  # after the one that raised
+                            if rest:
+                                queue.appendleft((rest, payload))
+                            raise
+                finally:
+                    if not queue:  # sends land after this tick
+                        heapq.heappop(ticks)
+                        del queues[time]
+        finally:
+            self._running = False
         return count
 
     def run_until_idle(self, max_events: int = 1_000_000) -> int:

@@ -156,6 +156,10 @@ class _HeapNetwork:
         heapq.heappush(self._heap, (self.now + delay, self._seq, dst, payload))
         self._seq += 1
 
+    def broadcast(self, src: bytes, targets, payload) -> None:
+        for dst in targets:
+            self.send(src, dst, payload)
+
     def _step(self) -> None:
         time, _, node, payload = heapq.heappop(self._heap)
         self.now = time
@@ -180,10 +184,22 @@ class _HeapNetwork:
         self.now = max(self.now, horizon)
 
 
+def per_delivery(handler):
+    """A netsim.Network handler, ``handler(payload, now) -> receive``, that
+    calls a per-delivery ``handler(node_id, payload, now)`` for each
+    recipient of a calendar entry."""
+
+    def per_entry(payload, now):
+        return lambda node_id: handler(node_id, payload, now)
+
+    return per_entry
+
+
 def reference_network(handler, seed: int = 0, d_min: int = 1,
                       d_max: int = 1) -> _HeapNetwork:
     """A network that pops one heap of (time, seq, node, payload) per
-    delivery.
+    delivery, with a per-delivery ``handler(node_id, payload, now)``. A
+    broadcast is one send per target, in target order.
 
     The sequence number breaks ties, so deliveries of one tick run in send
     order. Delays come from the same seeded stream as netsim.Network's

@@ -387,6 +387,32 @@ def test_division_message_count_is_n_plus_n_squared():
         assert eco.scheme.verifies <= n, n
 
 
+def test_a_division_rounds_calendar_holds_one_entry_per_broadcast():
+    # unit delay: the DIVIDE is one entry at tick 1, and the n ack
+    # broadcasts it triggers are n entries at tick 2, not n^2 deliveries
+    n = 50
+    eco = build_eco(n=n)
+    network = eco.network
+    eco.chains[b"root"].start_division(b"u000")
+    assert [len(recipients) for recipients, _ in network._queues[1]] == [n]
+    network.run_until(1)
+    assert list(network._queues) == [2]
+    assert [len(recipients) for recipients, _ in network._queues[2]] == [n] * n
+    assert network.messages_sent == n + n * n
+    network.run_until_idle()
+    assert b"root.1" in eco.chains and b"root.2" in eco.chains
+
+
+def test_deliveries_after_the_first_completion_do_nothing():
+    # the first validator to reach quorum retires the parent; the rest of
+    # that ack entry, and every later one, reach a halted chain
+    for n in (4, 10, 50):
+        eco = build_eco(n=n)
+        eco.divide_chain(b"root")
+        rnd = eco.retired[b"root"].division
+        assert len(rnd.assigned) == 1, n
+
+
 def test_division_budget_is_the_rounds_own_bound(monkeypatch):
     # a round delivers n + n^2 messages, whatever the default budget is
     monkeypatch.setattr(Network.run_until_idle, "__defaults__", (100,))
@@ -590,15 +616,15 @@ def test_ack_signer_is_checked_against_the_config_of_its_round():
     key = eco.users[b"u050"].public_key
     req = sim.start_division(b"u000")
     ack = AckMsg(req, b"u050", eco.scheme.sign(key, req.statement))
-    sim.on_ack(b"u001", ack, 0)
+    sim.on_ack(ack, 0)(b"u001")
     assert b"u001" not in sim.division.acks
     eco.join_chain(b"u050", b"root")
-    sim.on_ack(b"u001", ack, 0)
+    sim.on_ack(ack, 0)(b"u001")
     assert b"u001" not in sim.division.acks
     assert sim.division.rejections == {b"u001": "not-tip"}
     req = sim.start_division(b"u000")
     ack = AckMsg(req, b"u050", eco.scheme.sign(key, req.statement))
-    sim.on_ack(b"u001", ack, 0)
+    sim.on_ack(ack, 0)(b"u001")
     assert sim.division.acks == {b"u001": {b"u050": ack.signature}}
 
 
@@ -616,21 +642,21 @@ def test_ack_verdicts_are_memoised_per_round_by_signer_and_tag():
     for recipient, ack in ((b"u000", AckMsg(req, b"u001", good)),
                            (b"u002", AckMsg(req, b"u001", good)),
                            (b"u003", AckMsg(twin, b"u001", good))):
-        sim.on_ack(recipient, ack, 0)
+        sim.on_ack(ack, 0)(recipient)
     assert eco.scheme.verified[key] == 1
     assert all(sim.division.acks[r] == {b"u001": good}
                for r in (b"u000", b"u002", b"u003"))
     # a second tag from the same signer is verified on its own, once, and
     # never counted
     for recipient in (b"u001", b"u002", b"u001"):
-        sim.on_ack(recipient, AckMsg(req, b"u001", bad), 0)
+        sim.on_ack(AckMsg(req, b"u001", bad), 0)(recipient)
     assert eco.scheme.verified[key] == 2
     assert b"u001" not in sim.division.acks
     assert sim.division.acks[b"u002"] == {b"u001": good}
     # a new round judges every tag afresh
     req = sim.start_division(b"u000")
-    sim.on_ack(b"u000", AckMsg(req, b"u001", good), 0)
-    sim.on_ack(b"u002", AckMsg(req, b"u001", bad), 0)
+    sim.on_ack(AckMsg(req, b"u001", good), 0)(b"u000")
+    sim.on_ack(AckMsg(req, b"u001", bad), 0)(b"u002")
     assert eco.scheme.verified[key] == 4
     assert sim.division.acks == {b"u000": {b"u001": good}}
 
@@ -661,11 +687,11 @@ def test_a_commit_clears_the_judgment_memo():
     ack = AckMsg(req, b"u001",
                  eco.scheme.sign(eco.users[b"u001"].public_key,
                                  req.statement))
-    sim.on_ack(b"u002", ack, 0)
+    sim.on_ack(ack, 0)(b"u002")
     assert sim.division.rejections == {b"u002": "trigger"}
     assert b"u002" not in sim.division.acks
     eco.join_chain(b"u050", b"root")
-    sim.on_ack(b"u002", ack, 0)
+    sim.on_ack(ack, 0)(b"u002")
     assert sim.division.rejections == {b"u002": "not-tip"}
     assert b"u002" not in sim.division.acks
 

@@ -10,12 +10,13 @@ from splitchain.crypto import derive_rng
 from splitchain.errors import UnknownNode
 from splitchain.netsim import Network, make_strategy
 
-from helpers import reference_network
+from helpers import per_delivery, reference_network
 
 
 def net_pair(seed=0, d_min=1, d_max=1):
     seen = []
-    net = Network(lambda me, msg, now: seen.append((me, msg, now)),
+    net = Network(per_delivery(lambda me, msg, now:
+                               seen.append((me, msg, now))),
                   seed=seed, d_min=d_min, d_max=d_max)
     net.add_node(b"a")
     net.add_node(b"b")
@@ -39,8 +40,8 @@ def test_scheduler_orders_by_time_then_insertion():
 
 def test_scheduler_event_budget():
     log = []  # ping-pong: each payload names the peer to answer
-    net = Network(lambda me, peer, now: (log.append(me),
-                                         net.send(me, peer, me)))
+    net = Network(per_delivery(lambda me, peer, now: (log.append(me),
+                                                      net.send(me, peer, me))))
     net.add_node(b"a")
     net.add_node(b"b")
     net.send(b"a", b"b", b"a")
@@ -67,18 +68,22 @@ NODES = (b"a", b"b", b"c")
 RAISE = "raise"
 
 # A delivery plan is a tuple of steps the handler takes in order once it has
-# logged the delivery: (dst, plan) sends `plan` on to `dst`, and RAISE makes
-# the handler raise there, leaving the rest of the tick queued.
+# logged the delivery: (dst, plan) sends `plan` on to `dst`, (targets, plan)
+# broadcasts it to a tuple of targets, and RAISE makes the handler raise
+# there, leaving the rest of the tick queued.
+TARGETS = st.lists(st.sampled_from(NODES), max_size=4).map(tuple)
 PLANS = st.recursive(
     st.just(()),
     lambda sub: st.lists(st.tuples(st.sampled_from(NODES), sub)
-                         | st.tuples(st.sampled_from(NODES), sub)
+                         | st.tuples(TARGETS, sub)
                          | st.just(RAISE), max_size=3).map(tuple),
     max_leaves=12)
 
 CALLS = st.one_of(
     st.tuples(st.just("send"), st.sampled_from(NODES),
               st.sampled_from(NODES), PLANS),
+    # targets may repeat and include the sender
+    st.tuples(st.just("broadcast"), st.sampled_from(NODES), TARGETS, PLANS),
     st.tuples(st.just("crash"), st.sampled_from(NODES),
               st.integers(-2, 6)),  # at_time - now
     st.tuples(st.just("run_until"), st.integers(-1, 8)),  # horizon - now
@@ -104,7 +109,10 @@ def drive(make_network, seed, d_max, calls) -> list:
             if step == RAISE:
                 raise Boom
             dst, child = step
-            net.send(node_id, dst, (next(labels), child))
+            if isinstance(dst, tuple):
+                net.broadcast(node_id, dst, (next(labels), child))
+            else:
+                net.send(node_id, dst, (next(labels), child))
 
     net = make_network(handler, seed=seed, d_min=1, d_max=d_max)
     for node in NODES:
@@ -116,6 +124,9 @@ def drive(make_network, seed, d_max, calls) -> list:
         try:
             if kind == "send":
                 result = net.send(call[1], call[2], (next(labels), call[3]))
+            elif kind == "broadcast":
+                result = net.broadcast(call[1], call[2],
+                                       (next(labels), call[3]))
             elif kind == "crash":
                 result = net.crash(call[1], net.now + call[2])
             elif kind == "run_until":
@@ -139,7 +150,8 @@ def drive(make_network, seed, d_max, calls) -> list:
        st.lists(CALLS, min_size=5, max_size=25))
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_scheduler_matches_the_heap_reference(d_max, seed, calls):
-    log = drive(Network, seed, d_max, calls)
+    log = drive(lambda handler, **kw: Network(per_delivery(handler), **kw),
+                seed, d_max, calls)
     assert log == drive(reference_network, seed, d_max, calls)
 
 
@@ -264,6 +276,132 @@ def test_send_with_unknown_end_raises_and_counts_nothing(src, dst, d_max):
     net.send(b"a", b"b", "y")
     net.run_until_idle()
     assert seen == [(b"b", "y", derive_rng("net-delay", 0).randint(1, d_max))]
+
+
+@pytest.mark.parametrize("d_max", [1, 4])
+@pytest.mark.parametrize("src,targets", [
+    (b"a", [b"a", b"ghost", b"b"]), (b"ghost", [b"a", b"b"]),
+    (b"a", [b"b", b"b", b"ghost"])])
+def test_broadcast_with_unknown_end_sends_nothing(src, targets, d_max):
+    net, seen = net_pair(d_min=1, d_max=d_max)
+    with pytest.raises(UnknownNode, match="ghost"):
+        net.broadcast(src, targets, "x")
+    assert net.messages_sent == 0 and net.messages_dropped == 0
+    assert net.run_until_idle() == 0  # nothing was queued
+    # the delay stream was not drawn from: the next send gets the first draw
+    net.send(b"a", b"b", "y")
+    net.run_until_idle()
+    assert seen == [(b"b", "y", derive_rng("net-delay", 0).randint(1, d_max))]
+
+
+def test_a_fixed_delay_broadcast_is_one_entry_dispatched_once():
+    entries = []
+    seen = []
+
+    def handler(payload, now):
+        entries.append((payload, now))
+        return lambda node_id: seen.append((node_id, payload))
+
+    net = Network(handler, d_min=2, d_max=2)
+    for node in NODES:
+        net.add_node(node)
+    net.crash(b"c", 0)
+    net.broadcast(b"a", [b"b", b"c", b"a", b"b"], "x")
+    net.send(b"b", b"a", "y")
+    assert net.messages_sent == 5
+    assert [len(entry[0]) for entry in net._queues[2]] == [4, 1]
+    assert net.run_until_idle() == 5  # every delivery counts, drops too
+    assert entries == [("x", 2), ("y", 2)]
+    assert seen == [(b"b", "x"), (b"a", "x"), (b"b", "x"), (b"a", "y")]
+    assert net.messages_dropped == 1
+
+
+def test_sends_of_one_payload_object_to_one_tick_share_an_entry():
+    net, seen = net_pair()
+    x, twin = ["x"], ["x"]  # equal, but distinct objects
+    net.send(b"a", b"b", x)
+    net.send(b"b", b"a", x)
+    net.send(b"a", b"a", twin)
+    net.send(b"a", b"b", x)
+    assert [(len(recipients), payload is x)
+            for recipients, payload in net._queues[1]] == [
+        (2, True), (1, False), (1, True)]
+    net.run_until_idle()
+    assert [dst for dst, _, _ in seen] == [b"b", b"a", b"a", b"b"]
+
+
+def test_random_delay_broadcast_draws_per_recipient_in_target_order():
+    seed, d_min, d_max = 3, 1, 4
+    net, seen = net_pair(seed=seed, d_min=d_min, d_max=d_max)
+    targets = [b"a", b"b"] * 6
+    net.broadcast(b"a", targets, "x")
+    rng = derive_rng("net-delay", seed)
+    delays = [rng.randint(d_min, d_max) for _ in targets]
+    # one entry per distinct tick
+    assert sorted(net._queues) == sorted(set(delays))
+    net.run_until_idle()
+    assert seen == [(dst, "x", t) for t, _, dst in
+                    sorted(zip(delays, range(len(targets)), targets))]
+
+
+def _entry_network(handler):
+    net = Network(per_delivery(handler))
+    for node in NODES:
+        net.add_node(node)
+    return net
+
+
+def test_a_raise_inside_an_entry_leaves_its_later_recipients_queued():
+    log = []
+
+    def handler(node_id, payload, now):
+        log.append((node_id, payload))
+        if (node_id, payload) == (b"b", "x"):
+            raise Boom
+
+    net = _entry_network(handler)
+    net.broadcast(b"a", [b"a", b"b", b"c", b"a"], "x")
+    net.send(b"a", b"c", "y")
+    with pytest.raises(Boom):
+        net.run_until_idle()
+    assert log == [(b"a", "x"), (b"b", "x")]
+    assert net.messages_sent == 5
+    assert net.run_until_idle() == 3
+    assert log[2:] == [(b"c", "x"), (b"a", "x"), (b"c", "y")]
+
+
+def test_a_budget_that_runs_out_inside_an_entry_leaves_the_rest_queued():
+    log = []
+    net = _entry_network(lambda node_id, payload, now:
+                         log.append((node_id, payload)))
+    net.broadcast(b"a", [b"c", b"b", b"a", b"b"], "x")
+    net.send(b"a", b"c", "y")
+    with pytest.raises(RuntimeError, match="event budget"):
+        net.run_until_idle(max_events=1)
+    # the delivery past the budget runs before the error is raised
+    assert log == [(b"c", "x"), (b"b", "x")]
+    assert net.run_until_idle() == 3
+    assert log[2:] == [(b"a", "x"), (b"b", "x"), (b"c", "y")]
+
+
+@pytest.mark.parametrize("nested", ["run_until_idle", "run_until"])
+def test_a_handler_may_not_run_the_network(nested):
+    calls = []
+
+    def handler(node_id, payload, now):
+        calls.append(node_id)
+        getattr(net, nested)(*(() if nested == "run_until_idle" else (9,)))
+
+    net = _entry_network(handler)
+    net.broadcast(b"a", [b"a", b"b"], "x")
+    with pytest.raises(RuntimeError, match="already running"):
+        net.run_until_idle()
+    assert calls == [b"a"] and net.now == 1
+    # the outer run ended cleanly: the rest of the entry is still queued
+    net.handler = per_delivery(lambda node_id, payload, now:
+                               calls.append(node_id))
+    assert net.run_until_idle() == 1
+    assert calls == [b"a", b"b"]
 
 
 def test_duplicate_node_rejected():

@@ -455,7 +455,8 @@ block = 8
 # Network.send: a change to delivery order, to what any handler does, or to
 # which calls a check makes fails here and not only in the benchmark. The
 # call counts also keep every signature and send on the methods the
-# benchmark's tracer patches.
+# benchmark's tracer patches: each message on the wire
+# (Network.messages_sent) is one Network.send call, broadcasts included.
 PINNED = {
     (FIGURE1, 0): (
         "030c4f3381317f9ea01171f7e3397902509f40e0e115445f8d1ef191bf92cc31",
@@ -501,8 +502,10 @@ def test_scenario_outputs_are_pinned(path, seed, monkeypatch):
     report = driver.run()
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (
         report.metrics_csv(), report.lineage_csv(), report.events_log()))
-    assert digests + (driver.eco.network.messages_dropped,) + tuple(
+    network = driver.eco.network
+    assert digests + (network.messages_dropped,) + tuple(
         calls[name] for _, name in COUNTED) == PINNED[path, seed]
+    assert network.messages_sent == calls["send"]
 
 
 @pytest.mark.parametrize("path", [FIGURE1, ADVERSARIAL],
