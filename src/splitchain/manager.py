@@ -12,9 +12,9 @@ protocol is message-faithful: the initiator's broadcast and every signed ack
 travel through the simulated network and are counted, one DIVIDE per
 validator plus n^2 acks. Each broadcast is one network calendar entry per
 delivery tick, and the network's handler finds the chain it names once per
-entry: a DIVIDE is delivered by ``ChainSim.on_divide`` per recipient, and
-``ChainSim.on_ack`` makes one receiver per ACK entry that matches the round
-and reads the ack's verdict once, then runs once per recipient.
+entry. ``ChainSim.on_divide`` and ``ChainSim.on_ack`` then judge the entry's
+request once, from the live tip (:meth:`ChainSim._judgment`), and return a
+receiver that runs once per recipient.
 
 Every signature a validator gives (commit vote, division ack, certificate
 share) comes from :meth:`Ecosystem.respond`. Correct and crashed validators
@@ -92,9 +92,6 @@ class AckMsg:
     signature: bytes
 
 
-_UNJUDGED = object()  # DivisionRound.judged's default: not judged yet
-
-
 @dataclass
 class DivisionRound:
     """One division attempt on a chain, from its DIVIDE broadcast on.
@@ -102,28 +99,20 @@ class DivisionRound:
     A round is bound to the tip its DIVIDE names. Any commit after the DIVIDE
     ends it: every validator then rejects the request as "not-tip". So while
     a validator accepts the request, the chain's state is the round's tip
-    state. Each start_division makes a fresh round, so every validator judges
-    each attempt afresh and nothing a failed attempt left behind counts later.
+    state. Each start_division makes a fresh round, so each attempt is judged
+    afresh and nothing a failed attempt left behind counts later.
     """
 
     request: DivideRequest
     acks: dict = field(default_factory=dict)  # validator -> {signer: signature}
     assigned: set = field(default_factory=set)  # validators that reached quorum
-    # validator -> its _verify_request verdict (None: accepted), read by
-    # on_divide and the ACK receivers. The verdict depends only on the chain's
-    # config, ledger and committed heights, which change only in
-    # ChainSim.commit, and commit clears this memo.
-    judged: dict = field(default_factory=dict)
+    # validator -> why its latest DIVIDE or ACK delivery was refused
+    rejections: dict = field(default_factory=dict)
     # (signer, signature) -> whether the signer is a member and the tag
     # verifies, shared by every recipient. Exact: it is read only while the
     # recipient accepts the request, so the statement and config are fixed.
     verdicts: dict = field(default_factory=dict)
     installed: tuple | None = None  # child genesis digests once installed
-
-    @property
-    def rejections(self) -> dict:
-        """validator -> reason, for each validator that rejects the request."""
-        return {v: r for v, r in self.judged.items() if r is not None}
 
 
 # --- signing requests ------------------------------------------------------------
@@ -279,10 +268,6 @@ class ChainSim:
                           f"height {candidate.height}")
         self.ledger.append(candidate)
         self.state = state.replace(last_height=candidate.height)
-        if self.division is not None:
-            # its verdicts read the old tip; every validator now rejects
-            # the round as not-tip
-            self.division.judged.clear()
         # `correct` predates this block's config; a validator the block
         # admits gets its entry from join_chain after we return
         for v in correct:
@@ -301,39 +286,41 @@ class ChainSim:
         self.eco.network.broadcast(initiator, self.validators, req)
         return req
 
-    def _verify_request(self, validator: UserId, req: DivideRequest):
+    def _judgment(self, req: DivideRequest):
+        """(round, refusal) for one DIVIDE or ACK entry, or None for an
+        earlier round's `req`. `refusal`, read from the live tip, is the
+        reason all recipients share (None: only "behind" is left). Only
+        commit changes what it reads, and none runs inside a network run."""
+        rnd = self.division
+        if rnd.request is not req and rnd.request != req:
+            return None
         cfg = self.state.config
         if len(cfg.validators) < cfg.n_max:
-            return "trigger"
+            return rnd, "trigger"
         if req.initiator not in cfg.validator_set:
-            return "unknown-initiator"
+            return rnd, "unknown-initiator"
         if req.agreed_height != self.state.last_height:
-            return "not-tip"
+            return rnd, "not-tip"
         if self.ledger[-1].digest != req.anchor_digest:
-            return "anchor-mismatch"
-        if self.committed[validator] < req.agreed_height:
-            return "behind"
-        return None
+            return rnd, "anchor-mismatch"
+        return rnd, None
 
-    def _round_of(self, req: DivideRequest) -> DivisionRound | None:
-        """The current round, or None if `req` is an earlier round's."""
-        rnd = self.division
-        if rnd.request is req or rnd.request == req:
-            return rnd
-        return None
+    def on_divide(self, req: DivideRequest, now: int):
+        """The receiver of one DIVIDE calendar entry: receive(validator) acks
+        if the validator accepts the request; None for an earlier round's."""
+        judgment = self._judgment(req)
+        if judgment is None:
+            return None
+        rnd, refusal = judgment
+        committed, height = self.committed, req.agreed_height
 
-    def on_divide(self, validator: UserId, req: DivideRequest, now: int):
-        """One delivery of `req` to `validator`: it acks if it accepts the
-        round's request, judged once per round (DivisionRound.judged)."""
-        rnd = self._round_of(req)
-        if rnd is None:
-            return
-        reason = rnd.judged.get(validator, _UNJUDGED)
-        if reason is _UNJUDGED:
-            reason = rnd.judged[validator] = self._verify_request(validator,
-                                                                  req)
-        if reason is None:
-            self._broadcast_ack(validator, req)
+        def receive(validator):
+            if refusal is not None or committed[validator] < height:
+                rnd.rejections[validator] = refusal or "behind"
+            else:
+                self._broadcast_ack(validator, req)
+
+        return receive
 
     def _broadcast_ack(self, validator, req):
         network = self.eco.network
@@ -353,13 +340,14 @@ class ChainSim:
         once per delivery of `ack`; None when the ack belongs to an earlier
         round. Acks can outrun the DIVIDE; the embedded request is judged
         here. What a delivery can change (halted: the first completion
-        retires the chain; judged, acks and assigned) is read per delivery,
-        the rest once per entry."""
-        rnd = self._round_of(ack.request)
-        if rnd is None:
+        retires the chain; acks and assigned) is read per delivery, the rest
+        once per entry."""
+        judgment = self._judgment(ack.request)
+        if judgment is None:
             return None
-        req = rnd.request
-        judged, acks_of, assigned = rnd.judged, rnd.acks, rnd.assigned
+        rnd, refusal = judgment
+        req, rejections, committed = rnd.request, rnd.rejections, self.committed
+        acks_of, assigned, height = rnd.acks, rnd.assigned, req.agreed_height
         cfg = self.state.config  # the round's own while it is accepted
         quorum = cfg.quorum
         signer, sig = ack.signer, ack.signature
@@ -369,11 +357,8 @@ class ChainSim:
             nonlocal ok
             if self.halted:
                 return
-            reason = judged.get(validator, _UNJUDGED)
-            if reason is _UNJUDGED:
-                reason = judged[validator] = self._verify_request(validator,
-                                                                  req)
-            if reason is not None:
+            if refusal is not None or committed[validator] < height:
+                rejections[validator] = refusal or "behind"
                 return
             if ok is None:
                 key = (signer, sig)
@@ -792,8 +777,7 @@ def _message_handler(chains):
         elif kind is DivideRequest:
             sim = get(payload.chain)
             if sim is not None:
-                return lambda validator: sim.on_divide(validator, payload,
-                                                       now)
+                return sim.on_divide(payload, now)
         return None
 
     return on_message

@@ -176,7 +176,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
             header = line[1:-1].strip()
             if header == "scenario":
                 section = ("scenario", spec)
-            elif header.startswith("chain"):
+            elif header.split(None, 1)[:1] == ["chain"]:
                 name = header[len("chain"):].strip()
                 if not name:
                     raise ConfigError("chain section needs a name: [chain NAME]",

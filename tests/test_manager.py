@@ -661,25 +661,29 @@ def test_ack_verdicts_are_memoised_per_round_by_signer_and_tag():
     assert sim.division.acks == {b"u000": {b"u001": good}}
 
 
-def test_a_fresh_division_judges_each_validator_once(monkeypatch):
-    # a validator's DIVIDE and every ack it processes read one verdict
+def test_a_fresh_division_is_judged_once_per_calendar_entry(monkeypatch):
+    # n=20 at unit delay, quorum q=10: one DIVIDE entry, then one ACK entry
+    # per acker until the q-th completes the division and retires the chain;
+    # the entries after it find no live chain and are never judged
     eco = build_eco(n=20)
-    calls = Counter()
-    original = ChainSim._verify_request
+    calls = []
+    original = ChainSim._judgment
 
-    def counted(sim, validator, req):
-        calls[validator] += 1
-        return original(sim, validator, req)
+    def counted(sim, req):
+        calls.append(req)
+        return original(sim, req)
 
-    monkeypatch.setattr(ChainSim, "_verify_request", counted)
+    monkeypatch.setattr(ChainSim, "_judgment", counted)
     eco.divide_chain(b"root", initiator=b"u000")
-    assert calls == Counter(b"u%03d" % i for i in range(20))
+    assert eco.chain(b"root").quorum == 10
+    assert len(calls) == 1 + 10
 
 
-def test_a_commit_clears_the_judgment_memo():
+def test_a_commit_turns_a_rounds_refusal_into_not_tip():
     # a round opened one validator short of n_max rejects an ack as
-    # "trigger"; the join that reaches n_max ends the round, and the same
-    # ack is judged afresh and rejected as "not-tip"
+    # "trigger"; the join that reaches n_max is a commit, which ends the
+    # round, so the same ack is judged from the new tip and rejected as
+    # "not-tip"
     eco = build_eco(n=4, n_max=5)
     eco.register_user(b"u050", Role.VALIDATOR)
     sim = eco.chains[b"root"]

@@ -106,6 +106,7 @@ a-v002 = byzantine withhold
     ("validators = 4", 1, "before any section"),
     ("[chain a]\nvalidators 4", 2, "key = value"),
     ("[mystery]\nx = 1", 1, "unknown section"),
+    ("[chains]\nvalidators = 4\n", 1, "unknown section [chains]"),
     ("[chain a]\nvalidators = 4\n\n[faults]\na-v000 = flaky", 5, "fault"),
     ("[chain a]\nvalidators = 4\n[faults]\na-v001 = crash 5 banana", 4,
      "crash fault takes one optional tick, got 'crash 5 banana'"),
