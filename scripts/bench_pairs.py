@@ -11,7 +11,8 @@ PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
 * runs each tree's own ``bench/run.py``, at its own default run length, in
   PAIRS alternating pairs per workload (which side runs first alternates
   too) on the given seed; it records every run's end-to-end metrics and
-  each side's medians, quartiles and pair wins;
+  each side's medians, quartiles and pair wins, the median of the per-pair
+  change/parent ratios and a two-sided sign-test p-value of the wins;
 * gives each end-to-end metric of each workload a verdict, against the
   metric's bound in the repository's ``BENCHMARK.json`` (read, never
   written): ``gain`` when the change wins at least nine tenths of the pairs
@@ -34,8 +35,9 @@ PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
   the median op;
 * times one ``divide_chain`` of a fresh n-validator chain, n ∈ {300, 1000},
   in a fresh interpreter per run, in DIVISION_PAIRS alternating pairs per n;
-  it records each run's CPU time, messages sent and peak RSS, and each
-  side's medians, since no benchmark workload runs a division at that size;
+  it records each run's CPU time, messages sent and peak RSS, each side's
+  medians and the median of the per-pair CPU ratios, since no benchmark
+  workload runs a division at that size;
 * makes one traced run (``--trace 1``) per workload and tree, and records
   its per-layer metrics (call counts, self times, the Monte Carlo cost per
   10⁵ trials), to show in which layer a saving appears;
@@ -49,6 +51,7 @@ The JSON records the command that wrote it, with every option spelled out.
 import argparse
 import hashlib
 import json
+import math
 import os
 import shutil
 import statistics
@@ -177,6 +180,20 @@ def verdict(parent: list, change: list, higher: bool, bound: float) -> str:
     return "within_bound" if gap >= -bound * abs(median) else "regression"
 
 
+def pair_stats(parent: list, change: list, higher: bool) -> dict:
+    """The median of the per-pair ratios change/parent, and the two-sided
+    sign-test p-value of the change's pair wins against its losses (ties
+    count for neither). Each reads a pair on its own, so a host that drifts
+    between pairs moves them less than it moves the ratio of the medians."""
+    ratios = [c / p for p, c in zip(parent, change)]
+    won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+    untied = sum(c != p for p, c in zip(parent, change))
+    tail = sum(math.comb(untied, k)
+               for k in range(min(won, untied - won) + 1))
+    return {"pair_ratio_median": round(statistics.median(ratios), 4),
+            "sign_test_p": round(min(1.0, 2 * tail / 2 ** untied), 4)}
+
+
 def summarise(pairs: list) -> dict:
     out = {}
     for key, (higher, bound) in METRICS.items():
@@ -190,6 +207,7 @@ def summarise(pairs: list) -> dict:
                     "parent_q1_q3": [pq1, pq3], "change_q1_q3": [cq1, cq3],
                     "parent_iqr": round(pq3 - pq1, 4),
                     "change_won": won, "pairs": len(pairs), "bound": bound,
+                    **pair_stats(parent, change, higher),
                     "verdict": verdict(parent, change, higher, bound)}
     out["failed"] = {side: sum(p[side]["failed"] for p in pairs)
                      for side in ("parent", "change")}
@@ -324,6 +342,9 @@ def division_probe(trees: dict) -> dict:
                 for key in ("cpu_s", "messages_sent", "peak_rss_mb")}
         summary["cpu_ratio"] = round(summary["change"]["cpu_s"]
                                      / summary["parent"]["cpu_s"], 3)
+        summary["cpu_pair_ratio_median"] = pair_stats(
+            [r["parent"]["cpu_s"] for r in runs],
+            [r["change"]["cpu_s"] for r in runs], False)["pair_ratio_median"]
         summary["change_won"] = sum(r["change"]["cpu_s"] < r["parent"]["cpu_s"]
                                     for r in runs)
         out[f"n={n}"] = {"runs": runs, "summary": summary}

@@ -5,7 +5,8 @@ accounts, and one :class:`ChainSim` per chain, live or retired: a chain's
 ChainSim is the only record of its config. Chains are born and retired only
 in :meth:`Ecosystem._replace`; a division child's or a fusion's genesis comes
 from its parents' states through :func:`_inherit`, and ``ChainSim.parents``
-names those parents. Only :meth:`Ecosystem.verify` maps a signer to its key.
+names those parents. :func:`model.genesis_state` installs each genesis once.
+Only :meth:`Ecosystem.verify` maps a signer to its key.
 Ordinary block commits are modeled as synchronous vote rounds (consensus is
 a black box — only its quorum arithmetic matters here), while the division
 protocol is message-faithful: the initiator's broadcast and every signed ack
@@ -206,14 +207,13 @@ class ChainSim:
     def __init__(self, eco: "Ecosystem", genesis: Block, parents: tuple):
         self.eco = weakref.proxy(eco)
         self.ledger = [genesis]
-        self.state = model.replay(self.ledger)
+        self.state = model.genesis_state(genesis)
         self.chain_id = self.state.config.chain
         self.founders = self.state.config.validators  # its genesis installed
         self.parents = parents  # ids of the chains it was born from
         self.halted = False
         # validator -> height of the last block it committed
-        self.committed = dict.fromkeys(self.state.config.validators,
-                                       self.state.last_height)
+        self.committed = dict.fromkeys(self.founders, 0)
         self.division: DivisionRound | None = None
 
     @property

@@ -395,7 +395,7 @@ def verify_ledger(ledger) -> None:
 
 @dataclass(frozen=True)
 class ChainState:
-    """View of a chain derived by replaying its ledger from genesis."""
+    """View of a chain: what its genesis installs, advanced by each commit."""
 
     config: ChainConfig | None = None
     accounts: dict = field(default_factory=dict)  # UserId -> Account
@@ -572,12 +572,12 @@ def apply_transaction(state: ChainState, tx: Transaction, scheme=None) -> ChainS
 
 
 def replay(ledger, scheme=None) -> ChainState:
-    """Fold ``apply_transaction`` over a verified ledger.
+    """Fold ``apply_transaction`` over a verified ledger: the reference that
+    a chain's state, born by ``genesis_state``, equals at every height.
 
     Signature checks (when a scheme is given) start at height 1; the genesis
     block installs configuration, accounts, and initial assets unchecked.
-    Any rule violation aborts with the failing (height, index) position.
-    """
+    Any rule violation aborts with the failing (height, index) position."""
     verify_ledger(ledger)
     state = ChainState()
     for block in ledger:
@@ -615,3 +615,33 @@ def build_genesis(config: ChainConfig, accounts, parent_chain=None,
         txs.append(Transaction(TxKind.ASSET_CREATE,
                                AssetCreatePayload(asset), b"genesis"))
     return make_block(0, ZERO_DIGEST, txs)
+
+
+def genesis_state(block: Block) -> ChainState:
+    """``replay([block])`` for a block ``build_genesis`` made, in one pass and
+    not re-hashed (its maker just did); it raises what replay would raise."""
+    install = block.transactions[0].payload
+    if block.height != 0 or not isinstance(install, ConfigInstallPayload):
+        raise ValueError("a genesis is height 0 and opens with an install")
+    members = set(install.config.members())
+    accounts, assets = {}, {}
+    try:
+        for idx, tx in enumerate(block.transactions[1:], 1):
+            p = tx.payload
+            if tx.kind == TxKind.REGISTER and p.account.user in members:
+                if p.account.user in accounts:
+                    raise AlreadyMember(f"{p.account.user!r} already registered")
+                accounts[p.account.user] = p.account
+            elif tx.kind == TxKind.ASSET_CREATE:
+                if p.asset.asset_id in assets:
+                    raise AssetIdCollision(f"asset {p.asset.asset_id!r} exists")
+                if p.asset.owner not in accounts:
+                    raise UnknownUser(f"asset owner {p.asset.owner!r} unknown")
+                assets[p.asset.asset_id] = p.asset
+            else:
+                raise ValueError(f"genesis tx {idx}: unexpected {tx.kind.name}")
+    except SplitchainError as exc:
+        raise type(exc)(f"genesis failed at height 0, tx {idx}: {exc}") from exc
+    return ChainState(install.config, accounts, assets, dict(install.locks),
+                      dict(install.claims), 0, install.parent_chain,
+                      install.split_height, install.side)

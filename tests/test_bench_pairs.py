@@ -1,0 +1,41 @@
+"""The paired summary of scripts/bench_pairs.py, on hand-made runs."""
+
+import importlib.util
+import statistics
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pair_stats_reads_each_pair_where_the_medians_mislead(bench_pairs):
+    # throughput in ops/s: the host ran four pairs at half speed, and two
+    # runs of the change hit a stall, so the change wins 8 of 10 pairs by
+    # 5-10% while the ratio of the medians says it is 45% slower
+    parent = [10] * 4 + [20] * 6
+    change = [11] * 4 + [21] * 4 + [9] * 2
+    assert statistics.median(change) / statistics.median(parent) == 0.55
+    stats = bench_pairs.pair_stats(parent, change, higher=True)
+    assert stats["pair_ratio_median"] == 1.05
+    # 2 * (C(10,0) + C(10,1) + C(10,2)) / 2**10
+    assert stats["sign_test_p"] == round(2 * 56 / 1024, 4)
+    # the verdict rule is unchanged: no gain without nine tenths of the pairs
+    assert bench_pairs.verdict(parent, change, True, 0.15) != "gain"
+
+
+def test_sign_test_drops_ties_and_reads_lower_as_better(bench_pairs):
+    parent = [1.0, 2.0, 3.0, 4.0]
+    change = [0.5, 1.0, 3.0, 2.0]  # three wins (lower is better), one tie
+    stats = bench_pairs.pair_stats(parent, change, higher=False)
+    assert stats["sign_test_p"] == 2 * 1 / 8
+    assert stats["pair_ratio_median"] == 0.5
+    assert bench_pairs.pair_stats([1.0], [1.0], False)["sign_test_p"] == 1.0

@@ -17,6 +17,7 @@ from splitchain.errors import (
     StateDivergence,
     TriggerNotMet,
     UnknownInitiator,
+    UnknownUser,
     UnregisteredValidator,
 )
 from splitchain.manager import (
@@ -116,6 +117,26 @@ def test_create_duplicate_chain_id_rejected():
     eco = build_eco(n=4, n_max=8)
     with pytest.raises(DuplicateChainId):
         eco.create_chain(b"root", [b"u000", b"u001"])
+
+
+@pytest.mark.parametrize("clients,assets,error,tx", [
+    # tx 0 installs the config, txs 1-4 register the validators
+    ([b"c1"], [Asset(b"coin", b"c1", 1), Asset(b"coin", b"c1", 2)],
+     AssetIdCollision, 7),
+    ([b"c1"], [Asset(b"coin", b"c2", 1)], UnknownUser, 6),  # c2: no seat
+    ([b"c1", b"c1"], [], AlreadyMember, 6),
+], ids=["asset-id-twice", "owner-not-member", "client-twice"])
+def test_create_chain_refuses_a_bad_genesis_and_changes_nothing(
+        clients, assets, error, tx):
+    eco = Ecosystem(seed=0)
+    validators = [b"u%03d" % i for i in range(4)]
+    for v in validators:
+        eco.register_user(v, Role.VALIDATOR)
+    for c in (b"c1", b"c2"):
+        eco.register_user(c, Role.CLIENT)
+    with pytest.raises(error, match=rf"height 0, tx {tx}: "):
+        eco.create_chain(b"x", validators, clients, initial_assets=assets)
+    assert (eco.chains, eco.retired, eco.events) == ({}, {}, [])
 
 
 def test_verify_checks_the_signers_key_and_never_asks_for_a_stranger():

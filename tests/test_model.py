@@ -39,6 +39,7 @@ from splitchain.model import (
     ZERO_DIGEST,
     apply_transaction,
     build_genesis,
+    genesis_state,
     make_block,
     quorum_size,
     replay,
@@ -149,6 +150,23 @@ def test_genesis_replay_installs_config_accounts_assets(chain):
     assert state.assets[b"coin-1"].owner == b"u100"
     assert state.last_height == 0
     assert state.total_value() == 10
+
+
+def test_genesis_state_is_replay_and_refuses_what_build_genesis_never_emits(
+        chain):
+    (genesis,), state = chain
+    assert genesis_state(genesis) == state
+    install, *rest = genesis.transactions
+    # replay would give a non-member's CLIENT account a client seat
+    stranger = Transaction(TxKind.REGISTER, RegisterPayload(
+        Account(b"zed", b"key", Role.CLIENT)), b"genesis")
+    update = Transaction(TxKind.CONFIG_UPDATE, ConfigUpdatePayload(),
+                         b"genesis")
+    bad = [(1, genesis.transactions), (0, rest), (0, [install, stranger]),
+           (0, [*genesis.transactions, update])]
+    for height, txs in bad:
+        with pytest.raises(ValueError):
+            genesis_state(make_block(height, ZERO_DIGEST, txs))
 
 
 def test_verify_ledger_rejects_height_gap(chain):

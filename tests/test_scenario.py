@@ -11,6 +11,7 @@ import pytest
 
 from splitchain.crypto import SignatureScheme
 from splitchain.errors import ConfigError
+from splitchain.model import replay
 from splitchain.netsim import Network
 from splitchain.scenario import (
     METRICS_HEADER,
@@ -507,6 +508,23 @@ def test_scenario_outputs_are_pinned(path, seed, monkeypatch):
     assert digests + (network.messages_dropped,) + tuple(
         calls[name] for _, name in COUNTED) == PINNED[path, seed]
     assert network.messages_sent == calls["send"]
+
+
+@pytest.mark.parametrize("path,seed", sorted(PINNED),
+                         ids=lambda v: getattr(v, "stem", v))
+def test_replay_rebuilds_every_chains_state(path, seed):
+    # replay is the reference for the state a chain is born with and then
+    # advances by commits: full equality, lineage fields included, for every
+    # chain a root, a division or a fusion made
+    driver = _Driver(parse_scenario(path.read_text()), seed)
+    driver.run()
+    eco = driver.eco
+    sims = list(eco.chains.values()) + list(eco.retired.values())
+    assert len(sims) > 1
+    # adversarial.mit fuses two chains; figure1 has no fusion
+    assert any(len(sim.parents) == 2 for sim in sims) == (path == ADVERSARIAL)
+    for sim in sims:
+        assert replay(sim.ledger) == sim.state, sim.chain_id
 
 
 @pytest.mark.parametrize("path", [FIGURE1, ADVERSARIAL],
