@@ -31,7 +31,6 @@ for the cyclic garbage collector.
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from . import model
 from .assignment import DETERMINISTIC, RANDOMIZED, assign
@@ -67,6 +66,7 @@ from .model import (
     enc_bytes,
     enc_u64,
     make_block,
+    memo,
 )
 from .netsim import Network, make_strategy
 
@@ -80,7 +80,7 @@ class DivideRequest:
     agreed_height: int
     anchor_digest: bytes
 
-    @cached_property
+    @memo
     def statement(self) -> bytes:
         return (b"divide" + enc_bytes(self.chain) + enc_bytes(self.initiator)
                 + enc_u64(self.agreed_height) + enc_bytes(self.anchor_digest))
@@ -132,12 +132,12 @@ class VoteRequest:
     chain: ChainId
     candidate: Block
 
-    @cached_property
+    @memo
     def statement(self) -> bytes:
         return commit_statement(self.chain, self.candidate.digest,
                                 self.candidate.height)
 
-    @cached_property  # read once per vote
+    @memo  # read once per vote
     def value(self) -> bytes:
         return self.candidate.digest
 

@@ -4,13 +4,18 @@ All types are immutable values with a canonical byte serialization
 (length-prefixed fields in declaration order) used for hashing and signing.
 State transitions are pure: ``apply_transaction`` returns a new state and
 never mutates its input.
+
+Because the values are frozen, a value derived from one (its bytes, a digest,
+a parse) is memoized on it with :class:`memo`, without a lock. A transaction
+memoizes its digest but not its bytes: ledgers keep every transaction, and
+claims and resolves carry whole proofs, so caching their bytes costs memory
+and saves no time.
 """
 
 import hashlib
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import (
     AlreadyMember,
@@ -63,6 +68,29 @@ def sha256(data: bytes) -> Digest:
     return hashlib.sha256(data).digest()
 
 
+class memo:
+    """``functools.cached_property`` without the lock Python 3.11 takes on
+    every miss: the first read stores the value in the instance's
+    ``__dict__``, which later reads find before this non-data descriptor.
+    Exact only on frozen values, which is what it decorates; writing the
+    ``__dict__`` directly also gets past a frozen dataclass's
+    ``__setattr__``. Fields alone decide ``==`` and ``hash``."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        instance.__dict__[self.name] = value
+        return value
+
+
 class _Reader:
     """Cursor over canonical bytes, for parsing proof and registry files."""
 
@@ -105,10 +133,14 @@ class Account:
     role: Role
     metadata: tuple = ()
 
-    def to_bytes(self) -> bytes:
+    @memo  # a genesis registers the accounts its parents' geneses did
+    def encoded(self) -> bytes:
         meta = enc_seq([enc_bytes(k) + enc_bytes(v) for k, v in self.metadata])
         return (enc_bytes(self.user) + enc_bytes(self.public_key)
                 + bytes([self.role]) + meta)
+
+    def to_bytes(self) -> bytes:
+        return self.encoded
 
 
 @dataclass(frozen=True)
@@ -269,7 +301,7 @@ class Transaction:
     def to_bytes(self) -> bytes:
         return self.signing_bytes() + enc_bytes(self.signature)
 
-    @property
+    @memo
     def digest(self) -> Digest:
         return sha256(self.to_bytes())
 
@@ -334,11 +366,11 @@ class ChainConfig:
         if len(set(self.validators)) != len(self.validators):
             raise ValueError("duplicate validator")
 
-    @cached_property
+    @memo
     def quorum(self) -> int:
         return self.consensus.quorum(len(self.validators))
 
-    @cached_property
+    @memo
     def validator_set(self) -> frozenset:
         return frozenset(self.validators)
 

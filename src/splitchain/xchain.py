@@ -42,6 +42,7 @@ from .model import (
     _Reader,
     enc_bytes,
     enc_u64,
+    memo,
     sha256,
 )
 
@@ -227,11 +228,15 @@ class KnowledgeProof:
     tag: FreshnessTag
     certificate: QuorumCertificate
 
-    def to_bytes(self) -> bytes:
+    @memo
+    def encoded(self) -> bytes:
         return (enc_bytes(self.predicate.to_bytes())
                 + enc_u64(self.verdict_claimed)
                 + enc_bytes(self.tag.to_bytes())
                 + enc_bytes(self.certificate.to_bytes()))
+
+    def to_bytes(self) -> bytes:
+        return self.encoded
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "KnowledgeProof":
@@ -273,11 +278,21 @@ class TransferProof:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown transfer proof kind {self.kind!r}")
 
-    def to_bytes(self) -> bytes:
+    @memo
+    def encoded(self) -> bytes:
         return (bytes([self.KINDS.index(self.kind)])
                 + enc_bytes(self.inner.to_bytes())
                 + enc_bytes(self.tx_bytes)
                 + enc_bytes(self.attesting_chain))
+
+    def to_bytes(self) -> bytes:
+        return self.encoded
+
+    @memo
+    def transaction(self) -> Transaction:
+        """The carried transaction, parsed once. Bytes that do not parse
+        raise what ``parse_transaction`` raises, on every read."""
+        return parse_transaction(self.tx_bytes)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TransferProof":
@@ -486,7 +501,7 @@ def toa_claim(eco, claimer: UserId, target: ChainId,
         reason = "not a lock proof"
     else:
         try:
-            tx = parse_transaction(lock_proof.tx_bytes)
+            tx = lock_proof.transaction
         except (ValueError, IndexError):
             tx = None
         if tx is None or tx.kind != TxKind.LOCK:
@@ -570,7 +585,7 @@ def toa_resolve(eco, source: ChainId, proof: TransferProof) -> str:
     if proof.kind not in ("claim", "abort"):
         raise InvalidProof(f"cannot resolve with a {proof.kind!r} proof")
     try:
-        tx = parse_transaction(proof.tx_bytes)
+        tx = proof.transaction
     except (ValueError, IndexError) as exc:
         raise InvalidProof(f"carried transaction unreadable: {exc}") from None
     if tx.kind != TxKind.CLAIM:

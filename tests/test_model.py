@@ -449,3 +449,32 @@ def test_config_update_adding_a_present_validator_still_raises(chain):
     assert apply_transaction(state, Transaction(
         TxKind.CONFIG_UPDATE, ConfigUpdatePayload((newcomer,)),
         b"u300")).config.validators[-1] == b"u300"
+
+
+def test_memoized_config_fields_track_a_run_of_joins(chain):
+    # joins make each config by dataclasses.replace from a config whose
+    # quorum and validator set were already read: the new one must derive
+    # its own, not inherit the old memo
+    _, state = chain
+    for i in range(9):
+        old = state.config
+        assert (old.quorum, old.validator_set) == (
+            quorum_size(len(old.validators), old.consensus.alpha),
+            frozenset(old.validators))
+        if i % 3 == 2:  # a client seat replaces the config too
+            seat = Account(b"c%03d" % i, b"pk", Role.CLIENT)
+            tx = Transaction(TxKind.REGISTER, RegisterPayload(seat), seat.user)
+        else:
+            seat = Account(b"v%03d" % i, b"pk", Role.VALIDATOR)
+            tx = Transaction(TxKind.CONFIG_UPDATE, ConfigUpdatePayload((seat,)),
+                             seat.user)
+        state = apply_transaction(state, tx)
+        new = state.config
+        assert new is not old
+        fresh = dataclasses.replace(new)
+        assert (new.quorum, new.validator_set) == (
+            fresh.quorum, fresh.validator_set)
+        assert new.quorum == quorum_size(len(new.validators),
+                                         new.consensus.alpha)
+        assert new.validator_set == frozenset(new.validators)
+    assert len(state.config.validators) == 10 and state.config.quorum == 5

@@ -1,9 +1,13 @@
 """Cross-chain knowledge proofs and lock/claim/resolve asset transfer."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from splitchain.consensus import QuorumCertificate
 from splitchain.errors import (
     AssetLocked,
     InvalidProof,
@@ -16,12 +20,16 @@ from splitchain.errors import (
 from splitchain.manager import Ecosystem
 from splitchain.model import (
     Asset,
+    ClaimPayload,
+    LockPayload,
     PredicateEvalPayload,
     Role,
     Transaction,
     TxKind,
     enc_bytes,
     replay,
+    sha256,
+    verify_ledger,
 )
 from splitchain.xchain import (
     AssetOwnedBy,
@@ -494,6 +502,86 @@ def test_parse_transaction_rejects_other_kinds():
         parse_transaction(lock.tx_bytes + b"junk")
 
 
+# canonical encodings are a bijection on what the parsers accept: every field
+# is a fixed-width int or length-prefixed bytes, and both readers end done()
+_blobs = st.binary(max_size=40)
+_u64 = st.integers(0, 2**64 - 1)
+_lock_txs = st.builds(
+    Transaction, st.just(TxKind.LOCK),
+    st.builds(LockPayload, _blobs, _u64, _blobs, _blobs, _blobs),
+    _blobs, _blobs)
+_claim_txs = st.builds(
+    Transaction, st.just(TxKind.CLAIM),
+    st.builds(ClaimPayload, _blobs, _blobs, _u64, _blobs, _blobs, _u64,
+              st.binary(max_size=400)),
+    _blobs, _blobs)
+_predicates = st.one_of(
+    st.builds(TxInclusion, _blobs, _u64),
+    st.builds(AssetOwnedBy, _blobs, _blobs),
+    st.builds(BalanceAtLeast, _blobs, _u64),
+    st.builds(ClaimDecided, _blobs, _u64))
+_tags = st.builds(
+    lambda chain, anchor, issued, window, nonce: FreshnessTag(
+        chain, anchor, issued, issued + window, nonce),
+    _blobs, _blobs, st.integers(0, 2**63), st.integers(1, 2**63 - 1), _blobs)
+_certificates = st.builds(
+    QuorumCertificate, _blobs,
+    st.lists(st.tuples(_blobs, _blobs), max_size=5).map(tuple))
+_MAX = 2**64 - 1
+_EMPTY_PROOF = (ClaimDecided(b"", _MAX), _MAX,
+                FreshnessTag(b"", b"", 0, _MAX, b""), QuorumCertificate(b"", ()),
+                b"")
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.one_of(_lock_txs, _claim_txs), st.sampled_from(TransferProof.KINDS),
+       _predicates, _u64, _tags, _certificates, _blobs)
+@example(Transaction(TxKind.LOCK, LockPayload(b"", _MAX, b"", b"", b""), b""),
+         "lock", *_EMPTY_PROOF)
+@example(Transaction(TxKind.CLAIM,
+                     ClaimPayload(b"", b"", _MAX, b"", b"", _MAX, b""), b""),
+         "abort", *_EMPTY_PROOF)
+def test_transfer_encodings_roundtrip_byte_for_byte(
+        tx, kind, predicate, verdict, tag, certificate, chain):
+    data = tx.to_bytes()
+    parsed = parse_transaction(data)
+    assert parsed == tx
+    assert parsed.to_bytes() == data
+    assert parsed.digest == tx.digest == sha256(data)
+    proof = TransferProof(
+        kind, KnowledgeProof(predicate, verdict, tag, certificate), data,
+        chain)
+    encoded = proof.to_bytes()
+    back = TransferProof.from_bytes(encoded)
+    assert back == proof and back.to_bytes() == encoded
+    assert back.transaction == tx
+
+
+def assert_memos_fresh(eco, proofs):
+    """Every memo a schedule left equals what a fresh value computes."""
+    memoized = 0
+    for chain_id in (b"src", b"dst"):
+        sim = eco.chains[chain_id]
+        verify_ledger(sim.ledger)
+        assert replay(sim.ledger, scheme=eco.scheme) == sim.state
+        for block in sim.ledger:
+            for tx in block.transactions:
+                fresh = dataclasses.replace(tx)
+                assert fresh == tx and hash(fresh) == hash(tx)
+                if "digest" in vars(tx):
+                    memoized += 1
+                    assert tx.digest == sha256(
+                        tx.signing_bytes() + enc_bytes(tx.signature))
+        for account in sim.state.accounts.values():
+            assert account.to_bytes() == dataclasses.replace(account).to_bytes()
+    assert memoized
+    for proof in proofs:
+        inner = proof.inner
+        assert inner.to_bytes() == dataclasses.replace(inner).to_bytes()
+        assert proof.to_bytes() == dataclasses.replace(proof).to_bytes()
+        assert proof.transaction == parse_transaction(proof.tx_bytes)
+
+
 # --- randomized interleavings (small smoke; the full suite lives in acceptance) --
 
 
@@ -512,9 +600,11 @@ def test_random_schedules_never_double_spend():
                        for s in eco.chains.values()
                        if b"coin" in s.state.assets)
 
+        proofs = [lock]
         for op in ops:
             if op == "claim":
                 res = toa_claim(eco, b"bob", b"dst", lock)
+                proofs.append(res)
                 if outcome is None:
                     outcome = res
             elif outcome is not None:
@@ -526,3 +616,4 @@ def test_random_schedules_never_double_spend():
         instances = sum(b"coin" in s.state.assets for s in eco.chains.values())
         assert instances == 1, trial
         assert eco.total_value() == 9
+        assert_memos_fresh(eco, proofs)
