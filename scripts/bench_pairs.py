@@ -33,14 +33,19 @@ PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
   support of f₁ decides (``DivisionAnalysisParams.decided_breach``);
 * times each op of one sweep pass per tree, to show which grid points sit at
   the median op;
-* times one ``divide_chain`` of a fresh n-validator chain, n ∈ {300, 1000},
-  in a fresh interpreter per run, in DIVISION_PAIRS alternating pairs per n;
-  it records each run's CPU time, messages sent and peak RSS, each side's
-  medians and the median of the per-pair CPU ratios, since no benchmark
-  workload runs a division at that size;
+* times ``divide_chain`` of a fresh n-validator chain, n ∈ {300, 1000},
+  DIVISION_REPEATS times in each fresh interpreter, in DIVISION_PAIRS
+  alternating pairs of interpreters per n; each run reports the median CPU
+  time of its divisions (so one slow division, a fraction of a second at
+  n = 300, does not decide a run), the messages one division sends and the
+  peak RSS, and the summary holds each side's medians and the median of the
+  per-pair CPU ratios, since no benchmark workload runs a division at that
+  size;
 * makes one traced run (``--trace 1``) per workload and tree, and records
   its per-layer metrics (call counts, self times, the Monte Carlo cost per
-  10⁵ trials), to show in which layer a saving appears;
+  10⁵ trials), to show in which layer a saving appears; per workload,
+  ``trace_calls_equal`` is true when both trees made the same calls per
+  layer (every ``*.calls`` metric and ``netsim.dropped`` match);
 * counts the lines of every ``.py`` file under ``src/`` and ``demos/`` of
   each tree, per directory and per file, and the change's net lines against
   the parent, per directory and per file that differs.
@@ -62,6 +67,7 @@ from pathlib import Path
 
 PAIRS = 10  # per workload: the fewest pairs a gain or a regression rests on
 DIVISION_PAIRS = 5  # per division size
+DIVISION_REPEATS = 7  # divisions timed per interpreter; the median counts
 DIVISION_SIZES = (300, 1000)
 WIN_SHARE = 0.9  # of the pairs a change must win to claim a gain
 WORKLOADS = ("sweep", "growth", "adversarial", "transfer")
@@ -103,27 +109,35 @@ print(json.dumps({"decided_per_n": decided, "op_s": times}))
 """
 
 
-# Runs in a child interpreter with PYTHONPATH=<tree>/src: one division of a
-# fresh chain of argv[1] validators, with its CPU time (the division only),
-# the messages it sent, its children's sizes and the process's peak RSS.
+# Runs in a child interpreter with PYTHONPATH=<tree>/src: argv[2] divisions,
+# each of a fresh chain of argv[1] validators, with the CPU time of each
+# division (the division only) and their median, the messages one division
+# sends, its children's sizes and the process's peak RSS.
 DIVISION_PROBE = r"""
-import json, resource, sys, time
+import json, resource, statistics, sys, time
 from splitchain.manager import Ecosystem
 from splitchain.model import Role
-n = int(sys.argv[1])
-eco = Ecosystem(seed=0)
-validators = [b"v%04d" % i for i in range(n)]
-for v in validators:
-    eco.register_user(v, Role.VALIDATOR)
-eco.create_chain(b"root", validators, n_max=n)
-before = eco.network.messages_sent
-start = time.process_time()
-c1, c2 = eco.divide_chain(b"root")
-cpu_s = time.process_time() - start
+n, repeats = int(sys.argv[1]), int(sys.argv[2])
+runs, sent = [], set()
+for _ in range(repeats):
+    eco = Ecosystem(seed=0)
+    validators = [b"v%04d" % i for i in range(n)]
+    for v in validators:
+        eco.register_user(v, Role.VALIDATOR)
+    eco.create_chain(b"root", validators, n_max=n)
+    before = eco.network.messages_sent
+    start = time.process_time()
+    c1, c2 = eco.divide_chain(b"root")
+    runs.append(time.process_time() - start)
+    sent.add(eco.network.messages_sent - before)
+    children = [len(c1.validators), len(c2.validators)]
+    del eco, c1, c2  # freed before the next chain: peak RSS is one division's
+assert len(sent) == 1, sent  # every division sends the same messages
 print(json.dumps({
-    "cpu_s": round(cpu_s, 4),
-    "messages_sent": eco.network.messages_sent - before,
-    "children": [len(c1.validators), len(c2.validators)],
+    "cpu_s": round(statistics.median(runs), 4),
+    "cpu_s_runs": [round(t, 4) for t in runs],
+    "messages_sent": sent.pop(),
+    "children": children,
     "peak_rss_mb": round(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))
 """
@@ -319,9 +333,18 @@ def grid_probe(tree: Path, seed: int) -> dict:
     return probe
 
 
+def division_run(tree: Path, n: int, repeats: int = DIVISION_REPEATS) -> dict:
+    """One fresh interpreter's divisions of an n-validator chain."""
+    done = subprocess.run(
+        [sys.executable, "-c", DIVISION_PROBE, str(n), str(repeats)],
+        env=child_env(tree), capture_output=True, text=True, timeout=900,
+        check=True)
+    return json.loads(done.stdout)
+
+
 def division_probe(trees: dict) -> dict:
-    """Alternating pairs of one division per size, each run in a fresh
-    interpreter."""
+    """Alternating pairs of interpreters per size, each timing
+    DIVISION_REPEATS divisions."""
     out = {}
     for n in DIVISION_SIZES:
         runs = []
@@ -329,11 +352,7 @@ def division_probe(trees: dict) -> dict:
             order = pair_order(i)
             pair = {"first": order[0]}
             for side in order:
-                done = subprocess.run(
-                    [sys.executable, "-c", DIVISION_PROBE, str(n)],
-                    env=child_env(trees[side]), capture_output=True,
-                    text=True, timeout=900, check=True)
-                pair[side] = json.loads(done.stdout)
+                pair[side] = division_run(trees[side], n)
             runs.append(pair)
         summary = {}
         for side in ("parent", "change"):
@@ -350,6 +369,14 @@ def division_probe(trees: dict) -> dict:
         out[f"n={n}"] = {"runs": runs, "summary": summary}
         print(f"division n={n}: {summary}", file=sys.stderr)
     return out
+
+
+def trace_calls_equal(parent: dict, change: dict) -> bool:
+    """Whether two traced runs made the same calls in every layer: each
+    ``*.calls`` metric and ``netsim.dropped`` match."""
+    keys = {key for key in parent.keys() | change.keys()
+            if key.endswith(".calls") or key == "netsim.dropped"}
+    return all(parent.get(key) == change.get(key) for key in keys)
 
 
 LINE_DIRS = ("src", "demos")
@@ -415,6 +442,9 @@ def main(argv=None) -> None:
     result["analyze_hashes_equal"] = hashes["parent"] == hashes["change"]
     outputs = result["output_hashes"]
     result["outputs_equal"] = outputs["parent"] == outputs["change"]
+    result["trace_calls_equal"] = {
+        w: trace_calls_equal(runs["parent"], runs["change"])
+        for w, runs in result["trace"].items()}
     result["pairs"] = {"command": "python3 bench/run.py --workload {w}"
                                   f" --seed {args.seed}"}
     for workload in WORKLOADS:

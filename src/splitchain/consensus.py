@@ -116,17 +116,20 @@ def commit_statement(chain: bytes, block_digest: Digest, height: int) -> bytes:
 
 
 def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
-                     verify, vote_of) -> dict:
+                     verify, signers, vote_of) -> dict:
     """One vote round over a candidate block, with per-recipient delivery.
 
-    ``vote_of(voter) -> (vote, hook)`` says what ``voter`` sends, where a
-    vote is ``(digest, signature)`` or None for silence. A voter that sends
-    every recipient the same vote (a correct or crashed one) gives that vote
-    and hook None; it is counted once, for all recipients. A voter whose
-    vote may differ per recipient (a Byzantine one) gives hook, and
-    ``hook(recipient)`` is the vote ``recipient`` receives. Each distinct
-    (voter, signature) is verified once, by ``verify(voter, statement,
-    signature)``.
+    ``signers`` maps each correct voter to its signing closure,
+    ``sign(message) -> signature``. A correct voter sends every recipient
+    its signature over the candidate's commit statement, so its vote is
+    signed and checked once, by ``verify(voter, statement, signature)``,
+    for all recipients. Every other voter is asked ``vote_of(voter) ->
+    (vote, hook)``, where a vote is ``(digest, signature)`` or None for
+    silence. A voter that sends every recipient the same vote (a crashed
+    one) gives that vote and hook None; it is counted once, for all
+    recipients. A voter whose vote may differ per recipient (a Byzantine
+    one) gives hook, and ``hook(recipient)`` is the vote ``recipient``
+    receives. Each distinct (voter, signature) is verified once.
 
     Returns {recipient: committed bool} for every validator; a recipient
     commits when it holds >= quorum valid signatures from distinct
@@ -151,15 +154,21 @@ def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
     uniform = 0
     hooked = []
     for voter in validators:
-        vote, hook = vote_of(voter)
-        if hook is None:  # asked once, so verified at most once
-            if (vote is not None and vote[0] == digest
-                    and verify(voter, statement, vote[1])):
-                uniform += 1
-                if uniform >= quorum:
-                    return dict.fromkeys(validators, True)
+        sign = signers.get(voter)
+        if sign is not None:
+            ok = verify(voter, statement, sign(statement))
         else:
-            hooked.append((voter, hook))
+            vote, hook = vote_of(voter)
+            if hook is not None:
+                hooked.append((voter, hook))
+                continue
+            # asked once, so verified at most once
+            ok = (vote is not None and vote[0] == digest
+                  and verify(voter, statement, vote[1]))
+        if ok:
+            uniform += 1
+            if uniform >= quorum:
+                return dict.fromkeys(validators, True)
     if not hooked:
         return dict.fromkeys(validators, False)
     checked = {}  # (voter, sig) -> bool; a hook may repeat a vote

@@ -17,9 +17,13 @@ entry. ``ChainSim.on_divide`` and ``ChainSim.on_ack`` then judge the entry's
 request once, from the live tip (:meth:`ChainSim._judgment`), and return a
 receiver that runs once per recipient.
 
-Every signature a validator gives (commit vote, division ack, certificate
-share) comes from :meth:`Ecosystem.respond`. Correct and crashed validators
-give one answer for all recipients, so it is signed and checked once; only a
+A correct validator's commit vote is its signature over the candidate's
+commit statement: :meth:`ChainSim.commit` hands the round each correct
+voter's signing closure, so the vote is signed and checked once. Every other
+signature a validator gives (a division ack, a certificate share, a crashed
+or Byzantine validator's vote) comes from :meth:`Ecosystem.respond`, the only
+place a per-recipient hook is built. Correct and crashed validators give one
+answer for all recipients, so it is signed and checked once; only a
 Byzantine strategy answers each recipient separately.
 
 Nothing a run builds points back at its Ecosystem strongly: a ChainSim holds
@@ -137,7 +141,7 @@ class VoteRequest:
         return commit_statement(self.chain, self.candidate.digest,
                                 self.candidate.height)
 
-    @memo  # read once per vote
+    @memo  # read by each strategy answer
     def value(self) -> bytes:
         return self.candidate.digest
 
@@ -228,13 +232,6 @@ class ChainSim:
     def quorum(self) -> int:
         return self.state.config.quorum
 
-    def correct_validators(self) -> list:
-        network = self.eco.network
-        nodes, now = network.nodes, network.now
-        # now < crash_at: not node.crashed(now), inlined
-        return [v for v in self.validators
-                if now < nodes[v].crash_at and nodes[v].strategy is None]
-
     # -- ordinary commits --------------------------------------------------
 
     def commit(self, txs) -> "Block":
@@ -251,16 +248,24 @@ class ChainSim:
         for tx in txs:
             state = apply_transaction(state, tx, scheme=self.eco.scheme)
         candidate = make_block(len(self.ledger), self.ledger[-1].digest, txs)
+        eco = self.eco
+        network, signers = eco.network, eco._signers
+        nodes, now = network.nodes, network.now
+        correct = {}  # correct validator -> its signing closure
+        for v in self.validators:
+            node = nodes[v]
+            # now < crash_at: not node.crashed(now), inlined
+            if now < node.crash_at and node.strategy is None:
+                correct[v] = signers[v]
         request = VoteRequest(self.chain_id, candidate)
-        respond = self.eco.respond
+        respond = eco.respond
 
-        def vote_of(voter):
+        def vote_of(voter):  # a crashed or Byzantine voter
             return respond(voter, request)
 
         outcome = run_commit_round(
             self.chain_id, candidate, self.validators, self.quorum,
-            self.eco.verify, vote_of)
-        correct = self.correct_validators()
+            eco.verify, correct, vote_of)
         if not any(outcome[v] for v in correct):
             self.eco._log(f"stall chain={_name(self.chain_id)} "
                           f"height={candidate.height}")
@@ -452,7 +457,8 @@ class Ecosystem:
         self.network = Network(_message_handler(self.chains),
                                seed=seed, d_min=d_min, d_max=d_max)
         self.users: dict[UserId, Account] = {}
-        self._signers: dict = {}  # UserId -> sign(message), see respond
+        # UserId -> sign(message), for commit votes and respond
+        self._signers: dict = {}
         self.retired: dict[ChainId, ChainSim] = {}
         self.assignment_scheme = assignment_scheme
         self.faulty: set = set()  # harness-side flags, dormant or active
@@ -675,7 +681,9 @@ class Ecosystem:
         `sign` is the validator's signing closure, made once by
         register_user. It calls scheme.sign(public_key, message), looked up
         at call time, so every tag a validator gives goes through
-        SignatureScheme.sign.
+        SignatureScheme.sign. A commit round does not ask respond for a
+        correct validator's vote: ChainSim.commit passes run_commit_round
+        that validator's closure, which signs the commit statement.
         """
         network = self.network
         node = network.nodes[validator]

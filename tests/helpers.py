@@ -104,18 +104,23 @@ def reference_montecarlo(d, trials: int, seed: int = 0) -> tuple:
 
 
 def reference_commit_round(chain, candidate, validators, quorum, verify,
-                           vote_of) -> dict:
+                           signers, vote_of) -> dict:
     """run_commit_round by brute force: every recipient asks every voter.
 
     Each (voter, recipient) pair resolves the voter's vote on its own and
     checks its signature afresh, with no counting shared across recipients.
+    A voter in ``signers`` votes for the candidate with
+    ``signers[voter](statement)``.
     """
     statement = commit_statement(chain, candidate.digest, candidate.height)
     outcome = {}
     for recipient in validators:
         matching = 0
         for voter in validators:
-            vote, hook = vote_of(voter)
+            if voter in signers:
+                vote, hook = (candidate.digest, signers[voter](statement)), None
+            else:
+                vote, hook = vote_of(voter)
             if hook is not None:
                 vote = hook(recipient)
             if vote is None or vote[0] != candidate.digest:

@@ -39,3 +39,27 @@ def test_sign_test_drops_ties_and_reads_lower_as_better(bench_pairs):
     assert stats["sign_test_p"] == 2 * 1 / 8
     assert stats["pair_ratio_median"] == 0.5
     assert bench_pairs.pair_stats([1.0], [1.0], False)["sign_test_p"] == 1.0
+
+
+def test_division_probe_reports_the_median_of_its_divisions(bench_pairs):
+    tree = SCRIPT.parent.parent
+    run = bench_pairs.division_run(tree, 8, repeats=3)
+    assert len(run["cpu_s_runs"]) == 3
+    assert run["cpu_s"] == round(statistics.median(run["cpu_s_runs"]), 4)
+    # one division of 8: a DIVIDE to each validator and 8 acks from each
+    assert run["messages_sent"] == 8 + 8 * 8
+    assert sorted(run["children"]) == [4, 4]
+
+
+def test_trace_calls_equal_compares_calls_and_drops_only(bench_pairs):
+    parent = {"crypto.sign.calls": 665.0, "crypto.sign.self_ms": 1.2,
+              "netsim.dropped": 3.5, "op.self_ms": 9.5}
+    # self times may differ; calls and drops may not
+    same = dict(parent, **{"crypto.sign.self_ms": 0.7, "op.self_ms": 8.0})
+    assert bench_pairs.trace_calls_equal(parent, same)
+    for key, value in (("crypto.sign.calls", 666.0), ("netsim.dropped", 3.0)):
+        assert not bench_pairs.trace_calls_equal(parent,
+                                                 dict(parent, **{key: value}))
+    # a layer only one side traced counts as a difference
+    assert not bench_pairs.trace_calls_equal(
+        parent, dict(parent, **{"model.replay.calls": 1.0}))

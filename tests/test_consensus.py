@@ -145,28 +145,37 @@ def test_certificate_roundtrips_through_bytes(setup):
 
 # --- commit rounds ---------------------------------------------------------------
 #
-# vote_of(voter) -> (vote, hook): a uniform vote with hook None, or a
-# per-recipient hook(recipient) -> vote for a Byzantine voter.
+# signers: correct voter -> sign(message), the voters that sign the
+# candidate's statement directly. Every other voter answers vote_of(voter)
+# -> (vote, hook): a uniform vote with hook None, or a per-recipient
+# hook(recipient) -> vote for a Byzantine voter.
 
 
 def make_candidate():
     return make_block(1, sha256(b"parent"), [])
 
 
-def round_with(setup, vote_of, alpha=Fraction(1, 3)):
-    """Run the round and check it against the brute-force reference."""
+def signers_of(scheme, pks, voters) -> dict:
+    return {v: (lambda message, pk=pks[v]: scheme.sign(pk, message))
+            for v in voters}
+
+
+def round_with(setup, vote_of, correct=(), alpha=Fraction(1, 3)):
+    """Run the round, the ``correct`` voters signing directly and the rest
+    answering vote_of, and check it against the brute-force reference."""
     scheme, validators, pks = setup
     verify = verify_by(scheme, pks)
     candidate = make_candidate()
     quorum = quorum_size(len(validators), alpha)
+    signers = signers_of(scheme, pks, correct)
 
     def bound(voter):
         return vote_of(voter, candidate)
 
     outcome = run_commit_round(b"c", candidate, validators, quorum,
-                               verify, bound)
+                               verify, signers, bound)
     assert outcome == reference_commit_round(b"c", candidate, validators,
-                                             quorum, verify, bound)
+                                             quorum, verify, signers, bound)
     return candidate, outcome
 
 
@@ -177,36 +186,29 @@ def honest_vote(scheme, pks):
     return vote
 
 
+def crashed_vote(voter, candidate):
+    return None, None
+
+
 def test_all_honest_commit(setup):
     scheme, validators, pks = setup
+    # signing directly, and as uniform votes through vote_of
+    _, outcome = round_with(setup, crashed_vote, correct=validators)
+    assert all(outcome.values())
     _, outcome = round_with(setup, honest_vote(scheme, pks))
     assert all(outcome.values())
 
 
 def test_one_crash_still_commits(setup):
     scheme, validators, pks = setup
-    base = honest_vote(scheme, pks)
-
-    def vote(voter, candidate):
-        if voter == validators[0]:
-            return None, None
-        return base(voter, candidate)
-
-    _, outcome = round_with(setup, vote)
+    _, outcome = round_with(setup, crashed_vote, correct=validators[1:])
     for v in validators[1:]:
         assert outcome[v]
 
 
 def test_two_crashes_stall_bft_quorum(setup):
     scheme, validators, pks = setup
-    base = honest_vote(scheme, pks)
-
-    def vote(voter, candidate):
-        if voter in validators[:2]:
-            return None, None
-        return base(voter, candidate)
-
-    _, outcome = round_with(setup, vote)
+    _, outcome = round_with(setup, crashed_vote, correct=validators[2:])
     assert not any(outcome.values())
 
 
@@ -223,6 +225,8 @@ def test_equivocator_cannot_split_correct_nodes(setup):
     evil_digest = sha256(b"evil" + candidate.digest)
     quorum = quorum_size(4, Fraction(1, 3))
 
+    signers = signers_of(scheme, pks, correct)
+
     def stmt(digest):
         return commit_statement(b"c", digest, candidate.height)
 
@@ -237,15 +241,13 @@ def test_equivocator_cannot_split_correct_nodes(setup):
             return digest, scheme.sign(pks[byz], stmt(digest))
 
         def vote_of(voter):
-            if voter == byz:
-                return None, hook
-            return (candidate.digest,
-                    scheme.sign(pks[voter], stmt(candidate.digest))), None
+            assert voter == byz
+            return None, hook
 
         outcome = run_commit_round(b"c", candidate, validators, quorum,
-                                   verify, vote_of)
+                                   verify, signers, vote_of)
         assert outcome == reference_commit_round(
-            b"c", candidate, validators, quorum, verify, vote_of)
+            b"c", candidate, validators, quorum, verify, signers, vote_of)
         for v in correct:
             assert outcome[v], (choices, v)
         # the evil digest holds at most 1 signature, far below quorum 3
@@ -260,8 +262,11 @@ BEHAVIOURS = ("honest", "crashed", "withhold", "badsig", "equivocate")
 
 def ecosystem_round(behaviours, alpha):
     """A chain of validators v00, v01, ... behaving as listed, a candidate
-    block and the round arguments; vote_of asks the ecosystem's responder.
-    A "forged" voter is uniform but its signature does not verify."""
+    block and the round arguments: the honest voters' signing closures, as
+    ChainSim.commit passes them, and a vote_of that asks the ecosystem's
+    responder. A "forged" voter is uniform but its signature does not
+    verify. A "misnamed" voter is uniform and names another digest, with a
+    valid tag over the candidate's commit statement."""
     eco = Ecosystem(seed=len(behaviours))
     validators = [b"v%02d" % i for i in range(len(behaviours))]
     for v, behaviour in zip(validators, behaviours):
@@ -274,24 +279,33 @@ def ecosystem_round(behaviours, alpha):
                            n_max=max(2, len(validators)))
     candidate = make_block(1, sim.ledger[-1].digest, [])
     request = VoteRequest(b"c", candidate)
-    forged = {v for v, b in zip(validators, behaviours) if b == "forged"}
+    signers = {v: eco._signers[v] for v, b in zip(validators, behaviours)
+               if b == "honest"}
+    uniform = {v: b for v, b in zip(validators, behaviours)
+               if b in ("forged", "misnamed")}
+    other = sha256(b"other" + candidate.digest)
 
     def vote_of(voter):
-        if voter in forged:
+        behaviour = uniform.get(voter)
+        if behaviour == "forged":
             return (candidate.digest, b"\x00" * 32), None
+        if behaviour == "misnamed":
+            return (other, eco._signers[voter](request.statement)), None
         return eco.respond(voter, request)
 
-    return (b"c", candidate, sim.validators, sim.quorum, eco.verify, vote_of)
+    return (b"c", candidate, sim.validators, sim.quorum, eco.verify, signers,
+            vote_of)
 
 
 @settings(max_examples=150, deadline=None)
-@given(behaviours=st.lists(st.sampled_from(BEHAVIOURS), min_size=1,
-                           max_size=12),
+@given(behaviours=st.lists(st.sampled_from(BEHAVIOURS + ("misnamed",)),
+                           min_size=1, max_size=12),
        alpha=st.sampled_from((Fraction(1, 3), Fraction(1, 2))))
+@example(behaviours=["misnamed", "honest", "honest"], alpha=Fraction(1, 3))
 def test_commit_round_matches_per_pair_reference(behaviours, alpha):
     """Counting uniform votes once and hooked votes per recipient gives the
     same outcome as asking every (voter, recipient) pair, for any mix of
-    honest, crashed and Byzantine voters."""
+    honest, crashed, misnamed and Byzantine voters."""
     args = ecosystem_round(behaviours, alpha)
     quorum = args[3]
     outcome = run_commit_round(*args)
@@ -301,21 +315,34 @@ def test_commit_round_matches_per_pair_reference(behaviours, alpha):
 
 
 @settings(max_examples=200, deadline=None)
-@given(behaviours=st.lists(st.sampled_from(BEHAVIOURS + ("forged",)),
+@given(behaviours=st.lists(st.sampled_from(BEHAVIOURS
+                                           + ("forged", "misnamed")),
                            min_size=1, max_size=12),
        alpha=st.sampled_from((Fraction(1, 3), Fraction(1, 2))))
 @example(behaviours=["equivocate", "badsig", "honest", "crashed", "honest",
                      "withhold", "honest", "honest"], alpha=Fraction(1, 2))
 @example(behaviours=["forged", "equivocate", "honest", "honest", "honest",
                      "forged"], alpha=Fraction(1, 3))
+@example(behaviours=["honest", "misnamed", "equivocate", "honest",
+                     "honest"], alpha=Fraction(1, 2))
 def test_commit_round_stops_at_the_qth_valid_uniform_vote(behaviours, alpha):
     """Voters are asked in validator order, each once, and the round stops
     right after the q-th valid uniform vote: no later voter is asked and
     no hook is called, even for hooked voters placed before it. When valid
-    uniform votes stay below q, every voter is asked."""
-    *head, vote_of = ecosystem_round(behaviours, alpha)
+    uniform votes stay below q, every voter is asked. An honest voter is
+    asked by signing; every other voter through vote_of."""
+    *head, signers, vote_of = ecosystem_round(behaviours, alpha)
     validators, quorum = head[2], head[3]
     asked, hooks_called = [], []
+
+    def counting_signer(voter, sign):
+        def counted(message):
+            asked.append(voter)
+            return sign(message)
+        return counted
+
+    counting_signers = {v: counting_signer(v, sign)
+                        for v, sign in signers.items()}
 
     def counting_vote_of(voter):
         asked.append(voter)
@@ -328,8 +355,8 @@ def test_commit_round_stops_at_the_qth_valid_uniform_vote(behaviours, alpha):
             return hook(recipient)
         return vote, counting_hook
 
-    outcome = run_commit_round(*head, counting_vote_of)
-    assert outcome == reference_commit_round(*head, vote_of)
+    outcome = run_commit_round(*head, counting_signers, counting_vote_of)
+    assert outcome == reference_commit_round(*head, signers, vote_of)
     honest_at = [i for i, b in enumerate(behaviours) if b == "honest"]
     if len(honest_at) >= quorum:
         assert asked == list(validators[:honest_at[quorum - 1] + 1])

@@ -40,7 +40,12 @@ from splitchain.model import (
     replay,
     sha256,
 )
-from splitchain.netsim import Equivocate, Network, _targets_recipient
+from splitchain.netsim import (
+    Equivocate,
+    Network,
+    _targets_recipient,
+    make_strategy,
+)
 from splitchain.xchain import toa_claim, toa_lock
 
 from helpers import reference_commit_round
@@ -223,25 +228,75 @@ def test_commit_stalls_with_two_crashes_of_four():
     assert eco.scheme.verifies == 2
 
 
+class CountingStrategy:
+    """A stock strategy, counting the requests it answers."""
+
+    def __init__(self, name):
+        self.inner = make_strategy(name)
+        self.asked = 0
+
+    def answer(self, request, recipient, sign):
+        self.asked += 1
+        return self.inner.answer(request, recipient, sign)
+
+
 def test_all_honest_commit_signs_and_verifies_only_the_first_quorum():
     # voters are asked in validator order until q valid votes are in, so
-    # exactly the first q live validators sign once and are verified once;
-    # crashed ones among them make the round ask further (n=10, q=5: u000,
-    # u002 and u004-u006 sign, u007-u009 are not asked)
-    for n, crashed in ((1, ()), (4, ()), (10, ()), (4, (b"u000",)),
-                       (10, (b"u001", b"u003"))):
-        eco = build_eco(n=n, n_max=16, counting=True)
+    # exactly the first q correct validators sign once and are verified
+    # once; crashed and Byzantine ones among them make the round ask
+    # further, and no strategy is asked, since the correct votes reach
+    # quorum (n=10, q=5, u001 and u003 crashed: u000, u002 and u004-u006
+    # sign, u007-u009 are not asked)
+    for n, crashed, byzantine in (
+            (1, (), ()), (4, (), ()), (10, (), ()), (4, (b"u000",), ()),
+            (10, (b"u001", b"u003"), ()), (4, (), (b"u000",)),
+            (10, (), (b"u000", b"u002", b"u003")),
+            (10, (b"u001",), (b"u000", b"u004"))):
+        strategies = {v: CountingStrategy(name) for v, name in zip(
+            byzantine, ("equivocate", "badsig", "withhold"))}
+        eco = build_eco(n=n, n_max=16, counting=True, strategies=strategies)
         for v in crashed:
             eco.crash_user(v)
         eco.register_user(b"u100", Role.CLIENT)
         eco.scheme.signs.clear()
         eco.join_chain(b"u100", b"root", role=Role.CLIENT)
         sim = eco.chains[b"root"]
-        live = [v for v in sim.validators if v not in crashed]
+        correct = [v for v in sim.validators
+                   if v not in crashed and v not in byzantine]
         first = Counter({eco.users[v].public_key: 1
-                         for v in live[:sim.quorum]})
-        assert eco.scheme.signs == first, (n, crashed)
-        assert eco.scheme.verified == first, (n, crashed)
+                         for v in correct[:sim.quorum]})
+        case = (n, crashed, byzantine)
+        assert eco.scheme.signs == first, case
+        assert eco.scheme.verified == first, case
+        assert [s.asked for s in strategies.values()] == [0] * len(byzantine)
+
+
+def test_committed_holds_each_validators_last_committed_height():
+    # n=4 at a third: q=3, and q=4 once a fifth validator joins
+    eco = build_eco(n=4, alpha=THIRD, kind="bft", n_max=16)
+    sim = eco.chains[b"root"]
+    assert sim.committed == dict.fromkeys(sim.validators, 0)
+    sim.commit([])
+    assert sim.committed == dict.fromkeys(sim.validators, 1)
+    eco.crash_user(b"u003")  # crashed before the next commit: stays at 1
+    sim.commit([])
+    expected = {b"u000": 2, b"u001": 2, b"u002": 2, b"u003": 1}
+    assert sim.committed == expected
+    eco.register_user(b"u100", Role.VALIDATOR)
+    eco.join_chain(b"u100", b"root")  # the joiner gets last_height
+    assert sim.state.last_height == 3
+    expected.update({b"u000": 3, b"u001": 3, b"u002": 3, b"u100": 3})
+    assert sim.committed == expected
+    sim.commit([])
+    expected.update({b"u000": 4, b"u001": 4, b"u002": 4, b"u100": 4})
+    assert sim.committed == expected
+    # three correct voters of five fall short of q=4: nothing changes
+    eco.crash_user(b"u002")
+    ledger, state = list(sim.ledger), sim.state
+    with pytest.raises(Stalled, match="no quorum at height 5"):
+        sim.commit([])
+    assert sim.ledger == ledger and sim.state is state
+    assert sim.committed == expected
 
 
 def crash_honest_beyond(eco, sim, live, byzantine):
@@ -270,7 +325,7 @@ def test_byzantine_voter_signs_once_per_distinct_message():
         eco.scheme.signs.clear()
         votes = {v: eco.respond(v, request) for v in sim.validators}
         args = (b"root", candidate, sim.validators, sim.quorum, eco.verify,
-                votes.__getitem__)
+                {}, votes.__getitem__)
         outcome = run_commit_round(*args)
         # the equivocator sends two statements to n recipients: two tags
         assert eco.scheme.signs[pk(b"u001")] == 2, n
@@ -291,21 +346,10 @@ def test_byzantine_voter_signs_once_per_distinct_message():
         assert eco.scheme.signs[pk(b"u001")] == 2, n  # memo spans recipients
 
 
-class CountingEquivocator(Equivocate):
-    """Equivocate, counting the votes it is asked for."""
-
-    def __init__(self):
-        self.votes = 0
-
-    def answer(self, request, recipient, sign):
-        self.votes += isinstance(request, VoteRequest)
-        return super().answer(request, recipient, sign)
-
-
 def test_byzantine_voter_is_asked_only_when_correct_votes_fall_short():
     for n in (4, 7, 10):
         for short in (0, 1):
-            strategy = CountingEquivocator()
+            strategy = CountingStrategy("equivocate")
             eco = build_eco(n=n, strategies={b"u001": strategy})
             sim = eco.chains[b"root"]
             crash_honest_beyond(eco, sim, sim.quorum - short, (b"u001",))
@@ -313,9 +357,9 @@ def test_byzantine_voter_is_asked_only_when_correct_votes_fall_short():
             request = VoteRequest(b"root", candidate)
             votes = {v: eco.respond(v, request) for v in sim.validators}
             args = (b"root", candidate, sim.validators, sim.quorum,
-                    eco.verify, votes.__getitem__)
+                    eco.verify, {}, votes.__getitem__)
             outcome = run_commit_round(*args)
-            assert strategy.votes == (n if short else 0), (n, short)
+            assert strategy.asked == (n if short else 0), (n, short)
             assert outcome == reference_commit_round(*args), (n, short)
             if not short:
                 assert all(outcome.values()), n
