@@ -2,9 +2,9 @@
 
 Loads the bundled figure1 scenario (one chain growing under a 20% faulty
 join stream, dividing at twenty validators), runs it once, and prints the
-division tree plus the fault-rebalancing table: each division should land
-its children's expected faulty ratio exactly halfway between the parent's
-birth ratio and the join-stream ratio.
+division tree plus the fault-rebalancing table read from the run's `divide`
+events: each division should land its children's expected faulty ratio
+exactly halfway between the parent's birth ratio and the join-stream ratio.
 
 Run with:  python3 demos/04_scenario_metrics.py
 """
@@ -12,14 +12,13 @@ Run with:  python3 demos/04_scenario_metrics.py
 from fractions import Fraction
 from importlib import resources
 
-from splitchain.scenario import parse_scenario, run_scenario
+from splitchain.scenario import run_scenario
 
 
 def main() -> None:
     text = (resources.files("splitchain") / "scenarios" / "figure1.mit") \
         .read_text()
-    spec = parse_scenario(text)
-    report = run_scenario(spec, seed=1)
+    report = run_scenario(text, seed=1)
 
     print(f"final chains: {len(report.final_chains)};"
           f" divisions: {len(report.divisions)};"
@@ -35,11 +34,13 @@ def main() -> None:
     print("\nrebalancing at each division"
           " (beta_div vs (beta_birth + beta_join)/2):")
     beta_join = Fraction(1, 5)
-    for d in report.divisions:
-        predicted = (d.beta_birth + beta_join) / 2
-        mark = "=" if d.beta_division == predicted else "!"
-        print(f"  {d.parent.decode():12s} birth {str(d.beta_birth):>5}"
-              f" -> division {str(d.beta_division):>5}"
+    for d in (divide.fields for divide in report.divisions):
+        birth = Fraction(d["f_birth"], d["n_birth"])
+        division = Fraction(d["f"], d["n"])
+        predicted = (birth + beta_join) / 2
+        mark = "=" if division == predicted else "!"
+        print(f"  {d['parent'].decode():12s} birth {str(birth):>5}"
+              f" -> division {str(division):>5}"
               f"  predicted {str(predicted):>5}  [{mark}]")
 
     over = len(report.bound_violations)

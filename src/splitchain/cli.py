@@ -23,9 +23,9 @@ from pathlib import Path
 
 from .crypto import KeyedVerifier, check_seed
 from .errors import ConfigError, SplitchainError
-from .manager import Ecosystem
+from .manager import Ecosystem, render_events
 from .model import Asset, Role, quorum_size
-from .scenario import lineage_csv, lineage_table, parse_scenario, run_scenario
+from .scenario import LINEAGE_HEADER, csv_text, parse_scenario, run_scenario
 from .xchain import (
     KnowledgeProof,
     toa_claim,
@@ -188,8 +188,8 @@ def _cmd_divide_demo(args) -> int:
         print(f"  {child.chain_id.decode()}: {names}")
     if args.out:
         if not _write_files(args.out, {
-                "lineage.csv": lineage_csv(lineage_table(eco)),
-                "events.log": "\n".join(eco.events) + "\n"}):
+                "lineage.csv": csv_text(LINEAGE_HEADER, eco.lineage_rows()),
+                "events.log": render_events(eco.events)}):
             return 2
         print(f"wrote lineage.csv and events.log to {args.out}")
     return 0
@@ -242,8 +242,8 @@ def _cmd_xfer_demo(args) -> int:
             "lock_proof.bin": lock.inner.to_bytes(),
             "registry.json": json.dumps(_registry_snapshot(eco, b"src"),
                                         indent=2, sort_keys=True) + "\n",
-            "transfer.log": "\n".join(lines + ["", "-- event log --"]
-                                      + list(eco.events)) + "\n"}):
+            "transfer.log": "\n".join(lines + ["", "-- event log --", ""])
+                            + render_events(eco.events)}):
         return 2
     for line in lines:
         print(line)

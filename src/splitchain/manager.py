@@ -1,35 +1,30 @@
 """Chain lifecycle: membership, creation, joins, division, and fusion.
 
 The :class:`Ecosystem` owns the network, the signature scheme, the user
-accounts, and one :class:`ChainSim` per chain, live or retired: a chain's
-ChainSim is the only record of its config. Chains are born and retired only
-in :meth:`Ecosystem._replace`; a division child's or a fusion's genesis comes
-from its parents' states through :func:`_inherit`, and ``ChainSim.parents``
-names those parents. :func:`model.genesis_state` installs each genesis once.
-Only :meth:`Ecosystem.verify` maps a signer to its key.
-Ordinary block commits are modeled as synchronous vote rounds (consensus is
-a black box — only its quorum arithmetic matters here), while the division
-protocol is message-faithful: the initiator's broadcast and every signed ack
-travel through the simulated network and are counted, one DIVIDE per
-validator plus n^2 acks. Each broadcast is one network calendar entry per
-delivery tick, and the network's handler finds the chain it names once per
-entry. ``ChainSim.on_divide`` and ``ChainSim.on_ack`` then judge the entry's
-request once, from the live tip (:meth:`ChainSim._judgment`), and return a
-receiver that runs once per recipient.
+accounts, one :class:`ChainSim` per chain, live or retired (the only record
+of its config), and ``events``, the only record of what a run did: one
+:class:`Event` (tick, kind, fields) per fact. events.log renders each event
+by its kind's EVENT_FORMATS entry, and a run's divisions, stall and safety
+violations are queries over the list.
+
+Chains are born and retired only in :meth:`Ecosystem._replace`. A division
+child's or a fusion's genesis comes from its parents' states (named by
+``ChainSim.parents``) through :func:`_inherit`, and
+:func:`model.genesis_state` installs each genesis once. Only
+:meth:`Ecosystem.verify` maps a signer to its key. Ordinary commits are
+synchronous vote rounds (only consensus's quorum arithmetic matters here),
+while the division protocol is message-faithful: one DIVIDE per validator
+plus n^2 acks travel the simulated network, one calendar entry per broadcast
+and delivery tick. ``ChainSim.on_divide`` and ``ChainSim.on_ack`` judge an
+entry's request once, from the live tip (:meth:`ChainSim._judgment`), and
+return a receiver that runs once per recipient.
 
 A correct validator's commit vote is its signature over the candidate's
-commit statement: :meth:`ChainSim.commit` hands the round each correct
-voter's signing closure, so the vote is signed and checked once. Every other
-signature a validator gives (a division ack, a certificate share, a crashed
-or Byzantine validator's vote) comes from :meth:`Ecosystem.respond`, the only
-place a per-recipient hook is built. Correct and crashed validators give one
-answer for all recipients, so it is signed and checked once; only a
-Byzantine strategy answers each recipient separately.
-
-Nothing a run builds points back at its Ecosystem strongly: a ChainSim holds
-a weak proxy of it, and the network's handler holds only the live-chain map.
-A finished run is therefore freed by reference counting, without waiting
-for the cyclic garbage collector.
+commit statement, signed and checked once: :meth:`ChainSim.commit` hands the
+round each correct voter's signing closure. Every other signature (a
+division ack, a certificate share, a crashed or Byzantine validator's vote)
+comes from :meth:`Ecosystem.respond`, the only place a per-recipient hook is
+built; only a Byzantine strategy answers each recipient separately.
 """
 
 import weakref
@@ -168,40 +163,57 @@ class SignRequest:
         return sign(statement)
 
 
+# events.log's format per event kind: ids print as names, nonces are hex
+EVENT_FORMATS = {
+    "create": "create chain={chain} n={n}",
+    "join": "join chain={chain} user={user} role={role} n={n}",
+    "divide": "divide parent={parent} n={n} f={f} -> {children}",
+    "fuse": "fuse {left}+{right} -> {merged} alpha={alpha}",
+    "stall": "stall chain={chain} height={height}",
+    "lock": "lock {asset} on {chain} -> {target} nonce {nonce:.8}",
+    "claim": "claim nonce {nonce:.8} on {chain}: {outcome}",
+    "resolve": "resolve nonce {nonce:.8} on {chain}: {outcome}",
+    "trigger-skip": ("chain {chain} at trigger but every validator is"
+                     " crashed; skipping division"),
+    "division-failed": "division of {chain} failed: {error}",
+    "fusion-skipped": "fusion {left}+{right} skipped: not both live",
+    "fusion-failed": "fusion {left}+{right} failed: {error}",
+    "safety": "SAFETY VIOLATION: {error}",
+}
+STALL_REASON = "chain {chain}: no quorum at height {height}"
+
+
+def _shown(value):
+    if isinstance(value, bytes):
+        return _name(value)
+    if isinstance(value, tuple):
+        return ", ".join(f"{_name(c)}(n={n},f={f})" for c, n, f, _ in value)
+    return value
+
+
 @dataclass(frozen=True)
-class DivisionRecord:
-    """The only record of one completed division: the parent's size and
-    faulty count at birth (its genesis founders) and at division, and its
-    children. Validators only join, so n - n_birth of them joined since
-    birth, f - f_birth of those faulty."""
+class Event:
+    """One fact of a run: its tick, its kind (a key of EVENT_FORMATS) and
+    the kind's fields. `text in event` searches its events.log line."""
 
     tick: int
-    parent: ChainId
-    n_birth: int
-    f_birth: int
-    n: int
-    f: int
-    children: tuple  # ((chain_id, n_i, f_i, violated), (chain_id, n_i, f_i, violated))
+    kind: str
+    fields: dict
 
-    @property
-    def joined(self) -> int:
-        return self.n - self.n_birth
+    def format(self, template: str) -> str:
+        return template.format_map({key: _shown(value)
+                                    for key, value in self.fields.items()})
 
-    @property
-    def joined_faulty(self) -> int:
-        return self.f - self.f_birth
+    @memo
+    def line(self) -> str:
+        return f"[{self.tick}] {self.format(EVENT_FORMATS[self.kind])}"
 
-    @property
-    def beta_birth(self) -> Fraction:
-        return Fraction(self.f_birth, self.n_birth)
+    def __contains__(self, text: str) -> bool:
+        return text in self.line
 
-    @property
-    def beta_division(self) -> Fraction:
-        return Fraction(self.f, self.n)
 
-    @property
-    def any_violation(self) -> bool:
-        return any(c[3] for c in self.children)
+def render_events(events) -> str:
+    return "".join(event.line + "\n" for event in events)
 
 
 class ChainSim:
@@ -209,7 +221,7 @@ class ChainSim:
     divided or fused away is halted and kept in Ecosystem.retired."""
 
     def __init__(self, eco: "Ecosystem", genesis: Block, parents: tuple):
-        self.eco = weakref.proxy(eco)
+        self.eco = weakref.proxy(eco)  # no cycle: a run is freed by refcount
         self.ledger = [genesis]
         self.state = model.genesis_state(genesis)
         self.chain_id = self.state.config.chain
@@ -267,10 +279,9 @@ class ChainSim:
             self.chain_id, candidate, self.validators, self.quorum,
             eco.verify, correct, vote_of)
         if not any(outcome[v] for v in correct):
-            self.eco._log(f"stall chain={_name(self.chain_id)} "
-                          f"height={candidate.height}")
-            raise Stalled(f"chain {_name(self.chain_id)}: no quorum at "
-                          f"height {candidate.height}")
+            stall = eco._emit("stall", chain=self.chain_id,
+                              height=candidate.height)
+            raise Stalled(stall.format(STALL_REASON))
         self.ledger.append(candidate)
         self.state = state.replace(last_height=candidate.height)
         # `correct` predates this block's config; a validator the block
@@ -310,7 +321,7 @@ class ChainSim:
             return rnd, "anchor-mismatch"
         return rnd, None
 
-    def on_divide(self, req: DivideRequest, now: int):
+    def on_divide(self, req: DivideRequest):
         """The receiver of one DIVIDE calendar entry: receive(validator) acks
         if the validator accepts the request; None for an earlier round's."""
         judgment = self._judgment(req)
@@ -340,7 +351,7 @@ class ChainSim:
             if sig is not None:  # None: withheld, nothing on the wire
                 network.send(validator, recipient, AckMsg(req, validator, sig))
 
-    def on_ack(self, ack: AckMsg, now: int):
+    def on_ack(self, ack: AckMsg):
         """The receiver of one ACK calendar entry: receive(validator) runs
         once per delivery of `ack`; None when the ack belongs to an earlier
         round. Acks can outrun the DIVIDE; the embedded request is judged
@@ -380,11 +391,11 @@ class ChainSim:
             acks[signer] = sig
             if len(acks) >= quorum and validator not in assigned:
                 assigned.add(validator)
-                self._complete_division(rnd, now)
+                self._complete_division(rnd)
 
         return receive
 
-    def _complete_division(self, rnd: DivisionRound, now: int):
+    def _complete_division(self, rnd: DivisionRound):
         # the validator accepts the request, so self.state is its tip state
         req = rnd.request
         seed = beacon(req.anchor_digest)
@@ -399,7 +410,7 @@ class ChainSim:
                             (self.state,), parent_chain=self.chain_id,
                             split_height=req.agreed_height, side=side)
                    for side, cid, validators, clients in sides]
-        self.eco._install_division(self, geneses, now)
+        self.eco._install_division(self, geneses)
 
 
 def child_chain_ids(parent: ChainId) -> tuple:
@@ -462,8 +473,7 @@ class Ecosystem:
         self.retired: dict[ChainId, ChainSim] = {}
         self.assignment_scheme = assignment_scheme
         self.faulty: set = set()  # harness-side flags, dormant or active
-        self.divisions: list[DivisionRecord] = []
-        self.events: list[str] = []
+        self.events: list[Event] = []  # the run's only record of facts
         # freshness tags handed out per verifying chain, keyed (chain, nonce)
         self.issued_tags: dict = {}
         self._tag_counter = 0
@@ -532,7 +542,7 @@ class Ecosystem:
                              ConsensusParams(Fraction(alpha), kind), n_max,
                              tuple(initial_assets))
         sim, = self._replace((), [build_genesis(config, self.users)])
-        self._log(f"create chain={_name(chain_id)} n={len(config.validators)}")
+        self._emit("create", chain=chain_id, n=len(config.validators))
         return sim
 
     def join_chain(self, user: UserId, chain_id: ChainId,
@@ -556,8 +566,8 @@ class Ecosystem:
                              user)
             sim.commit([tx])
             sim.committed[user] = sim.state.last_height
-        self._log(f"join chain={_name(chain_id)} user={_name(user)} "
-                  f"role={role.name.lower()} n={len(sim.config.validators)}")
+        self._emit("join", chain=chain_id, user=user, role=role.name.lower(),
+                   n=len(sim.config.validators))
         return sim.config
 
     def divide_chain(self, chain_id: ChainId, initiator: UserId = None) -> tuple:
@@ -625,8 +635,8 @@ class Ecosystem:
             merged_params, max(s1.config.n_max, s2.config.n_max))
         merged, = self._replace((s1, s2),
                                 [_inherit(config, (s1.state, s2.state))])
-        self._log(f"fuse {_name(c1_id)}+{_name(c2_id)} -> {_name(merged_id)} "
-                  f"alpha={merged_params.alpha}")
+        self._emit("fuse", left=c1_id, right=c2_id, merged=merged_id,
+                   alpha=merged_params.alpha)
         return merged
 
     # -- harness bookkeeping ------------------------------------------------------
@@ -644,16 +654,14 @@ class Ecosystem:
         sim = self.chains.get(chain_id)
         return sim if sim is not None else self.retired.get(chain_id)
 
-    def lineage_rows(self) -> list:
-        """(chain_id, parent_id, side, split_height) for every chain, live or
-        retired, sorted by id, as each chain's genesis records them. A root
-        or fused chain has no parent: (chain_id, b"", 0, 0)."""
-        rows = []
-        for chain_id in sorted(self.chains.keys() | self.retired.keys()):
-            state = self.chain(chain_id).state
-            rows.append((chain_id, state.parent_chain or b"", state.side,
-                         state.split_height))
-        return rows
+    def lineage_rows(self) -> tuple:
+        """(chain, parent, side, split_height) for every chain, live or
+        retired, sorted by id and named, as each chain's genesis records
+        them. A root or fused chain has no parent: (chain, "", 0, 0)."""
+        states = [self.chain(chain_id).state for chain_id
+                  in sorted(self.chains.keys() | self.retired.keys())]
+        return tuple((_name(s.config.chain), _name(s.parent_chain or b""),
+                      s.side, s.split_height) for s in states)
 
     # -- internals -------------------------------------------------------------------
 
@@ -735,7 +743,7 @@ class Ecosystem:
             self.chains[sim.chain_id] = sim
         return born
 
-    def _install_division(self, parent: ChainSim, geneses, now: int) -> None:
+    def _install_division(self, parent: ChainSim, geneses) -> None:
         rnd = parent.division
         digests = tuple(g.digest for g in geneses)
         if rnd.installed is not None:
@@ -746,26 +754,21 @@ class Ecosystem:
             return
         born = self._replace((parent,), geneses)  # a taken id leaves all live
         rnd.installed = digests
-        f_parent = self.chain_fault_count(parent)
         children = []
         for sim in born:
-            n_i = len(sim.validators)
-            f_i = self.chain_fault_count(sim)
-            violated = model.at_fault_bound(f_i, n_i,
-                                            sim.config.consensus.alpha)
+            n_i, f_i = len(sim.validators), self.chain_fault_count(sim)
+            violated = model.at_fault_bound(f_i, n_i, sim.config.consensus.alpha)
             children.append((sim.chain_id, n_i, f_i, violated))
         founders = parent.founders
-        self.divisions.append(DivisionRecord(
-            now, parent.chain_id, len(founders),
-            sum(v in self.faulty for v in founders), len(parent.validators),
-            f_parent, tuple(children)))
-        self._log(f"divide parent={_name(parent.chain_id)} "
-                  f"n={len(parent.validators)} f={f_parent} -> "
-                  + ", ".join(f"{_name(c)}(n={n},f={f})"
-                              for c, n, f, _ in children))
+        self._emit("divide", parent=parent.chain_id, n_birth=len(founders),
+                   f_birth=sum(v in self.faulty for v in founders),
+                   n=len(parent.validators),
+                   f=self.chain_fault_count(parent), children=tuple(children))
 
-    def _log(self, text: str) -> None:
-        self.events.append(f"[{self.network.now}] {text}")
+    def _emit(self, kind: str, **fields) -> Event:
+        """Record one fact of the run, at the network's current tick."""
+        self.events.append(Event(self.network.now, kind, fields))
+        return self.events[-1]
 
 
 def _message_handler(chains):
@@ -781,11 +784,11 @@ def _message_handler(chains):
         if kind is AckMsg:
             sim = get(payload.request.chain)
             if sim is not None:
-                return sim.on_ack(payload, now)
+                return sim.on_ack(payload)
         elif kind is DivideRequest:
             sim = get(payload.chain)
             if sim is not None:
-                return sim.on_divide(payload, now)
+                return sim.on_divide(payload)
         return None
 
     return on_message

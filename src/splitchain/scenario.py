@@ -47,7 +47,7 @@ from .errors import (
     StateDivergence,
     TriggerNotMet,
 )
-from .manager import Ecosystem, _name
+from .manager import STALL_REASON, Ecosystem, _name, render_events
 from .model import Asset, Role
 
 @dataclass
@@ -331,18 +331,9 @@ def ratio_text(f: int, n: int) -> str:
     return f"{f // g}/{n // g}"
 
 
-def lineage_table(eco) -> tuple:
-    """Every chain's lineage as rows matching LINEAGE_HEADER, ids as names."""
-    return tuple((_name(cid), _name(parent), side, height)
-                 for cid, parent, side, height in eco.lineage_rows())
-
-
-def lineage_csv(rows) -> str:
-    """Rows matching LINEAGE_HEADER as CSV text, header line first."""
-    lines = [",".join(LINEAGE_HEADER)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def csv_text(header, rows) -> str:
+    """`rows` as CSV text, under their `header` line."""
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
 
 
 @dataclass(frozen=True)
@@ -351,29 +342,39 @@ class MetricsReport:
 
     metrics: tuple  # rows matching METRICS_HEADER
     lineage: tuple  # rows matching LINEAGE_HEADER
-    events: tuple  # human-readable log lines
-    divisions: tuple  # manager.DivisionRecord per completed division
-    safety_violations: tuple  # observed divergence among correct validators
+    events: tuple  # manager.Event per fact of the run; properties query it
     messages_total: int
     final_chains: tuple  # (chain_id, n, f) at end of run
-    stalled: str | None = None  # why the run stopped: a chain lost quorum
 
     @property
-    def bound_violations(self) -> tuple:
-        """The children entries of `divisions` born with f_i >= alpha * n_i."""
-        return tuple(c for d in self.divisions for c in d.children if c[3])
+    def divisions(self) -> tuple:
+        """The `divide` events: parent, n_birth and f_birth (its founders),
+        n and f at division, children as (chain_id, n_i, f_i, violated)."""
+        return tuple(e for e in self.events if e.kind == "divide")
+
+    @property
+    def bound_violations(self) -> tuple:  # children born at f_i >= alpha*n_i
+        return tuple(c for d in self.divisions for c in d.fields["children"]
+                     if c[3])
+
+    @property
+    def safety_violations(self) -> tuple:  # divergence among correct ones
+        return tuple(e.fields["error"] for e in self.events
+                     if e.kind == "safety")
+
+    @property
+    def stalled(self) -> str | None:  # why a lost quorum stopped the run
+        return next((e.format(STALL_REASON) for e in self.events
+                     if e.kind == "stall"), None)
 
     def metrics_csv(self) -> str:
-        lines = [",".join(METRICS_HEADER)]
-        for row in self.metrics:
-            lines.append(",".join(str(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return csv_text(METRICS_HEADER, self.metrics)
 
     def lineage_csv(self) -> str:
-        return lineage_csv(self.lineage)
+        return csv_text(LINEAGE_HEADER, self.lineage)
 
     def events_log(self) -> str:
-        return "\n".join(self.events) + ("\n" if self.events else "")
+        return render_events(self.events)
 
 
 # --- driver ----------------------------------------------------------------------
@@ -386,8 +387,7 @@ class _Driver:
         self.eco = Ecosystem(seed=seed, d_min=spec.d_min, d_max=spec.d_max,
                              assignment_scheme=spec.assignment)
         self.metrics = []
-        self.safety_violations = []
-        self.stalled = None
+        self.divided = self.scanned = 0  # divide events in events[:scanned]
         self.arrival_idx = 0
         # chain -> faulty positions in its current block of arrivals; a
         # divided or fused chain's entry is never read again
@@ -441,14 +441,16 @@ class _Driver:
 
     def sample(self) -> None:
         tick = self.eco.network.now
-        divisions = len(self.eco.divisions)
+        new = self.eco.events[self.scanned:]
+        self.scanned += len(new)
+        self.divided += sum(e.kind == "divide" for e in new)
         messages = self.eco.network.messages_sent
         for chain_id in sorted(self.eco.chains):
             sim = self.eco.chains[chain_id]
             n = len(sim.validators)
             f = self.eco.chain_fault_count(sim)
             self.metrics.append((tick, _name(chain_id), n, f,
-                                 ratio_text(f, n), divisions, messages))
+                                 ratio_text(f, n), self.divided, messages))
 
     def _next_target(self):
         if self.spec.join.target == "smallest":
@@ -487,13 +489,12 @@ class _Driver:
         initiator = next((v for v in sim.validators
                           if not network.nodes[v].crashed(network.now)), None)
         if initiator is None:
-            self.eco._log(f"chain {_name(chain_id)} at trigger but every"
-                          f" validator is crashed; skipping division")
+            self.eco._emit("trigger-skip", chain=chain_id)
             return
         try:
             children = self.eco.divide_chain(chain_id, initiator=initiator)
         except (TriggerNotMet, NoQuorum, DuplicateChainId) as exc:
-            self.eco._log(f"division of {_name(chain_id)} failed: {exc}")
+            self.eco._emit("division-failed", chain=chain_id, error=str(exc))
             if isinstance(exc, DuplicateChainId):  # ids are never freed
                 self.undividable.add(chain_id)
             return
@@ -502,14 +503,14 @@ class _Driver:
     def fuse(self, fuse: FuseSpec) -> None:
         left, right = fuse.left.encode(), fuse.right.encode()
         if left not in self.eco.chains or right not in self.eco.chains:
-            self.eco._log(f"fusion {fuse.left}+{fuse.right} skipped:"
-                          f" not both live")
+            self.eco._emit("fusion-skipped", left=fuse.left, right=fuse.right)
             return
         merged_id = fuse.merged.encode() if fuse.merged else None
         try:
             merged = self.eco.fuse_chains(left, right, merged_id=merged_id)
         except (NoQuorum, DuplicateChainId) as exc:  # chains untouched
-            self.eco._log(f"fusion {fuse.left}+{fuse.right} failed: {exc}")
+            self.eco._emit("fusion-failed", left=fuse.left, right=fuse.right,
+                           error=str(exc))
             return
         self.rotation.append(merged.chain_id)
         self._maybe_divide(merged.chain_id)
@@ -542,11 +543,9 @@ class _Driver:
                 else:
                     self.fuse(payload)
             except StateDivergence as exc:
-                self.safety_violations.append(str(exc))
-                self.eco._log(f"SAFETY VIOLATION: {exc}")
+                self.eco._emit("safety", error=str(exc))
                 break
-            except Stalled as exc:  # the manager logged the stall event
-                self.stalled = str(exc)
+            except Stalled:  # the manager emitted the stall event
                 break
             self.sample()
         self.eco.network.run_until_idle()
@@ -556,13 +555,10 @@ class _Driver:
             for cid, sim in sorted(self.eco.chains.items()))
         return MetricsReport(
             metrics=tuple(self.metrics),
-            lineage=lineage_table(self.eco),
+            lineage=self.eco.lineage_rows(),
             events=tuple(self.eco.events),
-            divisions=tuple(self.eco.divisions),
-            safety_violations=tuple(self.safety_violations),
             messages_total=self.eco.network.messages_sent,
             final_chains=final,
-            stalled=self.stalled,
         )
 
 

@@ -21,7 +21,6 @@ certificates themselves stay byte-faithful.
 from dataclasses import dataclass
 
 from .consensus import QuorumCertificate, collect_certificate, verify_certificate
-from .manager import _name
 from .errors import (
     InvalidProof,
     NotOwner,
@@ -469,8 +468,8 @@ def toa_lock(eco, owner: UserId, asset_id: bytes, target_addr: UserId,
         TxInclusion(tx.digest, source.state.last_height), tag)
     if proof is None:  # the lock was just committed, so this cannot be False
         raise SplitchainError("lock inclusion proof unavailable")
-    eco._log(f"lock {_name(asset_id)} on {_name(source.chain_id)} "
-             f"-> {_name(target_chain)} nonce {tag.nonce.hex()[:8]}")
+    eco._emit("lock", asset=asset_id, chain=source.chain_id,
+              target=target_chain, nonce=tag.nonce.hex())
     return TransferProof("lock", proof, tx.to_bytes(), source.chain_id)
 
 
@@ -549,8 +548,8 @@ def toa_claim(eco, claimer: UserId, target: ChainId,
         kind = "abort"
     claim_tx = _signed(eco, claimer, TxKind.CLAIM, claim_payload)
     sim.commit([claim_tx])
-    eco._log(f"claim nonce {nonce.hex()[:8]} on {_name(sim.chain_id)}: "
-             + ("accepted" if reason is None else f"recorded failure ({reason})"))
+    outcome = "accepted" if reason is None else f"recorded failure ({reason})"
+    eco._emit("claim", nonce=nonce.hex(), chain=sim.chain_id, outcome=outcome)
 
     # the source chain judges the resolve leg, so it issues the next tag
     source_sim = _route(
@@ -621,6 +620,6 @@ def toa_resolve(eco, source: ChainId, proof: TransferProof) -> str:
                                      proof.to_bytes())
     sim.commit([_signed(eco, owner, TxKind.RESOLVE, resolve_payload)])
     outcome = "claimed" if expected_verdict == 1 else "aborted"
-    eco._log(f"resolve nonce {payload.lock_nonce.hex()[:8]} on "
-             f"{_name(sim.chain_id)}: {outcome}")
+    eco._emit("resolve", nonce=payload.lock_nonce.hex(), chain=sim.chain_id,
+              outcome=outcome)
     return outcome

@@ -23,6 +23,11 @@ from splitchain.model import (
 )
 
 
+def divide_events(eco) -> list:
+    """The `divide` events an Ecosystem recorded, one per division."""
+    return [event for event in eco.events if event.kind == "divide"]
+
+
 def enumerate_violation_probability(n: int, f: int, alpha: Fraction) -> Fraction:
     """Probability a uniform balanced split breaches either child.
 

@@ -54,7 +54,7 @@ from splitchain.xchain import (
     tok_verify_proof,
 )
 
-from helpers import enumerate_violation_probability
+from helpers import divide_events, enumerate_violation_probability
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -284,7 +284,7 @@ def test_division_partitions_parent_state_across_seeds():
             parent.start_division(validators[0])
             parent.commit([_signed_transfer(eco, moved, recipient)])
             eco.network.run_until_idle(n + n * n)
-            assert set(eco.chains) == {b"root"} and eco.divisions == []
+            assert set(eco.chains) == {b"root"} and divide_events(eco) == []
         left, right = eco.divide_chain(b"root")
         l_sim, r_sim = eco.chains[left.chain_id], eco.chains[right.chain_id]
         if moved is not None:
@@ -508,21 +508,24 @@ def test_growth_scenario_rebalances_and_matches_exact_incidence():
         assert len(report.final_chains) == 8
         # three generations of division actually happened
         assert any(chain.count(".") == 3 for chain, *_ in report.lineage)
-        for record in report.divisions:
-            assert record.n == 20
-            assert record.beta_division == (record.beta_birth + beta_join) / 2
+        for divide in report.divisions:
+            record = divide.fields
+            n, f = record["n"], record["f"]
+            assert n == 20
+            assert Fraction(f, n) == (
+                Fraction(record["f_birth"], record["n_birth"]) + beta_join) / 2
             divisions_seen += 1
-            p = p_cache.get(record.f)
+            p = p_cache.get(f)
             if p is None:
                 p = float(violation_probability_exact(
-                    DivisionAnalysisParams(record.n, record.f, HALF)))
-                p_cache[record.f] = p
+                    DivisionAnalysisParams(n, f, HALF)))
+                p_cache[f] = p
             expected += p
             variance += p * (1 - p)
-            observed += record.any_violation
+            observed += any(child[3] for child in record["children"])
         # per-child bound flags agree with f_i >= n_i / 2 (alpha = 1/2)
         assert report.bound_violations == tuple(
-            child for rec in report.divisions for child in rec.children
+            child for d in report.divisions for child in d.fields["children"]
             if 2 * child[2] >= child[1])
     assert divisions_seen == 7000
     assert abs(observed - expected) <= 4 * math.sqrt(variance)

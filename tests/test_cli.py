@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from splitchain import cli
+from splitchain.manager import Event
 from splitchain.scenario import MetricsReport
 
 GROW = """
@@ -200,14 +201,18 @@ def test_simulate_missing_file_exit_2(tmp_path, capsys):
 def test_simulate_exit_3_on_observed_violation(tmp_path, capsys, monkeypatch):
     scenario = tmp_path / "grow.mit"
     scenario.write_text(GROW)
-    report = MetricsReport(metrics=[], lineage=[], events=[], divisions=[],
-                           safety_violations=["divergence on root"],
-                           messages_total=0, final_chains=[])
+    # no valid scenario reaches a divergence yet, so the run is made up
+    report = MetricsReport(
+        metrics=(), lineage=(), messages_total=0, final_chains=(),
+        events=(Event(3, "safety", {"error": "divergence on root"}),))
     monkeypatch.setattr(cli, "run_scenario", lambda spec, seed=None: report)
+    out = tmp_path / "x"
     code, _, err = run_cli(["simulate", "--scenario", str(scenario),
-                            "--out", str(tmp_path / "x")], capsys)
+                            "--out", str(out)], capsys)
     assert code == 3
-    assert "divergence on root" in err
+    assert err == "error: safety violation: divergence on root\n"
+    assert (out / "events.log").read_text() == (
+        "[3] SAFETY VIOLATION: divergence on root\n")
 
 
 @pytest.mark.parametrize("fuse,fragment", [
@@ -393,6 +398,9 @@ def test_divide_demo_lineage_bytes_are_pinned(tmp_path, capsys):
     assert (out / "lineage.csv").read_bytes() == (
         b"chain_id,parent_id,side,split_height\n"
         b"demo,,0,0\ndemo.1,demo,1,0\ndemo.2,demo,2,0\n")
+    assert (out / "events.log").read_bytes() == (
+        b"[0] create chain=demo n=7\n"
+        b"[2] divide parent=demo n=7 f=0 -> demo.1(n=4,f=0), demo.2(n=3,f=0)\n")
 
 
 def test_divide_demo_bad_alpha_exit_2(capsys):

@@ -48,7 +48,7 @@ from splitchain.netsim import (
 )
 from splitchain.xchain import toa_claim, toa_lock
 
-from helpers import reference_commit_round
+from helpers import divide_events, reference_commit_round
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -113,7 +113,7 @@ def test_create_chain_registers_and_replays():
     sim = eco.chains[b"root"]
     assert sim.state.last_height == 0
     assert eco.chain(b"root") is sim
-    assert eco.lineage_rows() == [(b"root", b"", 0, 0)]
+    assert eco.lineage_rows() == (("root", "", 0, 0),)
     assert replay(sim.ledger).digest() == sim.state.digest()
     assert sim.state.total_value() == 2
 
@@ -432,9 +432,8 @@ def test_division_splits_ten_into_five_and_five():
     assert b"root" not in eco.chains
     assert eco.chain(b"root") is eco.retired[b"root"]
     assert eco.retired[b"root"].halted
-    assert eco.lineage_rows() == [(b"root", b"", 0, 0),
-                                  (b"root.1", b"root", 1, 0),
-                                  (b"root.2", b"root", 2, 0)]
+    assert eco.lineage_rows() == (("root", "", 0, 0), ("root.1", "root", 1, 0),
+                                  ("root.2", "root", 2, 0))
 
 
 def test_division_message_count_is_n_plus_n_squared():
@@ -578,7 +577,7 @@ def test_division_into_a_taken_child_id_touches_nothing(retired):
     sim = eco.chains[b"root"]
     assert not sim.halted and b"root" not in eco.retired
     assert sim.division is None
-    assert eco.divisions == []
+    assert divide_events(eco) == []
 
 
 def test_install_checks_child_ids_before_retiring_the_parent():
@@ -590,7 +589,7 @@ def test_install_checks_child_ids_before_retiring_the_parent():
     with pytest.raises(DuplicateChainId, match="root.1"):
         eco.network.run_until_idle()
     assert not eco.chains[b"root"].halted and b"root" not in eco.retired
-    assert b"root.2" not in eco.chains and eco.divisions == []
+    assert b"root.2" not in eco.chains and divide_events(eco) == []
 
 
 def test_division_quorum_boundary_with_withholders():
@@ -681,15 +680,15 @@ def test_ack_signer_is_checked_against_the_config_of_its_round():
     key = eco.users[b"u050"].public_key
     req = sim.start_division(b"u000")
     ack = AckMsg(req, b"u050", eco.scheme.sign(key, req.statement))
-    sim.on_ack(ack, 0)(b"u001")
+    sim.on_ack(ack)(b"u001")
     assert b"u001" not in sim.division.acks
     eco.join_chain(b"u050", b"root")
-    sim.on_ack(ack, 0)(b"u001")
+    sim.on_ack(ack)(b"u001")
     assert b"u001" not in sim.division.acks
     assert sim.division.rejections == {b"u001": "not-tip"}
     req = sim.start_division(b"u000")
     ack = AckMsg(req, b"u050", eco.scheme.sign(key, req.statement))
-    sim.on_ack(ack, 0)(b"u001")
+    sim.on_ack(ack)(b"u001")
     assert sim.division.acks == {b"u001": {b"u050": ack.signature}}
 
 
@@ -707,21 +706,21 @@ def test_ack_verdicts_are_memoised_per_round_by_signer_and_tag():
     for recipient, ack in ((b"u000", AckMsg(req, b"u001", good)),
                            (b"u002", AckMsg(req, b"u001", good)),
                            (b"u003", AckMsg(twin, b"u001", good))):
-        sim.on_ack(ack, 0)(recipient)
+        sim.on_ack(ack)(recipient)
     assert eco.scheme.verified[key] == 1
     assert all(sim.division.acks[r] == {b"u001": good}
                for r in (b"u000", b"u002", b"u003"))
     # a second tag from the same signer is verified on its own, once, and
     # never counted
     for recipient in (b"u001", b"u002", b"u001"):
-        sim.on_ack(AckMsg(req, b"u001", bad), 0)(recipient)
+        sim.on_ack(AckMsg(req, b"u001", bad))(recipient)
     assert eco.scheme.verified[key] == 2
     assert b"u001" not in sim.division.acks
     assert sim.division.acks[b"u002"] == {b"u001": good}
     # a new round judges every tag afresh
     req = sim.start_division(b"u000")
-    sim.on_ack(AckMsg(req, b"u001", good), 0)(b"u000")
-    sim.on_ack(AckMsg(req, b"u001", bad), 0)(b"u002")
+    sim.on_ack(AckMsg(req, b"u001", good))(b"u000")
+    sim.on_ack(AckMsg(req, b"u001", bad))(b"u002")
     assert eco.scheme.verified[key] == 4
     assert sim.division.acks == {b"u000": {b"u001": good}}
 
@@ -756,11 +755,11 @@ def test_a_commit_turns_a_rounds_refusal_into_not_tip():
     ack = AckMsg(req, b"u001",
                  eco.scheme.sign(eco.users[b"u001"].public_key,
                                  req.statement))
-    sim.on_ack(ack, 0)(b"u002")
+    sim.on_ack(ack)(b"u002")
     assert sim.division.rejections == {b"u002": "trigger"}
     assert b"u002" not in sim.division.acks
     eco.join_chain(b"u050", b"root")
-    sim.on_ack(ack, 0)(b"u002")
+    sim.on_ack(ack)(b"u002")
     assert sim.division.rejections == {b"u002": "not-tip"}
     assert b"u002" not in sim.division.acks
 
@@ -774,12 +773,12 @@ def test_a_join_during_a_round_ends_it_and_the_retry_divides_at_the_new_tip():
     sim.start_division(b"u000")
     eco.join_chain(b"u050", b"root")
     eco.network.run_until_idle()
-    assert set(eco.chains) == {b"root"} and eco.divisions == []
+    assert set(eco.chains) == {b"root"} and divide_events(eco) == []
     assert sim.division.rejections == {b"u%03d" % i: "not-tip"
                                        for i in range(4)}
     c1, c2 = eco.divide_chain(b"root", initiator=b"u000")
     assert b"u050" in c1.validators + c2.validators
-    assert eco.divisions[-1].n == 5
+    assert divide_events(eco)[-1].fields["n"] == 5
 
 
 def test_no_quorum_names_the_rejection_reasons():
@@ -809,12 +808,12 @@ def test_conflicting_children_for_an_installed_round_are_a_divergence():
     tampered = (geneses[0],
                 Block(g.height, g.parent_digest, g.transactions,
                       sha256(b"tampered")))
-    before = (dict(eco.chains), dict(eco.retired), list(eco.divisions))
+    before = (dict(eco.chains), dict(eco.retired), list(eco.events))
     with pytest.raises(StateDivergence, match="conflicting children"):
-        eco._install_division(parent, tampered, 9)
-    assert (dict(eco.chains), dict(eco.retired), list(eco.divisions)) == before
-    eco._install_division(parent, geneses, 9)
-    assert (dict(eco.chains), dict(eco.retired), list(eco.divisions)) == before
+        eco._install_division(parent, tampered)
+    assert (dict(eco.chains), dict(eco.retired), list(eco.events)) == before
+    eco._install_division(parent, geneses)
+    assert (dict(eco.chains), dict(eco.retired), list(eco.events)) == before
 
 
 def test_every_vote_and_ack_goes_through_the_scheme_sign_of_call_time(
@@ -859,10 +858,10 @@ def test_division_bookkeeping_counts_faults():
     assert Fraction(eco.chain_fault_count(root),
                     len(root.validators)) == Fraction(3, 10)
     eco.divide_chain(b"root")
-    rec = eco.divisions[-1]
-    assert rec.parent == b"root" and rec.n == 10 and rec.f == 3
-    assert sum(c[2] for c in rec.children) == 3
-    for _, n_i, f_i, violated in rec.children:
+    rec = divide_events(eco)[-1].fields
+    assert (rec["parent"], rec["n"], rec["f"]) == (b"root", 10, 3)
+    assert sum(c[2] for c in rec["children"]) == 3
+    for _, n_i, f_i, violated in rec["children"]:
         assert violated == (2 * f_i >= n_i)  # alpha = 1/2
 
 
@@ -877,7 +876,7 @@ def test_violated_flags_the_fault_bound_at_a_third_on_odd_sizes(faulty,
     # n_max = 7 splits deterministically into u000-u003 and u004-u006
     eco = build_eco(n=7, alpha=THIRD, faulty=faulty, scheme="deterministic")
     eco.divide_chain(b"root")
-    children = eco.divisions[-1].children
+    children = divide_events(eco)[-1].fields["children"]
     assert [n_i for _, n_i, _, _ in children] == [4, 3]
     for _, n_i, f_i, violated in children:
         assert violated == (Fraction(f_i, n_i) >= THIRD)
@@ -911,7 +910,7 @@ def test_fusion_takes_min_alpha_and_unions_state():
     assert merged.state.total_value() == 12
     assert b"a" not in eco.chains and b"b" not in eco.chains
     assert eco.chain(b"a").halted and eco.chain(b"b").halted
-    assert (merged.chain_id, b"", 0, 0) in eco.lineage_rows()
+    assert (merged.chain_id.decode(), "", 0, 0) in eco.lineage_rows()
     assert replay(merged.ledger).digest() == merged.state.digest()
 
 
