@@ -10,21 +10,14 @@ Run with:  python3 demos/02_cross_chain_transfer.py
 """
 
 from splitchain.manager import Ecosystem
-from splitchain.model import Asset, PredicateEvalPayload, Role, Transaction, TxKind
+from splitchain.model import Asset, Role
 from splitchain.xchain import toa_claim, toa_lock, toa_resolve
 
 
 def age_chain(eco, chain_id: bytes, blocks: int) -> None:
-    """Commit filler blocks so the chain's height moves past tag expiries."""
-    sim = eco.chains[chain_id]
-    submitter = sim.config.validators[0]
-    pk = eco.users[submitter].public_key
-    for i in range(blocks):
-        payload = PredicateEvalPayload(b"tick-%d" % i, 1, b"")
-        tx = Transaction(TxKind.PREDICATE_EVAL, payload, submitter)
-        sig = eco.scheme.sign(pk, tx.signing_bytes())
-        sim.commit([Transaction(TxKind.PREDICATE_EVAL, payload, submitter,
-                                sig)])
+    """Commit empty blocks so the chain's height moves past tag expiries."""
+    for _ in range(blocks):
+        eco.chains[chain_id].commit([])
 
 
 def main() -> None:

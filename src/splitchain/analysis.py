@@ -50,10 +50,6 @@ def hypergeom_pmf(p: HypergeomParams, k: int) -> Fraction:
                     math.comb(p.N, p.n))
 
 
-def hypergeom_mean(p: HypergeomParams) -> Fraction:
-    return Fraction(p.n * p.M, p.N)
-
-
 def _hypergeom_mass(p: HypergeomParams, event) -> Fraction:
     """P(event(X)) for X ~ H(N, M, n): sums subset counts, divides once.
 
@@ -68,26 +64,6 @@ def _hypergeom_mass(p: HypergeomParams, event) -> Fraction:
         if event(k + 1):
             total += w
     return Fraction(total, math.comb(p.N, p.n))
-
-
-@dataclass(frozen=True)
-class TailBound:
-    """Closed-form tail bound value plus a validity-condition flag."""
-
-    value: float
-    within_validity: bool
-
-
-def tail_bound(p: HypergeomParams, t: Fraction) -> TailBound:
-    """Bound e^(-2 t^2 n) on P(X >= E[X] + t n) (and the mirror lower tail).
-
-    The stated validity condition is 0 <= t <= n M / N; outside it the bound
-    value is still returned with ``within_validity`` set False.
-    """
-    t = Fraction(t)
-    within = 0 <= t <= hypergeom_mean(p)
-    value = math.exp(-float(2 * t * t * p.n))
-    return TailBound(value, within)
 
 
 @dataclass(frozen=True)
@@ -165,8 +141,9 @@ def violation_probability_exact(d: DivisionAnalysisParams) -> Fraction:
 def violation_probability_bound(d: DivisionAnalysisParams) -> tuple:
     """(single_tail, combined) closed-form bounds e^(-(alpha-beta)^2 n).
 
-    Requires beta < alpha. The single-tail form is the dashed curve of the
-    security figure; the combined form covers both children.
+    Requires beta < alpha. The single-tail form, Chvatal's tail bound for
+    one child at t = alpha - beta, holds for every t >= 0 and is the dashed
+    curve of the security figure; the combined form covers both children.
     """
     if d.beta >= d.alpha:
         raise InvalidParams(
@@ -174,11 +151,6 @@ def violation_probability_bound(d: DivisionAnalysisParams) -> tuple:
     gap = d.alpha - d.beta
     single = math.exp(-float(gap * gap * d.n))
     return single, min(2.0 * single, 2.0)
-
-
-def bound_validity_holds(d: DivisionAnalysisParams) -> bool:
-    """True when alpha <= 2*beta, the tail bound's t <= nM/N condition."""
-    return d.alpha <= 2 * d.beta
 
 
 def _faulty_in_first_half(u, keys, s, half: int, f: int):

@@ -20,7 +20,6 @@ RANDOMIZED = "randomized"
 class AssignmentOutcome:
     v1: tuple  # tuple[UserId, ...], size ceil(n/2)
     v2: tuple  # tuple[UserId, ...], size floor(n/2)
-    scheme: str
 
     def __post_init__(self):
         n = len(self.v1) + len(self.v2)
@@ -30,19 +29,21 @@ class AssignmentOutcome:
             raise ValueError("sides must be disjoint")
 
 
-def _split(ranked, scheme) -> AssignmentOutcome:
-    cut = (len(ranked) + 1) // 2
-    return AssignmentOutcome(tuple(ranked[:cut]), tuple(ranked[cut:]), scheme)
-
-
-def assign_deterministic(validators) -> AssignmentOutcome:
-    """Lexicographic rule: sort ids, first ceil(n/2) form the first child."""
-    members = list(validators)
+def _split(members, key=None) -> AssignmentOutcome:
+    """Sort distinct ``members`` (by ``key``) and cut after ceil(n/2)."""
+    members = list(members)
     if len(members) < 2:
         raise TooFew(f"cannot split {len(members)} member(s)")
     if len(set(members)) != len(members):
         raise ValueError("duplicate member id")
-    return _split(sorted(members), DETERMINISTIC)
+    ranked = sorted(members, key=key)
+    cut = (len(ranked) + 1) // 2
+    return AssignmentOutcome(tuple(ranked[:cut]), tuple(ranked[cut:]))
+
+
+def assign_deterministic(validators) -> AssignmentOutcome:
+    """Lexicographic rule: sort ids, first ceil(n/2) form the first child."""
+    return _split(validators)
 
 
 def assign_randomized(validators, seed: bytes) -> AssignmentOutcome:
@@ -51,13 +52,7 @@ def assign_randomized(validators, seed: bytes) -> AssignmentOutcome:
     With identities fixed before the seed is known, the induced partition is
     uniform over balanced splits up to hash bias.
     """
-    members = list(validators)
-    if len(members) < 2:
-        raise TooFew(f"cannot split {len(members)} member(s)")
-    if len(set(members)) != len(members):
-        raise ValueError("duplicate member id")
-    ranked = sorted(members, key=lambda v: (sha256(seed + v), v))
-    return _split(ranked, RANDOMIZED)
+    return _split(validators, lambda v: (sha256(seed + v), v))
 
 
 def assign(validators, scheme: str, seed: bytes | None = None) -> AssignmentOutcome:

@@ -116,20 +116,19 @@ def commit_statement(chain: bytes, block_digest: Digest, height: int) -> bytes:
 
 
 def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
-                     verify, signers, vote_of) -> dict:
+                     verify, signers, hook_of) -> dict:
     """One vote round over a candidate block, with per-recipient delivery.
 
     ``signers`` maps each correct voter to its signing closure,
     ``sign(message) -> signature``. A correct voter sends every recipient
-    its signature over the candidate's commit statement, so its vote is
-    signed and checked once, by ``verify(voter, statement, signature)``,
-    for all recipients. Every other voter is asked ``vote_of(voter) ->
-    (vote, hook)``, where a vote is ``(digest, signature)`` or None for
-    silence. A voter that sends every recipient the same vote (a crashed
-    one) gives that vote and hook None; it is counted once, for all
-    recipients. A voter whose vote may differ per recipient (a Byzantine
-    one) gives hook, and ``hook(recipient)`` is the vote ``recipient``
-    receives. Each distinct (voter, signature) is verified once.
+    the same vote, its signature over the candidate's commit statement, so
+    this uniform vote is signed and checked once, by ``verify(voter,
+    statement, signature)``, for all recipients; no other vote is uniform.
+    Every other voter is asked ``hook_of(voter)``: None for a silent
+    (crashed) voter, else a hook for a voter whose vote may differ per
+    recipient (a Byzantine one), and ``hook(recipient)`` is the vote
+    ``recipient`` receives, ``(digest, signature)`` or None for silence.
+    Each distinct (voter, signature) a hook gives is verified once.
 
     Returns {recipient: committed bool} for every validator; a recipient
     commits when it holds >= quorum valid signatures from distinct
@@ -143,7 +142,7 @@ def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
     all-correct round then asks only the first ``quorum`` voters; a round
     whose valid uniform votes stay below quorum asks every voter and costs
     O(n + b*n) for b hooked voters. A hook must therefore be
-    deterministic and have no side effect that matters, and ``vote_of``
+    deterministic and have no side effect that matters, and ``hook_of``
     must not be relied on to run for every voter. Were the round to report,
     per recipient, any digest that holds a quorum, this stop would stay
     exact only while fewer than ``quorum`` voters are hooked, since they
@@ -155,17 +154,11 @@ def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
     hooked = []
     for voter in validators:
         sign = signers.get(voter)
-        if sign is not None:
-            ok = verify(voter, statement, sign(statement))
-        else:
-            vote, hook = vote_of(voter)
+        if sign is None:
+            hook = hook_of(voter)
             if hook is not None:
                 hooked.append((voter, hook))
-                continue
-            # asked once, so verified at most once
-            ok = (vote is not None and vote[0] == digest
-                  and verify(voter, statement, vote[1]))
-        if ok:
+        elif verify(voter, statement, sign(statement)):
             uniform += 1
             if uniform >= quorum:
                 return dict.fromkeys(validators, True)

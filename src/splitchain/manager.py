@@ -21,10 +21,10 @@ return a receiver that runs once per recipient.
 
 A correct validator's commit vote is its signature over the candidate's
 commit statement, signed and checked once: :meth:`ChainSim.commit` hands the
-round each correct voter's signing closure. Every other signature (a
-division ack, a certificate share, a crashed or Byzantine validator's vote)
-comes from :meth:`Ecosystem.respond`, the only place a per-recipient hook is
-built; only a Byzantine strategy answers each recipient separately.
+round each correct voter's signing closure. A crashed voter is silent, and
+a Byzantine one votes through the per-recipient hook that
+:meth:`Ecosystem.respond` builds. Respond also answers every division ack
+and certificate share, and it is the only place a hook is built.
 """
 
 import weakref
@@ -272,12 +272,12 @@ class ChainSim:
         request = VoteRequest(self.chain_id, candidate)
         respond = eco.respond
 
-        def vote_of(voter):  # a crashed or Byzantine voter
-            return respond(voter, request)
+        def hook_of(voter):  # crashed: None; Byzantine: its hook
+            return respond(voter, request)[1]
 
         outcome = run_commit_round(
             self.chain_id, candidate, self.validators, self.quorum,
-            eco.verify, correct, vote_of)
+            eco.verify, correct, hook_of)
         if not any(outcome[v] for v in correct):
             stall = eco._emit("stall", chain=self.chain_id,
                               height=candidate.height)

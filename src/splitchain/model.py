@@ -175,7 +175,6 @@ class TxKind(IntEnum):
     CLAIM = 4
     RESOLVE = 5
     CONFIG_UPDATE = 6
-    PREDICATE_EVAL = 7
 
 
 @dataclass(frozen=True)
@@ -274,17 +273,6 @@ class ConfigUpdatePayload:
 
     def to_bytes(self) -> bytes:
         return enc_seq([a.to_bytes() for a in self.add_validators])
-
-
-@dataclass(frozen=True)
-class PredicateEvalPayload:
-    predicate_bytes: bytes
-    verdict: int
-    tag_bytes: bytes
-
-    def to_bytes(self) -> bytes:
-        return (enc_bytes(self.predicate_bytes) + enc_u64(self.verdict)
-                + enc_bytes(self.tag_bytes))
 
 
 @dataclass(frozen=True)
@@ -595,10 +583,6 @@ def apply_transaction(state: ChainState, tx: Transaction, scheme=None) -> ChainS
         locks = dict(state.locks)
         del locks[p.lock_nonce]
         return state.replace(assets=assets, locks=locks)
-
-    if kind == TxKind.PREDICATE_EVAL:
-        # on-chain record of a predicate verdict; no state rules beyond inclusion
-        return state
 
     raise ValueError(f"unhandled transaction kind {kind!r}")
 

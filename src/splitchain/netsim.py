@@ -15,10 +15,12 @@ A Byzantine strategy has one method, ``answer(request, recipient, sign)``:
 what the node sends ``recipient`` when asked to sign ``request`` (None for
 silence), using a ``sign(message)`` closure for the node's own key. The
 request is a commit vote, a division ACK or a certificate share; a share
-goes to its collector, with recipient None. ``request.value`` is what a
-correct node endorses, and ``request.answer(value, sign)`` is what goes on
-the wire when a node endorses ``value``. The stock strategies' choices are
-deterministic functions of the recipient id, so runs stay reproducible.
+goes to its collector, with recipient None. A strategy is the only source
+of a commit vote besides a correct node's, which the round signs itself; a
+crashed node is silent. ``request.value`` is what a correct node endorses,
+and ``request.answer(value, sign)`` is what goes on the wire when a node
+endorses ``value``. The stock strategies' choices are deterministic
+functions of the recipient id, so runs stay reproducible.
 """
 
 import heapq

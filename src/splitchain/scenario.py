@@ -503,13 +503,13 @@ class _Driver:
     def fuse(self, fuse: FuseSpec) -> None:
         left, right = fuse.left.encode(), fuse.right.encode()
         if left not in self.eco.chains or right not in self.eco.chains:
-            self.eco._emit("fusion-skipped", left=fuse.left, right=fuse.right)
+            self.eco._emit("fusion-skipped", left=left, right=right)
             return
         merged_id = fuse.merged.encode() if fuse.merged else None
         try:
             merged = self.eco.fuse_chains(left, right, merged_id=merged_id)
         except (NoQuorum, DuplicateChainId) as exc:  # chains untouched
-            self.eco._emit("fusion-failed", left=fuse.left, right=fuse.right,
+            self.eco._emit("fusion-failed", left=left, right=right,
                            error=str(exc))
             return
         self.rotation.append(merged.chain_id)

@@ -109,13 +109,14 @@ def reference_montecarlo(d, trials: int, seed: int = 0) -> tuple:
 
 
 def reference_commit_round(chain, candidate, validators, quorum, verify,
-                           signers, vote_of) -> dict:
+                           signers, hook_of) -> dict:
     """run_commit_round by brute force: every recipient asks every voter.
 
     Each (voter, recipient) pair resolves the voter's vote on its own and
     checks its signature afresh, with no counting shared across recipients.
     A voter in ``signers`` votes for the candidate with
-    ``signers[voter](statement)``.
+    ``signers[voter](statement)``; any other voter is silent when
+    ``hook_of(voter)`` is None and sends ``hook(recipient)`` otherwise.
     """
     statement = commit_statement(chain, candidate.digest, candidate.height)
     outcome = {}
@@ -123,11 +124,10 @@ def reference_commit_round(chain, candidate, validators, quorum, verify,
         matching = 0
         for voter in validators:
             if voter in signers:
-                vote, hook = (candidate.digest, signers[voter](statement)), None
+                vote = candidate.digest, signers[voter](statement)
             else:
-                vote, hook = vote_of(voter)
-            if hook is not None:
-                vote = hook(recipient)
+                hook = hook_of(voter)
+                vote = None if hook is None else hook(recipient)
             if vote is None or vote[0] != candidate.digest:
                 continue
             if verify(voter, statement, vote[1]):

@@ -15,12 +15,9 @@ from splitchain.analysis import (
     DivisionAnalysisParams,
     HypergeomParams,
     _hypergeom_mass,
-    bound_validity_holds,
     default_beta_grid,
-    hypergeom_mean,
     hypergeom_pmf,
     sweep_curves,
-    tail_bound,
     violation_frequency_montecarlo,
     violation_probability_bound,
     violation_probability_exact,
@@ -81,9 +78,13 @@ def test_pmf_sums_to_one(data):
     assert sum(hypergeom_pmf(p, k) for k in p.support) == 1
 
 
+def pmf_mean(p: HypergeomParams) -> Fraction:
+    return sum(Fraction(k) * hypergeom_pmf(p, k) for k in p.support)
+
+
 def test_mean_formula():
-    assert hypergeom_mean(HypergeomParams(10, 4, 5)) == 2
-    assert hypergeom_mean(HypergeomParams(7, 3, 2)) == Fraction(6, 7)
+    assert pmf_mean(HypergeomParams(10, 4, 5)) == 2
+    assert pmf_mean(HypergeomParams(7, 3, 2)) == Fraction(6, 7)
 
 
 def test_mean_equals_exact_summation():
@@ -94,8 +95,7 @@ def test_mean_equals_exact_summation():
         M = rng.randint(0, N)
         n = rng.randint(0, N)
         p = HypergeomParams(N, M, n)
-        s = sum(Fraction(k) * hypergeom_pmf(p, k) for k in p.support)
-        assert s == hypergeom_mean(p)
+        assert pmf_mean(p) == Fraction(n * M, N)
 
 
 def test_pmf_matches_enumeration_random_triples():
@@ -109,39 +109,6 @@ def test_pmf_matches_enumeration_random_triples():
 
 
 # --- closed-form tail bound -----------------------------------------------------
-
-
-def test_tail_bound_at_zero_is_one():
-    b = tail_bound(HypergeomParams(10, 4, 5), Fraction(0))
-    assert b.value == 1.0
-    assert b.within_validity
-
-
-def test_tail_bound_dominates_exact_tail():
-    # N=100, M=25, n=50, t=1/12: P(X >= E + t*n) <= e^(-2 t^2 n)
-    p = HypergeomParams(100, 25, 50)
-    t = Fraction(1, 12)
-    threshold = hypergeom_mean(p) + t * p.n
-    exact = _hypergeom_mass(p, lambda k: k >= threshold)
-    b = tail_bound(p, t)
-    assert b.within_validity
-    assert math.isclose(b.value, math.exp(-2 * (1 / 144) * 50))
-    assert float(exact) <= b.value
-
-
-def test_tail_bound_dominates_lower_tail_symmetrically():
-    p = HypergeomParams(100, 25, 50)
-    t = Fraction(1, 12)
-    threshold = hypergeom_mean(p) - t * p.n
-    exact = _hypergeom_mass(p, lambda k: k <= threshold)
-    assert float(exact) <= tail_bound(p, t).value
-
-
-def test_tail_bound_flags_out_of_range_t():
-    p = HypergeomParams(10, 1, 5)  # mean 1/2
-    b = tail_bound(p, Fraction(3, 4))
-    assert not b.within_validity
-    assert b.value == pytest.approx(math.exp(-2 * (9 / 16) * 5))
 
 
 def test_upper_tail_matches_enumeration():
@@ -308,17 +275,42 @@ def test_bound_rejects_beta_at_or_above_alpha():
         violation_probability_bound(DivisionAnalysisParams(12, 6, HALF))
 
 
-def test_bound_dominates_exact_in_validity_regime():
-    """exact <= 2 e^(-(alpha-beta)^2 n) whenever alpha <= 2 beta (and beta <
-    alpha), spot-checked across sizes."""
+def below_alpha_points():
     for n in (10, 12, 40, 100):
         for alpha in (THIRD, HALF):
             for f in range(n + 1):
                 d = DivisionAnalysisParams(n, f, alpha)
-                if not (d.beta < alpha and bound_validity_holds(d)):
-                    continue
-                _, combined = violation_probability_bound(d)
-                assert float(violation_probability_exact(d)) <= combined + 1e-12
+                if d.beta < alpha:
+                    yield d
+
+
+def test_bound_dominates_exact_below_alpha():
+    """exact <= 2 e^(-(alpha-beta)^2 n) for every beta < alpha. The bound
+    needs no alpha <= 2 beta condition: where that fails, no child can
+    breach and the exact probability is 0."""
+    for d in below_alpha_points():
+        _, combined = violation_probability_bound(d)
+        assert float(violation_probability_exact(d)) <= combined + 1e-12
+
+
+def test_single_bound_dominates_one_child_tail():
+    """The single-tail form bounds one child's tail, P(f1 >= alpha n/2),
+    and so the other child's, P(f - f1 >= alpha n/2)."""
+    for d in below_alpha_points():
+        single, _ = violation_probability_bound(d)
+        p = HypergeomParams(d.n, d.f, d.half)
+        first = _hypergeom_mass(p, d.child_violates)
+        second = _hypergeom_mass(p, lambda k: d.child_violates(d.f - k))
+        assert first == second
+        assert float(first) <= single + 1e-12
+
+
+def test_no_child_can_breach_exactly_when_alpha_exceeds_twice_beta():
+    for n in range(2, 41, 2):
+        for alpha in (HALF, THIRD, Fraction(1, 4), Fraction(2, 5)):
+            for f in range(n + 1):
+                d = DivisionAnalysisParams(n, f, alpha)
+                assert (d.decided_breach() is False) == (alpha > 2 * d.beta)
 
 
 # --- Monte Carlo ----------------------------------------------------------------

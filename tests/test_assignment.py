@@ -137,7 +137,8 @@ def test_small_instance_splits_are_uniform():
 def test_assign_dispatcher():
     members = [b"b", b"a"]
     assert assign(members, "deterministic").v1 == (b"a",)
-    assert assign(members, "randomized", b"s").scheme == "randomized"
+    assert (assign(members, "randomized", b"s")
+            == assign_randomized(members, b"s"))
     with pytest.raises(ValueError):
         assign(members, "coin-flip")
     with pytest.raises(ValueError):

@@ -146,9 +146,8 @@ def test_certificate_roundtrips_through_bytes(setup):
 # --- commit rounds ---------------------------------------------------------------
 #
 # signers: correct voter -> sign(message), the voters that sign the
-# candidate's statement directly. Every other voter answers vote_of(voter)
-# -> (vote, hook): a uniform vote with hook None, or a per-recipient
-# hook(recipient) -> vote for a Byzantine voter.
+# candidate's statement directly. Every other voter answers hook_of(voter):
+# None for a silent voter, or a per-recipient hook(recipient) -> vote.
 
 
 def make_candidate():
@@ -160,9 +159,9 @@ def signers_of(scheme, pks, voters) -> dict:
             for v in voters}
 
 
-def round_with(setup, vote_of, correct=(), alpha=Fraction(1, 3)):
+def round_with(setup, hook_of, correct=(), alpha=Fraction(1, 3)):
     """Run the round, the ``correct`` voters signing directly and the rest
-    answering vote_of, and check it against the brute-force reference."""
+    answering hook_of, and check it against the brute-force reference."""
     scheme, validators, pks = setup
     verify = verify_by(scheme, pks)
     candidate = make_candidate()
@@ -170,7 +169,7 @@ def round_with(setup, vote_of, correct=(), alpha=Fraction(1, 3)):
     signers = signers_of(scheme, pks, correct)
 
     def bound(voter):
-        return vote_of(voter, candidate)
+        return hook_of(voter, candidate)
 
     outcome = run_commit_round(b"c", candidate, validators, quorum,
                                verify, signers, bound)
@@ -179,36 +178,38 @@ def round_with(setup, vote_of, correct=(), alpha=Fraction(1, 3)):
     return candidate, outcome
 
 
-def honest_vote(scheme, pks):
-    def vote(voter, candidate):
+def honest_hook(scheme, pks):
+    """Every voter hooked, sending each recipient the same honest vote."""
+    def hook_of(voter, candidate):
         stmt = commit_statement(b"c", candidate.digest, candidate.height)
-        return (candidate.digest, scheme.sign(pks[voter], stmt)), None
-    return vote
+        vote = candidate.digest, scheme.sign(pks[voter], stmt)
+        return lambda recipient: vote
+    return hook_of
 
 
-def crashed_vote(voter, candidate):
-    return None, None
+def crashed_hook(voter, candidate):
+    return None
 
 
 def test_all_honest_commit(setup):
     scheme, validators, pks = setup
-    # signing directly, and as uniform votes through vote_of
-    _, outcome = round_with(setup, crashed_vote, correct=validators)
+    # signing directly, and as the same vote through every voter's hook
+    _, outcome = round_with(setup, crashed_hook, correct=validators)
     assert all(outcome.values())
-    _, outcome = round_with(setup, honest_vote(scheme, pks))
+    _, outcome = round_with(setup, honest_hook(scheme, pks))
     assert all(outcome.values())
 
 
 def test_one_crash_still_commits(setup):
     scheme, validators, pks = setup
-    _, outcome = round_with(setup, crashed_vote, correct=validators[1:])
+    _, outcome = round_with(setup, crashed_hook, correct=validators[1:])
     for v in validators[1:]:
         assert outcome[v]
 
 
 def test_two_crashes_stall_bft_quorum(setup):
     scheme, validators, pks = setup
-    _, outcome = round_with(setup, crashed_vote, correct=validators[2:])
+    _, outcome = round_with(setup, crashed_hook, correct=validators[2:])
     assert not any(outcome.values())
 
 
@@ -240,14 +241,14 @@ def test_equivocator_cannot_split_correct_nodes(setup):
             digest = evil_digest if choice == "evil" else candidate.digest
             return digest, scheme.sign(pks[byz], stmt(digest))
 
-        def vote_of(voter):
+        def hook_of(voter):
             assert voter == byz
-            return None, hook
+            return hook
 
         outcome = run_commit_round(b"c", candidate, validators, quorum,
-                                   verify, signers, vote_of)
+                                   verify, signers, hook_of)
         assert outcome == reference_commit_round(
-            b"c", candidate, validators, quorum, verify, signers, vote_of)
+            b"c", candidate, validators, quorum, verify, signers, hook_of)
         for v in correct:
             assert outcome[v], (choices, v)
         # the evil digest holds at most 1 signature, far below quorum 3
@@ -263,10 +264,11 @@ BEHAVIOURS = ("honest", "crashed", "withhold", "badsig", "equivocate")
 def ecosystem_round(behaviours, alpha):
     """A chain of validators v00, v01, ... behaving as listed, a candidate
     block and the round arguments: the honest voters' signing closures, as
-    ChainSim.commit passes them, and a vote_of that asks the ecosystem's
-    responder. A "forged" voter is uniform but its signature does not
-    verify. A "misnamed" voter is uniform and names another digest, with a
-    valid tag over the candidate's commit statement."""
+    ChainSim.commit passes them, and a hook_of that asks the ecosystem's
+    responder. A "forged" voter sends every recipient a vote whose signature
+    does not verify. A "misnamed" voter sends every recipient a vote that
+    names another digest, with a valid tag over the candidate's commit
+    statement."""
     eco = Ecosystem(seed=len(behaviours))
     validators = [b"v%02d" % i for i in range(len(behaviours))]
     for v, behaviour in zip(validators, behaviours):
@@ -281,20 +283,22 @@ def ecosystem_round(behaviours, alpha):
     request = VoteRequest(b"c", candidate)
     signers = {v: eco._signers[v] for v, b in zip(validators, behaviours)
                if b == "honest"}
-    uniform = {v: b for v, b in zip(validators, behaviours)
-               if b in ("forged", "misnamed")}
+    same = {v: b for v, b in zip(validators, behaviours)
+            if b in ("forged", "misnamed")}
     other = sha256(b"other" + candidate.digest)
 
-    def vote_of(voter):
-        behaviour = uniform.get(voter)
+    def hook_of(voter):
+        behaviour = same.get(voter)
         if behaviour == "forged":
-            return (candidate.digest, b"\x00" * 32), None
-        if behaviour == "misnamed":
-            return (other, eco._signers[voter](request.statement)), None
-        return eco.respond(voter, request)
+            vote = candidate.digest, b"\x00" * 32
+        elif behaviour == "misnamed":
+            vote = other, eco._signers[voter](request.statement)
+        else:
+            return eco.respond(voter, request)[1]
+        return lambda recipient: vote
 
     return (b"c", candidate, sim.validators, sim.quorum, eco.verify, signers,
-            vote_of)
+            hook_of)
 
 
 @settings(max_examples=150, deadline=None)
@@ -330,8 +334,8 @@ def test_commit_round_stops_at_the_qth_valid_uniform_vote(behaviours, alpha):
     right after the q-th valid uniform vote: no later voter is asked and
     no hook is called, even for hooked voters placed before it. When valid
     uniform votes stay below q, every voter is asked. An honest voter is
-    asked by signing; every other voter through vote_of."""
-    *head, signers, vote_of = ecosystem_round(behaviours, alpha)
+    asked by signing; every other voter through hook_of."""
+    *head, signers, hook_of = ecosystem_round(behaviours, alpha)
     validators, quorum = head[2], head[3]
     asked, hooks_called = [], []
 
@@ -344,19 +348,19 @@ def test_commit_round_stops_at_the_qth_valid_uniform_vote(behaviours, alpha):
     counting_signers = {v: counting_signer(v, sign)
                         for v, sign in signers.items()}
 
-    def counting_vote_of(voter):
+    def counting_hook_of(voter):
         asked.append(voter)
-        vote, hook = vote_of(voter)
+        hook = hook_of(voter)
         if hook is None:
-            return vote, None
+            return None
 
         def counting_hook(recipient):
             hooks_called.append((voter, recipient))
             return hook(recipient)
-        return vote, counting_hook
+        return counting_hook
 
-    outcome = run_commit_round(*head, counting_signers, counting_vote_of)
-    assert outcome == reference_commit_round(*head, signers, vote_of)
+    outcome = run_commit_round(*head, counting_signers, counting_hook_of)
+    assert outcome == reference_commit_round(*head, signers, hook_of)
     honest_at = [i for i, b in enumerate(behaviours) if b == "honest"]
     if len(honest_at) >= quorum:
         assert asked == list(validators[:honest_at[quorum - 1] + 1])

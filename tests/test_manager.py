@@ -323,9 +323,11 @@ def test_byzantine_voter_signs_once_per_distinct_message():
         candidate = make_block(1, sim.ledger[-1].digest, [])
         request = VoteRequest(b"root", candidate)
         eco.scheme.signs.clear()
-        votes = {v: eco.respond(v, request) for v in sim.validators}
+        signers = {v: eco._signers[v] for v in live}
+        hooks = {v: eco.respond(v, request)[1] for v in sim.validators
+                 if v not in signers}
         args = (b"root", candidate, sim.validators, sim.quorum, eco.verify,
-                {}, votes.__getitem__)
+                signers, hooks.__getitem__)
         outcome = run_commit_round(*args)
         # the equivocator sends two statements to n recipients: two tags
         assert eco.scheme.signs[pk(b"u001")] == 2, n
@@ -335,7 +337,7 @@ def test_byzantine_voter_signs_once_per_distinct_message():
                    if v not in (b"u001", b"u002")), n
         # each distinct matching signature is verified once: the live
         # honest voters', the equivocator's honest one and every badsig tag
-        equivocator, badsig = votes[b"u001"][1], votes[b"u002"][1]
+        equivocator, badsig = hooks[b"u001"], hooks[b"u002"]
         honest_tags = {equivocator(r)[1] for r in sim.validators
                        if equivocator(r)[0] == candidate.digest}
         garbage = {badsig(r)[1] for r in sim.validators}
@@ -352,12 +354,15 @@ def test_byzantine_voter_is_asked_only_when_correct_votes_fall_short():
             strategy = CountingStrategy("equivocate")
             eco = build_eco(n=n, strategies={b"u001": strategy})
             sim = eco.chains[b"root"]
-            crash_honest_beyond(eco, sim, sim.quorum - short, (b"u001",))
+            live = crash_honest_beyond(eco, sim, sim.quorum - short,
+                                       (b"u001",))
             candidate = make_block(1, sim.ledger[-1].digest, [])
             request = VoteRequest(b"root", candidate)
-            votes = {v: eco.respond(v, request) for v in sim.validators}
+            signers = {v: eco._signers[v] for v in live}
+            hooks = {v: eco.respond(v, request)[1] for v in sim.validators
+                     if v not in signers}
             args = (b"root", candidate, sim.validators, sim.quorum,
-                    eco.verify, {}, votes.__getitem__)
+                    eco.verify, signers, hooks.__getitem__)
             outcome = run_commit_round(*args)
             assert strategy.asked == (n if short else 0), (n, short)
             assert outcome == reference_commit_round(*args), (n, short)

@@ -477,6 +477,16 @@ def test_fusion_of_a_divided_chain_is_skipped():
         b"a.1", b"a.2", b"b"]
 
 
+def test_skipped_fusion_names_a_chain_as_every_other_line_does():
+    # a non-ASCII name prints as its id's hex, in the fusion line too
+    report = run_scenario(FUSE_AFTER_LEFT_DIVIDED.replace("chain a]",
+                                                          "chain é]")
+                          .replace("left = a", "left = é"))
+    lines = report.events_log().splitlines()
+    assert lines[0] == "[0] create chain=c3a9 n=4"
+    assert lines[-1] == "[2] fusion c3a9+b skipped: not both live"
+
+
 STALL_AT_FIRST_JOIN = """
 [chain root]
 validators = 4

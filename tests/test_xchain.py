@@ -22,7 +22,6 @@ from splitchain.model import (
     Asset,
     ClaimPayload,
     LockPayload,
-    PredicateEvalPayload,
     Role,
     Transaction,
     TxKind,
@@ -67,15 +66,9 @@ def two_chain_eco(seed=0, n=4, alpha=None, n_max=64):
 
 
 def bump_height(eco, chain_id, times=1):
-    """Commit no-op predicate-record transactions to advance the chain."""
-    sim = eco.chains[chain_id]
-    client = sim.config.clients[0]
-    for i in range(times):
-        payload = PredicateEvalPayload(b"noop-%d" % i, 1, b"")
-        tx = Transaction(TxKind.PREDICATE_EVAL, payload, client)
-        sig = eco.scheme.sign(eco.users[client].public_key,
-                              tx.signing_bytes())
-        sim.commit([Transaction(TxKind.PREDICATE_EVAL, payload, client, sig)])
+    """Commit empty blocks to advance the chain."""
+    for _ in range(times):
+        eco.chains[chain_id].commit([])
 
 
 # --- tags ---------------------------------------------------------------------
