@@ -305,6 +305,30 @@ def test_single_bound_dominates_one_child_tail():
         assert float(first) <= single + 1e-12
 
 
+def test_tail_bound_dominates_exact_tail():
+    # N=100, M=25, n=50, t=1/12: P(X >= E + t*n) <= e^(-2 t^2 n), the
+    # single-tail bound at n=100, f=25, alpha=1/3 (t = alpha - beta)
+    d = DivisionAnalysisParams(100, 25, THIRD)
+    p = HypergeomParams(100, 25, 50)
+    t = d.alpha - d.beta
+    assert t == Fraction(1, 12)
+    threshold = pmf_mean(p) + t * p.n
+    assert threshold == d.alpha * d.half
+    exact = _hypergeom_mass(p, lambda k: k >= threshold)
+    single, _ = violation_probability_bound(d)
+    assert math.isclose(single, math.exp(-2 * (1 / 144) * 50))
+    assert float(exact) <= single
+
+
+def test_tail_bound_dominates_lower_tail_symmetrically():
+    d = DivisionAnalysisParams(100, 25, THIRD)
+    p = HypergeomParams(100, 25, 50)
+    threshold = pmf_mean(p) - (d.alpha - d.beta) * p.n
+    exact = _hypergeom_mass(p, lambda k: k <= threshold)
+    single, _ = violation_probability_bound(d)
+    assert float(exact) <= single
+
+
 def test_no_child_can_breach_exactly_when_alpha_exceeds_twice_beta():
     for n in range(2, 41, 2):
         for alpha in (HALF, THIRD, Fraction(1, 4), Fraction(2, 5)):
