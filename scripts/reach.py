@@ -1,10 +1,11 @@
 """List the statements of splitchain that no product run reaches.
 
-    PYTHONPATH=src python3 scripts/reach.py [--ops 3]
+    PYTHONPATH=src python3 scripts/reach.py
 
-Line-traces ``src/splitchain`` with ``sys.settrace`` while it runs
+Line-traces ``src/splitchain`` with the stdlib ``trace`` module (which
+runs on ``sys.settrace``) while it runs
 
-* the first ``--ops`` ops of each of the benchmark's four workloads
+* the first ``OPS`` ops of each of the benchmark's four workloads
   (``bench/workloads.py``) on seed 0;
 * the five CLI subcommands: ``simulate`` on figure1.mit, ``analyze``,
   ``divide-demo``, ``xfer-demo`` and ``verify-proof`` of the transfer
@@ -19,7 +20,6 @@ header) executed; statements that compile to nothing, such as a
 docstring, are not counted.
 """
 
-import argparse
 import ast
 import contextlib
 import io
@@ -28,38 +28,24 @@ import sys
 import tempfile
 from collections import defaultdict
 from pathlib import Path
+from trace import Trace
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "splitchain"
 FIGURE1 = PACKAGE / "scenarios" / "figure1.mit"
 WORKLOADS = ("growth", "adversarial", "transfer", "sweep")
+OPS = 3  # ops traced per benchmark workload
 
 
 def trace(run) -> dict:
     """Run ``run()`` and return {file path: set of executed line numbers}
     for the files under the package."""
+    tracer = Trace(count=1, trace=0)
+    tracer.runfunc(run)
     hits = defaultdict(set)
-    prefix = str(PACKAGE)
-
-    def on_call(frame, event, arg):
-        path = frame.f_code.co_filename
-        if not path.startswith(prefix):
-            return None
-        lines = hits[path]
-
-        def on_line(frame, event, arg):
-            if event == "line":
-                lines.add(frame.f_lineno)
-            return on_line
-
-        return on_line
-
-    previous = sys.gettrace()
-    sys.settrace(on_call)
-    try:
-        run()
-    finally:
-        sys.settrace(previous)
+    for path, line in tracer.results().counts:
+        if path.startswith(str(PACKAGE)):
+            hits[path].add(line)
     return hits
 
 
@@ -164,14 +150,10 @@ def product_runs(ops: int, out: Path):
     _demos()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--ops", type=int, default=3,
-                        help="ops per benchmark workload")
-    args = parser.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory() as out:
         with contextlib.redirect_stdout(io.StringIO()):
-            hits = trace(lambda: product_runs(args.ops, Path(out)))
+            hits = trace(lambda: product_runs(OPS, Path(out)))
     sources = {}
     for module, (total, missing) in unreached(hits).items():
         print(f"{module}: {len(missing)} of {total} statements unreached")

@@ -137,8 +137,11 @@ def test_small_instance_splits_are_uniform():
 def test_assign_dispatcher():
     members = [b"b", b"a"]
     assert assign(members, "deterministic").v1 == (b"a",)
-    assert (assign(members, "randomized", b"s")
-            == assign_randomized(members, b"s"))
+    # this seed ranks b first, so a dispatcher that sent "randomized" to
+    # the deterministic scheme would fail here
+    randomized = assign(members, "randomized", b"b")
+    assert randomized == assign_randomized(members, b"b")
+    assert randomized.v1 == (b"b",)
     with pytest.raises(ValueError):
         assign(members, "coin-flip")
     with pytest.raises(ValueError):
