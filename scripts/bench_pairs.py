@@ -46,6 +46,17 @@ PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
   10⁵ trials), to show in which layer a saving appears; per workload,
   ``trace_calls_equal`` is true when both trees made the same calls per
   layer (every ``*.calls`` metric and ``netsim.dropped`` match);
+* runs ``growth`` and ``adversarial`` interleaved in this interpreter:
+  both trees' ``splitchain`` packages are imported side by side under
+  distinct names (their modules import one another relatively), and on
+  each held-out scenario seed (the ones the bench's ``--seed`` visits) the
+  two trees run the op of ``bench/workloads.py``'s ScenarioWorkload in
+  turn, the first side alternating seed by seed; per workload it records
+  whether every seed's outputs match, each op's CPU time, the median of the
+  per-seed ratios parent CPU / change CPU (above 1: the change is faster),
+  the change's wins and their two-sided sign-test p-value. Seed by seed the
+  two trees see the same host, so this resolves gains of a few percent
+  that the pairs of whole runs cannot;
 * counts the lines of every ``.py`` file under ``src/`` and ``demos/`` of
   each tree, per directory and per file, and the change's net lines against
   the parent, per directory and per file that differs.
@@ -55,6 +66,8 @@ The JSON records the command that wrote it, with every option spelled out.
 
 import argparse
 import hashlib
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -63,6 +76,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 PAIRS = 10  # per workload: the fewest pairs a gain or a regression rests on
@@ -71,6 +85,10 @@ DIVISION_REPEATS = 7  # divisions timed per interpreter; the median counts
 DIVISION_SIZES = (300, 1000)
 WIN_SHARE = 0.9  # of the pairs a change must win to claim a gain
 WORKLOADS = ("sweep", "growth", "adversarial", "transfer")
+# interleaved seeds per scenario workload, and each tree's scenario file
+INTERLEAVED = {"growth": (240, "src/splitchain/scenarios/figure1.mit"),
+               "adversarial": (120, "bench/adversarial.mit")}
+STRIDE = 1 << 20  # bench/workloads.py: run seed s visits s * STRIDE + i
 
 BENCHMARK = json.loads(
     (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
@@ -379,6 +397,68 @@ def trace_calls_equal(parent: dict, change: dict) -> bool:
     return all(parent.get(key) == change.get(key) for key in keys)
 
 
+def load_tree(tree: Path, name: str):
+    """The ``scenario`` module of ``tree``'s splitchain, imported as package
+    ``name``. The package's modules import one another relatively, so two
+    trees load side by side; bytecode is not written."""
+    sys.dont_write_bytecode = True
+    for module in [m for m in sys.modules
+                   if m == name or m.startswith(name + ".")]:
+        del sys.modules[module]
+    package = tree / "src" / "splitchain"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py",
+        submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(name + ".scenario")
+
+
+def scenario_op(scenario, spec, seed: int) -> tuple:
+    """(output, CPU seconds) of one op of the bench's ScenarioWorkload: one
+    run of ``spec`` and its three reports."""
+    start = time.thread_time()
+    report = scenario.run_scenario(spec, seed=seed)
+    output = b"\0".join(text.encode() for text in (
+        report.metrics_csv(), report.lineage_csv(), report.events_log()))
+    return output, time.thread_time() - start
+
+
+def interleaved(trees: dict, workload: str, seeds: int, first: int) -> dict:
+    """Both trees' ops on scenario seeds first .. first + seeds - 1, seed by
+    seed in one interpreter, the first side alternating, after one untimed
+    warm-up op per tree."""
+    path = INTERLEAVED[workload][1]
+    runs = {}
+    for side, tree in trees.items():
+        scenario = load_tree(tree, f"splitchain_{side}")
+        spec = scenario.parse_scenario((tree / path).read_text())
+        scenario_op(scenario, spec, first)  # warm-up, untimed
+        runs[side] = scenario, spec
+    cpu = {"parent": [], "change": []}
+    equal = True
+    for i in range(seeds):
+        outputs = {}
+        for side in pair_order(i):
+            outputs[side], seconds = scenario_op(*runs[side], first + i)
+            cpu[side].append(seconds)
+        equal = equal and outputs["parent"] == outputs["change"]
+    parent, change = cpu["parent"], cpu["change"]
+    summary = {
+        "seeds": seeds, "first_seed": first, "outputs_equal": equal,
+        "parent_cpu_ms_median": round(statistics.median(parent) * 1e3, 4),
+        "change_cpu_ms_median": round(statistics.median(change) * 1e3, 4),
+        "cpu_ratio_median": round(statistics.median(
+            p / c for p, c in zip(parent, change)), 4),
+        "change_won": sum(c < p for p, c in zip(parent, change)),
+        "sign_test_p": pair_stats(parent, change, False)["sign_test_p"]}
+    print(f"interleaved {workload}: {summary}", file=sys.stderr)
+    return {"summary": summary,
+            "cpu_ms": {side: [round(t * 1e3, 4) for t in times]
+                       for side, times in cpu.items()}}
+
+
 LINE_DIRS = ("src", "demos")
 
 
@@ -436,6 +516,9 @@ def main(argv=None) -> None:
         "trace": {w: {side: bench_run(tree, w, args.seed, trace=True)
                       for side, tree in trees.items()} for w in WORKLOADS},
     }
+    result["interleaved"] = {
+        w: interleaved(trees, w, seeds, args.seed * STRIDE)
+        for w, (seeds, _) in INTERLEAVED.items()}
     lines = result["lines"]
     lines["net"] = net_lines(lines["parent"], lines["change"])
     hashes = result["analyze_hashes"]

@@ -9,8 +9,9 @@ violations are queries over the list.
 
 Chains are born and retired only in :meth:`Ecosystem._replace`. A division
 child's or a fusion's genesis comes from its parents' states (named by
-``ChainSim.parents``) through :func:`_inherit`, and
-:func:`model.genesis_state` installs each genesis once. Only
+``ChainSim.parents``) through :func:`_inherit`, reusing the REGISTER
+transaction an earlier genesis made for each member whose account is
+unchanged, and :func:`model.genesis_state` installs each genesis once. Only
 :meth:`Ecosystem.verify` maps a signer to its key. Ordinary commits are
 synchronous vote rounds (only consensus's quorum arithmetic matters here),
 while the division protocol is message-faithful: one DIVIDE per validator
@@ -21,10 +22,12 @@ return a receiver that runs once per recipient.
 
 A correct validator's commit vote is its signature over the candidate's
 commit statement, signed and checked once: :meth:`ChainSim.commit` hands the
-round each correct voter's signing closure. A crashed voter is silent, and
-a Byzantine one votes through the per-recipient hook that
-:meth:`Ecosystem.respond` builds. Respond also answers every division ack
-and certificate share, and it is the only place a hook is built.
+round each correct voter's signing closure. Its division ACK is likewise
+its closure's tag over the DIVIDE statement, broadcast as one message by
+the receiver :meth:`ChainSim.on_divide` returns. A crashed validator is
+silent, and a Byzantine one votes and acks through the per-recipient hook
+that :meth:`Ecosystem.respond` builds. Respond also answers every
+certificate share, and it is the only place a hook is built.
 """
 
 import weakref
@@ -323,28 +326,39 @@ class ChainSim:
 
     def on_divide(self, req: DivideRequest):
         """The receiver of one DIVIDE calendar entry: receive(validator) acks
-        if the validator accepts the request; None for an earlier round's."""
+        if the validator accepts the request; None for an earlier round's.
+        What it reads besides the validator's node is fixed while the
+        network runs, so it is read once per entry."""
         judgment = self._judgment(req)
         if judgment is None:
             return None
         rnd, refusal = judgment
         committed, height = self.committed, req.agreed_height
+        eco = self.eco
+        network, signers = eco.network, eco._signers
+        nodes, validators, statement = (network.nodes, self.validators,
+                                        req.statement)
 
         def receive(validator):
             if refusal is not None or committed[validator] < height:
                 rnd.rejections[validator] = refusal or "behind"
+                return
+            node = nodes[validator]
+            # now < crash_at: not node.crashed(now), inlined
+            if network.now < node.crash_at and node.strategy is None:
+                # correct: one ACK, its own closure's tag, to every validator
+                network.broadcast(validator, validators, AckMsg(
+                    req, validator, signers[validator](statement)))
             else:
-                self._broadcast_ack(validator, req)
+                self._ack_through_respond(validator, req)
 
         return receive
 
-    def _broadcast_ack(self, validator, req):
+    def _ack_through_respond(self, validator, req):
+        """A crashed or Byzantine validator's ACKs, as respond answers."""
         network = self.eco.network
-        sig, hook = self.eco.respond(validator, SignRequest(req.statement))
-        if hook is None:  # one signed ack, the same for every recipient
-            if sig is not None:
-                network.broadcast(validator, self.validators,
-                                  AckMsg(req, validator, sig))
+        hook = self.eco.respond(validator, SignRequest(req.statement))[1]
+        if hook is None:  # crashed: silent
             return
         for recipient in self.validators:
             sig = hook(recipient)
@@ -408,7 +422,8 @@ class ChainSim:
         geneses = [_inherit(ChainConfig(cid, validators, tuple(sorted(clients)),
                                         cfg.consensus, cfg.n_max),
                             (self.state,), parent_chain=self.chain_id,
-                            split_height=req.agreed_height, side=side)
+                            split_height=req.agreed_height, side=side,
+                            registered=self.eco._registered)
                    for side, cid, validators, clients in sides]
         self.eco._install_division(self, geneses)
 
@@ -431,7 +446,8 @@ def _inherit(config: ChainConfig, states, **lineage) -> Block:
     assets they own, state by state in id order, the locks on those assets
     and every claim, a later state's record winning a shared nonce. An asset
     goes with its owner's client seat if it has one, else its validator
-    seat; one owned by no member is a StateDivergence."""
+    seat; one owned by no member is a StateDivergence. `lineage` holds
+    build_genesis's keyword arguments."""
     clients = set(config.clients)
     accounts, assets, locks, claims = {}, [], {}, {}
     for state in states:
@@ -468,8 +484,10 @@ class Ecosystem:
         self.network = Network(_message_handler(self.chains),
                                seed=seed, d_min=d_min, d_max=d_max)
         self.users: dict[UserId, Account] = {}
-        # UserId -> sign(message), for commit votes and respond
+        # UserId -> sign(message), for commit votes, ACKs and respond
         self._signers: dict = {}
+        # UserId -> the REGISTER transaction geneses reuse (build_genesis)
+        self._registered: dict = {}
         self.retired: dict[ChainId, ChainSim] = {}
         self.assignment_scheme = assignment_scheme
         self.faulty: set = set()  # harness-side flags, dormant or active
@@ -541,7 +559,8 @@ class Ecosystem:
                              tuple(sorted(clients)),
                              ConsensusParams(Fraction(alpha), kind), n_max,
                              tuple(initial_assets))
-        sim, = self._replace((), [build_genesis(config, self.users)])
+        sim, = self._replace((), [build_genesis(
+            config, self.users, registered=self._registered)])
         self._emit("create", chain=chain_id, n=len(config.validators))
         return sim
 
@@ -634,7 +653,8 @@ class Ecosystem:
             tuple(sorted(set(s1.config.clients) | set(s2.config.clients))),
             merged_params, max(s1.config.n_max, s2.config.n_max))
         merged, = self._replace((s1, s2),
-                                [_inherit(config, (s1.state, s2.state))])
+                                [_inherit(config, (s1.state, s2.state),
+                                          registered=self._registered)])
         self._emit("fuse", left=c1_id, right=c2_id, merged=merged_id,
                    alpha=merged_params.alpha)
         return merged
@@ -689,9 +709,10 @@ class Ecosystem:
         `sign` is the validator's signing closure, made once by
         register_user. It calls scheme.sign(public_key, message), looked up
         at call time, so every tag a validator gives goes through
-        SignatureScheme.sign. A commit round does not ask respond for a
-        correct validator's vote: ChainSim.commit passes run_commit_round
-        that validator's closure, which signs the commit statement.
+        SignatureScheme.sign. Neither a commit round nor a division asks
+        respond for a correct validator's vote or ACK: ChainSim.commit
+        passes run_commit_round that validator's closure, and the receiver
+        ChainSim.on_divide returns signs with it.
         """
         network = self.network
         node = network.nodes[validator]

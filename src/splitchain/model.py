@@ -7,13 +7,13 @@ never mutates its input.
 
 Because the values are frozen, a value derived from one (its bytes, a digest,
 a parse) is memoized on it with :class:`memo`, without a lock. A transaction
-memoizes its digest but not its bytes: ledgers keep every transaction, and
-claims and resolves carry whole proofs, so caching their bytes costs memory
-and saves no time.
+is encoded once, for its block's header, its digest and every later genesis
+that reuses it (``build_genesis``'s ``registered``); a ledger thus keeps each
+transaction's bytes, whole proofs included for claims and resolves.
 """
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 
@@ -286,12 +286,16 @@ class Transaction:
         return (bytes([self.kind]) + enc_bytes(self.payload.to_bytes())
                 + enc_bytes(self.submitter))
 
-    def to_bytes(self) -> bytes:
+    @memo  # a block's header and the digest read it; geneses reuse REGISTERs
+    def encoded(self) -> bytes:
         return self.signing_bytes() + enc_bytes(self.signature)
+
+    def to_bytes(self) -> bytes:
+        return self.encoded
 
     @memo
     def digest(self) -> Digest:
-        return sha256(self.to_bytes())
+        return sha256(self.encoded)
 
 
 # --- consensus parameters ----------------------------------------------------
@@ -468,7 +472,10 @@ def apply_transaction(state: ChainState, tx: Transaction, scheme=None) -> ChainS
 
     Raises on rule violations; the input state is never modified. Passing a
     signature scheme enables submitter signature checks (genesis transactions
-    are installed unchecked by ``replay``).
+    are installed unchecked by ``replay``). A successor ``ChainConfig`` or
+    ``Asset`` is built by its own constructor, which runs its
+    ``__post_init__`` checks as ``dataclasses.replace`` would, without
+    replace's per-call field walk.
     """
     kind = tx.kind
     if kind == TxKind.CONFIG_UPDATE and isinstance(tx.payload, ConfigInstallPayload):
@@ -489,8 +496,10 @@ def apply_transaction(state: ChainState, tx: Transaction, scheme=None) -> ChainS
         if config is not None and p.account.role == Role.CLIENT \
                 and p.account.user not in config.clients \
                 and p.account.user not in config.validator_set:
-            config = replace(config, clients=tuple(
-                sorted(config.clients + (p.account.user,))))
+            config = ChainConfig(
+                config.chain, config.validators,
+                tuple(sorted(config.clients + (p.account.user,))),
+                config.consensus, config.n_max, config.initial_assets)
         return state.replace(accounts=accounts, config=config)
 
     if kind == TxKind.CONFIG_UPDATE:
@@ -505,7 +514,9 @@ def apply_transaction(state: ChainState, tx: Transaction, scheme=None) -> ChainS
                 raise AlreadyMember(f"{account.user!r} already a validator")
             validators.append(account.user)
             accounts.setdefault(account.user, account)
-        config = replace(config, validators=tuple(validators))
+        config = ChainConfig(config.chain, tuple(validators), config.clients,
+                             config.consensus, config.n_max,
+                             config.initial_assets)
         return state.replace(config=config, accounts=accounts)
 
     _check_signature(tx, state, scheme)
@@ -532,7 +543,7 @@ def apply_transaction(state: ChainState, tx: Transaction, scheme=None) -> ChainS
         if p.recipient not in state.accounts:
             raise UnknownUser(f"recipient {p.recipient!r} not registered")
         assets = dict(state.assets)
-        assets[p.asset_id] = replace(asset, owner=p.recipient)
+        assets[p.asset_id] = Asset(asset.asset_id, p.recipient, asset.value)
         return state.replace(assets=assets)
 
     if kind == TxKind.LOCK:
@@ -545,8 +556,8 @@ def apply_transaction(state: ChainState, tx: Transaction, scheme=None) -> ChainS
         if asset.owner != tx.submitter:
             raise NotOwner(f"{tx.submitter!r} does not own {p.asset_id!r}")
         assets = dict(state.assets)
-        assets[p.asset_id] = replace(
-            asset, locked=True, lock_target=(p.target_chain, p.target_address))
+        assets[p.asset_id] = Asset(asset.asset_id, asset.owner, asset.value,
+                                   True, (p.target_chain, p.target_address))
         locks = dict(state.locks)
         locks[p.nonce] = p.asset_id
         return state.replace(assets=assets, locks=locks)
@@ -579,7 +590,7 @@ def apply_transaction(state: ChainState, tx: Transaction, scheme=None) -> ChainS
         if p.outcome == 1:
             del assets[asset_id]
         else:
-            assets[asset_id] = replace(asset, locked=False, lock_target=None)
+            assets[asset_id] = Asset(asset.asset_id, asset.owner, asset.value)
         locks = dict(state.locks)
         del locks[p.lock_nonce]
         return state.replace(assets=assets, locks=locks)
@@ -611,22 +622,33 @@ def replay(ledger, scheme=None) -> ChainState:
 
 def build_genesis(config: ChainConfig, accounts, parent_chain=None,
                   split_height=0, side=0, extra_assets=(),
-                  locks=(), claims=()) -> Block:
+                  locks=(), claims=(), registered=None) -> Block:
     """Assemble a genesis block from a config and the member account records.
 
     ``accounts`` maps UserId -> Account and must cover every member.
     ``extra_assets``, ``locks``, and ``claims`` carry inherited records
-    for child chains created by a division.
+    for child chains created by a division. ``registered``, if given, maps
+    UserId -> the REGISTER transaction an earlier genesis made for it, and
+    gains each one made here: a member whose account record is the very
+    object its entry registers gets that transaction, equal to the one
+    built here and already encoded.
     """
     txs = [Transaction(TxKind.CONFIG_UPDATE,
                        ConfigInstallPayload(config, parent_chain, split_height,
                                             side, tuple(locks), tuple(claims)),
                        b"genesis")]
+    if registered is None:
+        registered = {}
+    register = TxKind.REGISTER
     for user in config.members():
-        if user not in accounts:
+        account = accounts.get(user)
+        if account is None:
             raise UnknownUser(f"no account record for member {user!r}")
-        txs.append(Transaction(TxKind.REGISTER,
-                               RegisterPayload(accounts[user]), b"genesis"))
+        tx = registered.get(user)
+        if tx is None or tx.payload.account is not account:
+            tx = registered[user] = Transaction(
+                register, RegisterPayload(account), b"genesis")
+        txs.append(tx)
     for asset in tuple(config.initial_assets) + tuple(extra_assets):
         txs.append(Transaction(TxKind.ASSET_CREATE,
                                AssetCreatePayload(asset), b"genesis"))

@@ -32,6 +32,8 @@ a chain doubles exactly ``(beta_birth + beta_join) / 2``, which the report
 exposes for direct checking.
 """
 
+import functools
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -331,9 +333,17 @@ def ratio_text(f: int, n: int) -> str:
     return f"{f // g}/{n // g}"
 
 
+@functools.lru_cache(maxsize=4096)  # runs revisit each (chain, n, f)
+def _chain_columns(chain_id: bytes, n: int, f: int) -> tuple:
+    """The chain_id, n, f and beta columns of a metrics row."""
+    return _name(chain_id), n, f, ratio_text(f, n)
+
+
 def csv_text(header, rows) -> str:
-    """`rows` as CSV text, under their `header` line."""
-    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+    """`rows` as CSV text, under their `header` line: each field is its
+    str(), in one %-format over every line."""
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return (line * (len(rows) + 1)) % tuple(itertools.chain(header, *rows))
 
 
 @dataclass(frozen=True)
@@ -449,8 +459,8 @@ class _Driver:
             sim = self.eco.chains[chain_id]
             n = len(sim.validators)
             f = self.eco.chain_fault_count(sim)
-            self.metrics.append((tick, _name(chain_id), n, f,
-                                 ratio_text(f, n), self.divided, messages))
+            self.metrics.append((tick, *_chain_columns(chain_id, n, f),
+                                 self.divided, messages))
 
     def _next_target(self):
         if self.spec.join.target == "smallest":

@@ -2,6 +2,7 @@
 
 import importlib.util
 import statistics
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +64,20 @@ def test_trace_calls_equal_compares_calls_and_drops_only(bench_pairs):
     # a layer only one side traced counts as a difference
     assert not bench_pairs.trace_calls_equal(
         parent, dict(parent, **{"model.replay.calls": 1.0}))
+
+
+def test_interleaved_compares_a_tree_with_itself_seed_by_seed(bench_pairs):
+    tree = SCRIPT.parent.parent
+    run = bench_pairs.interleaved({"parent": tree, "change": tree}, "growth",
+                                  seeds=3, first=5)
+    summary = run["summary"]
+    assert summary["outputs_equal"] is True
+    assert (summary["seeds"], summary["first_seed"]) == (3, 5)
+    assert [len(run["cpu_ms"][side]) for side in ("parent", "change")] == [3, 3]
+    assert 0 <= summary["change_won"] <= 3
+    assert summary["cpu_ratio_median"] > 0
+    # each side ran its own copy of the package
+    parent, change = (sys.modules[f"splitchain_{side}.scenario"]
+                      for side in ("parent", "change"))
+    assert parent is not change
+    assert parent.run_scenario is not change.run_scenario

@@ -3,12 +3,15 @@
 import copy
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitchain import manager, model
 from splitchain.crypto import SignatureScheme
 from splitchain.errors import (
     AlreadyMember,
@@ -27,6 +30,7 @@ from splitchain.model import (
     AssetCreatePayload,
     AssetTransferPayload,
     Block,
+    ChainConfig,
     ChainState,
     ClaimPayload,
     ConfigUpdatePayload,
@@ -46,7 +50,15 @@ from splitchain.model import (
     verify_ledger,
 )
 
+from splitchain.manager import Ecosystem
+from splitchain.scenario import _Driver, parse_scenario
+from splitchain.xchain import toa_claim, toa_lock, toa_resolve
+
 from helpers import make_accounts, make_config
+
+REPO = Path(__file__).resolve().parent.parent
+FIGURE1 = REPO / "src" / "splitchain" / "scenarios" / "figure1.mit"
+ADVERSARIAL = REPO / "bench" / "adversarial.mit"
 
 
 @pytest.fixture
@@ -452,9 +464,9 @@ def test_config_update_adding_a_present_validator_still_raises(chain):
 
 
 def test_memoized_config_fields_track_a_run_of_joins(chain):
-    # joins make each config by dataclasses.replace from a config whose
-    # quorum and validator set were already read: the new one must derive
-    # its own, not inherit the old memo
+    # joins make each config from a config whose quorum and validator set
+    # were already read: the new one must derive its own, not inherit the
+    # old memo
     _, state = chain
     for i in range(9):
         old = state.config
@@ -478,3 +490,109 @@ def test_memoized_config_fields_track_a_run_of_joins(chain):
                                          new.consensus.alpha)
         assert new.validator_set == frozenset(new.validators)
     assert len(state.config.validators) == 10 and state.config.quorum == 5
+
+
+# --- successors built by their own constructors ----------------------------------
+
+
+def replaced_successors(state, tx) -> dict:
+    """The ChainConfig and Assets ``apply_transaction`` builds anew from
+    `state`, as dataclasses.replace builds them: "config" and asset ids
+    as keys."""
+    p, config, kind = tx.payload, state.config, tx.kind
+    if kind == TxKind.REGISTER:
+        user = p.account.user
+        if (config is not None and p.account.role == Role.CLIENT
+                and user not in config.clients
+                and user not in config.validator_set):
+            return {"config": dataclasses.replace(
+                config, clients=tuple(sorted(config.clients + (user,))))}
+    elif kind == TxKind.CONFIG_UPDATE and isinstance(p, ConfigUpdatePayload):
+        return {"config": dataclasses.replace(config, validators=(
+            config.validators + tuple(a.user for a in p.add_validators)))}
+    elif kind == TxKind.ASSET_TRANSFER:
+        return {p.asset_id: dataclasses.replace(state.assets[p.asset_id],
+                                                owner=p.recipient)}
+    elif kind == TxKind.LOCK:
+        return {p.asset_id: dataclasses.replace(
+            state.assets[p.asset_id], locked=True,
+            lock_target=(p.target_chain, p.target_address))}
+    elif kind == TxKind.RESOLVE and p.outcome == 0:
+        asset_id = state.locks[p.lock_nonce]
+        return {asset_id: dataclasses.replace(
+            state.assets[asset_id], locked=False, lock_target=None)}
+    return {}
+
+
+def transfer_run():
+    """A src/dst pair running lock/claim/resolve schedules as the transfer
+    benchmark does (a claim by the wrong recipient commits an abort), then
+    a client seat on dst and a transfer of a claimed coin to it."""
+    eco = Ecosystem(seed=3)
+    for i in range(4):
+        eco.register_user(b"s%03d" % i, Role.VALIDATOR)
+        eco.register_user(b"t%03d" % i, Role.VALIDATOR)
+    for client in (b"alice", b"bob", b"carol", b"ann"):
+        eco.register_user(client, Role.CLIENT)
+    eco.create_chain(b"src", [b"s%03d" % i for i in range(4)],
+                     [b"alice", b"carol"],
+                     initial_assets=[Asset(b"coin-%d" % j, b"alice", 1 + j)
+                                     for j in range(3)])
+    eco.create_chain(b"dst", [b"t%03d" % i for i in range(4)],
+                     [b"bob", b"carol"])
+    eco.crash_user(b"s003")
+    for j, recipient in enumerate((b"bob", b"carol", b"bob")):
+        lock = toa_lock(eco, b"alice", b"coin-%d" % j, b"bob", b"dst")
+        toa_resolve(eco, b"src", toa_claim(eco, recipient, b"dst", lock))
+    eco.join_chain(b"ann", b"dst", Role.CLIENT)
+    tx = Transaction(TxKind.ASSET_TRANSFER,
+                     AssetTransferPayload(b"coin-0", b"ann"), b"bob")
+    sig = eco.scheme.sign(eco.users[b"bob"].public_key, tx.signing_bytes())
+    eco.chains[b"dst"].commit([dataclasses.replace(tx, signature=sig)])
+    return eco
+
+
+def test_successors_equal_what_dataclasses_replace_builds(monkeypatch):
+    # every ChainConfig or Asset apply_transaction builds from a pre-state
+    # equals dataclasses.replace's, ran its own __post_init__ checks and
+    # carries no memo over from the value it replaces; replaying every
+    # ledger afterwards adds the genesis kinds
+    built = []  # every ChainConfig and Asset a __post_init__ checked
+    for cls in (ChainConfig, Asset):
+        def checked(self, check=cls.__post_init__):
+            built.append(self)
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", checked)
+    kinds = Counter()
+    sites = Counter()
+    apply = model.apply_transaction
+
+    def compared(state, tx, scheme=None):
+        expected = replaced_successors(state, tx)
+        del built[:]
+        after = apply(state, tx, scheme)
+        kinds[tx.kind] += 1
+        for key, want in expected.items():
+            got = after.config if key == "config" else after.assets[key]
+            assert got == want
+            assert any(value is got for value in built)
+            assert vars(got).keys() == {f.name for f in dataclasses.fields(got)}
+            sites[tx.kind, key == "config"] += 1
+        return after
+
+    monkeypatch.setattr(model, "apply_transaction", compared)
+    monkeypatch.setattr(manager, "apply_transaction", compared)
+    ecos = [transfer_run()]
+    for path in (FIGURE1, ADVERSARIAL):
+        driver = _Driver(parse_scenario(path.read_text()), 0)
+        driver.run()
+        ecos.append(driver.eco)
+    for eco in ecos:
+        for sim in [*eco.chains.values(), *eco.retired.values()]:
+            assert model.replay(sim.ledger) == sim.state
+    assert set(kinds) == set(TxKind)
+    # the five sites: a client seat, a validator join, a transfer, a lock
+    # and an abort's unlock
+    assert set(sites) == {(TxKind.REGISTER, True), (TxKind.CONFIG_UPDATE, True),
+                          (TxKind.ASSET_TRANSFER, False),
+                          (TxKind.LOCK, False), (TxKind.RESOLVE, False)}

@@ -12,7 +12,7 @@ import pytest
 from splitchain import cli
 from splitchain.crypto import SignatureScheme
 from splitchain.errors import ConfigError
-from splitchain.manager import EVENT_FORMATS, Ecosystem
+from splitchain.manager import EVENT_FORMATS, Ecosystem, VoteRequest
 from splitchain.model import replay
 from splitchain.netsim import Network
 from splitchain.scenario import (
@@ -559,37 +559,39 @@ block = 8
 # --- pinned outputs and memory ------------------------------------------------
 
 # sha256 of metrics.csv, lineage.csv and events.log, the messages dropped,
-# and the calls of SignatureScheme.sign, SignatureScheme.verify and
-# Network.send: a change to delivery order, to what any handler does, or to
-# which calls a check makes fails here and not only in the benchmark. The
-# call counts also keep every signature and send on the methods the
-# benchmark's tracer patches: each message on the wire
+# and the calls of SignatureScheme.sign, SignatureScheme.verify,
+# Network.send and Ecosystem.respond: a change to delivery order, to what
+# any handler does, or to which calls a check makes fails here and not only
+# in the benchmark. The call counts also keep every signature and send on
+# the methods the benchmark's tracer patches: each message on the wire
 # (Network.messages_sent) is one Network.send call, broadcasts included.
+# Respond answers only crashed and Byzantine validators, so figure1, which
+# has no active fault, never calls it.
 PINNED = {
     (FIGURE1, 0): (
         "030c4f3381317f9ea01171f7e3397902509f40e0e115445f8d1ef191bf92cc31",
         "de5bfaab1316d9e2bffb396011a4e06c030e2ab504e281da96f8113242fdb8b1",
         "98d9a320db3c89fb68a75b9b9160f2d40bb7092a23c577ee9ba8a279bb29df1c",
-        0, 665, 595, 2940),
+        0, 665, 595, 2940, 0),
     (FIGURE1, 1): (
         "fbf07d327f75af138c2f9a89d1bf394f56b9114fbef21e8a52f3eaffd891b5ab",
         "de5bfaab1316d9e2bffb396011a4e06c030e2ab504e281da96f8113242fdb8b1",
         "7ded2e4adccfbb2085f62da5f049083f2d516bc082b041155514ebcc3366362d",
-        0, 665, 595, 2940),
+        0, 665, 595, 2940, 0),
     (FIGURE1, 2): (
         "fadf163347b149bb5ce83f5496d3b120db219e5bb7e766d7e18fc0faee3636e8",
         "de5bfaab1316d9e2bffb396011a4e06c030e2ab504e281da96f8113242fdb8b1",
         "33d1de6df2a81955c56550cd61469a1a412164e34924564282dbaa366ad515ae",
-        0, 665, 595, 2940),
+        0, 665, 595, 2940, 0),
     (ADVERSARIAL, 0): (
         "aaab55c0177290a260c0470d7936461ff5817e6a629c06f762a8839b5f672037",
         "23177ac0ecc72be75556a2571b6d143ea4a177ab4898c133ca80d0bc69b6075b",
         "11360f891f63869a329e557baf3a3eb0fe60058d6d33cd65b56f0da1fc959c97",
-        44, 2937, 2922, 6624),
+        44, 2937, 2922, 6624, 241),
 }
 
 COUNTED = ((SignatureScheme, "sign"), (SignatureScheme, "verify"),
-           (Network, "send"))
+           (Network, "send"), (Ecosystem, "respond"))
 
 
 def _counted(calls, name, method):
@@ -614,6 +616,33 @@ def test_scenario_outputs_are_pinned(path, seed, monkeypatch):
     assert digests + (network.messages_dropped,) + tuple(
         calls[name] for _, name in COUNTED) == PINNED[path, seed]
     assert network.messages_sent == calls["send"]
+
+
+def test_respond_answers_only_crashed_or_byzantine_validators(monkeypatch):
+    # a correct validator's commit vote and division ACK are its own
+    # closure's tags; respond is asked only for the others
+    asked = Counter()
+    respond = Ecosystem.respond
+
+    def recording(eco, validator, request):
+        node = eco.network.nodes[validator]
+        correct = (not node.crashed(eco.network.now)
+                   and node.strategy is None)
+        if isinstance(request, VoteRequest):
+            asked[correct, "vote"] += 1
+        elif request.statement.startswith(b"divide"):
+            asked[correct, "ack"] += 1
+        else:
+            asked[correct, "share"] += 1
+        return respond(eco, validator, request)
+
+    monkeypatch.setattr(Ecosystem, "respond", recording)
+    _Driver(parse_scenario(ADVERSARIAL.read_text()), 0).run()
+    assert asked[True, "vote"] == asked[True, "ack"] == 0
+    assert asked[False, "vote"] > 0
+    # the fusion's certificate shares still ask every validator
+    assert asked[True, "share"] > 0
+    assert sum(asked.values()) == PINNED[ADVERSARIAL, 0][-1]
 
 
 @pytest.mark.parametrize("path,seed", sorted(PINNED),
