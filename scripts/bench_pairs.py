@@ -400,8 +400,7 @@ def trace_calls_equal(parent: dict, change: dict) -> bool:
 def load_tree(tree: Path, name: str):
     """The ``scenario`` module of ``tree``'s splitchain, imported as package
     ``name``. The package's modules import one another relatively, so two
-    trees load side by side; bytecode is not written."""
-    sys.dont_write_bytecode = True
+    trees load side by side."""
     for module in [m for m in sys.modules
                    if m == name or m.startswith(name + ".")]:
         del sys.modules[module]
@@ -497,6 +496,7 @@ def main(argv=None) -> None:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
         purge_bytecode(tree)
+    sys.dont_write_bytecode = True  # the interleaved section imports both
 
     result = {
         "script": "scripts/bench_pairs.py PARENT CHANGE OUT"

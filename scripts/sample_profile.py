@@ -1,13 +1,13 @@
-"""Sample where one benchmark workload spends its CPU time.
+"""Sample where the growth workload spends its CPU time.
 
-    python3 scripts/sample_profile.py [--workload growth] [--seed 0]
-        [--ops 200] [--interval-us 500] [--top 15]
+    python3 scripts/sample_profile.py
 
-The script sets up one workload of ``bench/workloads.py`` in this process,
-runs its first OPS ops and, only while an op runs, samples the Python stack
-every INTERVAL of the process's own CPU time (``signal.setitimer`` with
-``ITIMER_PROF``, which acts on this process alone). Unlike a deterministic
-profiler it adds no cost per call, so it does not inflate call-heavy code.
+The script sets up WORKLOAD of ``bench/workloads.py`` on run seed SEED in
+this process, runs its first OPS ops and, only while an op runs, samples
+the Python stack every INTERVAL_S of the process's own CPU time
+(``signal.setitimer`` with ``ITIMER_PROF``, which acts on this process
+alone); it takes about 12 s on a 2-core x86_64 host. Unlike a deterministic profiler it adds no
+cost per call, so it does not inflate call-heavy code.
 
 It prints, per function, its self share (samples with the function on top
 of the stack) and its inclusive share (samples with the function anywhere
@@ -24,7 +24,6 @@ formatting a long string) is charged to the Python line after it, which
 may be in its caller.
 """
 
-import argparse
 import signal
 import sys
 import time
@@ -33,6 +32,11 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 GENERATED = "<string>"  # co_filename of a dataclass's generated methods
+WORKLOAD = "growth"  # the paper's growth experiment, figure1.mit
+SEED = 0
+OPS = 1000
+INTERVAL_S = 0.0005
+TOP = 15
 
 
 class Sampler:
@@ -124,33 +128,24 @@ def load_workload(name: str, seed: int):
     return workload
 
 
-def profile(name: str, seed: int, ops: int, interval_s: float) -> Sampler:
-    """Sample the first ``ops`` ops of workload ``name`` on run seed
-    ``seed``; the untimed ``begin`` of each op is not sampled."""
-    workload = load_workload(name, seed)
+def profile(ops: int) -> Sampler:
+    """Sample the first ``ops`` ops of WORKLOAD on run seed SEED; the
+    untimed ``begin`` of each op is not sampled."""
+    workload = load_workload(WORKLOAD, SEED)
     entries = (entry for chunk in workload.chunks() for entry in chunk)
-    with Sampler(interval_s) as sampler:
+    with Sampler(INTERVAL_S) as sampler:
         for _, entry in zip(range(ops), entries):
             workload.begin(entry)
             sampler.run(workload.run, entry)
     return sampler
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", default="growth",
-                        choices=("growth", "adversarial", "transfer", "sweep"))
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--ops", type=int, default=200)
-    parser.add_argument("--interval-us", type=int, default=500)
-    parser.add_argument("--top", type=int, default=15)
-    args = parser.parse_args(argv)
+def main() -> None:
     start = time.process_time()
-    sampler = profile(args.workload, args.seed, args.ops,
-                      args.interval_us / 1e6)
-    sys.stdout.write(f"{args.workload}: {args.ops} ops from seed {args.seed},"
+    sampler = profile(OPS)
+    sys.stdout.write(f"{WORKLOAD}: {OPS} ops from seed {SEED},"
                      f" {time.process_time() - start:.2f} s CPU in all\n")
-    sys.stdout.write(sampler.report(args.top))
+    sys.stdout.write(sampler.report(TOP))
 
 
 if __name__ == "__main__":

@@ -560,7 +560,7 @@ class Ecosystem:
                              ConsensusParams(Fraction(alpha), kind), n_max,
                              tuple(initial_assets))
         sim, = self._replace((), [build_genesis(
-            config, self.users, registered=self._registered)])
+            config, self.users, self._registered)])
         self._emit("create", chain=chain_id, n=len(config.validators))
         return sim
 

@@ -7,9 +7,9 @@ never mutates its input.
 
 Because the values are frozen, a value derived from one (its bytes, a digest,
 a parse) is memoized on it with :class:`memo`, without a lock. A transaction
-is encoded once, for its block's header, its digest and every later genesis
-that reuses it (``build_genesis``'s ``registered``); a ledger thus keeps each
-transaction's bytes, whole proofs included for claims and resolves.
+memoizes its digest but not its bytes: ledgers keep every transaction, and
+claims and resolves carry whole proofs, so caching their bytes costs memory
+and saves no time.
 """
 
 import hashlib
@@ -286,16 +286,12 @@ class Transaction:
         return (bytes([self.kind]) + enc_bytes(self.payload.to_bytes())
                 + enc_bytes(self.submitter))
 
-    @memo  # a block's header and the digest read it; geneses reuse REGISTERs
-    def encoded(self) -> bytes:
-        return self.signing_bytes() + enc_bytes(self.signature)
-
     def to_bytes(self) -> bytes:
-        return self.encoded
+        return self.signing_bytes() + enc_bytes(self.signature)
 
     @memo
     def digest(self) -> Digest:
-        return sha256(self.encoded)
+        return sha256(self.to_bytes())
 
 
 # --- consensus parameters ----------------------------------------------------
@@ -620,25 +616,23 @@ def replay(ledger, scheme=None) -> ChainState:
     return state
 
 
-def build_genesis(config: ChainConfig, accounts, parent_chain=None,
-                  split_height=0, side=0, extra_assets=(),
-                  locks=(), claims=(), registered=None) -> Block:
+def build_genesis(config: ChainConfig, accounts, registered: dict,
+                  parent_chain=None, split_height=0, side=0, extra_assets=(),
+                  locks=(), claims=()) -> Block:
     """Assemble a genesis block from a config and the member account records.
 
     ``accounts`` maps UserId -> Account and must cover every member.
+    ``registered`` maps UserId -> the REGISTER transaction an earlier
+    genesis made for it, and gains each one made here: a member whose
+    account record is the very object its entry registers gets that
+    transaction, equal to the one it would get built.
     ``extra_assets``, ``locks``, and ``claims`` carry inherited records
-    for child chains created by a division. ``registered``, if given, maps
-    UserId -> the REGISTER transaction an earlier genesis made for it, and
-    gains each one made here: a member whose account record is the very
-    object its entry registers gets that transaction, equal to the one
-    built here and already encoded.
+    for child chains created by a division.
     """
     txs = [Transaction(TxKind.CONFIG_UPDATE,
                        ConfigInstallPayload(config, parent_chain, split_height,
                                             side, tuple(locks), tuple(claims)),
                        b"genesis")]
-    if registered is None:
-        registered = {}
     register = TxKind.REGISTER
     for user in config.members():
         account = accounts.get(user)

@@ -324,6 +324,7 @@ METRICS_HEADER = ("tick", "chain_id", "n", "f", "beta", "divisions", "messages")
 LINEAGE_HEADER = ("chain_id", "parent_id", "side", "split_height")
 
 
+@functools.lru_cache(maxsize=1024)  # runs revisit each (n, f)
 def ratio_text(f: int, n: int) -> str:
     """str(Fraction(f, n)) for n > 0, reduced with math.gcd: "p/q", or "p"
     when q is 1."""
@@ -331,12 +332,6 @@ def ratio_text(f: int, n: int) -> str:
     if g == n:
         return str(f // g)
     return f"{f // g}/{n // g}"
-
-
-@functools.lru_cache(maxsize=4096)  # runs revisit each (chain, n, f)
-def _chain_columns(chain_id: bytes, n: int, f: int) -> tuple:
-    """The chain_id, n, f and beta columns of a metrics row."""
-    return _name(chain_id), n, f, ratio_text(f, n)
 
 
 def csv_text(header, rows) -> str:
@@ -459,8 +454,8 @@ class _Driver:
             sim = self.eco.chains[chain_id]
             n = len(sim.validators)
             f = self.eco.chain_fault_count(sim)
-            self.metrics.append((tick, *_chain_columns(chain_id, n, f),
-                                 self.divided, messages))
+            self.metrics.append((tick, _name(chain_id), n, f,
+                                 ratio_text(f, n), self.divided, messages))
 
     def _next_target(self):
         if self.spec.join.target == "smallest":

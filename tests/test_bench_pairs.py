@@ -66,8 +66,19 @@ def test_trace_calls_equal_compares_calls_and_drops_only(bench_pairs):
         parent, dict(parent, **{"model.replay.calls": 1.0}))
 
 
-def test_interleaved_compares_a_tree_with_itself_seed_by_seed(bench_pairs):
+@pytest.fixture
+def side_packages():
+    """Removes the two sides' packages from ``sys.modules`` afterwards."""
+    yield
+    sides = ("splitchain_parent", "splitchain_change")
+    for name in [m for m in sys.modules if m.split(".")[0] in sides]:
+        del sys.modules[name]
+
+
+def test_interleaved_compares_a_tree_with_itself_seed_by_seed(
+        bench_pairs, side_packages):
     tree = SCRIPT.parent.parent
+    dont_write_bytecode = sys.dont_write_bytecode
     run = bench_pairs.interleaved({"parent": tree, "change": tree}, "growth",
                                   seeds=3, first=5)
     summary = run["summary"]
@@ -81,3 +92,4 @@ def test_interleaved_compares_a_tree_with_itself_seed_by_seed(bench_pairs):
                       for side in ("parent", "change"))
     assert parent is not change
     assert parent.run_scenario is not change.run_scenario
+    assert sys.dont_write_bytecode == dont_write_bytecode  # left as it was

@@ -72,7 +72,7 @@ def chain(scheme):
     config = make_config(n_validators=4, n_clients=1,
                          assets=[Asset(b"coin-1", b"u100", 10)])
     accounts = make_accounts(config, scheme)
-    genesis = build_genesis(config, accounts)
+    genesis = build_genesis(config, accounts, {})
     return [genesis], replay([genesis])
 
 
@@ -162,6 +162,37 @@ def test_genesis_replay_installs_config_accounts_assets(chain):
     assert state.assets[b"coin-1"].owner == b"u100"
     assert state.last_height == 0
     assert state.total_value() == 10
+
+
+def test_a_genesis_reuses_a_register_only_for_the_very_account_record(scheme):
+    config = make_config(n_validators=4, n_clients=1)
+    accounts = make_accounts(config, scheme)
+    registered = {}
+    first = build_genesis(config, accounts, registered)
+
+    def registers(block):
+        return [tx for tx in block.transactions if tx.kind == TxKind.REGISTER]
+
+    assert [tx.payload.account.user for tx in registers(first)] \
+        == list(config.members()) == sorted(registered)
+    again = build_genesis(config, accounts, registered)
+    assert again == first
+    assert all(a is b for a, b in zip(registers(again), registers(first)))
+    # an equal record that is another object, and a changed one, get a
+    # REGISTER of their own; the genesis equals one built from scratch
+    user, other = config.validators[:2]
+    records = dict(accounts)
+    records[user] = dataclasses.replace(accounts[user])
+    records[other] = dataclasses.replace(accounts[other],
+                                         metadata=((b"k", b"v"),))
+    changed = build_genesis(config, records, registered)
+    assert changed == build_genesis(config, records, {})
+    assert changed.digest != first.digest
+    for member in (user, other):
+        assert registered[member].payload.account is records[member]
+    kept = [tx for tx in registers(changed)
+            if tx.payload.account.user not in (user, other)]
+    assert all(any(tx is old for old in registers(first)) for tx in kept)
 
 
 def test_genesis_state_is_replay_and_refuses_what_build_genesis_never_emits(
@@ -427,7 +458,7 @@ STATE_CHANGES = {
 def test_state_replace_matches_dataclasses_replace(changes):
     config = make_config(n_clients=1, assets=[Asset(b"coin-1", b"u100", 10)])
     state = replay([build_genesis(config, make_accounts(
-        config, SignatureScheme(seed=5)))])
+        config, SignatureScheme(seed=5)), {})])
     names = [f.name for f in dataclasses.fields(ChainState)]
     before = {name: getattr(state, name) for name in names}
     saved = {name: copy.copy(value) for name, value in before.items()}

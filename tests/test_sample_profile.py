@@ -53,7 +53,7 @@ def test_a_dataclass_init_is_charged_to_its_caller(sample_profile):
 
 
 def test_a_few_growth_ops_are_sampled_and_reported(sample_profile):
-    sampler = sample_profile.profile("growth", 0, 8, 0.0005)
+    sampler = sample_profile.profile(8)
     assert sampler.cpu_s > 0 and sampler.samples > 0
     assert sum(sampler.self_counts.values()) == sampler.samples
     # every sample is taken inside an op
