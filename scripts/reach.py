@@ -1,23 +1,32 @@
-"""List the statements of splitchain that no product run reaches.
+"""List the statements of splitchain that no documented input reaches.
 
-    PYTHONPATH=src python3 scripts/reach.py
+    python3 scripts/reach.py
 
 Line-traces ``src/splitchain`` with the stdlib ``trace`` module (which
-runs on ``sys.settrace``) while it runs
+runs on ``sys.settrace``) while it runs the corpus of documented inputs:
 
 * the first ``OPS`` ops of each of the benchmark's four workloads
   (``bench/workloads.py``) on seed 0;
-* the five CLI subcommands: ``simulate`` on figure1.mit, ``analyze``,
-  ``divide-demo``, ``xfer-demo`` and ``verify-proof`` of the transfer
-  demo's proof, in a temporary directory;
+* ``CLI_RUNS``, in a temporary directory: the five subcommands with the
+  README's documented options and outputs, each exit-2 case of its
+  exit-code table (an unreadable scenario, an unwritable ``--out``, a bad
+  ``--seed``, bad ``analyze`` and ``divide-demo`` parameters, an
+  unparsable proof, a malformed or duplicate-validator registry) and
+  ``verify-proof``'s verdict 0 (a ``--height`` past the tag's expiry);
+* ``simulate`` on each of ``SCENARIOS``, the scenario behaviours the
+  README describes (among them the exit-4 stall), and on each of
+  ``BAD_SCENARIOS``, one per ``ConfigError`` of the scenario grammar;
 * every script under ``demos/``;
+* each module's body, run afresh, so that what a function runs at import
+  counts the same whether or not the package was imported before;
 
 then prints, per module, the statements inside functions that none of
 these runs executed, each with its line and the function it sits in.
 Module and class bodies run on import and are not listed. A statement
 counts as reached when any line of it (for a compound statement, of its
 header) executed; statements that compile to nothing, such as a
-docstring, are not counted.
+docstring, are not counted. What the runs print, to stdout or stderr, is
+swallowed, so the report stays readable.
 """
 
 import ast
@@ -35,6 +44,204 @@ PACKAGE = REPO / "src" / "splitchain"
 FIGURE1 = PACKAGE / "scenarios" / "figure1.mit"
 WORKLOADS = ("growth", "adversarial", "transfer", "sweep")
 OPS = 3  # ops traced per benchmark workload
+
+# The scenario behaviours the README describes: name -> scenario text.
+SCENARIOS = {
+    # a chain that starts at n_max divides at its genesis height, where
+    # every founder, Byzantine ones too, has committed the tip
+    "byzantine-founders": """
+[chain a]
+validators = 10
+n_max = 10
+[faults]
+a-v001 = byzantine equivocate
+a-v002 = byzantine badsig
+a-v003 = byzantine withhold
+a-v004 = crash 0
+""",
+    # a declared chain holds the child id: `division of a failed`
+    "taken-child-id": """
+[chain a]
+validators = 4
+n_max = 5
+[chain a.1]
+validators = 4
+[join]
+arrivals = 4
+""",
+    # `a` divides at start, so the merged id a.1 is taken at run time and
+    # a fusion with `a` finds it gone; b and c then fuse under b+c, and d,
+    # whose validators have all crashed, cannot certify a fusion with e
+    "fusions": """
+[chain a]
+validators = 4
+n_max = 4
+[chain b]
+validators = 4
+[chain c]
+validators = 4
+[chain d]
+validators = 2
+[chain e]
+validators = 2
+[fuse]
+at = 1
+left = b
+right = c
+merged = a.1
+[fuse]
+at = 1
+left = a
+right = b
+[fuse]
+at = 2
+left = b
+right = c
+[fuse]
+at = 3
+left = d
+right = e
+[faults]
+d-v000 = crash 0
+d-v001 = crash 0
+""",
+    # a dividing chain splits its clients and the assets they own
+    "clients-and-assets": """
+[chain a]
+validators = 4
+clients = 3
+assets = 4
+n_max = 4
+""",
+    "smallest-deterministic-horizon": """
+[scenario]
+assignment = deterministic
+horizon = 5
+[chain a]
+validators = 4
+clients = 2
+assets = 2
+n_max = 6
+[chain b]
+validators = 5
+faulty = 1
+[join]
+arrivals = 10
+target = smallest
+""",
+    # exit 4: three of a's validators crash while it divides, so the
+    # division finds no ACK quorum; every validator of b has crashed when
+    # it reaches its trigger, so its division is skipped, and b's arrival
+    # stalls
+    "stall": """
+[chain a]
+validators = 4
+n_max = 5
+[chain b]
+validators = 4
+n_max = 4
+[join]
+arrivals = 2
+[faults]
+a-v000 = crash 2
+a-v001 = crash 2
+a-v002 = crash 2
+b-v000 = crash 0
+b-v001 = crash 0
+b-v002 = crash 0
+b-v003 = crash 0
+""",
+}
+
+_CHAIN = "[chain a]\nvalidators = 4\n"
+
+# One scenario per ConfigError of the scenario grammar: simulate exits 2.
+BAD_SCENARIOS = (
+    "[scenario]\nhorizon = soon\n" + _CHAIN,
+    "[scenario]\nseed = 340282366920938463463374607431768211456\n" + _CHAIN,
+    "[chain a]\nalpha = half\n",
+    "[scenario]\nassignment = random\n" + _CHAIN,
+    "[chain a\n",
+    "[chain]\n",
+    _CHAIN + _CHAIN,
+    _CHAIN + "[join]\n[join]\n",
+    _CHAIN + "[leave]\n",
+    "[chain a]\nvalidators 4\n",
+    "validators = 4\n" + _CHAIN,
+    _CHAIN + "validators = 5\n",
+    _CHAIN + "[faults]\na-v000 = crash 1\na-v000 = crash 2\n",
+    "[chain a]\nsize = 4\n",
+    _CHAIN + "[faults]\na-v000 = sleep\n",
+    _CHAIN + "[faults]\na-v000 = crash 1 2\n",
+    _CHAIN + "[faults]\na-v000 = crash -1\n",
+    _CHAIN + "[faults]\na-v000 = byzantine\n",
+    "[scenario]\nseed = 1\n",
+    "[scenario]\nd_min = 2\nd_max = 1\n" + _CHAIN,
+    "[scenario]\nhorizon = -5\n" + _CHAIN,
+    "[chain a]\nvalidators = 0\n",
+    _CHAIN + "n_max = 1\n",
+    _CHAIN + "faulty = 5\n",
+    _CHAIN + "clients = -1\n",
+    _CHAIN + "assets = 2\n",
+    _CHAIN + "alpha = 2/3\n",
+    _CHAIN + "[join]\narrivals = -1\n",
+    _CHAIN + "[join]\narrivals = 1\ninterval = 0\n",
+    _CHAIN + "[join]\narrivals = 1\nblock = 0\n",
+    _CHAIN + "[join]\narrivals = 1\nbeta = 1/3\nblock = 10\n",
+    _CHAIN + "[join]\narrivals = 1\nbeta = 2\n",
+    _CHAIN + "[fuse]\nat = -3\nleft = a\nright = a\n",
+    _CHAIN + "[fuse]\nleft = a\n",
+    _CHAIN + "[fuse]\nleft = a\nright = z\n",
+    _CHAIN + "[fuse]\nleft = a\nright = a\n",
+    _CHAIN + "[chain b]\n[fuse]\nleft = a\nright = b\nmerged = a\n",
+    _CHAIN + "[faults]\nnobody = crash 1\n",
+    _CHAIN + "[faults]\na-v000 = byzantine lazy\n",
+)
+
+# argv templates; {figure1}, {out} and {xfer} are filled in by cli_runs().
+CLI_RUNS = (
+    # the README's quick start and documented options
+    ("simulate", "--scenario", "{figure1}", "--seed", "0",
+     "--out", "{out}/sim"),
+    ("analyze", "--alpha", "1/2", "--n", "10,40", "--trials", "1000",
+     "--out", "{out}/sweep.csv"),
+    ("analyze", "--alpha", "1/3", "--n", "10"),
+    # at n = 2, f = round(beta * n) reaches alpha * n: empty bound cells
+    ("analyze", "--alpha", "1/2", "--n", "2", "--beta-steps", "5"),
+    ("divide-demo", "--out", "{out}/divide"),
+    ("divide-demo", "--validators", "6", "--scheme", "deterministic"),
+    ("xfer-demo", "--out", "{xfer}"),
+    ("verify-proof", "--proof", "{xfer}/lock_proof.bin",
+     "--registry", "{xfer}/registry.json"),
+    # verdict 0: exit 1
+    ("verify-proof", "--proof", "{xfer}/lock_proof.bin",
+     "--registry", "{xfer}/registry.json", "--height", "1000"),
+    # exit 2: unusable input
+    ("simulate", "--scenario", "{out}/missing.mit"),
+    ("simulate", "--scenario", "{figure1}", "--out", "{out}/file"),
+    ("simulate", "--scenario", "{figure1}", "--seed", "seven"),
+    ("simulate", "--scenario", "{figure1}", "--seed", str(2**127)),
+    ("analyze", "--alpha", "1/2", "--n", ","),
+    ("analyze", "--alpha", "one", "--n", "10"),
+    ("analyze", "--alpha", "1/2", "--n", "11"),
+    ("analyze", "--alpha", "2/3", "--n", "10"),
+    ("analyze", "--alpha", "1/2", "--n", "10", "--beta-steps", "0"),
+    ("analyze", "--alpha", "1/2", "--n", "10", "--trials", "-1"),
+    ("analyze", "--alpha", "1/2", "--n", "10",
+     "--out", "{out}/missing/sweep.csv"),
+    ("divide-demo", "--alpha", "one"),
+    ("divide-demo", "--validators", "1"),
+    ("divide-demo", "--out", "{out}/file"),
+    ("xfer-demo", "--out", "{out}/file"),
+    ("verify-proof", "--proof", "{out}/missing.bin",
+     "--registry", "{xfer}/registry.json"),
+    ("verify-proof", "--proof", "{xfer}/registry.json",
+     "--registry", "{xfer}/registry.json"),
+    ("verify-proof", "--proof", "{xfer}/lock_proof.bin",
+     "--registry", "{xfer}/lock_proof.bin"),
+    ("verify-proof", "--proof", "{xfer}/lock_proof.bin",
+     "--registry", "{out}/twice.json"),
+)
 
 
 def trace(run) -> dict:
@@ -124,19 +331,37 @@ def _workload_ops(ops: int):
             workload.verdict(entry, output, counts)
 
 
+def cli_runs(out: Path) -> list:
+    """Every argv of the corpus, in order, with its paths under `out`: the
+    scenarios are written there first."""
+    xfer = out / "xfer"
+    (out / "file").touch()  # an --out directory that cannot be made
+    (out / "twice.json").write_text(
+        '{"alpha": "1/2", "validators": [{"id": "00",'
+        ' "verification_key": "00"}, {"id": "00", "verification_key": "00"}]}')
+    runs = []
+    for name, text in SCENARIOS.items():
+        path = out / f"{name}.mit"
+        path.write_text(text)
+        runs.append(["simulate", "--scenario", str(path),
+                     "--out", str(out / name)])
+    for k, text in enumerate(BAD_SCENARIOS):
+        path = out / f"bad-{k}.mit"
+        path.write_text(text)
+        runs.append(["simulate", "--scenario", str(path),
+                     "--out", str(out / f"bad-{k}")])
+    paths = {"figure1": FIGURE1, "out": out, "xfer": xfer}
+    return [[arg.format(**paths) for arg in argv]
+            for argv in CLI_RUNS] + runs
+
+
 def _cli_commands(out: Path):
     from splitchain.cli import main
-    xfer = out / "xfer"
-    for argv in (
-            ["simulate", "--scenario", str(FIGURE1), "--seed", "0",
-             "--out", str(out / "sim")],
-            ["analyze", "--alpha", "1/2", "--n", "10,40", "--trials", "1000",
-             "--out", str(out / "sweep.csv")],
-            ["divide-demo", "--out", str(out / "divide")],
-            ["xfer-demo", "--out", str(xfer)],
-            ["verify-proof", "--proof", str(xfer / "lock_proof.bin"),
-             "--registry", str(xfer / "registry.json")]):
-        main(argv)
+    for argv in cli_runs(out):
+        try:
+            main(argv)
+        except SystemExit:  # argparse refuses a bad flag: exit 2
+            pass
 
 
 def _demos():
@@ -144,16 +369,38 @@ def _demos():
         runpy.run_path(str(script), run_name="__main__")
 
 
+def _module_bodies():
+    """Run each module's body afresh, outside sys.modules, so a statement
+    that runs inside a function at import (say, in scenario._one_of)
+    counts as reached whether or not the package was imported before."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "splitchain" + ("" if path.stem == "__init__"
+                               else "." + path.stem)
+        exec(compile(path.read_text(), str(path), "exec"),
+             {"__name__": name, "__package__": "splitchain",
+              "__file__": str(path)})  # trace skips frames without it
+
+
 def product_runs(ops: int, out: Path):
+    from splitchain.scenario import ratio_text
+    ratio_text.cache_clear()  # what earlier runs left there hides its body
+    _module_bodies()
     _workload_ops(ops)
     _cli_commands(out)
     _demos()
 
 
-def main() -> int:
+def corpus_hits() -> dict:
+    """trace() over the whole corpus, its output swallowed."""
     with tempfile.TemporaryDirectory() as out:
-        with contextlib.redirect_stdout(io.StringIO()):
-            hits = trace(lambda: product_runs(OPS, Path(out)))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return trace(lambda: product_runs(OPS, Path(out)))
+
+
+def main() -> int:
+    sys.path.insert(0, str(REPO / "src"))  # the package this traces
+    hits = corpus_hits()
     sources = {}
     for module, (total, missing) in unreached(hits).items():
         print(f"{module}: {len(missing)} of {total} statements unreached")

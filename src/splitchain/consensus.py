@@ -41,10 +41,6 @@ class QuorumCertificate:
     statement: bytes
     signatures: tuple  # tuple[(UserId, bytes), ...] in collection order
 
-    @property
-    def signers(self) -> tuple:
-        return tuple(s for s, _ in self.signatures)
-
     def to_bytes(self) -> bytes:
         out = [enc_bytes(self.statement),
                len(self.signatures).to_bytes(4, "big")]

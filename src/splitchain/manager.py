@@ -58,7 +58,6 @@ from .model import (
     ChainId,
     ConfigUpdatePayload,
     ConsensusParams,
-    RegisterPayload,
     Role,
     Transaction,
     TxKind,
@@ -108,14 +107,12 @@ class DivisionRound:
 
     request: DivideRequest
     acks: dict = field(default_factory=dict)  # validator -> {signer: signature}
-    assigned: set = field(default_factory=set)  # validators that reached quorum
     # validator -> why its latest DIVIDE or ACK delivery was refused
     rejections: dict = field(default_factory=dict)
     # (signer, signature) -> whether the signer is a member and the tag
     # verifies, shared by every recipient. Exact: it is read only while the
     # recipient accepts the request, so the statement and config are fixed.
     verdicts: dict = field(default_factory=dict)
-    installed: tuple | None = None  # child genesis digests once installed
 
 
 # --- signing requests ------------------------------------------------------------
@@ -169,7 +166,7 @@ class SignRequest:
 # events.log's format per event kind: ids print as names, nonces are hex
 EVENT_FORMATS = {
     "create": "create chain={chain} n={n}",
-    "join": "join chain={chain} user={user} role={role} n={n}",
+    "join": "join chain={chain} user={user} role=validator n={n}",
     "divide": "divide parent={parent} n={n} f={f} -> {children}",
     "fuse": "fuse {left}+{right} -> {merged} alpha={alpha}",
     "stall": "stall chain={chain} height={height}",
@@ -370,14 +367,14 @@ class ChainSim:
         once per delivery of `ack`; None when the ack belongs to an earlier
         round. Acks can outrun the DIVIDE; the embedded request is judged
         here. What a delivery can change (halted: the first completion
-        retires the chain; acks and assigned) is read per delivery, the rest
-        once per entry."""
+        retires the chain, so no later delivery completes the round; acks)
+        is read per delivery, the rest once per entry."""
         judgment = self._judgment(ack.request)
         if judgment is None:
             return None
         rnd, refusal = judgment
         req, rejections, committed = rnd.request, rnd.rejections, self.committed
-        acks_of, assigned, height = rnd.acks, rnd.assigned, req.agreed_height
+        acks_of, height = rnd.acks, req.agreed_height
         cfg = self.state.config  # the round's own while it is accepted
         quorum = cfg.quorum
         signer, sig = ack.signer, ack.signature
@@ -403,8 +400,7 @@ class ChainSim:
             if acks is None:
                 acks = acks_of[validator] = {}
             acks[signer] = sig
-            if len(acks) >= quorum and validator not in assigned:
-                assigned.add(validator)
+            if len(acks) >= quorum:
                 self._complete_division(rnd)
 
         return receive
@@ -564,28 +560,19 @@ class Ecosystem:
         self._emit("create", chain=chain_id, n=len(config.validators))
         return sim
 
-    def join_chain(self, user: UserId, chain_id: ChainId,
-                   role: Role = Role.VALIDATOR) -> ChainConfig:
+    def join_chain(self, user: UserId, chain_id: ChainId) -> ChainConfig:
+        """Add `user` as a validator of the chain by one CONFIG_UPDATE."""
         sim = self._live(chain_id)
         account = self.users.get(user)
         if account is None:
             raise UnknownUser(f"{user!r} has no registered account")
-        if role == Role.CLIENT:
-            if user in sim.config.clients or user in sim.state.accounts:
-                raise AlreadyMember(f"{user!r} already on {chain_id!r}")
-            seat = Account(user, account.public_key, Role.CLIENT,
-                           account.metadata)
-            tx = Transaction(TxKind.REGISTER, RegisterPayload(seat), user)
-            sim.commit([tx])
-        else:
-            if user in sim.config.validators:
-                raise AlreadyMember(f"{user!r} already a validator")
-            tx = Transaction(TxKind.CONFIG_UPDATE,
-                             ConfigUpdatePayload(add_validators=(account,)),
-                             user)
-            sim.commit([tx])
-            sim.committed[user] = sim.state.last_height
-        self._emit("join", chain=chain_id, user=user, role=role.name.lower(),
+        if user in sim.config.validators:
+            raise AlreadyMember(f"{user!r} already a validator")
+        sim.commit([Transaction(TxKind.CONFIG_UPDATE,
+                                ConfigUpdatePayload(add_validators=(account,)),
+                                user)])
+        sim.committed[user] = sim.state.last_height
+        self._emit("join", chain=chain_id, user=user,
                    n=len(sim.config.validators))
         return sim.config
 
@@ -765,16 +752,7 @@ class Ecosystem:
         return born
 
     def _install_division(self, parent: ChainSim, geneses) -> None:
-        rnd = parent.division
-        digests = tuple(g.digest for g in geneses)
-        if rnd.installed is not None:
-            if rnd.installed != digests:
-                raise StateDivergence(
-                    f"validators built conflicting children for "
-                    f"{parent.chain_id!r}")
-            return
         born = self._replace((parent,), geneses)  # a taken id leaves all live
-        rnd.installed = digests
         children = []
         for sim in born:
             n_i, f_i = len(sim.validators), self.chain_fault_count(sim)

@@ -486,17 +486,7 @@ def apply_transaction(state: ChainState, tx: Transaction, scheme=None) -> ChainS
             raise AlreadyMember(f"{p.account.user!r} already registered")
         accounts = dict(state.accounts)
         accounts[p.account.user] = p.account
-        config = state.config
-        # a client-role account on a validator seat takes no client seat:
-        # a genesis installs exactly the roster its config names
-        if config is not None and p.account.role == Role.CLIENT \
-                and p.account.user not in config.clients \
-                and p.account.user not in config.validator_set:
-            config = ChainConfig(
-                config.chain, config.validators,
-                tuple(sorted(config.clients + (p.account.user,))),
-                config.consensus, config.n_max, config.initial_assets)
-        return state.replace(accounts=accounts, config=config)
+        return state.replace(accounts=accounts)
 
     if kind == TxKind.CONFIG_UPDATE:
         # membership-service-authorized, like registration: the joining

@@ -51,8 +51,7 @@ __all__ = [
     "DEFAULT_EXPIRY_WINDOW",
     "FreshnessTag",
     "TxInclusion",
-    "AssetOwnedBy",
-    "BalanceAtLeast",
+    "ClaimDecided",
     "parse_predicate",
     "KnowledgeProof",
     "TransferProof",
@@ -131,45 +130,6 @@ class TxInclusion:
 
 
 @dataclass(frozen=True)
-class AssetOwnedBy:
-    """The asset exists and is currently owned by ``owner``."""
-
-    KIND = 1
-
-    asset_id: bytes
-    owner: UserId
-
-    def evaluate(self, ledger, state):
-        asset = state.assets.get(self.asset_id)
-        if asset is None:
-            return False
-        return asset.owner == self.owner
-
-    def to_bytes(self) -> bytes:
-        return bytes([self.KIND]) + enc_bytes(self.asset_id) + enc_bytes(self.owner)
-
-
-@dataclass(frozen=True)
-class BalanceAtLeast:
-    """The user's assets (locked or not) sum to at least ``amount``."""
-
-    KIND = 2
-
-    user: UserId
-    amount: int
-
-    def evaluate(self, ledger, state):
-        if self.user not in state.accounts:
-            return None  # cannot attest anything about an unknown account
-        total = sum(a.value for a in state.assets.values()
-                    if a.owner == self.user)
-        return total >= self.amount
-
-    def to_bytes(self) -> bytes:
-        return bytes([self.KIND]) + enc_bytes(self.user) + enc_u64(self.amount)
-
-
-@dataclass(frozen=True)
 class ClaimDecided:
     """The chain's first committed claim verdict for ``nonce`` is ``verdict``.
 
@@ -180,7 +140,7 @@ class ClaimDecided:
     as grounds to unlock the source asset.
     """
 
-    KIND = 3
+    KIND = 3  # 1 and 2 are retired; a proof statement carries this byte
 
     nonce: bytes
     verdict: int
@@ -199,10 +159,6 @@ def parse_predicate(r: _Reader):
     kind = r.take(1)[0]
     if kind == TxInclusion.KIND:
         return TxInclusion(r.read_bytes(), r.read_u64())
-    if kind == AssetOwnedBy.KIND:
-        return AssetOwnedBy(r.read_bytes(), r.read_bytes())
-    if kind == BalanceAtLeast.KIND:
-        return BalanceAtLeast(r.read_bytes(), r.read_u64())
     if kind == ClaimDecided.KIND:
         return ClaimDecided(r.read_bytes(), r.read_u64())
     raise ValueError(f"unknown predicate kind {kind}")
@@ -292,19 +248,6 @@ class TransferProof:
         """The carried transaction, parsed once. Bytes that do not parse
         raise what ``parse_transaction`` raises, on every read."""
         return parse_transaction(self.tx_bytes)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "TransferProof":
-        r = _Reader(data)
-        kind_idx = r.take(1)[0]
-        if kind_idx >= len(cls.KINDS):
-            raise ValueError(f"unknown transfer proof kind index {kind_idx}")
-        inner = KnowledgeProof.from_bytes(r.read_bytes())
-        tx_bytes = r.read_bytes()
-        chain = r.read_bytes()
-        if not r.done():
-            raise ValueError("trailing bytes after transfer proof")
-        return cls(cls.KINDS[kind_idx], inner, tx_bytes, chain)
 
 
 def parse_transaction(data: bytes) -> Transaction:

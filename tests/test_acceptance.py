@@ -15,7 +15,9 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.stats import nchypergeom_fisher
 
 from splitchain import cli
 from splitchain.analysis import (
@@ -45,7 +47,7 @@ from splitchain.model import (
 )
 from splitchain.scenario import parse_scenario, run_scenario
 from splitchain.xchain import (
-    AssetOwnedBy,
+    TxInclusion,
     issue_tag,
     toa_claim,
     toa_lock,
@@ -397,6 +399,9 @@ def test_randomized_transfer_schedules_preserve_atomicity():
 
 
 def _proof_fixture(seed=0, n=4):
+    """Chains src (n validators, alice's coin) and dst (4, bob), and the
+    TxInclusion that the lock of alice's coin to bob, committed on src,
+    satisfies."""
     eco = Ecosystem(seed=seed)
     for i in range(n):
         eco.register_user(b"s%03d" % i, Role.VALIDATOR)
@@ -407,19 +412,19 @@ def _proof_fixture(seed=0, n=4):
     eco.create_chain(b"src", [b"s%03d" % i for i in range(n)], [b"alice"],
                      initial_assets=[Asset(b"coin", b"alice", 3)])
     eco.create_chain(b"dst", [b"t%03d" % i for i in range(4)], [b"bob"])
-    return eco
+    lock = toa_lock(eco, b"alice", b"coin", b"bob", b"dst")
+    return eco, lock.inner.predicate
 
 
 def test_fuzzed_proofs_rejected_and_honest_proofs_accepted():
-    eco = _proof_fixture()
+    eco, included = _proof_fixture()
     config = eco.chains[b"src"].config
     verify = eco.verify
 
     honest = []
     for i in range(64):
         tag = issue_tag(eco, b"dst")
-        proof = tok_generate_proof(eco, b"alice", b"src",
-                                   AssetOwnedBy(b"coin", b"alice"), tag)
+        proof = tok_generate_proof(eco, b"alice", b"src", included, tag)
         honest.append(proof)
 
     for case in range(10_000):
@@ -454,7 +459,8 @@ def test_fuzzed_proofs_rejected_and_honest_proofs_accepted():
             proof = dataclasses.replace(base, certificate=cert)
         elif mutation == "tamper-statement":
             if rng.random() < 0.5:  # claim a different fact
-                predicate = AssetOwnedBy(b"coin", b"mallory")
+                predicate = TxInclusion(included.tx_digest,
+                                        included.height + 1)
                 proof = dataclasses.replace(base, predicate=predicate)
             else:  # corrupt one signature byte
                 sigs = list(base.certificate.signatures)
@@ -479,10 +485,9 @@ def test_proof_serialization_is_linear_in_signer_count():
     """Byte length follows header + n * per-signature cost exactly."""
     sizes = {}
     for n in (4, 6, 8, 10):
-        eco = _proof_fixture(seed=n, n=n)
+        eco, included = _proof_fixture(seed=n, n=n)
         tag = issue_tag(eco, b"dst")
-        proof = tok_generate_proof(eco, b"alice", b"src",
-                                   AssetOwnedBy(b"coin", b"alice"), tag)
+        proof = tok_generate_proof(eco, b"alice", b"src", included, tag)
         assert len(proof.certificate.signatures) == n
         sizes[n] = proof.size_bytes
     per_signer = (sizes[6] - sizes[4]) // 2
@@ -494,14 +499,67 @@ def test_proof_serialization_is_linear_in_signer_count():
 
 # --- 9. growth scenario: rebalancing identity and violation incidence --------------------
 
+# The split gate tests child .1's faulty count f1 of each division of a
+# 20-validator chain with f faulty against the law of a uniform halving,
+# H(20, f, 10), by two statistics: the sum of f1 - f/2 (a biased split) and
+# the sum of (f1 - f/2)^2 less its exact mean under H (a split too even or
+# too uneven). Each gate is exact: for a fixed lambda,
+# exp(lambda * S - sum of log E exp(lambda * term)), with each expectation
+# taken under H(20, f, 10) for that division's f, is a martingale of mean 1
+# whatever f each division has, so by Markov's inequality and a union over
+# the 16 lambdas a gate fires with probability at most SPLIT_FALSE_ALARM
+# under a uniform halving. The two gates together spend the two-sided 4
+# sigma rate, 6.3e-5.
+SPLIT_FALSE_ALARM = 3.15e-5
+SPLIT_LAMBDAS = tuple(sign * 0.005 * 2 ** k for sign in (1, -1)
+                      for k in range(8))
+
+
+def split_gate(pairs, n=20):
+    """{statistic: (evidence, threshold, z)} over (f, f1) pairs: a gate
+    rejects when its evidence, the largest lambda * S - sum of log-MGFs
+    over SPLIT_LAMBDAS, reaches log(16 / SPLIT_FALSE_ALARM). z is S over
+    its exact standard deviation under the law."""
+    half = n // 2
+    f, f1 = np.asarray(pairs).T
+    laws = {}  # f -> (support, pmf, exact mean of (k - f/2)^2)
+    for fv in np.unique(f).tolist():
+        ks = np.arange(max(0, fv - half), min(fv, half) + 1)
+        pmf = np.array([math.comb(fv, k) * math.comb(n - fv, half - k)
+                        for k in ks.tolist()], float) / math.comb(n, half)
+        laws[fv] = ks, pmf, float(pmf @ (ks - fv / 2) ** 2)
+    terms = {"mean": lambda fv, k: k - fv / 2,
+             "square": lambda fv, k: (k - fv / 2) ** 2 - laws[fv][2]}
+    threshold = math.log(len(SPLIT_LAMBDAS) / SPLIT_FALSE_ALARM)
+    gates = {}
+    for name, term in terms.items():
+        total = sum(term(fv, f1[f == fv]).sum() for fv in laws)
+        count = {fv: int((f == fv).sum()) for fv in laws}
+        evidence = max(
+            lam * total - sum(count[fv] * math.log(pmf @ np.exp(lam * term(
+                fv, ks))) for fv, (ks, pmf, _) in laws.items())
+            for lam in SPLIT_LAMBDAS)
+        variance = sum(count[fv] * (pmf @ term(fv, ks) ** 2)
+                       for fv, (ks, pmf, _) in laws.items())
+        gates[name] = (evidence, threshold, total / math.sqrt(variance))
+    return gates
+
 
 def test_growth_scenario_rebalances_and_matches_exact_incidence():
+    """Over 10^3 seeds (7000 divisions): the rebalancing identity, the
+    breach count within 4 sigma of the exact law, and the split gate.
+    The gate rejects a split with Fisher odds 0.8 or 1.25 between the
+    children (z about -15 and +15 on the mean) and one that is most even
+    half the time, which halves the breach rate (z about -28 on the
+    square); test_split_gate_rejects_each_stated_alternative feeds it
+    seeded draws of each."""
     spec = parse_scenario(figure_scenario_text())
     beta_join = Fraction(1, 5)
     p_cache = {}
     expected = variance = 0.0
     observed = 0
     divisions_seen = 0
+    splits = []  # (f, f1) of each division, f1 child .1's faulty count
     for seed in range(1000):
         report = run_scenario(spec, seed=seed)
         assert len(report.divisions) == 7
@@ -523,12 +581,56 @@ def test_growth_scenario_rebalances_and_matches_exact_incidence():
             expected += p
             variance += p * (1 - p)
             observed += any(child[3] for child in record["children"])
+            first = record["children"][0]
+            assert first[0] == record["parent"] + b".1"
+            splits.append((f, first[2]))
         # per-child bound flags agree with f_i >= n_i / 2 (alpha = 1/2)
         assert report.bound_violations == tuple(
             child for d in report.divisions for child in d.fields["children"]
             if 2 * child[2] >= child[1])
     assert divisions_seen == 7000
     assert abs(observed - expected) <= 4 * math.sqrt(variance)
+    for name, (evidence, threshold, z) in split_gate(splits).items():
+        assert evidence < threshold, (name, evidence, z)
+
+
+def _growth_splits(draw, rng, runs=1000):
+    """(f, f1) of each division in `runs` runs of figure1's tree with
+    child .1's faulty count drawn by draw(f, rng): the root reaches 20 with
+    f = 2, and each child's next block of 10 arrivals adds 2 faulty."""
+    f = np.full(runs, 2)
+    pairs = []
+    for generation in range(3):
+        f1 = draw(f, rng)
+        pairs += zip(f.tolist(), f1.tolist())
+        f = np.concatenate([f1, f - f1]) + 2
+    return pairs
+
+
+def _fisher(odds):
+    return lambda f, rng: nchypergeom_fisher.rvs(20, f, 10, odds,
+                                                 random_state=rng)
+
+
+def _half_balanced(f, rng):
+    """The most even split half the time, else a uniform halving."""
+    even = f // 2 + (f % 2) * rng.integers(0, 2, len(f))
+    return np.where(rng.random(len(f)) < 0.5, even,
+                    rng.hypergeometric(f, 20 - f, 10))
+
+
+@pytest.mark.parametrize("draw,statistic", [
+    (lambda f, rng: rng.hypergeometric(f, 20 - f, 10), None),
+    (_fisher(0.8), "mean"), (_fisher(1.25), "mean"),
+    (_half_balanced, "square")], ids=["uniform", "odds-0.8", "odds-1.25",
+                                      "half-balanced"])
+def test_split_gate_rejects_each_stated_alternative(draw, statistic):
+    # seeded draws of figure1's 7000 divisions: a uniform halving passes
+    # both gates, and each alternative fails the gate it was sized for
+    gates = split_gate(_growth_splits(draw, np.random.default_rng(21)))
+    fired = {name for name, (evidence, threshold, _) in gates.items()
+             if evidence >= threshold}
+    assert fired == ({statistic} if statistic else set()), gates
 
 
 # --- 10. CLI determinism -------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_collect_drops_garbage_when_verifying(setup):
         return scheme.sign(pks[v], stmt)
 
     cert = collect_certificate(stmt, validators, 3, sign_fn, verify)
-    assert validators[0] not in cert.signers
+    assert validators[0] not in dict(cert.signatures)
 
 
 def test_verify_rejects_each_defect(setup):

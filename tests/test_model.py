@@ -200,7 +200,7 @@ def test_genesis_state_is_replay_and_refuses_what_build_genesis_never_emits(
     (genesis,), state = chain
     assert genesis_state(genesis) == state
     install, *rest = genesis.transactions
-    # replay would give a non-member's CLIENT account a client seat
+    # replay would register a non-member's account
     stranger = Transaction(TxKind.REGISTER, RegisterPayload(
         Account(b"zed", b"key", Role.CLIENT)), b"genesis")
     update = Transaction(TxKind.CONFIG_UPDATE, ConfigUpdatePayload(),
@@ -298,9 +298,10 @@ def test_register_then_create_asset(chain, scheme):
     ledger, state = chain
     newcomer = Account(b"u200", scheme.issue(b"u200"), Role.CLIENT)
     reg = Transaction(TxKind.REGISTER, RegisterPayload(newcomer), b"u200")
+    config = state.config
     ledger, state = extend(ledger, state, [reg])
     assert b"u200" in state.accounts
-    assert b"u200" in state.config.clients
+    assert state.config is config  # an account, not a seat
     mint = signed(scheme, state, TxKind.ASSET_CREATE,
                   AssetCreatePayload(Asset(b"coin-2", b"u200", 5)), b"u200")
     _, state = extend(ledger, state, [mint], scheme)
@@ -504,13 +505,9 @@ def test_memoized_config_fields_track_a_run_of_joins(chain):
         assert (old.quorum, old.validator_set) == (
             quorum_size(len(old.validators), old.consensus.alpha),
             frozenset(old.validators))
-        if i % 3 == 2:  # a client seat replaces the config too
-            seat = Account(b"c%03d" % i, b"pk", Role.CLIENT)
-            tx = Transaction(TxKind.REGISTER, RegisterPayload(seat), seat.user)
-        else:
-            seat = Account(b"v%03d" % i, b"pk", Role.VALIDATOR)
-            tx = Transaction(TxKind.CONFIG_UPDATE, ConfigUpdatePayload((seat,)),
-                             seat.user)
+        seat = Account(b"v%03d" % i, b"pk", Role.VALIDATOR)
+        tx = Transaction(TxKind.CONFIG_UPDATE, ConfigUpdatePayload((seat,)),
+                         seat.user)
         state = apply_transaction(state, tx)
         new = state.config
         assert new is not old
@@ -520,7 +517,7 @@ def test_memoized_config_fields_track_a_run_of_joins(chain):
         assert new.quorum == quorum_size(len(new.validators),
                                          new.consensus.alpha)
         assert new.validator_set == frozenset(new.validators)
-    assert len(state.config.validators) == 10 and state.config.quorum == 5
+    assert len(state.config.validators) == 13 and state.config.quorum == 7
 
 
 # --- successors built by their own constructors ----------------------------------
@@ -531,14 +528,7 @@ def replaced_successors(state, tx) -> dict:
     `state`, as dataclasses.replace builds them: "config" and asset ids
     as keys."""
     p, config, kind = tx.payload, state.config, tx.kind
-    if kind == TxKind.REGISTER:
-        user = p.account.user
-        if (config is not None and p.account.role == Role.CLIENT
-                and user not in config.clients
-                and user not in config.validator_set):
-            return {"config": dataclasses.replace(
-                config, clients=tuple(sorted(config.clients + (user,))))}
-    elif kind == TxKind.CONFIG_UPDATE and isinstance(p, ConfigUpdatePayload):
+    if kind == TxKind.CONFIG_UPDATE and isinstance(p, ConfigUpdatePayload):
         return {"config": dataclasses.replace(config, validators=(
             config.validators + tuple(a.user for a in p.add_validators)))}
     elif kind == TxKind.ASSET_TRANSFER:
@@ -558,7 +548,7 @@ def replaced_successors(state, tx) -> dict:
 def transfer_run():
     """A src/dst pair running lock/claim/resolve schedules as the transfer
     benchmark does (a claim by the wrong recipient commits an abort), then
-    a client seat on dst and a transfer of a claimed coin to it."""
+    ann joins dst as a validator and is sent a claimed coin."""
     eco = Ecosystem(seed=3)
     for i in range(4):
         eco.register_user(b"s%03d" % i, Role.VALIDATOR)
@@ -575,7 +565,7 @@ def transfer_run():
     for j, recipient in enumerate((b"bob", b"carol", b"bob")):
         lock = toa_lock(eco, b"alice", b"coin-%d" % j, b"bob", b"dst")
         toa_resolve(eco, b"src", toa_claim(eco, recipient, b"dst", lock))
-    eco.join_chain(b"ann", b"dst", Role.CLIENT)
+    eco.join_chain(b"ann", b"dst")
     tx = Transaction(TxKind.ASSET_TRANSFER,
                      AssetTransferPayload(b"coin-0", b"ann"), b"bob")
     sig = eco.scheme.sign(eco.users[b"bob"].public_key, tx.signing_bytes())
@@ -622,8 +612,8 @@ def test_successors_equal_what_dataclasses_replace_builds(monkeypatch):
         for sim in [*eco.chains.values(), *eco.retired.values()]:
             assert model.replay(sim.ledger) == sim.state
     assert set(kinds) == set(TxKind)
-    # the five sites: a client seat, a validator join, a transfer, a lock
-    # and an abort's unlock
-    assert set(sites) == {(TxKind.REGISTER, True), (TxKind.CONFIG_UPDATE, True),
+    # the four sites: a validator join, a transfer, a lock and an abort's
+    # unlock
+    assert set(sites) == {(TxKind.CONFIG_UPDATE, True),
                           (TxKind.ASSET_TRANSFER, False),
                           (TxKind.LOCK, False), (TxKind.RESOLVE, False)}

@@ -31,8 +31,6 @@ from splitchain.model import (
     verify_ledger,
 )
 from splitchain.xchain import (
-    AssetOwnedBy,
-    BalanceAtLeast,
     ClaimDecided,
     FreshnessTag,
     KnowledgeProof,
@@ -63,6 +61,12 @@ def two_chain_eco(seed=0, n=4, alpha=None, n_max=64):
                      initial_assets=[Asset(b"coin", b"alice", 9)], **kwargs)
     eco.create_chain(b"dst", dst_vals, [b"bob"], n_max=n_max, **kwargs)
     return eco
+
+
+def locked_coin(eco):
+    """The TxInclusion that the lock of alice's coin to bob, committed on
+    src, satisfies."""
+    return toa_lock(eco, b"alice", b"coin", b"bob", b"dst").inner.predicate
 
 
 def bump_height(eco, chain_id, times=1):
@@ -100,9 +104,9 @@ def test_tag_must_expire_after_issuance():
 
 def test_true_predicate_yields_verifying_proof():
     eco = two_chain_eco()
+    included = locked_coin(eco)
     tag = issue_tag(eco, b"dst")
-    proof = tok_generate_proof(eco, b"alice", b"src",
-                               AssetOwnedBy(b"coin", b"alice"), tag)
+    proof = tok_generate_proof(eco, b"alice", b"src", included, tag)
     assert proof is not None
     assert len(proof.certificate.signatures) >= eco.chains[b"src"].quorum
     verdict, reason = tok_verify_proof(
@@ -113,16 +117,18 @@ def test_true_predicate_yields_verifying_proof():
 
 def test_false_or_unanswerable_predicates_yield_no_proof():
     eco = two_chain_eco()
+    included = locked_coin(eco)
     tag = issue_tag(eco, b"dst")
-    # false: alice holds 9 < 10
+    # false: the lock's block holds no such transaction
     assert tok_generate_proof(eco, b"alice", b"src",
-                              BalanceAtLeast(b"alice", 10), tag) is None
-    # false: wrong owner
+                              TxInclusion(b"\x00" * 32, included.height),
+                              tag) is None
+    # false: the genesis block does not hold the lock
     assert tok_generate_proof(eco, b"alice", b"src",
-                              AssetOwnedBy(b"coin", b"bob"), tag) is None
-    # unanswerable: account unknown on src
+                              TxInclusion(included.tx_digest, 0), tag) is None
+    # unanswerable: src has decided no claim for this nonce
     assert tok_generate_proof(eco, b"alice", b"src",
-                              BalanceAtLeast(b"carol", 1), tag) is None
+                              ClaimDecided(tag.nonce, 1), tag) is None
     # unanswerable: height not committed yet
     assert tok_generate_proof(eco, b"alice", b"src",
                               TxInclusion(b"\x00" * 32, 99), tag) is None
@@ -132,22 +138,21 @@ def test_generate_requires_membership_and_quorum():
     from fractions import Fraction
 
     eco = two_chain_eco(alpha=Fraction(1, 3))
+    included = locked_coin(eco)
     tag = issue_tag(eco, b"dst")
     with pytest.raises(UnknownUser):
-        tok_generate_proof(eco, b"bob", b"src",
-                           AssetOwnedBy(b"coin", b"alice"), tag)
+        tok_generate_proof(eco, b"bob", b"src", included, tag)
     eco.crash_user(b"u002")
     eco.crash_user(b"u003")  # quorum 3 of 4, only 2 can sign
     with pytest.raises(NoQuorum):
-        tok_generate_proof(eco, b"alice", b"src",
-                           AssetOwnedBy(b"coin", b"alice"), tag)
+        tok_generate_proof(eco, b"alice", b"src", included, tag)
 
 
 def proof_fixture():
     eco = two_chain_eco()
+    included = locked_coin(eco)
     tag = issue_tag(eco, b"dst")
-    proof = tok_generate_proof(eco, b"alice", b"src",
-                               AssetOwnedBy(b"coin", b"alice"), tag)
+    proof = tok_generate_proof(eco, b"alice", b"src", included, tag)
     cfg = eco.chain(b"src").config
     height = eco.chains[b"dst"].state.last_height
     return eco, tag, proof, cfg, height
@@ -182,8 +187,9 @@ def test_verify_rejects_quorum_minus_one():
 
 def test_verify_rejects_statement_tampering():
     eco, tag, proof, cfg, height = proof_fixture()
-    doctored = KnowledgeProof(AssetOwnedBy(b"coin", b"mallory"), 1, tag,
-                              proof.certificate)
+    doctored = KnowledgeProof(
+        TxInclusion(b"\x00" * 32, proof.predicate.height), 1, tag,
+        proof.certificate)
     verdict, reason = tok_verify_proof(doctored, tag, cfg, height,
                                        eco.verify)
     assert verdict == 0 and reason == "statement mismatch"
@@ -223,18 +229,12 @@ def test_proof_bytes_roundtrip():
               + proof.to_bytes()[len(enc_bytes(predicate)):])
     with pytest.raises(ValueError, match="trailing bytes after predicate"):
         KnowledgeProof.from_bytes(padded)
-    wrapped = TransferProof("lock", proof, b"txbytes", b"src")
-    assert TransferProof.from_bytes(wrapped.to_bytes()) == wrapped
-    with pytest.raises(ValueError, match="trailing bytes after transfer proof"):
-        TransferProof.from_bytes(wrapped.to_bytes() + b"!")
     with pytest.raises(ValueError, match="trailing bytes after tag"):
         FreshnessTag.from_bytes(tag.to_bytes() + b"!")
 
 
 @pytest.mark.parametrize("predicate", [
     TxInclusion(b"\x11" * 32, 3),
-    AssetOwnedBy(b"coin", b"alice"),
-    BalanceAtLeast(b"alice", 9),
     ClaimDecided(b"nonce", 1),
 ], ids=lambda p: type(p).__name__)
 def test_every_predicate_kind_roundtrips_in_a_proof(predicate):
@@ -255,8 +255,10 @@ def test_proof_size_grows_linearly_with_validators():
         eco.create_chain(b"c", vals, [b"alice"], n_max=64,
                          initial_assets=[Asset(b"coin", b"alice", 1)])
         tag = issue_tag(eco, b"c")
-        proof = tok_generate_proof(eco, b"alice", b"c",
-                                   AssetOwnedBy(b"coin", b"alice"), tag)
+        genesis = eco.chains[b"c"].ledger[0]
+        proof = tok_generate_proof(
+            eco, b"alice", b"c",
+            TxInclusion(genesis.transactions[0].digest, 0), tag)
         sizes[n] = proof.size_bytes
     per_sig = (sizes[8] - sizes[4]) / 4
     assert per_sig == (sizes[16] - sizes[8]) / 8  # constant marginal cost
@@ -371,7 +373,7 @@ def test_replayed_claims_abort_cannot_unlock_claimed_asset():
 def test_claim_by_wrong_address_aborts():
     eco = two_chain_eco()
     eco.register_user(b"carol", Role.CLIENT)
-    eco.join_chain(b"carol", b"dst", role=Role.CLIENT)
+    eco.join_chain(b"carol", b"dst")  # a member of dst, not the addressee
     lock = toa_lock(eco, b"alice", b"coin", b"bob", b"dst")
     result = toa_claim(eco, b"carol", b"dst", lock)
     assert result.kind == "abort"
@@ -510,8 +512,6 @@ _claim_txs = st.builds(
     _blobs, _blobs)
 _predicates = st.one_of(
     st.builds(TxInclusion, _blobs, _u64),
-    st.builds(AssetOwnedBy, _blobs, _blobs),
-    st.builds(BalanceAtLeast, _blobs, _u64),
     st.builds(ClaimDecided, _blobs, _u64))
 _tags = st.builds(
     lambda chain, anchor, issued, window, nonce: FreshnessTag(
@@ -541,13 +541,11 @@ def test_transfer_encodings_roundtrip_byte_for_byte(
     assert parsed == tx
     assert parsed.to_bytes() == data
     assert parsed.digest == tx.digest == sha256(data)
-    proof = TransferProof(
-        kind, KnowledgeProof(predicate, verdict, tag, certificate), data,
-        chain)
-    encoded = proof.to_bytes()
-    back = TransferProof.from_bytes(encoded)
-    assert back == proof and back.to_bytes() == encoded
-    assert back.transaction == tx
+    inner = KnowledgeProof(predicate, verdict, tag, certificate)
+    encoded = inner.to_bytes()
+    back = KnowledgeProof.from_bytes(encoded)
+    assert back == inner and back.to_bytes() == encoded
+    assert TransferProof(kind, back, data, chain).transaction == tx
 
 
 def assert_memos_fresh(eco, proofs):
