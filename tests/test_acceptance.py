@@ -531,10 +531,10 @@ def split_gate(pairs, n=20):
     terms = {"mean": lambda fv, k: k - fv / 2,
              "square": lambda fv, k: (k - fv / 2) ** 2 - laws[fv][2]}
     threshold = math.log(len(SPLIT_LAMBDAS) / SPLIT_FALSE_ALARM)
+    count = {fv: int((f == fv).sum()) for fv in laws}
     gates = {}
     for name, term in terms.items():
         total = sum(term(fv, f1[f == fv]).sum() for fv in laws)
-        count = {fv: int((f == fv).sum()) for fv in laws}
         evidence = max(
             lam * total - sum(count[fv] * math.log(pmf @ np.exp(lam * term(
                 fv, ks))) for fv, (ks, pmf, _) in laws.items())
@@ -549,8 +549,8 @@ def test_growth_scenario_rebalances_and_matches_exact_incidence():
     """Over 10^3 seeds (7000 divisions): the rebalancing identity, the
     breach count within 4 sigma of the exact law, and the split gate.
     The gate rejects a split with Fisher odds 0.8 or 1.25 between the
-    children (z about -15 and +15 on the mean) and one that is most even
-    half the time, which halves the breach rate (z about -28 on the
+    children (z about -15 and +16 on the mean) and one that is most even
+    half the time, which halves the breach rate (z about -26 on the
     square); test_split_gate_rejects_each_stated_alternative feeds it
     seeded draws of each."""
     spec = parse_scenario(figure_scenario_text())
