@@ -130,34 +130,35 @@ def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
     commits when it holds >= quorum valid signatures from distinct
     validators over the candidate's commit statement.
 
-    Voters are asked in ``validators`` order, each at most once. A
-    recipient's count is the uniform votes plus its hooked matches, and the
-    hooked term is never negative. So the round stops as soon as the valid
-    uniform votes reach quorum: every recipient commits, no later voter is
-    asked (so none signs or is verified), and no hook is called. An
-    all-correct round then asks only the first ``quorum`` voters; a round
-    whose valid uniform votes stay below quorum asks every voter and costs
-    O(n + b*n) for b hooked voters. A hook must therefore be
-    deterministic and have no side effect that matters, and ``hook_of``
-    must not be relied on to run for every voter. Were the round to report,
-    per recipient, any digest that holds a quorum, this stop would stay
-    exact only while fewer than ``quorum`` voters are hooked, since they
-    alone could then give a recipient a conflicting quorum.
+    Correct voters are asked first, in ``validators`` order, each at most
+    once. A recipient's count is the uniform votes plus its hooked matches,
+    and the hooked term is never negative. So the round stops as soon as
+    the valid uniform votes reach quorum: every recipient commits, no later
+    voter signs or is verified, and ``hook_of`` is never called. Only when
+    the valid uniform votes stay below quorum is ``hook_of`` asked, for
+    every other voter in ``validators`` order, and the round costs
+    O(n + b*n) for b hooked voters. A hook must therefore be deterministic
+    and have no side effect that matters, and ``hook_of`` must not be
+    relied on to run at all. Were the round to report, per recipient, any
+    digest that holds a quorum, this stop would stay exact only while
+    fewer than ``quorum`` voters are hooked, since they alone could then
+    give a recipient a conflicting quorum.
     """
     digest = candidate.digest
     statement = commit_statement(chain, digest, candidate.height)
     uniform = 0
-    hooked = []
+    others = []  # voters with no signing closure, in validator order
     for voter in validators:
         sign = signers.get(voter)
         if sign is None:
-            hook = hook_of(voter)
-            if hook is not None:
-                hooked.append((voter, hook))
+            others.append(voter)
         elif verify(voter, statement, sign(statement)):
             uniform += 1
             if uniform >= quorum:
                 return dict.fromkeys(validators, True)
+    hooked = [(voter, hook)
+              for voter, hook in zip(others, map(hook_of, others))
+              if hook is not None]
     if not hooked:
         return dict.fromkeys(validators, False)
     checked = {}  # (voter, sig) -> bool; a hook may repeat a vote

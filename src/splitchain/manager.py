@@ -16,9 +16,10 @@ unchanged, and :func:`model.genesis_state` installs each genesis once. Only
 synchronous vote rounds (only consensus's quorum arithmetic matters here),
 while the division protocol is message-faithful: one DIVIDE per validator
 plus n^2 acks travel the simulated network, one calendar entry per broadcast
-and delivery tick. ``ChainSim.on_divide`` and ``ChainSim.on_ack`` judge an
-entry's request once, from the live tip (:meth:`ChainSim._judgment`), and
-return a receiver that runs once per recipient.
+and delivery tick. :meth:`Ecosystem.divide_chain` judges a request once,
+before its DIVIDE, and runs the network until idle, so a round runs whole
+with no commit inside it; ``ChainSim.on_divide`` and ``ChainSim.on_ack``
+return one receiver per calendar entry, for the per-recipient work.
 
 A correct validator's commit vote is its signature over the candidate's
 commit statement, signed and checked once: :meth:`ChainSim.commit` hands the
@@ -98,20 +99,19 @@ class AckMsg:
 class DivisionRound:
     """One division attempt on a chain, from its DIVIDE broadcast on.
 
-    A round is bound to the tip its DIVIDE names. Any commit after the DIVIDE
-    ends it: every validator then rejects the request as "not-tip". So while
-    a validator accepts the request, the chain's state is the round's tip
-    state. Each start_division makes a fresh round, so each attempt is judged
-    afresh and nothing a failed attempt left behind counts later.
+    Ecosystem.divide_chain opens a round at the chain's tip and runs the
+    network until it is idle, and no commit runs meanwhile, so the chain's
+    state is the round's tip state throughout. Each attempt makes a fresh
+    round, so nothing a failed attempt left behind counts later.
     """
 
     request: DivideRequest
     acks: dict = field(default_factory=dict)  # validator -> {signer: signature}
-    # validator -> why its latest DIVIDE or ACK delivery was refused
-    rejections: dict = field(default_factory=dict)
+    # validators that refused a delivery: they had not committed the tip
+    behind: set = field(default_factory=set)
     # (signer, signature) -> whether the signer is a member and the tag
-    # verifies, shared by every recipient. Exact: it is read only while the
-    # recipient accepts the request, so the statement and config are fixed.
+    # verifies, shared by every recipient. Exact: the statement and the
+    # config are fixed for the round.
     verdicts: dict = field(default_factory=dict)
 
 
@@ -292,44 +292,12 @@ class ChainSim:
 
     # -- division protocol ---------------------------------------------------
 
-    def start_division(self, initiator: UserId) -> DivideRequest:
-        """Open a new division round and broadcast its DIVIDE message from
-        `initiator` to every validator. Deliveries of an earlier round's
-        messages are ignored from now on."""
-        req = DivideRequest(self.chain_id, initiator, self.state.last_height,
-                            self.ledger[-1].digest)
-        self.division = DivisionRound(req)
-        self.eco.network.broadcast(initiator, self.validators, req)
-        return req
-
-    def _judgment(self, req: DivideRequest):
-        """(round, refusal) for one DIVIDE or ACK entry, or None for an
-        earlier round's `req`. `refusal`, read from the live tip, is the
-        reason all recipients share (None: only "behind" is left). Only
-        commit changes what it reads, and none runs inside a network run."""
-        rnd = self.division
-        if rnd.request is not req and rnd.request != req:
-            return None
-        cfg = self.state.config
-        if len(cfg.validators) < cfg.n_max:
-            return rnd, "trigger"
-        if req.initiator not in cfg.validator_set:
-            return rnd, "unknown-initiator"
-        if req.agreed_height != self.state.last_height:
-            return rnd, "not-tip"
-        if self.ledger[-1].digest != req.anchor_digest:
-            return rnd, "anchor-mismatch"
-        return rnd, None
-
     def on_divide(self, req: DivideRequest):
-        """The receiver of one DIVIDE calendar entry: receive(validator) acks
-        if the validator accepts the request; None for an earlier round's.
-        What it reads besides the validator's node is fixed while the
-        network runs, so it is read once per entry."""
-        judgment = self._judgment(req)
-        if judgment is None:
-            return None
-        rnd, refusal = judgment
+        """The receiver of one DIVIDE calendar entry of the chain's round:
+        receive(validator) acks if the validator has committed the tip. The
+        network delivers only to live validators, and the rest is fixed for
+        the round, so it is read once per entry."""
+        rnd = self.division
         committed, height = self.committed, req.agreed_height
         eco = self.eco
         network, signers = eco.network, eco._signers
@@ -337,12 +305,9 @@ class ChainSim:
                                         req.statement)
 
         def receive(validator):
-            if refusal is not None or committed[validator] < height:
-                rnd.rejections[validator] = refusal or "behind"
-                return
-            node = nodes[validator]
-            # now < crash_at: not node.crashed(now), inlined
-            if network.now < node.crash_at and node.strategy is None:
+            if committed[validator] < height:
+                rnd.behind.add(validator)
+            elif nodes[validator].strategy is None:
                 # correct: one ACK, its own closure's tag, to every validator
                 network.broadcast(validator, validators, AckMsg(
                     req, validator, signers[validator](statement)))
@@ -352,30 +317,24 @@ class ChainSim:
         return receive
 
     def _ack_through_respond(self, validator, req):
-        """A crashed or Byzantine validator's ACKs, as respond answers."""
+        """A Byzantine validator's ACKs, as respond's hook answers."""
         network = self.eco.network
         hook = self.eco.respond(validator, SignRequest(req.statement))[1]
-        if hook is None:  # crashed: silent
-            return
         for recipient in self.validators:
             sig = hook(recipient)
             if sig is not None:  # None: withheld, nothing on the wire
                 network.send(validator, recipient, AckMsg(req, validator, sig))
 
     def on_ack(self, ack: AckMsg):
-        """The receiver of one ACK calendar entry: receive(validator) runs
-        once per delivery of `ack`; None when the ack belongs to an earlier
-        round. Acks can outrun the DIVIDE; the embedded request is judged
-        here. What a delivery can change (halted: the first completion
+        """The receiver of one ACK calendar entry of the chain's round:
+        receive(validator) runs once per delivery of `ack`. Acks can outrun
+        the DIVIDE. What a delivery can change (halted: the first completion
         retires the chain, so no later delivery completes the round; acks)
         is read per delivery, the rest once per entry."""
-        judgment = self._judgment(ack.request)
-        if judgment is None:
-            return None
-        rnd, refusal = judgment
-        req, rejections, committed = rnd.request, rnd.rejections, self.committed
+        rnd = self.division
+        req, behind, committed = rnd.request, rnd.behind, self.committed
         acks_of, height = rnd.acks, req.agreed_height
-        cfg = self.state.config  # the round's own while it is accepted
+        cfg = self.state.config  # the round's own: no commit runs in it
         quorum = cfg.quorum
         signer, sig = ack.signer, ack.signature
         ok = None  # the (signer, sig) verdict, once a delivery reads it
@@ -384,8 +343,8 @@ class ChainSim:
             nonlocal ok
             if self.halted:
                 return
-            if refusal is not None or committed[validator] < height:
-                rejections[validator] = refusal or "behind"
+            if committed[validator] < height:
+                behind.add(validator)
                 return
             if ok is None:
                 key = (signer, sig)
@@ -406,7 +365,7 @@ class ChainSim:
         return receive
 
     def _complete_division(self, rnd: DivisionRound):
-        # the validator accepts the request, so self.state is its tip state
+        # no commit runs inside a round, so self.state is its tip state
         req = rnd.request
         seed = beacon(req.anchor_digest)
         scheme = self.eco.assignment_scheme
@@ -577,39 +536,37 @@ class Ecosystem:
         return sim.config
 
     def divide_chain(self, chain_id: ChainId, initiator: UserId = None) -> tuple:
-        """Run the division protocol to completion (direct-drive mode).
+        """Run one division round of the chain to completion.
 
-        Returns the two child ChainSims, or raises UnknownInitiator /
-        TriggerNotMet / NoQuorum mirroring what correct validators reported.
-        Raises DuplicateChainId, before any message is sent, when a child id
-        is already taken.
+        Judged once, before any message is sent: an initiator outside the
+        validators raises UnknownInitiator, a taken child id
+        DuplicateChainId, a chain below its trigger TriggerNotMet. Then the
+        DIVIDE for the tip goes out and the network runs until idle, with
+        no commit in between. Returns the two children, or raises NoQuorum.
         """
         sim = self._live(chain_id)
+        cfg = sim.config
         if initiator is None:
-            initiator = sim.validators[0]
-        if initiator not in self.users:
-            # no account means no network presence: certainly not a validator
+            initiator = cfg.validators[0]
+        if initiator not in cfg.validator_set:
             raise UnknownInitiator(f"{_name(initiator)} is not a validator "
                                    f"of {_name(chain_id)}")
         children = child_chain_ids(chain_id)
         for child in children:
             self._check_id_free(child)
-        sim.start_division(initiator)
-        n = len(sim.validators)
+        n = len(cfg.validators)
+        if n < cfg.n_max:
+            raise TriggerNotMet(f"chain {_name(chain_id)} has {n} "
+                                f"validators, trigger is {cfg.n_max}")
+        req = DivideRequest(chain_id, initiator, sim.state.last_height,
+                            sim.ledger[-1].digest)
+        rnd = sim.division = DivisionRound(req)
+        self.network.broadcast(initiator, cfg.validators, req)
         # a DIVIDE to each validator, then at most n acks from each
         self.network.run_until_idle(n + n * n)
-        if all(c in self.chains for c in children):
+        if sim.halted:
             return self.chains[children[0]], self.chains[children[1]]
-        reasons = set(sim.division.rejections.values())
-        if "unknown-initiator" in reasons:
-            raise UnknownInitiator(f"{_name(initiator)} is not a validator "
-                                   f"of {_name(chain_id)}")
-        if "trigger" in reasons:
-            raise TriggerNotMet(
-                f"chain {_name(chain_id)} has {len(sim.validators)} "
-                f"validators, trigger is {sim.config.n_max}")
-        rejected = (f"; rejected: {', '.join(sorted(reasons))}" if reasons
-                    else "")
+        rejected = "; rejected: behind" if rnd.behind else ""
         raise NoQuorum(
             f"division of {_name(chain_id)} gathered no quorum "
             f"(need {sim.quorum} acks{rejected})")
@@ -696,10 +653,10 @@ class Ecosystem:
         `sign` is the validator's signing closure, made once by
         register_user. It calls scheme.sign(public_key, message), looked up
         at call time, so every tag a validator gives goes through
-        SignatureScheme.sign. Neither a commit round nor a division asks
-        respond for a correct validator's vote or ACK: ChainSim.commit
-        passes run_commit_round that validator's closure, and the receiver
-        ChainSim.on_divide returns signs with it.
+        SignatureScheme.sign. A correct validator's vote or ACK never comes
+        here (it is its own closure's tag), a vote only once the round's
+        correct votes fall short of quorum, and an ACK only from a Byzantine
+        validator, since the network never delivers to a crashed one.
         """
         network = self.network
         node = network.nodes[validator]

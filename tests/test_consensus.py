@@ -330,10 +330,11 @@ def test_commit_round_matches_per_pair_reference(behaviours, alpha):
 @example(behaviours=["honest", "misnamed", "equivocate", "honest",
                      "honest"], alpha=Fraction(1, 2))
 def test_commit_round_stops_at_the_qth_valid_uniform_vote(behaviours, alpha):
-    """Voters are asked in validator order, each once, and the round stops
-    right after the q-th valid uniform vote: no later voter is asked and
-    no hook is called, even for hooked voters placed before it. When valid
-    uniform votes stay below q, every voter is asked. An honest voter is
+    """Honest voters are asked first, in validator order, each once, and
+    the round stops right after the q-th valid uniform vote: no later voter
+    is asked, and hook_of is never called, even for voters placed before
+    it. When valid uniform votes stay below q, every honest voter is asked,
+    then every other voter, each in validator order. An honest voter is
     asked by signing; every other voter through hook_of."""
     *head, signers, hook_of = ecosystem_round(behaviours, alpha)
     validators, quorum = head[2], head[3]
@@ -361,10 +362,10 @@ def test_commit_round_stops_at_the_qth_valid_uniform_vote(behaviours, alpha):
 
     outcome = run_commit_round(*head, counting_signers, counting_hook_of)
     assert outcome == reference_commit_round(*head, signers, hook_of)
-    honest_at = [i for i, b in enumerate(behaviours) if b == "honest"]
-    if len(honest_at) >= quorum:
-        assert asked == list(validators[:honest_at[quorum - 1] + 1])
+    honest = [v for v, b in zip(validators, behaviours) if b == "honest"]
+    if len(honest) >= quorum:
+        assert asked == honest[:quorum]
         assert hooks_called == []
         assert all(outcome.values())
     else:
-        assert asked == list(validators)
+        assert asked == honest + [v for v in validators if v not in honest]

@@ -23,6 +23,7 @@ from splitchain.errors import (
 from splitchain.manager import (
     AckMsg,
     ChainSim,
+    DivideRequest,
     Ecosystem,
     SignRequest,
     VoteRequest,
@@ -74,11 +75,12 @@ class CountingScheme(SignatureScheme):
 
 def build_eco(n=10, clients=0, alpha=HALF, kind="cft", n_max=None, seed=0,
               assets_per_client=0, faulty=(), strategies=None, scheme="randomized",
-              counting=False):
+              counting=False, d_max=1):
     """Ecosystem with one chain `root` of n validators (u000..) and clients
     (u100..); `faulty` ids are flagged, `strategies` maps id -> behavior.
-    With `counting`, eco.scheme is a CountingScheme."""
-    eco = Ecosystem(seed=seed, assignment_scheme=scheme)
+    With `counting`, eco.scheme is a CountingScheme. Message delays are
+    drawn from 1..d_max."""
+    eco = Ecosystem(seed=seed, d_max=d_max, assignment_scheme=scheme)
     if counting:
         eco.scheme = CountingScheme(seed)
     strategies = strategies or {}
@@ -416,17 +418,24 @@ def test_division_message_count_is_n_plus_n_squared():
 
 def test_a_division_rounds_calendar_holds_one_entry_per_broadcast():
     # unit delay: the DIVIDE is one entry at tick 1, and the n ack
-    # broadcasts it triggers are n entries at tick 2, not n^2 deliveries
+    # broadcasts it triggers are n entries at tick 2, not n^2 deliveries;
+    # the handler sees each entry once, as it is popped
     n = 50
     eco = build_eco(n=n)
     network = eco.network
-    eco.chains[b"root"].start_division(b"u000")
-    assert [len(recipients) for recipients, _ in network._queues[1]] == [n]
-    network.run_until(1)
-    assert list(network._queues) == [2]
-    assert [len(recipients) for recipients, _ in network._queues[2]] == [n] * n
-    assert network.messages_sent == n + n * n
-    network.run_until_idle()
+    handler, seen = network.handler, []
+
+    def recording(payload, now):
+        pending = [len(recipients) for recipients, _ in network._queues[now]]
+        seen.append((now, type(payload), pending, network.messages_sent))
+        return handler(payload, now)
+
+    network.handler = recording
+    eco.divide_chain(b"root", initiator=b"u000")
+    assert seen[0] == (1, DivideRequest, [], n)
+    assert seen[1] == (2, AckMsg, [n] * (n - 1), n + n * n)
+    assert [(now, kind) for now, kind, _, _ in seen] == (
+        [(1, DivideRequest)] + [(2, AckMsg)] * n)
     assert b"root.1" in eco.chains and b"root.2" in eco.chains
 
 
@@ -542,15 +551,84 @@ def test_division_into_a_taken_child_id_touches_nothing(retired):
     assert divide_events(eco) == []
 
 
-def test_install_checks_child_ids_before_retiring_the_parent():
-    # an id taken after the DIVIDE broadcast is caught at install time
-    eco = build_eco(n=4)
+@pytest.mark.parametrize("error,n_max,initiator", [
+    (TriggerNotMet, 8, b"u000"),
+    (UnknownInitiator, 4, b"mallory"),
+], ids=["trigger", "unknown-initiator"])
+def test_a_refused_division_sends_no_message(error, n_max, initiator):
+    # divide_chain judges the request before its DIVIDE: a refusal costs
+    # no message and no tick, and leaves no round behind
+    eco = build_eco(n=4, n_max=n_max)
+    eco.register_user(b"mallory", Role.VALIDATOR)  # an account, no seat
+    network = eco.network
+    network.run_until(3)
+    with pytest.raises(error):
+        eco.divide_chain(b"root", initiator=initiator)
+    assert network.messages_sent == 0 and network.now == 3
+    assert network._queues == {} and network._ticks == []
+    assert eco.chains[b"root"].division is None
+
+
+def test_a_division_is_refused_in_a_fixed_order():
+    # UnknownInitiator, then DuplicateChainId, then TriggerNotMet, each
+    # with the text it had when validators reported it
+    eco = build_eco(n=4, n_max=8)
     eco.register_user(b"x000", Role.VALIDATOR)
-    eco.chains[b"root"].start_division(b"u000")
+    eco.create_chain(b"root.2", [b"x000"])
+    with pytest.raises(UnknownInitiator,
+                       match="^x000 is not a validator of root$"):
+        eco.divide_chain(b"root", initiator=b"x000")
+    with pytest.raises(DuplicateChainId, match="^chain root.2 already"):
+        eco.divide_chain(b"root")
+    eco = build_eco(n=4, n_max=8)
+    with pytest.raises(TriggerNotMet,
+                       match="^chain root has 4 validators, trigger is 8$"):
+        eco.divide_chain(b"root")
+
+
+@pytest.mark.parametrize("n,d_max,strategies,crashed,divides", [
+    (10, 1, {}, (), True),
+    (10, 4, {}, (), True),  # acks outrun the DIVIDE
+    (7, 3, {b"u001": "equivocate", b"u004": "badsig"}, (), True),
+    (4, 1, dict.fromkeys((b"u001", b"u002", b"u003"), "withhold"), (), False),
+    (4, 3, dict.fromkeys((b"u001", b"u002", b"u003"), "badsig"), (), False),
+    (4, 2, {}, (b"u001", b"u002", b"u003"), False),  # drops
+], ids=["correct", "delays", "byzantine", "withhold", "badsig", "crashed"])
+def test_every_division_leaves_the_calendar_empty(n, d_max, strategies,
+                                                  crashed, divides):
+    # a round runs whole inside divide_chain, so none of its messages is
+    # left for a later run to deliver
+    eco = build_eco(n=n, d_max=d_max, strategies=strategies)
+    for u in crashed:
+        eco.crash_user(u)
+    network = eco.network
+    if divides:
+        eco.divide_chain(b"root", initiator=b"u000")
+    else:
+        with pytest.raises(NoQuorum):
+            eco.divide_chain(b"root", initiator=b"u000")
+    assert network.messages_sent > n
+    assert network._queues == {} and network._ticks == []
+    assert (b"root" in eco.retired) == divides
+
+
+def test_install_checks_child_ids_before_retiring_the_parent():
+    # divide_chain checks the child ids before its DIVIDE; an id taken
+    # after its round is caught at install time, when a direct ack
+    # completes the round it left (n=4, quorum 2: only u000 acked)
+    eco = build_eco(n=4, strategies=dict.fromkeys(
+        (b"u001", b"u002", b"u003"), "withhold"))
+    with pytest.raises(NoQuorum):
+        eco.divide_chain(b"root", initiator=b"u000")
+    eco.register_user(b"x000", Role.VALIDATOR)
     eco.create_chain(b"root.1", [b"x000"])
+    sim = eco.chains[b"root"]
+    req = sim.division.request
+    ack = AckMsg(req, b"u001", eco.scheme.sign(eco.users[b"u001"].public_key,
+                                               req.statement))
     with pytest.raises(DuplicateChainId, match="root.1"):
-        eco.network.run_until_idle()
-    assert not eco.chains[b"root"].halted and b"root" not in eco.retired
+        sim.on_ack(ack)(b"u000")
+    assert not sim.halted and b"root" not in eco.retired
     assert b"root.2" not in eco.chains and divide_events(eco) == []
 
 
@@ -633,33 +711,43 @@ def test_badsig_ackers_do_not_count():
 
 
 def test_ack_signer_is_checked_against_the_config_of_its_round():
-    # an ack from a registered non-member never counts; its signer's join
-    # is a commit, which ends the round, and a round opened after the join
-    # counts the joiner's ack (quorum 3 of 5, so it completes nothing)
-    eco = build_eco(n=4)
+    # n=5, quorum 3; the others vote but never ack, so only u000 acks. An
+    # ack from a registered non-member never counts in the round a failed
+    # divide_chain left; after the signer joins (a commit that leaves the
+    # silent ackers behind), the next round counts the joiner's ack
+    eco = build_eco(n=5, strategies=dict.fromkeys(
+        (b"u001", b"u002", b"u003", b"u004"), SilentAcker()))
     eco.register_user(b"u050", Role.VALIDATOR)
-    sim = eco.chains[b"root"]
     key = eco.users[b"u050"].public_key
-    req = sim.start_division(b"u000")
-    ack = AckMsg(req, b"u050", eco.scheme.sign(key, req.statement))
+    with pytest.raises(NoQuorum):
+        eco.divide_chain(b"root", initiator=b"u000")
+    sim = eco.chains[b"root"]
+    rnd = sim.division
+    ack = AckMsg(rnd.request, b"u050",
+                 eco.scheme.sign(key, rnd.request.statement))
     sim.on_ack(ack)(b"u001")
-    assert b"u001" not in sim.division.acks
+    assert rnd.acks[b"u001"].keys() == {b"u000"}
+    assert rnd.verdicts[b"u050", ack.signature] is False
     eco.join_chain(b"u050", b"root")
-    sim.on_ack(ack)(b"u001")
-    assert b"u001" not in sim.division.acks
-    assert sim.division.rejections == {b"u001": "not-tip"}
-    req = sim.start_division(b"u000")
-    ack = AckMsg(req, b"u050", eco.scheme.sign(key, req.statement))
-    sim.on_ack(ack)(b"u001")
-    assert sim.division.acks == {b"u001": {b"u050": ack.signature}}
+    with pytest.raises(NoQuorum, match="rejected: behind"):
+        eco.divide_chain(b"root", initiator=b"u000")
+    rnd = sim.division
+    tag = eco.scheme.sign(key, rnd.request.statement)
+    assert rnd.acks[b"u000"][b"u050"] == tag
+    assert rnd.acks[b"u000"].keys() == {b"u000", b"u050"}
 
 
 def test_ack_verdicts_are_memoised_per_round_by_signer_and_tag():
-    # n=4, quorum 2: acks from one signer never complete the division
-    eco = build_eco(n=4, counting=True)
+    # n=5, quorum 3: only u000 acks the rounds divide_chain runs, so acks
+    # from one more signer, fed to the round it leaves, never complete it
+    eco = build_eco(n=5, counting=True, strategies=dict.fromkeys(
+        (b"u001", b"u002", b"u003", b"u004"), "withhold"))
+    with pytest.raises(NoQuorum):
+        eco.divide_chain(b"root", initiator=b"u000")
     sim = eco.chains[b"root"]
     key = eco.users[b"u001"].public_key
-    req = sim.start_division(b"u000")
+    rnd, req = sim.division, sim.division.request
+    own = rnd.acks[b"u000"][b"u000"]
     good = eco.scheme.sign(key, req.statement)
     bad = sha256(b"garbage")
     # equal but distinct messages, and an equal but distinct request
@@ -670,77 +758,44 @@ def test_ack_verdicts_are_memoised_per_round_by_signer_and_tag():
                            (b"u003", AckMsg(twin, b"u001", good))):
         sim.on_ack(ack)(recipient)
     assert eco.scheme.verified[key] == 1
-    assert all(sim.division.acks[r] == {b"u001": good}
+    assert all(rnd.acks[r] == {b"u000": own, b"u001": good}
                for r in (b"u000", b"u002", b"u003"))
     # a second tag from the same signer is verified on its own, once, and
     # never counted
     for recipient in (b"u001", b"u002", b"u001"):
         sim.on_ack(AckMsg(req, b"u001", bad))(recipient)
     assert eco.scheme.verified[key] == 2
-    assert b"u001" not in sim.division.acks
-    assert sim.division.acks[b"u002"] == {b"u001": good}
+    assert rnd.acks[b"u001"] == {b"u000": own}
+    assert rnd.acks[b"u002"] == {b"u000": own, b"u001": good}
     # a new round judges every tag afresh
-    req = sim.start_division(b"u000")
+    with pytest.raises(NoQuorum):
+        eco.divide_chain(b"root", initiator=b"u000")
+    rnd, req = sim.division, sim.division.request
     sim.on_ack(AckMsg(req, b"u001", good))(b"u000")
     sim.on_ack(AckMsg(req, b"u001", bad))(b"u002")
     assert eco.scheme.verified[key] == 4
-    assert sim.division.acks == {b"u000": {b"u001": good}}
+    assert rnd.acks[b"u000"] == {b"u000": own, b"u001": good}
+    assert rnd.acks[b"u002"] == {b"u000": own}
 
 
 def test_a_fresh_division_is_judged_once_per_calendar_entry(monkeypatch):
-    # n=20 at unit delay, quorum q=10: one DIVIDE entry, then one ACK entry
-    # per acker until the q-th completes the division and retires the chain;
-    # the entries after it find no live chain and are never judged
+    # n=20 at unit delay, quorum q=10: divide_chain judges the request once,
+    # before the DIVIDE; then one DIVIDE entry, and one ACK entry per acker
+    # until the q-th completes the division and retires the chain, each get
+    # one receiver; the entries after it find no live chain
     eco = build_eco(n=20)
     calls = []
-    original = ChainSim._judgment
+    for name in ("on_divide", "on_ack"):
+        original = getattr(ChainSim, name)
 
-    def counted(sim, req):
-        calls.append(req)
-        return original(sim, req)
+        def counted(sim, payload, original=original):
+            calls.append(type(payload))
+            return original(sim, payload)
 
-    monkeypatch.setattr(ChainSim, "_judgment", counted)
+        monkeypatch.setattr(ChainSim, name, counted)
     eco.divide_chain(b"root", initiator=b"u000")
     assert eco.chain(b"root").quorum == 10
-    assert len(calls) == 1 + 10
-
-
-def test_a_commit_turns_a_rounds_refusal_into_not_tip():
-    # a round opened one validator short of n_max rejects an ack as
-    # "trigger"; the join that reaches n_max is a commit, which ends the
-    # round, so the same ack is judged from the new tip and rejected as
-    # "not-tip"
-    eco = build_eco(n=4, n_max=5)
-    eco.register_user(b"u050", Role.VALIDATOR)
-    sim = eco.chains[b"root"]
-    req = sim.start_division(b"u000")
-    ack = AckMsg(req, b"u001",
-                 eco.scheme.sign(eco.users[b"u001"].public_key,
-                                 req.statement))
-    sim.on_ack(ack)(b"u002")
-    assert sim.division.rejections == {b"u002": "trigger"}
-    assert b"u002" not in sim.division.acks
-    eco.join_chain(b"u050", b"root")
-    sim.on_ack(ack)(b"u002")
-    assert sim.division.rejections == {b"u002": "not-tip"}
-    assert b"u002" not in sim.division.acks
-
-
-def test_a_join_during_a_round_ends_it_and_the_retry_divides_at_the_new_tip():
-    # the join commits after the DIVIDE, so every validator rejects the
-    # round as not-tip and no child is built from the state before the join
-    eco = build_eco(n=4)
-    eco.register_user(b"u050", Role.VALIDATOR)
-    sim = eco.chains[b"root"]
-    sim.start_division(b"u000")
-    eco.join_chain(b"u050", b"root")
-    eco.network.run_until_idle()
-    assert set(eco.chains) == {b"root"} and divide_events(eco) == []
-    assert sim.division.rejections == {b"u%03d" % i: "not-tip"
-                                       for i in range(4)}
-    c1, c2 = eco.divide_chain(b"root", initiator=b"u000")
-    assert b"u050" in c1.validators + c2.validators
-    assert divide_events(eco)[-1].fields["n"] == 5
+    assert calls == [DivideRequest] + [AckMsg] * 10
 
 
 def test_no_quorum_names_the_rejection_reasons():
