@@ -12,8 +12,8 @@ cost per call, so it does not inflate call-heavy code.
 It prints, per function, its self share (samples with the function on top
 of the stack) and its inclusive share (samples with the function anywhere
 on the stack), the top TOP functions by self share. The ``__init__`` a
-frozen dataclass generates (compiled from ``<string>``) is charged to its
-caller, so a constructor's cost shows where the value is built; the share
+frozen dataclass or a ``model.record`` generates (compiled from
+``<string>``) is charged to its caller, so a constructor's cost shows where the value is built; the share
 of samples inside such an ``__init__`` is printed on its own line.
 
 Two limits of the method: the kernel checks a CPU timer at its scheduler

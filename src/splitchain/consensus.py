@@ -8,8 +8,6 @@ different recipients), stay silent, or emit garbage signatures; safety rests
 on the quorum arithmetic alone, which is exactly what the tests probe.
 """
 
-from dataclasses import dataclass
-
 from .errors import NoQuorum
 from .model import (
     Block,
@@ -20,6 +18,7 @@ from .model import (
     enc_bytes,
     enc_u64,
     quorum_size,
+    record,
     sha256,
 )
 
@@ -34,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class QuorumCertificate:
     """A statement plus at-least-quorum validator signatures over it."""
 
@@ -112,19 +111,21 @@ def commit_statement(chain: bytes, block_digest: Digest, height: int) -> bytes:
 
 
 def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
-                     verify, signers, hook_of) -> dict:
+                     verify, keys, sign, check, hook_of) -> dict:
     """One vote round over a candidate block, with per-recipient delivery.
 
-    ``signers`` maps each correct voter to its signing closure,
-    ``sign(message) -> signature``. A correct voter sends every recipient
-    the same vote, its signature over the candidate's commit statement, so
-    this uniform vote is signed and checked once, by ``verify(voter,
-    statement, signature)``, for all recipients; no other vote is uniform.
-    Every other voter is asked ``hook_of(voter)``: None for a silent
-    (crashed) voter, else a hook for a voter whose vote may differ per
-    recipient (a Byzantine one), and ``hook(recipient)`` is the vote
-    ``recipient`` receives, ``(digest, signature)`` or None for silence.
-    Each distinct (voter, signature) a hook gives is verified once.
+    ``keys`` maps each correct voter to its public key, and ``sign(key,
+    message)`` and ``check(key, message, signature)`` are the signature
+    scheme's own. A correct voter sends every recipient the same vote, its
+    signature over the candidate's commit statement, so this uniform vote
+    is one ``sign(key, statement)``, checked once by ``check`` for all
+    recipients; no other vote is uniform. Every other voter is asked
+    ``hook_of(voter)``: None for a silent (crashed) voter, else a hook for
+    a voter whose vote may differ per recipient (a Byzantine one), and
+    ``hook(recipient)`` is the vote ``recipient`` receives, ``(digest,
+    signature)`` or None for silence. Each distinct (voter, signature) a
+    hook gives is verified once, by ``verify(voter, statement,
+    signature)``.
 
     Returns {recipient: committed bool} for every validator; a recipient
     commits when it holds >= quorum valid signatures from distinct
@@ -147,12 +148,12 @@ def run_commit_round(chain: bytes, candidate: Block, validators, quorum: int,
     digest = candidate.digest
     statement = commit_statement(chain, digest, candidate.height)
     uniform = 0
-    others = []  # voters with no signing closure, in validator order
+    others = []  # voters with no key in ``keys``, in validator order
     for voter in validators:
-        sign = signers.get(voter)
-        if sign is None:
+        key = keys.get(voter)
+        if key is None:
             others.append(voter)
-        elif verify(voter, statement, sign(statement)):
+        elif check(key, statement, sign(key, statement)):
             uniform += 1
             if uniform >= quorum:
                 return dict.fromkeys(validators, True)

@@ -23,12 +23,16 @@ return one receiver per calendar entry, for the per-recipient work.
 
 A correct validator's commit vote is its signature over the candidate's
 commit statement, signed and checked once: :meth:`ChainSim.commit` hands the
-round each correct voter's signing closure. Its division ACK is likewise
-its closure's tag over the DIVIDE statement, broadcast as one message by
-the receiver :meth:`ChainSim.on_divide` returns. A crashed validator is
-silent, and a Byzantine one votes and acks through the per-recipient hook
-that :meth:`Ecosystem.respond` builds. Respond also answers every
-certificate share, and it is the only place a hook is built.
+round each correct voter's public key with the scheme's ``sign`` and
+``verify``, bound once per commit, so each vote is one
+``SignatureScheme.sign`` and one ``SignatureScheme.verify`` call. Its
+division ACK is likewise one ``scheme.sign`` under its key over the DIVIDE
+statement, broadcast as one message by the receiver
+:meth:`ChainSim.on_divide` returns. A crashed validator is silent, and a
+Byzantine one votes and acks through the per-recipient hook that
+:meth:`Ecosystem.respond` builds around a signing closure for its key.
+Respond also answers every certificate share, and it is the only place a
+hook is built.
 """
 
 import weakref
@@ -69,10 +73,11 @@ from .model import (
     enc_u64,
     make_block,
     memo,
+    record,
 )
 from .netsim import Network, make_strategy
 
-@dataclass(frozen=True)
+@record
 class DivideRequest:
     """The initiator's broadcast: divide `chain` at its tip, named by the
     tip's height and digest."""
@@ -88,7 +93,7 @@ class DivideRequest:
                 + enc_u64(self.agreed_height) + enc_bytes(self.anchor_digest))
 
 
-@dataclass(frozen=True)
+@record
 class AckMsg:
     request: DivideRequest
     signer: UserId
@@ -123,7 +128,7 @@ class DivisionRound:
 # into one validator's answer.
 
 
-@dataclass(frozen=True)
+@record
 class VoteRequest:
     """Vote on a candidate block. `value` is its digest; answers are
     (digest, signature over that digest's commit statement)."""
@@ -147,7 +152,7 @@ class VoteRequest:
                                              self.candidate.height))
 
 
-@dataclass(frozen=True)
+@record
 class SignRequest:
     """Sign a statement: a division ACK, or a certificate share answered to
     its collector (recipient None). `value` is the statement; answers are
@@ -191,7 +196,7 @@ def _shown(value):
     return value
 
 
-@dataclass(frozen=True)
+@record
 class Event:
     """One fact of a run: its tick, its kind (a key of EVENT_FORMATS) and
     the kind's fields. `text in event` searches its events.log line."""
@@ -223,6 +228,7 @@ class ChainSim:
     def __init__(self, eco: "Ecosystem", genesis: Block, parents: tuple):
         self.eco = weakref.proxy(eco)  # no cycle: a run is freed by refcount
         self.ledger = [genesis]
+        self.fault_count = (None, 0, 0)  # Ecosystem.chain_fault_count's cache
         self.state = model.genesis_state(genesis)
         self.chain_id = self.state.config.chain
         self.founders = self.state.config.validators  # its genesis installed
@@ -233,16 +239,20 @@ class ChainSim:
         self.division: DivisionRound | None = None
 
     @property
-    def config(self) -> ChainConfig:
-        return self.state.config
+    def state(self) -> model.ChainState:
+        return self._state
 
-    @property
-    def validators(self) -> tuple:
-        return self.state.config.validators
+    @state.setter
+    def state(self, state: model.ChainState) -> None:
+        # config and its validators are read far more often than the state
+        # is set, so each set stores them as plain attributes
+        self._state = state
+        self.config = state.config
+        self.validators = state.config.validators
 
     @property
     def quorum(self) -> int:
-        return self.state.config.quorum
+        return self.config.quorum
 
     # -- ordinary commits --------------------------------------------------
 
@@ -261,23 +271,25 @@ class ChainSim:
             state = apply_transaction(state, tx, scheme=self.eco.scheme)
         candidate = make_block(len(self.ledger), self.ledger[-1].digest, txs)
         eco = self.eco
-        network, signers = eco.network, eco._signers
+        network, users, scheme = eco.network, eco.users, eco.scheme
         nodes, now = network.nodes, network.now
-        correct = {}  # correct validator -> its signing closure
+        correct = {}  # correct validator -> its public key
         for v in self.validators:
             node = nodes[v]
             # now < crash_at: not node.crashed(now), inlined
             if now < node.crash_at and node.strategy is None:
-                correct[v] = signers[v]
+                correct[v] = users[v].public_key
         request = VoteRequest(self.chain_id, candidate)
         respond = eco.respond
 
         def hook_of(voter):  # crashed: None; Byzantine: its hook
             return respond(voter, request)[1]
 
+        # scheme.sign and scheme.verify are bound here, once per commit, so
+        # a patched or subclassed SignatureScheme sees every correct vote
         outcome = run_commit_round(
             self.chain_id, candidate, self.validators, self.quorum,
-            eco.verify, correct, hook_of)
+            eco.verify, correct, scheme.sign, scheme.verify, hook_of)
         if not any(outcome[v] for v in correct):
             stall = eco._emit("stall", chain=self.chain_id,
                               height=candidate.height)
@@ -300,7 +312,7 @@ class ChainSim:
         rnd = self.division
         committed, height = self.committed, req.agreed_height
         eco = self.eco
-        network, signers = eco.network, eco._signers
+        network, users, sign = eco.network, eco.users, eco.scheme.sign
         nodes, validators, statement = (network.nodes, self.validators,
                                         req.statement)
 
@@ -308,9 +320,10 @@ class ChainSim:
             if committed[validator] < height:
                 rnd.behind.add(validator)
             elif nodes[validator].strategy is None:
-                # correct: one ACK, its own closure's tag, to every validator
+                # correct: one ACK, its own key's tag, to every validator
                 network.broadcast(validator, validators, AckMsg(
-                    req, validator, signers[validator](statement)))
+                    req, validator, sign(users[validator].public_key,
+                                         statement)))
             else:
                 self._ack_through_respond(validator, req)
 
@@ -439,8 +452,6 @@ class Ecosystem:
         self.network = Network(_message_handler(self.chains),
                                seed=seed, d_min=d_min, d_max=d_max)
         self.users: dict[UserId, Account] = {}
-        # UserId -> sign(message), for commit votes, ACKs and respond
-        self._signers: dict = {}
         # UserId -> the REGISTER transaction geneses reuse (build_genesis)
         self._registered: dict = {}
         self.retired: dict[ChainId, ChainSim] = {}
@@ -457,18 +468,9 @@ class Ecosystem:
                       faulty: bool = False) -> Account:
         if user in self.users:
             raise AlreadyMember(f"user {user!r} already registered")
-        scheme = self.scheme
-        public_key = scheme.issue(user)
-        account = Account(user, public_key, role)
+        account = Account(user, self.scheme.issue(user), role)
         self.users[user] = account
         self.network.add_node(user)
-
-        def sign(message):
-            # scheme.sign is looked up on each call, so a patched or
-            # subclassed SignatureScheme.sign sees every tag
-            return scheme.sign(public_key, message)
-
-        self._signers[user] = sign
         if faulty:
             self.faulty.add(user)
         return account
@@ -606,7 +608,17 @@ class Ecosystem:
     # -- harness bookkeeping ------------------------------------------------------
 
     def chain_fault_count(self, sim: ChainSim) -> int:
-        return len(self.faulty.intersection(sim.validators))  # distinct ids
+        """How many of the chain's validators are flagged faulty, cached on
+        the chain under (config object, len(faulty)). Exact: a chain's
+        validators change only with its config, and `faulty` only grows, so
+        an equal length is an equal set."""
+        config, marked = sim.config, len(self.faulty)
+        cached = sim.fault_count
+        if cached[0] is config and cached[1] == marked:
+            return cached[2]
+        count = len(self.faulty.intersection(config.validators))
+        sim.fault_count = (config, marked, count)
+        return count
 
     def total_value(self) -> int:
         return sum(sim.state.total_value() for sim in self.chains.values())
@@ -650,11 +662,12 @@ class Ecosystem:
         validator's own key. Tags are deterministic, so the hook signs each
         distinct message once and repeats the tag for later recipients.
 
-        `sign` is the validator's signing closure, made once by
-        register_user. It calls scheme.sign(public_key, message), looked up
-        at call time, so every tag a validator gives goes through
-        SignatureScheme.sign. A correct validator's vote or ACK never comes
-        here (it is its own closure's tag), a vote only once the round's
+        `sign` is the validator's signing closure. It calls
+        scheme.sign(public_key, message), looked up at call time, so every
+        tag a validator gives goes through SignatureScheme.sign, patched or
+        subclassed after the ecosystem was built or not. A correct
+        validator's vote or ACK never comes here (commit and on_divide call
+        scheme.sign under its key directly), a vote only once the round's
         correct votes fall short of quorum, and an ACK only from a Byzantine
         validator, since the network never delivers to a crashed one.
         """
@@ -662,7 +675,11 @@ class Ecosystem:
         node = network.nodes[validator]
         if network.now >= node.crash_at:  # node.crashed(network.now)
             return None, None
-        sign = self._signers[validator]
+        scheme, key = self.scheme, self.users[validator].public_key
+
+        def sign(message):
+            return scheme.sign(key, message)
+
         strategy = node.strategy
         if strategy is None:
             return request.answer(request.value, sign), None
@@ -710,6 +727,7 @@ class Ecosystem:
 
     def _install_division(self, parent: ChainSim, geneses) -> None:
         born = self._replace((parent,), geneses)  # a taken id leaves all live
+        parent.division = None  # the retired parent keeps no round
         children = []
         for sim in born:
             n_i, f_i = len(sim.validators), self.chain_fault_count(sim)

@@ -13,7 +13,7 @@ and saves no time.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import IntEnum
 from fractions import Fraction
 
@@ -91,6 +91,39 @@ class memo:
         return value
 
 
+def record(cls):
+    """``dataclass(frozen=True)`` with a leaner ``__init__``: one generated
+    function that stores each field with ``object.__setattr__`` bound once,
+    as a global of that function, where dataclass's own looks the builtin
+    up per field, then runs ``__post_init__`` if the class has one. The
+    fields stay in the instance's inline values, as dataclass leaves them:
+    a single ``self.__dict__.update(...)`` would give every instance its
+    own dict, which doubles a small record's memory and slows every read
+    of its fields. ``init=False`` keeps dataclass from building a second
+    ``__init__``. Parameters, defaults, ``==``, ``hash``, ``repr`` and
+    ``dataclasses.replace`` are dataclass's. A field may have a default,
+    not a ``default_factory``."""
+    cls = dataclass(frozen=True, init=False)(cls)
+    namespace, params, stores = {"_set": object.__setattr__}, [], []
+    for f in fields(cls):
+        if f.default_factory is not MISSING:
+            raise TypeError(f"record field {cls.__name__}.{f.name} has a "
+                            "default_factory")
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        stores.append(f"    _set(self, {f.name!r}, {f.name})\n")
+    source = f"def __init__(self, {', '.join(params)}):\n{''.join(stores)}"
+    if hasattr(cls, "__post_init__"):
+        source += "    self.__post_init__()\n"
+    exec(source, namespace)
+    init = cls.__init__ = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
+
 class _Reader:
     """Cursor over canonical bytes, for parsing proof and registry files."""
 
@@ -126,7 +159,7 @@ class Role(IntEnum):
     VALIDATOR = 1
 
 
-@dataclass(frozen=True)
+@record
 class Account:
     user: UserId
     public_key: bytes
@@ -143,7 +176,7 @@ class Account:
         return self.encoded
 
 
-@dataclass(frozen=True)
+@record
 class Asset:
     asset_id: bytes
     owner: UserId
@@ -177,7 +210,7 @@ class TxKind(IntEnum):
     CONFIG_UPDATE = 6
 
 
-@dataclass(frozen=True)
+@record
 class RegisterPayload:
     account: Account
 
@@ -185,7 +218,7 @@ class RegisterPayload:
         return self.account.to_bytes()
 
 
-@dataclass(frozen=True)
+@record
 class AssetCreatePayload:
     asset: Asset
 
@@ -193,7 +226,7 @@ class AssetCreatePayload:
         return self.asset.to_bytes()
 
 
-@dataclass(frozen=True)
+@record
 class AssetTransferPayload:
     asset_id: bytes
     recipient: UserId
@@ -202,7 +235,7 @@ class AssetTransferPayload:
         return enc_bytes(self.asset_id) + enc_bytes(self.recipient)
 
 
-@dataclass(frozen=True)
+@record
 class LockPayload:
     asset_id: bytes
     value: int  # snapshot of the asset's value, re-minted by the claim
@@ -216,7 +249,7 @@ class LockPayload:
                 + enc_bytes(self.target_address) + enc_bytes(self.nonce))
 
 
-@dataclass(frozen=True)
+@record
 class ClaimPayload:
     lock_nonce: bytes
     asset_id: bytes
@@ -233,7 +266,7 @@ class ClaimPayload:
                 + enc_bytes(self.proof_bytes))
 
 
-@dataclass(frozen=True)
+@record
 class ResolvePayload:
     lock_nonce: bytes
     outcome: int  # 1 = claimed elsewhere (delete), 0 = aborted (unlock)
@@ -244,7 +277,7 @@ class ResolvePayload:
                 + enc_bytes(self.proof_bytes))
 
 
-@dataclass(frozen=True)
+@record
 class ConfigInstallPayload:
     """Genesis payload: installs the full chain configuration.
 
@@ -267,7 +300,7 @@ class ConfigInstallPayload:
                 + enc_seq([enc_bytes(n) + enc_u64(v) for n, v in self.claims]))
 
 
-@dataclass(frozen=True)
+@record
 class ConfigUpdatePayload:
     add_validators: tuple = ()  # tuple[Account, ...]
 
@@ -275,7 +308,7 @@ class ConfigUpdatePayload:
         return enc_seq([a.to_bytes() for a in self.add_validators])
 
 
-@dataclass(frozen=True)
+@record
 class Transaction:
     kind: TxKind
     payload: object
@@ -318,7 +351,7 @@ def at_fault_bound(f, n: int, alpha: Fraction):
     return f * alpha.denominator >= alpha.numerator * n
 
 
-@dataclass(frozen=True)
+@record
 class ConsensusParams:
     alpha: Fraction
     kind: str  # "cft" or "bft"
@@ -337,7 +370,7 @@ class ConsensusParams:
                 + enc_bytes(self.kind.encode()))
 
 
-@dataclass(frozen=True)
+@record
 class ChainConfig:
     chain: ChainId
     validators: tuple  # tuple[UserId, ...], ordered
@@ -363,7 +396,9 @@ class ChainConfig:
         return frozenset(self.validators)
 
     def members(self) -> tuple:
-        return tuple(self.validators) + tuple(
+        if not self.clients:
+            return self.validators
+        return self.validators + tuple(
             c for c in self.clients if c not in self.validators)
 
     def to_bytes(self) -> bytes:
@@ -377,7 +412,7 @@ class ChainConfig:
 
 # --- blocks and ledgers ------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Block:
     height: int
     parent_digest: Digest

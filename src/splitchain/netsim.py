@@ -6,21 +6,23 @@ delay model and processed by tick, in send order within a tick, so a
 ``send``; consecutive sends of one payload object that land on the same tick
 share one calendar entry, (recipients, payload), so a broadcast is one entry
 per delivery tick. The network's one handler is called once per entry,
-``handler(payload, now)``, and returns a ``receive(node_id)`` (or None:
-nobody acts on it) that runs for each recipient in order. Nodes are dumb
-mailboxes: protocol behavior lives in that handler, and fault status (crash
-schedule, Byzantine strategy) is consulted by it and by the delivery loop.
+``handler(payload, now)``, and returns a ``receive(node_id)`` that runs for
+each recipient in order, or None: nobody acts on it, and the entry is
+settled in one pass. Nodes are dumb mailboxes: protocol behavior lives in
+that handler, and fault status (crash schedule, Byzantine strategy) is
+consulted by it and by the delivery loop.
 
 A Byzantine strategy has one method, ``answer(request, recipient, sign)``:
 what the node sends ``recipient`` when asked to sign ``request`` (None for
 silence), using a ``sign(message)`` closure for the node's own key. The
 request is a commit vote, a division ACK or a certificate share; a share
 goes to its collector, with recipient None. A strategy is the only source
-of a commit vote besides a correct node's, which the round signs itself; a
-crashed node is silent. ``request.value`` is what a correct node endorses,
-and ``request.answer(value, sign)`` is what goes on the wire when a node
-endorses ``value``. The stock strategies' choices are deterministic
-functions of the recipient id, so runs stay reproducible.
+of a commit vote or ACK besides a correct node's, which the scheme signs
+under the node's key directly; a crashed node is silent. ``request.value``
+is what a correct node endorses, and ``request.answer(value, sign)`` is
+what goes on the wire when a node endorses ``value``. The stock
+strategies' choices are deterministic functions of the recipient id, so
+runs stay reproducible.
 """
 
 import heapq
@@ -61,7 +63,9 @@ class Network:
     object as the tick's last entry's joins that entry, which keeps every
     delivery's order: a broadcast with a fixed delay is one entry, and with
     random delays each recipient draws in target order and the recipients
-    are grouped by tick.
+    are grouped by tick. The entry send opened last is checked first,
+    before the tick's deque is looked up, since a broadcast's sends all
+    join it when the delay is fixed.
     """
 
     def __init__(self, handler, seed: int = 0, d_min: int = 1,
@@ -84,6 +88,8 @@ class Network:
         # tick -> deque of ([Node, ...], payload); never empty at rest
         self._queues = {}
         self._ticks = []  # heap of the ticks in _queues
+        # (tick, payload, recipients) of the entry send opened last
+        self._last = (None, None, None)
         self._running = False
 
     def add_node(self, node_id: bytes) -> Node:
@@ -118,15 +124,21 @@ class Network:
             self.node(src)
             self.node(dst)  # raises UnknownNode for whichever is missing
         self.messages_sent += 1
-        # The delay stream feeds nothing else, so a fixed delay skips it;
-        # otherwise this is randint(d_min, d_max), drawn as in __init__.
-        delay = self.d_min
-        if delay != self.d_max:
+        time = self.now + self.d_min  # delay > 0: never the tick being run
+        if self.d_min == self.d_max:
+            # A fixed delay skips the delay stream, which feeds nothing
+            # else, and a broadcast's sends all join the entry send opened
+            # last: still its tick's last entry, since a later one would
+            # have been opened after it.
+            last_time, last_payload, recipients = self._last
+            if last_payload is payload and last_time == time:
+                recipients.append(target)
+                return
+        else:  # randint(d_min, d_max), drawn as in __init__
             r = self._getrandbits(self._bits)
             while r >= self._width:
                 r = self._getrandbits(self._bits)
-            delay += r
-        time = self.now + delay  # delay > 0: never the tick being run
+            time += r
         queue = self._queues.get(time)
         if queue is None:
             queue = self._queues[time] = deque()
@@ -136,7 +148,9 @@ class Network:
             if entry[1] is payload:  # the same message: one more recipient
                 entry[0].append(target)
                 return
-        queue.append(([target], payload))
+        recipients = [target]
+        queue.append((recipients, payload))
+        self._last = (time, payload, recipients)
 
     def broadcast(self, src: bytes, targets, payload) -> None:
         """Send `payload` from `src` to each of `targets` (a sequence) in
@@ -156,7 +170,10 @@ class Network:
         handler raises, or the budget runs out, at an entry's k-th
         recipient, the recipients after it go back to the head of the tick's
         deque, so the rest of the tick stays queued in order (all of them
-        when the handler's per-entry call raises)."""
+        when the handler's per-entry call raises). An entry nobody acts on
+        (the handler returned None) is settled in one pass, its crashed
+        recipients counted as drops, unless it would cross the budget: then
+        it takes the per-recipient loop, which raises at the same delivery."""
         if self._running:
             raise RuntimeError("the network is already running; a handler "
                                "may not run it")
@@ -175,6 +192,13 @@ class Network:
                         pending = iter(recipients)
                         try:
                             receive = handler(payload, time)
+                            if (receive is None
+                                    and count + len(recipients) <= max_events):
+                                count += len(recipients)
+                                for node in recipients:
+                                    if time >= node.crash_at:  # node.crashed
+                                        self.messages_dropped += 1
+                                continue
                             for node in pending:
                                 if time >= node.crash_at:  # node.crashed
                                     self.messages_dropped += 1

@@ -18,8 +18,6 @@ messages, which keeps large randomized-schedule suites cheap while the
 certificates themselves stay byte-faithful.
 """
 
-from dataclasses import dataclass
-
 from .consensus import QuorumCertificate, collect_certificate, verify_certificate
 from .errors import (
     InvalidProof,
@@ -42,6 +40,7 @@ from .model import (
     enc_bytes,
     enc_u64,
     memo,
+    record,
     sha256,
 )
 
@@ -69,7 +68,7 @@ __all__ = [
 # --- freshness tags -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class FreshnessTag:
     """Verifier-issued anti-replay anchor.
 
@@ -110,7 +109,7 @@ class FreshnessTag:
 # treats False and None alike: no certificate is produced.
 
 
-@dataclass(frozen=True)
+@record
 class TxInclusion:
     """The block at ``height`` contains a transaction with this digest."""
 
@@ -129,7 +128,7 @@ class TxInclusion:
         return bytes([self.KIND]) + enc_bytes(self.tx_digest) + enc_u64(self.height)
 
 
-@dataclass(frozen=True)
+@record
 class ClaimDecided:
     """The chain's first committed claim verdict for ``nonce`` is ``verdict``.
 
@@ -174,7 +173,7 @@ def proof_statement(predicate, verdict: int, tag: FreshnessTag) -> bytes:
 # --- proofs ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class KnowledgeProof:
     """Quorum-certified claim that ``predicate`` held on the signing chain."""
 
@@ -212,7 +211,7 @@ class KnowledgeProof:
         return len(self.to_bytes())
 
 
-@dataclass(frozen=True)
+@record
 class TransferProof:
     """Inclusion proof of one leg of an asset transfer.
 

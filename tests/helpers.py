@@ -109,22 +109,24 @@ def reference_montecarlo(d, trials: int, seed: int = 0) -> tuple:
 
 
 def reference_commit_round(chain, candidate, validators, quorum, verify,
-                           signers, hook_of) -> dict:
+                           keys, sign, check, hook_of) -> dict:
     """run_commit_round by brute force: every recipient asks every voter.
 
     Each (voter, recipient) pair resolves the voter's vote on its own and
     checks its signature afresh, with no counting shared across recipients.
-    A voter in ``signers`` votes for the candidate with
-    ``signers[voter](statement)``; any other voter is silent when
-    ``hook_of(voter)`` is None and sends ``hook(recipient)`` otherwise.
+    A voter in ``keys`` votes for the candidate with ``sign(keys[voter],
+    statement)``; any other voter is silent when ``hook_of(voter)`` is None
+    and sends ``hook(recipient)`` otherwise. Every vote is checked by
+    ``verify(voter, ...)``, so ``check`` goes unused and a key in ``keys``
+    that is not its voter's own shows.
     """
     statement = commit_statement(chain, candidate.digest, candidate.height)
     outcome = {}
     for recipient in validators:
         matching = 0
         for voter in validators:
-            if voter in signers:
-                vote = candidate.digest, signers[voter](statement)
+            if voter in keys:
+                vote = candidate.digest, sign(keys[voter], statement)
             else:
                 hook = hook_of(voter)
                 vote = None if hook is None else hook(recipient)
@@ -194,12 +196,15 @@ class _HeapNetwork:
         self.now = max(self.now, horizon)
 
 
-def per_delivery(handler):
+def per_delivery(handler, ignored=None):
     """A netsim.Network handler, ``handler(payload, now) -> receive``, that
     calls a per-delivery ``handler(node_id, payload, now)`` for each
-    recipient of a calendar entry."""
+    recipient of a calendar entry. An entry whose payload ``ignored``
+    accepts gets no receiver: nobody acts on it."""
 
     def per_entry(payload, now):
+        if ignored is not None and ignored(payload):
+            return None
         return lambda node_id: handler(node_id, payload, now)
 
     return per_entry

@@ -145,8 +145,8 @@ def test_certificate_roundtrips_through_bytes(setup):
 
 # --- commit rounds ---------------------------------------------------------------
 #
-# signers: correct voter -> sign(message), the voters that sign the
-# candidate's statement directly. Every other voter answers hook_of(voter):
+# keys: correct voter -> its public key, the voters whose votes the round
+# signs with the scheme directly. Every other voter answers hook_of(voter):
 # None for a silent voter, or a per-recipient hook(recipient) -> vote.
 
 
@@ -154,9 +154,8 @@ def make_candidate():
     return make_block(1, sha256(b"parent"), [])
 
 
-def signers_of(scheme, pks, voters) -> dict:
-    return {v: (lambda message, pk=pks[v]: scheme.sign(pk, message))
-            for v in voters}
+def keys_of(pks, voters) -> dict:
+    return {v: pks[v] for v in voters}
 
 
 def round_with(setup, hook_of, correct=(), alpha=Fraction(1, 3)):
@@ -166,15 +165,15 @@ def round_with(setup, hook_of, correct=(), alpha=Fraction(1, 3)):
     verify = verify_by(scheme, pks)
     candidate = make_candidate()
     quorum = quorum_size(len(validators), alpha)
-    signers = signers_of(scheme, pks, correct)
+    keys = keys_of(pks, correct)
 
     def bound(voter):
         return hook_of(voter, candidate)
 
-    outcome = run_commit_round(b"c", candidate, validators, quorum,
-                               verify, signers, bound)
-    assert outcome == reference_commit_round(b"c", candidate, validators,
-                                             quorum, verify, signers, bound)
+    args = (b"c", candidate, validators, quorum, verify, keys, scheme.sign,
+            scheme.verify, bound)
+    outcome = run_commit_round(*args)
+    assert outcome == reference_commit_round(*args)
     return candidate, outcome
 
 
@@ -226,7 +225,7 @@ def test_equivocator_cannot_split_correct_nodes(setup):
     evil_digest = sha256(b"evil" + candidate.digest)
     quorum = quorum_size(4, Fraction(1, 3))
 
-    signers = signers_of(scheme, pks, correct)
+    keys = keys_of(pks, correct)
 
     def stmt(digest):
         return commit_statement(b"c", digest, candidate.height)
@@ -245,10 +244,10 @@ def test_equivocator_cannot_split_correct_nodes(setup):
             assert voter == byz
             return hook
 
-        outcome = run_commit_round(b"c", candidate, validators, quorum,
-                                   verify, signers, hook_of)
-        assert outcome == reference_commit_round(
-            b"c", candidate, validators, quorum, verify, signers, hook_of)
+        args = (b"c", candidate, validators, quorum, verify, keys,
+                scheme.sign, scheme.verify, hook_of)
+        outcome = run_commit_round(*args)
+        assert outcome == reference_commit_round(*args)
         for v in correct:
             assert outcome[v], (choices, v)
         # the evil digest holds at most 1 signature, far below quorum 3
@@ -263,8 +262,9 @@ BEHAVIOURS = ("honest", "crashed", "withhold", "badsig", "equivocate")
 
 def ecosystem_round(behaviours, alpha):
     """A chain of validators v00, v01, ... behaving as listed, a candidate
-    block and the round arguments: the honest voters' signing closures, as
-    ChainSim.commit passes them, and a hook_of that asks the ecosystem's
+    block and the round arguments: the honest voters' public keys and the
+    scheme's sign and verify, as ChainSim.commit passes them, and a hook_of
+    that asks the ecosystem's
     responder. A "forged" voter sends every recipient a vote whose signature
     does not verify. A "misnamed" voter sends every recipient a vote that
     names another digest, with a valid tag over the candidate's commit
@@ -281,8 +281,8 @@ def ecosystem_round(behaviours, alpha):
                            n_max=max(2, len(validators)))
     candidate = make_block(1, sim.ledger[-1].digest, [])
     request = VoteRequest(b"c", candidate)
-    signers = {v: eco._signers[v] for v, b in zip(validators, behaviours)
-               if b == "honest"}
+    keys = {v: eco.users[v].public_key
+            for v, b in zip(validators, behaviours) if b == "honest"}
     same = {v: b for v, b in zip(validators, behaviours)
             if b in ("forged", "misnamed")}
     other = sha256(b"other" + candidate.digest)
@@ -292,13 +292,14 @@ def ecosystem_round(behaviours, alpha):
         if behaviour == "forged":
             vote = candidate.digest, b"\x00" * 32
         elif behaviour == "misnamed":
-            vote = other, eco._signers[voter](request.statement)
+            vote = other, eco.scheme.sign(eco.users[voter].public_key,
+                                          request.statement)
         else:
             return eco.respond(voter, request)[1]
         return lambda recipient: vote
 
-    return (b"c", candidate, sim.validators, sim.quorum, eco.verify, signers,
-            hook_of)
+    return (b"c", candidate, sim.validators, sim.quorum, eco.verify, keys,
+            eco.scheme.sign, eco.scheme.verify, hook_of)
 
 
 @settings(max_examples=150, deadline=None)
@@ -336,18 +337,14 @@ def test_commit_round_stops_at_the_qth_valid_uniform_vote(behaviours, alpha):
     it. When valid uniform votes stay below q, every honest voter is asked,
     then every other voter, each in validator order. An honest voter is
     asked by signing; every other voter through hook_of."""
-    *head, signers, hook_of = ecosystem_round(behaviours, alpha)
+    *head, keys, sign, check, hook_of = ecosystem_round(behaviours, alpha)
     validators, quorum = head[2], head[3]
     asked, hooks_called = [], []
+    voter_of = {key: voter for voter, key in keys.items()}
 
-    def counting_signer(voter, sign):
-        def counted(message):
-            asked.append(voter)
-            return sign(message)
-        return counted
-
-    counting_signers = {v: counting_signer(v, sign)
-                        for v, sign in signers.items()}
+    def counting_sign(key, message):
+        asked.append(voter_of[key])
+        return sign(key, message)
 
     def counting_hook_of(voter):
         asked.append(voter)
@@ -360,8 +357,10 @@ def test_commit_round_stops_at_the_qth_valid_uniform_vote(behaviours, alpha):
             return hook(recipient)
         return counting_hook
 
-    outcome = run_commit_round(*head, counting_signers, counting_hook_of)
-    assert outcome == reference_commit_round(*head, signers, hook_of)
+    outcome = run_commit_round(*head, keys, counting_sign, check,
+                               counting_hook_of)
+    assert outcome == reference_commit_round(*head, keys, sign, check,
+                                             hook_of)
     honest = [v for v, b in zip(validators, behaviours) if b == "honest"]
     if len(honest) >= quorum:
         assert asked == honest[:quorum]

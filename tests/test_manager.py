@@ -283,11 +283,11 @@ def test_byzantine_voter_signs_once_per_distinct_message():
         candidate = make_block(1, sim.ledger[-1].digest, [])
         request = VoteRequest(b"root", candidate)
         eco.scheme.signs.clear()
-        signers = {v: eco._signers[v] for v in live}
+        keys = {v: pk(v) for v in live}
         hooks = {v: eco.respond(v, request)[1] for v in sim.validators
-                 if v not in signers}
+                 if v not in keys}
         args = (b"root", candidate, sim.validators, sim.quorum, eco.verify,
-                signers, hooks.__getitem__)
+                keys, eco.scheme.sign, eco.scheme.verify, hooks.__getitem__)
         outcome = run_commit_round(*args)
         # the equivocator sends two statements to n recipients: two tags
         assert eco.scheme.signs[pk(b"u001")] == 2, n
@@ -318,11 +318,12 @@ def test_byzantine_voter_is_asked_only_when_correct_votes_fall_short():
                                        (b"u001",))
             candidate = make_block(1, sim.ledger[-1].digest, [])
             request = VoteRequest(b"root", candidate)
-            signers = {v: eco._signers[v] for v in live}
+            keys = {v: eco.users[v].public_key for v in live}
             hooks = {v: eco.respond(v, request)[1] for v in sim.validators
-                     if v not in signers}
+                     if v not in keys}
             args = (b"root", candidate, sim.validators, sim.quorum,
-                    eco.verify, signers, hooks.__getitem__)
+                    eco.verify, keys, eco.scheme.sign, eco.scheme.verify,
+                    hooks.__getitem__)
             outcome = run_commit_round(*args)
             assert strategy.asked == (n if short else 0), (n, short)
             assert outcome == reference_commit_round(*args), (n, short)
@@ -612,6 +613,24 @@ def test_every_division_leaves_the_calendar_empty(n, d_max, strategies,
     assert (b"root" in eco.retired) == divides
 
 
+def test_a_divided_parent_keeps_no_round_and_a_failed_one_stays():
+    # a retired parent is kept for good, so its finished round (n x q ack
+    # entries and verdicts) is dropped; a failed round stays on its live
+    # chain until the next attempt replaces it
+    eco = build_eco(n=4, strategies=dict.fromkeys(
+        (b"u001", b"u002", b"u003"), "withhold"))
+    with pytest.raises(NoQuorum):
+        eco.divide_chain(b"root", initiator=b"u000")
+    failed = eco.chains[b"root"].division
+    assert {r: set(acks) for r, acks in failed.acks.items()} == dict.fromkeys(
+        (b"u000", b"u001", b"u002", b"u003"), {b"u000"})
+    eco = build_eco(n=10, d_max=3)
+    root = eco.chains[b"root"]
+    eco.divide_chain(b"root")
+    assert eco.chain(b"root") is root and root.halted
+    assert root.division is None
+
+
 def test_install_checks_child_ids_before_retiring_the_parent():
     # divide_chain checks the child ids before its DIVIDE; an id taken
     # after its round is caught at install time, when a direct ack
@@ -834,10 +853,65 @@ def test_every_vote_and_ack_goes_through_the_scheme_sign_of_call_time(
                     for v in sim.validators[:sim.quorum]]
     assert signed == [(pk, statement) for pk in first_quorum]
     del signed[:]
+    # the retired parent keeps no round, so the statement is rebuilt from
+    # the DIVIDE for its tip
+    statement = DivideRequest(b"root", b"u000", sim.state.last_height,
+                              sim.ledger[-1].digest).statement
     eco.divide_chain(b"root", initiator=b"u000")
-    statement = sim.division.request.statement
     assert sorted(signed) == sorted((eco.users[v].public_key, statement)
                                     for v in sim.validators)
+
+
+def test_a_sign_patched_after_the_build_sees_every_byzantine_tag(
+        monkeypatch):
+    # the promise of respond's signing closure: an equivocator's votes and
+    # ACKs, signed through respond's hook, reach a SignatureScheme.sign
+    # patched after the ecosystem is built, each distinct message once,
+    # beside every correct validator's tag
+    eco = build_eco(n=4, strategies={b"u001": "equivocate"})
+    sim = eco.chains[b"root"]
+    signed = []
+    original = SignatureScheme.sign
+
+    def patched(scheme, public_key, message):
+        signed.append((public_key, message))
+        return original(scheme, public_key, message)
+
+    def pk(user):
+        return eco.users[user].public_key
+
+    def equivocated(statement, value_of):
+        # the messages the equivocator signs: one per distinct value
+        return {(pk(b"u001"), value_of(sha256(b"evil" + statement)
+                                       if _targets_recipient(r) else statement))
+                for r in sim.validators}
+
+    monkeypatch.setattr(SignatureScheme, "sign", patched)
+    # u002 and u003 crashed: u000's vote alone falls short of quorum 2, so
+    # the round asks the equivocator's hook for every recipient
+    eco.crash_user(b"u002", at_time=0)
+    eco.crash_user(b"u003", at_time=0)
+    block = sim.commit([])  # u000 gets the equivocator's honest vote
+
+    def vote_message(digest):
+        return commit_statement(b"root", digest, block.height)
+
+    votes = equivocated(block.digest, vote_message)
+    assert len(votes) == 2
+    assert sorted(signed) == sorted(
+        {(pk(b"u000"), vote_message(block.digest))} | votes)
+    # a division: every validator ACKs at the DIVIDE's tick, the correct
+    # ones with their own key's tag, the equivocator through its hook
+    eco = build_eco(n=4, strategies={b"u001": "equivocate"})
+    sim = eco.chains[b"root"]
+    del signed[:]
+    statement = DivideRequest(b"root", b"u000", sim.state.last_height,
+                              sim.ledger[-1].digest).statement
+    eco.divide_chain(b"root", initiator=b"u000")
+    acks = equivocated(statement, lambda value: value)
+    assert len(acks) == 2
+    assert sorted(signed) == sorted(
+        {(pk(v), statement) for v in (b"u000", b"u002", b"u003")} | acks)
 
 
 def test_crashed_validators_never_ack():
@@ -847,6 +921,49 @@ def test_crashed_validators_never_ack():
     eco.crash_user(b"u001")
     with pytest.raises(NoQuorum):
         eco.divide_chain(b"root", initiator=b"u000")
+
+
+def _fresh_fault_count(eco, sim):
+    return len(eco.faulty & set(sim.validators))
+
+
+def test_the_fault_count_cache_equals_a_fresh_intersection():
+    # chain_fault_count caches per chain under (config object,
+    # len(faulty)); every way a chain's validators or the faulty set
+    # change must show in the next count
+    eco = build_eco(n=6, n_max=8, faulty={b"u001"}, strategies={})
+    root = eco.chains[b"root"]
+
+    def check(*sims):
+        for sim in sims:
+            assert eco.chain_fault_count(sim) == _fresh_fault_count(eco, sim)
+            # twice: the second read comes from the cache
+            assert eco.chain_fault_count(sim) == _fresh_fault_count(eco, sim)
+
+    check(root)
+    assert eco.chain_fault_count(root) == 1
+    eco.register_user(b"u050", Role.VALIDATOR, faulty=True)  # a faulty join
+    check(root)
+    eco.join_chain(b"u050", b"root")
+    check(root)
+    assert eco.chain_fault_count(root) == 2
+    eco.crash_user(b"u002", at_time=5)  # a sitting validator, crash later
+    check(root)
+    eco.mark_byzantine(b"u003", "withhold")
+    check(root)
+    assert eco.chain_fault_count(root) == 4
+    eco.register_user(b"u051", Role.VALIDATOR)
+    eco.join_chain(b"u051", b"root")  # n reaches the trigger, 8
+    check(root)
+    c1, c2 = eco.divide_chain(b"root")
+    check(root, c1, c2)
+    assert (eco.chain_fault_count(c1) + eco.chain_fault_count(c2)
+            == eco.chain_fault_count(root) == 4)
+    eco.crash_user(sorted(set(c1.validators) - eco.faulty)[0])
+    check(c1, c2)
+    merged = eco.fuse_chains(c1.chain_id, c2.chain_id)
+    check(merged)
+    assert eco.chain_fault_count(merged) == 5
 
 
 def test_division_bookkeeping_counts_faults():

@@ -617,3 +617,124 @@ def test_successors_equal_what_dataclasses_replace_builds(monkeypatch):
     assert set(sites) == {(TxKind.CONFIG_UPDATE, True),
                           (TxKind.ASSET_TRANSFER, False),
                           (TxKind.LOCK, False), (TxKind.RESOLVE, False)}
+
+
+# --- records: frozen dataclasses with a one-shot __init__ ---------------------
+
+
+def _record_classes():
+    from splitchain import consensus, xchain
+    for module in (model, manager, consensus, xchain):
+        for value in vars(module).values():
+            if (isinstance(value, type) and value.__module__ == module.__name__
+                    and dataclasses.is_dataclass(value)
+                    and value.__dataclass_params__.frozen):
+                yield value
+
+
+def test_every_frozen_dataclass_but_chain_state_is_a_record():
+    classes = set(_record_classes())
+    assert {ChainConfig, Transaction, manager.AckMsg, manager.Event} <= classes
+    for cls in classes:
+        # dataclass built no __init__: the record's own stores the fields
+        assert cls.__dataclass_params__.init is (cls is ChainState), cls
+        assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+
+
+def _twin(value):
+    """A plain frozen dataclass of the same name and fields, holding the
+    same field values."""
+    cls = type(value)
+    twin = dataclasses.make_dataclass(
+        cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)],
+        frozen=True)
+    return twin(**{f.name: getattr(value, f.name)
+                   for f in dataclasses.fields(cls)})
+
+
+RECORD_VALUES = [
+    Asset(b"coin", b"u100", 3),
+    Asset(b"coin", b"u100", 3, True, (b"dst", b"u200")),
+    Account(b"u000", b"pk", Role.VALIDATOR),
+    make_config(n_validators=3, n_clients=2),
+    Transaction(TxKind.ASSET_TRANSFER, AssetTransferPayload(b"coin", b"u1"),
+                b"u0", b"sig"),
+    make_block(1, ZERO_DIGEST, []),
+    model.ConsensusParams(Fraction(1, 3), "bft"),
+]
+
+
+@pytest.mark.parametrize("value", RECORD_VALUES,
+                         ids=lambda value: type(value).__name__)
+def test_a_record_is_frozen_and_compares_as_its_field_wise_twin(value):
+    twin = _twin(value)
+    assert repr(value) == repr(twin)
+    assert hash(value) == hash(twin)
+    again = type(value)(**{f.name: getattr(value, f.name)
+                           for f in dataclasses.fields(value)})
+    assert again == value and hash(again) == hash(value) and again is not value
+    first = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, first, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(value, first)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.extra = 1
+    assert copy.copy(value) == value
+
+
+def test_record_defaults_and_positional_arguments():
+    block = Block(0, ZERO_DIGEST, ())
+    assert block.digest == b"" and block == Block(0, ZERO_DIGEST, (), b"")
+    tx = Transaction(TxKind.REGISTER, None, b"u0")
+    assert tx.signature == b""
+    config = make_config()
+    install = model.ConfigInstallPayload(config)
+    assert (install.parent_chain, install.split_height, install.side,
+            install.locks, install.claims) == (None, 0, 0, (), ())
+    assert model.ConfigInstallPayload(config, b"p", 3, 1, (), ()) == (
+        model.ConfigInstallPayload(config, parent_chain=b"p", split_height=3,
+                                   side=1))
+    with pytest.raises(TypeError):
+        Block(0, ZERO_DIGEST)  # transactions has no default
+    with pytest.raises(TypeError):
+        Block(0, ZERO_DIGEST, (), b"", b"extra")
+    with pytest.raises(TypeError):
+        Block(0, ZERO_DIGEST, (), colour=1)
+
+
+def test_dataclasses_replace_builds_a_record_by_keyword():
+    asset = Asset(b"coin", b"u100", 3)
+    moved = dataclasses.replace(asset, owner=b"u101", value=4)
+    assert moved == Asset(b"coin", b"u101", 4)
+    with pytest.raises(ValueError, match="non-negative"):
+        dataclasses.replace(asset, value=-1)  # __post_init__ still runs
+    config = make_config(n_validators=3)
+    assert dataclasses.replace(config, n_max=9).n_max == 9
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: Asset(b"coin", b"u100", -1), "non-negative"),
+    (lambda: Asset(b"coin", b"u100", 1, True), "must agree"),
+    (lambda: Asset(b"coin", b"u100", 1, False, (b"c", b"u")), "must agree"),
+    (lambda: make_config(n_validators=0), "at least one validator"),
+    (lambda: make_config(n_max=1), "at least 2"),
+    (lambda: ChainConfig(b"c", (b"u0", b"u0"), (),
+                         model.ConsensusParams(Fraction(1, 2), "cft"), 4),
+     "duplicate validator"),
+    (lambda: model.ConsensusParams(Fraction(1, 2), "pow"), "unknown consensus"),
+    (lambda: model.ConsensusParams(Fraction(2, 3), "cft"), r"\(0, 1/2\]"),
+    (lambda: model.ConsensusParams(Fraction(0), "bft"), r"\(0, 1/2\]"),
+], ids=["asset-value", "asset-locked", "asset-target", "config-empty",
+        "config-trigger", "config-duplicate", "params-kind",
+        "params-alpha-high", "params-alpha-zero"])
+def test_every_record_post_init_check_still_raises(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_a_record_field_may_not_have_a_default_factory():
+    with pytest.raises(TypeError, match="default_factory"):
+        @model.record
+        class Bag:
+            items: list = dataclasses.field(default_factory=list)

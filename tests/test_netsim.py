@@ -95,14 +95,16 @@ class Boom(Exception):
     pass
 
 
-def drive(make_network, seed, d_max, calls) -> list:
+def drive(make_network, seed, d_max, calls, ignored=None) -> list:
     """Apply `calls` to a network of NODES, then drain it; log every
     delivery, what each call returned or raised, and the clock and counters
-    after it."""
+    after it. A delivery of a payload `ignored` accepts does nothing."""
     log = []
     labels = itertools.count()
 
     def handler(node_id, payload, now):
+        if ignored is not None and ignored(payload):
+            return
         label, plan = payload
         log.append(("deliver", node_id, label, now, net.now))
         for step in plan:
@@ -153,6 +155,71 @@ def test_scheduler_matches_the_heap_reference(d_max, seed, calls):
     log = drive(lambda handler, **kw: Network(per_delivery(handler), **kw),
                 seed, d_max, calls)
     assert log == drive(reference_network, seed, d_max, calls)
+
+
+def every_third(payload) -> bool:
+    return payload[0] % 3 == 0
+
+
+@given(st.sampled_from([1, 4]), st.integers(0, 3),
+       st.lists(CALLS, min_size=5, max_size=25))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_entries_nobody_acts_on_match_the_heap_reference(d_max, seed, calls):
+    # every third message gets no receiver, so _run settles its entry in
+    # one pass: the same clock, counters, drops and budget raises as a
+    # reference that delivers it one recipient at a time and does nothing
+    log = drive(lambda handler, **kw: Network(
+        per_delivery(handler, every_third), **kw), seed, d_max, calls,
+        every_third)
+    assert log == drive(reference_network, seed, d_max, calls, every_third)
+
+
+def _ignored_broadcast(make_network, crashed, budget):
+    """Broadcast a payload nobody acts on to a, b, c, a, b with `crashed`
+    down, then a message that is acted on; run with `budget`, then drain.
+    Returns what each run returned or raised, the log and the counters."""
+    log = []
+
+    def handler(node_id, payload, now):
+        if payload != "ignored":
+            log.append((node_id, payload, now))
+
+    net = make_network(handler)
+    for node in NODES:
+        net.add_node(node)
+    for node in crashed:
+        net.crash(node, 0)
+    net.broadcast(b"a", [b"a", b"b", b"c", b"a", b"b"], "ignored")
+    net.send(b"a", b"b", "acted")
+    results = []
+    for max_events in (budget, 10**6):
+        try:
+            results.append(net.run_until_idle(max_events=max_events))
+        except RuntimeError as exc:
+            results.append(str(exc))
+    return results, log, net.now, net.messages_sent, net.messages_dropped
+
+
+@pytest.mark.parametrize("crashed", [(), (b"b",), (b"a", b"c")])
+@pytest.mark.parametrize("budget", [0, 2, 4, 5, 6, 10])
+def test_an_entry_nobody_acts_on_counts_its_crashed_recipients_as_drops(
+        crashed, budget):
+    # budgets 0-5 run out inside the ignored entry (or at the message after
+    # it), so the per-recipient loop must raise at the same delivery as the
+    # reference; 6 and 10 settle the entry in one pass
+    def ignore(payload):
+        return payload == "ignored"
+
+    ours = _ignored_broadcast(
+        lambda handler: Network(per_delivery(handler, ignore)), crashed,
+        budget)
+    assert ours == _ignored_broadcast(reference_network, crashed, budget)
+    results, log, _, sent, dropped = ours
+    assert sent == 6 and log == [(b"b", "acted", 1)] * (b"b" not in crashed)
+    assert dropped == sum(2 if node in (b"a", b"b") else 1
+                          for node in crashed) + (b"b" in crashed)
+    if budget < 6:
+        assert "event budget" in results[0]
 
 
 def test_send_counts_and_delivers_with_delay():
@@ -328,6 +395,22 @@ def test_sends_of_one_payload_object_to_one_tick_share_an_entry():
         (2, True), (1, False), (1, True)]
     net.run_until_idle()
     assert [dst for dst, _, _ in seen] == [b"b", b"a", b"a", b"b"]
+
+
+def test_a_payload_sent_again_at_a_later_tick_gets_its_own_entry():
+    # send checks the entry it opened last first; the same payload object
+    # sent after the clock moved lands on another tick, whether that entry
+    # is still queued or already delivered
+    net, seen = net_pair(d_min=3, d_max=3)
+    x = ["x"]
+    net.send(b"a", b"b", x)  # lands at 3
+    net.run_until(1)
+    net.send(b"a", b"a", x)  # lands at 4, while tick 3 is still queued
+    assert sorted(net._queues) == [3, 4]
+    net.run_until_idle()
+    net.send(b"b", b"a", x)  # lands at 7, after both were delivered
+    assert net.run_until_idle() == 1
+    assert seen == [(b"b", x, 3), (b"a", x, 4), (b"a", x, 7)]
 
 
 def test_random_delay_broadcast_draws_per_recipient_in_target_order():
