@@ -31,8 +31,10 @@ statement, broadcast as one message by the receiver
 :meth:`ChainSim.on_divide` returns. A crashed validator is silent, and a
 Byzantine one votes and acks through the per-recipient hook that
 :meth:`Ecosystem.respond` builds around a signing closure for its key.
-Respond also answers every certificate share, and it is the only place a
-hook is built.
+A correct validator's certificate share is likewise one ``scheme.sign``
+under its key (:meth:`Ecosystem.cert_sign_fn`), so respond answers only
+crashed and Byzantine validators, for every request kind, and it is the
+only place a hook is built.
 """
 
 import weakref
@@ -125,7 +127,7 @@ class DivisionRound:
 # A request is what every validator is asked to sign. `value` is what a
 # correct validator endorses, and `answer(value, sign)` is what goes on the
 # wire when a validator endorses `value`. `Ecosystem.respond` turns a request
-# into one validator's answer.
+# into a crashed or Byzantine validator's answer.
 
 
 @record
@@ -154,9 +156,9 @@ class VoteRequest:
 
 @record
 class SignRequest:
-    """Sign a statement: a division ACK, or a certificate share answered to
-    its collector (recipient None). `value` is the statement; answers are
-    signatures."""
+    """Sign a statement: a Byzantine validator's division ACK, or a crashed
+    or Byzantine validator's certificate share, answered to its collector
+    (recipient None). `value` is the statement; answers are signatures."""
 
     statement: bytes
 
@@ -283,7 +285,7 @@ class ChainSim:
         respond = eco.respond
 
         def hook_of(voter):  # crashed: None; Byzantine: its hook
-            return respond(voter, request)[1]
+            return respond(voter, request)
 
         # scheme.sign and scheme.verify are bound here, once per commit, so
         # a patched or subclassed SignatureScheme sees every correct vote
@@ -332,7 +334,7 @@ class ChainSim:
     def _ack_through_respond(self, validator, req):
         """A Byzantine validator's ACKs, as respond's hook answers."""
         network = self.eco.network
-        hook = self.eco.respond(validator, SignRequest(req.statement))[1]
+        hook = self.eco.respond(validator, SignRequest(req.statement))
         for recipient in self.validators:
             sig = hook(recipient)
             if sig is not None:  # None: withheld, nothing on the wire
@@ -651,61 +653,61 @@ class Ecosystem:
         if self.chain(chain_id) is not None:
             raise DuplicateChainId(f"chain {_name(chain_id)} already exists")
 
-    def respond(self, validator: UserId, request) -> tuple:
-        """`validator`'s answer to a signing request, as (answer, hook).
+    def respond(self, validator: UserId, request):
+        """A crashed or Byzantine `validator`'s answer to a signing request:
+        None for a crashed validator, which is silent, else a hook.
+        hook(recipient) is strategy.answer(request, recipient, sign), whose
+        answer may differ per recipient. `sign` signs with the validator's
+        own key through scheme.sign(public_key, message), looked up at call
+        time, so every tag goes through SignatureScheme.sign, patched or
+        subclassed after the ecosystem was built or not. Tags are
+        deterministic, so the hook signs each distinct message once and
+        repeats the tag for later recipients.
 
-        A crashed validator answers None, and a correct one endorses the
-        request's value: request.answer(request.value, sign). Both send every
-        recipient the same answer, so hook is None. A Byzantine validator's
-        answer may differ per recipient: answer is None and hook(recipient)
-        is strategy.answer(request, recipient, sign), which signs with the
-        validator's own key. Tags are deterministic, so the hook signs each
-        distinct message once and repeats the tag for later recipients.
-
-        `sign` is the validator's signing closure. It calls
-        scheme.sign(public_key, message), looked up at call time, so every
-        tag a validator gives goes through SignatureScheme.sign, patched or
-        subclassed after the ecosystem was built or not. A correct
-        validator's vote or ACK never comes here (commit and on_divide call
-        scheme.sign under its key directly), a vote only once the round's
-        correct votes fall short of quorum, and an ACK only from a Byzantine
-        validator, since the network never delivers to a crashed one.
+        A correct validator is never asked: its commit vote, division ACK
+        and certificate share are one scheme.sign under its key (commit,
+        on_divide and cert_sign_fn). A vote is asked for only once the
+        round's correct votes fall short of quorum, and an ACK only from a
+        Byzantine validator, since the network never delivers to a crashed
+        one.
         """
         network = self.network
         node = network.nodes[validator]
         if network.now >= node.crash_at:  # node.crashed(network.now)
-            return None, None
+            return None
         scheme, key = self.scheme, self.users[validator].public_key
-
-        def sign(message):
-            return scheme.sign(key, message)
-
-        strategy = node.strategy
-        if strategy is None:
-            return request.answer(request.value, sign), None
         signed = {}  # message -> tag
 
         def sign_once(message):
             sig = signed.get(message)
             if sig is None:
-                sig = signed[message] = sign(message)
+                sig = signed[message] = scheme.sign(key, message)
             return sig
 
-        answer = strategy.answer
+        answer = node.strategy.answer
 
         def hook(recipient):
             return answer(request, recipient, sign_once)
 
-        return None, hook
+        return hook
 
     def cert_sign_fn(self, statement: bytes):
-        """collect_certificate's sign_fn: each validator's response to the
-        certificate's collector, which strategies see as recipient None."""
+        """collect_certificate's sign_fn: each validator's share to the
+        certificate's collector. A correct validator's share is one
+        scheme.sign under its key over the statement, bound here, once per
+        certificate; a crashed or Byzantine one is asked through respond,
+        and strategies see the collector as recipient None."""
+        network, users, sign = self.network, self.users, self.scheme.sign
+        nodes, respond = network.nodes, self.respond
         request = SignRequest(statement)
 
         def sign_fn(validator):
-            sig, hook = self.respond(validator, request)
-            return sig if hook is None else hook(None)
+            node = nodes[validator]
+            # now < crash_at: not node.crashed(now), inlined
+            if network.now < node.crash_at and node.strategy is None:
+                return sign(users[validator].public_key, statement)
+            hook = respond(validator, request)
+            return None if hook is None else hook(None)
 
         return sign_fn
 

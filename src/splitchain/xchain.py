@@ -55,7 +55,6 @@ __all__ = [
     "KnowledgeProof",
     "TransferProof",
     "proof_statement",
-    "parse_transaction",
     "issue_tag",
     "tok_generate_proof",
     "tok_verify_proof",
@@ -215,17 +214,18 @@ class KnowledgeProof:
 class TransferProof:
     """Inclusion proof of one leg of an asset transfer.
 
-    ``inner`` certifies that the carried transaction bytes were committed on
+    ``inner`` certifies that ``transaction`` was committed on
     ``attesting_chain``; ``kind`` says which leg ("lock", "claim", "abort")
-    those bytes represent, so the receiving side knows which state change to
-    perform.
+    the transaction represents, so the receiving side knows which state
+    change to perform. The proof's bytes carry the transaction's own
+    encoding.
     """
 
     KINDS = ("lock", "claim", "abort")
 
     kind: str
     inner: KnowledgeProof
-    tx_bytes: bytes
+    transaction: Transaction
     attesting_chain: ChainId
 
     def __post_init__(self):
@@ -236,40 +236,11 @@ class TransferProof:
     def encoded(self) -> bytes:
         return (bytes([self.KINDS.index(self.kind)])
                 + enc_bytes(self.inner.to_bytes())
-                + enc_bytes(self.tx_bytes)
+                + enc_bytes(self.transaction.to_bytes())
                 + enc_bytes(self.attesting_chain))
 
     def to_bytes(self) -> bytes:
         return self.encoded
-
-    @memo
-    def transaction(self) -> Transaction:
-        """The carried transaction, parsed once. Bytes that do not parse
-        raise what ``parse_transaction`` raises, on every read."""
-        return parse_transaction(self.tx_bytes)
-
-
-def parse_transaction(data: bytes) -> Transaction:
-    """Decode the transaction kinds that travel inside transfer proofs."""
-    r = _Reader(data)
-    kind = TxKind(r.take(1)[0])
-    pr = _Reader(r.read_bytes())
-    submitter = r.read_bytes()
-    signature = r.read_bytes()
-    if not r.done():
-        raise ValueError("trailing bytes after transaction")
-    if kind == TxKind.LOCK:
-        payload = LockPayload(pr.read_bytes(), pr.read_u64(), pr.read_bytes(),
-                              pr.read_bytes(), pr.read_bytes())
-    elif kind == TxKind.CLAIM:
-        payload = ClaimPayload(pr.read_bytes(), pr.read_bytes(), pr.read_u64(),
-                               pr.read_bytes(), pr.read_bytes(), pr.read_u64(),
-                               pr.read_bytes())
-    else:
-        raise ValueError(f"cannot parse transactions of kind {kind!r}")
-    if not pr.done():
-        raise ValueError("trailing bytes in payload")
-    return Transaction(kind, payload, submitter, signature)
 
 
 # --- tag issuance and knowledge transfer ------------------------------------------
@@ -378,15 +349,17 @@ def _signed(eco, user: UserId, kind: TxKind, payload) -> Transaction:
 
 
 def _find_asset_chain(eco, asset_id: bytes):
-    """The live chain whose copy of the asset is unlocked, else the first
-    holder. Between claim and resolve the target holds the new owner's
-    copy while the source still holds the locked one."""
-    holders = [sim for sim in eco.chains.values()
-               if asset_id in sim.state.assets]
+    """(chain, asset): the live chain whose copy of the asset is unlocked,
+    else the first holder. Between claim and resolve the target holds the
+    new owner's copy while the source still holds the locked one."""
+    holders = []
+    for sim in eco.chains.values():
+        asset = sim.state.assets.get(asset_id)
+        if asset is not None:
+            holders.append((sim, asset))
     if not holders:
         raise UnknownAsset(f"asset {asset_id!r} not found on any live chain")
-    return next((sim for sim in holders
-                 if not sim.state.assets[asset_id].locked), holders[0])
+    return next((held for held in holders if not held[1].locked), holders[0])
 
 
 def toa_lock(eco, owner: UserId, asset_id: bytes, target_addr: UserId,
@@ -396,8 +369,7 @@ def toa_lock(eco, owner: UserId, asset_id: bytes, target_addr: UserId,
     The target chain issues the freshness tag first; its nonce becomes the
     lock nonce, keying the whole transfer end to end.
     """
-    source = _find_asset_chain(eco, asset_id)
-    asset = source.state.assets[asset_id]
+    source, asset = _find_asset_chain(eco, asset_id)
     if asset.owner != owner:
         raise NotOwner(f"{owner!r} does not own {asset_id!r}")
     tag = issue_tag(eco, target_chain)
@@ -412,7 +384,7 @@ def toa_lock(eco, owner: UserId, asset_id: bytes, target_addr: UserId,
         raise SplitchainError("lock inclusion proof unavailable")
     eco._emit("lock", asset=asset_id, chain=source.chain_id,
               target=target_chain, nonce=tag.nonce.hex())
-    return TransferProof("lock", proof, tx.to_bytes(), source.chain_id)
+    return TransferProof("lock", proof, tx, source.chain_id)
 
 
 def toa_claim(eco, claimer: UserId, target: ChainId,
@@ -431,50 +403,47 @@ def toa_claim(eco, claimer: UserId, target: ChainId,
     if sim is None:
         raise UnknownUser(
             f"{claimer!r} is not a member of {target!r} or its descendants")
-    if claimer not in sim.state.accounts:
+    state = sim.state  # the target's state until its claim commits
+    if claimer not in state.accounts:
         raise UnknownUser(f"claimer {claimer!r} not registered on target")
 
     inner = lock_proof.inner
     nonce = inner.tag.nonce
     reason = None
     payload = None
+    tx = lock_proof.transaction
     if lock_proof.kind != "lock":
         reason = "not a lock proof"
+    elif tx.kind != TxKind.LOCK:
+        reason = "carried transaction is not a lock"
+    elif not isinstance(inner.predicate, TxInclusion):
+        reason = "proof does not attest a transaction inclusion"
+    elif inner.predicate.tx_digest != tx.digest:
+        reason = "proof attests a different transaction"
+    elif not _tag_acceptable(eco, sim, inner.tag):
+        reason = "tag was not issued here"
     else:
-        try:
-            tx = lock_proof.transaction
-        except (ValueError, IndexError):
-            tx = None
-        if tx is None or tx.kind != TxKind.LOCK:
-            reason = "carried transaction is not a lock"
-        elif not isinstance(inner.predicate, TxInclusion):
-            reason = "proof does not attest a transaction inclusion"
-        elif inner.predicate.tx_digest != tx.digest:
-            reason = "proof attests a different transaction"
-        elif not _tag_acceptable(eco, sim, inner.tag):
-            reason = "tag was not issued here"
+        payload = tx.payload
+        nonce = payload.nonce
+        source = eco.chain(lock_proof.attesting_chain)
+        if source is None:
+            reason = "unknown source chain"
+        elif payload.nonce != inner.tag.nonce:
+            reason = "lock nonce does not match tag nonce"
+        elif payload.target_chain not in _ancestry(eco, sim.chain_id):
+            reason = "lock targets a different chain"
+        elif payload.target_address != claimer:
+            reason = "lock targets a different address"
         else:
-            payload = tx.payload
-            nonce = payload.nonce
-            source = eco.chain(lock_proof.attesting_chain)
-            if source is None:
-                reason = "unknown source chain"
-            elif payload.nonce != inner.tag.nonce:
-                reason = "lock nonce does not match tag nonce"
-            elif payload.target_chain not in _ancestry(eco, sim.chain_id):
-                reason = "lock targets a different chain"
-            elif payload.target_address != claimer:
-                reason = "lock targets a different address"
-            else:
-                verdict, why = tok_verify_proof(
-                    inner, inner.tag, source.config, sim.state.last_height,
-                    eco.verify)
-                if verdict != 1:
-                    reason = why
-                elif nonce in sim.state.claims:
-                    reason = "lock nonce already claimed"
-                elif payload.asset_id in sim.state.assets:
-                    reason = "asset id already exists on target"
+            verdict, why = tok_verify_proof(
+                inner, inner.tag, source.config, state.last_height,
+                eco.verify)
+            if verdict != 1:
+                reason = why
+            elif nonce in state.claims:
+                reason = "lock nonce already claimed"
+            elif payload.asset_id in state.assets:
+                reason = "asset id already exists on target"
 
     if reason is None:
         claim_payload = ClaimPayload(nonce, payload.asset_id, payload.value,
@@ -490,6 +459,7 @@ def toa_claim(eco, claimer: UserId, target: ChainId,
         kind = "abort"
     claim_tx = _signed(eco, claimer, TxKind.CLAIM, claim_payload)
     sim.commit([claim_tx])
+    state = sim.state
     outcome = "accepted" if reason is None else f"recorded failure ({reason})"
     eco._emit("claim", nonce=nonce.hex(), chain=sim.chain_id, outcome=outcome)
 
@@ -502,18 +472,18 @@ def toa_claim(eco, claimer: UserId, target: ChainId,
         raise UnknownLock(
             f"no live chain holds the lock for nonce {nonce.hex()}")
     back_tag = issue_tag(eco, source_sim.chain_id)
-    decision = sim.state.claims.get(nonce)
+    decision = state.claims.get(nonce)
     if kind == "claim" or decision == 0:
         back_pred = ClaimDecided(nonce, 1 if kind == "claim" else 0)
     else:
         # a failure recorded after the nonce was already claimed: attest
         # only this attempt's inclusion, which resolve will not accept as
         # the lock's decision
-        back_pred = TxInclusion(claim_tx.digest, sim.state.last_height)
+        back_pred = TxInclusion(claim_tx.digest, state.last_height)
     back = tok_generate_proof(eco, claimer, sim.chain_id, back_pred, back_tag)
     if back is None:
         raise SplitchainError("claim decision proof unavailable")
-    return TransferProof(kind, back, claim_tx.to_bytes(), sim.chain_id)
+    return TransferProof(kind, back, claim_tx, sim.chain_id)
 
 
 def toa_resolve(eco, source: ChainId, proof: TransferProof) -> str:
@@ -525,10 +495,7 @@ def toa_resolve(eco, source: ChainId, proof: TransferProof) -> str:
     """
     if proof.kind not in ("claim", "abort"):
         raise InvalidProof(f"cannot resolve with a {proof.kind!r} proof")
-    try:
-        tx = proof.transaction
-    except (ValueError, IndexError) as exc:
-        raise InvalidProof(f"carried transaction unreadable: {exc}") from None
+    tx = proof.transaction
     if tx.kind != TxKind.CLAIM:
         raise InvalidProof("carried transaction is not a claim")
     payload = tx.payload
@@ -552,12 +519,13 @@ def toa_resolve(eco, source: ChainId, proof: TransferProof) -> str:
     target = eco.chain(proof.attesting_chain)
     if target is None:
         raise InvalidProof(f"unknown chain {proof.attesting_chain!r}")
+    state = sim.state
     verdict, why = tok_verify_proof(inner, inner.tag, target.config,
-                                    sim.state.last_height, eco.verify)
+                                    state.last_height, eco.verify)
     if verdict != 1:
         raise InvalidProof(why)
 
-    owner = sim.state.assets[sim.state.locks[payload.lock_nonce]].owner
+    owner = state.assets[state.locks[payload.lock_nonce]].owner
     resolve_payload = ResolvePayload(payload.lock_nonce, expected_verdict,
                                      proof.to_bytes())
     sim.commit([_signed(eco, owner, TxKind.RESOLVE, resolve_payload)])

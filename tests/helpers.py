@@ -18,8 +18,13 @@ from splitchain.model import (
     Account,
     Asset,
     ChainConfig,
+    ClaimPayload,
     ConsensusParams,
+    LockPayload,
     Role,
+    Transaction,
+    TxKind,
+    _Reader,
 )
 
 
@@ -251,3 +256,41 @@ def make_accounts(config: ChainConfig, scheme) -> dict:
 
 def demo_asset(i: int, owner: bytes, value: int = 1) -> Asset:
     return Asset(b"asset-%03d" % i, owner, value)
+
+
+def parse_transaction(data: bytes) -> Transaction:
+    """The reference decoder of the transaction kinds that travel inside
+    transfer proofs, LOCK and CLAIM; anything else raises ValueError."""
+    r = _Reader(data)
+    kind = TxKind(r.take(1)[0])
+    pr = _Reader(r.read_bytes())
+    submitter = r.read_bytes()
+    signature = r.read_bytes()
+    if not r.done():
+        raise ValueError("trailing bytes after transaction")
+    if kind == TxKind.LOCK:
+        payload = LockPayload(pr.read_bytes(), pr.read_u64(), pr.read_bytes(),
+                              pr.read_bytes(), pr.read_bytes())
+    elif kind == TxKind.CLAIM:
+        payload = ClaimPayload(pr.read_bytes(), pr.read_bytes(), pr.read_u64(),
+                               pr.read_bytes(), pr.read_bytes(), pr.read_u64(),
+                               pr.read_bytes())
+    else:
+        raise ValueError(f"cannot parse transactions of kind {kind!r}")
+    if not pr.done():
+        raise ValueError("trailing bytes in payload")
+    return Transaction(kind, payload, submitter, signature)
+
+
+def carried_transaction(proof_bytes: bytes) -> Transaction:
+    """The transaction a TransferProof's bytes carry, decoded: the proof is
+    its kind byte, then the inner proof, the transaction and the attesting
+    chain, each length-prefixed."""
+    r = _Reader(proof_bytes)
+    r.take(1)
+    r.read_bytes()
+    tx = parse_transaction(r.read_bytes())
+    r.read_bytes()
+    if not r.done():
+        raise ValueError("trailing bytes after transfer proof")
+    return tx

@@ -295,7 +295,7 @@ def ecosystem_round(behaviours, alpha):
             vote = other, eco.scheme.sign(eco.users[voter].public_key,
                                           request.statement)
         else:
-            return eco.respond(voter, request)[1]
+            return eco.respond(voter, request)
         return lambda recipient: vote
 
     return (b"c", candidate, sim.validators, sim.quorum, eco.verify, keys,

@@ -35,6 +35,7 @@ from splitchain.model import (
     Role,
     Transaction,
     TxKind,
+    enc_bytes,
     make_block,
     replay,
     sha256,
@@ -45,7 +46,7 @@ from splitchain.netsim import (
     _targets_recipient,
     make_strategy,
 )
-from splitchain.xchain import toa_claim, toa_lock
+from splitchain.xchain import toa_claim, toa_lock, toa_resolve
 
 from helpers import divide_events, reference_commit_round
 
@@ -284,7 +285,7 @@ def test_byzantine_voter_signs_once_per_distinct_message():
         request = VoteRequest(b"root", candidate)
         eco.scheme.signs.clear()
         keys = {v: pk(v) for v in live}
-        hooks = {v: eco.respond(v, request)[1] for v in sim.validators
+        hooks = {v: eco.respond(v, request) for v in sim.validators
                  if v not in keys}
         args = (b"root", candidate, sim.validators, sim.quorum, eco.verify,
                 keys, eco.scheme.sign, eco.scheme.verify, hooks.__getitem__)
@@ -319,7 +320,7 @@ def test_byzantine_voter_is_asked_only_when_correct_votes_fall_short():
             candidate = make_block(1, sim.ledger[-1].digest, [])
             request = VoteRequest(b"root", candidate)
             keys = {v: eco.users[v].public_key for v in live}
-            hooks = {v: eco.respond(v, request)[1] for v in sim.validators
+            hooks = {v: eco.respond(v, request) for v in sim.validators
                      if v not in keys}
             args = (b"root", candidate, sim.validators, sim.quorum,
                     eco.verify, keys, eco.scheme.sign, eco.scheme.verify,
@@ -912,6 +913,65 @@ def test_a_sign_patched_after_the_build_sees_every_byzantine_tag(
     assert len(acks) == 2
     assert sorted(signed) == sorted(
         {(pk(v), statement) for v in (b"u000", b"u002", b"u003")} | acks)
+
+
+def test_a_sign_patched_after_the_build_sees_every_certificate_share(
+        monkeypatch):
+    # the same promise for certificate shares: a correct validator's share
+    # is one scheme.sign under its own key, bound once per certificate, an
+    # equivocator's goes through respond's hook (the collector, recipient
+    # None, gets the conflicting value) and a crashed one signs nothing;
+    # each share of a transfer proof and of a fusion reaches a
+    # SignatureScheme.sign patched after the ecosystem is built, once
+    eco = Ecosystem(seed=3)
+    src = [b"s%03d" % i for i in range(4)]
+    dst = [b"t%03d" % i for i in range(4)]
+    for v in src + dst:
+        eco.register_user(v, Role.VALIDATOR)
+    eco.register_user(b"alice", Role.CLIENT)
+    eco.register_user(b"bob", Role.CLIENT)
+    eco.create_chain(b"src", src, [b"alice"],
+                     initial_assets=[Asset(b"coin", b"alice", 3)])
+    eco.create_chain(b"dst", dst, [b"bob"])
+    eco.mark_byzantine(b"s001", "equivocate")
+    eco.crash_user(b"t003")
+    signed = []
+    original = SignatureScheme.sign
+
+    def patched(scheme, public_key, message):
+        signed.append((public_key, message))
+        return original(scheme, public_key, message)
+
+    def shares(statement, validators):
+        # every share one certificate over `statement` signs
+        return [(eco.users[v].public_key,
+                 sha256(b"evil" + statement) if v == b"s001" else statement)
+                for v in validators if v != b"t003"]
+
+    def signed_shares(expected):
+        messages = {message for _, message in expected}
+        return sorted(entry for entry in signed if entry[1] in messages)
+
+    monkeypatch.setattr(SignatureScheme, "sign", patched)
+    lock = toa_lock(eco, b"alice", b"coin", b"bob", b"dst")
+    claim = toa_claim(eco, b"bob", b"dst", lock)
+    assert claim.kind == "claim"
+    expected = (shares(lock.inner.certificate.statement, src)
+                + shares(claim.inner.certificate.statement, dst))
+    assert signed_shares(expected) == sorted(expected)
+    # the equivocator's conflicting share is dropped, the crashed one's
+    # absent, and the rest certify
+    assert [v for v, _ in lock.inner.certificate.signatures] == [
+        b"s000", b"s002", b"s003"]
+    assert [v for v, _ in claim.inner.certificate.signatures] == dst[:3]
+    assert toa_resolve(eco, b"src", claim) == "claimed"  # frees the id
+    del signed[:]
+    expected = [share for sim in (eco.chains[b"src"], eco.chains[b"dst"])
+                for share in shares(b"fuse" + enc_bytes(sim.chain_id)
+                                    + enc_bytes(sim.state.digest()),
+                                    sim.validators)]
+    eco.fuse_chains(b"src", b"dst")
+    assert signed_shares(expected) == sorted(expected)
 
 
 def test_crashed_validators_never_ack():

@@ -565,10 +565,10 @@ block = 8
 # in the benchmark. The call counts also keep every signature and send on
 # the methods the benchmark's tracer patches: each message on the wire
 # (Network.messages_sent) is one Network.send call, broadcasts included.
-# Respond answers only crashed and Byzantine validators, and a commit round
-# asks it only once the correct votes fall short of quorum, so figure1,
-# which has no active fault, never calls it, and adversarial calls it only
-# for the fusion's certificate shares.
+# Respond answers only crashed and Byzantine validators, for every request
+# kind, and a commit round asks it only once the correct votes fall short
+# of quorum, so figure1, which has no active fault, never calls it, and
+# adversarial calls it only for its fusion's crashed or Byzantine shares.
 PINNED = {
     (FIGURE1, 0): (
         "030c4f3381317f9ea01171f7e3397902509f40e0e115445f8d1ef191bf92cc31",
@@ -589,7 +589,7 @@ PINNED = {
         "aaab55c0177290a260c0470d7936461ff5817e6a629c06f762a8839b5f672037",
         "23177ac0ecc72be75556a2571b6d143ea4a177ab4898c133ca80d0bc69b6075b",
         "11360f891f63869a329e557baf3a3eb0fe60058d6d33cd65b56f0da1fc959c97",
-        44, 2937, 2922, 6624, 44),
+        44, 2937, 2922, 6624, 5),
 }
 
 COUNTED = ((SignatureScheme, "sign"), (SignatureScheme, "verify"),
@@ -621,9 +621,9 @@ def test_scenario_outputs_are_pinned(path, seed, monkeypatch):
 
 
 def test_respond_answers_only_crashed_or_byzantine_validators(monkeypatch):
-    # a correct validator's commit vote and division ACK are its own
-    # closure's tags; respond is asked only for the others, and for a
-    # commit vote only once the correct votes fall short of quorum, which
+    # a correct validator's commit vote, division ACK and certificate share
+    # are its own key's tags; respond is asked only for the others, and for
+    # a commit vote only once the correct votes fall short of quorum, which
     # no round of this scenario does
     asked = Counter()
     respond = Ecosystem.respond
@@ -642,10 +642,10 @@ def test_respond_answers_only_crashed_or_byzantine_validators(monkeypatch):
 
     monkeypatch.setattr(Ecosystem, "respond", recording)
     _Driver(parse_scenario(ADVERSARIAL.read_text()), 0).run()
-    assert asked[True, "vote"] == asked[True, "ack"] == 0
+    assert not any(asked[True, kind] for kind in ("vote", "ack", "share"))
     assert asked[False, "vote"] == 0
-    # the fusion's certificate shares still ask every validator
-    assert asked[True, "share"] > 0
+    # only the fusion's crashed or Byzantine shares ask respond
+    assert asked[False, "share"] == PINNED[ADVERSARIAL, 0][-1] > 0
     assert sum(asked.values()) == PINNED[ADVERSARIAL, 0][-1]
 
 

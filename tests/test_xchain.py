@@ -37,13 +37,14 @@ from splitchain.xchain import (
     TransferProof,
     TxInclusion,
     issue_tag,
-    parse_transaction,
     toa_claim,
     toa_lock,
     toa_resolve,
     tok_generate_proof,
     tok_verify_proof,
 )
+
+from helpers import carried_transaction, parse_transaction
 
 
 def two_chain_eco(seed=0, n=4, alpha=None, n_max=64):
@@ -330,7 +331,7 @@ def test_claim_records_failure_on_stale_tag():
     proof = tok_generate_proof(eco, b"alice", b"src",
                                TxInclusion(tx.digest, src.state.last_height),
                                tag)
-    lock = TransferProof("lock", proof, tx.to_bytes(), b"src")
+    lock = TransferProof("lock", proof, tx, b"src")
 
     bump_height(eco, b"dst", times=2)  # sail past expiry_height
     result = toa_claim(eco, b"bob", b"dst", lock)
@@ -388,10 +389,13 @@ def test_claim_by_wrong_address_aborts():
 def test_claim_with_tampered_lock_tx_aborts():
     eco = two_chain_eco()
     lock = toa_lock(eco, b"alice", b"coin", b"bob", b"dst")
-    forged = TransferProof("lock", lock.inner,
-                           lock.tx_bytes[:-1] + b"\x00", b"src")
+    tx = lock.transaction
+    tampered = dataclasses.replace(tx, signature=tx.signature[:-1] + b"\x00")
+    assert tampered.digest != tx.digest
+    forged = TransferProof("lock", lock.inner, tampered, b"src")
     result = toa_claim(eco, b"bob", b"dst", forged)
     assert result.kind == "abort"
+    assert "proof attests a different transaction" in eco.events[-1]
     assert b"coin" not in eco.chains[b"dst"].state.assets
 
 
@@ -404,19 +408,31 @@ def test_resolve_discards_invalid_proofs_without_state_change():
 
     with pytest.raises(InvalidProof):
         toa_resolve(eco, b"src", lock)  # wrong proof kind
+    # each forgery carries a transaction that differs from the committed
+    # claim: re-signed, or with its verdict flipped
+    tx = claim.transaction
+    resigned = dataclasses.replace(tx, signature=tx.signature[:-1] + b"\x00")
+    flipped = dataclasses.replace(
+        tx, payload=dataclasses.replace(tx.payload, verdict=0))
+    assert resigned.digest != tx.digest != flipped.digest
     cert = claim.inner.certificate
     tampered_cert = type(cert)(cert.statement, cert.signatures[:1])
     tampered = TransferProof(
         "claim",
         KnowledgeProof(claim.inner.predicate, 1, claim.inner.tag,
                        tampered_cert),
-        claim.tx_bytes, claim.attesting_chain)
-    with pytest.raises(InvalidProof):
+        resigned, claim.attesting_chain)
+    with pytest.raises(InvalidProof, match="quorum not met"):
         toa_resolve(eco, b"src", tampered)
-    mismarked = TransferProof("abort", claim.inner, claim.tx_bytes,
+    mismarked = TransferProof("abort", claim.inner, resigned,
                               claim.attesting_chain)
-    with pytest.raises(InvalidProof):
+    with pytest.raises(InvalidProof, match="committed verdict"):
         toa_resolve(eco, b"src", mismarked)
+    # an abort whose carried claim says 0 while its certificate attests 1
+    contradicted = TransferProof("abort", claim.inner, flipped,
+                                 claim.attesting_chain)
+    with pytest.raises(InvalidProof, match="attested decision"):
+        toa_resolve(eco, b"src", contradicted)
 
     assert src.state.digest() == before
     assert src.state.assets[b"coin"].locked  # still pending
@@ -487,14 +503,14 @@ def test_transfer_survives_target_fusion():
 def test_parse_transaction_rejects_other_kinds():
     eco = two_chain_eco()
     lock = toa_lock(eco, b"alice", b"coin", b"bob", b"dst")
-    parsed = parse_transaction(lock.tx_bytes)
-    assert parsed.kind == TxKind.LOCK
+    parsed = parse_transaction(lock.transaction.to_bytes())
+    assert parsed == lock.transaction and parsed.kind == TxKind.LOCK
     assert parsed.payload.target_address == b"bob"
     genesis_tx = eco.chains[b"dst"].ledger[0].transactions[0]
     with pytest.raises(ValueError):
         parse_transaction(genesis_tx.to_bytes())
     with pytest.raises(ValueError):
-        parse_transaction(lock.tx_bytes + b"junk")
+        parse_transaction(lock.transaction.to_bytes() + b"junk")
 
 
 # canonical encodings are a bijection on what the parsers accept: every field
@@ -545,7 +561,8 @@ def test_transfer_encodings_roundtrip_byte_for_byte(
     encoded = inner.to_bytes()
     back = KnowledgeProof.from_bytes(encoded)
     assert back == inner and back.to_bytes() == encoded
-    assert TransferProof(kind, back, data, chain).transaction == tx
+    proof = TransferProof(kind, back, tx, chain)
+    assert carried_transaction(proof.to_bytes()) == proof.transaction == tx
 
 
 def assert_memos_fresh(eco, proofs):
@@ -570,7 +587,7 @@ def assert_memos_fresh(eco, proofs):
         inner = proof.inner
         assert inner.to_bytes() == dataclasses.replace(inner).to_bytes()
         assert proof.to_bytes() == dataclasses.replace(proof).to_bytes()
-        assert proof.transaction == parse_transaction(proof.tx_bytes)
+        assert carried_transaction(proof.to_bytes()) == proof.transaction
 
 
 # --- randomized interleavings (small smoke; the full suite lives in acceptance) --
