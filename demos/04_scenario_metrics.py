@@ -44,7 +44,7 @@ def main() -> None:
               f"  predicted {str(predicted):>5}  [{mark}]")
 
     over = len(report.bound_violations)
-    print(f"\nchildren born at or past their fault bound: {over}"
+    print(f"\nchains born at or past their fault bound: {over}"
           f" (expected occasionally: the split is a random halving)")
 
 

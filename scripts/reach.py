@@ -129,6 +129,24 @@ faulty = 1
 arrivals = 10
 target = smallest
 """,
+    # births beyond their bound that no divide event records: b is
+    # created at 2 of 4 faulty against alpha 1/3, and the fusion a+b holds
+    # 3 of 8 against min(1/2, 1/3)
+    "uncounted-births": """
+[chain a]
+validators = 4
+faulty = 1
+alpha = 1/2
+[chain b]
+validators = 4
+faulty = 2
+alpha = 1/3
+kind = bft
+[fuse]
+at = 1
+left = a
+right = b
+""",
     # exit 4: three of a's validators crash while it divides, so the
     # division finds no ACK quorum; every validator of b has crashed when
     # it reaches its trigger, so its division is skipped, and b's arrival

@@ -144,7 +144,7 @@ def _cmd_simulate(args) -> int:
         return 2
     print(f"{len(report.final_chains)} chains after {len(report.divisions)}"
           f" divisions; {report.messages_total} messages;"
-          f" {len(report.bound_violations)} children born beyond the fault"
+          f" {len(report.bound_violations)} chains born beyond the fault"
           f" bound")
     if report.safety_violations:
         for line in report.safety_violations:

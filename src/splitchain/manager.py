@@ -19,7 +19,8 @@ plus n^2 acks travel the simulated network, one calendar entry per broadcast
 and delivery tick. :meth:`Ecosystem.divide_chain` judges a request once,
 before its DIVIDE, and runs the network until idle, so a round runs whole
 with no commit inside it; ``ChainSim.on_divide`` and ``ChainSim.on_ack``
-return one receiver per calendar entry, for the per-recipient work.
+return one receiver per calendar entry, for the per-recipient work, and
+:meth:`Ecosystem._bear_children` builds the children at ACK quorum.
 
 A correct validator's commit vote is its signature over the candidate's
 commit statement, signed and checked once: :meth:`ChainSim.commit` hands the
@@ -170,7 +171,9 @@ class SignRequest:
         return sign(statement)
 
 
-# events.log's format per event kind: ids print as names, nonces are hex
+# events.log's format per event kind: ids print as names, nonces are hex.
+# create and fuse also hold their chain's n, f and alpha at birth, and
+# divide its founders' and children's counts, outside the format.
 EVENT_FORMATS = {
     "create": "create chain={chain} n={n}",
     "join": "join chain={chain} user={user} role=validator n={n}",
@@ -375,27 +378,9 @@ class ChainSim:
                 acks = acks_of[validator] = {}
             acks[signer] = sig
             if len(acks) >= quorum:
-                self._complete_division(rnd)
+                self.eco._bear_children(self, height, req.anchor_digest)
 
         return receive
-
-    def _complete_division(self, rnd: DivisionRound):
-        # no commit runs inside a round, so self.state is its tip state
-        req = rnd.request
-        seed = beacon(req.anchor_digest)
-        scheme = self.eco.assignment_scheme
-        cfg = self.state.config
-        outcome = assign(self.validators, scheme, seed)
-        sides = zip((1, 2), child_chain_ids(self.chain_id),
-                    (outcome.v1, outcome.v2),
-                    _split_clients(cfg.clients, scheme, seed))
-        geneses = [_inherit(ChainConfig(cid, validators, tuple(sorted(clients)),
-                                        cfg.consensus, cfg.n_max),
-                            (self.state,), parent_chain=self.chain_id,
-                            split_height=req.agreed_height, side=side,
-                            registered=self.eco._registered)
-                   for side, cid, validators, clients in sides]
-        self.eco._install_division(self, geneses)
 
 
 def child_chain_ids(parent: ChainId) -> tuple:
@@ -520,7 +505,8 @@ class Ecosystem:
                              tuple(initial_assets))
         sim, = self._replace((), [build_genesis(
             config, self.users, self._registered)])
-        self._emit("create", chain=chain_id, n=len(config.validators))
+        self._emit("create", chain=chain_id, n=len(config.validators),
+                   f=self.chain_fault_count(sim), alpha=config.consensus.alpha)
         return sim
 
     def join_chain(self, user: UserId, chain_id: ChainId) -> ChainConfig:
@@ -604,7 +590,8 @@ class Ecosystem:
                                 [_inherit(config, (s1.state, s2.state),
                                           registered=self._registered)])
         self._emit("fuse", left=c1_id, right=c2_id, merged=merged_id,
-                   alpha=merged_params.alpha)
+                   alpha=merged_params.alpha, n=len(merged.validators),
+                   f=self.chain_fault_count(merged))
         return merged
 
     # -- harness bookkeeping ------------------------------------------------------
@@ -727,8 +714,24 @@ class Ecosystem:
             self.chains[sim.chain_id] = sim
         return born
 
-    def _install_division(self, parent: ChainSim, geneses) -> None:
-        born = self._replace((parent,), geneses)  # a taken id leaves all live
+    def _bear_children(self, parent: ChainSim, height: int,
+                       anchor_digest: bytes) -> None:
+        """Replace `parent` by its two children at its tip (`height`,
+        `anchor_digest`; no commit runs in a round, so its state is the
+        tip's), split by the anchor's beacon. A taken id leaves all live."""
+        seed = beacon(anchor_digest)
+        scheme, cfg = self.assignment_scheme, parent.config
+        outcome = assign(parent.validators, scheme, seed)
+        sides = zip((1, 2), child_chain_ids(parent.chain_id),
+                    (outcome.v1, outcome.v2),
+                    _split_clients(cfg.clients, scheme, seed))
+        born = self._replace((parent,), [
+            _inherit(ChainConfig(cid, validators, tuple(sorted(clients)),
+                                 cfg.consensus, cfg.n_max),
+                     (parent.state,), parent_chain=parent.chain_id,
+                     split_height=height, side=side,
+                     registered=self._registered)
+            for side, cid, validators, clients in sides])
         parent.division = None  # the retired parent keeps no round
         children = []
         for sim in born:

@@ -164,16 +164,15 @@ class Network:
         for dst in targets:
             send(src, dst, payload)
 
-    def _run(self, horizon, max_events) -> int:
-        """Deliver whole ticks up to `horizon` (None: every tick), counting
-        deliveries; raise once more than `max_events` have run. If the
-        handler raises, or the budget runs out, at an entry's k-th
-        recipient, the recipients after it go back to the head of the tick's
-        deque, so the rest of the tick stays queued in order (all of them
-        when the handler's per-entry call raises). An entry nobody acts on
+    def run_until_idle(self, max_events: int = 1_000_000) -> int:
+        """Deliver every tick in order, counting deliveries; raise once more
+        than `max_events` have run. A tick leaves the calendar before its
+        first delivery (every send lands on a later tick), and an entry as
+        it is delivered, which frees it. Any raise empties the calendar, so
+        nothing a failed run sent stays in flight. An entry nobody acts on
         (the handler returned None) is settled in one pass, its crashed
         recipients counted as drops, unless it would cross the budget: then
-        it takes the per-recipient loop, which raises at the same delivery."""
+        the per-recipient loop raises at the same delivery."""
         if self._running:
             raise RuntimeError("the network is already running; a handler "
                                "may not run it")
@@ -181,55 +180,43 @@ class Network:
         count = 0
         handler, queues, ticks = self.handler, self._queues, self._ticks
         try:
-            while ticks and (horizon is None or ticks[0] <= horizon):
-                time = ticks[0]
-                queue = queues[time]
-                popleft = queue.popleft
+            while ticks:
+                time = heapq.heappop(ticks)
                 self.now = time
-                try:
-                    while queue:
-                        recipients, payload = popleft()
-                        pending = iter(recipients)
-                        try:
-                            receive = handler(payload, time)
-                            if (receive is None
-                                    and count + len(recipients) <= max_events):
-                                count += len(recipients)
-                                for node in recipients:
-                                    if time >= node.crash_at:  # node.crashed
-                                        self.messages_dropped += 1
-                                continue
-                            for node in pending:
-                                if time >= node.crash_at:  # node.crashed
-                                    self.messages_dropped += 1
-                                elif receive is not None:
-                                    receive(node.node_id)
-                                count += 1
-                                if count > max_events:
-                                    raise RuntimeError(
-                                        "event budget exhausted; likely a "
-                                        "message loop")
-                        except BaseException:
-                            rest = list(pending)  # after the one that raised
-                            if rest:
-                                queue.appendleft((rest, payload))
-                            raise
-                finally:
-                    if not queue:  # sends land after this tick
-                        heapq.heappop(ticks)
-                        del queues[time]
+                queue = queues.pop(time)
+                while queue:
+                    recipients, payload = queue.popleft()
+                    receive = handler(payload, time)
+                    if (receive is None
+                            and count + len(recipients) <= max_events):
+                        count += len(recipients)
+                        for node in recipients:
+                            if time >= node.crash_at:  # node.crashed
+                                self.messages_dropped += 1
+                        continue
+                    for node in recipients:
+                        if time >= node.crash_at:  # node.crashed
+                            self.messages_dropped += 1
+                        elif receive is not None:
+                            receive(node.node_id)
+                        count += 1
+                        if count > max_events:
+                            raise RuntimeError("event budget exhausted; "
+                                               "likely a message loop")
+        except BaseException:
+            queues.clear()
+            ticks.clear()
+            self._last = (None, None, None)
+            raise
         finally:
             self._running = False
         return count
 
-    def run_until_idle(self, max_events: int = 1_000_000) -> int:
-        return self._run(None, max_events)
-
-    def run_until(self, horizon: int) -> None:
-        """Deliver everything due at or before `horizon`, then advance the
-        clock to it."""
-        self._run(horizon, math.inf)
-        self.now = max(self.now, horizon)
+    def advance_to(self, tick: int) -> None:
+        """Move an idle network's clock to `tick`, never back."""
+        if self._running or self._ticks:
+            raise RuntimeError("the network is not idle: run it first")
+        self.now = max(self.now, tick)
 
 
 # --- stock Byzantine strategies -------------------------------------------------

@@ -50,7 +50,7 @@ from .errors import (
     TriggerNotMet,
 )
 from .manager import STALL_REASON, Ecosystem, _name, render_events
-from .model import Asset, Role
+from .model import Asset, Role, at_fault_bound
 
 @dataclass
 class ChainSpec:
@@ -358,9 +358,20 @@ class MetricsReport:
         return tuple(e for e in self.events if e.kind == "divide")
 
     @property
-    def bound_violations(self) -> tuple:  # children born at f_i >= alpha*n_i
-        return tuple(c for d in self.divisions for c in d.fields["children"]
-                     if c[3])
+    def bound_violations(self) -> tuple:
+        """Every chain born at f >= alpha*n, as (chain_id, n, f, True): a
+        division child as its divide event's children entry, a created or
+        fused chain from the n, f and alpha its create or fuse event holds."""
+        found = []
+        for event in self.events:
+            x = event.fields
+            if event.kind == "divide":
+                found += (child for child in x["children"] if child[3])
+            elif (event.kind in ("create", "fuse")
+                  and at_fault_bound(x["f"], x["n"], x["alpha"])):
+                found.append((x.get("merged", x.get("chain")), x["n"], x["f"],
+                              True))
+        return tuple(found)
 
     @property
     def safety_violations(self) -> tuple:  # divergence among correct ones
@@ -406,6 +417,10 @@ class _Driver:
     # -- setup --
 
     def create_chains(self) -> None:
+        """Register every chain's members, apply the fault plan, then
+        create the chains, so that each create event counts every founder
+        the scenario flags faulty."""
+        members = []
         for cs in self.spec.chains:
             validators = [b"%s-v%03d" % (cs.name.encode(), i)
                           for i in range(cs.validators)]
@@ -420,6 +435,9 @@ class _Driver:
                        for i in range(cs.clients)]
             for c in clients:
                 self.eco.register_user(c, Role.CLIENT)
+            members.append((validators, clients))
+        self.apply_faults()
+        for cs, (validators, clients) in zip(self.spec.chains, members):
             assets = [Asset(b"%s-coin-%03d" % (cs.name.encode(), j),
                             clients[j % len(clients)], 1)
                       for j in range(cs.assets)]
@@ -524,7 +542,6 @@ class _Driver:
 
     def run(self) -> MetricsReport:
         self.create_chains()
-        self.apply_faults()
         for chain_id in list(self.eco.chains):  # a chain may start at n_max
             self._maybe_divide(chain_id)
         self.sample()
@@ -541,7 +558,7 @@ class _Driver:
         for time, _, _, kind, payload in actions:
             if self.spec.horizon and time > self.spec.horizon:
                 break
-            self.eco.network.run_until(time)
+            self.eco.network.advance_to(time)
             try:
                 if kind == "arrival":
                     self.arrival()
@@ -553,7 +570,6 @@ class _Driver:
             except Stalled:  # the manager emitted the stall event
                 break
             self.sample()
-        self.eco.network.run_until_idle()
 
         final = tuple(
             (cid, len(sim.validators), self.eco.chain_fault_count(sim))

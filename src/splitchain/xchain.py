@@ -445,19 +445,13 @@ def toa_claim(eco, claimer: UserId, target: ChainId,
             elif payload.asset_id in state.assets:
                 reason = "asset id already exists on target"
 
-    if reason is None:
-        claim_payload = ClaimPayload(nonce, payload.asset_id, payload.value,
-                                     claimer, lock_proof.attesting_chain, 1,
-                                     lock_proof.to_bytes())
-        kind = "claim"
-    else:
-        asset_id = payload.asset_id if payload is not None else b""
-        value = payload.value if payload is not None else 0
-        claim_payload = ClaimPayload(nonce, asset_id, value, claimer,
-                                     lock_proof.attesting_chain, 0,
-                                     lock_proof.to_bytes())
-        kind = "abort"
-    claim_tx = _signed(eco, claimer, TxKind.CLAIM, claim_payload)
+    verdict = 1 if reason is None else 0
+    kind = "claim" if verdict else "abort"
+    asset_id, value = ((b"", 0) if payload is None
+                       else (payload.asset_id, payload.value))
+    claim_tx = _signed(eco, claimer, TxKind.CLAIM, ClaimPayload(
+        nonce, asset_id, value, claimer, lock_proof.attesting_chain, verdict,
+        lock_proof.to_bytes()))
     sim.commit([claim_tx])
     state = sim.state
     outcome = "accepted" if reason is None else f"recorded failure ({reason})"
@@ -473,8 +467,8 @@ def toa_claim(eco, claimer: UserId, target: ChainId,
             f"no live chain holds the lock for nonce {nonce.hex()}")
     back_tag = issue_tag(eco, source_sim.chain_id)
     decision = state.claims.get(nonce)
-    if kind == "claim" or decision == 0:
-        back_pred = ClaimDecided(nonce, 1 if kind == "claim" else 0)
+    if verdict or decision == 0:
+        back_pred = ClaimDecided(nonce, verdict)
     else:
         # a failure recorded after the nonce was already claimed: attest
         # only this attempt's inclusion, which resolve will not accept as

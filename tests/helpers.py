@@ -188,17 +188,22 @@ class _HeapNetwork:
 
     def run_until_idle(self, max_events: int = 1_000_000) -> int:
         count = 0
-        while self._heap:
-            self._step()
-            count += 1
-            if count > max_events:
-                raise RuntimeError("event budget exhausted; likely a message loop")
+        try:
+            while self._heap:
+                self._step()
+                count += 1
+                if count > max_events:
+                    raise RuntimeError("event budget exhausted; likely a "
+                                       "message loop")
+        except BaseException:
+            self._heap.clear()  # nothing a failed run sent stays in flight
+            raise
         return count
 
-    def run_until(self, horizon: int) -> None:
-        while self._heap and self._heap[0][0] <= horizon:
-            self._step()
-        self.now = max(self.now, horizon)
+    def advance_to(self, tick: int) -> None:
+        if self._heap:
+            raise RuntimeError("the network is not idle: run it first")
+        self.now = max(self.now, tick)
 
 
 def per_delivery(handler, ignored=None):
@@ -225,8 +230,10 @@ def reference_network(handler, seed: int = 0, d_min: int = 1,
     order. Delays come from the same seeded stream as netsim.Network's
     (no draw when d_min == d_max), a node crashed at delivery time drops
     the delivery, and the counters and event budget follow the same rules.
-    This is the reference for the per-tick FIFOs of netsim.Network: same
-    calls, same delivery order, clock, counters and budget.
+    A raise, the handler's or the budget's, empties the heap, and the clock
+    advances only while nothing is in flight. This is the reference for the
+    per-tick FIFOs of netsim.Network: same calls, same delivery order,
+    clock, counters and budget.
     """
     return _HeapNetwork(handler, seed, d_min, d_max)
 

@@ -117,7 +117,8 @@ def test_simulate_writes_reports(tmp_path, capsys):
     assert lineage[0] == "chain_id,parent_id,side,split_height"
     assert len(lineage) == 4  # root plus two children
     assert (out / "events.log").read_text().count("divide") == 1
-    assert "1 divisions" in stdout
+    assert stdout == ("2 chains after 1 divisions; 420 messages; 0 chains"
+                      " born beyond the fault bound\n")
 
 
 def test_simulate_seed_override_changes_reports(tmp_path, capsys):
@@ -148,6 +149,55 @@ def test_simulate_repeats_byte_identical(tmp_path, capsys):
         blobs.append(b"".join((out / f).read_bytes() for f in
                               ("metrics.csv", "lineage.csv", "events.log")))
     assert blobs[0] == blobs[1]
+
+
+REPORTS = ("metrics.csv", "lineage.csv", "events.log")
+SIMULATED = {
+    "figure1": Path(cli.__file__).resolve().parent / "scenarios"
+    / "figure1.mit",
+    "adversarial": Path(__file__).resolve().parent.parent / "bench"
+    / "adversarial.mit",
+}
+SIMULATE_PROBE = """
+import sys
+from splitchain import cli
+out, *scenarios = sys.argv[1:]
+for name, path in zip(scenarios[::2], scenarios[1::2]):
+    assert cli.main(["simulate", "--scenario", path, "--seed", "3",
+                     "--out", f"{out}/{name}"]) == 0
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.fixture(scope="module")
+def hash_seeded_runs(tmp_path_factory):
+    """hash seed -> (whether numpy was loaded, {scenario: report bytes})
+    for `simulate` on figure1 and adversarial at seed 3, each hash seed in
+    one fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    runs = {}
+    for hashseed in ("0", "1"):
+        out = tmp_path_factory.mktemp(f"hashseed{hashseed}")
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hashseed}
+        argv = [str(x) for pair in SIMULATED.items() for x in pair]
+        result = subprocess.run(
+            [sys.executable, "-c", SIMULATE_PROBE, str(out), *argv],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        runs[hashseed] = (result.stdout.splitlines()[-1] == "True", {
+            name: [(out / name / f).read_bytes() for f in REPORTS]
+            for name in SIMULATED})
+    return runs
+
+
+def test_simulate_never_imports_numpy(hash_seeded_runs):
+    assert [numpy for numpy, _ in hash_seeded_runs.values()] == [False] * 2
+
+
+def test_simulate_is_byte_identical_under_any_hash_seed(hash_seeded_runs):
+    (_, first), (_, second) = hash_seeded_runs.values()
+    assert first == second
+    assert all(all(report) for reports in first.values()
+               for report in reports)
 
 
 def test_simulate_malformed_scenario_exit_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from splitchain import manager
 from splitchain.consensus import commit_statement, run_commit_round
 from splitchain.crypto import SignatureScheme
 from splitchain.errors import (
@@ -421,23 +422,22 @@ def test_division_message_count_is_n_plus_n_squared():
 def test_a_division_rounds_calendar_holds_one_entry_per_broadcast():
     # unit delay: the DIVIDE is one entry at tick 1, and the n ack
     # broadcasts it triggers are n entries at tick 2, not n^2 deliveries;
-    # the handler sees each entry once, as it is popped
+    # the handler is called once per entry
     n = 50
     eco = build_eco(n=n)
     network = eco.network
     handler, seen = network.handler, []
 
     def recording(payload, now):
-        pending = [len(recipients) for recipients, _ in network._queues[now]]
-        seen.append((now, type(payload), pending, network.messages_sent))
+        seen.append((now, type(payload), network.messages_sent))
         return handler(payload, now)
 
     network.handler = recording
     eco.divide_chain(b"root", initiator=b"u000")
-    assert seen[0] == (1, DivideRequest, [], n)
-    assert seen[1] == (2, AckMsg, [n] * (n - 1), n + n * n)
-    assert [(now, kind) for now, kind, _, _ in seen] == (
-        [(1, DivideRequest)] + [(2, AckMsg)] * n)
+    # every ack was sent while tick 1 ran, before tick 2's first entry
+    assert seen[:2] == [(1, DivideRequest, n), (2, AckMsg, n + n * n)]
+    assert Counter((now, kind) for now, kind, _ in seen) == {
+        (1, DivideRequest): 1, (2, AckMsg): n}
     assert b"root.1" in eco.chains and b"root.2" in eco.chains
 
 
@@ -563,7 +563,7 @@ def test_a_refused_division_sends_no_message(error, n_max, initiator):
     eco = build_eco(n=4, n_max=n_max)
     eco.register_user(b"mallory", Role.VALIDATOR)  # an account, no seat
     network = eco.network
-    network.run_until(3)
+    network.advance_to(3)
     with pytest.raises(error):
         eco.divide_chain(b"root", initiator=initiator)
     assert network.messages_sent == 0 and network.now == 3
@@ -612,6 +612,33 @@ def test_every_division_leaves_the_calendar_empty(n, d_max, strategies,
     assert network.messages_sent > n
     assert network._queues == {} and network._ticks == []
     assert (b"root" in eco.retired) == divides
+
+
+def test_a_division_that_raises_leaves_nothing_in_flight(monkeypatch):
+    # a one-shot StateDivergence while the first child is built: the raise
+    # drops the round's queued acks, so the retry runs a whole round of its
+    # own, n DIVIDEs and n^2 acks, and builds what a clean division builds
+    n = 10
+    clean = build_eco(n=n).divide_chain(b"root")
+    eco = build_eco(n=n)
+    network, inherit, raised = eco.network, manager._inherit, []
+
+    def inherit_once(*args, **kwargs):
+        if not raised:
+            raised.append(True)
+            raise StateDivergence("injected")
+        return inherit(*args, **kwargs)
+
+    monkeypatch.setattr(manager, "_inherit", inherit_once)
+    with pytest.raises(StateDivergence, match="injected"):
+        eco.divide_chain(b"root")
+    assert network._queues == {} and network._ticks == []
+    assert b"root" in eco.chains and divide_events(eco) == []
+    before = network.messages_sent
+    children = eco.divide_chain(b"root")
+    assert network.messages_sent - before == n + n * n
+    assert [(c.chain_id, c.validators, c.ledger) for c in children] == [
+        (c.chain_id, c.validators, c.ledger) for c in clean]
 
 
 def test_a_divided_parent_keeps_no_round_and_a_failed_one_stays():

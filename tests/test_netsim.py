@@ -50,18 +50,22 @@ def test_scheduler_event_budget():
     # the delivery past the budget runs before the error is raised
     assert log == [b"b", b"a"] * 50 + [b"b"]
     assert net.now == 101
+    assert net.run_until_idle() == 0  # the raise dropped the ping in flight
 
 
-def test_run_until_stops_at_horizon():
+def test_the_clock_advances_only_while_nothing_is_in_flight():
     net, seen = net_pair(d_min=3, d_max=3)
-    net.send(b"a", b"b", "early")  # lands at 3
-    net.run_until(2)
-    net.send(b"a", b"b", "late")  # lands at 5
-    net.run_until(4)
-    assert seen == [(b"b", "early", 3)]
-    assert net.now == 4
+    net.advance_to(2)
+    net.send(b"a", b"b", "x")  # lands at 5
+    with pytest.raises(RuntimeError, match="not idle"):
+        net.advance_to(4)
+    assert net.now == 2 and seen == []
     assert net.run_until_idle() == 1
-    assert seen == [(b"b", "early", 3), (b"b", "late", 5)]
+    assert seen == [(b"b", "x", 5)]
+    net.advance_to(4)  # never back
+    assert net.now == 5
+    net.advance_to(9)
+    assert net.now == 9
 
 
 NODES = (b"a", b"b", b"c")
@@ -70,7 +74,7 @@ RAISE = "raise"
 # A delivery plan is a tuple of steps the handler takes in order once it has
 # logged the delivery: (dst, plan) sends `plan` on to `dst`, (targets, plan)
 # broadcasts it to a tuple of targets, and RAISE makes the handler raise
-# there, leaving the rest of the tick queued.
+# there, which drops everything in flight.
 TARGETS = st.lists(st.sampled_from(NODES), max_size=4).map(tuple)
 PLANS = st.recursive(
     st.just(()),
@@ -86,7 +90,7 @@ CALLS = st.one_of(
     st.tuples(st.just("broadcast"), st.sampled_from(NODES), TARGETS, PLANS),
     st.tuples(st.just("crash"), st.sampled_from(NODES),
               st.integers(-2, 6)),  # at_time - now
-    st.tuples(st.just("run_until"), st.integers(-1, 8)),  # horizon - now
+    st.tuples(st.just("advance"), st.integers(-1, 8)),  # tick - now
     st.tuples(st.just("run_until_idle"), st.integers(0, 12)),  # budget
 )
 
@@ -131,8 +135,8 @@ def drive(make_network, seed, d_max, calls, ignored=None) -> list:
                                        (next(labels), call[3]))
             elif kind == "crash":
                 result = net.crash(call[1], net.now + call[2])
-            elif kind == "run_until":
-                result = net.run_until(net.now + call[1])
+            elif kind == "advance":
+                result = net.advance_to(net.now + call[1])
             else:
                 result = net.run_until_idle(max_events=call[1])
         except (Boom, RuntimeError) as exc:
@@ -143,7 +147,7 @@ def drive(make_network, seed, d_max, calls, ignored=None) -> list:
 
     for call in calls:
         apply(call)
-    while apply(("run_until_idle", 10**6)) != 0:  # a raise costs one delivery
+    while apply(("run_until_idle", 10**6)) != 0:  # a raise empties it
         pass
     return log
 
@@ -215,11 +219,14 @@ def test_an_entry_nobody_acts_on_counts_its_crashed_recipients_as_drops(
         budget)
     assert ours == _ignored_broadcast(reference_network, crashed, budget)
     results, log, _, sent, dropped = ours
-    assert sent == 6 and log == [(b"b", "acted", 1)] * (b"b" not in crashed)
-    assert dropped == sum(2 if node in (b"a", b"b") else 1
-                          for node in crashed) + (b"b" in crashed)
+    # the broadcast's recipients, then "acted"'s; a budget raise drops
+    # every delivery after the one that crossed it
+    delivered = [b"a", b"b", b"c", b"a", b"b", b"b"][:budget + 1]
+    assert sent == 6 and dropped == sum(node in crashed for node in delivered)
+    assert log == [(b"b", "acted", 1)] * (
+        len(delivered) == 6 and b"b" not in crashed)
     if budget < 6:
-        assert "event budget" in results[0]
+        assert "event budget" in results[0] and results[1] == 0
 
 
 def test_send_counts_and_delivers_with_delay():
@@ -250,12 +257,13 @@ def test_fixed_delay_lands_every_delivery_at_now_plus_d_min():
     for i in range(4):
         net.send(b"a", b"b", i)
         net.send(b"b", b"a", i)
-    net.run_until(2)
-    net.send(b"a", b"b", "dropped")  # lands at 5, when b has crashed
+    net.run_until_idle()
+    net.advance_to(2)  # never back: the clock stays at 3
+    net.send(b"a", b"b", "dropped")  # lands at 6, when b has crashed
     net.send(b"b", b"a", "late")
     net.run_until_idle()
     assert seen == [(dst, i, 3) for i in range(4) for dst in (b"b", b"a")] \
-        + [(b"a", "late", 5)]
+        + [(b"a", "late", 6)]
     assert net.messages_sent == 10
     assert net.messages_dropped == 1
 
@@ -315,7 +323,7 @@ def test_crash_takes_effect_at_given_time():
     net.crash(b"b", 10)
     net.send(b"a", b"b", "early")  # delivered at t=1 < 10
     net.run_until_idle()
-    net.run_until(10)
+    net.advance_to(10)
     net.send(b"a", b"b", "late")
     net.run_until_idle()
     assert [m for (_, m, _) in seen] == ["early"]
@@ -399,18 +407,25 @@ def test_sends_of_one_payload_object_to_one_tick_share_an_entry():
 
 def test_a_payload_sent_again_at_a_later_tick_gets_its_own_entry():
     # send checks the entry it opened last first; the same payload object
-    # sent after the clock moved lands on another tick, whether that entry
-    # is still queued or already delivered
-    net, seen = net_pair(d_min=3, d_max=3)
+    # sent again while its entry is delivered lands on a later tick, in an
+    # entry of its own
     x = ["x"]
+    entries, seen = [], []
+
+    def handler(payload, now):
+        entries.append(now)
+        return lambda node_id: (seen.append((node_id, now)),
+                                now < 6 and net.send(node_id, b"a", x))
+
+    net = Network(handler, d_min=3, d_max=3)
+    for node in NODES:
+        net.add_node(node)
     net.send(b"a", b"b", x)  # lands at 3
-    net.run_until(1)
-    net.send(b"a", b"a", x)  # lands at 4, while tick 3 is still queued
-    assert sorted(net._queues) == [3, 4]
-    net.run_until_idle()
-    net.send(b"b", b"a", x)  # lands at 7, after both were delivered
-    assert net.run_until_idle() == 1
-    assert seen == [(b"b", x, 3), (b"a", x, 4), (b"a", x, 7)]
+    net.send(b"a", b"c", x)  # joins it
+    assert [len(recipients) for recipients, _ in net._queues[3]] == [2]
+    assert net.run_until_idle() == 4
+    assert entries == [3, 6]
+    assert seen == [(b"b", 3), (b"c", 3), (b"a", 6), (b"a", 6)]
 
 
 def test_random_delay_broadcast_draws_per_recipient_in_target_order():
@@ -434,26 +449,32 @@ def _entry_network(handler):
     return net
 
 
-def test_a_raise_inside_an_entry_leaves_its_later_recipients_queued():
+def test_a_raise_inside_an_entry_drops_everything_in_flight():
     log = []
 
     def handler(node_id, payload, now):
-        log.append((node_id, payload))
-        if (node_id, payload) == (b"b", "x"):
-            raise Boom
+        log.append((node_id, payload, now))
+        if payload == "x":
+            if node_id == b"b":
+                raise Boom
+            net.send(node_id, b"c", "echo")  # lands at 2
 
     net = _entry_network(handler)
     net.broadcast(b"a", [b"a", b"b", b"c", b"a"], "x")
     net.send(b"a", b"c", "y")
     with pytest.raises(Boom):
         net.run_until_idle()
-    assert log == [(b"a", "x"), (b"b", "x")]
-    assert net.messages_sent == 5
-    assert net.run_until_idle() == 3
-    assert log[2:] == [(b"c", "x"), (b"a", "x"), (b"c", "y")]
+    assert log == [(b"a", "x", 1), (b"b", "x", 1)]
+    assert net.messages_sent == 6 and net.now == 1
+    # the rest of tick 1 and a's echo to tick 2 are gone
+    assert net.run_until_idle() == 0
+    # and the dropped echo's entry is no longer one a send can join
+    net.send(b"a", b"b", "echo")
+    assert net.run_until_idle() == 1
+    assert log[2:] == [(b"b", "echo", 2)]
 
 
-def test_a_budget_that_runs_out_inside_an_entry_leaves_the_rest_queued():
+def test_a_budget_that_runs_out_inside_an_entry_drops_everything_in_flight():
     log = []
     net = _entry_network(lambda node_id, payload, now:
                          log.append((node_id, payload)))
@@ -463,11 +484,11 @@ def test_a_budget_that_runs_out_inside_an_entry_leaves_the_rest_queued():
         net.run_until_idle(max_events=1)
     # the delivery past the budget runs before the error is raised
     assert log == [(b"c", "x"), (b"b", "x")]
-    assert net.run_until_idle() == 3
-    assert log[2:] == [(b"a", "x"), (b"b", "x"), (b"c", "y")]
+    assert net.run_until_idle() == 0
+    assert net.messages_sent == 5 and net.messages_dropped == 0
 
 
-@pytest.mark.parametrize("nested", ["run_until_idle", "run_until"])
+@pytest.mark.parametrize("nested", ["run_until_idle", "advance_to"])
 def test_a_handler_may_not_run_the_network(nested):
     calls = []
 
@@ -477,14 +498,18 @@ def test_a_handler_may_not_run_the_network(nested):
 
     net = _entry_network(handler)
     net.broadcast(b"a", [b"a", b"b"], "x")
-    with pytest.raises(RuntimeError, match="already running"):
+    with pytest.raises(RuntimeError, match="already running" if nested ==
+                       "run_until_idle" else "not idle"):
         net.run_until_idle()
     assert calls == [b"a"] and net.now == 1
-    # the outer run ended cleanly: the rest of the entry is still queued
+    # the outer run ended cleanly: it dropped the rest of the entry, and
+    # the network runs again
     net.handler = per_delivery(lambda node_id, payload, now:
                                calls.append(node_id))
+    assert net.run_until_idle() == 0
+    net.send(b"a", b"b", "y")
     assert net.run_until_idle() == 1
-    assert calls == [b"a", b"b"]
+    assert calls == [b"a", b"b"] and net.now == 2
 
 
 def test_duplicate_node_rejected():
@@ -511,7 +536,7 @@ def test_byzantine_fault_carries_strategy():
 
 def test_crash_at_a_past_tick_starts_now():
     net, seen = net_pair()
-    net.run_until(6)
+    net.advance_to(6)
     net.crash(b"b", 2)
     assert net.node(b"b").crash_at == 6
     net.send(b"a", b"b", "lost")
@@ -530,7 +555,7 @@ def test_last_fault_applied_wins(crash_first):
         net.make_byzantine(b"a", strategy)
         net.crash(b"a", 3)
     node = net.node(b"a")
-    net.run_until(5)
+    net.advance_to(5)
     if crash_first:
         assert node.strategy is strategy and not node.crashed(net.now)
     else:

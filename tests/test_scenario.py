@@ -234,6 +234,52 @@ a-v001 = crash 100
     assert (fields["n"], fields["f"]) == (8, 1)
 
 
+UNCOUNTED_BIRTHS = """
+[chain a]
+validators = 4
+faulty = 1
+alpha = 1/2
+
+[chain b]
+validators = 4
+faulty = 2
+alpha = 1/3
+kind = bft
+
+[fuse]
+at = 1
+left = a
+right = b
+"""
+
+
+def test_every_birth_at_its_bound_is_counted():
+    # b is created at 2 of 4 faulty against alpha 1/3, and a+b fuses at
+    # 3 of 8 against min(1/2, 1/3); a, at 1 of 4 against 1/2, is not
+    report = run_scenario(UNCOUNTED_BIRTHS)
+    assert report.bound_violations == ((b"b", 4, 2, True),
+                                       (b"a+b", 8, 3, True))
+    assert report.events_log() == ("[0] create chain=a n=4\n"
+                                   "[0] create chain=b n=4\n"
+                                   "[1] fuse a+b -> a+b alpha=1/3\n")
+
+
+def test_a_root_faulted_by_the_fault_plan_counts_at_its_birth():
+    # the [faults] lines flag c-v000 and c-v001 before c is created, so
+    # its create event holds f = 2 of 4, at alpha 1/2's bound
+    report = run_scenario("""
+[chain c]
+validators = 4
+
+[faults]
+c-v000 = crash 100
+c-v001 = byzantine withhold
+""")
+    (create,) = report.events
+    assert (create.fields["n"], create.fields["f"]) == (4, 2)
+    assert report.bound_violations == ((b"c", 4, 2, True),)
+
+
 def test_metrics_rows_track_growth():
     report = run_scenario(GROW_ONCE)
     root_rows = [r for r in report.metrics if r[1] == "root"]
@@ -333,7 +379,7 @@ merged = ab
     assert [(cid, n) for cid, n, _ in report.final_chains] == [(b"ab", 6)]
     (fuse,) = (e for e in report.events if e.kind == "fuse")
     assert fuse.fields == {"left": b"a", "right": b"b", "merged": b"ab",
-                           "alpha": Fraction(1, 3)}
+                           "alpha": Fraction(1, 3), "n": 6, "f": 0}
     # `text in event` searches its events.log line, as the benchmark's
     # fusion count does
     assert fuse.line == "[5] fuse a+b -> ab alpha=1/3"
