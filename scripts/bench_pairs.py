@@ -28,7 +28,11 @@ PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
 * hashes every output of ``simulate`` (figure1 seeds 0–29, the bench's
   adversarial.mit seeds 0–7), ``divide-demo`` (seeds 0, 1 and 7, and 300
   validators) and ``xfer-demo``, each run in a fresh directory with the
-  same relative paths, so the bytes of both trees can be compared;
+  same relative paths, so the bytes of both trees can be compared: per run,
+  one hash of its exit code, stdout, stderr and report files, and one of
+  the report files alone, so ``outputs_equal`` reads every byte and
+  ``reports_equal`` still shows whether a report moved when stdout changes
+  on purpose;
 * counts, on the bench's sweep grid, the points per n whose breach event the
   support of f₁ decides (``DivisionAnalysisParams.decided_breach``);
 * times each op of one sweep pass per tree, to show which grid points sit at
@@ -309,11 +313,26 @@ def cli_runs(tree: Path) -> list:
     return runs
 
 
+def run_digests(done, work: Path) -> dict:
+    """One CLI run's sha256 of its exit code, stdout, stderr and every file
+    under ``work/out`` ("run"), and of those files alone ("reports")."""
+    run = hashlib.sha256(
+        str(done.returncode).encode() + b"\0" + done.stdout + b"\0"
+        + done.stderr)
+    reports = hashlib.sha256()
+    for path in sorted((work / "out").rglob("*")):
+        if path.is_file():
+            entry = (b"\0" + str(path.relative_to(work)).encode() + b"\0"
+                     + path.read_bytes())
+            run.update(entry)
+            reports.update(entry)
+    return {"run": run.hexdigest(), "reports": reports.hexdigest()}
+
+
 def output_hashes(tree: Path) -> dict:
-    """sha256 of exit code, stdout, stderr and every file under --out per
-    CLI run. Each run starts in a fresh directory holding only its scenario
-    file, and writes to the relative --out ``out``, so no path differs
-    between trees."""
+    """run_digests per CLI run. Each run starts in a fresh directory holding
+    only its scenario file, and writes to the relative --out ``out``, so no
+    path differs between trees."""
     hashes = {}
     for name, scenario, argv in cli_runs(tree):
         with tempfile.TemporaryDirectory() as work:
@@ -325,15 +344,14 @@ def output_hashes(tree: Path) -> dict:
                  "--out", "out"],
                 cwd=work, env=child_env(tree), capture_output=True,
                 timeout=900)
-            digest = hashlib.sha256(
-                str(done.returncode).encode() + b"\0" + done.stdout + b"\0"
-                + done.stderr)
-            for path in sorted((work / "out").rglob("*")):
-                if path.is_file():
-                    digest.update(b"\0" + str(path.relative_to(work)).encode()
-                                  + b"\0" + path.read_bytes())
-            hashes[name] = digest.hexdigest()
+            hashes[name] = run_digests(done, work)
     return hashes
+
+
+def reports_equal(parent: dict, change: dict) -> bool:
+    """Whether every CLI run wrote the same report files in both trees."""
+    return parent.keys() == change.keys() and all(
+        parent[name]["reports"] == change[name]["reports"] for name in parent)
 
 
 def grid_probe(tree: Path, seed: int) -> dict:
@@ -525,6 +543,8 @@ def main(argv=None) -> None:
     result["analyze_hashes_equal"] = hashes["parent"] == hashes["change"]
     outputs = result["output_hashes"]
     result["outputs_equal"] = outputs["parent"] == outputs["change"]
+    result["reports_equal"] = reports_equal(outputs["parent"],
+                                            outputs["change"])
     result["trace_calls_equal"] = {
         w: trace_calls_equal(runs["parent"], runs["change"])
         for w, runs in result["trace"].items()}

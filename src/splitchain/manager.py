@@ -17,25 +17,26 @@ synchronous vote rounds (only consensus's quorum arithmetic matters here),
 while the division protocol is message-faithful: one DIVIDE per validator
 plus n^2 acks travel the simulated network, one calendar entry per broadcast
 and delivery tick. :meth:`Ecosystem.divide_chain` judges a request once,
-before its DIVIDE, and runs the network until idle, so a round runs whole
-with no commit inside it; ``ChainSim.on_divide`` and ``ChainSim.on_ack``
-return one receiver per calendar entry, for the per-recipient work, and
+before its DIVIDE, and runs the network until idle through its own
+handler, so a round and its :class:`DivisionRound` live inside the call;
+``ChainSim.on_divide`` and ``ChainSim.on_ack`` return one receiver per
+calendar entry, for the per-recipient work, and
 :meth:`Ecosystem._bear_children` builds the children at ACK quorum.
 
-A correct validator's commit vote is its signature over the candidate's
-commit statement, signed and checked once: :meth:`ChainSim.commit` hands the
-round each correct voter's public key with the scheme's ``sign`` and
-``verify``, bound once per commit, so each vote is one
-``SignatureScheme.sign`` and one ``SignatureScheme.verify`` call. Its
-division ACK is likewise one ``scheme.sign`` under its key over the DIVIDE
-statement, broadcast as one message by the receiver
+A correct validator (one :meth:`Ecosystem.correct_keys` names) votes with
+its signature over the candidate's commit statement, signed and checked
+once: :meth:`ChainSim.commit` hands the round each correct voter's public
+key with the scheme's ``sign`` and ``verify``, bound once per commit, so
+each vote is one ``SignatureScheme.sign`` and one ``SignatureScheme.verify``
+call. Its division ACK is likewise one ``scheme.sign`` under its key over
+the DIVIDE statement, broadcast as one message by the receiver
 :meth:`ChainSim.on_divide` returns. A crashed validator is silent, and a
 Byzantine one votes and acks through the per-recipient hook that
-:meth:`Ecosystem.respond` builds around a signing closure for its key.
-A correct validator's certificate share is likewise one ``scheme.sign``
-under its key (:meth:`Ecosystem.cert_sign_fn`), so respond answers only
-crashed and Byzantine validators, for every request kind, and it is the
-only place a hook is built.
+:meth:`Ecosystem.respond` builds around a signing closure for its key. A
+correct validator's certificate share is likewise one ``scheme.sign`` under
+its key (:meth:`Ecosystem.cert_sign_fn`), so respond answers only crashed
+and Byzantine validators, for every request kind, and it is the only place a
+hook is built.
 """
 
 import weakref
@@ -98,7 +99,6 @@ class DivideRequest:
 
 @record
 class AckMsg:
-    request: DivideRequest
     signer: UserId
     signature: bytes
 
@@ -109,8 +109,8 @@ class DivisionRound:
 
     Ecosystem.divide_chain opens a round at the chain's tip and runs the
     network until it is idle, and no commit runs meanwhile, so the chain's
-    state is the round's tip state throughout. Each attempt makes a fresh
-    round, so nothing a failed attempt left behind counts later.
+    state is the round's tip state throughout. The round is a local of that
+    call, so nothing a failed attempt gathered outlives it.
     """
 
     request: DivideRequest
@@ -241,7 +241,6 @@ class ChainSim:
         self.halted = False
         # validator -> height of the last block it committed
         self.committed = dict.fromkeys(self.founders, 0)
-        self.division: DivisionRound | None = None
 
     @property
     def state(self) -> model.ChainState:
@@ -254,10 +253,6 @@ class ChainSim:
         self._state = state
         self.config = state.config
         self.validators = state.config.validators
-
-    @property
-    def quorum(self) -> int:
-        return self.config.quorum
 
     # -- ordinary commits --------------------------------------------------
 
@@ -275,15 +270,8 @@ class ChainSim:
         for tx in txs:
             state = apply_transaction(state, tx, scheme=self.eco.scheme)
         candidate = make_block(len(self.ledger), self.ledger[-1].digest, txs)
-        eco = self.eco
-        network, users, scheme = eco.network, eco.users, eco.scheme
-        nodes, now = network.nodes, network.now
-        correct = {}  # correct validator -> its public key
-        for v in self.validators:
-            node = nodes[v]
-            # now < crash_at: not node.crashed(now), inlined
-            if now < node.crash_at and node.strategy is None:
-                correct[v] = users[v].public_key
+        eco, scheme = self.eco, self.eco.scheme
+        correct = eco.correct_keys(self.validators)
         request = VoteRequest(self.chain_id, candidate)
         respond = eco.respond
 
@@ -293,7 +281,7 @@ class ChainSim:
         # scheme.sign and scheme.verify are bound here, once per commit, so
         # a patched or subclassed SignatureScheme sees every correct vote
         outcome = run_commit_round(
-            self.chain_id, candidate, self.validators, self.quorum,
+            self.chain_id, candidate, self.validators, self.config.quorum,
             eco.verify, correct, scheme.sign, scheme.verify, hook_of)
         if not any(outcome[v] for v in correct):
             stall = eco._emit("stall", chain=self.chain_id,
@@ -309,26 +297,25 @@ class ChainSim:
 
     # -- division protocol ---------------------------------------------------
 
-    def on_divide(self, req: DivideRequest):
-        """The receiver of one DIVIDE calendar entry of the chain's round:
+    def on_divide(self, rnd: DivisionRound):
+        """The receiver of one DIVIDE calendar entry of round `rnd`:
         receive(validator) acks if the validator has committed the tip. The
         network delivers only to live validators, and the rest is fixed for
         the round, so it is read once per entry."""
-        rnd = self.division
+        req = rnd.request
         committed, height = self.committed, req.agreed_height
         eco = self.eco
-        network, users, sign = eco.network, eco.users, eco.scheme.sign
-        nodes, validators, statement = (network.nodes, self.validators,
-                                        req.statement)
+        network, sign = eco.network, eco.scheme.sign
+        validators, statement = self.validators, req.statement
+        correct = eco.correct_keys(validators)
 
         def receive(validator):
             if committed[validator] < height:
                 rnd.behind.add(validator)
-            elif nodes[validator].strategy is None:
-                # correct: one ACK, its own key's tag, to every validator
+            elif validator in correct:
+                # one ACK, its own key's tag, to every validator
                 network.broadcast(validator, validators, AckMsg(
-                    req, validator, sign(users[validator].public_key,
-                                         statement)))
+                    validator, sign(correct[validator], statement)))
             else:
                 self._ack_through_respond(validator, req)
 
@@ -341,15 +328,14 @@ class ChainSim:
         for recipient in self.validators:
             sig = hook(recipient)
             if sig is not None:  # None: withheld, nothing on the wire
-                network.send(validator, recipient, AckMsg(req, validator, sig))
+                network.send(validator, recipient, AckMsg(validator, sig))
 
-    def on_ack(self, ack: AckMsg):
-        """The receiver of one ACK calendar entry of the chain's round:
+    def on_ack(self, rnd: DivisionRound, ack: AckMsg):
+        """The receiver of one ACK calendar entry of round `rnd`:
         receive(validator) runs once per delivery of `ack`. Acks can outrun
         the DIVIDE. What a delivery can change (halted: the first completion
         retires the chain, so no later delivery completes the round; acks)
         is read per delivery, the rest once per entry."""
-        rnd = self.division
         req, behind, committed = rnd.request, rnd.behind, self.committed
         acks_of, height = rnd.acks, req.agreed_height
         cfg = self.state.config  # the round's own: no commit runs in it
@@ -434,10 +420,8 @@ class Ecosystem:
     def __init__(self, seed: int = 0, d_min: int = 1, d_max: int = 1,
                  assignment_scheme: str = RANDOMIZED):
         self.scheme = SignatureScheme(seed)
-        # live chains by id; never replaced, since the handler keeps it
-        self.chains: dict[ChainId, ChainSim] = {}
-        self.network = Network(_message_handler(self.chains),
-                               seed=seed, d_min=d_min, d_max=d_max)
+        self.chains: dict[ChainId, ChainSim] = {}  # live chains by id
+        self.network = Network(seed=seed, d_min=d_min, d_max=d_max)
         self.users: dict[UserId, Account] = {}
         # UserId -> the REGISTER transaction geneses reuse (build_genesis)
         self._registered: dict = {}
@@ -483,6 +467,19 @@ class Ecosystem:
         else:
             self.network.node(user)  # raises UnknownNode for typos
         self.faulty.add(user)
+
+    def correct_keys(self, validators) -> dict:
+        """Each of `validators` neither crashed at the network's now nor
+        Byzantine, in order, mapped to its public key: the validators whose
+        vote, ACK or certificate share is one scheme.sign under that key."""
+        nodes, users, now = self.network.nodes, self.users, self.network.now
+        correct = {}
+        for v in validators:
+            node = nodes[v]
+            # now < crash_at: not node.crashed(now), inlined
+            if now < node.crash_at and node.strategy is None:
+                correct[v] = users[v].public_key
+        return correct
 
     def verify(self, signer: UserId, message: bytes, signature: bytes) -> bool:
         """Check a signature by `signer`'s key; an unregistered signer fails
@@ -550,16 +547,24 @@ class Ecosystem:
                                 f"validators, trigger is {cfg.n_max}")
         req = DivideRequest(chain_id, initiator, sim.state.last_height,
                             sim.ledger[-1].digest)
-        rnd = sim.division = DivisionRound(req)
+        rnd = DivisionRound(req)
+
+        def on_message(payload, now):  # once per calendar entry
+            if sim.halted:  # acks in flight when a quorum completed it
+                return None
+            if payload is req:
+                return sim.on_divide(rnd)
+            return sim.on_ack(rnd, payload)
+
         self.network.broadcast(initiator, cfg.validators, req)
         # a DIVIDE to each validator, then at most n acks from each
-        self.network.run_until_idle(n + n * n)
+        self.network.run_until_idle(on_message, n + n * n)
         if sim.halted:
             return self.chains[children[0]], self.chains[children[1]]
         rejected = "; rejected: behind" if rnd.behind else ""
         raise NoQuorum(
             f"division of {_name(chain_id)} gathered no quorum "
-            f"(need {sim.quorum} acks{rejected})")
+            f"(need {cfg.quorum} acks{rejected})")
 
     def fuse_chains(self, c1_id: ChainId, c2_id: ChainId,
                     merged_id: ChainId = None) -> ChainSim:
@@ -578,8 +583,9 @@ class Ecosystem:
         for sim in (s1, s2):
             stmt = (b"fuse" + enc_bytes(sim.chain_id)
                     + enc_bytes(sim.state.digest()))
-            collect_certificate(stmt, sim.validators, sim.quorum,
-                                self.cert_sign_fn(stmt), self.verify)
+            collect_certificate(stmt, sim.validators, sim.config.quorum,
+                                self.cert_sign_fn(stmt, sim.validators),
+                                self.verify)
         p1, p2 = s1.config.consensus, s2.config.consensus
         merged_params = p1 if p1.alpha <= p2.alpha else p2
         config = ChainConfig(
@@ -678,21 +684,20 @@ class Ecosystem:
 
         return hook
 
-    def cert_sign_fn(self, statement: bytes):
-        """collect_certificate's sign_fn: each validator's share to the
-        certificate's collector. A correct validator's share is one
-        scheme.sign under its key over the statement, bound here, once per
-        certificate; a crashed or Byzantine one is asked through respond,
-        and strategies see the collector as recipient None."""
-        network, users, sign = self.network, self.users, self.scheme.sign
-        nodes, respond = network.nodes, self.respond
+    def cert_sign_fn(self, statement: bytes, validators):
+        """collect_certificate's sign_fn: each of the certificate's
+        `validators`' share to its collector. A correct validator's share is
+        one scheme.sign under its key over the statement, bound here, once
+        per certificate; a crashed or Byzantine one is asked through
+        respond, and strategies see the collector as recipient None."""
+        correct = self.correct_keys(validators)
+        sign, respond = self.scheme.sign, self.respond
         request = SignRequest(statement)
 
         def sign_fn(validator):
-            node = nodes[validator]
-            # now < crash_at: not node.crashed(now), inlined
-            if network.now < node.crash_at and node.strategy is None:
-                return sign(users[validator].public_key, statement)
+            key = correct.get(validator)
+            if key is not None:
+                return sign(key, statement)
             hook = respond(validator, request)
             return None if hook is None else hook(None)
 
@@ -732,7 +737,6 @@ class Ecosystem:
                      split_height=height, side=side,
                      registered=self._registered)
             for side, cid, validators, clients in sides])
-        parent.division = None  # the retired parent keeps no round
         children = []
         for sim in born:
             n_i, f_i = len(sim.validators), self.chain_fault_count(sim)
@@ -748,29 +752,6 @@ class Ecosystem:
         """Record one fact of the run, at the network's current tick."""
         self.events.append(Event(self.network.now, kind, fields))
         return self.events[-1]
-
-
-def _message_handler(chains):
-    """The network's handler: once per calendar entry, find the live chain
-    a DIVIDE or ACK names in `chains`, the Ecosystem's live-chain map, and
-    return the entry's per-recipient receiver on that chain. It holds no
-    reference to the Ecosystem, so the ecosystem -> network -> handler path
-    is no cycle."""
-    get = chains.get
-
-    def on_message(payload, now: int):
-        kind = type(payload)  # exact: the network carries only these two
-        if kind is AckMsg:
-            sim = get(payload.request.chain)
-            if sim is not None:
-                return sim.on_ack(payload)
-        elif kind is DivideRequest:
-            sim = get(payload.chain)
-            if sim is not None:
-                return sim.on_divide(payload)
-        return None
-
-    return on_message
 
 
 def _name(raw: bytes) -> str:

@@ -362,9 +362,6 @@ class ConsensusParams:
         if not (0 < self.alpha <= Fraction(1, 2)):
             raise ValueError("fault threshold must lie in (0, 1/2]")
 
-    def quorum(self, n: int) -> int:
-        return quorum_size(n, self.alpha)
-
     def to_bytes(self) -> bytes:
         return (enc_u64(self.alpha.numerator) + enc_u64(self.alpha.denominator)
                 + enc_bytes(self.kind.encode()))
@@ -389,7 +386,7 @@ class ChainConfig:
 
     @memo
     def quorum(self) -> int:
-        return self.consensus.quorum(len(self.validators))
+        return quorum_size(len(self.validators), self.consensus.alpha)
 
     @memo
     def validator_set(self) -> frozenset:

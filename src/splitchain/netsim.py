@@ -5,12 +5,12 @@ delay model and processed by tick, in send order within a tick, so a
 (topology, seed) pair fully determines every run. Every message is one
 ``send``; consecutive sends of one payload object that land on the same tick
 share one calendar entry, (recipients, payload), so a broadcast is one entry
-per delivery tick. The network's one handler is called once per entry,
-``handler(payload, now)``, and returns a ``receive(node_id)`` that runs for
-each recipient in order, or None: nobody acts on it, and the entry is
-settled in one pass. Nodes are dumb mailboxes: protocol behavior lives in
-that handler, and fault status (crash schedule, Byzantine strategy) is
-consulted by it and by the delivery loop.
+per delivery tick. A run's handler, passed to ``run_until_idle``, is
+called once per entry, ``handler(payload, now)``, and returns a
+``receive(node_id)`` that runs for each recipient in order, or None: nobody
+acts on it, and the entry is settled in one pass. Nodes are dumb
+mailboxes: protocol behavior lives in that handler, and fault status (crash
+schedule, Byzantine strategy) is consulted by it and by the delivery loop.
 
 A Byzantine strategy has one method, ``answer(request, recipient, sign)``:
 what the node sends ``recipient`` when asked to sign ``request`` (None for
@@ -48,14 +48,14 @@ class Node:
 
 
 class Network:
-    """Message fabric that runs its own deliveries, with one handler for
-    every node: ``handler(payload, now)``, called once per calendar entry,
-    returns ``receive(node_id)`` or None, and ``receive`` runs for each live
-    recipient of the entry in order, so it must read per call what a
-    delivery can change. Every message is one ``send`` call and counts
-    toward ``messages_sent`` (self-delivery included); delivery to a node
-    crashed at delivery time is a silent drop. No handler may run the
-    network: a nested run raises.
+    """Message fabric that keeps no handler: each ``run_until_idle`` takes
+    the one that run delivers through. ``handler(payload, now)``, called
+    once per calendar entry, returns ``receive(node_id)`` or None, and
+    ``receive`` runs for each live recipient of the entry in order, so it
+    must read per call what a delivery can change. Every message is one
+    ``send`` call and counts toward ``messages_sent`` (self-delivery
+    included); delivery to a node crashed at delivery time is a silent
+    drop. No handler may run the network: a nested run raises.
 
     The queue is a calendar queue (Brown, CACM 1988): each tick that has
     deliveries keeps a deque of (recipients, payload) entries in send
@@ -68,11 +68,9 @@ class Network:
     join it when the delay is fixed.
     """
 
-    def __init__(self, handler, seed: int = 0, d_min: int = 1,
-                 d_max: int = 1):
+    def __init__(self, seed: int = 0, d_min: int = 1, d_max: int = 1):
         if not 0 < d_min <= d_max:
             raise ValueError("need 0 < d_min <= d_max")
-        self.handler = handler
         self.nodes: dict[bytes, Node] = {}
         self.now = 0
         self.messages_sent = 0
@@ -164,21 +162,21 @@ class Network:
         for dst in targets:
             send(src, dst, payload)
 
-    def run_until_idle(self, max_events: int = 1_000_000) -> int:
-        """Deliver every tick in order, counting deliveries; raise once more
-        than `max_events` have run. A tick leaves the calendar before its
-        first delivery (every send lands on a later tick), and an entry as
-        it is delivered, which frees it. Any raise empties the calendar, so
-        nothing a failed run sent stays in flight. An entry nobody acts on
-        (the handler returned None) is settled in one pass, its crashed
-        recipients counted as drops, unless it would cross the budget: then
-        the per-recipient loop raises at the same delivery."""
+    def run_until_idle(self, handler, max_events: int = 1_000_000) -> int:
+        """Deliver every tick in order through `handler`, counting
+        deliveries; raise once more than `max_events` have run. A tick
+        leaves the calendar before its first delivery (every send lands on a
+        later tick), and an entry as it is delivered, which frees it. Any
+        raise empties the calendar, so nothing a failed run sent stays in
+        flight. An entry nobody acts on (`handler` returned None) is settled
+        in one pass, its crashed recipients counted as drops, unless it
+        would cross the budget: then the per-recipient loop raises there."""
         if self._running:
             raise RuntimeError("the network is already running; a handler "
                                "may not run it")
         self._running = True
         count = 0
-        handler, queues, ticks = self.handler, self._queues, self._ticks
+        queues, ticks = self._queues, self._ticks
         try:
             while ticks:
                 time = heapq.heappop(ticks)

@@ -522,6 +522,8 @@ class _Driver:
                 self.undividable.add(chain_id)
             return
         self.rotation.extend(child.chain_id for child in children)
+        for child in children:  # born at or above its trigger: divide it too
+            self._maybe_divide(child.chain_id)
 
     def fuse(self, fuse: FuseSpec) -> None:
         left, right = fuse.left.encode(), fuse.right.encode()

@@ -274,8 +274,9 @@ def tok_generate_proof(eco, prover: UserId, source: ChainId, predicate,
     if predicate.evaluate(sim.ledger, sim.state) is not True:
         return None
     statement = proof_statement(predicate, 1, tag)
-    cert = collect_certificate(statement, sim.validators, sim.quorum,
-                               eco.cert_sign_fn(statement), eco.verify)
+    cert = collect_certificate(statement, sim.validators, sim.config.quorum,
+                               eco.cert_sign_fn(statement, sim.validators),
+                               eco.verify)
     return KnowledgeProof(predicate, 1, tag, cert)
 
 

@@ -147,8 +147,7 @@ class _HeapNetwork:
     """netsim.Network's delivery rules over one heap of
     (time, seq, node, payload), popped one delivery at a time."""
 
-    def __init__(self, handler, seed, d_min, d_max):
-        self.handler = handler
+    def __init__(self, seed, d_min, d_max):
         self.crash_at = {}  # node -> crashed from this tick on, or None
         self.now = 0
         self.messages_sent = 0
@@ -177,20 +176,20 @@ class _HeapNetwork:
         for dst in targets:
             self.send(src, dst, payload)
 
-    def _step(self) -> None:
+    def _step(self, handler) -> None:
         time, _, node, payload = heapq.heappop(self._heap)
         self.now = time
         crash_at = self.crash_at[node]
         if crash_at is not None and time >= crash_at:
             self.messages_dropped += 1
         else:
-            self.handler(node, payload, time)
+            handler(node, payload, time)
 
-    def run_until_idle(self, max_events: int = 1_000_000) -> int:
+    def run_until_idle(self, handler, max_events: int = 1_000_000) -> int:
         count = 0
         try:
             while self._heap:
-                self._step()
+                self._step(handler)
                 count += 1
                 if count > max_events:
                     raise RuntimeError("event budget exhausted; likely a "
@@ -207,10 +206,10 @@ class _HeapNetwork:
 
 
 def per_delivery(handler, ignored=None):
-    """A netsim.Network handler, ``handler(payload, now) -> receive``, that
-    calls a per-delivery ``handler(node_id, payload, now)`` for each
-    recipient of a calendar entry. An entry whose payload ``ignored``
-    accepts gets no receiver: nobody acts on it."""
+    """A handler for netsim.Network.run_until_idle, ``handler(payload,
+    now) -> receive``, that calls a per-delivery ``handler(node_id,
+    payload, now)`` for each recipient of a calendar entry. An entry whose
+    payload ``ignored`` accepts gets no receiver: nobody acts on it."""
 
     def per_entry(payload, now):
         if ignored is not None and ignored(payload):
@@ -220,11 +219,12 @@ def per_delivery(handler, ignored=None):
     return per_entry
 
 
-def reference_network(handler, seed: int = 0, d_min: int = 1,
+def reference_network(seed: int = 0, d_min: int = 1,
                       d_max: int = 1) -> _HeapNetwork:
     """A network that pops one heap of (time, seq, node, payload) per
-    delivery, with a per-delivery ``handler(node_id, payload, now)``. A
-    broadcast is one send per target, in target order.
+    delivery, with a per-delivery ``handler(node_id, payload, now)`` passed
+    to each ``run_until_idle``. A broadcast is one send per target, in
+    target order.
 
     The sequence number breaks ties, so deliveries of one tick run in send
     order. Delays come from the same seeded stream as netsim.Network's
@@ -235,7 +235,7 @@ def reference_network(handler, seed: int = 0, d_min: int = 1,
     per-tick FIFOs of netsim.Network: same calls, same delivery order,
     clock, counters and budget.
     """
-    return _HeapNetwork(handler, seed, d_min, d_max)
+    return _HeapNetwork(seed, d_min, d_max)
 
 
 def user(i: int) -> bytes:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -64,6 +65,27 @@ def test_trace_calls_equal_compares_calls_and_drops_only(bench_pairs):
     # a layer only one side traced counts as a difference
     assert not bench_pairs.trace_calls_equal(
         parent, dict(parent, **{"model.replay.calls": 1.0}))
+
+
+def test_reports_equal_reads_the_report_files_alone(bench_pairs, tmp_path):
+    def digests(stdout, report):
+        (tmp_path / "out").mkdir(exist_ok=True)
+        (tmp_path / "out" / "events.log").write_bytes(report)
+        done = subprocess.CompletedProcess([], 0, stdout, b"")
+        return bench_pairs.run_digests(done, tmp_path)
+
+    parent = {"run": digests(b"2 chains born\n", b"[0] create\n")}
+    reworded = {"run": digests(b"2 chains beyond\n", b"[0] create\n")}
+    moved = {"run": digests(b"2 chains born\n", b"[0] divide\n")}
+    assert parent != reworded  # the whole-run hash reads stdout
+    assert bench_pairs.reports_equal(parent, reworded)
+    assert not bench_pairs.reports_equal(parent, moved)
+    assert not bench_pairs.reports_equal(parent, {})
+    # a report file's name counts as well as its bytes
+    (tmp_path / "out" / "events.log").rename(tmp_path / "out" / "other.log")
+    done = subprocess.CompletedProcess([], 0, b"2 chains born\n", b"")
+    renamed = {"run": bench_pairs.run_digests(done, tmp_path)}
+    assert not bench_pairs.reports_equal(parent, renamed)
 
 
 @pytest.fixture

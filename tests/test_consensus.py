@@ -298,8 +298,8 @@ def ecosystem_round(behaviours, alpha):
             return eco.respond(voter, request)
         return lambda recipient: vote
 
-    return (b"c", candidate, sim.validators, sim.quorum, eco.verify, keys,
-            eco.scheme.sign, eco.scheme.verify, hook_of)
+    return (b"c", candidate, sim.validators, sim.config.quorum, eco.verify,
+            keys, eco.scheme.sign, eco.scheme.verify, hook_of)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,6 @@
 """Chain lifecycle: creation, joins, the division protocol, fusion."""
 
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from splitchain.manager import (
     AckMsg,
     ChainSim,
     DivideRequest,
+    DivisionRound,
     Ecosystem,
     SignRequest,
     VoteRequest,
@@ -107,6 +109,34 @@ def build_eco(n=10, clients=0, alpha=HALF, kind="cft", n_max=None, seed=0,
     return eco
 
 
+def tip_round(eco, initiator=b"u000"):
+    """A fresh DivisionRound of root at its tip, as divide_chain opens one."""
+    sim = eco.chains[b"root"]
+    return DivisionRound(DivideRequest(b"root", initiator,
+                                       sim.state.last_height,
+                                       sim.ledger[-1].digest))
+
+
+def signed_ack(eco, rnd, signer):
+    """`signer`'s ACK of the round, tagged under its own key."""
+    return AckMsg(signer, eco.scheme.sign(eco.users[signer].public_key,
+                                          rnd.request.statement))
+
+
+@pytest.fixture
+def division_rounds(monkeypatch):
+    """A weak reference to every DivisionRound that divide_chain opens."""
+    refs = []
+
+    def recorded(request):
+        rnd = DivisionRound(request)
+        refs.append(weakref.ref(rnd))
+        return rnd
+
+    monkeypatch.setattr(manager, "DivisionRound", recorded)
+    return refs
+
+
 # --- creation and joins -----------------------------------------------------
 
 
@@ -156,6 +186,21 @@ def test_verify_checks_the_signers_key_and_never_asks_for_a_stranger():
     assert eco.scheme.verifies == 2  # an unregistered signer has no key
 
 
+def test_correct_keys_names_the_live_honest_validators_in_order():
+    # a crash tick still ahead of the clock counts as live; a Byzantine
+    # validator, and one crashed at the network's now, are not correct
+    eco = build_eco(n=5, n_max=8, strategies={b"u001": "badsig"})
+    eco.crash_user(b"u002", at_time=4)
+    eco.crash_user(b"u003", at_time=6)
+    eco.network.advance_to(4)
+    asked = (b"u004", b"u003", b"u002", b"u001", b"u000")
+    correct = eco.correct_keys(asked)
+    assert list(correct) == [b"u004", b"u003", b"u000"]
+    assert correct == {v: eco.users[v].public_key for v in correct}
+    eco.network.advance_to(6)
+    assert list(eco.correct_keys(asked)) == [b"u004", b"u000"]
+
+
 def test_create_with_unregistered_validator_rejected():
     eco = build_eco(n=4, n_max=8)
     with pytest.raises(UnregisteredValidator):
@@ -164,11 +209,11 @@ def test_create_with_unregistered_validator_rejected():
 
 def test_validator_join_recomputes_quorum():
     eco = build_eco(n=4, alpha=THIRD, kind="bft", n_max=16)
-    assert eco.chains[b"root"].quorum == 3
+    assert eco.chains[b"root"].config.quorum == 3
     eco.register_user(b"u900", Role.VALIDATOR)
     cfg = eco.join_chain(b"u900", b"root")
     assert len(cfg.validators) == 5
-    assert eco.chains[b"root"].quorum == 4
+    assert eco.chains[b"root"].config.quorum == 4
     assert eco.chain(b"root").config is cfg
 
 
@@ -226,7 +271,7 @@ def test_all_honest_commit_signs_and_verifies_only_the_first_quorum():
         correct = [v for v in sim.validators
                    if v not in crashed and v not in byzantine]
         first = Counter({eco.users[v].public_key: 1
-                         for v in correct[:sim.quorum]})
+                         for v in correct[:sim.config.quorum]})
         case = (n, crashed, byzantine)
         assert eco.scheme.signs == first, case
         assert eco.scheme.verified == first, case
@@ -276,7 +321,7 @@ def test_byzantine_voter_signs_once_per_distinct_message():
         eco = build_eco(n=n, counting=True, strategies={
             b"u001": "equivocate", b"u002": "badsig"})
         sim = eco.chains[b"root"]
-        live = crash_honest_beyond(eco, sim, sim.quorum - 1,
+        live = crash_honest_beyond(eco, sim, sim.config.quorum - 1,
                                    (b"u001", b"u002"))
 
         def pk(user):
@@ -288,8 +333,9 @@ def test_byzantine_voter_signs_once_per_distinct_message():
         keys = {v: pk(v) for v in live}
         hooks = {v: eco.respond(v, request) for v in sim.validators
                  if v not in keys}
-        args = (b"root", candidate, sim.validators, sim.quorum, eco.verify,
-                keys, eco.scheme.sign, eco.scheme.verify, hooks.__getitem__)
+        args = (b"root", candidate, sim.validators, sim.config.quorum,
+                eco.verify, keys, eco.scheme.sign, eco.scheme.verify,
+                hooks.__getitem__)
         outcome = run_commit_round(*args)
         # the equivocator sends two statements to n recipients: two tags
         assert eco.scheme.signs[pk(b"u001")] == 2, n
@@ -316,14 +362,14 @@ def test_byzantine_voter_is_asked_only_when_correct_votes_fall_short():
             strategy = CountingStrategy("equivocate")
             eco = build_eco(n=n, strategies={b"u001": strategy})
             sim = eco.chains[b"root"]
-            live = crash_honest_beyond(eco, sim, sim.quorum - short,
+            live = crash_honest_beyond(eco, sim, sim.config.quorum - short,
                                        (b"u001",))
             candidate = make_block(1, sim.ledger[-1].digest, [])
             request = VoteRequest(b"root", candidate)
             keys = {v: eco.users[v].public_key for v in live}
             hooks = {v: eco.respond(v, request) for v in sim.validators
                      if v not in keys}
-            args = (b"root", candidate, sim.validators, sim.quorum,
+            args = (b"root", candidate, sim.validators, sim.config.quorum,
                     eco.verify, keys, eco.scheme.sign, eco.scheme.verify,
                     hooks.__getitem__)
             outcome = run_commit_round(*args)
@@ -426,13 +472,16 @@ def test_a_division_rounds_calendar_holds_one_entry_per_broadcast():
     n = 50
     eco = build_eco(n=n)
     network = eco.network
-    handler, seen = network.handler, []
+    run, seen = network.run_until_idle, []
 
-    def recording(payload, now):
-        seen.append((now, type(payload), network.messages_sent))
-        return handler(payload, now)
+    def recording_run(handler, max_events):
+        def recording(payload, now):
+            seen.append((now, type(payload), network.messages_sent))
+            return handler(payload, now)
 
-    network.handler = recording
+        return run(recording, max_events)
+
+    network.run_until_idle = recording_run
     eco.divide_chain(b"root", initiator=b"u000")
     # every ack was sent while tick 1 ran, before tick 2's first entry
     assert seen[:2] == [(1, DivideRequest, n), (2, AckMsg, n + n * n)]
@@ -534,7 +583,8 @@ def test_division_below_trigger_rejected():
 
 
 @pytest.mark.parametrize("retired", [False, True])
-def test_division_into_a_taken_child_id_touches_nothing(retired):
+def test_division_into_a_taken_child_id_touches_nothing(retired,
+                                                        division_rounds):
     eco = build_eco(n=4)
     for u in (b"x000", b"x001"):
         eco.register_user(u, Role.VALIDATOR)
@@ -549,7 +599,7 @@ def test_division_into_a_taken_child_id_touches_nothing(retired):
     assert eco.network.messages_sent == before
     sim = eco.chains[b"root"]
     assert not sim.halted and b"root" not in eco.retired
-    assert sim.division is None
+    assert division_rounds == []  # refused before any round opened
     assert divide_events(eco) == []
 
 
@@ -557,9 +607,10 @@ def test_division_into_a_taken_child_id_touches_nothing(retired):
     (TriggerNotMet, 8, b"u000"),
     (UnknownInitiator, 4, b"mallory"),
 ], ids=["trigger", "unknown-initiator"])
-def test_a_refused_division_sends_no_message(error, n_max, initiator):
+def test_a_refused_division_sends_no_message(error, n_max, initiator,
+                                            division_rounds):
     # divide_chain judges the request before its DIVIDE: a refusal costs
-    # no message and no tick, and leaves no round behind
+    # no message and no tick, and opens no round
     eco = build_eco(n=4, n_max=n_max)
     eco.register_user(b"mallory", Role.VALIDATOR)  # an account, no seat
     network = eco.network
@@ -568,7 +619,7 @@ def test_a_refused_division_sends_no_message(error, n_max, initiator):
         eco.divide_chain(b"root", initiator=initiator)
     assert network.messages_sent == 0 and network.now == 3
     assert network._queues == {} and network._ticks == []
-    assert eco.chains[b"root"].division is None
+    assert division_rounds == []
 
 
 def test_a_division_is_refused_in_a_fixed_order():
@@ -641,40 +692,61 @@ def test_a_division_that_raises_leaves_nothing_in_flight(monkeypatch):
         (c.chain_id, c.validators, c.ledger) for c in clean]
 
 
-def test_a_divided_parent_keeps_no_round_and_a_failed_one_stays():
-    # a retired parent is kept for good, so its finished round (n x q ack
-    # entries and verdicts) is dropped; a failed round stays on its live
-    # chain until the next attempt replaces it
+def test_a_divided_parent_keeps_no_round_and_a_failed_one_stays(
+        division_rounds):
+    # a round that falls short keeps what it gathered for whoever holds it
+    # (n=4, quorum 2: u000's ack alone reaches every validator) and leaves
+    # its chain live; a retired parent is kept for good, and keeps no round
     eco = build_eco(n=4, strategies=dict.fromkeys(
         (b"u001", b"u002", b"u003"), "withhold"))
-    with pytest.raises(NoQuorum):
-        eco.divide_chain(b"root", initiator=b"u000")
-    failed = eco.chains[b"root"].division
-    assert {r: set(acks) for r, acks in failed.acks.items()} == dict.fromkeys(
+    sim, rnd = eco.chains[b"root"], tip_round(eco)
+    ack = signed_ack(eco, rnd, b"u000")
+    for recipient in sim.validators:
+        sim.on_ack(rnd, ack)(recipient)
+    assert {r: set(acks) for r, acks in rnd.acks.items()} == dict.fromkeys(
         (b"u000", b"u001", b"u002", b"u003"), {b"u000"})
+    assert not sim.halted and divide_events(eco) == []
     eco = build_eco(n=10, d_max=3)
     root = eco.chains[b"root"]
     eco.divide_chain(b"root")
     assert eco.chain(b"root") is root and root.halted
-    assert root.division is None
+    assert not any(isinstance(value, DivisionRound)
+                   for value in vars(root).values())
+    assert [ref() for ref in division_rounds] == [None]
+
+
+@pytest.mark.parametrize("divides", [True, False])
+def test_no_division_round_outlives_its_call(divides, division_rounds):
+    # the round is a local of divide_chain: once the call has returned, or
+    # its NoQuorum has been handled, nothing holds it. Delays up to 3 leave
+    # acks in flight when the quorum completes the round
+    withheld = () if divides else (b"u001", b"u002", b"u003")
+    eco = build_eco(n=4, d_max=3,
+                    strategies=dict.fromkeys(withheld, "withhold"))
+    if divides:
+        eco.divide_chain(b"root", initiator=b"u000")
+    else:
+        with pytest.raises(NoQuorum):
+            eco.divide_chain(b"root", initiator=b"u000")
+    assert len(division_rounds) == 1
+    assert division_rounds[0]() is None
+    assert (b"root" in eco.retired) == divides
 
 
 def test_install_checks_child_ids_before_retiring_the_parent():
     # divide_chain checks the child ids before its DIVIDE; an id taken
-    # after its round is caught at install time, when a direct ack
-    # completes the round it left (n=4, quorum 2: only u000 acked)
+    # after that is caught at install time, when a direct ack completes a
+    # round of the tip (n=4, quorum 2: u000 and then u001 ack to u000)
     eco = build_eco(n=4, strategies=dict.fromkeys(
         (b"u001", b"u002", b"u003"), "withhold"))
     with pytest.raises(NoQuorum):
         eco.divide_chain(b"root", initiator=b"u000")
     eco.register_user(b"x000", Role.VALIDATOR)
     eco.create_chain(b"root.1", [b"x000"])
-    sim = eco.chains[b"root"]
-    req = sim.division.request
-    ack = AckMsg(req, b"u001", eco.scheme.sign(eco.users[b"u001"].public_key,
-                                               req.statement))
+    sim, rnd = eco.chains[b"root"], tip_round(eco)
+    sim.on_ack(rnd, signed_ack(eco, rnd, b"u000"))(b"u000")
     with pytest.raises(DuplicateChainId, match="root.1"):
-        sim.on_ack(ack)(b"u000")
+        sim.on_ack(rnd, signed_ack(eco, rnd, b"u001"))(b"u000")
     assert not sim.halted and b"root" not in eco.retired
     assert b"root.2" not in eco.chains and divide_events(eco) == []
 
@@ -759,67 +831,67 @@ def test_badsig_ackers_do_not_count():
 
 def test_ack_signer_is_checked_against_the_config_of_its_round():
     # n=5, quorum 3; the others vote but never ack, so only u000 acks. An
-    # ack from a registered non-member never counts in the round a failed
-    # divide_chain left; after the signer joins (a commit that leaves the
-    # silent ackers behind), the next round counts the joiner's ack
+    # ack from a registered non-member never counts in a round of the
+    # chain's tip; after the signer joins (a commit that leaves the silent
+    # ackers behind), a round of the new tip counts the joiner's ack
     eco = build_eco(n=5, strategies=dict.fromkeys(
         (b"u001", b"u002", b"u003", b"u004"), SilentAcker()))
     eco.register_user(b"u050", Role.VALIDATOR)
-    key = eco.users[b"u050"].public_key
     with pytest.raises(NoQuorum):
         eco.divide_chain(b"root", initiator=b"u000")
-    sim = eco.chains[b"root"]
-    rnd = sim.division
-    ack = AckMsg(rnd.request, b"u050",
-                 eco.scheme.sign(key, rnd.request.statement))
-    sim.on_ack(ack)(b"u001")
+    sim, rnd = eco.chains[b"root"], tip_round(eco)
+    sim.on_ack(rnd, signed_ack(eco, rnd, b"u000"))(b"u001")
+    ack = signed_ack(eco, rnd, b"u050")
+    sim.on_ack(rnd, ack)(b"u001")
     assert rnd.acks[b"u001"].keys() == {b"u000"}
     assert rnd.verdicts[b"u050", ack.signature] is False
     eco.join_chain(b"u050", b"root")
     with pytest.raises(NoQuorum, match="rejected: behind"):
         eco.divide_chain(b"root", initiator=b"u000")
-    rnd = sim.division
-    tag = eco.scheme.sign(key, rnd.request.statement)
-    assert rnd.acks[b"u000"][b"u050"] == tag
+    rnd = tip_round(eco)
+    ack = signed_ack(eco, rnd, b"u050")
+    for signer in (b"u000", b"u050"):
+        sim.on_ack(rnd, signed_ack(eco, rnd, signer))(b"u000")
+    assert rnd.acks[b"u000"][b"u050"] == ack.signature
     assert rnd.acks[b"u000"].keys() == {b"u000", b"u050"}
+    assert not sim.halted  # 2 of quorum 3
 
 
 def test_ack_verdicts_are_memoised_per_round_by_signer_and_tag():
-    # n=5, quorum 3: only u000 acks the rounds divide_chain runs, so acks
-    # from one more signer, fed to the round it leaves, never complete it
+    # n=5, quorum 3: u000's ack reaches every validator of a round of the
+    # tip, so acks from one more signer never complete it
     eco = build_eco(n=5, counting=True, strategies=dict.fromkeys(
         (b"u001", b"u002", b"u003", b"u004"), "withhold"))
-    with pytest.raises(NoQuorum):
-        eco.divide_chain(b"root", initiator=b"u000")
     sim = eco.chains[b"root"]
     key = eco.users[b"u001"].public_key
-    rnd, req = sim.division, sim.division.request
-    own = rnd.acks[b"u000"][b"u000"]
+
+    def opened():
+        rnd = tip_round(eco)
+        ack = signed_ack(eco, rnd, b"u000")
+        for recipient in sim.validators:
+            sim.on_ack(rnd, ack)(recipient)
+        return rnd, rnd.request, ack.signature
+
+    rnd, req, own = opened()
     good = eco.scheme.sign(key, req.statement)
     bad = sha256(b"garbage")
-    # equal but distinct messages, and an equal but distinct request
-    twin = type(req)(req.chain, req.initiator, req.agreed_height,
-                     req.anchor_digest)
-    for recipient, ack in ((b"u000", AckMsg(req, b"u001", good)),
-                           (b"u002", AckMsg(req, b"u001", good)),
-                           (b"u003", AckMsg(twin, b"u001", good))):
-        sim.on_ack(ack)(recipient)
+    # equal but distinct messages
+    for recipient in (b"u000", b"u002", b"u003"):
+        sim.on_ack(rnd, AckMsg(b"u001", good))(recipient)
     assert eco.scheme.verified[key] == 1
     assert all(rnd.acks[r] == {b"u000": own, b"u001": good}
                for r in (b"u000", b"u002", b"u003"))
     # a second tag from the same signer is verified on its own, once, and
     # never counted
     for recipient in (b"u001", b"u002", b"u001"):
-        sim.on_ack(AckMsg(req, b"u001", bad))(recipient)
+        sim.on_ack(rnd, AckMsg(b"u001", bad))(recipient)
     assert eco.scheme.verified[key] == 2
     assert rnd.acks[b"u001"] == {b"u000": own}
     assert rnd.acks[b"u002"] == {b"u000": own, b"u001": good}
     # a new round judges every tag afresh
-    with pytest.raises(NoQuorum):
-        eco.divide_chain(b"root", initiator=b"u000")
-    rnd, req = sim.division, sim.division.request
-    sim.on_ack(AckMsg(req, b"u001", good))(b"u000")
-    sim.on_ack(AckMsg(req, b"u001", bad))(b"u002")
+    rnd, req, own = opened()
+    sim.on_ack(rnd, AckMsg(b"u001", good))(b"u000")
+    sim.on_ack(rnd, AckMsg(b"u001", bad))(b"u002")
     assert eco.scheme.verified[key] == 4
     assert rnd.acks[b"u000"] == {b"u000": own, b"u001": good}
     assert rnd.acks[b"u002"] == {b"u000": own}
@@ -829,20 +901,20 @@ def test_a_fresh_division_is_judged_once_per_calendar_entry(monkeypatch):
     # n=20 at unit delay, quorum q=10: divide_chain judges the request once,
     # before the DIVIDE; then one DIVIDE entry, and one ACK entry per acker
     # until the q-th completes the division and retires the chain, each get
-    # one receiver; the entries after it find no live chain
+    # one receiver; the entries after it find a halted chain
     eco = build_eco(n=20)
     calls = []
     for name in ("on_divide", "on_ack"):
         original = getattr(ChainSim, name)
 
-        def counted(sim, payload, original=original):
-            calls.append(type(payload))
-            return original(sim, payload)
+        def counted(sim, rnd, *ack, original=original, name=name):
+            calls.append((name, rnd.request.chain))
+            return original(sim, rnd, *ack)
 
         monkeypatch.setattr(ChainSim, name, counted)
     eco.divide_chain(b"root", initiator=b"u000")
-    assert eco.chain(b"root").quorum == 10
-    assert calls == [DivideRequest] + [AckMsg] * 10
+    assert eco.chain(b"root").config.quorum == 10
+    assert calls == [("on_divide", b"root")] + [("on_ack", b"root")] * 10
 
 
 def test_no_quorum_names_the_rejection_reasons():
@@ -878,11 +950,11 @@ def test_every_vote_and_ack_goes_through_the_scheme_sign_of_call_time(
     block = sim.commit([])
     statement = commit_statement(b"root", block.digest, block.height)
     first_quorum = [eco.users[v].public_key
-                    for v in sim.validators[:sim.quorum]]
+                    for v in sim.validators[:sim.config.quorum]]
     assert signed == [(pk, statement) for pk in first_quorum]
     del signed[:]
-    # the retired parent keeps no round, so the statement is rebuilt from
-    # the DIVIDE for its tip
+    # the round is divide_chain's own, so the statement is rebuilt from the
+    # DIVIDE for the tip
     statement = DivideRequest(b"root", b"u000", sim.state.last_height,
                               sim.ledger[-1].digest).statement
     eco.divide_chain(b"root", initiator=b"u000")

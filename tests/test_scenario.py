@@ -213,6 +213,23 @@ n_max = 20
     assert [r[1] for r in report.metrics] == ["root.1", "root.2"]
 
 
+def test_a_child_born_at_or_above_its_trigger_divides_at_once():
+    # 40 at trigger 10 splits into 20s, each 20 into 10s and each 10 into
+    # 5s, all before the one arrival, which lands on a chain of 5
+    report = run_scenario("""
+[chain a]
+validators = 40
+n_max = 10
+
+[join]
+arrivals = 1
+""")
+    assert [e.fields["n"] for e in report.divisions] == [40, 20, 10, 10,
+                                                         20, 10, 10]
+    assert sorted(n for _, n, _ in report.final_chains) == [5] * 7 + [6]
+    assert report.messages_total == 2920
+
+
 def test_division_record_counts_founders_faulted_in_the_fault_plan():
     # the crash is applied after the chain is created, yet a-v001 is a
     # faulty founder: f_birth counts it, and the honest joins add none

@@ -109,7 +109,8 @@ def test_true_predicate_yields_verifying_proof():
     tag = issue_tag(eco, b"dst")
     proof = tok_generate_proof(eco, b"alice", b"src", included, tag)
     assert proof is not None
-    assert len(proof.certificate.signatures) >= eco.chains[b"src"].quorum
+    quorum = eco.chains[b"src"].config.quorum
+    assert len(proof.certificate.signatures) >= quorum
     verdict, reason = tok_verify_proof(
         proof, tag, eco.chain(b"src").config,
         eco.chains[b"dst"].state.last_height, eco.verify)
