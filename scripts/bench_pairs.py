@@ -39,12 +39,17 @@ PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
   the median op;
 * times ``divide_chain`` of a fresh n-validator chain, n ∈ {300, 1000},
   DIVISION_REPEATS times in each fresh interpreter, in DIVISION_PAIRS
-  alternating pairs of interpreters per n; each run reports the median CPU
-  time of its divisions (so one slow division, a fraction of a second at
-  n = 300, does not decide a run), the messages one division sends and the
-  peak RSS, and the summary holds each side's medians and the median of the
-  per-pair CPU ratios, since no benchmark workload runs a division at that
-  size;
+  alternating pairs of interpreters per n; each division's CPU time is
+  also reported at the reference speed of the tree's own
+  ``bench/calibration.py`` (raw seconds × REFERENCE_S / the mean of the
+  ``interpreter`` loop timed just before and just after it), so a host
+  that slows down between divisions does not read as a slower division;
+  each run reports the median of its divisions, raw and at reference
+  speed (so one slow division, a fraction of a second at n = 300, does
+  not decide a run), the messages one division sends and the peak RSS,
+  and the summary holds each side's medians and, at reference speed, the
+  median of the per-pair ratios and the change's wins, since no benchmark
+  workload runs a division at that size;
 * makes one traced run (``--trace 1``) per workload and tree, and records
   its per-layer metrics (call counts, self times, the Monte Carlo cost per
   10⁵ trials), to show in which layer a saving appears; per workload,
@@ -133,14 +138,19 @@ print(json.dumps({"decided_per_n": decided, "op_s": times}))
 
 # Runs in a child interpreter with PYTHONPATH=<tree>/src: argv[2] divisions,
 # each of a fresh chain of argv[1] validators, with the CPU time of each
-# division (the division only) and their median, the messages one division
-# sends, its children's sizes and the process's peak RSS.
+# division (the division only), raw and at the reference speed of the
+# calibration loop in argv[3] (the tree's bench/), and their medians, the
+# messages one division sends, its children's sizes and the process's peak
+# RSS.
 DIVISION_PROBE = r"""
 import json, resource, statistics, sys, time
+sys.path.insert(0, sys.argv[3])
+from calibration import SpeedProbe
 from splitchain.manager import Ecosystem
 from splitchain.model import Role
 n, repeats = int(sys.argv[1]), int(sys.argv[2])
-runs, sent = [], set()
+probe = SpeedProbe("interpreter")
+runs, ref_runs, sent = [], [], set()
 for _ in range(repeats):
     eco = Ecosystem(seed=0)
     validators = [b"v%04d" % i for i in range(n)]
@@ -148,9 +158,12 @@ for _ in range(repeats):
         eco.register_user(v, Role.VALIDATOR)
     eco.create_chain(b"root", validators, n_max=n)
     before = eco.network.messages_sent
+    loop_s = probe.sample()
     start = time.process_time()
     c1, c2 = eco.divide_chain(b"root")
     runs.append(time.process_time() - start)
+    loop_s = (loop_s + probe.sample()) / 2
+    ref_runs.append(runs[-1] * probe.reference / loop_s)
     sent.add(eco.network.messages_sent - before)
     children = [len(c1.validators), len(c2.validators)]
     del eco, c1, c2  # freed before the next chain: peak RSS is one division's
@@ -158,6 +171,8 @@ assert len(sent) == 1, sent  # every division sends the same messages
 print(json.dumps({
     "cpu_s": round(statistics.median(runs), 4),
     "cpu_s_runs": [round(t, 4) for t in runs],
+    "ref_s": round(statistics.median(ref_runs), 4),
+    "ref_s_runs": [round(t, 4) for t in ref_runs],
     "messages_sent": sent.pop(),
     "children": children,
     "peak_rss_mb": round(
@@ -372,7 +387,8 @@ def grid_probe(tree: Path, seed: int) -> dict:
 def division_run(tree: Path, n: int, repeats: int = DIVISION_REPEATS) -> dict:
     """One fresh interpreter's divisions of an n-validator chain."""
     done = subprocess.run(
-        [sys.executable, "-c", DIVISION_PROBE, str(n), str(repeats)],
+        [sys.executable, "-c", DIVISION_PROBE, str(n), str(repeats),
+         str(tree / "bench")],
         env=child_env(tree), capture_output=True, text=True, timeout=900,
         check=True)
     return json.loads(done.stdout)
@@ -380,7 +396,8 @@ def division_run(tree: Path, n: int, repeats: int = DIVISION_REPEATS) -> dict:
 
 def division_probe(trees: dict) -> dict:
     """Alternating pairs of interpreters per size, each timing
-    DIVISION_REPEATS divisions."""
+    DIVISION_REPEATS divisions; the ratios and wins read reference
+    seconds."""
     out = {}
     for n in DIVISION_SIZES:
         runs = []
@@ -394,13 +411,13 @@ def division_probe(trees: dict) -> dict:
         for side in ("parent", "change"):
             summary[side] = {key: statistics.median(
                 r[side][key] for r in runs)
-                for key in ("cpu_s", "messages_sent", "peak_rss_mb")}
-        summary["cpu_ratio"] = round(summary["change"]["cpu_s"]
-                                     / summary["parent"]["cpu_s"], 3)
-        summary["cpu_pair_ratio_median"] = pair_stats(
-            [r["parent"]["cpu_s"] for r in runs],
-            [r["change"]["cpu_s"] for r in runs], False)["pair_ratio_median"]
-        summary["change_won"] = sum(r["change"]["cpu_s"] < r["parent"]["cpu_s"]
+                for key in ("ref_s", "cpu_s", "messages_sent", "peak_rss_mb")}
+        summary["ref_ratio"] = round(summary["change"]["ref_s"]
+                                     / summary["parent"]["ref_s"], 3)
+        summary["ref_pair_ratio_median"] = pair_stats(
+            [r["parent"]["ref_s"] for r in runs],
+            [r["change"]["ref_s"] for r in runs], False)["pair_ratio_median"]
+        summary["change_won"] = sum(r["change"]["ref_s"] < r["parent"]["ref_s"]
                                     for r in runs)
         out[f"n={n}"] = {"runs": runs, "summary": summary}
         print(f"division n={n}: {summary}", file=sys.stderr)

@@ -7,8 +7,6 @@ keyed with a beacon seed fixed before the division, which makes the split
 behave like a uniform random balanced partition of the validator set.
 """
 
-from dataclasses import dataclass
-
 from .errors import TooFew
 from .model import sha256
 
@@ -16,21 +14,9 @@ DETERMINISTIC = "deterministic"
 RANDOMIZED = "randomized"
 
 
-@dataclass(frozen=True)
-class AssignmentOutcome:
-    v1: tuple  # tuple[UserId, ...], size ceil(n/2)
-    v2: tuple  # tuple[UserId, ...], size floor(n/2)
-
-    def __post_init__(self):
-        n = len(self.v1) + len(self.v2)
-        if len(self.v1) != (n + 1) // 2:
-            raise ValueError("first side must take the ceiling half")
-        if set(self.v1) & set(self.v2):
-            raise ValueError("sides must be disjoint")
-
-
-def _split(members, key=None) -> AssignmentOutcome:
-    """Sort distinct ``members`` (by ``key``) and cut after ceil(n/2)."""
+def _split(members, key=None) -> tuple:
+    """Sort distinct ``members`` (by ``key``) and cut after ceil(n/2): the
+    sides (v1, v2), tuples of ceil(n/2) and floor(n/2) ids."""
     members = list(members)
     if len(members) < 2:
         raise TooFew(f"cannot split {len(members)} member(s)")
@@ -38,15 +24,15 @@ def _split(members, key=None) -> AssignmentOutcome:
         raise ValueError("duplicate member id")
     ranked = sorted(members, key=key)
     cut = (len(ranked) + 1) // 2
-    return AssignmentOutcome(tuple(ranked[:cut]), tuple(ranked[cut:]))
+    return tuple(ranked[:cut]), tuple(ranked[cut:])
 
 
-def assign_deterministic(validators) -> AssignmentOutcome:
+def assign_deterministic(validators) -> tuple:
     """Lexicographic rule: sort ids, first ceil(n/2) form the first child."""
     return _split(validators)
 
 
-def assign_randomized(validators, seed: bytes) -> AssignmentOutcome:
+def assign_randomized(validators, seed: bytes) -> tuple:
     """Rank ids by hash(seed || id) ascending (ties by id), split in half.
 
     With identities fixed before the seed is known, the induced partition is
@@ -55,7 +41,7 @@ def assign_randomized(validators, seed: bytes) -> AssignmentOutcome:
     return _split(validators, lambda v: (sha256(seed + v), v))
 
 
-def assign(validators, scheme: str, seed: bytes | None = None) -> AssignmentOutcome:
+def assign(validators, scheme: str, seed: bytes | None = None) -> tuple:
     if scheme == DETERMINISTIC:
         return assign_deterministic(validators)
     if scheme == RANDOMIZED:

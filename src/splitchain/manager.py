@@ -16,12 +16,14 @@ unchanged, and :func:`model.genesis_state` installs each genesis once. Only
 synchronous vote rounds (only consensus's quorum arithmetic matters here),
 while the division protocol is message-faithful: one DIVIDE per validator
 plus n^2 acks travel the simulated network, one calendar entry per broadcast
-and delivery tick. :meth:`Ecosystem.divide_chain` judges a request once,
-before its DIVIDE, and runs the network until idle through its own
-handler, so a round and its :class:`DivisionRound` live inside the call;
+and delivery tick. :meth:`Ecosystem.divide_chain` takes a division from
+request to children: it picks the initiator and judges the request once,
+before its DIVIDE, then runs the network until idle through its own
+handler, so a round and its :class:`DivisionRound` live inside the call.
 ``ChainSim.on_divide`` and ``ChainSim.on_ack`` return one receiver per
-calendar entry, for the per-recipient work, and
-:meth:`Ecosystem._bear_children` builds the children at ACK quorum.
+calendar entry, for the per-recipient work; the round only decides, by
+counting ACKs until the first quorum, and once the network is idle
+:meth:`Ecosystem._bear_children` builds the children from the decided tip.
 
 A correct validator (one :meth:`Ecosystem.correct_keys` names) votes with
 its signature over the candidate's commit statement, signed and checked
@@ -114,13 +116,16 @@ class DivisionRound:
     """
 
     request: DivideRequest
-    acks: dict = field(default_factory=dict)  # validator -> {signer: signature}
+    # validator -> valid ACKs it counted; exact, as each validator acks
+    # each validator at most once
+    acks: dict = field(default_factory=dict)
     # validators that refused a delivery: they had not committed the tip
     behind: set = field(default_factory=set)
     # (signer, signature) -> whether the signer is a member and the tag
     # verifies, shared by every recipient. Exact: the statement and the
     # config are fixed for the round.
     verdicts: dict = field(default_factory=dict)
+    done_at: int = None  # the tick of the first ACK quorum
 
 
 # --- signing requests ------------------------------------------------------------
@@ -316,36 +321,32 @@ class ChainSim:
                 # one ACK, its own key's tag, to every validator
                 network.broadcast(validator, validators, AckMsg(
                     validator, sign(correct[validator], statement)))
-            else:
-                self._ack_through_respond(validator, req)
+            else:  # Byzantine: its ACKs as respond's hook answers
+                hook = eco.respond(validator, SignRequest(statement))
+                for recipient in validators:
+                    sig = hook(recipient)
+                    if sig is not None:  # None: withheld, nothing on the wire
+                        network.send(validator, recipient,
+                                     AckMsg(validator, sig))
 
         return receive
-
-    def _ack_through_respond(self, validator, req):
-        """A Byzantine validator's ACKs, as respond's hook answers."""
-        network = self.eco.network
-        hook = self.eco.respond(validator, SignRequest(req.statement))
-        for recipient in self.validators:
-            sig = hook(recipient)
-            if sig is not None:  # None: withheld, nothing on the wire
-                network.send(validator, recipient, AckMsg(validator, sig))
 
     def on_ack(self, rnd: DivisionRound, ack: AckMsg):
         """The receiver of one ACK calendar entry of round `rnd`:
         receive(validator) runs once per delivery of `ack`. Acks can outrun
-        the DIVIDE. What a delivery can change (halted: the first completion
-        retires the chain, so no later delivery completes the round; acks)
-        is read per delivery, the rest once per entry."""
+        the DIVIDE. What a delivery can change (done_at: the first quorum
+        decides the round, so no later delivery counts; acks) is read per
+        delivery, the rest once per entry."""
         req, behind, committed = rnd.request, rnd.behind, self.committed
-        acks_of, height = rnd.acks, req.agreed_height
+        acks, height = rnd.acks, req.agreed_height
         cfg = self.state.config  # the round's own: no commit runs in it
-        quorum = cfg.quorum
+        quorum, network = cfg.quorum, self.eco.network
         signer, sig = ack.signer, ack.signature
         ok = None  # the (signer, sig) verdict, once a delivery reads it
 
         def receive(validator):
             nonlocal ok
-            if self.halted:
+            if rnd.done_at is not None:
                 return
             if committed[validator] < height:
                 behind.add(validator)
@@ -359,12 +360,9 @@ class ChainSim:
                         and self.eco.verify(signer, req.statement, sig))
             if not ok:
                 return
-            acks = acks_of.get(validator)
-            if acks is None:
-                acks = acks_of[validator] = {}
-            acks[signer] = sig
-            if len(acks) >= quorum:
-                self.eco._bear_children(self, height, req.anchor_digest)
+            count = acks[validator] = acks.get(validator, 0) + 1
+            if count >= quorum:
+                rnd.done_at = network.now
 
         return receive
 
@@ -376,9 +374,8 @@ def child_chain_ids(parent: ChainId) -> tuple:
 def _split_clients(clients, scheme: str, seed: bytes):
     if len(clients) < 2:
         return tuple(clients), ()
-    out = assign(clients, scheme, None if scheme == DETERMINISTIC
-                 else seed + b"/clients")
-    return out.v1, out.v2
+    return assign(clients, scheme, None if scheme == DETERMINISTIC
+                  else seed + b"/clients")
 
 
 def _inherit(config: ChainConfig, states, **lineage) -> Block:
@@ -476,7 +473,6 @@ class Ecosystem:
         correct = {}
         for v in validators:
             node = nodes[v]
-            # now < crash_at: not node.crashed(now), inlined
             if now < node.crash_at and node.strategy is None:
                 correct[v] = users[v].public_key
         return correct
@@ -523,23 +519,28 @@ class Ecosystem:
         return sim.config
 
     def divide_chain(self, chain_id: ChainId, initiator: UserId = None) -> tuple:
-        """Run one division round of the chain to completion.
+        """Divide the chain at its tip, from request to children.
 
-        Judged once, before any message is sent: an initiator outside the
-        validators raises UnknownInitiator, a taken child id
-        DuplicateChainId, a chain below its trigger TriggerNotMet. Then the
-        DIVIDE for the tip goes out and the network runs until idle, with
-        no commit in between. Returns the two children, or raises NoQuorum.
+        Judged once, before any message is sent: no validator alive now to
+        initiate by default, or an initiator outside the validators, raises
+        UnknownInitiator, a taken child id DuplicateChainId, a chain below
+        its trigger TriggerNotMet. Then the DIVIDE for the tip goes out and
+        the network runs until idle, with no commit in between. Returns the
+        children, born once it is idle, or raises NoQuorum.
         """
         sim = self._live(chain_id)
-        cfg = sim.config
+        cfg, network = sim.config, self.network
         if initiator is None:
-            initiator = cfg.validators[0]
+            initiator = next((v for v in cfg.validators
+                              if network.now < network.nodes[v].crash_at),
+                             None)
+            if initiator is None:
+                raise UnknownInitiator(f"every validator of {_name(chain_id)}"
+                                       " is crashed")
         if initiator not in cfg.validator_set:
             raise UnknownInitiator(f"{_name(initiator)} is not a validator "
                                    f"of {_name(chain_id)}")
-        children = child_chain_ids(chain_id)
-        for child in children:
+        for child in child_chain_ids(chain_id):
             self._check_id_free(child)
         n = len(cfg.validators)
         if n < cfg.n_max:
@@ -550,21 +551,23 @@ class Ecosystem:
         rnd = DivisionRound(req)
 
         def on_message(payload, now):  # once per calendar entry
-            if sim.halted:  # acks in flight when a quorum completed it
+            if rnd.done_at is not None:  # in flight when a quorum decided
                 return None
             if payload is req:
                 return sim.on_divide(rnd)
             return sim.on_ack(rnd, payload)
 
-        self.network.broadcast(initiator, cfg.validators, req)
+        network.broadcast(initiator, cfg.validators, req)
         # a DIVIDE to each validator, then at most n acks from each
-        self.network.run_until_idle(on_message, n + n * n)
-        if sim.halted:
-            return self.chains[children[0]], self.chains[children[1]]
-        rejected = "; rejected: behind" if rnd.behind else ""
-        raise NoQuorum(
-            f"division of {_name(chain_id)} gathered no quorum "
-            f"(need {cfg.quorum} acks{rejected})")
+        network.run_until_idle(on_message, n + n * n)
+        if rnd.done_at is None:
+            rejected = "; rejected: behind" if rnd.behind else ""
+            raise NoQuorum(
+                f"division of {_name(chain_id)} gathered no quorum "
+                f"(need {cfg.quorum} acks, most held "
+                f"{max(rnd.acks.values(), default=0)}{rejected})")
+        return self._bear_children(sim, req.agreed_height, req.anchor_digest,
+                                   rnd.done_at)
 
     def fuse_chains(self, c1_id: ChainId, c2_id: ChainId,
                     merged_id: ChainId = None) -> ChainSim:
@@ -666,7 +669,7 @@ class Ecosystem:
         """
         network = self.network
         node = network.nodes[validator]
-        if network.now >= node.crash_at:  # node.crashed(network.now)
+        if network.now >= node.crash_at:
             return None
         scheme, key = self.scheme, self.users[validator].public_key
         signed = {}  # message -> tag
@@ -720,15 +723,15 @@ class Ecosystem:
         return born
 
     def _bear_children(self, parent: ChainSim, height: int,
-                       anchor_digest: bytes) -> None:
+                       anchor_digest: bytes, at: int) -> tuple:
         """Replace `parent` by its two children at its tip (`height`,
         `anchor_digest`; no commit runs in a round, so its state is the
-        tip's), split by the anchor's beacon. A taken id leaves all live."""
+        tip's), split by the anchor's beacon, logged at `at`, the tick of
+        its quorum. Returns them; a taken id leaves all live."""
         seed = beacon(anchor_digest)
         scheme, cfg = self.assignment_scheme, parent.config
-        outcome = assign(parent.validators, scheme, seed)
         sides = zip((1, 2), child_chain_ids(parent.chain_id),
-                    (outcome.v1, outcome.v2),
+                    assign(parent.validators, scheme, seed),
                     _split_clients(cfg.clients, scheme, seed))
         born = self._replace((parent,), [
             _inherit(ChainConfig(cid, validators, tuple(sorted(clients)),
@@ -745,12 +748,14 @@ class Ecosystem:
         founders = parent.founders
         self._emit("divide", parent=parent.chain_id, n_birth=len(founders),
                    f_birth=sum(v in self.faulty for v in founders),
-                   n=len(parent.validators),
+                   n=len(parent.validators), at=at,
                    f=self.chain_fault_count(parent), children=tuple(children))
+        return tuple(born)
 
-    def _emit(self, kind: str, **fields) -> Event:
-        """Record one fact of the run, at the network's current tick."""
-        self.events.append(Event(self.network.now, kind, fields))
+    def _emit(self, kind: str, at: int = None, **fields) -> Event:
+        """Record one fact of the run, at tick `at` (by default, now)."""
+        self.events.append(Event(self.network.now if at is None else at,
+                                 kind, fields))
         return self.events[-1]
 
 

@@ -39,12 +39,9 @@ from .model import sha256
 class Node:
     node_id: bytes
     # crashed from this tick on; inf for never, so that "crashed at tick t"
-    # is the one comparison t >= crash_at, which hot loops inline
+    # is the one comparison t >= crash_at
     crash_at: int | float = math.inf
     strategy: object = None  # Byzantine behavior; only while crash_at is inf
-
-    def crashed(self, now: int) -> bool:
-        return now >= self.crash_at
 
 
 class Network:
@@ -189,11 +186,11 @@ class Network:
                             and count + len(recipients) <= max_events):
                         count += len(recipients)
                         for node in recipients:
-                            if time >= node.crash_at:  # node.crashed
+                            if time >= node.crash_at:
                                 self.messages_dropped += 1
                         continue
                     for node in recipients:
-                        if time >= node.crash_at:  # node.crashed
+                        if time >= node.crash_at:
                             self.messages_dropped += 1
                         elif receive is not None:
                             receive(node.node_id)

@@ -47,7 +47,7 @@ from .errors import (
     NoQuorum,
     Stalled,
     StateDivergence,
-    TriggerNotMet,
+    UnknownInitiator,
 )
 from .manager import STALL_REASON, Ecosystem, _name, render_events
 from .model import Asset, Role, at_fault_bound
@@ -508,15 +508,12 @@ class _Driver:
         if (sim is None or chain_id in self.undividable
                 or len(sim.validators) < sim.config.n_max):
             return
-        network = self.eco.network
-        initiator = next((v for v in sim.validators
-                          if not network.nodes[v].crashed(network.now)), None)
-        if initiator is None:
+        try:
+            children = self.eco.divide_chain(chain_id)
+        except UnknownInitiator:  # every validator is crashed
             self.eco._emit("trigger-skip", chain=chain_id)
             return
-        try:
-            children = self.eco.divide_chain(chain_id, initiator=initiator)
-        except (TriggerNotMet, NoQuorum, DuplicateChainId) as exc:
+        except (NoQuorum, DuplicateChainId) as exc:
             self.eco._emit("division-failed", chain=chain_id, error=str(exc))
             if isinstance(exc, DuplicateChainId):  # ids are never freed
                 self.undividable.add(chain_id)

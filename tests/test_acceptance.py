@@ -188,9 +188,9 @@ def test_randomized_assignment_distribution_matches_hypergeometric():
     faulty = set(members[:f])
     counts = [0] * (f + 1)
     for i in range(draws):
-        outcome = assign_randomized(members, derive_seed(
+        v1, _ = assign_randomized(members, derive_seed(
             "assign-tv", i).to_bytes(8, "big"))
-        counts[sum(1 for v in outcome.v1 if v in faulty)] += 1
+        counts[sum(1 for v in v1 if v in faulty)] += 1
     pmf = HypergeomParams(n, f, n // 2)
     tv = sum(abs(counts[k] / draws - float(hypergeom_pmf(pmf, k)))
              for k in range(f + 1)) / 2

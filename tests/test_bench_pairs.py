@@ -53,6 +53,18 @@ def test_division_probe_reports_the_median_of_its_divisions(bench_pairs):
     assert sorted(run["children"]) == [4, 4]
 
 
+def test_division_probe_reports_each_division_at_reference_speed(
+        bench_pairs):
+    # each division's raw CPU time, and that time scaled by the tree's own
+    # calibration loop, timed around it
+    run = bench_pairs.division_run(SCRIPT.parent.parent, 4, repeats=2)
+    assert len(run["cpu_s_runs"]) == len(run["ref_s_runs"]) == 2
+    # the median of two runs is their mean, taken before either is rounded
+    assert abs(run["ref_s"] - statistics.median(run["ref_s_runs"])) <= 1e-4
+    assert all(t > 0 for t in run["ref_s_runs"])
+    assert run["messages_sent"] == 4 + 4 * 4
+
+
 def test_trace_calls_equal_compares_calls_and_drops_only(bench_pairs):
     parent = {"crypto.sign.calls": 665.0, "crypto.sign.self_ms": 1.2,
               "netsim.dropped": 3.5, "op.self_ms": 9.5}

@@ -389,7 +389,7 @@ arrivals = 2
     assert err == "error: run stopped early: chain a: no quorum at height 1\n"
     assert (out / "events.log").read_text().splitlines()[1:] == [
         "[2] division of a failed: division of a gathered no quorum "
-        "(need 3 acks)",
+        "(need 3 acks, most held 2)",
         "[2] stall chain=a height=1"]
 
 

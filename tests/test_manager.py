@@ -49,6 +49,7 @@ from splitchain.netsim import (
     _targets_recipient,
     make_strategy,
 )
+from splitchain.scenario import run_scenario
 from splitchain.xchain import toa_claim, toa_lock, toa_resolve
 
 from helpers import divide_events, reference_commit_round
@@ -606,13 +607,17 @@ def test_division_into_a_taken_child_id_touches_nothing(retired,
 @pytest.mark.parametrize("error,n_max,initiator", [
     (TriggerNotMet, 8, b"u000"),
     (UnknownInitiator, 4, b"mallory"),
-], ids=["trigger", "unknown-initiator"])
+    (UnknownInitiator, 4, None),  # every validator crashed: no default
+], ids=["trigger", "unknown-initiator", "no-live-initiator"])
 def test_a_refused_division_sends_no_message(error, n_max, initiator,
                                             division_rounds):
     # divide_chain judges the request before its DIVIDE: a refusal costs
     # no message and no tick, and opens no round
     eco = build_eco(n=4, n_max=n_max)
     eco.register_user(b"mallory", Role.VALIDATOR)  # an account, no seat
+    if initiator is None:
+        for v in eco.chains[b"root"].validators:
+            eco.crash_user(v)
     network = eco.network
     network.advance_to(3)
     with pytest.raises(error):
@@ -694,17 +699,18 @@ def test_a_division_that_raises_leaves_nothing_in_flight(monkeypatch):
 
 def test_a_divided_parent_keeps_no_round_and_a_failed_one_stays(
         division_rounds):
-    # a round that falls short keeps what it gathered for whoever holds it
-    # (n=4, quorum 2: u000's ack alone reaches every validator) and leaves
-    # its chain live; a retired parent is kept for good, and keeps no round
+    # a round that falls short keeps what it counted for whoever holds it
+    # (n=4, quorum 2: u000's ack alone reaches every validator), is not
+    # decided and leaves its chain live; a retired parent is kept for good,
+    # and keeps no round
     eco = build_eco(n=4, strategies=dict.fromkeys(
         (b"u001", b"u002", b"u003"), "withhold"))
     sim, rnd = eco.chains[b"root"], tip_round(eco)
     ack = signed_ack(eco, rnd, b"u000")
     for recipient in sim.validators:
         sim.on_ack(rnd, ack)(recipient)
-    assert {r: set(acks) for r, acks in rnd.acks.items()} == dict.fromkeys(
-        (b"u000", b"u001", b"u002", b"u003"), {b"u000"})
+    assert rnd.acks == dict.fromkeys((b"u000", b"u001", b"u002", b"u003"), 1)
+    assert rnd.done_at is None
     assert not sim.halted and divide_events(eco) == []
     eco = build_eco(n=10, d_max=3)
     root = eco.chains[b"root"]
@@ -733,10 +739,119 @@ def test_no_division_round_outlives_its_call(divides, division_rounds):
     assert (b"root" in eco.retired) == divides
 
 
+def test_children_are_born_only_once_the_network_is_idle(monkeypatch):
+    # delays up to 3 leave acks in flight when the quorum decides the
+    # round; the children are born after the network has delivered them
+    eco = build_eco(n=10, d_max=3)
+    network, bear, seen = eco.network, Ecosystem._bear_children, []
+
+    def recorded(self, *args):
+        seen.append((dict(network._queues), list(network._ticks),
+                     network._running))
+        return bear(self, *args)
+
+    monkeypatch.setattr(Ecosystem, "_bear_children", recorded)
+    children = eco.divide_chain(b"root")
+    assert seen == [({}, [], False)]
+    assert [c.chain_id for c in children] == list(child_chain_ids(b"root"))
+
+
+def test_the_default_initiator_is_the_first_live_validator(monkeypatch):
+    eco = build_eco(n=10)
+    eco.crash_user(b"u000")
+    on_divide, initiators = ChainSim.on_divide, []
+
+    def recorded(sim, rnd):
+        initiators.append(rnd.request.initiator)
+        return on_divide(sim, rnd)
+
+    monkeypatch.setattr(ChainSim, "on_divide", recorded)
+    eco.divide_chain(b"root")
+    assert initiators == [b"u001"]
+    assert b"root" in eco.retired
+
+
+def test_a_division_is_logged_at_its_quorums_tick(monkeypatch):
+    # the round runs on after its quorum until the acks in flight land;
+    # the divide event keeps the tick of the last entry that was acted on
+    # (every later one finds the round decided), and the clock ends at the
+    # last delivery's tick
+    eco = build_eco(n=10, d_max=3)
+    network, on_ack, rounds = eco.network, ChainSim.on_ack, []
+
+    def kept(sim, rnd, ack):
+        rounds.append(rnd)
+        return on_ack(sim, rnd, ack)
+
+    monkeypatch.setattr(ChainSim, "on_ack", kept)
+    run, acted = network.run_until_idle, []
+
+    def recording_run(handler, max_events):
+        def recording(payload, now):
+            receive = handler(payload, now)
+            acted.append((now, receive is not None))
+            return receive
+
+        return run(recording, max_events)
+
+    network.run_until_idle = recording_run
+    eco.divide_chain(b"root")
+    quorum_tick = max(now for now, live in acted if live)
+    assert quorum_tick < network.now == max(now for now, _ in acted)
+    event, = divide_events(eco)
+    assert event.tick == quorum_tick
+    assert all(rnd is rounds[0] for rnd in rounds)
+    assert rounds[0].done_at == quorum_tick
+
+
+def test_each_validator_acks_each_validator_at_most_once(monkeypatch):
+    # the rounds of a chain whose Byzantine founders ack through respond,
+    # with a crashed founder and delays up to 3, and of both its children;
+    # a recipient's ACK count is exact only because no (signer, recipient)
+    # pair repeats in a round
+    text = """
+[scenario]
+seed = 1
+d_max = 3
+[chain a]
+validators = 10
+n_max = 10
+[join]
+arrivals = 20
+[faults]
+a-v001 = byzantine equivocate
+a-v002 = byzantine badsig
+a-v003 = byzantine withhold
+a-v004 = crash 0
+"""
+    rounds = []
+    divide_chain, send = Ecosystem.divide_chain, Network.send
+
+    def opened(eco, *args, **kwargs):
+        rounds.append([])
+        return divide_chain(eco, *args, **kwargs)
+
+    def recorded(network, src, dst, payload):
+        if isinstance(payload, AckMsg):
+            rounds[-1].append((payload.signer, dst))
+        return send(network, src, dst, payload)
+
+    monkeypatch.setattr(Ecosystem, "divide_chain", opened)
+    monkeypatch.setattr(Network, "send", recorded)
+    report = run_scenario(text)
+    assert len(report.divisions) == len(rounds) == 3
+    for sends in rounds:
+        assert len(set(sends)) == len(sends)
+    signers = {signer for sends in rounds for signer, _ in sends}
+    assert {b"a-v001", b"a-v002"} <= signers  # acks through respond
+    assert not {b"a-v003", b"a-v004"} & signers  # withheld, crashed
+
+
 def test_install_checks_child_ids_before_retiring_the_parent():
     # divide_chain checks the child ids before its DIVIDE; an id taken
-    # after that is caught at install time, when a direct ack completes a
-    # round of the tip (n=4, quorum 2: u000 and then u001 ack to u000)
+    # after that is caught at install time, when the children of a round
+    # that direct acks decided are born (n=4, quorum 2: u000 and then u001
+    # ack to u000)
     eco = build_eco(n=4, strategies=dict.fromkeys(
         (b"u001", b"u002", b"u003"), "withhold"))
     with pytest.raises(NoQuorum):
@@ -745,8 +860,12 @@ def test_install_checks_child_ids_before_retiring_the_parent():
     eco.create_chain(b"root.1", [b"x000"])
     sim, rnd = eco.chains[b"root"], tip_round(eco)
     sim.on_ack(rnd, signed_ack(eco, rnd, b"u000"))(b"u000")
+    sim.on_ack(rnd, signed_ack(eco, rnd, b"u001"))(b"u000")
+    assert rnd.done_at == eco.network.now
+    req = rnd.request
     with pytest.raises(DuplicateChainId, match="root.1"):
-        sim.on_ack(rnd, signed_ack(eco, rnd, b"u001"))(b"u000")
+        eco._bear_children(sim, req.agreed_height, req.anchor_digest,
+                           rnd.done_at)
     assert not sim.halted and b"root" not in eco.retired
     assert b"root.2" not in eco.chains and divide_events(eco) == []
 
@@ -843,7 +962,7 @@ def test_ack_signer_is_checked_against_the_config_of_its_round():
     sim.on_ack(rnd, signed_ack(eco, rnd, b"u000"))(b"u001")
     ack = signed_ack(eco, rnd, b"u050")
     sim.on_ack(rnd, ack)(b"u001")
-    assert rnd.acks[b"u001"].keys() == {b"u000"}
+    assert rnd.acks == {b"u001": 1}
     assert rnd.verdicts[b"u050", ack.signature] is False
     eco.join_chain(b"u050", b"root")
     with pytest.raises(NoQuorum, match="rejected: behind"):
@@ -852,9 +971,9 @@ def test_ack_signer_is_checked_against_the_config_of_its_round():
     ack = signed_ack(eco, rnd, b"u050")
     for signer in (b"u000", b"u050"):
         sim.on_ack(rnd, signed_ack(eco, rnd, signer))(b"u000")
-    assert rnd.acks[b"u000"][b"u050"] == ack.signature
-    assert rnd.acks[b"u000"].keys() == {b"u000", b"u050"}
-    assert not sim.halted  # 2 of quorum 3
+    assert rnd.verdicts[b"u050", ack.signature] is True
+    assert rnd.acks == {b"u000": 2}
+    assert rnd.done_at is None and not sim.halted  # 2 of quorum 3
 
 
 def test_ack_verdicts_are_memoised_per_round_by_signer_and_tag():
@@ -879,42 +998,50 @@ def test_ack_verdicts_are_memoised_per_round_by_signer_and_tag():
     for recipient in (b"u000", b"u002", b"u003"):
         sim.on_ack(rnd, AckMsg(b"u001", good))(recipient)
     assert eco.scheme.verified[key] == 1
-    assert all(rnd.acks[r] == {b"u000": own, b"u001": good}
-               for r in (b"u000", b"u002", b"u003"))
+    assert rnd.verdicts == {(b"u000", own): True, (b"u001", good): True}
+    assert rnd.acks == {b"u000": 2, b"u001": 1, b"u002": 2, b"u003": 2,
+                        b"u004": 1}
     # a second tag from the same signer is verified on its own, once, and
     # never counted
     for recipient in (b"u001", b"u002", b"u001"):
         sim.on_ack(rnd, AckMsg(b"u001", bad))(recipient)
     assert eco.scheme.verified[key] == 2
-    assert rnd.acks[b"u001"] == {b"u000": own}
-    assert rnd.acks[b"u002"] == {b"u000": own, b"u001": good}
+    assert rnd.verdicts[b"u001", bad] is False
+    assert rnd.acks == {b"u000": 2, b"u001": 1, b"u002": 2, b"u003": 2,
+                        b"u004": 1}
     # a new round judges every tag afresh
     rnd, req, own = opened()
     sim.on_ack(rnd, AckMsg(b"u001", good))(b"u000")
     sim.on_ack(rnd, AckMsg(b"u001", bad))(b"u002")
     assert eco.scheme.verified[key] == 4
-    assert rnd.acks[b"u000"] == {b"u000": own, b"u001": good}
-    assert rnd.acks[b"u002"] == {b"u000": own}
+    assert rnd.verdicts == {(b"u000", own): True, (b"u001", good): True,
+                            (b"u001", bad): False}
+    assert rnd.acks == {b"u000": 2, b"u001": 1, b"u002": 1, b"u003": 1,
+                        b"u004": 1}
 
 
 def test_a_fresh_division_is_judged_once_per_calendar_entry(monkeypatch):
     # n=20 at unit delay, quorum q=10: divide_chain judges the request once,
     # before the DIVIDE; then one DIVIDE entry, and one ACK entry per acker
-    # until the q-th completes the division and retires the chain, each get
-    # one receiver; the entries after it find a halted chain
+    # until the q-th decides the round, each get one receiver; the entries
+    # after it find the round decided. Every ACK entry reaches every
+    # validator, so once the first recipient of the q-th entry holds q
+    # acks, the rest of that entry counts nothing
     eco = build_eco(n=20)
-    calls = []
+    calls, rounds = [], []
     for name in ("on_divide", "on_ack"):
         original = getattr(ChainSim, name)
 
         def counted(sim, rnd, *ack, original=original, name=name):
             calls.append((name, rnd.request.chain))
+            rounds.append(rnd)
             return original(sim, rnd, *ack)
 
         monkeypatch.setattr(ChainSim, name, counted)
     eco.divide_chain(b"root", initiator=b"u000")
     assert eco.chain(b"root").config.quorum == 10
     assert calls == [("on_divide", b"root")] + [("on_ack", b"root")] * 10
+    assert sorted(rounds[-1].acks.values()) == [9] * 19 + [10]
 
 
 def test_no_quorum_names_the_rejection_reasons():
@@ -925,11 +1052,12 @@ def test_no_quorum_names_the_rejection_reasons():
         (b"u001", b"u002", b"u003"), SilentAcker()))
     with pytest.raises(NoQuorum) as failed:
         eco.divide_chain(b"root", initiator=b"u000")
-    assert str(failed.value).endswith("(need 2 acks)")
+    assert str(failed.value).endswith("(need 2 acks, most held 1)")
     eco.chains[b"root"].commit([])
     with pytest.raises(NoQuorum) as failed:
         eco.divide_chain(b"root", initiator=b"u000")
-    assert str(failed.value).endswith("(need 2 acks; rejected: behind)")
+    assert str(failed.value).endswith(
+        "(need 2 acks, most held 1; rejected: behind)")
 
 
 def test_every_vote_and_ack_goes_through_the_scheme_sign_of_call_time(

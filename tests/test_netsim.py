@@ -327,7 +327,7 @@ def test_crashed_node_receives_nothing():
     net.run_until_idle(record)
     assert seen == []
     assert net.messages_dropped == 1
-    assert net.node(b"b").crashed(net.now)
+    assert net.now >= net.node(b"b").crash_at
 
 
 def test_crash_takes_effect_at_given_time():
@@ -542,7 +542,7 @@ def test_byzantine_fault_carries_strategy():
     net = net_pair()[0]
     net.make_byzantine(b"a", make_strategy("withhold"))
     assert net.node(b"a").strategy is not None
-    assert not net.node(b"a").crashed(net.now)
+    assert net.now < net.node(b"a").crash_at
     assert net.node(b"b").strategy is None
 
 
@@ -569,6 +569,6 @@ def test_last_fault_applied_wins(crash_first):
     node = net.node(b"a")
     net.advance_to(5)
     if crash_first:
-        assert node.strategy is strategy and not node.crashed(net.now)
+        assert node.strategy is strategy and net.now < node.crash_at
     else:
-        assert node.strategy is None and node.crashed(net.now)
+        assert node.strategy is None and net.now >= node.crash_at

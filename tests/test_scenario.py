@@ -693,7 +693,7 @@ def test_respond_answers_only_crashed_or_byzantine_validators(monkeypatch):
 
     def recording(eco, validator, request):
         node = eco.network.nodes[validator]
-        correct = (not node.crashed(eco.network.now)
+        correct = (eco.network.now < node.crash_at
                    and node.strategy is None)
         if isinstance(request, VoteRequest):
             asked[correct, "vote"] += 1
