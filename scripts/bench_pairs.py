@@ -50,6 +50,11 @@ PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
   and the summary holds each side's medians and, at reference speed, the
   median of the per-pair ratios and the change's wins, since no benchmark
   workload runs a division at that size;
+* times, in COLD_START_PAIRS alternating pairs of fresh interpreters, the
+  CPU time of ``import splitchain.cli`` and of that import plus one
+  ``simulate`` of figure1 at seed 0, raw and at the reference speed of the
+  tree's own ``bench/calibration.py``, with each side's medians and
+  quartiles and the change's wins, since no bench workload times the CLI;
 * makes one traced run (``--trace 1``) per workload and tree, and records
   its per-layer metrics (call counts, self times, the Monte Carlo cost per
   10⁵ trials), to show in which layer a saving appears; per workload,
@@ -178,6 +183,31 @@ print(json.dumps({
     "peak_rss_mb": round(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))
 """
+
+
+# Runs in a child interpreter with PYTHONPATH=<tree>/src: the CPU time of
+# `import splitchain.cli` and of one `simulate` of the scenario in argv[1]
+# at seed 0 into argv[2], raw and at the reference speed of the calibration
+# loop in argv[3] (the tree's bench/), timed just after the run.
+COLD_START_PROBE = r"""
+import json, sys, time
+sys.path.insert(0, sys.argv[3])
+from calibration import SpeedProbe
+start = time.process_time()
+import splitchain.cli
+imported = time.process_time()
+code = splitchain.cli.main(["simulate", "--scenario", sys.argv[1],
+                            "--seed", "0", "--out", sys.argv[2]])
+done = time.process_time()
+probe = SpeedProbe("interpreter")
+scale = probe.reference / probe.sample()
+print(json.dumps({"exit": code, "import_s": imported - start,
+                  "total_s": done - start,
+                  "ref_import_s": (imported - start) * scale,
+                  "ref_total_s": (done - start) * scale}))
+"""
+COLD_START_PAIRS = 10
+COLD_START_KEYS = ("import_s", "total_s", "ref_import_s", "ref_total_s")
 
 
 def child_env(tree: Path) -> dict:
@@ -424,6 +454,49 @@ def division_probe(trees: dict) -> dict:
     return out
 
 
+def cold_start_run(tree: Path) -> dict:
+    """One fresh interpreter's import of the CLI and simulate of figure1."""
+    figure1 = tree / "src" / "splitchain" / "scenarios" / "figure1.mit"
+    with tempfile.TemporaryDirectory() as work:
+        done = subprocess.run(
+            [sys.executable, "-c", COLD_START_PROBE, str(figure1),
+             str(Path(work) / "out"), str(tree / "bench")],
+            env=child_env(tree), capture_output=True, text=True, timeout=300,
+            check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def cold_start_summary(runs: list) -> dict:
+    """Per COLD_START_KEYS: each side's median and quartiles, the change's
+    wins (lower is better) and the pair statistics."""
+    out = {}
+    for key in COLD_START_KEYS:
+        parent = [r["parent"][key] for r in runs]
+        change = [r["change"][key] for r in runs]
+        pq1, pmed, pq3 = quartiles(parent)
+        cq1, cmed, cq3 = quartiles(change)
+        out[key] = {"parent_median": pmed, "change_median": cmed,
+                    "parent_q1_q3": [pq1, pq3], "change_q1_q3": [cq1, cq3],
+                    "change_won": sum(c < p for p, c in zip(parent, change)),
+                    "pairs": len(runs), **pair_stats(parent, change, False)}
+    out["exits"] = sorted({r[side]["exit"] for r in runs
+                           for side in ("parent", "change")})
+    return out
+
+
+def cold_start_probe(trees: dict, pairs: int = COLD_START_PAIRS) -> dict:
+    """Alternating pairs of fresh interpreters, each importing the CLI and
+    running one simulate; no bench workload times the CLI itself."""
+    runs = []
+    for i in range(pairs):
+        order = pair_order(i)
+        runs.append({"first": order[0],
+                     **{side: cold_start_run(trees[side]) for side in order}})
+    summary = cold_start_summary(runs)
+    print(f"cold start: {summary['total_s']}", file=sys.stderr)
+    return {"runs": runs, "summary": summary}
+
+
 def trace_calls_equal(parent: dict, change: dict) -> bool:
     """Whether two traced runs made the same calls in every layer: each
     ``*.calls`` metric and ``netsim.dropped`` match."""
@@ -547,6 +620,7 @@ def main(argv=None) -> None:
         "sweep_grid": {side: grid_probe(tree, args.seed)
                        for side, tree in trees.items()},
         "division": division_probe(trees),
+        "cold_start": cold_start_probe(trees),
         "lines": {side: line_counts(tree) for side, tree in trees.items()},
         "trace": {w: {side: bench_run(tree, w, args.seed, trace=True)
                       for side, tree in trees.items()} for w in WORKLOADS},

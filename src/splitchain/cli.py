@@ -17,22 +17,14 @@ because a chain lost its quorum (reports cover the run up to the stall).
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .crypto import KeyedVerifier, check_seed
 from .errors import ConfigError, SplitchainError
 from .manager import Ecosystem, render_events
-from .model import Asset, Role, quorum_size
+from .model import Asset, Role, quorum_size, record
 from .scenario import LINEAGE_HEADER, csv_text, parse_scenario, run_scenario
-from .xchain import (
-    KnowledgeProof,
-    toa_claim,
-    toa_lock,
-    toa_resolve,
-    tok_verify_proof,
-)
 
 
 def _err(message: str) -> None:
@@ -98,7 +90,8 @@ def sweep_csv(rows, include_mc: bool) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    # analysis imports numpy; only this subcommand pays for that import
+    # analysis imports numpy; only this subcommand pays for that import, as
+    # only xfer-demo and verify-proof pay for xchain's
     from .analysis import InvalidParams, default_beta_grid, sweep_curves
 
     try:
@@ -214,6 +207,8 @@ def _registry_snapshot(eco: Ecosystem, chain_id: bytes) -> dict:
 
 
 def _cmd_xfer_demo(args) -> int:
+    from .xchain import toa_claim, toa_lock, toa_resolve
+
     eco = Ecosystem(seed=args.seed)
     for i in range(4):
         eco.register_user(b"s%03d" % i, Role.VALIDATOR)
@@ -254,8 +249,10 @@ def _cmd_xfer_demo(args) -> int:
 # --- verify-proof ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class _RegistrySnapshot:
+    """The validators and quorum a verified proof is judged against."""
+
     validators: tuple
     quorum: int
 
@@ -274,6 +271,8 @@ def _load_registry(path: str):
 
 
 def _cmd_verify_proof(args) -> int:
+    from .xchain import KnowledgeProof, tok_verify_proof
+
     try:
         proof = KnowledgeProof.from_bytes(Path(args.proof).read_bytes())
     except (OSError, ValueError) as exc:

@@ -105,7 +105,7 @@ class AckMsg:
     signature: bytes
 
 
-@dataclass
+@dataclass(eq=False)  # a round is itself alone
 class DivisionRound:
     """One division attempt on a chain, from its DIVIDE broadcast on.
 
@@ -522,11 +522,12 @@ class Ecosystem:
         """Divide the chain at its tip, from request to children.
 
         Judged once, before any message is sent: no validator alive now to
-        initiate by default, or an initiator outside the validators, raises
-        UnknownInitiator, a taken child id DuplicateChainId, a chain below
-        its trigger TriggerNotMet. Then the DIVIDE for the tip goes out and
-        the network runs until idle, with no commit in between. Returns the
-        children, born once it is idle, or raises NoQuorum.
+        initiate by default, or an initiator outside the validators or
+        crashed now, raises UnknownInitiator, a taken child id
+        DuplicateChainId, a chain below its trigger TriggerNotMet. Then the
+        DIVIDE for the tip goes out and the network runs until idle, with
+        no commit in between. Returns the children, born once it is idle,
+        or raises NoQuorum.
         """
         sim = self._live(chain_id)
         cfg, network = sim.config, self.network
@@ -540,6 +541,8 @@ class Ecosystem:
         if initiator not in cfg.validator_set:
             raise UnknownInitiator(f"{_name(initiator)} is not a validator "
                                    f"of {_name(chain_id)}")
+        if network.now >= network.nodes[initiator].crash_at:
+            raise UnknownInitiator(f"{_name(initiator)} is crashed")
         for child in child_chain_ids(chain_id):
             self._check_id_free(child)
         n = len(cfg.validators)

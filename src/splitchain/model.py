@@ -13,9 +13,10 @@ and saves no time.
 """
 
 import hashlib
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import IntEnum
 from fractions import Fraction
+from reprlib import recursive_repr
 
 from .errors import (
     AlreadyMember,
@@ -91,36 +92,92 @@ class memo:
         return value
 
 
+# The methods dataclass(frozen=True) gives a class, written as it writes
+# them; `record` fills in the field tuples and compiles them in one exec.
+_RECORD_METHODS = """
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return {self_compared}=={other_compared}
+    return NotImplemented
+def __hash__(self):
+    return hash({self_hashed})
+def __repr__(self):
+    return self.__class__.__qualname__ + f"({shown})"
+def __setattr__(self, name, value):
+    if type(self) is cls or name in {names}:
+        raise FrozenInstanceError(f"cannot assign to field {{name!r}}")
+    super(cls, self).__setattr__(name, value)
+def __delattr__(self, name):
+    if type(self) is cls or name in {names}:
+        raise FrozenInstanceError(f"cannot delete field {{name!r}}")
+    super(cls, self).__delattr__(name)
+"""
+
+
 def record(cls):
-    """``dataclass(frozen=True)`` with a leaner ``__init__``: one generated
-    function that stores each field with ``object.__setattr__`` bound once,
-    as a global of that function, where dataclass's own looks the builtin
-    up per field, then runs ``__post_init__`` if the class has one. The
-    fields stay in the instance's inline values, as dataclass leaves them:
-    a single ``self.__dict__.update(...)`` would give every instance its
-    own dict, which doubles a small record's memory and slows every read
-    of its fields. ``init=False`` keeps dataclass from building a second
-    ``__init__``. Parameters, defaults, ``==``, ``hash``, ``repr`` and
-    ``dataclasses.replace`` are dataclass's. A field may have a default,
-    not a ``default_factory``."""
-    cls = dataclass(frozen=True, init=False)(cls)
-    namespace, params, stores = {"_set": object.__setattr__}, [], []
-    for f in fields(cls):
+    """A frozen value class, built with one ``exec``. ``dataclass`` only
+    collects the fields, so ``dataclasses.fields`` and ``replace`` work;
+    one generated source defines ``__init__``, ``==``, ``hash``, ``repr``
+    (recursion-guarded) and the frozen ``__setattr__`` and
+    ``__delattr__``, each behaving as under ``dataclass(frozen=True)``,
+    which compiles each method in an ``exec`` of its own. ``__init__``
+    stores each field with ``object.__setattr__`` bound once, as a global
+    of that function, where dataclass's own looks the builtin up per
+    field, then runs ``__post_init__`` if the class has one. The fields
+    stay in the instance's inline values, as dataclass leaves them: a
+    single ``self.__dict__.update(...)`` would give every instance its own
+    dict, which doubles a small record's memory and slows every read of
+    its fields. A class without a docstring gets its signature as one, so
+    dataclass never calls ``inspect.signature``. A field may have a
+    default, not a ``default_factory``, and the class defines none of the
+    generated methods."""
+    doc = cls.__doc__
+    cls.__doc__ = doc or cls.__name__  # dataclass writes no docstring then
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    every = fields(cls)
+    namespace = {"_set": object.__setattr__, "cls": cls,
+                 "FrozenInstanceError": FrozenInstanceError}
+    params, signature, stores = [], [], []
+    for f in every:
         if f.default_factory is not MISSING:
             raise TypeError(f"record field {cls.__name__}.{f.name} has a "
                             "default_factory")
         if f.default is MISSING:
             params.append(f.name)
+            signature.append(f.name)
         else:
             namespace[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
+            signature.append(f"{f.name}={f.default!r}")
         stores.append(f"    _set(self, {f.name!r}, {f.name})\n")
-    source = f"def __init__(self, {', '.join(params)}):\n{''.join(stores)}"
     if hasattr(cls, "__post_init__"):
-        source += "    self.__post_init__()\n"
-    exec(source, namespace)
-    init = cls.__init__ = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
+        stores.append("    self.__post_init__()\n")
+
+    def attributes(obj, chosen):
+        return "(" + "".join(f"{obj}.{f.name}," for f in chosen) + ")"
+
+    compared = [f for f in every if f.compare]
+    hashed = [f for f in every if (f.compare if f.hash is None else f.hash)]
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(stores)}"
+         + _RECORD_METHODS.format(
+             self_compared=attributes("self", compared),
+             other_compared=attributes("other", compared),
+             self_hashed=attributes("self", hashed),
+             shown=", ".join(f"{f.name}={{self.{f.name}!r}}"
+                             for f in every if f.repr),
+             names="(" + "".join(f"{f.name!r}," for f in every) + ")"),
+         namespace)
+    for name in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__",
+                 "__delattr__"):
+        if name in cls.__dict__:
+            raise TypeError(f"record {cls.__name__} defines {name}")
+        method = namespace[name]
+        if name == "__repr__":
+            method = recursive_repr()(method)
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    if not doc:
+        cls.__doc__ = f"{cls.__name__}({', '.join(signature)})"
     return cls
 
 

@@ -35,8 +35,10 @@ from .errors import UnknownNode
 from .model import sha256
 
 
-@dataclass
+@dataclass(eq=False)  # a node is itself alone
 class Node:
+    """One endpoint of the network, and when it fails."""
+
     node_id: bytes
     # crashed from this tick on; inf for never, so that "crashed at tick t"
     # is the one comparison t >= crash_at

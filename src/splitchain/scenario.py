@@ -50,10 +50,14 @@ from .errors import (
     UnknownInitiator,
 )
 from .manager import STALL_REASON, Ecosystem, _name, render_events
-from .model import Asset, Role, at_fault_bound
+from .model import Asset, Role, at_fault_bound, record
 
-@dataclass
+# A spec is filled in as its lines are parsed and compares by identity:
+# eq=False spares the import an __eq__ compiled per class.
+@dataclass(eq=False)
 class ChainSpec:
+    """A ``[chain NAME]`` section."""
+
     name: str
     line: int
     validators: int = 4
@@ -65,8 +69,10 @@ class ChainSpec:
     assets: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class JoinSpec:
+    """The ``[join]`` section."""
+
     line: int
     arrivals: int = 0
     interval: int = 1
@@ -75,8 +81,10 @@ class JoinSpec:
     target: str = "round-robin"
 
 
-@dataclass
+@dataclass(eq=False)
 class FuseSpec:
+    """A ``[fuse]`` section."""
+
     line: int
     at: int = 0
     left: str = ""
@@ -84,8 +92,10 @@ class FuseSpec:
     merged: str = ""
 
 
-@dataclass
+@dataclass(eq=False)
 class FaultLine:
+    """One line of the ``[faults]`` section."""
+
     line: int
     user: str
     kind: str
@@ -93,8 +103,10 @@ class FaultLine:
     strategy: str = ""
 
 
-@dataclass
+@dataclass(eq=False)
 class ScenarioSpec:
+    """A parsed scenario file."""
+
     seed: int = 0
     horizon: int = 0  # 0 = run to completion
     d_min: int = 1
@@ -341,7 +353,7 @@ def csv_text(header, rows) -> str:
     return (line * (len(rows) + 1)) % tuple(itertools.chain(header, *rows))
 
 
-@dataclass(frozen=True)
+@record
 class MetricsReport:
     """Everything a scenario run produced, as immutable values."""
 

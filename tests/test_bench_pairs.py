@@ -127,3 +127,24 @@ def test_interleaved_compares_a_tree_with_itself_seed_by_seed(
     assert parent is not change
     assert parent.run_scenario is not change.run_scenario
     assert sys.dont_write_bytecode == dont_write_bytecode  # left as it was
+
+
+def test_cold_start_summary_reads_each_pair(bench_pairs):
+    # hand-made runs: the change imports faster in 9 of 10 pairs
+    def run(import_s, exit=0):
+        return {"exit": exit, "import_s": import_s, "total_s": import_s + 1,
+                "ref_import_s": 2 * import_s, "ref_total_s": 2 * import_s + 2}
+
+    parents = [0.10, 0.12, 0.11, 0.10, 0.13, 0.10, 0.12, 0.11, 0.10, 0.09]
+    changes = [0.08, 0.09, 0.08, 0.08, 0.10, 0.07, 0.09, 0.09, 0.08, 0.10]
+    runs = [{"first": "parent", "parent": run(p), "change": run(c)}
+            for p, c in zip(parents, changes)]
+    summary = bench_pairs.cold_start_summary(runs)
+    imports = summary["import_s"]
+    assert imports["change_won"] == 9 and imports["pairs"] == 10
+    assert imports["parent_median"] == round(statistics.median(parents), 4)
+    assert imports["change_median"] == round(statistics.median(changes), 4)
+    assert imports["parent_q1_q3"] == list(bench_pairs.quartiles(parents)[::2])
+    assert summary["ref_total_s"]["change_won"] == 9
+    assert summary["exits"] == [0]
+    assert set(summary) == set(bench_pairs.COLD_START_KEYS) | {"exits"}

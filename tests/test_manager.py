@@ -604,20 +604,21 @@ def test_division_into_a_taken_child_id_touches_nothing(retired,
     assert divide_events(eco) == []
 
 
-@pytest.mark.parametrize("error,n_max,initiator", [
-    (TriggerNotMet, 8, b"u000"),
-    (UnknownInitiator, 4, b"mallory"),
-    (UnknownInitiator, 4, None),  # every validator crashed: no default
-], ids=["trigger", "unknown-initiator", "no-live-initiator"])
-def test_a_refused_division_sends_no_message(error, n_max, initiator,
+@pytest.mark.parametrize("error,n_max,initiator,crashed", [
+    (TriggerNotMet, 8, b"u000", 0),
+    (UnknownInitiator, 4, b"mallory", 0),
+    (UnknownInitiator, 4, None, 4),  # every validator crashed: no default
+    (UnknownInitiator, 4, b"u000", 1),  # a crashed node sends nothing
+], ids=["trigger", "unknown-initiator", "no-live-initiator",
+        "crashed-initiator"])
+def test_a_refused_division_sends_no_message(error, n_max, initiator, crashed,
                                             division_rounds):
     # divide_chain judges the request before its DIVIDE: a refusal costs
     # no message and no tick, and opens no round
     eco = build_eco(n=4, n_max=n_max)
     eco.register_user(b"mallory", Role.VALIDATOR)  # an account, no seat
-    if initiator is None:
-        for v in eco.chains[b"root"].validators:
-            eco.crash_user(v)
+    for v in eco.chains[b"root"].validators[:crashed]:
+        eco.crash_user(v, at_time=3)  # crashed from the tick of the call
     network = eco.network
     network.advance_to(3)
     with pytest.raises(error):

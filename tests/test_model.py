@@ -3,6 +3,9 @@
 import copy
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -619,26 +622,101 @@ def test_successors_equal_what_dataclasses_replace_builds(monkeypatch):
                           (TxKind.LOCK, False), (TxKind.RESOLVE, False)}
 
 
-# --- records: frozen dataclasses with a one-shot __init__ ---------------------
+# --- records: frozen value classes whose methods one exec builds -------------
 
 
-def _record_classes():
+RECORDS = {  # module -> its records
+    "model": {"Account", "Asset", "RegisterPayload", "AssetCreatePayload",
+              "AssetTransferPayload", "LockPayload", "ClaimPayload",
+              "ResolvePayload", "ConfigInstallPayload", "ConfigUpdatePayload",
+              "Transaction", "ConsensusParams", "ChainConfig", "Block"},
+    "manager": {"DivideRequest", "AckMsg", "VoteRequest", "SignRequest",
+                "Event"},
+    "consensus": {"QuorumCertificate"},
+    "xchain": {"FreshnessTag", "TxInclusion", "ClaimDecided",
+               "KnowledgeProof", "TransferProof"},
+}
+GENERATED = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__",
+             "__delattr__")
+
+
+def _frozen_classes():
+    """Every dataclass of the record modules whose instances refuse
+    assignment: its class defines ``__setattr__``, as a frozen dataclass
+    and a record both do."""
     from splitchain import consensus, xchain
     for module in (model, manager, consensus, xchain):
         for value in vars(module).values():
             if (isinstance(value, type) and value.__module__ == module.__name__
                     and dataclasses.is_dataclass(value)
-                    and value.__dataclass_params__.frozen):
+                    and "__setattr__" in vars(value)):
                 yield value
 
 
 def test_every_frozen_dataclass_but_chain_state_is_a_record():
-    classes = set(_record_classes())
-    assert {ChainConfig, Transaction, manager.AckMsg, manager.Event} <= classes
-    for cls in classes:
-        # dataclass built no __init__: the record's own stores the fields
-        assert cls.__dataclass_params__.init is (cls is ChainState), cls
-        assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    found = {}
+    for cls in _frozen_classes():
+        found.setdefault(cls.__module__.split(".")[-1], set()).add(
+            cls.__name__)
+    assert found == {**RECORDS, "model": RECORDS["model"] | {"ChainState"}}
+    assert sum(map(len, RECORDS.values())) == 25
+    for cls in _frozen_classes():
+        params = cls.__dataclass_params__
+        if cls is ChainState:
+            assert params.init and params.eq and params.frozen
+            continue
+        # dataclass built none of a record's methods: one exec built them
+        assert not (params.init or params.repr or params.eq or params.frozen)
+        namespaces = set()
+        for name in GENERATED:
+            method = vars(cls)[name]
+            assert method.__qualname__ == f"{cls.__qualname__}.{name}"
+            if name != "__repr__":  # the recursion guard wraps it
+                namespaces.add(id(method.__globals__))
+        assert len(namespaces) == 1, cls
+        assert cls.__doc__, cls
+
+
+def test_a_record_without_a_docstring_is_documented_by_its_signature():
+    assert Account.__doc__ == "Account(user, public_key, role, metadata=())"
+    assert model.ConsensusParams.__doc__ == "ConsensusParams(alpha, kind)"
+    assert Block.__doc__ == (
+        "Block(height, parent_digest, transactions, digest=b'')")
+
+
+def test_a_record_that_holds_itself_reprs_as_a_frozen_dataclass_does():
+    event = manager.Event(1, "create", {})
+    event.fields["self"] = event
+    assert repr(event) == ("Event(tick=1, kind='create', fields={'self': "
+                           "...})")
+
+
+SIGNATURE_PROBE = """
+import importlib, inspect, pkgutil
+import numpy  # numpy's own import asks inspect.signature; splitchain's may not
+
+def refuse(*args, **kwargs):
+    raise RuntimeError("inspect.signature called")
+
+inspect.signature = refuse
+import splitchain
+for module in pkgutil.iter_modules(splitchain.__path__):
+    importlib.import_module("splitchain." + module.name)
+print("imported", len(list(pkgutil.iter_modules(splitchain.__path__))))
+"""
+
+
+def test_no_splitchain_import_calls_inspect_signature():
+    # dataclass writes a missing docstring from inspect.signature; a
+    # RuntimeError, unlike the TypeError or ValueError dataclass swallows,
+    # ends the import
+    src = Path(model.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", SIGNATURE_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "imported 11\n"
 
 
 def _twin(value):
