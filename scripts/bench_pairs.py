@@ -22,9 +22,10 @@ PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
   better than some run of the parent; ``within_bound`` when the change's
   median is no worse than the parent's by more than the bound; otherwise
   ``regression``;
-* hashes the ``analyze`` CSV of each tree at α ∈ {1/2, 1/3}: n = 10,40,50,100
-  with 10⁵ Monte Carlo trials and n = 200,1000,4000 with 10⁴ trials, each on
-  seed 0 and on the given seed, and n = 1000,2000,4000 exact only;
+* hashes the ``analyze`` CSV of each tree at α ∈ {1/2, 1/3, 1/4, 2/5}:
+  n = 10,40,50,100 with 10⁵ Monte Carlo trials and n = 200,1000,4000 with
+  10⁴ trials, each on seed 0 and on the given seed, and n = 1000,2000,4000
+  and n = 10000 exact only;
 * hashes every output of ``simulate`` (figure1 seeds 0–29, the bench's
   adversarial.mit seeds 0–7), ``divide-demo`` (seeds 0, 1 and 7, and 300
   validators) and ``xfer-demo``, each run in a fresh directory with the
@@ -55,6 +56,15 @@ PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
   ``simulate`` of figure1 at seed 0, raw and at the reference speed of the
   tree's own ``bench/calibration.py``, with each side's medians and
   quartiles and the change's wins, since no bench workload times the CLI;
+* times, in EXACT_PAIRS alternating pairs in this interpreter (both trees'
+  ``splitchain.analysis`` imported side by side, as for the interleaved
+  runs below), each point of an exact-only sweep over the default ten-point
+  grid at α = 1/2 for n ∈ EXACT_SIZES, after one untimed sweep per tree;
+  per point it reports each side's median CPU time, the median of the
+  per-pair speedups parent/change, the change's wins and whether the
+  support decides the point, and per n the least speedup of a point the
+  support leaves open, since the sweep workload's median op is a decided
+  point and no workload runs n = 10⁴;
 * makes one traced run (``--trace 1``) per workload and tree, and records
   its per-layer metrics (call counts, self times, the Monte Carlo cost per
   10⁵ trials), to show in which layer a saving appears; per workload,
@@ -91,6 +101,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 PAIRS = 10  # per workload: the fewest pairs a gain or a regression rests on
@@ -208,6 +219,8 @@ print(json.dumps({"exit": code, "import_s": imported - start,
 """
 COLD_START_PAIRS = 10
 COLD_START_KEYS = ("import_s", "total_s", "ref_import_s", "ref_total_s")
+EXACT_PAIRS = 10
+EXACT_SIZES = (1000, 4000, 10_000)
 
 
 def child_env(tree: Path) -> dict:
@@ -321,9 +334,9 @@ def analyze_hashes(tree: Path, held_out: int) -> dict:
             for n_list, trials in (("10,40,50,100", 100_000),
                                    ("200,1000,4000", 10_000))
             for seed in (0, held_out)]
-    runs.append(("1000,2000,4000", 0, 0))
+    runs += [("1000,2000,4000", 0, 0), ("10000", 0, 0)]
     hashes = {}
-    for alpha in ("1/2", "1/3"):
+    for alpha in ("1/2", "1/3", "1/4", "2/5"):
         for n_list, trials, seed in runs:
             argv = ["analyze", "--alpha", alpha, "--n", n_list,
                     "--trials", str(trials), "--seed", str(seed),
@@ -497,6 +510,73 @@ def cold_start_probe(trees: dict, pairs: int = COLD_START_PAIRS) -> dict:
     return {"runs": runs, "summary": summary}
 
 
+def exact_sweep_ms(analysis, n: int) -> list:
+    """CPU milliseconds of each point of an exact-only sweep of n over the
+    default grid at alpha = 1/2, one sweep_curves call per point."""
+    alpha = Fraction(1, 2)
+    times = []
+    for beta in analysis.default_beta_grid(alpha):
+        start = time.thread_time()
+        analysis.sweep_curves([n], alpha, beta_grid=[beta])
+        times.append(round((time.thread_time() - start) * 1e3, 5))
+    return times
+
+
+def speedups(parent: list, change: list) -> dict:
+    """Each side's median, the median of the per-pair speedups
+    parent/change, and the change's wins (lower is better)."""
+    return {"parent_ms": round(statistics.median(parent), 4),
+            "change_ms": round(statistics.median(change), 4),
+            "speedup": round(statistics.median(
+                p / c for p, c in zip(parent, change)), 3),
+            "change_won": sum(c < p for p, c in zip(parent, change))}
+
+
+def exact_summary(runs: list, points: list) -> dict:
+    """speedups per grid point, ``points`` holding each point's (beta,
+    decided) in the order of every run's times, and for the whole grid;
+    and the least speedup of a point the support leaves open."""
+    out = {"points": [
+        {"beta": str(beta), "decided": decided,
+         **speedups([r["parent"][i] for r in runs],
+                    [r["change"][i] for r in runs])}
+        for i, (beta, decided) in enumerate(points)],
+        "grid": speedups([sum(r["parent"]) for r in runs],
+                         [sum(r["change"]) for r in runs]),
+        "pairs": len(runs)}
+    out["open_min_speedup"] = min(
+        (e["speedup"] for e in out["points"] if not e["decided"]),
+        default=None)
+    return out
+
+
+def exact_probe(trees: dict, pairs: int = EXACT_PAIRS) -> dict:
+    """Alternating in-process pairs of exact-only sweeps per n in
+    EXACT_SIZES, after one untimed sweep per tree and n."""
+    analyses = {side: load_tree(tree, f"splitchain_{side}", "analysis")
+                for side, tree in trees.items()}
+    alpha = Fraction(1, 2)
+    out = {}
+    for n in EXACT_SIZES:
+        change = analyses["change"]
+        points = [(beta, change.DivisionAnalysisParams(
+            n, round(beta * n), alpha).decided_breach() is not None)
+            for beta in change.default_beta_grid(alpha)]
+        for analysis in analyses.values():
+            exact_sweep_ms(analysis, n)  # warm-up, untimed
+        runs = []
+        for i in range(pairs):
+            order = pair_order(i)
+            runs.append({"first": order[0],
+                         **{side: exact_sweep_ms(analyses[side], n)
+                            for side in order}})
+        summary = exact_summary(runs, points)
+        out[f"n={n}"] = {"runs": runs, "summary": summary}
+        print(f"exact n={n}: grid {summary['grid']}, least open-point"
+              f" speedup {summary['open_min_speedup']}", file=sys.stderr)
+    return out
+
+
 def trace_calls_equal(parent: dict, change: dict) -> bool:
     """Whether two traced runs made the same calls in every layer: each
     ``*.calls`` metric and ``netsim.dropped`` match."""
@@ -505,8 +585,8 @@ def trace_calls_equal(parent: dict, change: dict) -> bool:
     return all(parent.get(key) == change.get(key) for key in keys)
 
 
-def load_tree(tree: Path, name: str):
-    """The ``scenario`` module of ``tree``'s splitchain, imported as package
+def load_tree(tree: Path, name: str, submodule: str = "scenario"):
+    """The ``submodule`` module of ``tree``'s splitchain, imported as package
     ``name``. The package's modules import one another relatively, so two
     trees load side by side."""
     for module in [m for m in sys.modules
@@ -519,7 +599,7 @@ def load_tree(tree: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(name + ".scenario")
+    return importlib.import_module(f"{name}.{submodule}")
 
 
 def scenario_op(scenario, spec, seed: int) -> tuple:
@@ -621,6 +701,7 @@ def main(argv=None) -> None:
                        for side, tree in trees.items()},
         "division": division_probe(trees),
         "cold_start": cold_start_probe(trees),
+        "exact": exact_probe(trees),
         "lines": {side: line_counts(tree) for side, tree in trees.items()},
         "trace": {w: {side: bench_run(tree, w, args.seed, trace=True)
                       for side, tree in trees.items()} for w in WORKLOADS},

@@ -4,9 +4,11 @@ When a chain of ``n`` validators containing ``f`` faulty ones divides into
 two children of ``n/2`` by a uniform random balanced split, the faulty count
 ``f1`` landing in one child is hypergeometric H(n, f, n/2). A child is
 compromised when its faulty fraction reaches the consensus threshold alpha.
-Everything here is computed in exact rational arithmetic (``fractions`` +
-big-integer binomials); floats appear only in the closed-form exponential
-bounds and at the output boundary.
+Everything here is computed in exact arithmetic (big-integer binomials,
+one ``Fraction`` per answer); floats appear only in the closed-form
+exponential bounds and at the output boundary. f1 is symmetric about f/2, so
+an exact answer walks at most half of its support: either one breach tail or
+the non-breaching middle, whichever is shorter.
 """
 
 import math
@@ -21,6 +23,7 @@ from .model import at_fault_bound
 
 _MC_CELLS = 1 << 16  # uniforms per numpy block (512 KiB), whatever n is
 _KEY_SCALE = 65536.0  # 2**16: u * 2**16 is exact, and its floor fits uint16
+_ZERO, _ONE = Fraction(0), Fraction(1)  # a decided point's answers
 
 
 @dataclass(frozen=True)
@@ -50,20 +53,22 @@ def hypergeom_pmf(p: HypergeomParams, k: int) -> Fraction:
                     math.comb(p.N, p.n))
 
 
-def _hypergeom_mass(p: HypergeomParams, event) -> Fraction:
-    """P(event(X)) for X ~ H(N, M, n): sums subset counts, divides once.
+def _hypergeom_mass(p: HypergeomParams, lo: int, hi: int) -> Fraction:
+    """P(lo <= X <= hi) for X ~ H(N, M, n): sums subset counts, divides once.
 
-    The count w_k = C(M, k) C(N-M, n-k) is stepped through the support by the
+    The interval is clipped to the support. The count w_k = C(M, k)
+    C(N-M, n-k) starts from math.comb at lo and is stepped up to hi by the
     exact recurrence w_{k+1} = w_k (M-k)(n-k) / ((k+1)(N-M-n+k+1)).
     """
-    lo, hi = p.support[0], p.support[-1]
-    w = math.comb(p.M, lo) * math.comb(p.N - p.M, p.n - lo)
-    total = w if event(lo) else 0
-    for k in range(lo, hi):  # never steps past the last support point
-        w = w * (p.M - k) * (p.n - k) // ((k + 1) * (p.N - p.M - p.n + k + 1))
-        if event(k + 1):
-            total += w
-    return Fraction(total, math.comb(p.N, p.n))
+    support = p.support
+    lo, hi = max(lo, support.start), min(hi, support.stop - 1)
+    M, n, rest = p.M, p.n, p.N - p.M - p.n
+    total = w = (math.comb(M, lo) * math.comb(p.N - M, n - lo)
+                 if lo <= hi else 0)
+    for k in range(lo, hi):
+        w = w * ((M - k) * (n - k)) // ((k + 1) * (rest + k + 1))
+        total += w
+    return Fraction(total, math.comb(p.N, n))
 
 
 @dataclass(frozen=True)
@@ -79,13 +84,11 @@ class DivisionAnalysisParams:
             raise InvalidParams(f"parent size must be even and >= 2, got {self.n}")
         if not 0 <= self.f <= self.n:
             raise InvalidParams(f"need 0 <= f <= n, got f={self.f}, n={self.n}")
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if not (0 < self.alpha <= Fraction(1, 2)):
+        alpha = (self.alpha if isinstance(self.alpha, Fraction)
+                 else Fraction(self.alpha))
+        object.__setattr__(self, "alpha", alpha)
+        if not 0 < 2 * alpha.numerator <= alpha.denominator:
             raise InvalidParams("threshold must lie in (0, 1/2]")
-
-    @property
-    def beta(self) -> Fraction:
-        return Fraction(self.f, self.n)
 
     @property
     def half(self) -> int:
@@ -127,15 +130,23 @@ class DivisionAnalysisParams:
 def violation_probability_exact(d: DivisionAnalysisParams) -> Fraction:
     """Exact probability that a uniform balanced split compromises a child.
 
-    One pass over f1 ~ H(n, f, n/2) with the union predicate "child 1 or
-    child 2 breaches" stays exact for f >= alpha*n, where the two tail events
-    overlap and their plain sum would exceed it. Where the support alone
-    decides the event, the answer is 0 or 1 without the walk.
+    Where the support alone decides the event, the answer is 0 or 1 without
+    a walk. Elsewhere, with c = ceil(alpha * n/2), child 1 breaches when
+    f1 >= c and child 2 when f1 <= f - c; ceil(f/2) < c there, so the two
+    events are disjoint, and f1 ~ H(n, f, n/2) is symmetric about f/2, so
+    they are equally likely. The answer is then 2 P(f1 >= c), a walk over
+    [c, hi], or 1 - P(f - c < f1 < c), a walk over the non-breaching middle
+    [f - c + 1, c - 1]: whichever interval holds fewer points.
     """
     decided = d.decided_breach()
     if decided is not None:
-        return Fraction(int(decided))
-    return _hypergeom_mass(HypergeomParams(d.n, d.f, d.half), d.breaches)
+        return _ONE if decided else _ZERO
+    c = -(-d.alpha.numerator * d.half // d.alpha.denominator)
+    hi = min(d.f, d.half)
+    h = HypergeomParams(d.n, d.f, d.half)
+    if hi - c + 1 <= 2 * c - 1 - d.f:  # points in the tail, in the middle
+        return 2 * _hypergeom_mass(h, c, hi)
+    return 1 - _hypergeom_mass(h, d.f - c + 1, c - 1)
 
 
 def violation_probability_bound(d: DivisionAnalysisParams) -> tuple:
@@ -144,12 +155,16 @@ def violation_probability_bound(d: DivisionAnalysisParams) -> tuple:
     Requires beta < alpha. The single-tail form, Chvatal's tail bound for
     one child at t = alpha - beta, holds for every t >= 0 and is the dashed
     curve of the security figure; the combined form covers both children.
+    With alpha = a/b, (alpha - beta)^2 n = (a n - f b)^2 / (b^2 n): one int
+    true division, correctly rounded as float() of the rational is.
     """
-    if d.beta >= d.alpha:
+    a, b = d.alpha.numerator, d.alpha.denominator
+    gap = a * d.n - d.f * b
+    if gap <= 0:
         raise InvalidParams(
-            f"bound needs beta < alpha, got beta={d.beta}, alpha={d.alpha}")
-    gap = d.alpha - d.beta
-    single = math.exp(-float(gap * gap * d.n))
+            f"bound needs beta < alpha, got beta={Fraction(d.f, d.n)},"
+            f" alpha={d.alpha}")
+    single = math.exp(-(gap * gap / (b * b * d.n)))
     return single, min(2.0 * single, 2.0)
 
 
@@ -259,11 +274,14 @@ def sweep_curves(n_list, alpha: Fraction, beta_grid=None, trials: int = 0,
     rows = []
     for n in n_list:
         for beta in beta_grid:
-            beta = Fraction(beta)
-            f = round(beta * n)  # banker's rounding on exact rationals
+            beta = beta if isinstance(beta, Fraction) else Fraction(beta)
+            # round(beta * n): half to even, in integers
+            q, r = divmod(beta.numerator * n, beta.denominator)
+            f = q + (2 * r > beta.denominator
+                     or 2 * r == beta.denominator and q & 1)
             d = DivisionAnalysisParams(n, f, alpha)
             exact = violation_probability_exact(d)
-            if d.beta < alpha:
+            if f * alpha.denominator < alpha.numerator * n:  # f/n < alpha
                 bound_single, bound_combined = violation_probability_bound(d)
             else:
                 bound_single = bound_combined = None

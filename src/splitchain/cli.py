@@ -22,9 +22,7 @@ from pathlib import Path
 
 from .crypto import KeyedVerifier, check_seed
 from .errors import ConfigError, SplitchainError
-from .manager import Ecosystem, render_events
 from .model import Asset, Role, quorum_size, record
-from .scenario import LINEAGE_HEADER, csv_text, parse_scenario, run_scenario
 
 
 def _err(message: str) -> None:
@@ -91,7 +89,8 @@ def sweep_csv(rows, include_mc: bool) -> str:
 
 def _cmd_analyze(args) -> int:
     # analysis imports numpy; only this subcommand pays for that import, as
-    # only xfer-demo and verify-proof pay for xchain's
+    # only the subcommands that run the simulator pay for manager's and
+    # scenario's, and only xfer-demo and verify-proof for xchain's
     from .analysis import InvalidParams, default_beta_grid, sweep_curves
 
     try:
@@ -120,6 +119,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .scenario import parse_scenario, run_scenario
+
     try:
         text = Path(args.scenario).read_text()
     except OSError as exc:
@@ -153,6 +154,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_divide_demo(args) -> int:
+    from .manager import Ecosystem, render_events
+    from .scenario import LINEAGE_HEADER, csv_text
+
     try:
         alpha = Fraction(args.alpha)
     except (ValueError, ZeroDivisionError) as exc:
@@ -188,7 +192,7 @@ def _cmd_divide_demo(args) -> int:
     return 0
 
 
-def _registry_snapshot(eco: Ecosystem, chain_id: bytes) -> dict:
+def _registry_snapshot(eco, chain_id: bytes) -> dict:
     config = eco.chains[chain_id].config
     validators = []
     for v in config.validators:
@@ -207,6 +211,7 @@ def _registry_snapshot(eco: Ecosystem, chain_id: bytes) -> dict:
 
 
 def _cmd_xfer_demo(args) -> int:
+    from .manager import Ecosystem, render_events
     from .xchain import toa_claim, toa_lock, toa_resolve
 
     eco = Ecosystem(seed=args.seed)

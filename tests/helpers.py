@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from splitchain.analysis import SweepRow
 from splitchain.consensus import commit_statement
 from splitchain.crypto import derive_rng
 from splitchain.model import (
@@ -87,6 +88,41 @@ def reference_hypergeom_mass(N: int, M: int, n: int, event) -> Fraction:
             total += Fraction(math.comb(M, k) * math.comb(N - M, n - k),
                               math.comb(N, n))
     return total
+
+
+def reference_sweep_rows(n_list, alpha: Fraction, beta_grid) -> list:
+    """sweep_curves without Monte Carlo, in rational arithmetic throughout.
+
+    f = round(beta * n) on a Fraction; the bounds come from the Fraction
+    gap alpha - f/n; a point whose support decides the breach (found by
+    testing every f1 in it) is Fraction(int(decided)), and any other point
+    is the per-k reference sum of the union of both children's breaches.
+    """
+    alpha = Fraction(alpha)
+    rows = []
+    for n in n_list:
+        half = n // 2
+        for beta in beta_grid:
+            beta = Fraction(beta)
+            f = round(beta * n)
+
+            def breach(k, f=f):
+                return k >= alpha * half or f - k >= alpha * half
+
+            verdicts = {breach(k)
+                        for k in range(max(0, f - half), min(f, half) + 1)}
+            if len(verdicts) == 1:
+                exact = Fraction(int(verdicts.pop()))
+            else:
+                exact = reference_hypergeom_mass(n, f, half, breach)
+            bound_single = bound_combined = None
+            if Fraction(f, n) < alpha:
+                gap = alpha - Fraction(f, n)
+                bound_single = math.exp(-float(gap * gap * n))
+                bound_combined = min(2.0 * bound_single, 2.0)
+            rows.append(SweepRow(n, alpha, beta, f, exact,
+                                 bound_single, bound_combined))
+    return rows
 
 
 def reference_montecarlo(d, trials: int, seed: int = 0) -> tuple:

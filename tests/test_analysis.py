@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitchain import analysis
+from splitchain import analysis, cli
 from splitchain.analysis import (
     DivisionAnalysisParams,
     HypergeomParams,
@@ -30,6 +30,7 @@ from helpers import (
     enumerate_violation_probability,
     reference_hypergeom_mass,
     reference_montecarlo,
+    reference_sweep_rows,
 )
 
 HALF = Fraction(1, 2)
@@ -111,9 +112,18 @@ def test_pmf_matches_enumeration_random_triples():
 # --- closed-form tail bound -----------------------------------------------------
 
 
+def at_least(p: HypergeomParams, t) -> Fraction:
+    """P(X >= t): the interval [ceil(t), n]."""
+    return _hypergeom_mass(p, math.ceil(t), p.n)
+
+
+def at_most(p: HypergeomParams, t) -> Fraction:
+    """P(X <= t): the interval [0, floor(t)]."""
+    return _hypergeom_mass(p, 0, math.floor(t))
+
+
 def test_upper_tail_matches_enumeration():
-    assert _hypergeom_mass(HypergeomParams(8, 3, 4),
-                           lambda k: k >= Fraction(2)) == \
+    assert at_least(HypergeomParams(8, 3, 4), Fraction(2)) == \
         enumerate_upper_tail(8, 3, 4, Fraction(2))
 
 
@@ -122,10 +132,10 @@ def test_upper_tail_matches_enumeration():
 
 def violation_tails(d):
     """(P(f1 >= alpha n/2), P(f1 <= f - alpha n/2)): the child-1 and child-2
-    breach probabilities, each by one pass of the exact sum."""
+    breach probabilities, each by one interval walk of the exact sum."""
     h = HypergeomParams(d.n, d.f, d.half)
-    return (_hypergeom_mass(h, d.child_violates),
-            _hypergeom_mass(h, lambda k: d.child_violates(d.f - k)))
+    c = math.ceil(d.alpha * d.half)
+    return _hypergeom_mass(h, c, d.half), _hypergeom_mass(h, 0, d.f - c)
 
 
 def test_violation_pinned_value_n10_f4_half():
@@ -223,11 +233,15 @@ def test_tails_match_per_k_reference(data):
     n = data.draw(_size_or_edge(N))
     t = data.draw(st.fractions(min_value=-1, max_value=N + 1,
                                max_denominator=6))
+    lo, hi = sorted(data.draw(st.integers(-1, N + 1)) for _ in range(2))
     p = HypergeomParams(N, M, n)
-    assert _hypergeom_mass(p, lambda k: k >= t) == \
+    assert at_least(p, t) == \
         reference_hypergeom_mass(N, M, n, lambda k: k >= t)
-    assert _hypergeom_mass(p, lambda k: k <= t) == \
+    assert at_most(p, t) == \
         reference_hypergeom_mass(N, M, n, lambda k: k <= t)
+    assert _hypergeom_mass(p, lo, hi) == \
+        reference_hypergeom_mass(N, M, n, lambda k: lo <= k <= hi)
+    assert _hypergeom_mass(p, hi + 1, lo) == 0  # empty when hi < lo
 
 
 @given(st.data())
@@ -235,22 +249,55 @@ def test_tails_match_per_k_reference(data):
 def test_violation_sums_match_per_k_reference(data):
     n = 2 * data.draw(st.integers(1, 200))
     f = data.draw(_size_or_edge(n))
-    alpha = data.draw(st.sampled_from([Fraction(1, 4), THIRD, HALF]))
+    alpha = data.draw(st.sampled_from([Fraction(1, 4), THIRD, Fraction(2, 5),
+                                       Fraction(3, 7), HALF]))
     d = DivisionAnalysisParams(n, f, alpha)
     upper, lower, union = _reference_violation(d)
     assert violation_tails(d) == (upper, lower)
     assert violation_probability_exact(d) == union
 
 
-@pytest.mark.parametrize("n,f", [
+COMMITTEE_SCALE = [
     *((2000, round(beta * 2000)) for beta in default_beta_grid(HALF)),
     (4000, 1600),
-])
+]
+
+
+@pytest.mark.parametrize("n,f", COMMITTEE_SCALE)
 def test_violation_matches_per_k_reference_at_committee_scale(n, f):
     d = DivisionAnalysisParams(n, f, HALF)
     upper, lower, union = _reference_violation(d)
     assert violation_tails(d) == (upper, lower)
     assert violation_probability_exact(d) == union
+
+
+def test_committee_scale_walks_the_shorter_interval(monkeypatch):
+    """An undecided point walks one breach tail [c, hi] or the middle
+    [f - c + 1, c - 1], whichever holds fewer points; the committee-scale
+    cases take both."""
+    walked = []
+
+    def spy(p, lo, hi):
+        walked.append((lo, hi))
+        return mass(p, lo, hi)
+
+    mass = analysis._hypergeom_mass
+    monkeypatch.setattr(analysis, "_hypergeom_mass", spy)
+    branches = set()
+    for n, f in COMMITTEE_SCALE:
+        d = DivisionAnalysisParams(n, f, HALF)
+        walked.clear()
+        violation_probability_exact(d)
+        if d.decided_breach() is not None:
+            assert walked == []
+            continue
+        c, hi = math.ceil(d.alpha * d.half), min(f, d.half)
+        tail, middle = (c, hi), (f - c + 1, c - 1)
+        shorter = min(tail, middle, key=lambda span: span[1] - span[0])
+        assert walked == [shorter]
+        assert shorter[1] - shorter[0] + 1 <= (hi - (f - hi) + 1) // 2 + 1
+        branches.add("tail" if shorter == tail else "middle")
+    assert branches == {"tail", "middle"}
 
 
 # --- closed-form violation bound -------------------------------------------------
@@ -280,7 +327,7 @@ def below_alpha_points():
         for alpha in (THIRD, HALF):
             for f in range(n + 1):
                 d = DivisionAnalysisParams(n, f, alpha)
-                if d.beta < alpha:
+                if Fraction(d.f, d.n) < alpha:
                     yield d
 
 
@@ -298,9 +345,7 @@ def test_single_bound_dominates_one_child_tail():
     and so the other child's, P(f - f1 >= alpha n/2)."""
     for d in below_alpha_points():
         single, _ = violation_probability_bound(d)
-        p = HypergeomParams(d.n, d.f, d.half)
-        first = _hypergeom_mass(p, d.child_violates)
-        second = _hypergeom_mass(p, lambda k: d.child_violates(d.f - k))
+        first, second = violation_tails(d)
         assert first == second
         assert float(first) <= single + 1e-12
 
@@ -310,11 +355,11 @@ def test_tail_bound_dominates_exact_tail():
     # single-tail bound at n=100, f=25, alpha=1/3 (t = alpha - beta)
     d = DivisionAnalysisParams(100, 25, THIRD)
     p = HypergeomParams(100, 25, 50)
-    t = d.alpha - d.beta
+    t = d.alpha - Fraction(d.f, d.n)
     assert t == Fraction(1, 12)
     threshold = pmf_mean(p) + t * p.n
     assert threshold == d.alpha * d.half
-    exact = _hypergeom_mass(p, lambda k: k >= threshold)
+    exact = at_least(p, threshold)
     single, _ = violation_probability_bound(d)
     assert math.isclose(single, math.exp(-2 * (1 / 144) * 50))
     assert float(exact) <= single
@@ -323,8 +368,8 @@ def test_tail_bound_dominates_exact_tail():
 def test_tail_bound_dominates_lower_tail_symmetrically():
     d = DivisionAnalysisParams(100, 25, THIRD)
     p = HypergeomParams(100, 25, 50)
-    threshold = pmf_mean(p) - (d.alpha - d.beta) * p.n
-    exact = _hypergeom_mass(p, lambda k: k <= threshold)
+    threshold = pmf_mean(p) - (d.alpha - Fraction(d.f, d.n)) * p.n
+    exact = at_most(p, threshold)
     single, _ = violation_probability_bound(d)
     assert float(exact) <= single
 
@@ -334,7 +379,7 @@ def test_no_child_can_breach_exactly_when_alpha_exceeds_twice_beta():
         for alpha in (HALF, THIRD, Fraction(1, 4), Fraction(2, 5)):
             for f in range(n + 1):
                 d = DivisionAnalysisParams(n, f, alpha)
-                assert (d.decided_breach() is False) == (alpha > 2 * d.beta)
+                assert (d.decided_breach() is False) == (alpha > Fraction(2 * d.f, d.n))
 
 
 # --- Monte Carlo ----------------------------------------------------------------
@@ -495,6 +540,31 @@ def test_sweep_larger_chains_tolerate_more_at_small_beta():
     beta = Fraction(1, 5)  # j=6 grid point: f=2 of 10 vs f=20 of 100
     assert rows[(100, beta)].exact < rows[(10, beta)].exact
     assert rows[(10, beta)].exact == Fraction(4, 9)
+
+
+SWEEP_ALPHAS = [HALF, THIRD, Fraction(1, 4), Fraction(2, 5), Fraction(3, 7),
+                Fraction(1, 10), Fraction(1, 10**40)]
+COMMITTEE_SIZES = [1000, 2000, 4000, 10_000]
+
+
+@given(st.data())
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_sweep_rows_and_csv_match_the_rational_reference(data):
+    alpha = data.draw(st.sampled_from(SWEEP_ALPHAS))
+    n = data.draw(st.one_of(st.integers(1, 300).map(lambda k: 2 * k),
+                            st.sampled_from(COMMITTEE_SIZES)))
+    grid = [Fraction(0), alpha, HALF]
+    if n <= 600:
+        # the per-k reference costs seconds per point the support leaves
+        # open at committee scale; there the grid keeps its three ratios
+        grid += data.draw(st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=60),
+            max_size=4))
+    rows = sweep_curves([n], alpha, beta_grid=grid)
+    expected = reference_sweep_rows([n], alpha, grid)
+    assert rows == expected
+    assert cli.sweep_csv(rows, include_mc=False) == \
+        cli.sweep_csv(expected, include_mc=False)
 
 
 def test_sweep_montecarlo_columns_populated_only_when_requested():

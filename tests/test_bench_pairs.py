@@ -4,6 +4,7 @@ import importlib.util
 import statistics
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -148,3 +149,37 @@ def test_cold_start_summary_reads_each_pair(bench_pairs):
     assert summary["ref_total_s"]["change_won"] == 9
     assert summary["exits"] == [0]
     assert set(summary) == set(bench_pairs.COLD_START_KEYS) | {"exits"}
+
+
+def test_exact_summary_reads_each_point_and_the_grid(bench_pairs):
+    # hand-made runs of a three-point grid: a decided point both trees
+    # answer at once, and two open points the change walks 2-4x faster
+    points = [(Fraction(0), True), (Fraction(1, 4), False),
+              (Fraction(2, 5), False)]
+    parents = [[0.02, 3.0, 4.0], [0.03, 3.2, 4.4], [0.02, 2.8, 4.0],
+               [0.02, 3.0, 4.2]]
+    changes = [[0.01, 1.0, 2.0], [0.01, 0.8, 2.0], [0.03, 0.7, 1.9],
+               [0.01, 1.0, 2.0]]
+    runs = [{"first": bench_pairs.pair_order(i)[0], "parent": p, "change": c}
+            for i, (p, c) in enumerate(zip(parents, changes))]
+    summary = bench_pairs.exact_summary(runs, points)
+    assert summary["pairs"] == 4
+    decided, quarter, two_fifths = summary["points"]
+    assert (decided["beta"], decided["decided"]) == ("0", True)
+    assert decided["change_won"] == 3  # one pair the change lost
+    assert decided["parent_ms"] == 0.02 and decided["change_ms"] == 0.01
+    assert quarter["speedup"] == round(statistics.median(
+        [3.0, 4.0, 4.0, 3.0]), 3)
+    assert quarter["change_won"] == 4
+    assert two_fifths["parent_ms"] == 4.1 and two_fifths["change_ms"] == 2.0
+    # the least speedup over open points reads the slower of the two
+    assert two_fifths["speedup"] == round(statistics.median(
+        [2.0, 2.2, 4.0 / 1.9, 2.1]), 3)
+    assert summary["open_min_speedup"] == two_fifths["speedup"]
+    grid = summary["grid"]
+    assert grid["parent_ms"] == round(statistics.median(
+        [sum(p) for p in parents]), 4)
+    assert grid["change_won"] == 4
+    # a grid the support decides everywhere has no open point
+    assert bench_pairs.exact_summary(
+        runs, [(Fraction(0), True)] * 3)["open_min_speedup"] is None

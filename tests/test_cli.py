@@ -50,6 +50,23 @@ def test_importing_the_cli_does_not_load_numpy():
     assert result.stdout == "[]\n"
 
 
+def test_analyze_never_imports_the_simulator():
+    # only the subcommands that run the simulator import manager, scenario
+    # and, through them, netsim; a fresh interpreter shows what analyze loads
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = ("import sys, splitchain.cli; "
+             "code = splitchain.cli.main(['analyze', '--alpha', '1/2', "
+             "'--n', '10,40', '--trials', '100']); "
+             "print(code, sorted(m for m in sys.modules "
+             "if m in ('splitchain.manager', 'splitchain.scenario', "
+             "'splitchain.netsim', 'splitchain.analysis')))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=60,
+                            check=True)
+    assert result.stdout.splitlines()[-1] == "0 ['splitchain.analysis']"
+
+
 # --- analyze -----------------------------------------------------------------------
 
 
@@ -256,7 +273,8 @@ def test_simulate_exit_3_on_observed_violation(tmp_path, capsys, monkeypatch):
     report = MetricsReport(
         metrics=(), lineage=(), messages_total=0, final_chains=(),
         events=(Event(3, "safety", {"error": "divergence on root"}),))
-    monkeypatch.setattr(cli, "run_scenario", lambda spec, seed=None: report)
+    monkeypatch.setattr("splitchain.scenario.run_scenario",
+                        lambda spec, seed=None: report)
     out = tmp_path / "x"
     code, _, err = run_cli(["simulate", "--scenario", str(scenario),
                             "--out", str(out)], capsys)
