@@ -3,87 +3,79 @@
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR OUT.json [--seed 7]
 
 PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
-``git archive``), each holding ``src/`` and ``bench/``. The script
+``git archive``), each holding ``src/`` and ``bench/``. The same directory
+passed as both is an A/A: any verdict there other than ``within_bound`` is
+a defect of this harness. Every ``__pycache__`` under both trees is deleted
+first and every child runs with ``PYTHONDONTWRITEBYTECODE=1``, so both
+sides compile their imports afresh.
 
-* deletes every ``__pycache__`` under both trees and runs every child
-  process with ``PYTHONDONTWRITEBYTECODE=1``, so both sides compile their
-  imports afresh and start in the same bytecode state;
-* runs each tree's own ``bench/run.py``, at its own default run length, in
-  PAIRS alternating pairs per workload (which side runs first alternates
-  too) on the given seed; it records every run's end-to-end metrics and
-  each side's medians, quartiles and pair wins, the median of the per-pair
-  change/parent ratios and a two-sided sign-test p-value of the wins;
-* gives each end-to-end metric of each workload a verdict, against the
-  metric's bound in the repository's ``BENCHMARK.json`` (read, never
-  written): ``gain`` when the change wins at least nine tenths of the pairs
-  and the medians differ by more than the parent's interquartile range;
-  ``unresolved`` when the parent's own interquartile range, relative to its
-  median, is wider than the bound and some run of the change reads no
-  better than some run of the parent; ``within_bound`` when the change's
-  median is no worse than the parent's by more than the bound; otherwise
-  ``regression``;
-* hashes the ``analyze`` CSV of each tree at α ∈ {1/2, 1/3, 1/4, 2/5}:
-  n = 10,40,50,100 with 10⁵ Monte Carlo trials and n = 200,1000,4000 with
-  10⁴ trials, each on seed 0 and on the given seed, and n = 1000,2000,4000
-  and n = 10000 exact only;
+Every timing is taken in alternating pairs, the parent first in even pairs
+and the change first in odd ones, and every paired quantity is summarised
+alike: each side's median and quartiles, the parent's interquartile range,
+the pair count, the change's wins (ties count for neither), the median of
+the per-pair ratios change/parent and the two-sided sign-test p-value of
+the wins against the losses. Read pair by pair, these move less than the
+ratio of the medians when the host drifts between pairs. An end-to-end
+metric of a benchmark workload also gets a verdict against its bound in the
+repository's ``BENCHMARK.json`` (read, never written): ``gain`` when the
+change wins at least nine tenths of the pairs and the medians differ by
+more than the parent's interquartile range; ``unresolved`` when that range,
+relative to the parent's median, is wider than the bound and some run of
+the change reads no better than some run of the parent; ``within_bound``
+when the change's median is no worse than the parent's by more than the
+bound; otherwise ``regression``. The paired probes:
+
+* ``pairs``: PAIRS runs per workload of each tree's own ``bench/run.py``,
+  at its own default run length on the given seed, with failed ops;
+* ``division``: per n in DIVISION_SIZES, fresh interpreters that each time
+  ``divide_chain`` of a fresh n-validator chain DIVISION_REPEATS times: the
+  median division's CPU time, raw and at the reference speed of the tree's
+  own ``bench/calibration.py`` (raw seconds × REFERENCE_S / the mean of the
+  ``interpreter`` loop timed just before and after it, so a host that slows
+  down between divisions does not read as a slower division), the messages
+  one division sends and the peak RSS; no workload divides at that size;
+* ``cold_start``: fresh interpreters timing ``import splitchain.cli`` and
+  that import plus one ``simulate`` of figure1 at seed 0, raw and at
+  reference speed, with their exit codes; no workload times the CLI;
+* ``exact``: in this interpreter, after one untimed sweep per tree, each
+  point of an exact-only sweep of n in EXACT_SIZES over the default
+  ten-point grid at α = 1/2, with whether the support decides it, and the
+  whole grid; no workload runs n = 10⁴. A claim rests on the grid's ratio:
+  ``open_max_pair_ratio``, the largest ratio of a point the support leaves
+  open, is a maximum over noisy ratios and reads high even in an A/A;
+* ``interleaved``: in this interpreter, after one untimed op per tree, the
+  i-th pair runs the op of ``bench/workloads.py``'s ScenarioWorkload of
+  ``growth`` or ``adversarial`` on held-out scenario seed first + i (the
+  seeds the bench's ``--seed`` visits). Both trees see the same host seed
+  by seed, which resolves gains of a few percent that whole runs cannot.
+  ``outputs_equal`` holds when every seed's reports match byte for byte,
+  and ``shapes_equal`` when its events match in kind, the chain ids they
+  name (a division's children with their sizes) and n, leaving out ticks,
+  fault counts, users, nonces and which validators land where.
+
+Once per tree, the script also
+
+* hashes the ``analyze`` CSV at α ∈ {1/2, 1/3, 1/4, 2/5}: n =
+  10,40,50,100 with 10⁵ Monte Carlo trials and n = 200,1000,4000 with 10⁴
+  trials, each on seed 0 and on the given seed, and n = 1000,2000,4000 and
+  n = 10000 exact only;
 * hashes every output of ``simulate`` (figure1 seeds 0–29, the bench's
   adversarial.mit seeds 0–7), ``divide-demo`` (seeds 0, 1 and 7, and 300
   validators) and ``xfer-demo``, each run in a fresh directory with the
-  same relative paths, so the bytes of both trees can be compared: per run,
-  one hash of its exit code, stdout, stderr and report files, and one of
-  the report files alone, so ``outputs_equal`` reads every byte and
-  ``reports_equal`` still shows whether a report moved when stdout changes
-  on purpose;
-* counts, on the bench's sweep grid, the points per n whose breach event the
-  support of f₁ decides (``DivisionAnalysisParams.decided_breach``);
-* times each op of one sweep pass per tree, to show which grid points sit at
-  the median op;
-* times ``divide_chain`` of a fresh n-validator chain, n ∈ {300, 1000},
-  DIVISION_REPEATS times in each fresh interpreter, in DIVISION_PAIRS
-  alternating pairs of interpreters per n; each division's CPU time is
-  also reported at the reference speed of the tree's own
-  ``bench/calibration.py`` (raw seconds × REFERENCE_S / the mean of the
-  ``interpreter`` loop timed just before and just after it), so a host
-  that slows down between divisions does not read as a slower division;
-  each run reports the median of its divisions, raw and at reference
-  speed (so one slow division, a fraction of a second at n = 300, does
-  not decide a run), the messages one division sends and the peak RSS,
-  and the summary holds each side's medians and, at reference speed, the
-  median of the per-pair ratios and the change's wins, since no benchmark
-  workload runs a division at that size;
-* times, in COLD_START_PAIRS alternating pairs of fresh interpreters, the
-  CPU time of ``import splitchain.cli`` and of that import plus one
-  ``simulate`` of figure1 at seed 0, raw and at the reference speed of the
-  tree's own ``bench/calibration.py``, with each side's medians and
-  quartiles and the change's wins, since no bench workload times the CLI;
-* times, in EXACT_PAIRS alternating pairs in this interpreter (both trees'
-  ``splitchain.analysis`` imported side by side, as for the interleaved
-  runs below), each point of an exact-only sweep over the default ten-point
-  grid at α = 1/2 for n ∈ EXACT_SIZES, after one untimed sweep per tree;
-  per point it reports each side's median CPU time, the median of the
-  per-pair speedups parent/change, the change's wins and whether the
-  support decides the point, and per n the least speedup of a point the
-  support leaves open, since the sweep workload's median op is a decided
-  point and no workload runs n = 10⁴;
-* makes one traced run (``--trace 1``) per workload and tree, and records
-  its per-layer metrics (call counts, self times, the Monte Carlo cost per
-  10⁵ trials), to show in which layer a saving appears; per workload,
+  same relative paths: per run, one hash of its exit code, stdout, stderr
+  and report files, and one of the report files alone, so
+  ``outputs_equal`` reads every byte and ``reports_equal`` still shows
+  whether a report moved when stdout changes on purpose;
+* counts, on the bench's sweep grid, the points per n whose breach event
+  the support of f₁ decides (``DivisionAnalysisParams.decided_breach``),
+  and times each op of one sweep pass, to show which points sit at the
+  median op;
+* makes one traced run (``--trace 1``) per workload and records its
+  per-layer metrics, to show in which layer a saving appears;
   ``trace_calls_equal`` is true when both trees made the same calls per
   layer (every ``*.calls`` metric and ``netsim.dropped`` match);
-* runs ``growth`` and ``adversarial`` interleaved in this interpreter:
-  both trees' ``splitchain`` packages are imported side by side under
-  distinct names (their modules import one another relatively), and on
-  each held-out scenario seed (the ones the bench's ``--seed`` visits) the
-  two trees run the op of ``bench/workloads.py``'s ScenarioWorkload in
-  turn, the first side alternating seed by seed; per workload it records
-  whether every seed's outputs match, each op's CPU time, the median of the
-  per-seed ratios parent CPU / change CPU (above 1: the change is faster),
-  the change's wins and their two-sided sign-test p-value. Seed by seed the
-  two trees see the same host, so this resolves gains of a few percent
-  that the pairs of whole runs cannot;
-* counts the lines of every ``.py`` file under ``src/`` and ``demos/`` of
-  each tree, per directory and per file, and the change's net lines against
-  the parent, per directory and per file that differs.
+* counts the lines of every ``.py`` file under ``src/`` and ``demos/``, and
+  the change's net lines per directory and per file that differs.
 
 The JSON records the command that wrote it, with every option spelled out.
 """
@@ -108,12 +100,15 @@ PAIRS = 10  # per workload: the fewest pairs a gain or a regression rests on
 DIVISION_PAIRS = 5  # per division size
 DIVISION_REPEATS = 7  # divisions timed per interpreter; the median counts
 DIVISION_SIZES = (300, 1000)
+DIVISION_KEYS = ("ref_s", "cpu_s", "messages_sent", "peak_rss_mb")
 WIN_SHARE = 0.9  # of the pairs a change must win to claim a gain
 WORKLOADS = ("sweep", "growth", "adversarial", "transfer")
 # interleaved seeds per scenario workload, and each tree's scenario file
 INTERLEAVED = {"growth": (240, "src/splitchain/scenarios/figure1.mit"),
                "adversarial": (120, "bench/adversarial.mit")}
 STRIDE = 1 << 20  # bench/workloads.py: run seed s visits s * STRIDE + i
+# the event fields that name a chain; a divide's children name theirs too
+CHAIN_FIELDS = ("chain", "parent", "left", "right", "merged", "target")
 
 BENCHMARK = json.loads(
     (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
@@ -121,6 +116,7 @@ BENCHMARK = json.loads(
 METRICS = {m["name"]: (m["better"] == "higher", m["bound"])
            for m in BENCHMARK["end_to_end"]}
 PER_LAYER = [m["name"] for m in BENCHMARK["per_layer"]]
+LOWER = (False, None)  # a timing or size with no bound: lower is better
 
 # Runs in a child interpreter with PYTHONPATH=<tree>/src: the breach
 # events the support decides per n of the sweep workload's grid, and the
@@ -221,37 +217,39 @@ COLD_START_PAIRS = 10
 COLD_START_KEYS = ("import_s", "total_s", "ref_import_s", "ref_total_s")
 EXACT_PAIRS = 10
 EXACT_SIZES = (1000, 4000, 10_000)
+LINE_DIRS = ("src", "demos")
 
 
-def child_env(tree: Path) -> dict:
-    env = dict(os.environ)
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
-    env["PYTHONPATH"] = str(tree / "src")
-    return env
+def child(tree: Path, *argv, cwd=None, check=True, text=True):
+    """One child interpreter running ``argv`` on ``tree``'s ``src/``, with
+    no bytecode written; its output captured."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(tree / "src"))
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=text, timeout=900,
+                          check=check)
 
 
-def purge_bytecode(tree: Path) -> None:
-    for cache in tree.rglob("__pycache__"):
-        shutil.rmtree(cache)
+def child_json(tree: Path, *argv, cwd=None):
+    """The last line a child printed, read as JSON."""
+    done = child(tree, *argv, cwd=cwd)
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def bench_run(tree: Path, workload: str, seed: int,
-              trace: bool = False) -> dict:
-    """The end-to-end metrics of one run, or with ``trace`` the per-layer
-    metrics of one traced run."""
-    done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--trace", str(int(trace))],
-        cwd=tree, env=child_env(tree), capture_output=True, text=True,
-        timeout=900, check=True)
-    result = json.loads(done.stdout.strip().splitlines()[-1])
-    metrics = result["metrics"]
-    run = {key: round(metrics[key]["value"], 4)
-           for key in (PER_LAYER if trace else METRICS) if key in metrics}
-    run["attempted"] = result["attempted"]
-    run["failed"] = result["failed"]
-    run["correct"] = result["correct"]
-    return run
+def pair_order(i: int) -> tuple:
+    """The sides of the i-th pair in run order; the first side alternates."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
+def alternate(measure, pairs: int) -> list:
+    """``measure(side, i)`` of both sides of each of ``pairs`` pairs, in
+    ``pair_order(i)``: one {"first", "parent", "change"} per pair."""
+    runs = []
+    for i in range(pairs):
+        order = pair_order(i)
+        runs.append({"first": order[0],
+                     **{side: measure(side, i) for side in order}})
+    return runs
 
 
 def quartiles(values):
@@ -275,57 +273,69 @@ def verdict(parent: list, change: list, higher: bool, bound: float) -> str:
 
 
 def pair_stats(parent: list, change: list, higher: bool) -> dict:
-    """The median of the per-pair ratios change/parent, and the two-sided
-    sign-test p-value of the change's pair wins against its losses (ties
-    count for neither). Each reads a pair on its own, so a host that drifts
-    between pairs moves them less than it moves the ratio of the medians."""
+    """The change's pair wins, the median of the per-pair ratios
+    change/parent, and the two-sided sign-test p-value of the wins against
+    the losses (ties count for neither)."""
     ratios = [c / p for p, c in zip(parent, change)]
     won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
     untied = sum(c != p for p, c in zip(parent, change))
     tail = sum(math.comb(untied, k)
                for k in range(min(won, untied - won) + 1))
-    return {"pair_ratio_median": round(statistics.median(ratios), 4),
+    return {"change_won": won,
+            "pair_ratio_median": round(statistics.median(ratios), 4),
             "sign_test_p": round(min(1.0, 2 * tail / 2 ** untied), 4)}
 
 
-def summarise(pairs: list) -> dict:
-    out = {}
-    for key, (higher, bound) in METRICS.items():
-        parent = [p["parent"][key] for p in pairs]
-        change = [p["change"][key] for p in pairs]
-        pq1, pmed, pq3 = quartiles(parent)
-        cq1, cmed, cq3 = quartiles(change)
-        won = sum((c > p) if higher else (c < p)
-                  for p, c in zip(parent, change))
-        out[key] = {"parent_median": pmed, "change_median": cmed,
-                    "parent_q1_q3": [pq1, pq3], "change_q1_q3": [cq1, cq3],
-                    "parent_iqr": round(pq3 - pq1, 4),
-                    "change_won": won, "pairs": len(pairs), "bound": bound,
-                    **pair_stats(parent, change, higher),
-                    "verdict": verdict(parent, change, higher, bound)}
-    out["failed"] = {side: sum(p[side]["failed"] for p in pairs)
-                     for side in ("parent", "change")}
+def compare(parent: list, change: list, higher: bool, bound=None) -> dict:
+    """The paired summary of one quantity (see the module doc); the bound
+    and the verdict only when a bound is given."""
+    pq1, pmed, pq3 = quartiles(parent)
+    cq1, cmed, cq3 = quartiles(change)
+    out = {"parent_median": pmed, "change_median": cmed,
+           "parent_q1_q3": [pq1, pq3], "change_q1_q3": [cq1, cq3],
+           "parent_iqr": round(pq3 - pq1, 4), "pairs": len(parent),
+           **pair_stats(parent, change, higher)}
+    if bound is not None:
+        out["bound"] = bound
+        out["verdict"] = verdict(parent, change, higher, bound)
     return out
 
 
-def pair_order(i: int) -> tuple:
-    """The sides of the i-th pair in run order; the first side alternates."""
-    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+def summarise(runs: list, keys: dict) -> dict:
+    """``compare`` per key of ``keys``, which maps each key of a run's sides
+    to (True when higher is better, bound or None)."""
+    return {key: compare([r["parent"][key] for r in runs],
+                         [r["change"][key] for r in runs], higher, bound)
+            for key, (higher, bound) in keys.items()}
+
+
+def bench_run(tree: Path, workload: str, seed: int,
+              trace: bool = False) -> dict:
+    """The end-to-end metrics of one run, or with ``trace`` the per-layer
+    metrics of one traced run."""
+    result = child_json(tree, "bench/run.py", "--workload", workload,
+                        "--seed", str(seed), "--trace", str(int(trace)),
+                        cwd=tree)
+    metrics = result["metrics"]
+    run = {key: round(metrics[key]["value"], 4)
+           for key in (PER_LAYER if trace else METRICS) if key in metrics}
+    for key in ("attempted", "failed", "correct"):
+        run[key] = result[key]
+    return run
 
 
 def run_pairs(trees: dict, workload: str, count: int, seed: int) -> dict:
-    pairs = []
-    for i in range(count):
-        order = pair_order(i)
-        pair = {"first": order[0]}
-        for side in order:
-            pair[side] = bench_run(trees[side], workload, seed)
-        pairs.append(pair)
-        print(f"{workload} pair {i + 1}/{count}:"
-              f" parent {pair['parent']['throughput_ops_s']}"
-              f" change {pair['change']['throughput_ops_s']} ops/s",
-              file=sys.stderr)
-    return {"runs": pairs, "summary": summarise(pairs)}
+    def measure(side, i):
+        run = bench_run(trees[side], workload, seed)
+        print(f"{workload} pair {i + 1}/{count}: {side}"
+              f" {run['throughput_ops_s']} ops/s", file=sys.stderr)
+        return run
+
+    pairs = alternate(measure, count)
+    summary = summarise(pairs, METRICS)
+    summary["failed"] = {side: sum(p[side]["failed"] for p in pairs)
+                         for side in ("parent", "change")}
+    return {"runs": pairs, "summary": summary}
 
 
 def analyze_hashes(tree: Path, held_out: int) -> dict:
@@ -338,12 +348,10 @@ def analyze_hashes(tree: Path, held_out: int) -> dict:
     hashes = {}
     for alpha in ("1/2", "1/3", "1/4", "2/5"):
         for n_list, trials, seed in runs:
-            argv = ["analyze", "--alpha", alpha, "--n", n_list,
-                    "--trials", str(trials), "--seed", str(seed),
-                    "--out", "-"]
-            done = subprocess.run(
-                [sys.executable, "-m", "splitchain.cli", *argv],
-                env=child_env(tree), capture_output=True, timeout=900)
+            done = child(tree, "-m", "splitchain.cli", "analyze",
+                         "--alpha", alpha, "--n", n_list,
+                         "--trials", str(trials), "--seed", str(seed),
+                         "--out", "-", check=False, text=False)
             digest = hashlib.sha256(
                 done.stdout + b"\0" + done.stderr + b"\0"
                 + str(done.returncode).encode()).hexdigest()
@@ -397,11 +405,8 @@ def output_hashes(tree: Path) -> dict:
             work = Path(work)
             if scenario is not None:
                 shutil.copy(scenario, work / scenario.name)
-            done = subprocess.run(
-                [sys.executable, "-m", "splitchain.cli", *argv,
-                 "--out", "out"],
-                cwd=work, env=child_env(tree), capture_output=True,
-                timeout=900)
+            done = child(tree, "-m", "splitchain.cli", *argv, "--out", "out",
+                         cwd=work, check=False, text=False)
             hashes[name] = run_digests(done, work)
     return hashes
 
@@ -413,11 +418,7 @@ def reports_equal(parent: dict, change: dict) -> bool:
 
 
 def grid_probe(tree: Path, seed: int) -> dict:
-    done = subprocess.run(
-        [sys.executable, "-c", GRID_PROBE, str(tree / "bench"), str(seed)],
-        env=child_env(tree), capture_output=True, text=True, timeout=900,
-        check=True)
-    probe = json.loads(done.stdout)
+    probe = child_json(tree, "-c", GRID_PROBE, str(tree / "bench"), str(seed))
     times = sorted(probe.pop("op_s"))
     mid = len(times) // 2
     probe["ops"] = len(times)
@@ -429,41 +430,18 @@ def grid_probe(tree: Path, seed: int) -> dict:
 
 def division_run(tree: Path, n: int, repeats: int = DIVISION_REPEATS) -> dict:
     """One fresh interpreter's divisions of an n-validator chain."""
-    done = subprocess.run(
-        [sys.executable, "-c", DIVISION_PROBE, str(n), str(repeats),
-         str(tree / "bench")],
-        env=child_env(tree), capture_output=True, text=True, timeout=900,
-        check=True)
-    return json.loads(done.stdout)
+    return child_json(tree, "-c", DIVISION_PROBE, str(n), str(repeats),
+                      str(tree / "bench"))
 
 
 def division_probe(trees: dict) -> dict:
-    """Alternating pairs of interpreters per size, each timing
-    DIVISION_REPEATS divisions; the ratios and wins read reference
-    seconds."""
     out = {}
     for n in DIVISION_SIZES:
-        runs = []
-        for i in range(DIVISION_PAIRS):
-            order = pair_order(i)
-            pair = {"first": order[0]}
-            for side in order:
-                pair[side] = division_run(trees[side], n)
-            runs.append(pair)
-        summary = {}
-        for side in ("parent", "change"):
-            summary[side] = {key: statistics.median(
-                r[side][key] for r in runs)
-                for key in ("ref_s", "cpu_s", "messages_sent", "peak_rss_mb")}
-        summary["ref_ratio"] = round(summary["change"]["ref_s"]
-                                     / summary["parent"]["ref_s"], 3)
-        summary["ref_pair_ratio_median"] = pair_stats(
-            [r["parent"]["ref_s"] for r in runs],
-            [r["change"]["ref_s"] for r in runs], False)["pair_ratio_median"]
-        summary["change_won"] = sum(r["change"]["ref_s"] < r["parent"]["ref_s"]
-                                    for r in runs)
+        runs = alternate(lambda side, i: division_run(trees[side], n),
+                         DIVISION_PAIRS)
+        summary = summarise(runs, dict.fromkeys(DIVISION_KEYS, LOWER))
         out[f"n={n}"] = {"runs": runs, "summary": summary}
-        print(f"division n={n}: {summary}", file=sys.stderr)
+        print(f"division n={n}: {summary['ref_s']}", file=sys.stderr)
     return out
 
 
@@ -471,41 +449,15 @@ def cold_start_run(tree: Path) -> dict:
     """One fresh interpreter's import of the CLI and simulate of figure1."""
     figure1 = tree / "src" / "splitchain" / "scenarios" / "figure1.mit"
     with tempfile.TemporaryDirectory() as work:
-        done = subprocess.run(
-            [sys.executable, "-c", COLD_START_PROBE, str(figure1),
-             str(Path(work) / "out"), str(tree / "bench")],
-            env=child_env(tree), capture_output=True, text=True, timeout=300,
-            check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
-
-
-def cold_start_summary(runs: list) -> dict:
-    """Per COLD_START_KEYS: each side's median and quartiles, the change's
-    wins (lower is better) and the pair statistics."""
-    out = {}
-    for key in COLD_START_KEYS:
-        parent = [r["parent"][key] for r in runs]
-        change = [r["change"][key] for r in runs]
-        pq1, pmed, pq3 = quartiles(parent)
-        cq1, cmed, cq3 = quartiles(change)
-        out[key] = {"parent_median": pmed, "change_median": cmed,
-                    "parent_q1_q3": [pq1, pq3], "change_q1_q3": [cq1, cq3],
-                    "change_won": sum(c < p for p, c in zip(parent, change)),
-                    "pairs": len(runs), **pair_stats(parent, change, False)}
-    out["exits"] = sorted({r[side]["exit"] for r in runs
-                           for side in ("parent", "change")})
-    return out
+        return child_json(tree, "-c", COLD_START_PROBE, str(figure1),
+                          str(Path(work) / "out"), str(tree / "bench"))
 
 
 def cold_start_probe(trees: dict, pairs: int = COLD_START_PAIRS) -> dict:
-    """Alternating pairs of fresh interpreters, each importing the CLI and
-    running one simulate; no bench workload times the CLI itself."""
-    runs = []
-    for i in range(pairs):
-        order = pair_order(i)
-        runs.append({"first": order[0],
-                     **{side: cold_start_run(trees[side]) for side in order}})
-    summary = cold_start_summary(runs)
+    runs = alternate(lambda side, i: cold_start_run(trees[side]), pairs)
+    summary = summarise(runs, dict.fromkeys(COLD_START_KEYS, LOWER))
+    summary["exits"] = sorted({r[side]["exit"] for r in runs
+                               for side in ("parent", "change")})
     print(f"cold start: {summary['total_s']}", file=sys.stderr)
     return {"runs": runs, "summary": summary}
 
@@ -522,58 +474,34 @@ def exact_sweep_ms(analysis, n: int) -> list:
     return times
 
 
-def speedups(parent: list, change: list) -> dict:
-    """Each side's median, the median of the per-pair speedups
-    parent/change, and the change's wins (lower is better)."""
-    return {"parent_ms": round(statistics.median(parent), 4),
-            "change_ms": round(statistics.median(change), 4),
-            "speedup": round(statistics.median(
-                p / c for p, c in zip(parent, change)), 3),
-            "change_won": sum(c < p for p, c in zip(parent, change))}
-
-
-def exact_summary(runs: list, points: list) -> dict:
-    """speedups per grid point, ``points`` holding each point's (beta,
-    decided) in the order of every run's times, and for the whole grid;
-    and the least speedup of a point the support leaves open."""
-    out = {"points": [
-        {"beta": str(beta), "decided": decided,
-         **speedups([r["parent"][i] for r in runs],
-                    [r["change"][i] for r in runs])}
-        for i, (beta, decided) in enumerate(points)],
-        "grid": speedups([sum(r["parent"]) for r in runs],
-                         [sum(r["change"]) for r in runs]),
-        "pairs": len(runs)}
-    out["open_min_speedup"] = min(
-        (e["speedup"] for e in out["points"] if not e["decided"]),
-        default=None)
-    return out
-
-
 def exact_probe(trees: dict, pairs: int = EXACT_PAIRS) -> dict:
-    """Alternating in-process pairs of exact-only sweeps per n in
-    EXACT_SIZES, after one untimed sweep per tree and n."""
     analyses = {side: load_tree(tree, f"splitchain_{side}", "analysis")
                 for side, tree in trees.items()}
     alpha = Fraction(1, 2)
     out = {}
+    change = analyses["change"]
     for n in EXACT_SIZES:
-        change = analyses["change"]
-        points = [(beta, change.DivisionAnalysisParams(
-            n, round(beta * n), alpha).decided_breach() is not None)
-            for beta in change.default_beta_grid(alpha)]
+        betas = change.default_beta_grid(alpha)
         for analysis in analyses.values():
             exact_sweep_ms(analysis, n)  # warm-up, untimed
-        runs = []
-        for i in range(pairs):
-            order = pair_order(i)
-            runs.append({"first": order[0],
-                         **{side: exact_sweep_ms(analyses[side], n)
-                            for side in order}})
-        summary = exact_summary(runs, points)
+        runs = alternate(lambda side, i: exact_sweep_ms(analyses[side], n),
+                         pairs)
+        per_point = summarise(runs, dict.fromkeys(range(len(betas)), LOWER))
+        points = []
+        for i, beta in enumerate(betas):
+            point = change.DivisionAnalysisParams(n, round(beta * n), alpha)
+            points.append({"beta": str(beta),
+                           "decided": point.decided_breach() is not None,
+                           **per_point[i]})
+        grid = compare([sum(r["parent"]) for r in runs],
+                       [sum(r["change"]) for r in runs], False)
+        open_ratios = [p["pair_ratio_median"] for p in points
+                       if not p["decided"]]
+        summary = {"points": points, "grid": grid,
+                   "open_max_pair_ratio": max(open_ratios, default=None)}
         out[f"n={n}"] = {"runs": runs, "summary": summary}
-        print(f"exact n={n}: grid {summary['grid']}, least open-point"
-              f" speedup {summary['open_min_speedup']}", file=sys.stderr)
+        print(f"exact n={n}: grid {grid}, largest open-point pair ratio"
+              f" {summary['open_max_pair_ratio']}", file=sys.stderr)
     return out
 
 
@@ -602,51 +530,56 @@ def load_tree(tree: Path, name: str, submodule: str = "scenario"):
     return importlib.import_module(f"{name}.{submodule}")
 
 
-def scenario_op(scenario, spec, seed: int) -> tuple:
-    """(output, CPU seconds) of one op of the bench's ScenarioWorkload: one
-    run of ``spec`` and its three reports."""
+def events_shape(events) -> str:
+    """sha256 of each event's kind, the chain ids it names (a divide's
+    children as (id, n)) and its n; no tick, f, user, nonce or split
+    membership."""
+    digest = hashlib.sha256()
+    for event in events:
+        fields = event.fields
+        ids = [fields[key] for key in CHAIN_FIELDS if key in fields]
+        ids += [c[:2] for c in fields.get("children", ())]
+        digest.update(repr((event.kind, ids, fields.get("n"))).encode())
+    return digest.hexdigest()
+
+
+def scenario_op(scenario, spec, seed: int) -> dict:
+    """The CPU milliseconds of one op of the bench's ScenarioWorkload (one
+    run of ``spec`` and its three reports), and the sha256 of its output
+    and the shape of its events."""
     start = time.thread_time()
     report = scenario.run_scenario(spec, seed=seed)
     output = b"\0".join(text.encode() for text in (
         report.metrics_csv(), report.lineage_csv(), report.events_log()))
-    return output, time.thread_time() - start
+    cpu_ms = (time.thread_time() - start) * 1e3
+    return {"cpu_ms": cpu_ms, "output": hashlib.sha256(output).hexdigest(),
+            "shape": events_shape(report.events)}
 
 
 def interleaved(trees: dict, workload: str, seeds: int, first: int) -> dict:
-    """Both trees' ops on scenario seeds first .. first + seeds - 1, seed by
-    seed in one interpreter, the first side alternating, after one untimed
-    warm-up op per tree."""
+    """Both trees' ops on scenario seeds first .. first + seeds - 1, one
+    pair per seed in this interpreter, after one untimed warm-up op per
+    tree."""
     path = INTERLEAVED[workload][1]
-    runs = {}
+    loaded = {}
     for side, tree in trees.items():
         scenario = load_tree(tree, f"splitchain_{side}")
-        spec = scenario.parse_scenario((tree / path).read_text())
-        scenario_op(scenario, spec, first)  # warm-up, untimed
-        runs[side] = scenario, spec
-    cpu = {"parent": [], "change": []}
-    equal = True
-    for i in range(seeds):
-        outputs = {}
-        for side in pair_order(i):
-            outputs[side], seconds = scenario_op(*runs[side], first + i)
-            cpu[side].append(seconds)
-        equal = equal and outputs["parent"] == outputs["change"]
-    parent, change = cpu["parent"], cpu["change"]
-    summary = {
-        "seeds": seeds, "first_seed": first, "outputs_equal": equal,
-        "parent_cpu_ms_median": round(statistics.median(parent) * 1e3, 4),
-        "change_cpu_ms_median": round(statistics.median(change) * 1e3, 4),
-        "cpu_ratio_median": round(statistics.median(
-            p / c for p, c in zip(parent, change)), 4),
-        "change_won": sum(c < p for p, c in zip(parent, change)),
-        "sign_test_p": pair_stats(parent, change, False)["sign_test_p"]}
+        loaded[side] = scenario, scenario.parse_scenario(
+            (tree / path).read_text())
+        scenario_op(*loaded[side], first)  # warm-up, untimed
+    runs = alternate(lambda side, i: scenario_op(*loaded[side], first + i),
+                     seeds)
+
+    def equal(key):
+        return all(r["parent"][key] == r["change"][key] for r in runs)
+
+    summary = {"first_seed": first, "outputs_equal": equal("output"),
+               "shapes_equal": equal("shape"),
+               **summarise(runs, {"cpu_ms": LOWER})["cpu_ms"]}
     print(f"interleaved {workload}: {summary}", file=sys.stderr)
     return {"summary": summary,
-            "cpu_ms": {side: [round(t * 1e3, 4) for t in times]
-                       for side, times in cpu.items()}}
-
-
-LINE_DIRS = ("src", "demos")
+            "cpu_ms": {side: [round(r[side]["cpu_ms"], 4) for r in runs]
+                       for side in ("parent", "change")}}
 
 
 def line_counts(tree: Path) -> dict:
@@ -683,7 +616,8 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
-        purge_bytecode(tree)
+        for cache in tree.rglob("__pycache__"):
+            shutil.rmtree(cache)
     sys.dont_write_bytecode = True  # the interleaved section imports both
 
     result = {
@@ -715,6 +649,8 @@ def main(argv=None) -> None:
     result["analyze_hashes_equal"] = hashes["parent"] == hashes["change"]
     outputs = result["output_hashes"]
     result["outputs_equal"] = outputs["parent"] == outputs["change"]
+    result["shapes_equal"] = all(run["summary"]["shapes_equal"]
+                                 for run in result["interleaved"].values())
     result["reports_equal"] = reports_equal(outputs["parent"],
                                             outputs["change"])
     result["trace_calls_equal"] = {

@@ -1,10 +1,11 @@
 """The paired summary of scripts/bench_pairs.py, on hand-made runs."""
 
+import ast
+import dataclasses
 import importlib.util
 import statistics
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -118,10 +119,10 @@ def test_interleaved_compares_a_tree_with_itself_seed_by_seed(
                                   seeds=3, first=5)
     summary = run["summary"]
     assert summary["outputs_equal"] is True
-    assert (summary["seeds"], summary["first_seed"]) == (3, 5)
+    assert (summary["pairs"], summary["first_seed"]) == (3, 5)
     assert [len(run["cpu_ms"][side]) for side in ("parent", "change")] == [3, 3]
     assert 0 <= summary["change_won"] <= 3
-    assert summary["cpu_ratio_median"] > 0
+    assert summary["pair_ratio_median"] > 0
     # each side ran its own copy of the package
     parent, change = (sys.modules[f"splitchain_{side}.scenario"]
                       for side in ("parent", "change"))
@@ -130,7 +131,44 @@ def test_interleaved_compares_a_tree_with_itself_seed_by_seed(
     assert sys.dont_write_bytecode == dont_write_bytecode  # left as it was
 
 
-def test_cold_start_summary_reads_each_pair(bench_pairs):
+def test_alternate_runs_each_side_once_per_pair_first_side_alternating(
+        bench_pairs):
+    calls = []
+
+    def measure(side, i):
+        calls.append((side, i))
+        return f"{side} {i}"
+
+    runs = bench_pairs.alternate(measure, 4)
+    assert calls == [("parent", 0), ("change", 0), ("change", 1),
+                     ("parent", 1), ("parent", 2), ("change", 2),
+                     ("change", 3), ("parent", 3)]
+    assert [run["first"] for run in runs] == ["parent", "change"] * 2
+    assert runs[1] == {"first": "change", "change": "change 1",
+                       "parent": "parent 1"}
+
+
+def test_compare_gives_a_verdict_only_when_a_bound_is_given(bench_pairs):
+    parent = [10.0, 11.0, 12.0, 13.0]
+    change = [9.0, 10.0, 11.5, 12.0]  # lower is better: every pair won
+    plain = bench_pairs.compare(parent, change, False)
+    assert "bound" not in plain and "verdict" not in plain
+    assert (plain["change_won"], plain["pairs"]) == (4, 4)
+    assert plain["parent_iqr"] == 1.5
+    bounded = bench_pairs.compare(parent, change, False, 0.2)
+    assert bounded == dict(plain, bound=0.2, verdict=bench_pairs.verdict(
+        parent, change, False, 0.2))
+    # summarise reads each key with its own direction and bound
+    runs = [{"first": bench_pairs.pair_order(i)[0], "parent": {"t": p, "x": p},
+             "change": {"t": c, "x": c}}
+            for i, (p, c) in enumerate(zip(parent, change))]
+    summary = bench_pairs.summarise(runs, {"t": (False, 0.2),
+                                           "x": (True, None)})
+    assert summary["t"] == bounded
+    assert summary["x"]["change_won"] == 0 and "verdict" not in summary["x"]
+
+
+def test_cold_start_probe_reads_each_pair(bench_pairs, monkeypatch):
     # hand-made runs: the change imports faster in 9 of 10 pairs
     def run(import_s, exit=0):
         return {"exit": exit, "import_s": import_s, "total_s": import_s + 1,
@@ -138,48 +176,111 @@ def test_cold_start_summary_reads_each_pair(bench_pairs):
 
     parents = [0.10, 0.12, 0.11, 0.10, 0.13, 0.10, 0.12, 0.11, 0.10, 0.09]
     changes = [0.08, 0.09, 0.08, 0.08, 0.10, 0.07, 0.09, 0.09, 0.08, 0.10]
-    runs = [{"first": "parent", "parent": run(p), "change": run(c)}
-            for p, c in zip(parents, changes)]
-    summary = bench_pairs.cold_start_summary(runs)
+    made = {"P": iter(map(run, parents)), "C": iter(map(run, changes))}
+    monkeypatch.setattr(bench_pairs, "cold_start_run",
+                        lambda tree: next(made[tree]))
+    probe = bench_pairs.cold_start_probe({"parent": "P", "change": "C"}, 10)
+    assert [r["first"] for r in probe["runs"]] == ["parent", "change"] * 5
+    summary = probe["summary"]
     imports = summary["import_s"]
     assert imports["change_won"] == 9 and imports["pairs"] == 10
     assert imports["parent_median"] == round(statistics.median(parents), 4)
     assert imports["change_median"] == round(statistics.median(changes), 4)
     assert imports["parent_q1_q3"] == list(bench_pairs.quartiles(parents)[::2])
+    assert "verdict" not in imports  # no bound, so no verdict
     assert summary["ref_total_s"]["change_won"] == 9
     assert summary["exits"] == [0]
     assert set(summary) == set(bench_pairs.COLD_START_KEYS) | {"exits"}
 
 
-def test_exact_summary_reads_each_point_and_the_grid(bench_pairs):
-    # hand-made runs of a three-point grid: a decided point both trees
-    # answer at once, and two open points the change walks 2-4x faster
-    points = [(Fraction(0), True), (Fraction(1, 4), False),
-              (Fraction(2, 5), False)]
-    parents = [[0.02, 3.0, 4.0], [0.03, 3.2, 4.4], [0.02, 2.8, 4.0],
-               [0.02, 3.0, 4.2]]
-    changes = [[0.01, 1.0, 2.0], [0.01, 0.8, 2.0], [0.03, 0.7, 1.9],
-               [0.01, 1.0, 2.0]]
-    runs = [{"first": bench_pairs.pair_order(i)[0], "parent": p, "change": c}
-            for i, (p, c) in enumerate(zip(parents, changes))]
-    summary = bench_pairs.exact_summary(runs, points)
-    assert summary["pairs"] == 4
-    decided, quarter, two_fifths = summary["points"]
-    assert (decided["beta"], decided["decided"]) == ("0", True)
-    assert decided["change_won"] == 3  # one pair the change lost
-    assert decided["parent_ms"] == 0.02 and decided["change_ms"] == 0.01
-    assert quarter["speedup"] == round(statistics.median(
-        [3.0, 4.0, 4.0, 3.0]), 3)
-    assert quarter["change_won"] == 4
-    assert two_fifths["parent_ms"] == 4.1 and two_fifths["change_ms"] == 2.0
-    # the least speedup over open points reads the slower of the two
-    assert two_fifths["speedup"] == round(statistics.median(
-        [2.0, 2.2, 4.0 / 1.9, 2.1]), 3)
-    assert summary["open_min_speedup"] == two_fifths["speedup"]
+def test_exact_probe_reads_each_point_and_the_grid(
+        bench_pairs, side_packages, monkeypatch):
+    # hand-made times at n = 1000, whose default grid holds five points the
+    # support decides and five open ones: the decided points both trees
+    # answer at once, and the open ones the change walks 2-4x faster
+    decided = [[0.02, 0.03, 0.02, 0.02], [0.01, 0.01, 0.03, 0.01]]
+    quarter = [[3.0, 3.2, 2.8, 3.0], [1.0, 0.8, 0.7, 1.0]]
+    two_fifths = [[4.0, 4.4, 4.0, 4.2], [2.0, 2.0, 1.9, 2.0]]
+    times = {side: [[decided[s][i]] * 5 + [quarter[s][i]] * 4
+                    + [two_fifths[s][i]] for i in range(4)]
+             for s, side in enumerate(("parent", "change"))}
+    calls = {}
+
+    def exact_sweep_ms(analysis, n):
+        side = analysis.__name__.split(".")[0].removeprefix("splitchain_")
+        i = calls[side, n] = calls.get((side, n), -2) + 1  # -1: the warm-up
+        return times[side][i] if n == 1000 and i >= 0 else [0.01] * 10
+
+    monkeypatch.setattr(bench_pairs, "exact_sweep_ms", exact_sweep_ms)
+    monkeypatch.setattr(bench_pairs, "EXACT_SIZES", (1000, 4))
+    tree = SCRIPT.parent.parent
+    probe = bench_pairs.exact_probe({"parent": tree, "change": tree}, 4)
+    summary = probe["n=1000"]["summary"]
+    points = summary["points"]
+    assert [p["decided"] for p in points] == [True] * 5 + [False] * 5
+    assert (points[0]["beta"], points[5]["beta"]) == ("0", "1/4")
+    assert points[0]["change_won"] == 3  # one pair the change lost
+    assert points[0]["parent_median"] == 0.02
+    assert points[0]["change_median"] == 0.01
+    assert points[5]["pair_ratio_median"] == round(statistics.median(
+        [1 / 3, 0.25, 0.25, 1 / 3]), 4)
+    assert points[5]["change_won"] == points[5]["pairs"] == 4
+    assert points[9]["parent_median"] == 4.1
+    assert points[9]["change_median"] == 2.0
+    # the largest open-point ratio reads the least sped-up point
+    assert points[9]["pair_ratio_median"] == round(statistics.median(
+        [0.5, 2.0 / 4.4, 1.9 / 4.0, 2.0 / 4.2]), 4)
+    assert summary["open_max_pair_ratio"] == points[9]["pair_ratio_median"]
     grid = summary["grid"]
-    assert grid["parent_ms"] == round(statistics.median(
-        [sum(p) for p in parents]), 4)
-    assert grid["change_won"] == 4
-    # a grid the support decides everywhere has no open point
-    assert bench_pairs.exact_summary(
-        runs, [(Fraction(0), True)] * 3)["open_min_speedup"] is None
+    assert grid["parent_median"] == round(statistics.median(
+        [sum(t) for t in times["parent"]]), 4)
+    assert grid["change_won"] == 4 and "verdict" not in grid
+    # at n = 4 the support decides every point, so no point is open
+    assert probe["n=4"]["summary"]["open_max_pair_ratio"] is None
+
+
+def test_shapes_equal_reads_kinds_chains_and_sizes_alone(
+        bench_pairs, side_packages, monkeypatch):
+    load_tree = bench_pairs.load_tree
+
+    def summary(edit=None):
+        """interleaved growth of this tree against itself, each run's first
+        divide event's fields on the change side updated by ``edit``."""
+        def loaded(tree, name, submodule="scenario"):
+            module = load_tree(tree, name, submodule)
+            run_scenario = module.run_scenario
+
+            def edited(spec, seed):
+                report = run_scenario(spec, seed=seed)
+                events = list(report.events)
+                i = next(k for k, e in enumerate(events) if e.kind == "divide")
+                fields = dict(events[i].fields, **edit(events[i].fields))
+                events[i] = dataclasses.replace(events[i], fields=fields)
+                return dataclasses.replace(report, events=tuple(events))
+
+            if edit is not None and name == "splitchain_change":
+                module.run_scenario = edited
+            return module
+
+        monkeypatch.setattr(bench_pairs, "load_tree", loaded)
+        tree = SCRIPT.parent.parent
+        return bench_pairs.interleaved({"parent": tree, "change": tree},
+                                       "growth", seeds=2, first=5)["summary"]
+
+    assert summary()["shapes_equal"] is True
+    moved = summary(lambda fields: {"n": fields["n"] + 1})
+    assert (moved["outputs_equal"], moved["shapes_equal"]) == (False, False)
+    faults = summary(lambda fields: {"f": fields["f"] + 1})
+    assert (faults["outputs_equal"], faults["shapes_equal"]) == (False, True)
+
+
+def test_one_alternation_loop_and_one_child_runner():
+    # every pair runs through alternate, and every child through child
+    found = []
+    for top in ast.parse(SCRIPT.read_text()).body:
+        for node in ast.walk(top):
+            if (isinstance(node, (ast.Name, ast.Attribute)) and ast.unparse(
+                    node) in ("pair_order", "subprocess.run")):
+                found.append((ast.unparse(node), getattr(top, "name", None)))
+    assert sorted(found) == [("pair_order", "alternate"),
+                             ("subprocess.run", "child")]
